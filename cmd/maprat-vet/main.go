@@ -11,12 +11,10 @@
 //	maprat-vet ./...                    # whole repo, text findings
 //	maprat-vet -format=json ./...       # machine-readable findings
 //	maprat-vet -format=github ./...     # GitHub Actions ::error annotations
-//	maprat-vet -analyzers=lockcheck,errflow ./internal/shard
+//	maprat-vet -analyzers=lockcheck,errflow ./internal/jobs
 //	maprat-vet -fix ./...               # apply suggested fixes in place
 //	maprat-vet -diff ./...              # preview fixes; exit 1 if any
-//	maprat-vet -cache ./...             # incremental per-package cache
 //	maprat-vet -list                    # rule catalog
-//	maprat-vet -sethash                 # analyzer-set hash (CI cache key)
 //
 // Exit status: 0 clean, 1 findings (or, with -diff, pending fixes),
 // 2 usage or load failure.
@@ -50,16 +48,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("maprat-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		format   = fs.String("format", "text", "output format: text, json, or github (GitHub Actions annotations)")
-		jsonF    = fs.Bool("json", false, "shorthand for -format=json")
-		names    = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		list     = fs.Bool("list", false, "print the rule catalog and exit")
-		fix      = fs.Bool("fix", false, "apply suggested fixes to the source files in place")
-		diff     = fs.Bool("diff", false, "print the suggested fixes as a unified diff; exit 1 if non-empty")
-		useCache = fs.Bool("cache", false, "reuse per-package findings from the incremental result cache")
-		cacheDir = fs.String("cachedir", "", "incremental cache location (default: user cache dir/maprat-vet, or $MAPRAT_VET_CACHE_DIR)")
-		chdir    = fs.String("C", "", "run as if started in this directory")
-		setHash  = fs.Bool("sethash", false, "print the analyzer-set hash (the CI cache key component) and exit")
+		format = fs.String("format", "text", "output format: text, json, or github (GitHub Actions annotations)")
+		jsonF  = fs.Bool("json", false, "shorthand for -format=json")
+		names  = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+		list   = fs.Bool("list", false, "print the rule catalog and exit")
+		fix    = fs.Bool("fix", false, "apply suggested fixes to the source files in place")
+		diff   = fs.Bool("diff", false, "print the suggested fixes as a unified diff; exit 1 if non-empty")
+		chdir  = fs.String("C", "", "run as if started in this directory")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -96,10 +91,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *setHash {
-		fmt.Fprintln(stdout, analysis.AnalyzerSetHash(analyzers))
-		return 0
-	}
 	if *fix && *diff {
 		fmt.Fprintln(stderr, "maprat-vet: -fix and -diff are mutually exclusive (one writes, one previews)")
 		return 2
@@ -122,18 +113,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		dir = abs
 	}
 
-	res, err := analysis.RunWithOptions(dir, analysis.Options{
-		Analyzers: analyzers,
-		Cache:     *useCache,
-		CacheDir:  *cacheDir,
-	}, patterns...)
+	res, err := analysis.RunWithOptions(dir, analysis.Options{Analyzers: analyzers}, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "maprat-vet: %v\n", err)
 		return 2
-	}
-	if *useCache {
-		fmt.Fprintf(stderr, "maprat-vet: %d package(s): %d analyzed, %d from cache\n",
-			res.Packages, res.Analyzed, res.Cached)
 	}
 
 	if *diff {

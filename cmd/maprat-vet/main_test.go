@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -137,20 +136,6 @@ func TestCLIJSONFormat(t *testing.T) {
 	}
 }
 
-func TestCLISetHash(t *testing.T) {
-	code, out, _ := runVet(t, "-sethash")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	if !regexp.MustCompile(`^[0-9a-f]{32}\n$`).MatchString(out) {
-		t.Fatalf("not a 32-hex-char hash: %q", out)
-	}
-	codeSub, outSub, _ := runVet(t, "-sethash", "-analyzers=lockcheck")
-	if codeSub != 0 || outSub == out {
-		t.Error("subset hash should differ from the full-set hash")
-	}
-}
-
 // TestCLIFix applies the suggested fix to a scratch copy of the dirty
 // fixture and verifies the second run comes back clean.
 func TestCLIFix(t *testing.T) {
@@ -180,25 +165,5 @@ func TestCLIFix(t *testing.T) {
 	}
 	if code, _, _ := runVet(t, "-C", work, "./..."); code != 0 {
 		t.Errorf("tree still dirty after -fix (exit %d)", code)
-	}
-}
-
-// TestCLICacheStats pins the cache stats line and the warm-run path
-// through the CLI.
-func TestCLICacheStats(t *testing.T) {
-	cacheDir := t.TempDir()
-	code, _, cold := runVet(t, "-C", "testdata/clean", "-cache", "-cachedir", cacheDir, "./...")
-	if code != 0 {
-		t.Fatalf("cold exit = %d, want 0\n%s", code, cold)
-	}
-	if !strings.Contains(cold, "1 package(s): 1 analyzed, 0 from cache") {
-		t.Errorf("cold stats line wrong:\n%s", cold)
-	}
-	code, _, warm := runVet(t, "-C", "testdata/clean", "-cache", "-cachedir", cacheDir, "./...")
-	if code != 0 {
-		t.Fatalf("warm exit = %d, want 0\n%s", code, warm)
-	}
-	if !strings.Contains(warm, "1 package(s): 0 analyzed, 1 from cache") {
-		t.Errorf("warm stats line wrong:\n%s", warm)
 	}
 }

@@ -37,10 +37,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph rule description shown by maprat-vet -list.
 	Doc string
-	// Version participates in the incremental-cache key; bump it whenever
-	// the analyzer's logic changes so stale cached findings die with the
-	// old behavior. Empty means "1".
-	Version string
 	// Run reports the analyzer's findings on one package.
 	Run func(*Pass) error
 }

@@ -26,8 +26,7 @@ var Clonecheck = &Analyzer{
 	Doc: "a pointer fetched from store.LRU.Get / store.Flight.Do / " +
 		"store.PlanCache.GetOrBuild(At) must not be returned without " +
 		"calling Clone on it; cache hits must hand out deep copies",
-	Version: "2",
-	Run:     runClonecheck,
+	Run: runClonecheck,
 }
 
 func runClonecheck(pass *Pass) error {

@@ -6,14 +6,10 @@ import (
 
 // goroutineCtxSuffixes are the packages where a goroutine that cannot
 // observe a context is a cancellation leak: the mining pipeline threads
-// ctx solver→engine→HTTP (PR 1), the jobs subsystem owns per-job
-// timeouts (PR 5), and the scatter-gather tier (internal/shard with its
-// internal/fault chaos transport) fans goroutines out per slot batch —
-// an unanchored goroutine in any of them keeps computing (or keeps a
-// worker connection pinned) for callers that already hung up.
-var goroutineCtxSuffixes = append(
-	[]string{"internal/jobs", "internal/shard", "internal/fault"},
-	miningPkgSuffixes...)
+// ctx solver→engine→HTTP (PR 1) and the jobs subsystem owns per-job
+// timeouts (PR 5) — an unanchored goroutine in either keeps computing
+// for callers that already hung up.
+var goroutineCtxSuffixes = append([]string{"internal/jobs"}, miningPkgSuffixes...)
 
 // Ctxflow enforces the context discipline: no context.Background()/TODO()
 // outside main packages and annotated seams, context.Context only as the

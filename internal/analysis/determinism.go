@@ -8,7 +8,7 @@ import (
 // miningPkgSuffixes are the packages whose outputs feed mined results.
 // Inside them, everything must be a pure function of (query, seed,
 // epoch): PAPER.md's repeatable exploration, PR 1's sub-seeded restarts
-// and PR 6's shard-merge identity all assume it.
+// and the parallel cube build's partition-merge identity all assume it.
 var miningPkgSuffixes = []string{
 	"internal/core",
 	"internal/cube",
@@ -87,7 +87,7 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
 // the function returns, unless the slice is also passed to a sort or
 // slices call somewhere in the same function. Map iteration order is
 // randomized per execution, so an unsorted result built this way differs
-// run to run — the exact bug class that silently breaks shard-merge
+// run to run — the exact bug class that silently breaks partition-merge
 // identity.
 func checkMapOrderLeak(pass *Pass, fd *ast.FuncDecl) {
 	type candidate struct {

@@ -6,14 +6,9 @@ import (
 
 // envelopePkgSuffixes are the HTTP transport packages whose error
 // responses must carry the uniform v1 envelope (or the HTML front-end's
-// single annotated text seam). The scatter-gather tier and its fault
-// injector are included: both sit on the HTTP path (the coordinator
-// serves /api/v1, the fault transport synthesizes worker responses), so
-// a naked http.Error there would leak an envelope-less failure to SDK
-// clients that decode the envelope shape.
-var envelopePkgSuffixes = []string{
-	"internal/api", "internal/server", "internal/shard", "internal/fault",
-}
+// single annotated text seam): a naked http.Error there would leak an
+// envelope-less failure to SDK clients that decode the envelope shape.
+var envelopePkgSuffixes = []string{"internal/api", "internal/server"}
 
 // Envelope enforces the /api/v1 error contract inside the transport
 // packages: failures must flow through api.StatusForError and the

@@ -11,9 +11,10 @@ import (
 
 // Errflow enforces Go 1.13+ error discipline everywhere in the tree:
 // sentinel errors must be matched with errors.Is (== breaks the moment
-// anyone wraps the sentinel — the degradedPlan ride-through in the shard
-// coordinator only works because of this), and fmt.Errorf over an error
-// value must wrap with %w so errors.Is/As can see through the new layer.
+// anyone wraps the sentinel — api.CodeForError classifies wrapped
+// pipeline sentinels only because of this), and fmt.Errorf over an
+// error value must wrap with %w so errors.Is/As can see through the new
+// layer.
 // Both rules carry suggested fixes that `maprat-vet -fix` applies.
 var Errflow = &Analyzer{
 	Name: "errflow",
@@ -21,8 +22,7 @@ var Errflow = &Analyzer{
 		"non-nil error breaks under wrapping) and %w when fmt.Errorf " +
 		"formats an error value (%v/%s hide the chain from errors.Is/As); " +
 		"both findings carry suggested fixes",
-	Version: "1",
-	Run:     runErrflow,
+	Run: runErrflow,
 }
 
 func runErrflow(pass *Pass) error {

@@ -24,8 +24,7 @@ var Hotalloc = &Analyzer{
 	Doc: "in the hot kernels internal/{cube,core}: flag fmt.Sprint*/string " +
 		"concatenation inside loops, appends into never-presized slices " +
 		"filled by a loop, and capturing closures allocated per iteration",
-	Version: "1",
-	Run:     runHotalloc,
+	Run: runHotalloc,
 }
 
 func inHotPkg(path string) bool {

@@ -8,14 +8,11 @@ import (
 
 // lockPkgSuffixes are the packages lockcheck audits: the concurrency
 // tiers whose mutexes guard shared state on serving paths. A lock held
-// across a blocking call there stalls every contender — and in the
-// scatter-gather tier, can wedge a whole fleet behind one slow worker.
+// across a blocking call there stalls every contender.
 var lockPkgSuffixes = []string{
 	"internal/ingest",
 	"internal/jobs",
-	"internal/shard",
 	"internal/store",
-	"internal/fault",
 }
 
 // Lockcheck is a flow-sensitive mutex auditor: it walks every function
@@ -27,13 +24,12 @@ var lockPkgSuffixes = []string{
 // Unlocks that a pending deferred Unlock will double-unlock.
 var Lockcheck = &Analyzer{
 	Name: "lockcheck",
-	Doc: "in internal/{ingest,jobs,shard,store,fault}: flag blocking calls " +
+	Doc: "in internal/{ingest,jobs,store}: flag blocking calls " +
 		"(channel ops, selects without default, pkg/client RPCs, HTTP, " +
 		"Wait, Sleep, file I/O) while a sync.Mutex/RWMutex is held, " +
 		"return paths that leak a held lock, and explicit Unlocks that a " +
 		"deferred Unlock then double-unlocks",
-	Version: "2",
-	Run:     runLockcheck,
+	Run: runLockcheck,
 }
 
 func inLockPkg(path string) bool {

@@ -6,33 +6,30 @@ import (
 	"go/types"
 )
 
-// mergePkgSuffixes are the distributed/serving packages where map
-// iteration order must never reach merged output: the scatter-gather
-// tier's byte-identical-to-single-node guarantee dies the first time a
-// per-shard map range orders a response payload.
+// mergePkgSuffixes are the serving packages where map iteration order
+// must never reach a response: golden-file byte identity and the ETag's
+// (dataset, request) contract die the first time a map range orders a
+// response payload.
 var mergePkgSuffixes = []string{
-	"internal/shard",
 	"internal/jobs",
 	"internal/api",
 	"internal/server",
-	"internal/fault",
 }
 
 // Mergeorder flags map-range loops whose per-element effects escape the
 // function — an appended slice or string/float aggregate that is
 // returned, written through a parameter/receiver, or stored in a named
 // result — without the slice ever passing through a sort. Go randomizes
-// map iteration per execution, so such output differs run to run; in the
-// scatter-gather tier that silently breaks k-way merge determinism.
+// map iteration per execution, so such output differs run to run and
+// silently breaks byte-identical responses.
 var Mergeorder = &Analyzer{
 	Name: "mergeorder",
-	Doc: "in internal/{shard,jobs,api,server,fault}: forbid map-iteration " +
+	Doc: "in internal/{jobs,api,server}: forbid map-iteration " +
 		"order from reaching escaping output — slices appended inside a " +
 		"map range must be sorted somewhere in the same function, and " +
 		"string/float aggregation inside a map range is order-dependent " +
 		"and needs a deterministic iteration order instead",
-	Version: "1",
-	Run:     runMergeorder,
+	Run: runMergeorder,
 }
 
 func inMergePkg(path string) bool {
@@ -72,8 +69,8 @@ type mergeCandidate struct {
 
 // checkMergeOrder audits one function body. The analysis is keyed on
 // types.ExprString of the written expression, which lets selector
-// targets (out.missing, resp.Items) participate — the shard gatherer
-// builds its missing-worker list exactly that way.
+// targets (out.missing, resp.Items) participate — response DTOs are
+// built exactly that way.
 func checkMergeOrder(pass *Pass, ftype *ast.FuncType, recv *ast.FieldList, body *ast.BlockStmt) {
 	var cands []mergeCandidate
 
@@ -159,7 +156,7 @@ func collectMapRangeEffects(pass *Pass, rs *ast.RangeStmt, cands *[]mergeCandida
 				*cands = append(*cands, mergeCandidate{expr: lhs, pos: rs.Pos(), kind: "string concatenation"})
 			case b.Info()&(types.IsFloat|types.IsComplex) != 0:
 				// Float addition does not associate; summation order changes
-				// the low bits and two shards disagree byte-for-byte.
+				// the low bits and two runs disagree byte-for-byte.
 				*cands = append(*cands, mergeCandidate{expr: lhs, pos: rs.Pos(), kind: "floating-point accumulation"})
 			}
 		}

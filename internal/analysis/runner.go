@@ -8,20 +8,12 @@ import (
 type Options struct {
 	// Analyzers is the set to run (required).
 	Analyzers []*Analyzer
-	// Cache enables the incremental per-package result cache; CacheDir
-	// overrides its location (default DefaultCacheDir()).
-	Cache    bool
-	CacheDir string
 }
 
 // Result is a completed suite run.
 type Result struct {
 	// Diags are the surviving findings, sorted by position.
 	Diags []Diagnostic
-	// Packages is the number of target packages; Analyzed of them were
-	// parsed, type-checked and analyzed this run, Cached were served from
-	// the incremental cache.
-	Packages, Analyzed, Cached int
 	// Sources maps every loaded target file (absolute path) to its
 	// content — the input ApplyFixes and the -diff/-fix paths work from.
 	Sources map[string][]byte
@@ -30,8 +22,7 @@ type Result struct {
 // Run loads patterns relative to dir, runs every analyzer over every
 // loaded package, applies //maprat:allow suppressions, and returns the
 // surviving findings sorted by position. The returned slice is empty for
-// a clean tree. Run never touches the incremental cache; maprat-vet
-// enables it through RunWithOptions.
+// a clean tree.
 func Run(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
 	res, err := RunWithOptions(dir, Options{Analyzers: analyzers}, patterns...)
 	if err != nil {
@@ -40,28 +31,13 @@ func Run(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, e
 	return res.Diags, nil
 }
 
-// RunWithOptions is Run with the incremental cache and per-run stats.
-// With opts.Cache set, each package's findings are keyed by a hash of
-// its sources, its dependencies' export data and the analyzer
-// set/versions; a warm run over an unchanged tree re-analyzes nothing.
+// RunWithOptions is Run that also returns the loaded sources, which the
+// -fix and -diff paths apply suggested fixes to.
 func RunWithOptions(dir string, opts Options, patterns ...string) (*Result, error) {
 	l, err := golist(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-
-	var store *cache
-	if opts.Cache {
-		cdir := opts.CacheDir
-		if cdir == "" {
-			cdir, err = DefaultCacheDir()
-			if err != nil {
-				return nil, err
-			}
-		}
-		store = openCache(cdir)
-	}
-	setHash := AnalyzerSetHash(opts.Analyzers)
 
 	// Directive names validate against the whole suite, not just the
 	// analyzers in this run: a //maprat:allow(ctxflow) is legitimate even
@@ -79,7 +55,6 @@ func RunWithOptions(dir string, opts Options, patterns ...string) (*Result, erro
 		if len(t.GoFiles) == 0 {
 			continue
 		}
-		res.Packages++
 		src, err := readSources(t)
 		if err != nil {
 			return nil, err
@@ -87,20 +62,6 @@ func RunWithOptions(dir string, opts Options, patterns ...string) (*Result, erro
 		for p, b := range src {
 			res.Sources[p] = b
 		}
-
-		var key string
-		if store != nil {
-			key, err = store.key(t, src, l.exports, setHash)
-			if err != nil {
-				return nil, err
-			}
-			if diags, ok := store.get(key); ok {
-				res.Cached++
-				res.Diags = append(res.Diags, diags...)
-				continue
-			}
-		}
-
 		pkg, err := l.checkPackage(t, src)
 		if err != nil {
 			return nil, err
@@ -108,12 +69,6 @@ func RunWithOptions(dir string, opts Options, patterns ...string) (*Result, erro
 		diags, err := runPackage(pkg, opts.Analyzers, known)
 		if err != nil {
 			return nil, err
-		}
-		res.Analyzed++
-		if store != nil {
-			// Best-effort: a failed write costs the next run a re-analysis,
-			// nothing more.
-			_ = store.put(key, t.ImportPath, diags)
 		}
 		res.Diags = append(res.Diags, diags...)
 	}

@@ -14,11 +14,6 @@ import (
 // suppress nothing. It cannot itself be suppressed.
 const SuppressName = "suppress"
 
-// suppressVersion feeds the incremental-cache key alongside the real
-// analyzers' versions: suppression runs on every package, so a behavior
-// change here must invalidate cached findings too.
-const suppressVersion = "1"
-
 // directive is one parsed //maprat:allow comment.
 type directive struct {
 	file string

@@ -1,4 +1,4 @@
-package shard
+package jobs
 
 import (
 	"errors"
@@ -7,9 +7,9 @@ import (
 
 var ErrGone = errors.New("worker gone")
 
-type planError struct{ shard int }
+type planError struct{ job int }
 
-func (e *planError) Error() string { return "degraded plan" }
+func (e *planError) Error() string { return "plan failed" }
 
 // --- sentinel comparisons ------------------------------------------------
 
@@ -40,27 +40,27 @@ func compareIs(err error) bool {
 // --- fmt.Errorf wrapping -------------------------------------------------
 
 func wrapV(err error) error {
-	return fmt.Errorf("scatter: %v", err) // want `fmt\.Errorf formats an error without %w: the cause is flattened to text`
+	return fmt.Errorf("submit: %v", err) // want `fmt\.Errorf formats an error without %w: the cause is flattened to text`
 }
 
 func wrapS(name string, err error) error {
-	return fmt.Errorf("shard %s failed: %s", name, err) // want `fmt\.Errorf formats an error without %w`
+	return fmt.Errorf("job %s failed: %s", name, err) // want `fmt\.Errorf formats an error without %w`
 }
 
 func wrapTwo(a, b error) error {
-	return fmt.Errorf("gather: %v; hedge: %v", a, b) // want `fmt\.Errorf formats an error without %w`
+	return fmt.Errorf("run: %v; cleanup: %v", a, b) // want `fmt\.Errorf formats an error without %w`
 }
 
 func wrapOK(err error) error {
-	return fmt.Errorf("scatter: %w", err) // ok
+	return fmt.Errorf("submit: %w", err) // ok
 }
 
 func wrapOneOfTwo(name string, err error) error {
-	return fmt.Errorf("shard %s: %w", name, err) // ok
+	return fmt.Errorf("job %s: %w", name, err) // ok
 }
 
 func noErrArg(n int) error {
-	return fmt.Errorf("bad shard count %d", n) // ok: no error argument
+	return fmt.Errorf("bad worker count %d", n) // ok: no error argument
 }
 
 func errString(err error) string {

@@ -119,9 +119,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	h.mux.Handle("/api/v1/jobs", h.wrap("jobs_submit", h.handleJobs))
 	h.mux.Handle("/api/v1/jobs/{id}", h.wrap("jobs_get", h.handleJob))
 	h.mux.Handle("/api/v1/jobs/{id}/events", h.wrap("jobs_events", h.handleJobEvents))
-	// The worker-side scatter-gather surface the coordinator fans out to.
-	h.mux.Handle("/api/v1/shard/info", h.wrap("shard_info", h.handleShardInfo))
-	h.mux.Handle("/api/v1/shard/gather", h.wrap("shard_gather", h.handleShardGather))
 	// Routing failures reuse the envelope shape but carry the status the
 	// condition deserves: 404 for a path that doesn't exist, 405 (with
 	// Allow) for a method the endpoint doesn't support — see notFound and
@@ -160,9 +157,9 @@ func datasetName(r *http.Request, explicit string) string {
 	return r.Header.Get("X-Maprat-Dataset")
 }
 
-// lookupEngine resolves a dataset name against the registry. The miner
-// may be a local engine or a coordinator; handlers that need store
-// access type-assert (see handleShardGather).
+// lookupEngine resolves a dataset name against the registry. Handlers
+// that need more than the Miner surface (appends, pinned browse)
+// type-assert for it.
 func (h *Handler) lookupEngine(name string) (maprat.Miner, bool) {
 	m, ok := h.reg.Lookup(name)
 	if !ok {
@@ -248,7 +245,6 @@ func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	markDegraded(w, ex.Degraded)
 	WriteJSON(w, explainDTO(ex))
 }
 
@@ -278,7 +274,6 @@ func (h *Handler) handleGroup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	markDegraded(w, ge.Degraded)
 	WriteJSON(w, groupResponseDTO(req.Query.String(), ge))
 }
 
@@ -298,17 +293,15 @@ func (h *Handler) handleRefine(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
-	refs, missing, err := refineWithDegraded(ctx, eng, req.Query, key, limit)
+	refs, err := eng.RefineGroupContext(ctx, req.Query, key, limit)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	markDegraded(w, missing)
 	WriteJSON(w, &RefinementsResponse{
 		Query:       req.Query.String(),
 		Key:         key.Param(),
 		Refinements: refinementDTOs(refs),
-		Degraded:    missing,
 	})
 }
 
@@ -333,12 +326,10 @@ func (h *Handler) handleDrill(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	markDegraded(w, tr.Degraded)
 	WriteJSON(w, &DrillResponse{
-		Query:    req.Query.String(),
-		Parent:   key.Param(),
-		Result:   taskResultDTO(*tr),
-		Degraded: tr.Degraded,
+		Query:  req.Query.String(),
+		Parent: key.Param(),
+		Result: taskResultDTO(*tr),
 	})
 }
 
@@ -386,9 +377,7 @@ func (h *Handler) handleEvolution(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp := evolutionDTO(req.Query.String(), points)
-	markDegraded(w, resp.Degraded)
-	WriteJSON(w, resp)
+	WriteJSON(w, evolutionDTO(req.Query.String(), points))
 }
 
 func (h *Handler) handleBrowse(w http.ResponseWriter, r *http.Request) {
@@ -409,8 +398,8 @@ func (h *Handler) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	}
 	var states []maprat.StateOverview
 	if epoch != nil && *epoch != 0 {
-		// Epoch pinning is a local-engine feature; a coordinator mount
-		// serves only the latest merged view.
+		// Epoch pinning needs the engine's epoch clock; a Miner without
+		// it serves only the latest view.
 		eb, ok := eng.(interface {
 			BrowseStatesAt(uint64) ([]maprat.StateOverview, error)
 		})

@@ -10,37 +10,44 @@ import (
 	"repro"
 )
 
+// decoderCase is one knob set in both encodings: query is the
+// unescaped GET query (see encodeQuery), body the POST JSON.
+type decoderCase struct {
+	name  string
+	query string
+	body  string
+}
+
+// decoderParityCases decode successfully and identically in both
+// encodings.
+var decoderParityCases = []decoderCase{
+	{
+		"minimal",
+		`q=movie:"Toy Story"`,
+		`{"q":"movie:\"Toy Story\""}`,
+	},
+	{
+		"every mining knob",
+		`q=movie:"Toy Story"&k=5&coverage=0.15&profile=gender=female&seed=9&restarts=4&tasks=sm,dm&relax=false&from=1999&to=2001&geo=off`,
+		`{"q":"movie:\"Toy Story\"","k":5,"coverage":0.15,"profile":"gender=female","seed":9,"restarts":4,"tasks":["sm","dm"],"relax":false,"from":1999,"to":2001,"geo":"off"}`,
+	},
+	{
+		"single task, long name",
+		`q=genre:Drama&tasks=diversity`,
+		`{"q":"genre:Drama","tasks":["diversity"]}`,
+	},
+	{
+		"exploration fields",
+		`q=movie:"Toy Story"&key=state=CA&buckets=4&limit=3&task=dm`,
+		`{"q":"movie:\"Toy Story\"","key":"state=CA","buckets":4,"limit":3,"task":"dm"}`,
+	},
+}
+
 // TestV1DecoderParity pins GET/POST equivalence: the same knob set
 // supplied as query parameters and as a JSON body must decode to the
 // identical engine request.
 func TestV1DecoderParity(t *testing.T) {
-	cases := []struct {
-		name  string
-		query string
-		body  string
-	}{
-		{
-			"minimal",
-			`q=movie:"Toy Story"`,
-			`{"q":"movie:\"Toy Story\""}`,
-		},
-		{
-			"every mining knob",
-			`q=movie:"Toy Story"&k=5&coverage=0.15&profile=gender=female&seed=9&restarts=4&tasks=sm,dm&relax=false&from=1999&to=2001&geo=off`,
-			`{"q":"movie:\"Toy Story\"","k":5,"coverage":0.15,"profile":"gender=female","seed":9,"restarts":4,"tasks":["sm","dm"],"relax":false,"from":1999,"to":2001,"geo":"off"}`,
-		},
-		{
-			"single task, long name",
-			`q=genre:Drama&tasks=diversity`,
-			`{"q":"genre:Drama","tasks":["diversity"]}`,
-		},
-		{
-			"exploration fields",
-			`q=movie:"Toy Story"&key=state=CA&buckets=4&limit=3&task=dm`,
-			`{"q":"movie:\"Toy Story\"","key":"state=CA","buckets":4,"limit":3,"task":"dm"}`,
-		},
-	}
-	for _, c := range cases {
+	for _, c := range decoderParityCases {
 		t.Run(c.name, func(t *testing.T) {
 			getReq := httptest.NewRequest("GET", "/api/v1/explain?"+encodeQuery(c.query), nil)
 			postReq := httptest.NewRequest("POST", "/api/v1/explain", strings.NewReader(c.body))
@@ -159,26 +166,32 @@ func TestV1DecoderKnobs(t *testing.T) {
 	}
 }
 
+// decoderBadKnobCases each carry one knob that fails validation, in
+// both encodings.
+var decoderBadKnobCases = []decoderCase{
+	{"missing q", ``, `{}`},
+	{"bad query syntax", `q=notafield:x`, `{"q":"notafield:x"}`},
+	{"k too large", `q=genre:Drama&k=99`, `{"q":"genre:Drama","k":99}`},
+	{"k zero", `q=genre:Drama&k=0`, `{"q":"genre:Drama","k":0}`},
+	{"coverage out of range", `q=genre:Drama&coverage=7`, `{"q":"genre:Drama","coverage":7}`},
+	{"bad profile", `q=genre:Drama&profile=zz=1`, `{"q":"genre:Drama","profile":"zz=1"}`},
+	{"restarts out of range", `q=genre:Drama&restarts=100000`, `{"q":"genre:Drama","restarts":100000}`},
+	{"bad task name", `q=genre:Drama&tasks=xx`, `{"q":"genre:Drama","tasks":["xx"]}`},
+	{"bad geo", `q=genre:Drama&geo=sideways`, `{"q":"genre:Drama","geo":"sideways"}`},
+	{"inverted window", `q=genre:Drama&from=2001&to=1999`, `{"q":"genre:Drama","from":2001,"to":1999}`},
+}
+
+// decoderMalformedQueries are GET-only syntax failures: the values cannot
+// be expressed in the typed JSON encoding.
+var decoderMalformedQueries = []string{
+	`q=genre:Drama&k=abc`, `q=genre:Drama&coverage=x`, `q=genre:Drama&seed=x`,
+	`q=genre:Drama&relax=maybe`, `q=genre:Drama&from=abcd`, `q=genre:Drama&limit=x`,
+}
+
 // TestV1DecoderBadKnobs pins validation failures: every bad knob is a
 // bad_request, for GET and POST alike.
 func TestV1DecoderBadKnobs(t *testing.T) {
-	cases := []struct {
-		name  string
-		query string
-		body  string
-	}{
-		{"missing q", ``, `{}`},
-		{"bad query syntax", `q=notafield:x`, `{"q":"notafield:x"}`},
-		{"k too large", `q=genre:Drama&k=99`, `{"q":"genre:Drama","k":99}`},
-		{"k zero", `q=genre:Drama&k=0`, `{"q":"genre:Drama","k":0}`},
-		{"coverage out of range", `q=genre:Drama&coverage=7`, `{"q":"genre:Drama","coverage":7}`},
-		{"bad profile", `q=genre:Drama&profile=zz=1`, `{"q":"genre:Drama","profile":"zz=1"}`},
-		{"restarts out of range", `q=genre:Drama&restarts=100000`, `{"q":"genre:Drama","restarts":100000}`},
-		{"bad task name", `q=genre:Drama&tasks=xx`, `{"q":"genre:Drama","tasks":["xx"]}`},
-		{"bad geo", `q=genre:Drama&geo=sideways`, `{"q":"genre:Drama","geo":"sideways"}`},
-		{"inverted window", `q=genre:Drama&from=2001&to=1999`, `{"q":"genre:Drama","from":2001,"to":1999}`},
-	}
-	for _, c := range cases {
+	for _, c := range decoderBadKnobCases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, enc := range []string{"GET", "POST"} {
 				var r = httptest.NewRequest("GET", "/api/v1/explain?"+encodeQuery(c.query), nil)
@@ -200,10 +213,7 @@ func TestV1DecoderBadKnobs(t *testing.T) {
 	}
 
 	// Syntactically malformed values only exist in the GET encoding.
-	for _, q := range []string{
-		`q=genre:Drama&k=abc`, `q=genre:Drama&coverage=x`, `q=genre:Drama&seed=x`,
-		`q=genre:Drama&relax=maybe`, `q=genre:Drama&from=abcd`, `q=genre:Drama&limit=x`,
-	} {
+	for _, q := range decoderMalformedQueries {
 		r := httptest.NewRequest("GET", "/api/v1/explain?"+encodeQuery(q), nil)
 		if _, err := DecodeParams(r); err == nil || !IsBadRequest(err) {
 			t.Errorf("query %q: err = %v, want bad request", q, err)

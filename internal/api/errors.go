@@ -39,9 +39,8 @@ const (
 	// Multi-dataset serving: the request named a dataset that is not
 	// mounted on this server.
 	CodeDatasetNotFound ErrorCode = "dataset_not_found"
-	// Distributed serving: the coordinator could not reach enough workers
-	// to answer at all (partial failures degrade instead — see the
-	// `degraded` response field). 503; clients should retry.
+	// Live ingestion: the engine's write path was never armed (the
+	// server runs without -wal). 503; clients route writes elsewhere.
 	CodeUnavailable ErrorCode = "unavailable"
 )
 
@@ -71,8 +70,6 @@ func CodeForError(err error) ErrorCode {
 		return CodeNoRatings
 	case errors.Is(err, maprat.ErrNoGroup):
 		return CodeNoGroup
-	case errors.Is(err, maprat.ErrUnavailable):
-		return CodeUnavailable
 	// Live ingestion: a bad batch or a read pinned past the current epoch
 	// is the client's to fix; an engine whose write path was never armed
 	// answers 503 so clients route writes elsewhere.

@@ -39,8 +39,8 @@ type AppendResponse struct {
 }
 
 // appender is the optional write-path interface a mounted engine may
-// implement; a coordinator (or an engine without EnableIngest) does not,
-// and answers the ingest-disabled envelope.
+// implement; a Miner without it answers the ingest-disabled envelope, as
+// does an engine whose write path EnableIngest never armed.
 type appender interface {
 	AppendRatings(ctx context.Context, ratings []model.Rating) (uint64, error)
 }

@@ -145,7 +145,7 @@ func (h *Handler) jobFn(eng maprat.Miner, req JobSubmitRequest) (jobs.Fn, error)
 			return nil, err
 		}
 		return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
-			refs, missing, err := refineWithDegraded(ctx, eng, er.Query, key, limit)
+			refs, err := eng.RefineGroupContext(ctx, er.Query, key, limit)
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +153,6 @@ func (h *Handler) jobFn(eng maprat.Miner, req JobSubmitRequest) (jobs.Fn, error)
 				Query:       er.Query.String(),
 				Key:         key.Param(),
 				Refinements: refinementDTOs(refs),
-				Degraded:    missing,
 			}, nil
 		}, nil
 	case "drill":
@@ -176,10 +175,9 @@ func (h *Handler) jobFn(eng maprat.Miner, req JobSubmitRequest) (jobs.Fn, error)
 				return nil, err
 			}
 			return &DrillResponse{
-				Query:    er.Query.String(),
-				Parent:   key.Param(),
-				Result:   taskResultDTO(*tr),
-				Degraded: tr.Degraded,
+				Query:  er.Query.String(),
+				Parent: key.Param(),
+				Result: taskResultDTO(*tr),
 			}, nil
 		}, nil
 	case "evolution":

@@ -74,11 +74,7 @@ type statusRecorder struct {
 }
 
 func (r *statusRecorder) beforeHeaders(code int) {
-	// A degraded (partial) response never gets the strong ETag: the tag
-	// is a function of (dataset, request) and would also validate the
-	// complete representation, so a 304 after the fleet recovers would
-	// wrongly revalidate the partial payload a client cached.
-	if r.etag != "" && code == http.StatusOK && r.Header().Get(DegradedHeader) == "" {
+	if r.etag != "" && code == http.StatusOK {
 		r.ResponseWriter.Header().Set("ETag", r.etag)
 	}
 }
@@ -239,15 +235,6 @@ func etagMatches(header, tag string) bool {
 		}
 	}
 	return false
-}
-
-// Instrument routes an out-of-package handler through the v1 middleware
-// stack under its own endpoint name, so its traffic shows up in the
-// /statsz "api" latency/status counters exactly like a native v1
-// endpoint. The server uses it to mount the deprecated /api/explain
-// alias. It must be called during setup, before the handler serves.
-func (h *Handler) Instrument(name string, next http.Handler) http.Handler {
-	return h.wrap(name, next.ServeHTTP)
 }
 
 // wrap applies the v1 middleware stack to one endpoint: request ID,

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"sort"
 	"time"
 
 	"repro"
@@ -89,10 +88,6 @@ type ExplainResponse struct {
 	Tasks       []TaskResult `json:"tasks"`
 	FromCache   bool         `json:"from_cache"`
 	ElapsedMS   float64      `json:"elapsed_ms"`
-	// Degraded lists the shards missing from this result. Omitted (and
-	// never present from a single-node server) for complete results; see
-	// the README's degradation contract.
-	Degraded []string `json:"degraded,omitempty"`
 }
 
 func explainDTO(ex *maprat.Explanation) *ExplainResponse {
@@ -104,7 +99,6 @@ func explainDTO(ex *maprat.Explanation) *ExplainResponse {
 		OverallStd:  ex.Overall.Std(),
 		FromCache:   ex.FromCache,
 		ElapsedMS:   float64(ex.Elapsed.Microseconds()) / 1000,
-		Degraded:    ex.Degraded,
 	}
 	for _, tr := range ex.Results {
 		resp.Tasks = append(resp.Tasks, taskResultDTO(tr))
@@ -167,9 +161,6 @@ type GroupResponse struct {
 	Timeline    []TimeBucket `json:"timeline"`
 	Related     []Group      `json:"related,omitempty"`
 	Refinements []Refinement `json:"refinements,omitempty"`
-	// Degraded lists the shards missing from this result (distributed
-	// serving only).
-	Degraded []string `json:"degraded,omitempty"`
 }
 
 func groupResponseDTO(q string, ge *maprat.GroupExploration) *GroupResponse {
@@ -189,7 +180,6 @@ func groupResponseDTO(q string, ge *maprat.GroupExploration) *GroupResponse {
 		Histogram:   st.Histogram[model.MinScore:],
 		Related:     groupDTOs(ge.Related),
 		Refinements: refinementDTOs(ge.Refinements),
-		Degraded:    ge.Degraded,
 	}
 	for _, c := range st.Cities {
 		resp.Cities = append(resp.Cities, CityStat{
@@ -213,9 +203,6 @@ type RefinementsResponse struct {
 	Query       string       `json:"query"`
 	Key         string       `json:"key"`
 	Refinements []Refinement `json:"refinements"`
-	// Degraded lists the shards missing from this result (distributed
-	// serving only).
-	Degraded []string `json:"degraded,omitempty"`
 }
 
 // DrillResponse is the /api/v1/drill payload: the best city-anchored
@@ -224,9 +211,6 @@ type DrillResponse struct {
 	Query  string     `json:"query"`
 	Parent string     `json:"parent"`
 	Result TaskResult `json:"result"`
-	// Degraded lists the shards missing from this result (distributed
-	// serving only).
-	Degraded []string `json:"degraded,omitempty"`
 }
 
 // EvolutionPoint is one time-slider position. Exactly one of Explain and
@@ -245,9 +229,6 @@ type EvolutionPoint struct {
 type EvolutionResponse struct {
 	Query  string           `json:"query"`
 	Points []EvolutionPoint `json:"points"`
-	// Degraded is the union of the per-point degraded shard lists
-	// (distributed serving only), sorted and deduplicated.
-	Degraded []string `json:"degraded,omitempty"`
 }
 
 // StateOverview is one row of the browse-mode choropleth.
@@ -293,7 +274,6 @@ func yearWindowStrings(w maprat.TimeWindow) (year int, from, to string) {
 
 func evolutionDTO(q string, points []maprat.EvolutionPoint) *EvolutionResponse {
 	resp := &EvolutionResponse{Query: q}
-	missing := map[string]bool{}
 	for _, p := range points {
 		year, from, to := yearWindowStrings(p.Window)
 		ep := EvolutionPoint{Year: year, From: from, To: to}
@@ -301,15 +281,8 @@ func evolutionDTO(q string, points []maprat.EvolutionPoint) *EvolutionResponse {
 			ep.Error = errorBodyFor(p.Err)
 		} else {
 			ep.Explain = explainDTO(p.Explanation)
-			for _, m := range p.Explanation.Degraded {
-				missing[m] = true
-			}
 		}
 		resp.Points = append(resp.Points, ep)
 	}
-	for m := range missing {
-		resp.Degraded = append(resp.Degraded, m)
-	}
-	sort.Strings(resp.Degraded)
 	return resp
 }

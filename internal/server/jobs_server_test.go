@@ -13,25 +13,22 @@ import (
 	"repro/internal/jobs"
 )
 
-// TestLegacyAliasInstrumented pins the satellite: the deprecated
-// /api/explain alias routes through the v1 middleware stack, so its
-// traffic shows up in the /statsz "api" counters (with the request-ID
-// header the stack adds) like every native v1 endpoint.
-func TestLegacyAliasInstrumented(t *testing.T) {
+// TestV1ExplainInstrumented checks that /api/v1/explain, served through
+// the server mux, runs the v1 middleware stack: the response carries the
+// request-ID header the stack adds and the traffic shows up in the
+// /statsz "api" counters.
+func TestV1ExplainInstrumented(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/api/explain?q=" + url.QueryEscape(`movie:"Toy Story"`))
+	resp, err := http.Get(ts.URL + "/api/v1/explain?q=" + url.QueryEscape(`movie:"Toy Story"`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy alias status %d", resp.StatusCode)
+		t.Fatalf("v1 explain status %d", resp.StatusCode)
 	}
 	if resp.Header.Get("X-Request-ID") == "" {
-		t.Error("legacy alias bypassed the middleware stack: no X-Request-ID")
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias lost its Deprecation header")
+		t.Error("v1 explain bypassed the middleware stack: no X-Request-ID")
 	}
 
 	code, body := get(t, ts, "/statsz")
@@ -47,9 +44,9 @@ func TestLegacyAliasInstrumented(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatalf("statsz json: %v", err)
 	}
-	ep, ok := stats.API["legacy_explain"]
+	ep, ok := stats.API["explain"]
 	if !ok || ep.Requests == 0 || ep.Status["2xx"] == 0 {
-		t.Fatalf("statsz has no legacy_explain counters: %+v", stats.API)
+		t.Fatalf("statsz has no explain counters: %+v", stats.API)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 	srv := httptest.NewServer(NewWithConfig(eng, Config{RequestTimeout: time.Nanosecond}))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/explain?q=genre:Drama")
+	resp, err := http.Get(srv.URL + "/api/v1/explain?q=genre:Drama")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestNegativeTimeoutDisablesDeadline(t *testing.T) {
 	srv := httptest.NewServer(NewWithConfig(eng, Config{RequestTimeout: -1}))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/explain?q=genre:Drama")
+	resp, err := http.Get(srv.URL + "/api/v1/explain?q=genre:Drama")
 	if err != nil {
 		t.Fatal(err)
 	}

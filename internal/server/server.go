@@ -9,7 +9,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"html/template"
 	"log"
@@ -57,9 +56,7 @@ const (
 // context from the request (so a client that disconnects cancels its mine
 // mid-restart) bounded by Config.RequestTimeout.
 type Server struct {
-	// def is the default mount: a local engine on maprat-server, a
-	// scatter-gather coordinator on maprat-coord. The HTML pages and the
-	// legacy API serve it.
+	// def is the default mount. The HTML pages serve it.
 	def maprat.Miner
 	// eng is def when it is a local engine, nil otherwise; it gates the
 	// few features that need direct store/dataset access (item titles,
@@ -107,11 +104,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Server {
 	s.mux.HandleFunc("/evolution", s.handleEvolution)
 	s.mux.HandleFunc("/browse", s.handleBrowse)
 	s.mux.Handle("/api/v1/", s.api)
-	// /api/explain predates the versioned surface; it keeps its original
-	// JSON shape as a deprecated alias for one release. Mounting it
-	// through the v1 middleware stack means its traffic shows up in the
-	// /statsz "api" latency/status counters like every v1 endpoint.
-	s.mux.Handle("/api/explain", s.api.Instrument("legacy_explain", http.HandlerFunc(s.handleAPIExplain)))
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/statsz", s.handleStats)
 	return s
@@ -225,19 +217,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		API      map[string]api.EndpointSnapshot `json:"api"`
 		Jobs     jobs.Stats                      `json:"jobs"`
 		Datasets []datasetStat                   `json:"datasets"`
-		Shards   *api.ShardStats                 `json:"shards,omitempty"`
 		Ingest   *maprat.IngestStats             `json:"ingest,omitempty"`
 	}{
 		PlanCache: s.def.PlanStats(),
 		Mines:     s.def.MineCount(),
 		API:       s.api.MetricsSnapshot(),
 		Jobs:      s.api.JobStats(),
-	}
-	// A coordinator mount contributes its scatter-gather counters
-	// (per-worker breaker state, hedges, degraded responses).
-	if sp, ok := s.def.(interface{ ShardStats() api.ShardStats }); ok {
-		st := sp.ShardStats()
-		resp.Shards = &st
 	}
 	// A write-armed engine contributes its live-ingestion section (epoch
 	// clock, batch/tuple counters, WAL size, plan invalidation split).
@@ -344,7 +329,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	titles := make([]string, 0, len(ex.ItemIDs))
-	if s.eng != nil { // a coordinator has no local item catalog
+	if s.eng != nil { // a wrapping Miner exposes no item catalog
 		for _, id := range ex.ItemIDs {
 			if it := s.eng.Dataset().ItemByID(id); it != nil {
 				titles = append(titles, fmt.Sprintf("%s (%d)", it.Title, it.Year))
@@ -478,75 +463,6 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 		"Query": req.Query.String(),
 		"Rows":  rows,
 	})
-}
-
-// handleAPIExplain is the deprecated pre-v1 endpoint, kept as an alias
-// for one release with its original JSON shape. New clients should use
-// /api/v1/explain.
-func (s *Server) handleAPIExplain(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</api/v1/explain>; rel="successor-version"`)
-	_, req, err := s.parseRequest(r)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	ex, err := s.def.ExplainContext(ctx, req)
-	if err != nil {
-		writeJSONError(w, statusForError(err), err)
-		return
-	}
-	type apiGroup struct {
-		Key    string  `json:"key"`
-		Phrase string  `json:"phrase"`
-		State  string  `json:"state,omitempty"`
-		Mean   float64 `json:"mean"`
-		Count  int     `json:"count"`
-		Std    float64 `json:"std"`
-		Share  float64 `json:"share"`
-	}
-	type apiTask struct {
-		Task      string     `json:"task"`
-		Objective float64    `json:"objective"`
-		Coverage  float64    `json:"coverage"`
-		Groups    []apiGroup `json:"groups"`
-	}
-	resp := struct {
-		Query      string    `json:"query"`
-		ItemIDs    []int     `json:"item_ids"`
-		NumRatings int       `json:"num_ratings"`
-		Mean       float64   `json:"overall_mean"`
-		Tasks      []apiTask `json:"tasks"`
-		FromCache  bool      `json:"from_cache"`
-		ElapsedMS  float64   `json:"elapsed_ms"`
-	}{
-		Query:      ex.Query.String(),
-		ItemIDs:    ex.ItemIDs,
-		NumRatings: ex.NumRatings,
-		Mean:       ex.Overall.Mean(),
-		FromCache:  ex.FromCache,
-		ElapsedMS:  float64(ex.Elapsed.Microseconds()) / 1000,
-	}
-	for _, tr := range ex.Results {
-		at := apiTask{Task: tr.Task.String(), Objective: tr.Objective, Coverage: tr.Coverage}
-		for _, g := range tr.Groups {
-			at.Groups = append(at.Groups, apiGroup{
-				Key: g.Key.Param(), Phrase: g.Phrase, State: g.State,
-				Mean: g.Agg.Mean(), Count: g.Agg.Count, Std: g.Agg.Std(), Share: g.Share,
-			})
-		}
-		resp.Tasks = append(resp.Tasks, at)
-	}
-	api.WriteJSON(w, resp)
-}
-
-func writeJSONError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	// Best effort: the status code already carries the failure.
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 func render(w http.ResponseWriter, t *template.Template, data any) {

@@ -130,7 +130,7 @@ func TestExplainUnknownMovie(t *testing.T) {
 func TestGroupPageFlow(t *testing.T) {
 	ts := testServer(t)
 	// Pull a group key out of the JSON API, then explore it.
-	code, body := get(t, ts, "/api/explain?q="+url.QueryEscape(`movie:"Toy Story"`))
+	code, body := get(t, ts, "/api/v1/explain?q="+url.QueryEscape(`movie:"Toy Story"`))
 	if code != http.StatusOK {
 		t.Fatalf("api status %d", code)
 	}
@@ -189,7 +189,7 @@ func TestEvolutionPage(t *testing.T) {
 
 func TestAPIExplainShape(t *testing.T) {
 	ts := testServer(t)
-	code, body := get(t, ts, "/api/explain?q="+url.QueryEscape(`actor:"Tom Hanks"`)+"&k=4")
+	code, body := get(t, ts, "/api/v1/explain?q="+url.QueryEscape(`actor:"Tom Hanks"`)+"&k=4")
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -235,12 +235,17 @@ func TestAPIExplainShape(t *testing.T) {
 
 func TestAPIExplainErrors(t *testing.T) {
 	ts := testServer(t)
-	code, body := get(t, ts, "/api/explain")
+	code, body := get(t, ts, "/api/v1/explain")
 	if code != http.StatusBadRequest {
 		t.Fatalf("status %d", code)
 	}
-	var e map[string]string
-	if err := json.Unmarshal([]byte(body), &e); err != nil || e["error"] == "" {
+	var e struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error.Code != "bad_request" || e.Error.Message == "" {
 		t.Errorf("error payload: %q", body)
 	}
 }
@@ -323,7 +328,7 @@ func TestHandlerStatusContract(t *testing.T) {
 		{"window without ratings", explainPath(`movie:"Toy Story"`, "from=1901&to=1902"), http.StatusNotFound},
 		{"absent group", "/group?q=" + url.QueryEscape(`movie:"Toy Story"`) +
 			"&key=" + url.QueryEscape("state=WY,occupation=farmer"), http.StatusNotFound},
-		{"api unknown movie", "/api/explain?q=" + url.QueryEscape(`movie:"Zyzzyva The Unfilmed"`), http.StatusNotFound},
+		{"api unknown movie", "/api/v1/explain?q=" + url.QueryEscape(`movie:"Zyzzyva The Unfilmed"`), http.StatusNotFound},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -343,15 +348,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if code, _ := get(t, ts, explainPath(`movie:"Heat"`, "")); code != http.StatusOK {
 		t.Fatalf("explain status %d", code)
 	}
-	code, body := get(t, ts, "/api/explain?q="+url.QueryEscape(`movie:"Heat"`))
-	if code != http.StatusOK {
-		t.Fatalf("api explain status %d", code)
-	}
 	if code, _ := get(t, ts, "/api/v1/explain?q="+url.QueryEscape(`movie:"Heat"`)); code != http.StatusOK {
 		t.Fatalf("v1 explain status %d", code)
 	}
 
-	code, body = get(t, ts, "/statsz")
+	code, body := get(t, ts, "/statsz")
 	if code != http.StatusOK {
 		t.Fatalf("statsz status %d", code)
 	}
@@ -459,26 +460,6 @@ func TestHTMLPagesGetOnly(t *testing.T) {
 		if allow := resp.Header.Get("Allow"); allow != "GET" {
 			t.Errorf("POST %s Allow = %q, want GET", p, allow)
 		}
-	}
-}
-
-// TestLegacyAPIExplainDeprecated checks the pre-v1 endpoint still serves
-// its original shape but advertises the successor.
-func TestLegacyAPIExplainDeprecated(t *testing.T) {
-	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/api/explain?q=" + url.QueryEscape(`movie:"Toy Story"`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy endpoint missing Deprecation header")
-	}
-	if !strings.Contains(resp.Header.Get("Link"), "/api/v1/explain") {
-		t.Errorf("legacy endpoint Link = %q", resp.Header.Get("Link"))
 	}
 }
 

@@ -276,10 +276,6 @@ type TaskResult struct {
 	// RelaxedCoverage is the α actually used after automatic relaxation
 	// (equal to the requested α when no relaxation was needed).
 	RelaxedCoverage float64
-	// Degraded lists the shards that could not contribute to this result.
-	// A single-node engine never sets it; a distributed serving tier sets
-	// it on results mined from a partial gather (see Explanation.Degraded).
-	Degraded []string
 }
 
 // Explanation is the full result of Explain: everything Figure 2 renders.
@@ -291,13 +287,6 @@ type Explanation struct {
 	Results    []TaskResult
 	FromCache  bool
 	Elapsed    time.Duration
-	// Degraded lists the shards (worker names) whose data is missing from
-	// this result. It is empty/nil for a complete result — including every
-	// result from a single-node engine — and non-empty only when a
-	// distributed serving tier answered from a partial gather rather than
-	// failing the query. Callers that cannot tolerate partial answers
-	// should treat a non-empty Degraded as an error.
-	Degraded []string
 }
 
 // Result returns the TaskResult for a task, or nil.
@@ -319,11 +308,9 @@ func (ex *Explanation) Clone() *Explanation {
 	out := *ex
 	out.Query.Preds = append([]query.Pred(nil), ex.Query.Preds...)
 	out.ItemIDs = append([]int(nil), ex.ItemIDs...)
-	out.Degraded = append([]string(nil), ex.Degraded...)
 	out.Results = make([]TaskResult, len(ex.Results))
 	for i, tr := range ex.Results {
 		tr.Groups = append([]GroupResult(nil), tr.Groups...)
-		tr.Degraded = append([]string(nil), tr.Degraded...)
 		out.Results[i] = tr
 	}
 	return &out
@@ -339,12 +326,6 @@ var (
 	// query's candidate cube (a stale or mistyped key).
 	ErrNoGroup = errors.New("maprat: group not present for query")
 )
-
-// ErrUnavailable reports that a distributed serving tier could not reach
-// enough of its workers to answer at all. Partial shard failures degrade
-// instead (Explanation.Degraded); total failure is this error, which the
-// HTTP layer maps to 503 so clients retry.
-var ErrUnavailable = errors.New("maprat: no shards reachable")
 
 func groupNotFound(key Key, q Query) error {
 	return fmt.Errorf("%w: %v (query %s)", ErrNoGroup, key, q)
@@ -371,9 +352,8 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 	}
 	// The resolved epoch is an internal coordinate — cache keys, plan
 	// versions and tuple gathers all use it — but the returned
-	// Explanation echoes the epoch the caller asked for, so a serving
-	// tier without an epoch clock (the scatter-gather coordinator
-	// assembles plans itself) stays byte-identical to a single node.
+	// Explanation echoes the epoch the caller asked for (0 for an
+	// unpinned read), so its Query round-trips to the request as written.
 	reqEpoch := req.Query.Epoch
 	q, err := e.pinQuery(req.Query)
 	if err != nil {
@@ -446,11 +426,10 @@ func (e *Engine) explainUncached(ctx context.Context, req ExplainRequest, start 
 
 // MinePlan runs the mining stage of Explain over an already-materialized
 // plan: one RHE solve per requested sub-problem, with the same defaults
-// and coverage relaxation Explain applies. Exported for serving tiers
-// that assemble plans outside a local engine — the scatter-gather
-// coordinator gathers R_I from its workers, rebuilds the cube locally,
-// and mines here; routing both through this one function is what makes
-// distributed results byte-identical to single-node ones. The returned
+// and coverage relaxation Explain applies. Exported so a caller that
+// materializes a plan itself (the perfbench traced replay times resolve,
+// gather and cube build separately) mines through the same function as
+// the engine and gets byte-identical results. The returned
 // Explanation's Elapsed is zero; the caller stamps it.
 func MinePlan(ctx context.Context, p *store.Plan, req ExplainRequest) (*Explanation, error) {
 	if req.Settings.K == 0 {
@@ -493,8 +472,8 @@ func (e *Engine) baseCubeConfig(override *cube.Config) cube.Config {
 // GroupCubeConfig picks the base cube config a group key needs: a key
 // without a state condition came from a framework-mode (un-anchored)
 // mining run, so the cube must be rebuilt accordingly or the key cannot
-// materialize. Exported so plan-assembling serving tiers derive exactly
-// the config the engine would for the same key.
+// materialize. Exported so callers that build plans themselves derive
+// exactly the config the engine would for the same key.
 func GroupCubeConfig(base cube.Config, key Key) cube.Config {
 	if !key.Has(cube.State) {
 		base.RequireState = false
@@ -733,9 +712,6 @@ type GroupExploration struct {
 	// (refineLimit < 0) or when the group has no drill-deeper children in
 	// the cube.
 	Refinements []Refinement
-	// Degraded lists the shards missing from the underlying gather (see
-	// Explanation.Degraded); always nil from a single-node engine.
-	Degraded []string
 }
 
 // ExploreGroup recomputes the Figure-3 exploration for one explanation
@@ -785,7 +761,7 @@ func (e *Engine) ExploreFullContext(ctx context.Context, q Query, key Key, bucke
 
 // ExplorePlan computes the per-group exploration from an
 // already-materialized plan — the plan-parameterized core of
-// ExploreFullContext, exported for plan-assembling serving tiers.
+// ExploreFullContext, exported for callers that build plans themselves.
 func ExplorePlan(ctx context.Context, p *store.Plan, q Query, key Key, buckets, refineLimit int) (*GroupExploration, error) {
 	g, ok := p.Cube.Group(key)
 	if !ok {
@@ -861,7 +837,7 @@ func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit
 
 // RefinePlan computes a group's drill-deeper refinements from an
 // already-materialized plan — the plan-parameterized core of
-// RefineGroupContext, exported for plan-assembling serving tiers.
+// RefineGroupContext, exported for callers that build plans themselves.
 func RefinePlan(p *store.Plan, q Query, key Key, limit int) ([]Refinement, error) {
 	g, ok := p.Cube.Group(key)
 	if !ok {
@@ -903,7 +879,7 @@ func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task
 
 // DrillPlan mines the city-anchored sub-groups inside a parent group from
 // an already-materialized plan — the plan-parameterized core of
-// DrillMineContext, exported for plan-assembling serving tiers. Settings
+// DrillMineContext, exported for callers that build plans themselves. Settings
 // must already be defaulted (s.K > 0).
 func DrillPlan(ctx context.Context, p *store.Plan, q Query, parent Key, task Task, s Settings) (*TaskResult, error) {
 	if s.K == 0 {
@@ -1069,8 +1045,7 @@ func (e *Engine) EvolutionContext(ctx context.Context, req ExplainRequest) ([]Ev
 // RenderExploration converts an explanation into the paper's set of
 // choropleth maps (one per sub-problem), ready for SVG or terminal
 // rendering. The engine method delegates here; the package-level form
-// serves front-ends rendering explanations mined elsewhere (e.g. behind
-// a coordinator).
+// serves front-ends rendering explanations they received over the wire.
 func (e *Engine) RenderExploration(ex *Explanation) *viz.Exploration {
 	return RenderExploration(ex)
 }

@@ -13,10 +13,12 @@ type DatasetStats = model.Stats
 
 // Miner is the full serving surface of a mounted dataset: the five
 // mining pipelines plus the identity and monitoring hooks the HTTP layer
-// needs. *Engine implements it over a local store; the scatter-gather
-// coordinator (internal/shard) implements it over a fleet of workers, so
-// cmd/maprat-coord serves the exact /api/v1 surface of cmd/maprat-server.
-// Implementations must be safe for concurrent use.
+// needs. *Engine implements it over a local store. The HTTP layer takes
+// the interface rather than *Engine so a wrapper can sit in front of an
+// engine: the perfbench traced run mounts one that records each call
+// and replays it stage by stage through the exported plan functions
+// (MinePlan, ExplorePlan, RefinePlan, DrillPlan). Implementations must
+// be safe for concurrent use.
 type Miner interface {
 	// ExplainContext runs the full §2.3 pipeline for a query.
 	ExplainContext(ctx context.Context, req ExplainRequest) (*Explanation, error)

@@ -181,10 +181,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // server's Retry-After hint when the last failure carried one. The wait
 // always selects on ctx, so cancellation cuts it short. Both waits are
 // jittered: the exponential backoff with equal jitter ([d/2, d)), the
-// Retry-After hint upward by up to 25% — many synchronized callers (the
-// coordinator's scatter-gather retries after a worker blip) otherwise
-// all reach the recovering server on the same tick and knock it over
-// again.
+// Retry-After hint upward by up to 25% — many synchronized callers
+// otherwise all reach the recovering server on the same tick and knock
+// it over again.
 func (c *Client) sleep(ctx context.Context, lastErr error, attempt int) error {
 	d := c.backoff << (attempt - 1)
 	if d > 10*time.Second {

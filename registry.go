@@ -22,8 +22,8 @@ type DatasetInfo struct {
 }
 
 // Mount pairs a mounted miner with its dataset identity. The field keeps
-// the name Engine from the single-node era, but any Miner mounts — a
-// coordinator mount serves the same surface as a local engine.
+// the name Engine, but any Miner mounts (the perfbench traced run mounts
+// a wrapper around a local engine).
 type Mount struct {
 	Name   string
 	Engine Miner
