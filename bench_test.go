@@ -96,7 +96,7 @@ func BenchmarkE2_SimilarityMining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Explain(req); err != nil {
+		if _, err := e.ExplainContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkE2_SimilarityMining(b *testing.B) {
 func BenchmarkE3_Exploration(b *testing.B) {
 	e := benchEngine(b)
 	q := benchQuery(b, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(b.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func BenchmarkE3_Exploration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.ExploreGroup(q, key, 8); err != nil {
+		if _, err := e.ExploreFullContext(b.Context(), q, key, 8, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func BenchmarkE4_DiversityMining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Explain(req); err != nil {
+		if _, err := e.ExplainContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,20 +153,20 @@ func BenchmarkE5_CachingAblation(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Explain(req); err != nil {
+			if _, err := e.ExplainContext(b.Context(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		req := ExplainRequest{Query: q}
-		if _, err := e.Explain(req); err != nil {
+		if _, err := e.ExplainContext(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ex, err := e.Explain(req)
+			ex, err := e.ExplainContext(b.Context(), req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -195,6 +195,15 @@ func benchProblem(b *testing.B, e *Engine, qs string, task Task) *core.Problem {
 	return p
 }
 
+// solve runs RHE under the benchmark's context and fails it on error.
+func solve(b *testing.B, p *core.Problem) core.Solution {
+	sol, err := p.SolveRHECtx(b.Context())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sol
+}
+
 // BenchmarkE6_RHEvsBaselines compares the solvers on the identical SM
 // instance (quality is reported by cmd/maprat-bench; this measures cost).
 func BenchmarkE6_RHEvsBaselines(b *testing.B) {
@@ -204,7 +213,7 @@ func BenchmarkE6_RHEvsBaselines(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if sol := p.SolveRHE(); !sol.Feasible {
+			if sol := solve(b, p); !sol.Feasible {
 				b.Fatal("infeasible")
 			}
 		}
@@ -245,7 +254,7 @@ func BenchmarkE7_Scalability(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.SolveRHE()
+				solve(b, p)
 			}
 		})
 	}
@@ -264,7 +273,7 @@ func BenchmarkE7_Scalability(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.SolveRHE()
+				solve(b, p)
 			}
 		})
 	}
@@ -275,7 +284,7 @@ func BenchmarkE7_Scalability(b *testing.B) {
 func BenchmarkE8_Rendering(b *testing.B) {
 	e := benchEngine(b)
 	q := benchQuery(b, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(b.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,7 +335,7 @@ func BenchmarkE10_ParallelRestarts(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Explain(req); err != nil {
+				if _, err := e.ExplainContext(b.Context(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -345,7 +354,7 @@ func BenchmarkE11_ConcurrentIdenticalQueries(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := e.Explain(req); err != nil {
+			if _, err := e.ExplainContext(b.Context(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -361,7 +370,7 @@ func BenchmarkE11_ConcurrentIdenticalQueries(b *testing.B) {
 func BenchmarkWarmExplore(b *testing.B) {
 	e := benchEngine(b)
 	q := benchQuery(b, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(b.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -378,20 +387,20 @@ func BenchmarkWarmExplore(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cold.ExploreGroup(q, key, 8); err != nil {
+			if _, err := cold.ExploreFullContext(b.Context(), q, key, 8, -1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		// Materialize the plan outside the timed loop.
-		if _, _, err := e.ExploreGroup(q, key, 8); err != nil {
+		if _, err := e.ExploreFullContext(b.Context(), q, key, 8, -1); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := e.ExploreGroup(q, key, 8); err != nil {
+			if _, err := e.ExploreFullContext(b.Context(), q, key, 8, -1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -420,7 +429,7 @@ func BenchmarkColdExplain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Explain(req); err != nil {
+				if _, err := e.ExplainContext(b.Context(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -436,7 +445,7 @@ func BenchmarkE9_TimeSlider(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := e.Evolution(req)
+		points, err := e.EvolutionContext(b.Context(), req)
 		if err != nil {
 			b.Fatal(err)
 		}

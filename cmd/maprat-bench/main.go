@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"log"
@@ -61,13 +62,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("engine opened (join + indexes; global cube is lazy) in %s",
+	log.Printf("engine opened (join + indexes; browse aggregates are lazy) in %s",
 		time.Since(start).Round(time.Millisecond))
 
 	// The experiment list, order and IDs come from the one registry in
 	// internal/bench, so a newly registered experiment cannot be dropped
 	// from default runs or snapshots by a stale list here.
-	experiments := map[string]func(*maprat.Engine) bench.Report{}
+	experiments := map[string]func(context.Context, *maprat.Engine) bench.Report{}
 	order := make([]string, 0, len(bench.Experiments))
 	for _, e := range bench.Experiments {
 		experiments[e.ID] = e.Run
@@ -80,6 +81,7 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	snap := snapshot{Scale: *scale, Seed: *seed, Ratings: stats.Ratings}
 	for _, id := range order {
 		run, ok := experiments[id]
@@ -87,7 +89,7 @@ func main() {
 			log.Fatalf("unknown experiment %q (have %s..%s)", id,
 				bench.Experiments[0].ID, bench.Experiments[len(bench.Experiments)-1].ID)
 		}
-		rep := run(eng)
+		rep := run(ctx, eng)
 		rep.Print(os.Stdout)
 		snap.Reports = append(snap.Reports, rep)
 	}

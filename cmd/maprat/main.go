@@ -10,9 +10,10 @@
 //	maprat -q 'movie:"Toy Story"' -explore 'gender=male,state=CA'
 //	maprat -q 'movie:"Toy Story"' -evolution
 //
-// With -server the same subcommands run against a live maprat-server
-// through the pkg/client SDK instead of opening a local dataset; adding
-// -async submits the work as a job and streams restart progress:
+// With -server the same requests run against a live maprat-server
+// through the pkg/client SDK instead of opening a local dataset, and
+// print the same output; adding -async submits the work as a job and
+// streams restart progress:
 //
 //	maprat -server http://localhost:8080 -q 'movie:"Toy Story"'
 //	maprat -server http://localhost:8080 -async -q 'genre:Drama' -k 4
@@ -24,19 +25,27 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"time"
+	"os/signal"
+	"syscall"
 
 	"repro"
-	"repro/internal/cube"
+	"repro/internal/api"
 	"repro/pkg/client"
 )
 
-func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
+// drillCoverage is the α -drill mines at: city sub-groups partition the
+// parent, so a quarter of its ratings is a realistic coverage target.
+const drillCoverage = 0.25
+
+// exploreRefinements caps the refinement list -explore prints.
+const exploreRefinements = 6
 
 func main() {
 	log.SetFlags(0)
@@ -48,136 +57,136 @@ func main() {
 		runSnap(os.Args[2:])
 		return
 	}
-
-	var (
-		dataDir   = flag.String("data", "", "MovieLens-format data directory (default: generate synthetic data)")
-		scale     = flag.String("scale", "small", "synthetic data scale when -data is unset: small|full")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		queryStr  = flag.String("q", `movie:"Toy Story"`, "item query, e.g. 'actor:\"Tom Hanks\" AND genre:Thriller'")
-		k         = flag.Int("k", 3, "maximum number of groups per interpretation")
-		coverage  = flag.Float64("coverage", 0.20, "minimum fraction of ratings the groups must cover")
-		fromYear  = flag.Int("from", 0, "restrict ratings to years >= this")
-		toYear    = flag.Int("to", 0, "restrict ratings to years <= this")
-		profile   = flag.String("profile", "", "demographic profile, e.g. 'gender=female,age=under 18'")
-		framework = flag.Bool("framework", false, "framework mode: groups need no geo-condition")
-		color     = flag.Bool("color", false, "ANSI-colored choropleth tiles")
-		exploreK  = flag.String("explore", "", "explore one group key, e.g. 'gender=male,state=CA'")
-		drillK    = flag.String("drill", "", "drill-mine city sub-groups inside one group key, e.g. 'state=CA'")
-		evolution = flag.Bool("evolution", false, "show the best SM groups per year (time slider)")
-		serverURL = flag.String("server", "", "remote mode: run against a live maprat-server at this base URL")
-		async     = flag.Bool("async", false, "remote mode: submit as an async job and stream progress (requires -server)")
-	)
-	flag.Parse()
-
-	if *serverURL == "" && *async {
-		log.Fatal("-async requires -server")
-	}
-	// `maprat -server URL append <file.json>` posts a batch of new
-	// ratings; the file (or stdin via "-") holds a JSON array of
-	// {"user_id","item_id","score","unix"} objects.
-	if flag.NArg() > 0 && flag.Arg(0) == "append" {
-		if *serverURL == "" {
-			log.Fatal("append requires -server")
-		}
-		if err := runRemoteAppend(*serverURL, flag.Args()[1:]); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *serverURL != "" {
-		o := remoteOpts{
-			op:    "explain",
-			async: *async,
-			color: *color,
-			params: client.Params{
-				Q: *queryStr,
-			},
-		}
-		if *k != 3 {
-			o.params.K = k
-		}
-		if *coverage != 0.20 {
-			o.params.Coverage = coverage
-		}
-		if *fromYear != 0 {
-			o.params.From = fromYear
-		}
-		if *toYear != 0 {
-			o.params.To = toYear
-		}
-		o.params.Profile = *profile
-		if *framework {
-			o.params.Geo = "off"
-		}
-		switch {
-		case *exploreK != "":
-			o.op = "group"
-			o.params.Key = *exploreK
-		case *drillK != "":
-			o.op = "drill"
-			o.params.Key = *drillK
-		case *evolution:
-			o.op = "evolution"
-			o.params.Tasks = []string{"sm"}
-		}
-		if err := runRemote(*serverURL, o); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	eng, err := openEngine(*dataDir, *scale, *seed)
+	cfg, err := parseFlags(os.Args[1:], flag.ExitOnError)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	q, err := eng.ParseQuery(*queryStr)
-	if err != nil {
-		log.Fatalf("parse query: %v", err)
+	// Ctrl-C cancels the mine or the upload; in async mode it also
+	// cancels the submitted job server-side before exiting.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	// `maprat -server URL append <file.json>` posts a batch of new
+	// ratings; the file (or stdin via "-") holds a JSON array of
+	// {"user_id","item_id","score","unix"} objects.
+	if len(cfg.args) > 0 && cfg.args[0] == "append" {
+		if cfg.serverURL == "" {
+			log.Fatal("append requires -server")
+		}
+		if err := runRemoteAppend(ctx, cfg.serverURL, cfg.args[1:]); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
+	if cfg.serverURL != "" {
+		if err := runRemote(ctx, os.Stdout, cfg.serverURL, cfg.run); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+	eng, err := openEngine(cfg.dataDir, cfg.scale, cfg.seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := runLocal(ctx, os.Stdout, eng, cfg.run); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// cliConfig is one parsed command line.
+type cliConfig struct {
+	dataDir, scale string
+	seed           int64
+	serverURL      string
+	run            runOpts
+	args           []string // positional arguments after the flags
+}
+
+// runOpts is one CLI request: the op to run, its knob set, and the
+// output switches.
+type runOpts struct {
+	op     string
+	params client.Params
+	async  bool
+	color  bool
+}
+
+// parseFlags turns the command line into one request. Both modes send
+// the same request: local mode runs it through the v1 op table in
+// process, -server mode over HTTP.
+func parseFlags(args []string, onError flag.ErrorHandling) (cliConfig, error) {
+	fs := flag.NewFlagSet("maprat", onError)
+	var (
+		cfg       cliConfig
+		queryStr  = fs.String("q", `movie:"Toy Story"`, "item query, e.g. 'actor:\"Tom Hanks\" AND genre:Thriller'")
+		k         = fs.Int("k", 3, "maximum number of groups per interpretation")
+		coverage  = fs.Float64("coverage", 0.20, "minimum fraction of ratings the groups must cover")
+		fromYear  = fs.Int("from", 0, "restrict ratings to years >= this")
+		toYear    = fs.Int("to", 0, "restrict ratings to years <= this")
+		profile   = fs.String("profile", "", "demographic profile, e.g. 'gender=female,age=under 18'")
+		framework = fs.Bool("framework", false, "framework mode: groups need no geo-condition")
+		exploreK  = fs.String("explore", "", "explore one group key, e.g. 'gender=male,state=CA'")
+		drillK    = fs.String("drill", "", "drill-mine city sub-groups inside one group key, e.g. 'state=CA'")
+		evolution = fs.Bool("evolution", false, "show the best SM groups per year (time slider)")
+	)
+	fs.StringVar(&cfg.dataDir, "data", "", "MovieLens-format data directory (default: generate synthetic data)")
+	fs.StringVar(&cfg.scale, "scale", "small", "synthetic data scale when -data is unset: small|full")
+	fs.Int64Var(&cfg.seed, "seed", 1, "generator seed")
+	fs.BoolVar(&cfg.run.color, "color", false, "ANSI-colored choropleth tiles")
+	fs.StringVar(&cfg.serverURL, "server", "", "remote mode: run against a live maprat-server at this base URL")
+	fs.BoolVar(&cfg.run.async, "async", false, "remote mode: submit as an async job and stream progress (requires -server)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if cfg.serverURL == "" && cfg.run.async {
+		return cfg, errors.New("-async requires -server")
+	}
+	cfg.args = fs.Args()
+
+	o := &cfg.run
+	o.op = "explain"
+	o.params = client.Params{Q: *queryStr, K: k, Coverage: coverage, Profile: *profile}
 	if *fromYear != 0 {
-		q.Window.From = time.Date(*fromYear, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
-		q.Window.HasFrom = true
+		o.params.From = fromYear
 	}
 	if *toYear != 0 {
-		q.Window.To = time.Date(*toYear+1, 1, 1, 0, 0, 0, 0, time.UTC).Unix() - 1
-		q.Window.HasTo = true
+		o.params.To = toYear
 	}
-
-	settings := maprat.DefaultSettings()
-	settings.K = *k
-	settings.Coverage = *coverage
-	if *profile != "" {
-		key, err := cube.ParseKey(*profile)
-		if err != nil {
-			log.Fatalf("parse profile: %v", err)
-		}
-		settings.Profile = key
-	}
-	req := maprat.ExplainRequest{Query: q, Settings: settings}
 	if *framework {
-		free := cube.Config{RequireState: false, MinSupport: 8, MaxAVPairs: 2, SkipApex: true}
-		req.CubeConfig = &free
+		o.params.Geo = "off"
 	}
-
 	switch {
 	case *exploreK != "":
-		if err := runExplore(eng, q, *exploreK); err != nil {
-			log.Fatal(err)
-		}
+		o.op = "group"
+		o.params.Key = *exploreK
+		limit := exploreRefinements
+		o.params.Limit = &limit
 	case *drillK != "":
-		if err := runDrill(eng, q, *drillK, settings); err != nil {
-			log.Fatal(err)
-		}
+		o.op = "drill"
+		o.params.Key = *drillK
+		alpha := drillCoverage
+		o.params.Coverage = &alpha
 	case *evolution:
-		if err := runEvolution(eng, req); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		if err := runExplain(eng, req, *color); err != nil {
-			log.Fatal(err)
-		}
+		o.op = "evolution"
+		o.params.Tasks = []string{"sm"}
 	}
+	return cfg, nil
+}
+
+// runLocal runs the request against an in-process engine through the
+// same op table the server's endpoints use, and renders the response
+// document exactly as -server mode renders the wire copy.
+func runLocal(ctx context.Context, w io.Writer, eng maprat.Miner, o runOpts) error {
+	call, err := api.Op(o.op, o.params)
+	if err != nil {
+		return err
+	}
+	v, err := call(ctx, eng, nil)
+	if err != nil {
+		return err
+	}
+	render(w, v, o.color)
+	return nil
 }
 
 func openEngine(dataDir, scale string, seed int64) (*maprat.Engine, error) {
@@ -203,129 +212,4 @@ func openEngine(dataDir, scale string, seed int64) (*maprat.Engine, error) {
 		return nil, err
 	}
 	return maprat.Open(ds, nil)
-}
-
-func runExplain(eng *maprat.Engine, req maprat.ExplainRequest, color bool) error {
-	ex, err := eng.Explain(req)
-	if err != nil {
-		return err
-	}
-	fmt.Print(eng.RenderExploration(ex).ASCII(color))
-	fmt.Printf("\n%d items, %d ratings, overall μ=%.2f σ=%.2f — %s\n",
-		len(ex.ItemIDs), ex.NumRatings, ex.Overall.Mean(), ex.Overall.Std(),
-		ex.Elapsed.Round(time.Millisecond))
-	for _, tr := range ex.Results {
-		fmt.Printf("%s: objective=%.4f coverage=%.0f%% (α=%.0f%%)\n",
-			tr.Task, tr.Objective, tr.Coverage*100, tr.RelaxedCoverage*100)
-	}
-	return nil
-}
-
-func runExplore(eng *maprat.Engine, q maprat.Query, keyStr string) error {
-	key, err := cube.ParseKey(keyStr)
-	if err != nil {
-		return fmt.Errorf("parse key: %w", err)
-	}
-	st, related, err := eng.ExploreGroup(q, key, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s\n  μ=%.2f σ=%.2f n=%d share=%.1f%%\n\n",
-		st.Phrase, st.Agg.Mean(), st.Agg.Std(), st.Agg.Count, st.Share*100)
-	fmt.Println("rating distribution:")
-	for s := 1; s < len(st.Histogram); s++ {
-		fmt.Printf("  %d★ %-40s %d\n", s, bar(st.Histogram[s], maxHist(st.Histogram[:])), st.Histogram[s])
-	}
-	if len(st.Cities) > 0 {
-		fmt.Println("\ncity drill-down:")
-		for _, c := range st.Cities {
-			fmt.Printf("  %-20s μ=%.2f n=%d\n", c.City, c.Agg.Mean(), c.Agg.Count)
-		}
-	}
-	fmt.Println("\nrating evolution:")
-	for _, b := range st.Timeline {
-		if b.Agg.Count == 0 {
-			fmt.Printf("  %-18s —\n", b.Label())
-			continue
-		}
-		fmt.Printf("  %-18s μ=%.2f n=%d\n", b.Label(), b.Agg.Mean(), b.Agg.Count)
-	}
-	if len(related) > 0 {
-		fmt.Println("\nrelated groups:")
-		for _, g := range related {
-			fmt.Printf("  %-55s μ=%.2f n=%d\n", g.Phrase, g.Agg.Mean(), g.Agg.Count)
-		}
-	}
-	if refs, err := eng.RefineGroup(q, key, 6); err == nil && len(refs) > 0 {
-		fmt.Println("\ndrill deeper (most deviant refinements):")
-		for _, r := range refs {
-			fmt.Printf("  %-55s μ=%.2f n=%-5d Δ%+.2f (+%s)\n",
-				r.Group.Phrase, r.Group.Agg.Mean(), r.Group.Agg.Count, r.Delta, r.Added)
-		}
-	}
-	return nil
-}
-
-func runDrill(eng *maprat.Engine, q maprat.Query, keyStr string, s maprat.Settings) error {
-	key, err := cube.ParseKey(keyStr)
-	if err != nil {
-		return fmt.Errorf("parse key: %w", err)
-	}
-	s.Coverage = 0.25 // city sub-groups partition the parent; a quarter is realistic
-	tr, err := eng.DrillMine(q, key, maprat.SimilarityMining, s)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("city-level drill-down mining inside %s:\n", key.Phrase())
-	for _, g := range tr.Groups {
-		fmt.Printf("  %-55s μ=%.2f n=%d\n", g.Phrase, g.Agg.Mean(), g.Agg.Count)
-	}
-	fmt.Printf("objective=%.4f coverage=%.0f%% of the group's ratings\n", tr.Objective, tr.Coverage*100)
-	return nil
-}
-
-func runEvolution(eng *maprat.Engine, req maprat.ExplainRequest) error {
-	req.Tasks = []maprat.Task{maprat.SimilarityMining}
-	points, err := eng.Evolution(req)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("time slider — %s\n", req.Query.String())
-	for _, p := range points {
-		year := time.Unix(p.Window.From, 0).UTC().Year()
-		if p.Err != nil || p.Explanation == nil {
-			fmt.Printf("%d: (no result: %v)\n", year, p.Err)
-			continue
-		}
-		fmt.Printf("%d: %d ratings, μ=%.2f\n", year,
-			p.Explanation.NumRatings, p.Explanation.Overall.Mean())
-		if sm := p.Explanation.Result(maprat.SimilarityMining); sm != nil {
-			for _, g := range sm.Groups {
-				fmt.Printf("    %-55s μ=%.2f n=%d\n", g.Phrase, g.Agg.Mean(), g.Agg.Count)
-			}
-		}
-	}
-	return nil
-}
-
-func bar(n, max int) string {
-	if max == 0 {
-		return ""
-	}
-	w := n * 40 / max
-	out := make([]byte, w)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
-}
-
-func maxHist(h []int) int {
-	m := 1
-	for _, v := range h {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

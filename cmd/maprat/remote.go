@@ -2,81 +2,56 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/internal/viz"
 	"repro/pkg/client"
 )
 
-// remoteOpts is everything the remote runners need beyond the client:
-// the op to run, the shared knob set, and the output switches.
-type remoteOpts struct {
-	op     string
-	params client.Params
-	async  bool
-	color  bool
-}
-
 // runRemote drives a live maprat-server through the pkg/client SDK: the
-// same subcommands as local mode, but mining happens server-side. With
+// same requests as local mode, but mining happens server-side. With
 // -async the request is submitted as a job, progress streams to stderr
 // over SSE, and the result is fetched once the job completes.
-func runRemote(serverURL string, o remoteOpts) error {
+func runRemote(ctx context.Context, w io.Writer, serverURL string, o runOpts) error {
 	c, err := client.New(serverURL)
 	if err != nil {
 		return err
 	}
-	// Ctrl-C cancels the remote call; in async mode it also cancels the
-	// submitted job server-side before exiting.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
+	var v any
 	if o.async {
-		return runRemoteAsync(ctx, c, o)
+		v, err = runRemoteAsync(ctx, c, o)
+	} else {
+		v, err = fetchRemote(ctx, c, o)
 	}
-	return renderRemote(ctx, c, o)
+	if err != nil {
+		return err
+	}
+	render(w, v, o.color)
+	return nil
 }
 
-// renderRemote runs one synchronous endpoint and renders its payload.
-func renderRemote(ctx context.Context, c *client.Client, o remoteOpts) error {
+// fetchRemote runs one synchronous endpoint and returns its response
+// document.
+func fetchRemote(ctx context.Context, c *client.Client, o runOpts) (any, error) {
 	switch o.op {
 	case "group":
-		g, err := c.Group(ctx, o.params)
-		if err != nil {
-			return err
-		}
-		renderRemoteGroup(g)
+		return c.Group(ctx, o.params)
 	case "drill":
-		d, err := c.Drill(ctx, o.params)
-		if err != nil {
-			return err
-		}
-		renderRemoteDrill(d)
+		return c.Drill(ctx, o.params)
 	case "evolution":
-		ev, err := c.Evolution(ctx, o.params)
-		if err != nil {
-			return err
-		}
-		renderRemoteEvolution(ev)
+		return c.Evolution(ctx, o.params)
 	default:
-		ex, err := c.Explain(ctx, o.params)
-		if err != nil {
-			return err
-		}
-		renderRemoteExplain(ex, o.color)
+		return c.Explain(ctx, o.params)
 	}
-	return nil
 }
 
 // runRemoteAppend posts one batch of new ratings from a JSON file (or
 // stdin via "-") and prints the epoch the server accepted it at.
-func runRemoteAppend(serverURL string, args []string) error {
+func runRemoteAppend(ctx context.Context, serverURL string, args []string) error {
 	if len(args) != 1 {
 		return errors.New("usage: maprat -server URL append <ratings.json | ->")
 	}
@@ -93,15 +68,13 @@ func runRemoteAppend(serverURL string, args []string) error {
 		return err
 	}
 	var ratings []client.RatingInput
-	if err := jsonUnmarshal(raw, &ratings); err != nil {
+	if err := json.Unmarshal(raw, &ratings); err != nil {
 		return fmt.Errorf("parse ratings: %w", err)
 	}
 	c, err := client.New(serverURL)
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	resp, err := c.AppendRatings(ctx, "", ratings)
 	if err != nil {
 		return err
@@ -111,11 +84,11 @@ func runRemoteAppend(serverURL string, args []string) error {
 }
 
 // runRemoteAsync submits the op as a job, streams restart progress to
-// stderr, and renders the completed result.
-func runRemoteAsync(ctx context.Context, c *client.Client, o remoteOpts) error {
+// stderr, and returns the completed result document.
+func runRemoteAsync(ctx context.Context, c *client.Client, o runOpts) (any, error) {
 	job, err := c.SubmitJob(ctx, o.op, o.params)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "job %s submitted (%s)\n", job.ID, job.State)
 	st, err := c.StreamJob(ctx, job.ID, func(ev client.JobEvent) error {
@@ -138,7 +111,7 @@ func runRemoteAsync(ctx context.Context, c *client.Client, o remoteOpts) error {
 		// already terminal, so there is nothing to cancel.
 		var jfe *client.JobFailedError
 		if errors.As(err, &jfe) {
-			return fmt.Errorf("job %s failed: %s: %s", jfe.ID, jfe.Code, jfe.Message)
+			return nil, fmt.Errorf("job %s failed: %s: %s", jfe.ID, jfe.Code, jfe.Message)
 		}
 		if ctx.Err() != nil {
 			// Interrupted: cancel server-side on a fresh context so the
@@ -147,157 +120,18 @@ func runRemoteAsync(ctx context.Context, c *client.Client, o remoteOpts) error {
 			defer cancel()
 			_, _ = c.CancelJob(cctx, job.ID)
 		}
-		return err
+		return nil, err
 	}
 	switch st.State {
 	case "done":
 	case "canceled":
-		return fmt.Errorf("job %s canceled", st.ID)
+		return nil, fmt.Errorf("job %s canceled", st.ID)
 	default:
-		return fmt.Errorf("job %s ended in unexpected state %q", st.ID, st.State)
+		return nil, fmt.Errorf("job %s ended in unexpected state %q", st.ID, st.State)
 	}
-	return renderRemoteResult(st, o)
-}
-
-// renderRemoteResult decodes a done job's result document by op and
-// renders it like the synchronous path.
-func renderRemoteResult(st *client.JobStatus, o remoteOpts) error {
-	decode := func(v any) error { return jsonUnmarshal(st.Result, v) }
-	switch o.op {
-	case "group":
-		var g client.GroupResponse
-		if err := decode(&g); err != nil {
-			return err
-		}
-		renderRemoteGroup(&g)
-	case "drill":
-		var d client.DrillResponse
-		if err := decode(&d); err != nil {
-			return err
-		}
-		renderRemoteDrill(&d)
-	case "evolution":
-		var ev client.EvolutionResponse
-		if err := decode(&ev); err != nil {
-			return err
-		}
-		renderRemoteEvolution(&ev)
-	default:
-		var ex client.ExplainResponse
-		if err := decode(&ex); err != nil {
-			return err
-		}
-		renderRemoteExplain(&ex, o.color)
+	v := response(o.op)
+	if err := json.Unmarshal(st.Result, v); err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// renderRemoteExplain rebuilds the terminal choropleths from the wire
-// DTO — the same viz layer local mode uses, fed from the API payload.
-func renderRemoteExplain(ex *client.ExplainResponse, color bool) {
-	out := &viz.Exploration{Query: ex.Query}
-	for _, tr := range ex.Tasks {
-		m := viz.Map{Title: fmt.Sprintf("%s — %s (%d ratings, overall μ=%.2f)",
-			taskLongName(tr.Task), ex.Query, ex.NumRatings, ex.OverallMean)}
-		for _, g := range tr.Groups {
-			m.Shades = append(m.Shades, viz.Shade{
-				State:   g.State,
-				Mean:    g.Mean,
-				Support: g.Count,
-				Label:   g.Phrase,
-				Icons:   g.Icons,
-			})
-		}
-		out.Maps = append(out.Maps, m)
-	}
-	fmt.Print(out.ASCII(color))
-	fmt.Printf("\n%d items, %d ratings, overall μ=%.2f σ=%.2f (mined remotely in %.0fms)\n",
-		len(ex.ItemIDs), ex.NumRatings, ex.OverallMean, ex.OverallStd, ex.ElapsedMS)
-	for _, tr := range ex.Tasks {
-		fmt.Printf("%s: objective=%.4f coverage=%.0f%% (α=%.0f%%)\n",
-			tr.Task, tr.Objective, tr.Coverage*100, tr.RelaxedCoverage*100)
-	}
-}
-
-func taskLongName(task string) string {
-	if task == "DM" {
-		return "Diversity Mining (reviewers who disagree)"
-	}
-	return "Similarity Mining (reviewers who agree)"
-}
-
-func renderRemoteGroup(g *client.GroupResponse) {
-	fmt.Printf("%s\n  μ=%.2f σ=%.2f n=%d share=%.1f%%\n\n",
-		g.Group.Phrase, g.Group.Mean, g.Group.Std, g.Group.Count, g.Group.Share*100)
-	fmt.Println("rating distribution:")
-	maxCount := 1
-	for _, n := range g.Histogram {
-		if n > maxCount {
-			maxCount = n
-		}
-	}
-	for i, n := range g.Histogram {
-		fmt.Printf("  %d★ %-40s %d\n", i+1, bar(n, maxCount), n)
-	}
-	if len(g.Cities) > 0 {
-		fmt.Println("\ncity drill-down:")
-		for _, c := range g.Cities {
-			fmt.Printf("  %-20s μ=%.2f n=%d\n", c.City, c.Mean, c.Count)
-		}
-	}
-	if len(g.Timeline) > 0 {
-		fmt.Println("\nrating evolution:")
-		for _, b := range g.Timeline {
-			if b.Count == 0 {
-				fmt.Printf("  %-18s —\n", b.Label)
-				continue
-			}
-			fmt.Printf("  %-18s μ=%.2f n=%d\n", b.Label, b.Mean, b.Count)
-		}
-	}
-	if len(g.Related) > 0 {
-		fmt.Println("\nrelated groups:")
-		for _, r := range g.Related {
-			fmt.Printf("  %-55s μ=%.2f n=%d\n", r.Phrase, r.Mean, r.Count)
-		}
-	}
-	if len(g.Refinements) > 0 {
-		fmt.Println("\ndrill deeper (most deviant refinements):")
-		for _, r := range g.Refinements {
-			fmt.Printf("  %-55s μ=%.2f n=%-5d Δ%+.2f (+%s)\n",
-				r.Group.Phrase, r.Group.Mean, r.Group.Count, r.Delta, r.Added)
-		}
-	}
-}
-
-func renderRemoteDrill(d *client.DrillResponse) {
-	fmt.Printf("city-level drill-down mining inside %s:\n", d.Parent)
-	for _, g := range d.Result.Groups {
-		fmt.Printf("  %-55s μ=%.2f n=%d\n", g.Phrase, g.Mean, g.Count)
-	}
-	fmt.Printf("objective=%.4f coverage=%.0f%% of the group's ratings\n",
-		d.Result.Objective, d.Result.Coverage*100)
-}
-
-func renderRemoteEvolution(ev *client.EvolutionResponse) {
-	fmt.Printf("time slider — %s\n", ev.Query)
-	for _, p := range ev.Points {
-		if p.Error != nil || p.Explain == nil {
-			msg := ""
-			if p.Error != nil {
-				msg = p.Error.Message
-			}
-			fmt.Printf("%d: (no result: %s)\n", p.Year, msg)
-			continue
-		}
-		fmt.Printf("%d: %d ratings, μ=%.2f\n", p.Year, p.Explain.NumRatings, p.Explain.OverallMean)
-		for _, tr := range p.Explain.Tasks {
-			if tr.Task != "SM" {
-				continue
-			}
-			for _, g := range tr.Groups {
-				fmt.Printf("    %-55s μ=%.2f n=%d\n", g.Phrase, g.Mean, g.Count)
-			}
-		}
-	}
+	return v, nil
 }

@@ -51,7 +51,7 @@ func TestConcurrentIdenticalExplainsMineOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i], errs[i] = e.Explain(ExplainRequest{Query: q})
+			results[i], errs[i] = e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 		}(i)
 	}
 	close(start)
@@ -94,7 +94,7 @@ func TestConcurrentMixedExplains(t *testing.T) {
 					t.Errorf("parse %q: %v", qs, err)
 					return
 				}
-				if _, err := e.Explain(ExplainRequest{Query: q}); err != nil {
+				if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); err != nil {
 					t.Errorf("explain %q: %v", qs, err)
 				}
 			}(qs)
@@ -102,8 +102,8 @@ func TestConcurrentMixedExplains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if states := e.BrowseStates(); len(states) == 0 {
-				t.Error("BrowseStates empty")
+			if states, err := e.BrowseStatesAt(0); err != nil || len(states) == 0 {
+				t.Errorf("BrowseStatesAt empty: %v", err)
 			}
 		}()
 	}
@@ -119,13 +119,13 @@ func TestEngineWorkersMatchSequential(t *testing.T) {
 
 	seqReq := ExplainRequest{Query: q, DisableCache: true, Settings: DefaultSettings()}
 	seqReq.Settings.Workers = 1
-	seq, err := e.Explain(seqReq)
+	seq, err := e.ExplainContext(t.Context(), seqReq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parReq := ExplainRequest{Query: q, DisableCache: true, Settings: DefaultSettings()}
 	parReq.Settings.Workers = 4
-	par, err := e.Explain(parReq)
+	par, err := e.ExplainContext(t.Context(), parReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +169,14 @@ func TestContextVariantsPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := ex.Results[0].Groups[0].Key
 
-	if _, _, err := e.ExploreGroupContext(ctx, q, key, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExploreGroupContext: %v", err)
+	if _, err := e.ExploreFullContext(ctx, q, key, 0, -1); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExploreFullContext: %v", err)
 	}
 	if _, err := e.RefineGroupContext(ctx, q, key, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("RefineGroupContext: %v", err)

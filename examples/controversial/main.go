@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	ds, err := maprat.Generate(maprat.SmallGenConfig())
@@ -39,7 +41,7 @@ func main() {
 	settings.Coverage = 0.04
 	free := cube.Config{RequireState: false, MinSupport: 6, MaxAVPairs: 2, SkipApex: true}
 
-	ex, err := eng.Explain(maprat.ExplainRequest{
+	ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{
 		Query:      q,
 		Settings:   settings,
 		Tasks:      []maprat.Task{maprat.DiversityMining},

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	ds, err := maprat.Generate(maprat.SmallGenConfig())
@@ -27,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex, err := eng.Explain(maprat.ExplainRequest{
+	ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{
 		Query: q, Tasks: []maprat.Task{maprat.SimilarityMining},
 	})
 	if err != nil {
@@ -44,10 +46,11 @@ func main() {
 	// California" here.
 	top := sm.Groups[0]
 	fmt.Printf("\n=== exploring: %s ===\n", top.Phrase)
-	stats, related, err := eng.ExploreGroup(q, top.Key, 6)
+	ge, err := eng.ExploreFullContext(ctx, q, top.Key, 6, -1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	stats, related := ge.Stats, ge.Related
 
 	fmt.Println("\nscore distribution:")
 	for s := 1; s < len(stats.Histogram); s++ {

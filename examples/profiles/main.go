@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	ds, err := maprat.Generate(maprat.SmallGenConfig())
@@ -46,7 +48,7 @@ func main() {
 	for _, p := range profiles {
 		s := maprat.DefaultSettings()
 		s.Profile = p.key
-		ex, err := eng.Explain(maprat.ExplainRequest{
+		ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{
 			Query: q, Settings: s, Tasks: []maprat.Task{maprat.SimilarityMining},
 		})
 		if err != nil {

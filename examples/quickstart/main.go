@@ -37,8 +37,7 @@ func main() {
 
 	// 4. Explain: mines the best reviewer groups for both sub-problems.
 	//    The context bounds the mine — RHE restarts run across all cores
-	//    and stop early if the deadline fires (plain eng.Explain works too
-	//    when no deadline is wanted).
+	//    and stop early if the deadline fires.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q})

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	ds, err := maprat.Generate(maprat.SmallGenConfig())
@@ -28,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	points, err := eng.Evolution(maprat.ExplainRequest{
+	points, err := eng.EvolutionContext(ctx, maprat.ExplainRequest{
 		Query: q, Tasks: []maprat.Task{maprat.SimilarityMining},
 	})
 	if err != nil {

@@ -164,7 +164,7 @@ func TestFutureEpochRejected(t *testing.T) {
 	e := ingestEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 	q.Epoch = 99
-	if _, err := e.Explain(ExplainRequest{Query: q}); !errors.Is(err, ErrFutureEpoch) {
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); !errors.Is(err, ErrFutureEpoch) {
 		t.Fatalf("err = %v, want ErrFutureEpoch", err)
 	}
 	if _, err := e.BrowseStatesAt(99); !errors.Is(err, ErrFutureEpoch) {
@@ -182,7 +182,7 @@ func TestPinnedReadByteIdentical(t *testing.T) {
 	q.Epoch = 1
 	req := ExplainRequest{Query: q, DisableCache: true}
 
-	before, err := e.Explain(req)
+	before, err := e.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("Explain before append: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestPinnedReadByteIdentical(t *testing.T) {
 		}
 	}
 
-	after, err := e.Explain(req)
+	after, err := e.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatalf("Explain after append: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestPinnedReadByteIdentical(t *testing.T) {
 	// The latest view, by contrast, sees the 6 new ratings.
 	qLatest := q
 	qLatest.Epoch = 0
-	latest, err := e.Explain(ExplainRequest{Query: qLatest, DisableCache: true})
+	latest, err := e.ExplainContext(t.Context(), ExplainRequest{Query: qLatest, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 	toy := mustQuery(t, e, `movie:"Toy Story"`)
 	heat := mustQuery(t, e, `movie:"Heat"`)
 	for _, q := range []Query{toy, heat} {
-		if _, err := e.Explain(ExplainRequest{Query: q}); err != nil {
+		if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); err != nil {
 			t.Fatalf("prime %s: %v", q, err)
 		}
 	}
@@ -245,14 +245,14 @@ func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 	}
 
 	// Heat at the new epoch rides the surviving plan: no new build.
-	if _, err := e.Explain(ExplainRequest{Query: heat}); err != nil {
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: heat}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.PlanStats().Builds; got != buildsBefore {
 		t.Fatalf("untouched plan rebuilt: builds %d -> %d", buildsBefore, got)
 	}
 	// Toy Story at the new epoch must rebuild against the fresh data.
-	if _, err := e.Explain(ExplainRequest{Query: toy}); err != nil {
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: toy}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.PlanStats().Builds; got != buildsBefore+1 {
@@ -292,7 +292,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 	q := mustQuery(t, e1, `movie:"Toy Story"`)
 	req := ExplainRequest{Query: q, DisableCache: true}
-	want, err := e1.Explain(req)
+	want, err := e1.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestWALCrashRecovery(t *testing.T) {
 	if e2.Fingerprint() != e1.Fingerprint() {
 		t.Fatal("replayed engine's fingerprint differs")
 	}
-	got, err := e2.Explain(req)
+	got, err := e2.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestWALCrashRecovery(t *testing.T) {
 func TestEvolutionGainsLiveWindow(t *testing.T) {
 	e := ingestEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	before, err := e.Evolution(ExplainRequest{Query: q})
+	before, err := e.EvolutionContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestEvolutionGainsLiveWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, err := e.Evolution(ExplainRequest{Query: q})
+	after, err := e.EvolutionContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestEvolutionGainsLiveWindow(t *testing.T) {
 	}
 	pinnedQ := q
 	pinnedQ.Epoch = 1
-	pinned, err := e.Evolution(ExplainRequest{Query: pinnedQ})
+	pinned, err := e.EvolutionContext(t.Context(), ExplainRequest{Query: pinnedQ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestAppendWhileMining(t *testing.T) {
 				if i%3 == 0 {
 					req.DisableCache = true
 				}
-				if _, err := e.Explain(req); err != nil {
+				if _, err := e.ExplainContext(t.Context(), req); err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}

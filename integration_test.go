@@ -43,11 +43,11 @@ func TestIntegrationFileRoundTripExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := engMem.Explain(ExplainRequest{Query: q, DisableCache: true})
+	a, err := engMem.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engFile.Explain(ExplainRequest{Query: q, DisableCache: true})
+	b, err := engFile.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestIntegrationDemoWalkthrough(t *testing.T) {
 	} {
 		t.Run(qs, func(t *testing.T) {
 			q := mustQuery(t, e, qs)
-			ex, err := e.Explain(ExplainRequest{Query: q})
+			ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 			if err != nil {
 				t.Fatalf("explain: %v", err)
 			}
@@ -130,17 +130,17 @@ func TestIntegrationDemoWalkthrough(t *testing.T) {
 				t.Fatal("no SM groups")
 			}
 			top := sm.Groups[0]
-			st, _, err := e.ExploreGroup(q, top.Key, 4)
+			ge, err := e.ExploreFullContext(t.Context(), q, top.Key, 4, -1)
 			if err != nil {
 				t.Fatalf("explore: %v", err)
 			}
-			if st.Agg.Count != top.Agg.Count {
+			if st := ge.Stats; st.Agg.Count != top.Agg.Count {
 				t.Errorf("explore count %d != explain count %d", st.Agg.Count, top.Agg.Count)
 			}
-			if _, err := e.RefineGroup(q, top.Key, 3); err != nil {
+			if _, err := e.RefineGroupContext(t.Context(), q, top.Key, 3); err != nil {
 				t.Errorf("refine: %v", err)
 			}
-			points, err := e.Evolution(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+			points, err := e.EvolutionContext(t.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 			if err != nil {
 				t.Fatalf("evolution: %v", err)
 			}
@@ -160,7 +160,7 @@ func TestIntegrationDemoWalkthrough(t *testing.T) {
 func TestIntegrationWoodyAllenSet(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `director:"Woody Allen"`)
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatalf("explain: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestIntegrationWoodyAllenSet(t *testing.T) {
 	}
 	total := 0
 	for _, id := range ex.ItemIDs {
-		total += e.Store().RatingCount(id)
+		total += len(e.Store().TuplesForItems([]int{id}, TimeWindow{}))
 	}
 	if ex.NumRatings != total {
 		t.Errorf("set mining saw %d ratings, per-item sum is %d", ex.NumRatings, total)
@@ -184,7 +184,7 @@ func TestIntegrationProfileNarrowsBrowse(t *testing.T) {
 	s := DefaultSettings()
 	s.Profile = cube.KeyAll.With(cube.State, cube.StateIndex("CA"))
 	s.Coverage = 0.05 // a single state cannot cover 20% nationally
-	ex, err := e.Explain(ExplainRequest{Query: q, Settings: s, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Settings: s, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		t.Fatalf("explain: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestIntegrationProfileNarrowsBrowse(t *testing.T) {
 func TestIntegrationDrillMine(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestIntegrationDrillMine(t *testing.T) {
 	s := DefaultSettings()
 	s.K = 3
 	s.Coverage = 0.25
-	tr, err := e.DrillMine(q, parent.Key, SimilarityMining, s)
+	tr, err := e.DrillMineContext(t.Context(), q, parent.Key, SimilarityMining, s)
 	if err != nil {
 		t.Fatalf("DrillMine: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestIntegrationDrillMine(t *testing.T) {
 
 	// Unknown parent fails cleanly.
 	bogus := cube.KeyAll.With(cube.State, cube.StateIndex("WY")).With(cube.Occupation, 8)
-	if _, err := e.DrillMine(q, bogus, SimilarityMining, s); err == nil {
+	if _, err := e.DrillMineContext(t.Context(), q, bogus, SimilarityMining, s); err == nil {
 		t.Error("unknown parent accepted")
 	}
 }

@@ -103,11 +103,9 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	}
 	h := &Handler{reg: reg, cfg: cfg, mux: http.NewServeMux(), metrics: map[string]*endpointMetrics{}}
 	h.jobs = jobs.NewManager(cfg.Jobs)
-	h.mux.Handle("/api/v1/explain", h.wrap("explain", h.handleExplain))
-	h.mux.Handle("/api/v1/group", h.wrap("group", h.handleGroup))
-	h.mux.Handle("/api/v1/refine", h.wrap("refine", h.handleRefine))
-	h.mux.Handle("/api/v1/drill", h.wrap("drill", h.handleDrill))
-	h.mux.Handle("/api/v1/evolution", h.wrap("evolution", h.handleEvolution))
+	for _, name := range opNames {
+		h.mux.Handle("/api/v1/"+name, h.wrap(name, h.handleOp(name)))
+	}
 	h.mux.Handle("/api/v1/browse", h.wrap("browse", h.handleBrowse))
 	h.mux.Handle("/api/v1/batch", h.wrap("batch", h.handleBatch))
 	// The live-ingestion write path. Deliberately absent from
@@ -157,9 +155,7 @@ func datasetName(r *http.Request, explicit string) string {
 	return r.Header.Get("X-Maprat-Dataset")
 }
 
-// lookupEngine resolves a dataset name against the registry. Handlers
-// that need more than the Miner surface (appends, pinned browse)
-// type-assert for it.
+// lookupEngine resolves a dataset name against the registry.
 func (h *Handler) lookupEngine(name string) (maprat.Miner, bool) {
 	m, ok := h.reg.Lookup(name)
 	if !ok {
@@ -223,161 +219,34 @@ func decodeFail(w http.ResponseWriter, err error) {
 	writeEnvelope(w, CodeBadRequest, err.Error())
 }
 
-func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
-	p, err := DecodeParams(r)
-	if err != nil {
-		decodeFail(w, err)
-		return
+// handleOp serves one pipeline's synchronous endpoint: decode, validate
+// the knobs through the op table, resolve the dataset, mine, and write
+// the response document.
+func (h *Handler) handleOp(name string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, err := DecodeParams(r)
+		if err != nil {
+			decodeFail(w, err)
+			return
+		}
+		call, err := Op(name, p)
+		if err != nil {
+			decodeFail(w, err)
+			return
+		}
+		eng, ok := h.resolveEngine(w, r, p.Dataset)
+		if !ok {
+			return
+		}
+		ctx, cancel := h.requestContext(r)
+		defer cancel()
+		v, err := call(ctx, eng, nil)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		WriteJSON(w, v)
 	}
-	req, err := p.ExplainRequest()
-	if err != nil {
-		decodeFail(w, err)
-		return
-	}
-	eng, ok := h.resolveEngine(w, r, p.Dataset)
-	if !ok {
-		return
-	}
-	ctx, cancel := h.requestContext(r)
-	defer cancel()
-	ex, err := eng.ExplainContext(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	WriteJSON(w, explainDTO(ex))
-}
-
-func (h *Handler) handleGroup(w http.ResponseWriter, r *http.Request) {
-	p, req, key, ok := h.decodeGroupish(w, r)
-	if !ok {
-		return
-	}
-	buckets, err := p.TimelineBuckets()
-	if err != nil {
-		decodeFail(w, err)
-		return
-	}
-	limit, err := p.RefineLimit()
-	if err != nil {
-		decodeFail(w, err)
-		return
-	}
-	eng, ok := h.resolveEngine(w, r, p.Dataset)
-	if !ok {
-		return
-	}
-	ctx, cancel := h.requestContext(r)
-	defer cancel()
-	ge, err := eng.ExploreFullContext(ctx, req.Query, key, buckets, limit)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	WriteJSON(w, groupResponseDTO(req.Query.String(), ge))
-}
-
-func (h *Handler) handleRefine(w http.ResponseWriter, r *http.Request) {
-	p, req, key, ok := h.decodeGroupish(w, r)
-	if !ok {
-		return
-	}
-	limit, err := p.RefineLimit()
-	if err != nil {
-		decodeFail(w, err)
-		return
-	}
-	eng, ok := h.resolveEngine(w, r, p.Dataset)
-	if !ok {
-		return
-	}
-	ctx, cancel := h.requestContext(r)
-	defer cancel()
-	refs, err := eng.RefineGroupContext(ctx, req.Query, key, limit)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	WriteJSON(w, &RefinementsResponse{
-		Query:       req.Query.String(),
-		Key:         key.Param(),
-		Refinements: refinementDTOs(refs),
-	})
-}
-
-func (h *Handler) handleDrill(w http.ResponseWriter, r *http.Request) {
-	p, req, key, ok := h.decodeGroupish(w, r)
-	if !ok {
-		return
-	}
-	task, err := p.DrillTask()
-	if err != nil {
-		decodeFail(w, err)
-		return
-	}
-	eng, ok := h.resolveEngine(w, r, p.Dataset)
-	if !ok {
-		return
-	}
-	ctx, cancel := h.requestContext(r)
-	defer cancel()
-	tr, err := eng.DrillMineContext(ctx, req.Query, key, task, req.Settings)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	WriteJSON(w, &DrillResponse{
-		Query:  req.Query.String(),
-		Parent: key.Param(),
-		Result: taskResultDTO(*tr),
-	})
-}
-
-// decodeGroupish decodes the shared (params, explain request, group key)
-// triple of the per-group endpoints, answering the error itself on
-// failure.
-func (h *Handler) decodeGroupish(w http.ResponseWriter, r *http.Request) (Params, maprat.ExplainRequest, maprat.Key, bool) {
-	p, err := DecodeParams(r)
-	if err != nil {
-		decodeFail(w, err)
-		return p, maprat.ExplainRequest{}, maprat.Key{}, false
-	}
-	req, err := p.ExplainRequest()
-	if err != nil {
-		decodeFail(w, err)
-		return p, req, maprat.Key{}, false
-	}
-	key, err := p.GroupKey()
-	if err != nil {
-		decodeFail(w, err)
-		return p, req, key, false
-	}
-	return p, req, key, true
-}
-
-func (h *Handler) handleEvolution(w http.ResponseWriter, r *http.Request) {
-	p, err := DecodeParams(r)
-	if err != nil {
-		decodeFail(w, err)
-		return
-	}
-	req, err := p.ExplainRequest()
-	if err != nil {
-		decodeFail(w, err)
-		return
-	}
-	eng, ok := h.resolveEngine(w, r, p.Dataset)
-	if !ok {
-		return
-	}
-	ctx, cancel := h.requestContext(r)
-	defer cancel()
-	points, err := eng.EvolutionContext(ctx, req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	WriteJSON(w, evolutionDTO(req.Query.String(), points))
 }
 
 func (h *Handler) handleBrowse(w http.ResponseWriter, r *http.Request) {
@@ -396,26 +265,17 @@ func (h *Handler) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		decodeFail(w, err)
 		return
 	}
-	var states []maprat.StateOverview
-	if epoch != nil && *epoch != 0 {
-		// Epoch pinning needs the engine's epoch clock; a Miner without
-		// it serves only the latest view.
-		eb, ok := eng.(interface {
-			BrowseStatesAt(uint64) ([]maprat.StateOverview, error)
-		})
-		if !ok {
-			writeEnvelope(w, CodeBadRequest, "this server does not support epoch-pinned browse")
-			return
-		}
-		if states, err = eb.BrowseStatesAt(*epoch); err != nil {
-			writeError(w, err)
-			return
-		}
-	} else {
-		states = eng.BrowseStates()
+	var at uint64
+	if epoch != nil {
+		at = *epoch
+	}
+	states, err := eng.BrowseStatesAt(at)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	if states == nil {
-		writeEnvelope(w, CodeInternal, "browse mode needs the precomputed global cube")
+		writeEnvelope(w, CodeInternal, "browse mode needs the precomputed per-state aggregates")
 		return
 	}
 	resp := &BrowseResponse{GeoJSON: browseGeoJSON(states)}
@@ -427,11 +287,11 @@ func (h *Handler) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, resp)
 }
 
-// handleBatch fans up to MaxBatch explain requests out through
-// ExplainContext with bounded concurrency. The engine's singleflight +
-// plan tiers make duplicate elements cheap: M identical explains mine
-// exactly once. Results are index-aligned with the request list and each
-// element fails independently.
+// handleBatch fans up to MaxBatch explain requests out through the op
+// table's explain entry with bounded concurrency. The engine's
+// singleflight + plan tiers make duplicate elements cheap: M identical
+// explains mine exactly once. Results are index-aligned with the request
+// list and each element fails independently.
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost, "batch requires POST")
@@ -457,7 +317,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sem := make(chan struct{}, h.cfg.BatchWorkers)
 	var wg sync.WaitGroup
 	for i, p := range batch.Requests {
-		req, err := p.ExplainRequest()
+		call, err := Op("explain", p)
 		if err != nil {
 			results[i] = BatchResult{Error: &ErrorBody{Code: CodeBadRequest, Message: err.Error()}}
 			continue
@@ -473,7 +333,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, req maprat.ExplainRequest, eng maprat.Miner) {
+		go func(i int, call Call, eng maprat.Miner) {
 			defer wg.Done()
 			// The recovery middleware only guards the handler's own
 			// goroutine; an unrecovered panic here would kill the whole
@@ -486,13 +346,13 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ex, err := eng.ExplainContext(ctx, req)
+			v, err := call(ctx, eng, nil)
 			if err != nil {
 				results[i] = BatchResult{Error: errorBodyFor(err)}
 				return
 			}
-			results[i] = BatchResult{Explain: explainDTO(ex)}
-		}(i, req, eng)
+			results[i] = BatchResult{Explain: v.(*ExplainResponse)}
+		}(i, call, eng)
 	}
 	wg.Wait()
 	WriteJSON(w, &BatchResponse{Results: results})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro"
 	"repro/internal/jobs"
 	"repro/internal/model"
 )
@@ -38,13 +37,6 @@ type AppendResponse struct {
 	Accepted int    `json:"accepted"`
 }
 
-// appender is the optional write-path interface a mounted engine may
-// implement; a Miner without it answers the ingest-disabled envelope, as
-// does an engine whose write path EnableIngest never armed.
-type appender interface {
-	AppendRatings(ctx context.Context, ratings []model.Rating) (uint64, error)
-}
-
 // handleAppend is POST /api/v1/ratings: validate the batch, admit it
 // through the job queue (writes share the same admission control as
 // async mining — a full queue answers 429 with Retry-After), apply it,
@@ -68,17 +60,12 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	app, ok := eng.(appender)
-	if !ok {
-		writeError(w, maprat.ErrIngestDisabled)
-		return
-	}
 	ratings := make([]model.Rating, len(req.Ratings))
 	for i, in := range req.Ratings {
 		ratings[i] = model.Rating{UserID: in.UserID, ItemID: in.ItemID, Score: in.Score, Unix: in.Unix}
 	}
 	j, err := h.jobs.Submit("append", func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
-		epoch, err := app.AppendRatings(ctx, ratings)
+		epoch, err := eng.AppendRatings(ctx, ratings)
 		if err != nil {
 			return nil, err
 		}

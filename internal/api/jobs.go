@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro"
 	"repro/internal/jobs"
 )
 
@@ -79,125 +78,6 @@ func (h *Handler) jobStatusDTO(s jobs.Snapshot, withResult bool) *JobStatus {
 	return st
 }
 
-// jobFn validates a submit request eagerly — bad parameters must fail
-// the POST with 400, not surface minutes later as a failed job — and
-// returns the closure the worker pool executes against eng (the dataset
-// resolved at submit time, so a job's dataset cannot drift while it sits
-// in the queue). The progress callback is threaded into
-// Settings.Progress, so restart completions inside core.SolveRHE surface
-// as job progress events.
-func (h *Handler) jobFn(eng maprat.Miner, req JobSubmitRequest) (jobs.Fn, error) {
-	p := req.Params
-	wire := func(er *maprat.ExplainRequest, report func(jobs.Progress)) {
-		er.Settings.Progress = func(done, total int) {
-			report(jobs.Progress{Done: done, Total: total})
-		}
-	}
-	switch req.Op {
-	case "explain":
-		er, err := p.ExplainRequest()
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
-			wire(&er, report)
-			ex, err := eng.ExplainContext(ctx, er)
-			if err != nil {
-				return nil, err
-			}
-			return explainDTO(ex), nil
-		}, nil
-	case "group":
-		er, err := p.ExplainRequest()
-		if err != nil {
-			return nil, err
-		}
-		key, err := p.GroupKey()
-		if err != nil {
-			return nil, err
-		}
-		buckets, err := p.TimelineBuckets()
-		if err != nil {
-			return nil, err
-		}
-		limit, err := p.RefineLimit()
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
-			ge, err := eng.ExploreFullContext(ctx, er.Query, key, buckets, limit)
-			if err != nil {
-				return nil, err
-			}
-			return groupResponseDTO(er.Query.String(), ge), nil
-		}, nil
-	case "refine":
-		er, err := p.ExplainRequest()
-		if err != nil {
-			return nil, err
-		}
-		key, err := p.GroupKey()
-		if err != nil {
-			return nil, err
-		}
-		limit, err := p.RefineLimit()
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
-			refs, err := eng.RefineGroupContext(ctx, er.Query, key, limit)
-			if err != nil {
-				return nil, err
-			}
-			return &RefinementsResponse{
-				Query:       er.Query.String(),
-				Key:         key.Param(),
-				Refinements: refinementDTOs(refs),
-			}, nil
-		}, nil
-	case "drill":
-		er, err := p.ExplainRequest()
-		if err != nil {
-			return nil, err
-		}
-		key, err := p.GroupKey()
-		if err != nil {
-			return nil, err
-		}
-		task, err := p.DrillTask()
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
-			wire(&er, report)
-			tr, err := eng.DrillMineContext(ctx, er.Query, key, task, er.Settings)
-			if err != nil {
-				return nil, err
-			}
-			return &DrillResponse{
-				Query:  er.Query.String(),
-				Parent: key.Param(),
-				Result: taskResultDTO(*tr),
-			}, nil
-		}, nil
-	case "evolution":
-		er, err := p.ExplainRequest()
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context, report func(jobs.Progress)) (any, error) {
-			wire(&er, report)
-			points, err := eng.EvolutionContext(ctx, er)
-			if err != nil {
-				return nil, err
-			}
-			return evolutionDTO(er.Query.String(), points), nil
-		}, nil
-	default:
-		return nil, badRequestf("bad op %q (want explain, group, refine, drill or evolution)", req.Op)
-	}
-}
-
 // handleJobs is the collection endpoint: POST submits a job, everything
 // else answers 405.
 func (h *Handler) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -214,12 +94,20 @@ func (h *Handler) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fn, err := h.jobFn(eng, req)
+	// Bad parameters must fail the POST with 400, not surface minutes
+	// later as a failed job. The dataset is resolved at submit time, so a
+	// job's dataset cannot drift while it sits in the queue; restart
+	// completions inside the solver surface as job progress events.
+	call, err := Op(req.Op, req.Params)
 	if err != nil {
 		decodeFail(w, err)
 		return
 	}
-	j, err := h.jobs.Submit(req.Op, fn)
+	j, err := h.jobs.Submit(req.Op, func(ctx context.Context, report func(jobs.Progress)) (any, error) {
+		return call(ctx, eng, func(done, total int) {
+			report(jobs.Progress{Done: done, Total: total})
+		})
+	})
 	if err != nil {
 		// Both rejection causes mean "try again later": a full queue
 		// clears as workers finish, a closing server is restarting.

@@ -300,9 +300,34 @@ func TestJobErrors(t *testing.T) {
 		}
 	})
 	t.Run("bad params fail at submit", func(t *testing.T) {
-		code, _, body := submitJob(t, ts, `{"op":"explain","q":"movie:\"Toy Story\"","k":99}`)
-		if code != 400 || envelopeCode(t, body) != CodeBadRequest {
-			t.Fatalf("got %d %s, want 400 bad_request", code, body)
+		// One bad knob per op: the submit must fail with exactly the 400
+		// the synchronous endpoint answers for the same parameters.
+		for _, tc := range []struct{ op, knobs string }{
+			{"explain", `"k":99`},
+			{"group", `"limit":2`}, // missing key
+			{"refine", `"key":"state=CA","limit":-1`},
+			{"drill", `"key":"state=CA","task":"zz"`},
+			{"evolution", `"from":2001,"to":1999`},
+		} {
+			params := `"q":"movie:\"Toy Story\"",` + tc.knobs + `}`
+			code, _, body := submitJob(t, ts, `{"op":"`+tc.op+`",`+params)
+			if code != 400 || envelopeCode(t, body) != CodeBadRequest {
+				t.Fatalf("%s: got %d %s, want 400 bad_request", tc.op, code, body)
+			}
+			syncCode, syncBody := postJSON(t, ts, "/api/v1/"+tc.op, `{`+params)
+			if syncCode != 400 {
+				t.Fatalf("%s: sync endpoint answered %d %s, want 400", tc.op, syncCode, syncBody)
+			}
+			var job, sync ErrorEnvelope
+			if err := json.Unmarshal([]byte(body), &job); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal([]byte(syncBody), &sync); err != nil {
+				t.Fatal(err)
+			}
+			if job.Error != sync.Error {
+				t.Errorf("%s: submit error %+v, sync error %+v", tc.op, job.Error, sync.Error)
+			}
 		}
 	})
 	t.Run("GET on the collection", func(t *testing.T) {

@@ -1,0 +1,158 @@
+package api
+
+import (
+	"context"
+
+	"repro"
+)
+
+// Call is one validated pipeline request, ready to run against a miner.
+// It returns the response document the v1 endpoint answers (an
+// *ExplainResponse, *GroupResponse, *RefinementsResponse, *DrillResponse
+// or *EvolutionResponse). A non-nil progress receives the solver's
+// restart completions; nil leaves the request's settings untouched.
+type Call func(ctx context.Context, m maprat.Miner, progress func(done, total int)) (any, error)
+
+// opNames lists the v1 pipelines in route order.
+var opNames = []string{"explain", "group", "refine", "drill", "evolution"}
+
+// ops is the one op table behind the synchronous endpoints, job
+// submission, batch elements and the CLI's local mode. Each entry
+// validates its Params eagerly — a bad knob fails before any dataset
+// work — in a fixed per-op order, so a request with several bad knobs
+// gets the same 400 from every caller.
+var ops = map[string]func(Params) (Call, error){
+	"explain":   explainOp,
+	"group":     groupOp,
+	"refine":    refineOp,
+	"drill":     drillOp,
+	"evolution": evolutionOp,
+}
+
+// Op validates p for the named pipeline and returns the call that runs
+// it. An unknown op or an invalid knob is a bad-request error.
+func Op(name string, p Params) (Call, error) {
+	prepare, ok := ops[name]
+	if !ok {
+		return nil, badRequestf("bad op %q (want explain, group, refine, drill or evolution)", name)
+	}
+	return prepare(p)
+}
+
+// withProgress returns s with the progress hook wired in, when there is
+// one.
+func withProgress(s maprat.Settings, progress func(done, total int)) maprat.Settings {
+	if progress != nil {
+		s.Progress = progress
+	}
+	return s
+}
+
+func explainOp(p Params) (Call, error) {
+	req, err := p.ExplainRequest()
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
+		r := req
+		r.Settings = withProgress(r.Settings, progress)
+		ex, err := m.ExplainContext(ctx, r)
+		if err != nil {
+			return nil, err
+		}
+		return explainDTO(ex), nil
+	}, nil
+}
+
+func groupOp(p Params) (Call, error) {
+	req, key, err := groupRequest(p)
+	if err != nil {
+		return nil, err
+	}
+	buckets, err := p.TimelineBuckets()
+	if err != nil {
+		return nil, err
+	}
+	limit, err := p.RefineLimit()
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, m maprat.Miner, _ func(int, int)) (any, error) {
+		ge, err := m.ExploreFullContext(ctx, req.Query, key, buckets, limit)
+		if err != nil {
+			return nil, err
+		}
+		return groupResponseDTO(req.Query.String(), ge), nil
+	}, nil
+}
+
+func refineOp(p Params) (Call, error) {
+	req, key, err := groupRequest(p)
+	if err != nil {
+		return nil, err
+	}
+	limit, err := p.RefineLimit()
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, m maprat.Miner, _ func(int, int)) (any, error) {
+		refs, err := m.RefineGroupContext(ctx, req.Query, key, limit)
+		if err != nil {
+			return nil, err
+		}
+		return &RefinementsResponse{
+			Query:       req.Query.String(),
+			Key:         key.Param(),
+			Refinements: refinementDTOs(refs),
+		}, nil
+	}, nil
+}
+
+func drillOp(p Params) (Call, error) {
+	req, key, err := groupRequest(p)
+	if err != nil {
+		return nil, err
+	}
+	task, err := p.DrillTask()
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
+		tr, err := m.DrillMineContext(ctx, req.Query, key, task, withProgress(req.Settings, progress))
+		if err != nil {
+			return nil, err
+		}
+		return &DrillResponse{
+			Query:  req.Query.String(),
+			Parent: key.Param(),
+			Result: taskResultDTO(*tr),
+		}, nil
+	}, nil
+}
+
+func evolutionOp(p Params) (Call, error) {
+	req, err := p.ExplainRequest()
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
+		r := req
+		r.Settings = withProgress(r.Settings, progress)
+		points, err := m.EvolutionContext(ctx, r)
+		if err != nil {
+			return nil, err
+		}
+		return evolutionDTO(req.Query.String(), points), nil
+	}, nil
+}
+
+// groupRequest validates the (explain request, group key) pair the
+// per-group ops share.
+func groupRequest(p Params) (maprat.ExplainRequest, maprat.Key, error) {
+	req, err := p.ExplainRequest()
+	if err != nil {
+		return req, maprat.Key{}, err
+	}
+	key, err := p.GroupKey()
+	return req, key, err
+}

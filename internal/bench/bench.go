@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -40,7 +41,7 @@ func (r *Report) Print(w io.Writer) {
 // Experiment pairs an experiment ID with its runner.
 type Experiment struct {
 	ID  string
-	Run func(*maprat.Engine) Report
+	Run func(context.Context, *maprat.Engine) Report
 }
 
 // Experiments is the single ordered registry of every experiment; RunAll
@@ -55,9 +56,9 @@ var Experiments = []Experiment{
 
 // RunAll executes every experiment against the engine and streams the
 // reports.
-func RunAll(eng *maprat.Engine, w io.Writer) {
+func RunAll(ctx context.Context, eng *maprat.Engine, w io.Writer) {
 	for _, e := range Experiments {
-		rep := e.Run(eng)
+		rep := e.Run(ctx, eng)
 		rep.Print(w)
 	}
 }
@@ -75,6 +76,16 @@ func timeIt(reps int, f func()) time.Duration {
 	}
 	sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
 	return ds[reps/2]
+}
+
+// solveRHE runs RHE under ctx; like the rest of the harness it panics on
+// failure (only cancellation can fail a solve).
+func solveRHE(ctx context.Context, p *core.Problem) core.Solution {
+	sol, err := p.SolveRHECtx(ctx)
+	if err != nil {
+		panic(err)
+	}
+	return sol
 }
 
 func mustParse(eng *maprat.Engine, s string) maprat.Query {
@@ -98,7 +109,7 @@ var E1QueryMix = []string{
 
 // E1Queries measures query resolution (parse → item set → R_I gather) for
 // the Figure-1 query mix.
-func E1Queries(eng *maprat.Engine) Report {
+func E1Queries(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E1", Title: "Figure 1 — query forms: resolution latency"}
 	r.addf("%-72s %7s %9s %12s", "query", "items", "ratings", "resolve+gather")
 	for _, qs := range E1QueryMix {
@@ -117,7 +128,7 @@ func E1Queries(eng *maprat.Engine) Report {
 // E2SimilarityToyStory regenerates Figure 2: the best-3 Similarity-Mining
 // groups for Toy Story, checking the figure's qualitative shape (three
 // geo-anchored, internally consistent, positively rated groups).
-func E2SimilarityToyStory(eng *maprat.Engine) Report {
+func E2SimilarityToyStory(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E2", Title: "Figure 2 — Similarity Mining for movie:\"Toy Story\""}
 	q := mustParse(eng, `movie:"Toy Story"`)
 	req := maprat.ExplainRequest{
@@ -126,7 +137,7 @@ func E2SimilarityToyStory(eng *maprat.Engine) Report {
 	var ex *maprat.Explanation
 	med := timeIt(3, func() {
 		var err error
-		ex, err = eng.Explain(req)
+		ex, err = eng.ExplainContext(ctx, req)
 		if err != nil {
 			panic(err)
 		}
@@ -154,22 +165,22 @@ func E2SimilarityToyStory(eng *maprat.Engine) Report {
 
 // E3Exploration regenerates Figure 3: drill into the top SM group —
 // histogram, city drill-down, rating evolution, related groups.
-func E3Exploration(eng *maprat.Engine) Report {
+func E3Exploration(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E3", Title: "Figure 3 — exploration of the top Similarity group"}
 	q := mustParse(eng, `movie:"Toy Story"`)
-	ex, err := eng.Explain(maprat.ExplainRequest{Query: q, Tasks: []maprat.Task{maprat.SimilarityMining}})
+	ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q, Tasks: []maprat.Task{maprat.SimilarityMining}})
 	if err != nil {
 		panic(err)
 	}
 	top := ex.Result(maprat.SimilarityMining).Groups[0]
-	var st *maprat.GroupStats
-	var related []maprat.GroupResult
+	var ge *maprat.GroupExploration
 	med := timeIt(5, func() {
-		st, related, err = eng.ExploreGroup(q, top.Key, 8)
+		ge, err = eng.ExploreFullContext(ctx, q, top.Key, 8, -1)
 		if err != nil {
 			panic(err)
 		}
 	})
+	st, related := &ge.Stats, ge.Related
 	r.addf("group: %s — explored in %s", st.Phrase, med)
 	r.addf("μ=%.2f σ=%.2f n=%d share=%.1f%%", st.Agg.Mean(), st.Agg.Std(), st.Agg.Count, st.Share*100)
 	hist := "histogram:"
@@ -207,7 +218,7 @@ func FrameworkCube() cube.Config {
 // E4Controversial regenerates the intro example: Diversity Mining on the
 // polarized title must surface a sibling pair with a large gap while the
 // overall average looks mediocre (paper: 4.8/10 ≈ 2.4/5).
-func E4Controversial(eng *maprat.Engine) Report {
+func E4Controversial(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E4", Title: "Intro example — Diversity Mining on the controversial title"}
 	q := mustParse(eng, `movie:"The Twilight Saga: Eclipse"`)
 	s := maprat.DefaultSettings()
@@ -221,7 +232,7 @@ func E4Controversial(eng *maprat.Engine) Report {
 	var ex *maprat.Explanation
 	med := timeIt(3, func() {
 		var err error
-		ex, err = eng.Explain(req)
+		ex, err = eng.ExplainContext(ctx, req)
 		if err != nil {
 			panic(err)
 		}
@@ -250,7 +261,7 @@ func E4Controversial(eng *maprat.Engine) Report {
 	// the audience, so it needs the coverage constraint dropped further.
 	s.Coverage = 0.03
 	req.Settings = s
-	ex2, err := eng.Explain(req)
+	ex2, err := eng.ExplainContext(ctx, req)
 	if err == nil {
 		dm2 := ex2.Result(maprat.DiversityMining)
 		r.addf("with α=3%% (the intro pair is a small slice of the audience):")
@@ -264,20 +275,20 @@ func E4Controversial(eng *maprat.Engine) Report {
 // E5Caching measures the §2.3 latency claim: the same query cold (no
 // cache), warm (explanation cache) — and reports the store-open
 // precomputation cost amortized across queries.
-func E5Caching(eng *maprat.Engine) Report {
+func E5Caching(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E5", Title: "§2.3 — pre-computation and caching ablation"}
 	q := mustParse(eng, `actor:"Tom Hanks"`)
 	cold := timeIt(3, func() {
-		if _, err := eng.Explain(maprat.ExplainRequest{Query: q, DisableCache: true}); err != nil {
+		if _, err := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q, DisableCache: true}); err != nil {
 			panic(err)
 		}
 	})
 	// Prime, then measure warm hits.
-	if _, err := eng.Explain(maprat.ExplainRequest{Query: q}); err != nil {
+	if _, err := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q}); err != nil {
 		panic(err)
 	}
 	warm := timeIt(5, func() {
-		ex, err := eng.Explain(maprat.ExplainRequest{Query: q})
+		ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q})
 		if err != nil || !ex.FromCache {
 			panic(fmt.Sprintf("expected cache hit, err=%v", err))
 		}
@@ -296,7 +307,7 @@ func E5Caching(eng *maprat.Engine) Report {
 // instances) and to greedy / best-of-N random selections (full instances):
 // the inherited claim from ref [2] that randomized hill exploration is the
 // right solver for these NP-hard problems.
-func E6QualityVsBaselines(eng *maprat.Engine) Report {
+func E6QualityVsBaselines(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E6", Title: "ref [2] — RHE vs exhaustive / greedy / random"}
 	queries := []string{
 		`movie:"Toy Story"`, `movie:"Forrest Gump"`, `movie:"Jurassic Park"`,
@@ -319,7 +330,7 @@ func E6QualityVsBaselines(eng *maprat.Engine) Report {
 		if err != nil || !opt.Feasible {
 			continue
 		}
-		rhe := p.SolveRHE()
+		rhe := solveRHE(ctx, p)
 		gap := rhe.Objective - opt.Objective
 		r.addf("%-28s %5d %10.4f %10.4f %8.4f", truncate(qs, 28), len(p.Candidates()), rhe.Objective, opt.Objective, gap)
 		gapSum += gap
@@ -340,7 +351,7 @@ func E6QualityVsBaselines(eng *maprat.Engine) Report {
 				continue
 			}
 			var rhe, greedy, random core.Solution
-			tRHE := timeIt(3, func() { rhe = p.SolveRHE() })
+			tRHE := timeIt(3, func() { rhe = solveRHE(ctx, p) })
 			tGreedy := timeIt(3, func() { greedy = p.SolveGreedy() })
 			tRandom := timeIt(3, func() { random = p.SolveRandom(p.Settings.Restarts) })
 			r.addf("%-28s %12.4f %12.4f %12.4f | %10s %10s %10s",
@@ -410,7 +421,7 @@ func buildProblem(eng *maprat.Engine, qs string, task core.Task, tweak func(*map
 // E7Scalability sweeps mining latency against |R_I| and K — the §2.3
 // concern that thousands of candidate groups over ~1M ratings must stay
 // interactive.
-func E7Scalability(eng *maprat.Engine) Report {
+func E7Scalability(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E7", Title: "§2.3 — mining latency vs |R_I| and vs K"}
 	r.addf("-- latency vs |R_I| (SM, demo settings) --")
 	r.addf("%-44s %9s %7s %12s", "query", "ratings", "cands", "RHE median")
@@ -426,7 +437,7 @@ func E7Scalability(eng *maprat.Engine) Report {
 		if p == nil {
 			continue
 		}
-		med := timeIt(3, func() { p.SolveRHE() })
+		med := timeIt(3, func() { solveRHE(ctx, p) })
 		r.addf("%-44s %9d %7d %12s", truncate(qs, 44), p.NumTuples(), len(p.Candidates()), med)
 	}
 	r.addf("-- latency vs K (SM on actor:\"Tom Hanks\") --")
@@ -440,7 +451,7 @@ func E7Scalability(eng *maprat.Engine) Report {
 			continue
 		}
 		var sol core.Solution
-		med := timeIt(3, func() { sol = p.SolveRHE() })
+		med := timeIt(3, func() { sol = solveRHE(ctx, p) })
 		r.addf("%3d %12s %10.4f", k, med, sol.Objective)
 	}
 	return r
@@ -448,10 +459,10 @@ func E7Scalability(eng *maprat.Engine) Report {
 
 // E8Rendering measures the visualization module: SVG and ASCII choropleth
 // rendering of a full two-tab exploration.
-func E8Rendering(eng *maprat.Engine) Report {
+func E8Rendering(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E8", Title: "§2.3 Visualization — choropleth rendering"}
 	q := mustParse(eng, `movie:"Toy Story"`)
-	ex, err := eng.Explain(maprat.ExplainRequest{Query: q})
+	ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q})
 	if err != nil {
 		panic(err)
 	}
@@ -471,13 +482,13 @@ func E8Rendering(eng *maprat.Engine) Report {
 
 // E9TimeSlider regenerates the §3.1 time-slider: per-year Similarity
 // Mining for Toy Story, showing how the groups and the reception drift.
-func E9TimeSlider(eng *maprat.Engine) Report {
+func E9TimeSlider(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E9", Title: "§3.1 — time slider: Toy Story per year"}
 	q := mustParse(eng, `movie:"Toy Story"`)
 	var points []maprat.EvolutionPoint
 	med := timeIt(1, func() {
 		var err error
-		points, err = eng.Evolution(maprat.ExplainRequest{
+		points, err = eng.EvolutionContext(ctx, maprat.ExplainRequest{
 			Query: q, Tasks: []maprat.Task{maprat.SimilarityMining}, DisableCache: true,
 		})
 		if err != nil {
@@ -522,7 +533,7 @@ func truncate(s string, n int) string {
 // every cache tier disabled, plus the two kernels in isolation against
 // their retained reference implementations. Snapshots of this report
 // (BENCH_PR3.json) track the cold-path trajectory across PRs.
-func E11ColdPath(eng *maprat.Engine) Report {
+func E11ColdPath(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E11", Title: "cold path — packed cube build + bitset coverage"}
 
 	r.addf("-- cold Explain (all cache tiers disabled) --")
@@ -537,7 +548,7 @@ func E11ColdPath(eng *maprat.Engine) Report {
 		var ex *maprat.Explanation
 		med := timeIt(3, func() {
 			var err error
-			ex, err = eng.Explain(req)
+			ex, err = eng.ExplainContext(ctx, req)
 			if err != nil {
 				panic(err)
 			}
@@ -567,7 +578,7 @@ func E11ColdPath(eng *maprat.Engine) Report {
 		return r
 	}
 	r.addf("-- RHE solve (%d candidates, %d tuples) --", len(p.Candidates()), p.NumTuples())
-	solve := timeIt(3, func() { p.SolveRHE() })
+	solve := timeIt(3, func() { solveRHE(ctx, p) })
 	r.addf("bitset coverage engine  : %12s", solve)
 	return r
 }
@@ -575,7 +586,7 @@ func E11ColdPath(eng *maprat.Engine) Report {
 // E10Ablations measures the design choices DESIGN.md calls out: geo-
 // anchored vs framework candidates, the DM sibling boost, and σ vs MAD as
 // the consistency error.
-func E10Ablations(eng *maprat.Engine) Report {
+func E10Ablations(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E10", Title: "design-choice ablations"}
 
 	// (a) geo-anchoring: candidate space and SM outcome on Toy Story.
@@ -598,7 +609,7 @@ func E10Ablations(eng *maprat.Engine) Report {
 			continue
 		}
 		var sol core.Solution
-		med := timeIt(3, func() { sol = p.SolveRHE() })
+		med := timeIt(3, func() { sol = solveRHE(ctx, p) })
 		r.addf("%-12s %8d %12.4f %12s", mode.name, c.Len(), sol.Objective, med)
 	}
 
@@ -611,7 +622,7 @@ func E10Ablations(eng *maprat.Engine) Report {
 		s.Coverage = 0.03
 		s.SiblingBoost = boost
 		free := FrameworkCube()
-		ex, err := eng.Explain(maprat.ExplainRequest{
+		ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{
 			Query: eq, Settings: s, Tasks: []maprat.Task{maprat.DiversityMining},
 			CubeConfig: &free, DisableCache: true,
 		})

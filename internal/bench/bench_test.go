@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -32,20 +33,20 @@ func smallEngine(t *testing.T) *maprat.Engine {
 
 // runExperiment guards against panics inside an experiment so a failure
 // reads as a test failure, not a crashed process.
-func runExperiment(t *testing.T, name string, f func(*maprat.Engine) Report) (rep Report) {
+func runExperiment(t *testing.T, name string, f func(context.Context, *maprat.Engine) Report) (rep Report) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("%s panicked: %v", name, r)
 		}
 	}()
-	return f(smallEngine(t))
+	return f(t.Context(), smallEngine(t))
 }
 
 func TestEveryExperimentRuns(t *testing.T) {
 	cases := []struct {
 		id  string
-		f   func(*maprat.Engine) Report
+		f   func(context.Context, *maprat.Engine) Report
 		key string // a string the report must mention
 	}{
 		{"E1", E1Queries, "Toy Story"},
@@ -91,7 +92,7 @@ func TestReportPrint(t *testing.T) {
 
 func TestRunAllStreamsEveryExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	RunAll(smallEngine(t), &buf)
+	RunAll(t.Context(), smallEngine(t), &buf)
 	out := buf.String()
 	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
 		if !strings.Contains(out, "=== "+id+" ") {

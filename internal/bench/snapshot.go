@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"time"
@@ -13,7 +14,7 @@ import (
 // temp directory, then time text parse+join (LoadDir → Open) versus
 // snapshot open (mmap → OpenSnapshot), and verify the two opens agree on
 // the dataset fingerprint. The open speedup is the PR's perf bar (≥10×).
-func E12Snapshot(eng *maprat.Engine) Report {
+func E12Snapshot(_ context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E12", Title: "Columnar snapshot vs text cold path"}
 	ds := eng.Dataset()
 

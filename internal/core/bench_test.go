@@ -35,7 +35,7 @@ func BenchmarkSolveRHE_SM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sol := p.SolveRHE(); !sol.Feasible {
+		if sol := solve(b, p); !sol.Feasible {
 			b.Fatal("infeasible")
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkSolveRHE_DM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sol := p.SolveRHE(); !sol.Feasible {
+		if sol := solve(b, p); !sol.Feasible {
 			b.Fatal("infeasible")
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkSolveRHEWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sol := p.SolveRHE(); !sol.Feasible {
+				if sol := solve(b, p); !sol.Feasible {
 					b.Fatal("infeasible")
 				}
 			}
@@ -86,7 +86,7 @@ func BenchmarkRHECoverage(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if sol := p.SolveRHE(); !sol.Feasible {
+			if sol := solve(b, p); !sol.Feasible {
 				b.Fatal("infeasible")
 			}
 		}

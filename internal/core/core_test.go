@@ -84,6 +84,16 @@ func newProblem(t testing.TB, task Task, c *cube.Cube, s Settings) *Problem {
 	return p
 }
 
+// solve runs RHE under the test's context and fails the test on error.
+func solve(t testing.TB, p *Problem) Solution {
+	t.Helper()
+	sol, err := p.SolveRHECtx(t.Context())
+	if err != nil {
+		t.Fatalf("SolveRHECtx: %v", err)
+	}
+	return sol
+}
+
 func TestNewProblemValidation(t *testing.T) {
 	c := buildCube(t, miningTuples(400, 1), cube.Config{RequireState: true, MinSupport: 5, MaxAVPairs: 2})
 
@@ -260,7 +270,7 @@ func TestRHEFeasibleAndDeterministic(t *testing.T) {
 	s.Restarts = 8
 	p := newProblem(t, SimilarityMining, c, s)
 
-	sol := p.SolveRHE()
+	sol := solve(t, p)
 	if !sol.Feasible {
 		t.Fatalf("RHE infeasible: %+v", sol)
 	}
@@ -275,7 +285,7 @@ func TestRHEFeasibleAndDeterministic(t *testing.T) {
 	}
 
 	p2 := newProblem(t, SimilarityMining, c, s)
-	sol2 := p2.SolveRHE()
+	sol2 := solve(t, p2)
 	if len(sol.Groups) != len(sol2.Groups) || sol.Objective != sol2.Objective {
 		t.Fatalf("RHE not deterministic: %+v vs %+v", sol, sol2)
 	}
@@ -292,7 +302,7 @@ func TestRHESolutionGroupsAreCandidates(t *testing.T) {
 	s := DefaultSettings()
 	s.Profile = cube.KeyAll.With(cube.Gender, 0) // male profile
 	p := newProblem(t, SimilarityMining, c, s)
-	sol := p.SolveRHE()
+	sol := solve(t, p)
 	if !sol.Feasible {
 		t.Fatal("infeasible")
 	}
@@ -333,7 +343,7 @@ func TestRHEMatchesExhaustiveOnSmallInstances(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: exhaustive: %v", seed, err)
 		}
-		rhe := p.SolveRHE()
+		rhe := solve(t, p)
 		if !opt.Feasible {
 			continue
 		}
@@ -381,7 +391,7 @@ func TestGreedyAndRandomFeasible(t *testing.T) {
 		if !random.Feasible {
 			t.Errorf("%v: random infeasible: %+v", task, random)
 		}
-		rhe := p.SolveRHE()
+		rhe := solve(t, p)
 		if !rhe.Feasible {
 			t.Errorf("%v: RHE infeasible", task)
 		}
@@ -400,7 +410,7 @@ func TestDMFindsPolarizedSiblingPair(t *testing.T) {
 	s.Coverage = 0.05
 	s.Restarts = 24
 	p := newProblem(t, DiversityMining, c, s)
-	sol := p.SolveRHE()
+	sol := solve(t, p)
 	if !sol.Feasible || len(sol.Groups) < 2 {
 		t.Fatalf("DM solution unusable: %+v", sol)
 	}
@@ -528,7 +538,7 @@ func TestRHEFindsRareExtremePair(t *testing.T) {
 	if !feasible {
 		t.Skip("planted pair infeasible under the coverage constraint")
 	}
-	sol := p.SolveRHE()
+	sol := solve(t, p)
 	if !sol.Feasible {
 		t.Fatal("RHE infeasible")
 	}
@@ -554,7 +564,7 @@ func TestDMExhaustiveAgreement(t *testing.T) {
 	if err != nil || !opt.Feasible {
 		t.Fatalf("exhaustive: %v (%+v)", err, opt)
 	}
-	rhe := p.SolveRHE()
+	rhe := solve(t, p)
 	if rhe.Objective < opt.Objective-1e-9 {
 		t.Fatalf("RHE %.6f beat the optimum %.6f", rhe.Objective, opt.Objective)
 	}
@@ -586,7 +596,7 @@ func TestEvalsAccounting(t *testing.T) {
 	tuples := miningTuples(400, 47)
 	c := buildCube(t, tuples, cube.Config{RequireState: true, MinSupport: 8, MaxAVPairs: 2})
 	p := newProblem(t, SimilarityMining, c, DefaultSettings())
-	rhe := p.SolveRHE()
+	rhe := solve(t, p)
 	greedy := p.SolveGreedy()
 	rnd := p.SolveRandom(10)
 	if rhe.Evals <= rnd.Evals {

@@ -124,7 +124,7 @@ func TestSolversMatchReferenceEngine(t *testing.T) {
 			}
 			ref.useReferenceCoverage()
 
-			got, want := p.SolveRHE(), ref.SolveRHE()
+			got, want := solve(t, p), solve(t, ref)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/%v: RHE diverged:\nnew kernels %+v\nreference   %+v", inst.name, task, got, want)
 			}
@@ -147,12 +147,12 @@ func TestParallelRHEMatchesReference(t *testing.T) {
 
 	ref := newProblem(t, DiversityMining, cube.BuildReference(c.Tuples, c.Cfg), s)
 	ref.useReferenceCoverage()
-	want := ref.SolveRHE()
+	want := solve(t, ref)
 
 	for _, workers := range []int{1, 2, 4} {
 		s.Workers = workers
 		p := newProblem(t, DiversityMining, c, s)
-		if got := p.SolveRHE(); !reflect.DeepEqual(got, want) {
+		if got := solve(t, p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged from reference:\n%+v\n%+v", workers, got, want)
 		}
 	}

@@ -70,7 +70,7 @@ type Settings struct {
 	SampleSize int
 	// Seed makes every solver deterministic.
 	Seed int64
-	// Workers bounds the goroutines SolveRHE spreads its restarts over
+	// Workers bounds the goroutines SolveRHECtx spreads its restarts over
 	// (0 = GOMAXPROCS, 1 = sequential). Every restart draws from its own
 	// sub-seeded generator, so Workers never changes the Solution — only
 	// the wall clock.
@@ -134,7 +134,7 @@ var ErrInfeasible = errors.New("core: coverage constraint unsatisfiable with K g
 
 // Problem is one constructed optimization instance over a candidate cube.
 // A Problem is not safe for concurrent use by multiple callers (it reuses
-// scratch buffers); build one per goroutine. SolveRHE parallelizes
+// scratch buffers); build one per goroutine. SolveRHECtx parallelizes
 // internally by giving each of its workers a private scratch clone.
 type Problem struct {
 	Task     Task

@@ -15,11 +15,11 @@ func TestProgressSequential(t *testing.T) {
 	s.Workers = 1
 	s.Restarts = 7
 
-	base := newProblem(t, SimilarityMining, c, s).SolveRHE()
+	base := solve(t, newProblem(t, SimilarityMining, c, s))
 
 	var events [][2]int
 	s.Progress = func(done, total int) { events = append(events, [2]int{done, total}) }
-	got := newProblem(t, SimilarityMining, c, s).SolveRHE()
+	got := solve(t, newProblem(t, SimilarityMining, c, s))
 
 	if len(events) != s.Restarts {
 		t.Fatalf("got %d progress events, want %d", len(events), s.Restarts)
@@ -42,7 +42,7 @@ func TestProgressParallel(t *testing.T) {
 	s := DefaultSettings()
 	s.Workers = 1
 	s.Restarts = 12
-	base := newProblem(t, SimilarityMining, c, s).SolveRHE()
+	base := solve(t, newProblem(t, SimilarityMining, c, s))
 
 	var mu sync.Mutex
 	seen := map[int]int{}
@@ -55,7 +55,7 @@ func TestProgressParallel(t *testing.T) {
 		seen[done]++
 		mu.Unlock()
 	}
-	got := newProblem(t, SimilarityMining, c, s).SolveRHE()
+	got := solve(t, newProblem(t, SimilarityMining, c, s))
 
 	mu.Lock()
 	defer mu.Unlock()

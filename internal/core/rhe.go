@@ -19,25 +19,21 @@ import (
 // sample.
 const rhePatience = 3
 
-// SolveRHE runs Randomized Hill Exploration: repeated randomized restarts,
-// each drawing a random coverage-repaired selection and hill-climbing over
-// a sampled swap/add/drop neighbourhood until no sampled move improves the
-// objective while staying feasible. The best local optimum across restarts
-// wins.
+// SolveRHECtx runs Randomized Hill Exploration: repeated randomized
+// restarts, each drawing a random coverage-repaired selection and
+// hill-climbing over a sampled swap/add/drop neighbourhood until no
+// sampled move improves the objective while staying feasible. The best
+// local optimum across restarts wins.
 //
 // Each restart r draws from its own sub-seeded generator (rng.Sub(Seed, r)),
 // so the result is a pure function of Settings.Seed regardless of how many
 // worker goroutines (Settings.Workers; 0 means GOMAXPROCS) execute the
 // restarts: the parallel and sequential paths return byte-identical
 // Solutions.
-func (p *Problem) SolveRHE() Solution {
-	sol, _ := p.SolveRHECtx(context.Background()) //maprat:allow(ctxflow) compat wrapper: preserves the pre-context API; cancellable callers use SolveRHECtx
-	return sol
-}
-
-// SolveRHECtx is SolveRHE with cancellation: it stops between hill-climb
-// iterations once ctx is done and returns ctx.Err(). The partial best is
-// discarded — a cancelled mine has no useful answer to cache.
+//
+// It stops between hill-climb iterations once ctx is done and returns
+// ctx.Err(). The partial best is discarded — a cancelled mine has no
+// useful answer to cache.
 func (p *Problem) SolveRHECtx(ctx context.Context) (Solution, error) {
 	workers := p.Settings.Workers
 	if workers <= 0 {

@@ -22,11 +22,11 @@ func TestParallelRHEMatchesSequential(t *testing.T) {
 			s.Restarts = 12
 
 			s.Workers = 1
-			seq := newProblem(t, task, c, s).SolveRHE()
+			seq := solve(t, newProblem(t, task, c, s))
 
 			for _, workers := range []int{2, 4, 8} {
 				s.Workers = workers
-				par := newProblem(t, task, c, s).SolveRHE()
+				par := solve(t, newProblem(t, task, c, s))
 				if !reflect.DeepEqual(seq, par) {
 					t.Fatalf("%v seed %d: workers=%d diverged:\nseq %+v\npar %+v",
 						task, seed, workers, seq, par)
@@ -46,11 +46,11 @@ func TestParallelRHESharedProblem(t *testing.T) {
 	s.Workers = 4
 	s.Restarts = 16
 	p := newProblem(t, DiversityMining, c, s)
-	first := p.SolveRHE()
+	first := solve(t, p)
 	if !first.Feasible {
 		t.Fatal("infeasible")
 	}
-	second := p.SolveRHE()
+	second := solve(t, p)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("repeated parallel solves diverged: %+v vs %+v", first, second)
 	}
@@ -98,9 +98,9 @@ func TestWorkersDoNotChangeEvals(t *testing.T) {
 	c := buildCube(t, tuples, cube.Config{RequireState: true, MinSupport: 8, MaxAVPairs: 2})
 	s := DefaultSettings()
 	s.Workers = 1
-	base := newProblem(t, SimilarityMining, c, s).SolveRHE().Evals
+	base := solve(t, newProblem(t, SimilarityMining, c, s)).Evals
 	s.Workers = 6
-	if got := newProblem(t, SimilarityMining, c, s).SolveRHE().Evals; got != base {
+	if got := solve(t, newProblem(t, SimilarityMining, c, s)).Evals; got != base {
 		t.Fatalf("Evals varies with workers: %d vs %d", got, base)
 	}
 }

@@ -55,7 +55,6 @@ func (c *Cube) MemberBits() [][]uint64 {
 		}
 		c.bits = bits
 		c.bitsBytes.Store(int64(len(arena))*8 + int64(len(bits))*24)
-		c.bitsDone.Store(true)
 	})
 	return c.bits
 }

@@ -90,31 +90,21 @@ type Cube struct {
 	// for one pipeline stage (e.g. the solver's coverage bitsets) is
 	// amortized across every later interaction on the same plan. The
 	// atomic byte counters let SizeBytes stay safe against a concurrent
-	// first build; bitsDone flips after the bitset table is fully
-	// published so Patch can carry it forward without racing a build in
-	// progress.
+	// first build.
 	bitsOnce  sync.Once
 	bits      [][]uint64
 	bitsBytes atomic.Int64
-	bitsDone  atomic.Bool
 
 	sibOnce  sync.Once
 	sibs     [][]int
 	sibBytes atomic.Int64
-
-	// pending accumulates cells that appeared in append batches (see
-	// Patch) but have not reached MinSupport yet. Build leaves it nil:
-	// cells below the threshold at build time stay pruned until batch
-	// deltas alone re-earn the support. Never mutated after the cube is
-	// published — Patch copies it into the successor cube.
-	pending map[Key]Agg
 }
 
 // parallelBuildMin is the tuple count below which Build stays sequential:
 // sharding a small R_I costs more in goroutine start-up and table merging
-// than the scan saves. Per-query cubes (hundreds to tens of thousands of
-// tuples) stay on the fast single-threaded path; the store's whole-log
-// precomputation goes wide.
+// than the scan saves. Per-query cubes of hundreds to tens of thousands of
+// tuples stay on the fast single-threaded path; whole-genre queries go
+// wide.
 const parallelBuildMin = 1 << 15
 
 // Build materializes every cube cell with at least one tuple that passes

@@ -226,12 +226,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	// A write-armed engine contributes its live-ingestion section (epoch
 	// clock, batch/tuple counters, WAL size, plan invalidation split).
-	if ip, ok := s.def.(interface {
-		IngestStats() (maprat.IngestStats, bool)
-	}); ok {
-		if st, on := ip.IngestStats(); on {
-			resp.Ingest = &st
-		}
+	if st, on := s.def.IngestStats(); on {
+		resp.Ingest = &st
 	}
 	for _, m := range s.reg.Mounts() {
 		st := m.Engine.DatasetStats()
@@ -402,11 +398,11 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBrowse renders the whole-log per-state choropleth from the
-// precomputed global cube — browse mode before any query is entered.
+// store's per-state aggregates — browse mode before any query is entered.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	states := s.def.BrowseStates()
-	if states == nil {
-		htmlError(w, "browse mode needs the precomputed global cube", http.StatusServiceUnavailable)
+	states, err := s.def.BrowseStatesAt(0)
+	if err != nil || states == nil {
+		htmlError(w, "browse mode needs the precomputed per-state aggregates", http.StatusServiceUnavailable)
 		return
 	}
 	m := viz.Map{Title: "All ratings by state (whole log)"}

@@ -17,9 +17,6 @@ import (
 //     time-sorted index list gains the new positions by sorted insert;
 //   - a new epochMark freezes the log extent and carries the batch's
 //     per-state aggregate delta for epoch-pinned browse reads;
-//   - the global cube, if already built, is delta-patched copy-on-write
-//     (see cube.Patch) — a failed patch just drops it back to lazy
-//     rebuild;
 //   - before the new epoch becomes visible (still under the write lock,
 //     which orders before the s.epoch bump readers resolve "latest"
 //     from), the plan cache seals exactly the live entries whose
@@ -67,18 +64,6 @@ func (s *Store) Append(epoch uint64, tuples []cube.Tuple) error {
 		maxUnix: s.maxUnix,
 		states:  states,
 	})
-
-	if s.globalCube != nil {
-		if patched, ok := s.globalCube.Patch(s.tuples, base); ok {
-			s.globalCube = patched
-			s.cubeEpoch = epoch
-		} else {
-			// Derived tables the patch cannot extend were materialized;
-			// fall back to a lazy rebuild on the next GlobalCube call.
-			s.globalCube = nil
-			s.cubeEpoch = 0
-		}
-	}
 
 	// Seal intersecting plan-cache entries BEFORE publishing the epoch:
 	// readers resolve "latest" from s.epoch under the read lock, so no

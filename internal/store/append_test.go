@@ -45,12 +45,6 @@ func TestAppendAdvancesEpochAndWatermark(t *testing.T) {
 	if got := s.NumTuples(); got != base+3 {
 		t.Fatalf("NumTuples = %d, want %d", got, base+3)
 	}
-	if got := s.NumTuplesAt(1); got != base {
-		t.Fatalf("NumTuplesAt(1) = %d, want the base watermark %d", got, base)
-	}
-	if got := s.NumTuplesAt(0); got != base+3 {
-		t.Fatalf("NumTuplesAt(0) = %d, want latest %d", got, base+3)
-	}
 
 	// The pinned time range is frozen; the latest range extends.
 	if _, hi := s.TimeRangeAt(1); hi != baseMax {
@@ -117,30 +111,6 @@ func TestAppendStateAggsDelta(t *testing.T) {
 		if latest[i] != want {
 			t.Fatalf("state %d latest agg = %+v, want %+v", i, latest[i], want)
 		}
-	}
-}
-
-// TestAppendPatchesGlobalCube: a built global cube is patched
-// copy-on-write — the old snapshot stays intact for readers holding it.
-func TestAppendPatchesGlobalCube(t *testing.T) {
-	s := openStore(t, DefaultOptions())
-	gc1 := s.GlobalCube()
-	if gc1 == nil {
-		t.Fatal("precompute enabled but GlobalCube nil")
-	}
-	n1 := len(gc1.Tuples)
-	if err := s.Append(2, appendBatch(t, s, 3)); err != nil {
-		t.Fatal(err)
-	}
-	gc2 := s.GlobalCube()
-	if gc2 == gc1 {
-		t.Fatal("append did not swap the global cube")
-	}
-	if len(gc1.Tuples) != n1 {
-		t.Fatal("append mutated the pre-append cube snapshot")
-	}
-	if len(gc2.Tuples) != n1+3 {
-		t.Fatalf("patched cube covers %d tuples, want %d", len(gc2.Tuples), n1+3)
 	}
 }
 

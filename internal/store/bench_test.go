@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-	"runtime"
 	"strconv"
 	"testing"
 )
@@ -24,43 +22,6 @@ func BenchmarkOpenNoPrecompute(b *testing.B) {
 		if _, err := Open(ds, Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkOpenWithPrecompute(b *testing.B) {
-	ds := smallDataset(b)
-	opts := DefaultOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := Open(ds, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.GlobalCube() // the cube is lazy; include its build in the measure
-	}
-}
-
-// BenchmarkOpenPrecomputeGOMAXPROCS shows the open-time sharding: the join,
-// per-item index and global-cube precompute all scale with GOMAXPROCS
-// (identical output at every setting — see TestOpenParallelMatchesSequential).
-func BenchmarkOpenPrecomputeGOMAXPROCS(b *testing.B) {
-	ds := smallDataset(b)
-	opts := DefaultOptions()
-	for _, procs := range []int{1, 2, 4, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := Open(ds, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.GlobalCube()
-			}
-		})
 	}
 }
 

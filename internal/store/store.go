@@ -3,8 +3,8 @@
 // joins every rating with its reviewer's demographics once at open time,
 // maintains inverted indexes from item attributes (title, genre, actor,
 // director) to items and from items to rating tuples sorted by time, keeps
-// a global cube for browse-mode statistics (built lazily on first use),
-// and offers an LRU result cache for repeated queries.
+// per-epoch state aggregates for browse-mode statistics (built lazily on
+// first use), and offers an LRU result cache for repeated queries.
 package store
 
 import (
@@ -81,14 +81,15 @@ func (w TimeWindow) String() string {
 
 // Options configures Open.
 type Options struct {
-	// Precompute enables the global demographic cube over the whole rating
-	// log (used by browse statistics and the E5 ablation). The cube is
-	// built lazily on the first GlobalCube call rather than at open time,
-	// so opening a store — in particular from a memory-mapped snapshot —
-	// never pays for an aggregate the workload might not touch.
+	// Precompute arms browse mode's per-state aggregates over the whole
+	// rating log (StateAggsAt). The base log's aggregate is built lazily
+	// on the first browse rather than at open time, so opening a store —
+	// in particular from a memory-mapped snapshot — never pays for an
+	// aggregate the workload might not touch.
 	Precompute bool
-	// CubeConfig is the candidate-group configuration used for the global
-	// cube; per-query cubes are configured by the mining layer.
+	// CubeConfig is the candidate-group configuration whose MinSupport
+	// is browse mode's per-state cut; per-query cubes are configured by
+	// the mining layer.
 	CubeConfig cube.Config
 	// CacheSize bounds the LRU result cache; 0 disables caching.
 	CacheSize int
@@ -132,7 +133,7 @@ type Store struct {
 	minUnix, maxUnix int64
 
 	// mu guards the mutable log state (tuples, itemTuples, min/max, epoch,
-	// bounds, the global cube). Readers take RLock; Append takes Lock.
+	// bounds). Readers take RLock; Append takes Lock.
 	// Everything above that Append never touches (the item-attribute
 	// indexes, ds) stays lock-free: the catalog is immutable under append.
 	mu sync.RWMutex
@@ -143,14 +144,10 @@ type Store struct {
 	epoch  uint64
 	bounds []epochMark
 
-	// The global cube is enabled by Options.Precompute but built lazily:
-	// the first GlobalCube call pays for it, concurrent callers share the
-	// one build. Appends delta-patch it copy-on-write (see cube.Patch);
-	// cubeEpoch records the epoch the current build reflects.
-	cubeEnabled bool
-	cubeCfg     cube.Config
-	globalCube  *cube.Cube
-	cubeEpoch   uint64
+	// statesEnabled arms the browse aggregates (Options.Precompute);
+	// minSupport is the cut a state must reach to surface there.
+	statesEnabled bool
+	minSupport    int
 
 	cache *LRU       // nil unless Options.CacheSize > 0
 	plans *PlanCache // nil unless Options.PlanCacheTuples > 0
@@ -181,8 +178,8 @@ const openParallelMin = 1 << 15
 // index — are sharded over rating partitions across GOMAXPROCS
 // goroutines. The result is identical to a sequential open: shards are
 // contiguous index ranges merged in order, and every sort below carries a
-// total-order tie-break. The global cube (Options.Precompute) is deferred
-// to the first GlobalCube call.
+// total-order tie-break. The browse aggregates (Options.Precompute) are
+// deferred to the first StateAggsAt call.
 func Open(ds *model.Dataset, opts Options) (*Store, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("store: nil dataset")
@@ -217,11 +214,11 @@ func Open(ds *model.Dataset, opts Options) (*Store, error) {
 }
 
 // finishOpen runs the open-time stages that follow the join: arming the
-// lazy global cube, building the caching tiers, and sealing the base log
+// lazy browse aggregates, building the caching tiers, and sealing the base log
 // as epoch 1.
 func (s *Store) finishOpen(opts Options) {
-	s.cubeEnabled = opts.Precompute
-	s.cubeCfg = opts.CubeConfig
+	s.statesEnabled = opts.Precompute
+	s.minSupport = opts.CubeConfig.MinSupport
 	if opts.CacheSize > 0 {
 		s.cache = NewLRU(opts.CacheSize)
 	}
@@ -436,14 +433,6 @@ func (s *Store) NumTuples() int {
 	return len(s.tuples)
 }
 
-// NumTuplesAt returns the size of the joined rating log as of the given
-// epoch (0 or an epoch at/beyond the current one means latest).
-func (s *Store) NumTuplesAt(epoch uint64) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.watermarkLocked(epoch)
-}
-
 // TimeRange returns the [min,max] rating timestamps in the log.
 func (s *Store) TimeRange() (int64, int64) {
 	s.mu.RLock()
@@ -485,32 +474,6 @@ func (s *Store) watermarkLocked(epoch uint64) int {
 		return len(s.tuples)
 	}
 	return s.bounds[epoch-1].tuples
-}
-
-// GlobalCube returns the whole-log cube at the latest epoch, or nil when
-// Open ran without precomputation. The cube is built on the first call
-// (open itself never pays for it); concurrent callers block on the
-// single build and then share the result. Appends patch it
-// copy-on-write, so a returned cube is an immutable snapshot of the
-// epoch it was obtained at — safe to read concurrently, stale after the
-// next append.
-func (s *Store) GlobalCube() *cube.Cube {
-	if !s.cubeEnabled {
-		return nil
-	}
-	s.mu.RLock()
-	gc := s.globalCube
-	s.mu.RUnlock()
-	if gc != nil {
-		return gc
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.globalCube == nil {
-		s.globalCube = cube.Build(s.tuples, s.cubeCfg)
-		s.cubeEpoch = s.epoch
-	}
-	return s.globalCube
 }
 
 // Cache returns the store's result cache (nil when disabled).
@@ -589,13 +552,6 @@ func intersectSorted(a, b []int) []int {
 	return out
 }
 
-// RatingCount returns the number of ratings an item received.
-func (s *Store) RatingCount(itemID int) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.itemTuples[itemID])
-}
-
 // TuplesForItems gathers R_I at the latest epoch: every rating tuple of
 // the given items inside the window. The result is a fresh slice;
 // mutation is safe.
@@ -669,32 +625,18 @@ func windowBounds(tuples []cube.Tuple, idxs []int32, w TimeWindow) (int, int) {
 	return lo, hi
 }
 
-// ItemAgg returns the aggregate rating statistics for one item inside the
-// window (the single overall value the paper argues is insufficient).
-func (s *Store) ItemAgg(itemID int, w TimeWindow) cube.Agg {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var agg cube.Agg
-	idxs := s.itemTuples[itemID]
-	lo, hi := windowBounds(s.tuples, idxs, w)
-	for _, ti := range idxs[lo:hi] {
-		agg.Add(s.tuples[ti].Score)
-	}
-	return agg
-}
-
 // StateAggsAt returns the per-state rating aggregates as of an epoch
 // (index = state descriptor value), along with the minimum support a
 // state must reach to surface in browse mode. ok is false when the store
 // was opened without precomputation — browse statistics are an opt-in
 // tier. Epoch 0 means latest. The result is a fresh slice.
 //
-// At the base epoch this is exactly the set of state-only groups the
-// global cube surfaces (same aggregates, same MinSupport cut); at later
+// At the base epoch this is exactly the set of state-only groups a
+// whole-log cube surfaces (same aggregates, same MinSupport cut); at later
 // epochs it folds in each batch's delta, so pinned browse reads are
 // exact at every epoch.
 func (s *Store) StateAggsAt(epoch uint64) (aggs []cube.Agg, minSupport int, ok bool) {
-	if !s.cubeEnabled {
+	if !s.statesEnabled {
 		return nil, 0, false
 	}
 	s.ensureBaseStates()
@@ -711,7 +653,7 @@ func (s *Store) StateAggsAt(epoch uint64) (aggs []cube.Agg, minSupport int, ok b
 			out[i].Merge(d)
 		}
 	}
-	return out, s.cubeCfg.MinSupport, true
+	return out, s.minSupport, true
 }
 
 // ensureBaseStates lazily builds the base epoch's whole-log per-state

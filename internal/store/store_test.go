@@ -47,8 +47,8 @@ func TestOpenBasics(t *testing.T) {
 	if lo <= 0 || hi < lo {
 		t.Errorf("TimeRange = [%d,%d]", lo, hi)
 	}
-	if s.GlobalCube() == nil {
-		t.Error("precompute enabled but GlobalCube is nil")
+	if _, _, ok := s.StateAggsAt(0); !ok {
+		t.Error("precompute enabled but browse aggregates are off")
 	}
 	if s.Cache() == nil {
 		t.Error("cache enabled but Cache is nil")
@@ -57,8 +57,8 @@ func TestOpenBasics(t *testing.T) {
 
 func TestOpenWithoutPrecompute(t *testing.T) {
 	s := openStore(t, Options{})
-	if s.GlobalCube() != nil {
-		t.Error("GlobalCube should be nil without precompute")
+	if _, _, ok := s.StateAggsAt(0); ok {
+		t.Error("browse aggregates should be off without precompute")
 	}
 	if s.Cache() != nil {
 		t.Error("Cache should be nil when disabled")
@@ -153,9 +153,6 @@ func TestTuplesForItems(t *testing.T) {
 	ts := ds.ItemsByTitle("Toy Story")[0]
 
 	tuples := s.TuplesForItems([]int{ts.ID}, TimeWindow{})
-	if len(tuples) != s.RatingCount(ts.ID) {
-		t.Fatalf("got %d tuples, RatingCount says %d", len(tuples), s.RatingCount(ts.ID))
-	}
 	// Cross-check against a raw scan of the rating log.
 	want := 0
 	for _, r := range ds.Ratings {
@@ -216,29 +213,10 @@ func TestTuplesForItemsMultiItem(t *testing.T) {
 	tuples := s.TuplesForItems(ids, TimeWindow{})
 	sum := 0
 	for _, id := range ids {
-		sum += s.RatingCount(id)
+		sum += len(s.TuplesForItems([]int{id}, TimeWindow{}))
 	}
 	if len(tuples) != sum {
 		t.Fatalf("multi-item tuples = %d, want %d", len(tuples), sum)
-	}
-}
-
-func TestItemAgg(t *testing.T) {
-	s := openStore(t, Options{})
-	ds := s.Dataset()
-	ts := ds.ItemsByTitle("Toy Story")[0]
-	agg := s.ItemAgg(ts.ID, TimeWindow{})
-	var want cube.Agg
-	for _, r := range ds.Ratings {
-		if r.ItemID == ts.ID {
-			want.Add(int8(r.Score))
-		}
-	}
-	if agg != want {
-		t.Fatalf("ItemAgg = %+v, want %+v", agg, want)
-	}
-	if agg.Mean() < 3.5 {
-		t.Errorf("Toy Story mean = %.2f, planted quality is 4.25", agg.Mean())
 	}
 }
 
@@ -261,27 +239,22 @@ func TestTimeWindowContains(t *testing.T) {
 	}
 }
 
-func TestGlobalCubePrecompute(t *testing.T) {
+func TestStateAggsMatchRawScan(t *testing.T) {
 	s := openStore(t, DefaultOptions())
-	gc := s.GlobalCube()
-	if gc.Len() == 0 {
-		t.Fatal("global cube empty")
-	}
-	// Every state-only group's aggregate must match a raw scan.
-	ds := s.Dataset()
-	caKey := cube.KeyAll.With(cube.State, cube.StateIndex("CA"))
-	g, ok := gc.Group(caKey)
+	aggs, _, ok := s.StateAggsAt(0)
 	if !ok {
-		t.Fatal("CA group missing from global cube")
+		t.Fatal("precompute enabled but browse aggregates are off")
 	}
+	// A state's browse aggregate must match a raw scan.
+	ds := s.Dataset()
 	var want cube.Agg
 	for _, r := range ds.Ratings {
 		if ds.UserByID(r.UserID).State == "CA" {
 			want.Add(int8(r.Score))
 		}
 	}
-	if g.Agg != want {
-		t.Fatalf("CA global agg = %+v, raw scan = %+v", g.Agg, want)
+	if got := aggs[cube.StateIndex("CA")]; got != want {
+		t.Fatalf("CA browse agg = %+v, raw scan = %+v", got, want)
 	}
 }
 

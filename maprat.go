@@ -15,7 +15,7 @@
 //	ds, _ := dataset.Generate(dataset.DefaultGenConfig())
 //	eng, _ := maprat.Open(ds, nil)
 //	q, _ := eng.ParseQuery(`movie:"Toy Story"`)
-//	ex, _ := eng.Explain(maprat.ExplainRequest{Query: q})
+//	ex, _ := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q})
 //	fmt.Println(eng.RenderExploration(ex).ASCII(false))
 package maprat
 
@@ -88,7 +88,7 @@ func WriteDir(dir string, ds *Dataset) error { return dataset.WriteDir(dir, ds) 
 // for stamping into a snapshot packed from it.
 func DirProvenance(dir string) (uint64, error) { return dataset.DirProvenance(dir) }
 
-// DefaultSettings mirrors the demo defaults (3 groups, 30% coverage).
+// DefaultSettings mirrors the demo defaults (3 groups, 20% coverage).
 func DefaultSettings() Settings { return core.DefaultSettings() }
 
 // Options configures Open.
@@ -278,7 +278,8 @@ type TaskResult struct {
 	RelaxedCoverage float64
 }
 
-// Explanation is the full result of Explain: everything Figure 2 renders.
+// Explanation is the full result of ExplainContext: everything Figure 2
+// renders.
 type Explanation struct {
 	Query      Query
 	ItemIDs    []int
@@ -331,17 +332,12 @@ func groupNotFound(key Key, q Query) error {
 	return fmt.Errorf("%w: %v (query %s)", ErrNoGroup, key, q)
 }
 
-// Explain runs the full §2.3 pipeline: resolve the query to items, gather
-// R_I, construct the candidate groups, and solve each requested mining
-// sub-problem with RHE.
-func (e *Engine) Explain(req ExplainRequest) (*Explanation, error) {
-	return e.ExplainContext(context.Background(), req) //maprat:allow(ctxflow) compat wrapper: preserves the pre-context API
-}
-
-// ExplainContext is Explain with a request lifecycle: mining stops between
-// hill-climb iterations once ctx is done (returning ctx.Err()), and
-// concurrent callers with the same request share one mining run through
-// the singleflight layer in front of the result cache.
+// ExplainContext runs the full §2.3 pipeline: resolve the query to items,
+// gather R_I, construct the candidate groups, and solve each requested
+// mining sub-problem with RHE. Mining stops between hill-climb iterations
+// once ctx is done (returning ctx.Err()), and concurrent callers with the
+// same request share one mining run through the singleflight layer in
+// front of the result cache.
 func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Explanation, error) {
 	start := time.Now()
 	if req.Settings.K == 0 {
@@ -524,10 +520,10 @@ func (e *Engine) buildPlan(q Query, base cube.Config) (*store.Plan, error) {
 
 // planFor fetches the materialized plan for (q, base) from the store's
 // materialization tier, building and caching it on first use. All five
-// pipelines — Explain, ExploreGroup, RefineGroup, DrillMine and each
-// Evolution window — fetch through here, so a group click after an
-// Explain performs zero query resolution and zero cube builds. With the
-// tier disabled the plan is built fresh.
+// pipelines — ExplainContext, ExploreFullContext, RefineGroupContext,
+// DrillMineContext and each EvolutionContext window — fetch through
+// here, so a group click after an Explain performs zero query resolution
+// and zero cube builds. With the tier disabled the plan is built fresh.
 func (e *Engine) planFor(ctx context.Context, q Query, base cube.Config) (*store.Plan, error) {
 	if q.Epoch == 0 {
 		q.Epoch = e.st.CurrentEpoch()
@@ -714,36 +710,16 @@ type GroupExploration struct {
 	Refinements []Refinement
 }
 
-// ExploreGroup recomputes the Figure-3 exploration for one explanation
-// group: full statistics (histogram, city drill-down, timeline) plus the
-// sibling groups to compare against.
-func (e *Engine) ExploreGroup(q Query, key Key, buckets int) (*GroupStats, []GroupResult, error) {
-	return e.ExploreGroupContext(context.Background(), q, key, buckets) //maprat:allow(ctxflow) compat wrapper: preserves the pre-context API
-}
-
-// ExploreGroupContext is ExploreGroup with cancellation between the
-// pipeline's stages. It is a thin wrapper over ExploreFullContext that
-// skips the refinement stage.
-func (e *Engine) ExploreGroupContext(ctx context.Context, q Query, key Key, buckets int) (*GroupStats, []GroupResult, error) {
-	ge, err := e.ExploreFullContext(ctx, q, key, buckets, -1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &ge.Stats, ge.Related, nil
-}
-
-// ExploreFull is ExploreFullContext without cancellation.
-func (e *Engine) ExploreFull(q Query, key Key, buckets, refineLimit int) (*GroupExploration, error) {
-	return e.ExploreFullContext(context.Background(), q, key, buckets, refineLimit) //maprat:allow(ctxflow) compat wrapper: preserves the pre-context API
-}
-
-// ExploreFullContext computes the whole per-group exploration — stats,
-// related groups and refinements — from one plan fetch. The resolve →
-// gather → cube stages come from the materialization tier, so exploring a
-// group right after its Explain does no pipeline work at all. refineLimit
-// caps the refinement list (0 = all); a negative refineLimit skips the
-// refinement stage entirely. Both the HTML front-end and the /api/v1
-// handlers consume this one call.
+// ExploreFullContext recomputes the Figure-3 exploration for one
+// explanation group — full statistics (histogram, city drill-down,
+// timeline), the sibling groups to compare against, and the drill-deeper
+// refinements — from one plan fetch, with cancellation between the
+// pipeline's stages. The resolve → gather → cube stages come from the
+// materialization tier, so exploring a group right after its
+// ExplainContext does no pipeline work at all. refineLimit caps the
+// refinement list (0 = all); a negative refineLimit skips the refinement
+// stage entirely. Both the HTML front-end and the /api/v1 handlers
+// consume this one call.
 func (e *Engine) ExploreFullContext(ctx context.Context, q Query, key Key, buckets, refineLimit int) (*GroupExploration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -810,16 +786,11 @@ type Refinement struct {
 	Delta float64
 }
 
-// RefineGroup returns the most deviant drill-deeper refinements of a
-// group for the query, capped at limit (0 = all) — the paper's "drill
-// deeper" exploration beyond city statistics.
-func (e *Engine) RefineGroup(q Query, key Key, limit int) ([]Refinement, error) {
-	return e.RefineGroupContext(context.Background(), q, key, limit) //maprat:allow(ctxflow) compat wrapper: preserves the pre-context API
-}
-
-// RefineGroupContext is RefineGroup with cancellation between the
-// pipeline's stages, served from the materialization tier like
-// ExploreGroupContext.
+// RefineGroupContext returns the most deviant drill-deeper refinements of
+// a group for the query, capped at limit (0 = all) — the paper's "drill
+// deeper" exploration beyond city statistics. It is served from the
+// materialization tier like ExploreFullContext, with cancellation between
+// the pipeline's stages.
 func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit int) ([]Refinement, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -846,19 +817,14 @@ func RefinePlan(p *store.Plan, q Query, key Key, limit int) ([]Refinement, error
 	return refinementsFor(p, g, limit), nil
 }
 
-// DrillMine runs the paper's drill-down one level further than statistics:
-// given a geo-anchored explanation group, it mines the best city-anchored
-// sub-groups *inside* that group ("if the original geo condition was over
-// a state, the drill down provides city level" views). The returned
-// TaskResult's groups all carry a city condition.
-func (e *Engine) DrillMine(q Query, parent Key, task Task, s Settings) (*TaskResult, error) {
-	return e.DrillMineContext(context.Background(), q, parent, task, s) //maprat:allow(ctxflow) compat wrapper: preserves the pre-context API
-}
-
-// DrillMineContext is DrillMine with cancellation threaded through the
-// sub-problem's RHE run. The parent cube comes from the materialization
-// tier; only the city-anchored sub-cube over the parent's tuples is built
-// per call.
+// DrillMineContext runs the paper's drill-down one level further than
+// statistics: given a geo-anchored explanation group, it mines the best
+// city-anchored sub-groups *inside* that group ("if the original geo
+// condition was over a state, the drill down provides city level" views).
+// The returned TaskResult's groups all carry a city condition.
+// Cancellation is threaded through the sub-problem's RHE run. The parent
+// cube comes from the materialization tier; only the city-anchored
+// sub-cube over the parent's tuples is built per call.
 func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task Task, s Settings) (*TaskResult, error) {
 	if s.K == 0 {
 		s = DefaultSettings()
@@ -934,23 +900,12 @@ type StateOverview struct {
 	Agg   Agg
 }
 
-// BrowseStates returns every state's whole-log aggregate at the latest
-// epoch, sorted by rating count descending. It requires the store to
-// have been opened with precomputation (the default); otherwise it
-// returns nil.
-func (e *Engine) BrowseStates() []StateOverview {
-	out, err := e.BrowseStatesAt(0)
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-// BrowseStatesAt is BrowseStates pinned to an epoch (0 = latest). The
-// rows are exactly the state-only groups the global cube would surface
-// at that epoch: same aggregates, same minimum-support cut. A future
-// epoch is ErrFutureEpoch; a store opened without precomputation yields
-// (nil, nil), matching BrowseStates.
+// BrowseStatesAt returns every state's whole-log aggregate as of an
+// epoch (0 = latest), sorted by rating count descending. The rows are
+// exactly the state-only groups a whole-log cube would surface at that
+// epoch: same aggregates, same minimum-support cut. A future epoch is
+// ErrFutureEpoch; a store opened without precomputation (the default
+// arms it) yields (nil, nil).
 func (e *Engine) BrowseStatesAt(epoch uint64) ([]StateOverview, error) {
 	ep, err := e.resolveEpoch(epoch)
 	if err != nil {
@@ -987,15 +942,10 @@ type EvolutionPoint struct {
 	Err error
 }
 
-// Evolution mines the same query across consecutive yearly windows — the
-// §3.1 time slider ("observe reviewer groups ... and how they change over
-// time").
-func (e *Engine) Evolution(req ExplainRequest) ([]EvolutionPoint, error) {
-	return e.EvolutionContext(context.Background(), req) //maprat:allow(ctxflow) compat wrapper: preserves the pre-context API
-}
-
-// EvolutionContext is Evolution with cancellation: the sweep stops at the
-// first window whose mining run is cut short by ctx. The window sweep is
+// EvolutionContext mines the same query across consecutive yearly
+// windows — the §3.1 time slider ("observe reviewer groups ... and how
+// they change over time"). The sweep stops at the first window whose
+// mining run is cut short by ctx. The window sweep is
 // anchored at the query's (resolved) epoch: at the latest epoch a batch
 // of fresh ratings extends the time range, so the sweep gains a live
 // window covering the newest data, while a pinned epoch replays exactly

@@ -44,7 +44,7 @@ func mustQuery(t testing.TB, e *Engine, s string) Query {
 func TestExplainToyStory(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
@@ -93,14 +93,14 @@ func TestExplainCacheHit(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Heat"`)
 	req := ExplainRequest{Query: q}
-	first, err := e.Explain(req)
+	first, err := e.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.FromCache {
 		t.Fatal("first call claims cache hit")
 	}
-	second, err := e.Explain(req)
+	second, err := e.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestExplainCacheHit(t *testing.T) {
 	if second.NumRatings != first.NumRatings || len(second.Results) != len(first.Results) {
 		t.Error("cached explanation differs")
 	}
-	third, err := e.Explain(ExplainRequest{Query: q, DisableCache: true})
+	third, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestExplainCacheHit(t *testing.T) {
 func TestExplainErrors(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"No Such Movie Exists"`)
-	if _, err := e.Explain(ExplainRequest{Query: q}); !errors.Is(err, ErrNoItems) {
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); !errors.Is(err, ErrNoItems) {
 		t.Errorf("want ErrNoItems, got %v", err)
 	}
 	q2 := mustQuery(t, e, `movie:"Toy Story"`)
 	q2.Window = TimeWindow{From: 1, To: 2} // before any rating
-	if _, err := e.Explain(ExplainRequest{Query: q2}); !errors.Is(err, ErrNoRatings) {
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q2}); !errors.Is(err, ErrNoRatings) {
 		t.Errorf("want ErrNoRatings, got %v", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestExplainPolarizedDM(t *testing.T) {
 	s.K = 2
 	s.Coverage = 0.10
 	free := cube.Config{RequireState: false, MinSupport: 8, MaxAVPairs: 2, SkipApex: true}
-	ex, err := e.Explain(ExplainRequest{
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{
 		Query: q, Settings: s, Tasks: []Task{DiversityMining}, CubeConfig: &free,
 	})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestExplainWithProfile(t *testing.T) {
 	q := mustQuery(t, e, `movie:"Forrest Gump"`)
 	s := DefaultSettings()
 	s.Profile = cube.KeyAll.With(cube.Gender, int16(model.Female))
-	ex, err := e.Explain(ExplainRequest{Query: q, Settings: s, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Settings: s, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		t.Fatalf("Explain with profile: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestExplainWithProfile(t *testing.T) {
 func TestExplainConjunctiveQuery(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `director:"Steven Spielberg" AND genre:Thriller`)
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
@@ -214,15 +214,16 @@ func TestExplainConjunctiveQuery(t *testing.T) {
 func TestExploreGroup(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := ex.Result(SimilarityMining).Groups[0]
-	st, related, err := e.ExploreGroup(q, g.Key, 6)
+	ge, err := e.ExploreFullContext(t.Context(), q, g.Key, 6, -1)
 	if err != nil {
-		t.Fatalf("ExploreGroup: %v", err)
+		t.Fatalf("ExploreFullContext: %v", err)
 	}
+	st := ge.Stats
 	if st.Agg != g.Agg {
 		t.Errorf("explore agg %+v != explain agg %+v", st.Agg, g.Agg)
 	}
@@ -239,37 +240,36 @@ func TestExploreGroup(t *testing.T) {
 	if g.State != "" && len(st.Cities) == 0 {
 		t.Error("geo-anchored group has no city drill-down")
 	}
-	_ = related // sibling presence depends on pruning; exercised in explore tests
 }
 
 // TestExploreFullV1Unification pins the GroupExploration unification: the
-// one-call exploration returns exactly what the legacy three-value
-// ExploreGroup and the separate RefineGroup returned, and a negative
-// refine limit skips the refinement stage.
+// one-call exploration returns exactly the stats and related groups of a
+// refinement-free exploration plus what the separate RefineGroupContext
+// returns, and a negative refine limit skips the refinement stage.
 func TestExploreFullV1Unification(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := ex.Result(SimilarityMining).Groups[0].Key
 
-	ge, err := e.ExploreFull(q, key, 6, 0)
+	ge, err := e.ExploreFullContext(t.Context(), q, key, 6, 0)
 	if err != nil {
-		t.Fatalf("ExploreFull: %v", err)
+		t.Fatalf("ExploreFullContext: %v", err)
 	}
-	st, related, err := e.ExploreGroup(q, key, 6)
+	bare, err := e.ExploreFullContext(t.Context(), q, key, 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ge.Stats, *st) {
-		t.Errorf("unified stats diverge:\n%+v\n%+v", ge.Stats, *st)
+	if !reflect.DeepEqual(ge.Stats, bare.Stats) {
+		t.Errorf("unified stats diverge:\n%+v\n%+v", ge.Stats, bare.Stats)
 	}
-	if !reflect.DeepEqual(ge.Related, related) {
+	if !reflect.DeepEqual(ge.Related, bare.Related) {
 		t.Errorf("unified related groups diverge")
 	}
-	refs, err := e.RefineGroup(q, key, 0)
+	refs, err := e.RefineGroupContext(t.Context(), q, key, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +277,14 @@ func TestExploreFullV1Unification(t *testing.T) {
 		t.Errorf("unified refinements diverge:\n%+v\n%+v", ge.Refinements, refs)
 	}
 
-	limited, err := e.ExploreFull(q, key, 6, 2)
+	limited, err := e.ExploreFullContext(t.Context(), q, key, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(refs) > 2 && len(limited.Refinements) != 2 {
 		t.Errorf("refine limit 2 returned %d refinements", len(limited.Refinements))
 	}
-	skipped, err := e.ExploreFull(q, key, 6, -1)
+	skipped, err := e.ExploreFullContext(t.Context(), q, key, 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestExploreGroupUnknownKey(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 	bogus := cube.KeyAll.With(cube.State, cube.StateIndex("WY")).With(cube.Occupation, 8)
-	if _, _, err := e.ExploreGroup(q, bogus, 4); err == nil {
+	if _, err := e.ExploreFullContext(t.Context(), q, bogus, 4, -1); err == nil {
 		t.Error("unknown group should fail")
 	}
 }
@@ -305,7 +305,7 @@ func TestExploreGroupUnknownKey(t *testing.T) {
 func TestEvolution(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	points, err := e.Evolution(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	points, err := e.EvolutionContext(t.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		t.Fatalf("Evolution: %v", err)
 	}
@@ -329,7 +329,7 @@ func TestEvolution(t *testing.T) {
 func TestRenderExploration(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +350,11 @@ func TestRenderExploration(t *testing.T) {
 func TestDeterministicExplain(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Jurassic Park"`)
-	a, err := e.Explain(ExplainRequest{Query: q, DisableCache: true})
+	a, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Explain(ExplainRequest{Query: q, DisableCache: true})
+	b, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,12 +415,12 @@ func TestWriteLoadRoundTripViaFacade(t *testing.T) {
 func TestRefineGroup(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parent := ex.Result(SimilarityMining).Groups[0]
-	refs, err := e.RefineGroup(q, parent.Key, 5)
+	refs, err := e.RefineGroupContext(t.Context(), q, parent.Key, 5)
 	if err != nil {
 		t.Fatalf("RefineGroup: %v", err)
 	}
@@ -447,14 +447,17 @@ func TestRefineGroup(t *testing.T) {
 	}
 	// Unknown group fails.
 	bogus := cube.KeyAll.With(cube.State, cube.StateIndex("WY")).With(cube.Occupation, 8)
-	if _, err := e.RefineGroup(q, bogus, 3); err == nil {
+	if _, err := e.RefineGroupContext(t.Context(), q, bogus, 3); err == nil {
 		t.Error("unknown group should fail")
 	}
 }
 
 func TestBrowseStates(t *testing.T) {
 	e := testEngine(t)
-	states := e.BrowseStates()
+	states, err := e.BrowseStatesAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(states) == 0 {
 		t.Fatal("no browse states despite precompute")
 	}
@@ -487,8 +490,8 @@ func TestBrowseStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.BrowseStates() != nil {
-		t.Error("BrowseStates should be nil without precompute")
+	if states, err := bare.BrowseStatesAt(0); states != nil || err != nil {
+		t.Errorf("BrowseStatesAt = %v, %v; want nil without precompute", states, err)
 	}
 }
 
@@ -506,7 +509,7 @@ func TestExplainConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				q := mustQuery(t, e, queries[(g+i)%len(queries)])
-				if _, err := e.Explain(ExplainRequest{Query: q}); err != nil {
+				if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); err != nil {
 					errs <- err
 					return
 				}

@@ -33,9 +33,13 @@ type Miner interface {
 	DrillMineContext(ctx context.Context, q Query, parent Key, task Task, s Settings) (*TaskResult, error)
 	// EvolutionContext mines the query across consecutive yearly windows.
 	EvolutionContext(ctx context.Context, req ExplainRequest) ([]EvolutionPoint, error)
-	// BrowseStates returns every state's whole-log aggregate (nil when
-	// the implementation cannot provide it).
-	BrowseStates() []StateOverview
+	// BrowseStatesAt returns every state's whole-log aggregate as of an
+	// epoch (0 = latest); nil when browse statistics are not armed.
+	BrowseStatesAt(epoch uint64) ([]StateOverview, error)
+	// AppendRatings validates and applies one batch of new ratings,
+	// returning the epoch it was accepted at (ErrIngestDisabled when the
+	// write path is not armed).
+	AppendRatings(ctx context.Context, ratings []model.Rating) (uint64, error)
 
 	// TimeRange returns the dataset's [min, max] rating timestamps.
 	TimeRange() (int64, int64)
@@ -49,6 +53,9 @@ type Miner interface {
 	PlanStats() store.PlanStats
 	// MineCount returns completed mining-pipeline executions.
 	MineCount() uint64
+	// IngestStats snapshots the live-append counters; ok is false when
+	// the write path is not armed.
+	IngestStats() (IngestStats, bool)
 	// Close releases the miner's resources; idempotent.
 	Close() error
 }

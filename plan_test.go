@@ -10,14 +10,15 @@ import (
 )
 
 // TestPlanReuseAcrossPipelines is the ISSUE's core acceptance: after one
-// Explain, ExploreGroup, RefineGroup and DrillMine on the same query do
+// ExplainContext, ExploreFullContext, RefineGroupContext and
+// DrillMineContext on the same query do
 // zero query-resolution and zero cube-build work — the materialized plan
 // serves all of them.
 func TestPlanReuseAcrossPipelines(t *testing.T) {
 	e := freshEngine(t)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 
-	ex, err := e.Explain(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +28,13 @@ func TestPlanReuseAcrossPipelines(t *testing.T) {
 		t.Fatalf("Explain built %d plans, want 1 (stats %+v)", after.Builds, after)
 	}
 
-	if _, _, err := e.ExploreGroup(q, key, 8); err != nil {
+	if _, err := e.ExploreFullContext(t.Context(), q, key, 8, -1); err != nil {
 		t.Fatalf("ExploreGroup: %v", err)
 	}
-	if _, err := e.RefineGroup(q, key, 5); err != nil {
+	if _, err := e.RefineGroupContext(t.Context(), q, key, 5); err != nil {
 		t.Fatalf("RefineGroup: %v", err)
 	}
-	if _, err := e.DrillMine(q, key, SimilarityMining, DefaultSettings()); err != nil {
+	if _, err := e.DrillMineContext(t.Context(), q, key, SimilarityMining, DefaultSettings()); err != nil {
 		t.Fatalf("DrillMine: %v", err)
 	}
 
@@ -63,15 +64,15 @@ func TestPlanDisabledEngineStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	ex, err := e.Explain(ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := ex.Result(SimilarityMining).Groups[0].Key
-	if _, _, err := e.ExploreGroup(q, key, 8); err != nil {
+	if _, err := e.ExploreFullContext(t.Context(), q, key, 8, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RefineGroup(q, key, 5); err != nil {
+	if _, err := e.RefineGroupContext(t.Context(), q, key, 5); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.PlanStats(); st != (store.PlanStats{}) {
@@ -102,11 +103,11 @@ func TestMaterializationDeterminism(t *testing.T) {
 	for _, qs := range []string{`movie:"Toy Story"`, `actor:"Tom Hanks"`} {
 		q := mustQuery(t, on, qs)
 		req := ExplainRequest{Query: q}
-		exOn, err := on.Explain(req)
+		exOn, err := on.ExplainContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("%s (tier on): %v", qs, err)
 		}
-		exOff, err := off.Explain(req)
+		exOff, err := off.ExplainContext(t.Context(), req)
 		if err != nil {
 			t.Fatalf("%s (tier off): %v", qs, err)
 		}
@@ -116,15 +117,15 @@ func TestMaterializationDeterminism(t *testing.T) {
 		}
 
 		key := exOn.Results[0].Groups[0].Key
-		stOn, relOn, err := on.ExploreGroup(q, key, 8)
+		geOn, err := on.ExploreFullContext(t.Context(), q, key, 8, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stOff, relOff, err := off.ExploreGroup(q, key, 8)
+		geOff, err := off.ExploreFullContext(t.Context(), q, key, 8, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(stOn, stOff) || !reflect.DeepEqual(relOn, relOff) {
+		if !reflect.DeepEqual(geOn, geOff) {
 			t.Errorf("%s: exploration diverges with the tier on/off", qs)
 		}
 	}
@@ -138,7 +139,7 @@ func TestExplainCacheHitIsDeepCopy(t *testing.T) {
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 	req := ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}}
 
-	first, err := e.Explain(req) // leader: its value IS the cached one
+	first, err := e.ExplainContext(t.Context(), req) // leader: its value IS the cached one
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestExplainCacheHitIsDeepCopy(t *testing.T) {
 	first.Results[0].Groups = first.Results[0].Groups[:0]
 	first.Results = first.Results[:0]
 
-	second, err := e.Explain(req)
+	second, err := e.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestExplainCacheHitIsDeepCopy(t *testing.T) {
 
 	// And a hit's copy must not poison the next hit either.
 	second.Results[0].Groups[0].Phrase = "poisoned again"
-	third, err := e.Explain(req)
+	third, err := e.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,11 @@ func TestConcurrentExploresBuildPlanOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			stats[i], _, errs[i] = e.ExploreGroup(q, key, 8)
+			var ge *GroupExploration
+			ge, errs[i] = e.ExploreFullContext(t.Context(), q, key, 8, -1)
+			if ge != nil {
+				stats[i] = &ge.Stats
+			}
 		}(i)
 	}
 	close(start)
@@ -232,11 +237,11 @@ func TestPlanKeyedByCubeConfig(t *testing.T) {
 	s := DefaultSettings()
 	s.K = 2
 	s.Coverage = 0.10
-	if _, err := e.Explain(ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}}); err != nil {
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}}); err != nil {
 		t.Fatal(err)
 	}
 	free := cube.Config{RequireState: false, MinSupport: 8, MaxAVPairs: 2, SkipApex: true}
-	if _, err := e.Explain(ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}, CubeConfig: &free}); err != nil {
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}, CubeConfig: &free}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.PlanStats(); st.Builds != 2 {

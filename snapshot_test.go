@@ -62,8 +62,8 @@ func TestSnapshotMiningIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot ParseQuery(%q): %v", qs, err)
 		}
-		ex1, err1 := direct.Explain(ExplainRequest{Query: q1})
-		ex2, err2 := snapped.Explain(ExplainRequest{Query: q2})
+		ex1, err1 := direct.ExplainContext(t.Context(), ExplainRequest{Query: q1})
+		ex2, err2 := snapped.ExplainContext(t.Context(), ExplainRequest{Query: q2})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%q: direct err=%v, snapshot err=%v", qs, err1, err2)
 		}
@@ -87,15 +87,15 @@ func TestSnapshotMiningIdentity(t *testing.T) {
 		}
 	}
 
-	// The exploration surface runs over the item index and the global
-	// cube — pin those too.
+	// The exploration surface runs over the item index and the per-state
+	// browse aggregates — pin those too.
 	lo1, hi1 := direct.TimeRange()
 	lo2, hi2 := snapped.TimeRange()
 	if lo1 != lo2 || hi1 != hi2 {
 		t.Errorf("time ranges diverge: direct [%d,%d], snapshot [%d,%d]", lo1, hi1, lo2, hi2)
 	}
-	s1 := direct.BrowseStates()
-	s2 := snapped.BrowseStates()
+	s1, _ := direct.BrowseStatesAt(0)
+	s2, _ := snapped.BrowseStatesAt(0)
 	b1, _ := json.Marshal(s1)
 	b2, _ := json.Marshal(s2)
 	if string(b1) != string(b2) {
