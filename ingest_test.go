@@ -217,16 +217,20 @@ func TestPinnedReadByteIdentical(t *testing.T) {
 
 // TestPlanCacheSurvivesDisjointAppend: an append seals only the plans
 // whose item set intersects the batch; a plan for an untouched movie
-// keeps serving warm hits at the new epoch.
+// keeps serving warm hits at the new epoch, and so does the result mined
+// from it.
 func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 	e := ingestEngine(t)
 	toy := mustQuery(t, e, `movie:"Toy Story"`)
 	heat := mustQuery(t, e, `movie:"Heat"`)
-	for _, q := range []Query{toy, heat} {
-		if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); err != nil {
+	prime := func(q Query) *Explanation {
+		ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
+		if err != nil {
 			t.Fatalf("prime %s: %v", q, err)
 		}
+		return ex
 	}
+	toyBefore, heatBefore := prime(toy), prime(heat)
 	ps := e.PlanStats()
 	if ps.Invalidated != 0 || ps.Surviving != 0 {
 		t.Fatalf("counters before append: %+v", ps)
@@ -244,19 +248,51 @@ func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 		t.Fatalf("append sealed every plan — invalidation is not surgical: %+v", ps)
 	}
 
-	// Heat at the new epoch rides the surviving plan: no new build.
-	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: heat}); err != nil {
+	// Heat at the new epoch rides the surviving plan: no new build, and
+	// its result is a cache hit equal to the pre-append answer.
+	mines := e.MineCount()
+	got, err := e.ExplainContext(t.Context(), ExplainRequest{Query: heat})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.PlanStats().Builds; got != buildsBefore {
 		t.Fatalf("untouched plan rebuilt: builds %d -> %d", buildsBefore, got)
 	}
-	// Toy Story at the new epoch must rebuild against the fresh data.
-	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: toy}); err != nil {
+	if !got.FromCache || e.MineCount() != mines {
+		t.Fatalf("untouched result re-mined: from cache %v, mines %d -> %d", got.FromCache, mines, e.MineCount())
+	}
+	if !bytes.Equal(explainJSON(t, got), explainJSON(t, heatBefore)) {
+		t.Fatal("surviving result differs from the pre-append answer")
+	}
+	// Toy Story at the new epoch must rebuild and re-mine against the
+	// fresh data.
+	got, err = e.ExplainContext(t.Context(), ExplainRequest{Query: toy})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.PlanStats().Builds; got != buildsBefore+1 {
 		t.Fatalf("touched plan did not rebuild: builds %d -> %d", buildsBefore, got)
+	}
+	if got.FromCache || e.MineCount() != mines+1 {
+		t.Fatalf("touched result not re-mined: from cache %v, mines %d -> %d", got.FromCache, mines, e.MineCount())
+	}
+	if got.NumRatings != toyBefore.NumRatings+2 {
+		t.Fatalf("re-mined Toy Story has %d ratings, want %d", got.NumRatings, toyBefore.NumRatings+2)
+	}
+	// The sealed version still answers reads pinned at epoch 1, from the
+	// cache, byte-identical to the pre-append answer.
+	pinned := toy
+	pinned.Epoch = 1
+	got, err = e.ExplainContext(t.Context(), ExplainRequest{Query: pinned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.FromCache || e.MineCount() != mines+1 {
+		t.Fatalf("pinned epoch-1 read re-mined: from cache %v, mines %d -> %d", got.FromCache, mines+1, e.MineCount())
+	}
+	got.Query.Epoch = 0
+	if !bytes.Equal(explainJSON(t, got), explainJSON(t, toyBefore)) {
+		t.Fatal("pinned epoch-1 answer differs from the pre-append answer")
 	}
 
 	st, on := e.IngestStats()
@@ -364,18 +400,26 @@ func TestEvolutionGainsLiveWindow(t *testing.T) {
 }
 
 // TestAppendWhileMining races the write path against concurrent readers;
-// run under -race it pins the locking discipline end to end.
+// run under -race it pins the locking discipline end to end. Every read
+// is checked afterwards against an uncached read at its epoch: a pinned
+// read must equal the oracle at the epoch it pinned, and a latest read
+// the oracle at some epoch current while it ran.
 func TestAppendWhileMining(t *testing.T) {
 	e := ingestEngine(t)
 	item := itemIDByTitle(t, "Toy Story")
 	q := mustQuery(t, e, `movie:"Toy Story"`)
-	pinned := q
-	pinned.Epoch = 1
 
+	// read is one answer and the epochs it may have resolved to.
+	type read struct {
+		lo, hi uint64
+		ex     *Explanation
+	}
 	stop := make(chan struct{})
+	progress := make(chan struct{})
 	var readers sync.WaitGroup
 	errs := make(chan error, 64)
-	for r := 0; r < 4; r++ {
+	reads := make([][]read, 4)
+	for r := range reads {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
@@ -385,28 +429,60 @@ func TestAppendWhileMining(t *testing.T) {
 					return
 				default:
 				}
-				req := ExplainRequest{Query: q}
+				req := ExplainRequest{Query: q, DisableCache: i%3 == 0}
+				lo := e.CurrentEpoch()
 				if r%2 == 1 {
-					req.Query = pinned
+					// Pin at an epoch in [1, current], cycling.
+					req.Query.Epoch = 1 + uint64(i)%lo
+					lo = req.Query.Epoch
 				}
-				if i%3 == 0 {
-					req.DisableCache = true
-				}
-				if _, err := e.ExplainContext(t.Context(), req); err != nil {
+				ex, err := e.ExplainContext(t.Context(), req)
+				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
+				hi := lo
+				if r%2 == 0 {
+					hi = e.CurrentEpoch()
+				}
+				ex.Query.Epoch = 0
+				reads[r] = append(reads[r], read{lo, hi, ex})
 				if _, err := e.BrowseStatesAt(0); err != nil {
 					errs <- fmt.Errorf("reader %d browse: %w", r, err)
+					return
+				}
+				select {
+				case progress <- struct{}{}:
+				case <-stop:
 					return
 				}
 			}
 		}(r)
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := e.AppendRatings(context.Background(), ratingsFor(t, e, item, 3)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	// Let the readers land a few reads at every epoch, appending between.
+	waitReads := func() error {
+		for n := 0; n < 4; n++ {
+			select {
+			case <-progress:
+			case err := <-errs:
+				return err
+			}
 		}
+		return nil
+	}
+	appendAll := func() error {
+		for i := 0; i < 5; i++ {
+			if err := waitReads(); err != nil {
+				return err
+			}
+			if _, err := e.AppendRatings(context.Background(), ratingsFor(t, e, item, 3)); err != nil {
+				return fmt.Errorf("append %d: %w", i, err)
+			}
+		}
+		return waitReads()
+	}
+	if err := appendAll(); err != nil {
+		t.Error(err)
 	}
 	close(stop)
 	readers.Wait()
@@ -416,5 +492,29 @@ func TestAppendWhileMining(t *testing.T) {
 	}
 	if e.CurrentEpoch() != 6 {
 		t.Fatalf("epoch = %d after 5 appends, want 6", e.CurrentEpoch())
+	}
+
+	oracle := make(map[uint64][]byte)
+	for ep := uint64(1); ep <= 6; ep++ {
+		pinned := q
+		pinned.Epoch = ep
+		ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: pinned, DisableCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.Query.Epoch = 0
+		oracle[ep] = explainJSON(t, ex)
+	}
+	for r, rs := range reads {
+		for i, rd := range rs {
+			got := explainJSON(t, rd.ex)
+			ok := false
+			for ep := rd.lo; ep <= rd.hi && !ok; ep++ {
+				ok = bytes.Equal(got, oracle[ep])
+			}
+			if !ok {
+				t.Errorf("reader %d read %d: answer matches no uncached read at epochs %d-%d", r, i, rd.lo, rd.hi)
+			}
+		}
 	}
 }

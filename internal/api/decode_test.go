@@ -1,9 +1,11 @@
 package api
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -239,5 +241,30 @@ func TestV1EndToEndParity(t *testing.T) {
 	}
 	if g, p := scrub(t, gbody), scrub(t, pbody); string(g) != string(p) {
 		t.Errorf("GET and POST payloads diverge:\n%s\n---\n%s", g, p)
+	}
+}
+
+// TestV1ExplainCoverageNotRounded: two coverages that agree to three
+// decimals are distinct requests; the second must be mined at its own α,
+// not served from the first's cached result.
+func TestV1ExplainCoverageNotRounded(t *testing.T) {
+	q := url.QueryEscape(`movie:"Jaws"`)
+	for _, cov := range []string{"0.2001", "0.2004"} {
+		code, body := get(t, "/api/v1/explain?q="+q+"&coverage="+cov)
+		if code != 200 {
+			t.Fatalf("coverage %s: status %d: %s", cov, code, body)
+		}
+		var resp ExplainResponse
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Tasks) == 0 {
+			t.Fatalf("coverage %s: no tasks in %s", cov, body)
+		}
+		for _, tr := range resp.Tasks {
+			if got := strconv.FormatFloat(tr.RelaxedCoverage, 'g', -1, 64); got != cov {
+				t.Errorf("coverage %s: %s relaxed_coverage = %s (from cache %v)", cov, tr.Task, got, resp.FromCache)
+			}
+		}
 	}
 }

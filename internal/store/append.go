@@ -23,12 +23,15 @@ import (
 //     resolved item set intersects the batch; untouched plans stay
 //     warm. Sealing first is load-bearing: if readers could resolve the
 //     new epoch while intersecting entries were still live, a stale
-//     plan would satisfy lookups at the new epoch and its wrong results
-//     would be cached under the new epoch's keys forever.
+//     plan would satisfy lookups at the new epoch, and the new epoch's
+//     reads would be served the stale version's cached results.
 //
-// The result cache is NOT flushed: engine cache keys include the
-// resolved epoch, so entries for earlier epochs remain valid forever and
-// latest-epoch reads miss onto fresh keys.
+// The result cache is NOT flushed: the engine keys each mined result by
+// the version of the plan it came from (the version's first epoch, see
+// PlanCache.VersionAt). Results of plans this append leaves live keep
+// answering latest-epoch reads; results of sealed plans keep answering
+// reads pinned inside the sealed range, and latest-epoch reads of those
+// queries miss onto the new version's key.
 func (s *Store) Append(epoch uint64, tuples []cube.Tuple) error {
 	if len(tuples) == 0 {
 		return fmt.Errorf("store: empty append batch")

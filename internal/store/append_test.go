@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/cube"
@@ -165,6 +166,74 @@ func TestPlanCacheAdvanceSurgical(t *testing.T) {
 	st = pc.Stats()
 	if st.Invalidated != 1 || st.Surviving != 3 {
 		t.Fatalf("after disjoint append: invalidated %d / surviving %d, want 1/3", st.Invalidated, st.Surviving)
+	}
+}
+
+// TestPlanCacheVersionAt pins the version lookup the engine keys mined
+// results by: it names the first epoch of the version covering the
+// requested epoch, follows Advance's sealing, never builds or counts,
+// and marks the version most recently used.
+func TestPlanCacheVersionAt(t *testing.T) {
+	pc := NewPlanCache(25)
+	ctx := context.Background()
+	mk := func(items ...int) func() (*Plan, error) {
+		return func() (*Plan, error) {
+			return &Plan{ItemIDs: items, Tuples: make([]cube.Tuple, 10)}, nil
+		}
+	}
+	version := func(key string, epoch uint64) string {
+		lo, ok := pc.VersionAt(key, epoch)
+		return fmt.Sprintf("%d/%v", lo, ok)
+	}
+	if got := version("toy", 1); got != "0/false" {
+		t.Fatalf("uncached key: version %s", got)
+	}
+	for _, k := range []struct {
+		key   string
+		items []int
+	}{{"toy", []int{1, 2}}, {"heat", []int{5, 6}}} {
+		if _, _, err := pc.GetOrBuildAt(ctx, k.key, 1, mk(k.items...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pc.Advance(2, []int{2}) // seals toy at [1, 1]; heat stays live from 1
+	if got := version("toy", 2); got != "0/false" {
+		t.Fatalf("sealed version serves a later epoch: VersionAt(toy, 2) = %s", got)
+	}
+	if _, _, err := pc.GetOrBuildAt(ctx, "toy", 2, mk(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	// Budget 25 holds two 10-tuple plans: the epoch-2 toy build evicted
+	// the least recently used version, sealed toy@1.
+	for _, c := range []struct {
+		key   string
+		epoch uint64
+		want  string
+	}{
+		{"heat", 1, "1/true"}, {"heat", 2, "1/true"},
+		{"toy", 1, "0/false"}, {"toy", 2, "2/true"},
+	} {
+		if got := version(c.key, c.epoch); got != c.want {
+			t.Errorf("VersionAt(%s, %d) = %s, want %s", c.key, c.epoch, got, c.want)
+		}
+	}
+	before := pc.Stats()
+	// VersionAt(toy, 2) above ran last, so heat is now the eviction
+	// victim; touch heat again and a new plan must evict toy instead.
+	if got := version("heat", 2); got != "1/true" {
+		t.Fatalf("VersionAt(heat, 2) = %s", got)
+	}
+	if st := pc.Stats(); st.Hits != before.Hits || st.Misses != before.Misses || st.Builds != before.Builds {
+		t.Fatalf("VersionAt moved the fetch counters: %+v -> %+v", before, st)
+	}
+	if _, _, err := pc.GetOrBuildAt(ctx, "jaws", 2, mk(9)); err != nil {
+		t.Fatal(err)
+	}
+	if got := version("heat", 2); got != "1/true" {
+		t.Errorf("recently looked-up version was evicted: VersionAt(heat, 2) = %s", got)
+	}
+	if got := version("toy", 2); got != "0/false" {
+		t.Errorf("least recently used version survived: VersionAt(toy, 2) = %s", got)
 	}
 }
 

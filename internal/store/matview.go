@@ -205,6 +205,26 @@ func (pc *PlanCache) lookupAt(key string, epoch uint64) (*Plan, bool) {
 	return nil, false
 }
 
+// VersionAt returns the first epoch lo of the cached version of key
+// valid at epoch, marking that version most recently used; ok is false
+// when no cached version covers the epoch. A version's plan is identical
+// at every epoch of its range, so lo names the plan that any read in the
+// range sees — the engine keys mined results by it. VersionAt never
+// builds and counts neither a hit nor a miss: the counters keep meaning
+// plan fetches.
+func (pc *PlanCache) VersionAt(key string, epoch uint64) (lo uint64, ok bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for _, el := range pc.versions[key] {
+		e := el.Value.(*planEntry)
+		if e.validAt(epoch) {
+			pc.ll.MoveToFront(el)
+			return e.lo, true
+		}
+	}
+	return 0, false
+}
+
 // put stores a plan built as of buildEpoch, evicting least-recently-used
 // versions until the tuple budget holds. The entry is stored live when
 // the build's epoch is still current, and sealed to the single epoch

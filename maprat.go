@@ -357,8 +357,10 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 	}
 	req.Query = q
 
+	base := e.baseCubeConfig(req.CubeConfig)
+	planKey := PlanKey(req.Query, base)
 	if req.DisableCache || e.st.Cache() == nil {
-		ex, err := e.explainUncached(ctx, req, start)
+		ex, err := e.explainUncached(ctx, req, base, planKey, start)
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +368,7 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 		return ex, nil
 	}
 
-	cacheKey := e.cacheKey(req)
+	cacheKey := e.cacheKey(req, planKey)
 	if v, ok := e.st.Cache().Get(cacheKey); ok {
 		hit := v.(*Explanation).Clone()
 		hit.FromCache = true
@@ -375,11 +377,13 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 		return hit, nil
 	}
 	v, shared, err := e.flight.Do(ctx, cacheKey, func() (any, error) {
-		ex, err := e.explainUncached(ctx, req, start)
+		ex, err := e.explainUncached(ctx, req, base, planKey, start)
 		if err != nil {
 			return nil, err
 		}
-		e.st.Cache().Put(cacheKey, ex)
+		// Re-key after mining: the plan is cached now, so the result
+		// lands under its version and survives disjoint appends.
+		e.st.Cache().Put(e.cacheKey(req, planKey), ex)
 		return ex, nil
 	})
 	if err != nil {
@@ -398,15 +402,15 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 
 // explainUncached executes the mining pipeline, bypassing the result
 // cache and its singleflight. The pre-mining stages still come from the
-// plan materialization tier unless the request disables caching.
-func (e *Engine) explainUncached(ctx context.Context, req ExplainRequest, start time.Time) (*Explanation, error) {
-	base := e.baseCubeConfig(req.CubeConfig)
+// plan materialization tier, fetched under planKey, unless the request
+// disables caching.
+func (e *Engine) explainUncached(ctx context.Context, req ExplainRequest, base cube.Config, planKey string, start time.Time) (*Explanation, error) {
 	var p *store.Plan
 	var err error
 	if req.DisableCache {
 		p, err = e.buildPlan(req.Query, base)
 	} else {
-		p, err = e.planFor(ctx, req.Query, base)
+		p, err = e.planForKey(ctx, req.Query, base, planKey)
 	}
 	if err != nil {
 		return nil, err
@@ -525,6 +529,11 @@ func (e *Engine) buildPlan(q Query, base cube.Config) (*store.Plan, error) {
 // here, so a group click after an Explain performs zero query resolution
 // and zero cube builds. With the tier disabled the plan is built fresh.
 func (e *Engine) planFor(ctx context.Context, q Query, base cube.Config) (*store.Plan, error) {
+	return e.planForKey(ctx, q, base, PlanKey(q, base))
+}
+
+// planForKey is planFor with the plan key already computed.
+func (e *Engine) planForKey(ctx context.Context, q Query, base cube.Config, key string) (*store.Plan, error) {
 	if q.Epoch == 0 {
 		q.Epoch = e.st.CurrentEpoch()
 	}
@@ -535,7 +544,7 @@ func (e *Engine) planFor(ctx context.Context, q Query, base cube.Config) (*store
 	// The key is epoch-free (Query.String() excludes Epoch); the tier
 	// versions entries by epoch range underneath it, so an append seals
 	// only the plans whose item sets the batch touched.
-	p, _, err := pc.GetOrBuildAt(ctx, PlanKey(q, base), q.Epoch, func() (*store.Plan, error) {
+	p, _, err := pc.GetOrBuildAt(ctx, key, q.Epoch, func() (*store.Plan, error) {
 		return e.buildPlan(q, base)
 	})
 	return p, err //maprat:allow(clonecheck) store.Plan is immutable by contract (see the Plan doc); consumers only read, so the shared pointer is safe
@@ -679,22 +688,33 @@ func groupResult(g *cube.Group, total int) GroupResult {
 	}
 }
 
-func (e *Engine) cacheKey(req ExplainRequest) string {
-	cubeCfg := e.cubeCfg
-	if req.CubeConfig != nil {
-		cubeCfg = *req.CubeConfig
+// cacheKey derives the result-cache key of an epoch-resolved request
+// from its plan key. Every result-affecting setting participates, floats
+// in their shortest exact form (%v), so settings that differ in any digit
+// never share an entry; Workers is left out on purpose — it is
+// result-neutral by construction.
+//
+// The epoch enters as v=, the version of the plan the result is mined
+// from: the first epoch of the plan tier's version covering the request's
+// epoch, or the epoch itself when the tier holds none (disabled, plan
+// over budget, evicted). A plan is a pure function of (plan key, epoch),
+// and an append seals every plan its batch intersects before publishing
+// the new epoch, so every epoch of a version sees the same plan and the
+// result mined for v=lo answers all of them. An append therefore
+// invalidates a result exactly when it seals the result's plan; keys
+// never need invalidating, and entries for old versions stay valid for
+// their pinned reads.
+func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
+	version := req.Query.Epoch
+	if pc := e.st.Plans(); pc != nil {
+		if lo, ok := pc.VersionAt(planKey, version); ok {
+			version = lo
+		}
 	}
-	// Every result-affecting setting participates; Workers is left out on
-	// purpose — it is result-neutral by construction. The epoch rides
-	// outside Query.String(): callers resolve it before keying, so a
-	// pinned read at the current epoch and a latest read share an entry,
-	// and entries for old epochs stay valid forever (results are pure
-	// functions of (query, epoch)).
-	return fmt.Sprintf("explain|%s|e=%d|k=%d|a=%.3f|l=%.2f|sb=%.2f|p=%v|seed=%d|r=%d|mi=%d|ss=%d|tasks=%v|relax=%v|cube=%+v",
-		req.Query.String(), req.Query.Epoch, req.Settings.K, req.Settings.Coverage,
-		req.Settings.Lambda, req.Settings.SiblingBoost, req.Settings.Profile,
-		req.Settings.Seed, req.Settings.Restarts, req.Settings.MaxIters,
-		req.Settings.SampleSize, req.Tasks, !req.DisableRelax, cubeCfg)
+	s := req.Settings
+	return fmt.Sprintf("explain|%s|v=%d|k=%d|a=%v|l=%v|sb=%v|p=%v|seed=%d|r=%d|mi=%d|ss=%d|tasks=%v|relax=%v",
+		planKey, version, s.K, s.Coverage, s.Lambda, s.SiblingBoost,
+		s.Profile, s.Seed, s.Restarts, s.MaxIters, s.SampleSize, req.Tasks, !req.DisableRelax)
 }
 
 // GroupExploration bundles everything the per-group exploration renders —

@@ -119,6 +119,46 @@ func TestExplainCacheHit(t *testing.T) {
 	}
 }
 
+// TestExplainCacheKeyExactFloats: settings that differ below the old
+// key's printed precision (coverage at 3 decimals, λ and the sibling
+// boost at 2) must not share a cached result.
+func TestExplainCacheKeyExactFloats(t *testing.T) {
+	e := testEngine(t)
+	q := mustQuery(t, e, `movie:"Jaws"`)
+	for _, c := range []struct {
+		name string
+		set  func(s *Settings, v float64)
+		a, b float64
+	}{
+		{"coverage", func(s *Settings, v float64) { s.Coverage = v }, 0.2001, 0.2004},
+		{"lambda", func(s *Settings, v float64) { s.Lambda = v }, 0.501, 0.504},
+		{"sibling boost", func(s *Settings, v float64) { s.SiblingBoost = v }, 1.501, 1.504},
+	} {
+		req := func(v float64) ExplainRequest {
+			s := DefaultSettings()
+			c.set(&s, v)
+			return ExplainRequest{Query: q, Settings: s}
+		}
+		if _, err := e.ExplainContext(t.Context(), req(c.a)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.ExplainContext(t.Context(), req(c.b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.FromCache {
+			t.Errorf("%s %g served the cached result for %g", c.name, c.b, c.a)
+		}
+		if c.name == "coverage" {
+			for _, tr := range got.Results {
+				if tr.RelaxedCoverage != c.b {
+					t.Errorf("%v relaxed coverage = %g, want %g", tr.Task, tr.RelaxedCoverage, c.b)
+				}
+			}
+		}
+	}
+}
+
 func TestExplainErrors(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"No Such Movie Exists"`)
