@@ -1,7 +1,6 @@
 // Command maprat-vet is MapRat's invariant checker: a multichecker over
-// the nine custom analyzers in internal/analysis (determinism, ctxflow,
-// envelope, aliasguard, clonecheck, lockcheck, mergeorder, errflow,
-// hotalloc) plus the suppression-directive auditor. It runs in CI on
+// the five custom analyzers in internal/analysis (determinism, ctxflow,
+// aliasguard, errflow, hotalloc) plus the suppression-directive auditor. It runs in CI on
 // every PR next to go vet and gofmt.
 //
 // Usage:
@@ -11,13 +10,10 @@
 //	maprat-vet ./...                    # whole repo, text findings
 //	maprat-vet -format=json ./...       # machine-readable findings
 //	maprat-vet -format=github ./...     # GitHub Actions ::error annotations
-//	maprat-vet -analyzers=lockcheck,errflow ./internal/jobs
-//	maprat-vet -fix ./...               # apply suggested fixes in place
-//	maprat-vet -diff ./...              # preview fixes; exit 1 if any
+//	maprat-vet -analyzers=ctxflow,errflow ./internal/jobs
 //	maprat-vet -list                    # rule catalog
 //
-// Exit status: 0 clean, 1 findings (or, with -diff, pending fixes),
-// 2 usage or load failure.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
 // Findings are suppressed per line with
 //
@@ -34,7 +30,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -49,11 +44,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		format = fs.String("format", "text", "output format: text, json, or github (GitHub Actions annotations)")
-		jsonF  = fs.Bool("json", false, "shorthand for -format=json")
 		names  = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 		list   = fs.Bool("list", false, "print the rule catalog and exit")
-		fix    = fs.Bool("fix", false, "apply suggested fixes to the source files in place")
-		diff   = fs.Bool("diff", false, "print the suggested fixes as a unified diff; exit 1 if non-empty")
 		chdir  = fs.String("C", "", "run as if started in this directory")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -91,11 +83,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *fix && *diff {
-		fmt.Fprintln(stderr, "maprat-vet: -fix and -diff are mutually exclusive (one writes, one previews)")
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -113,29 +100,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		dir = abs
 	}
 
-	res, err := analysis.RunWithOptions(dir, analysis.Options{Analyzers: analyzers}, patterns...)
+	diags, err := analysis.Run(dir, analyzers, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "maprat-vet: %v\n", err)
 		return 2
 	}
 
-	if *diff {
-		return runDiff(res, dir, stdout)
-	}
-	diags := res.Diags
-	skippedFixes := 0
-	if *fix {
-		var code int
-		diags, skippedFixes, code = applyFixes(res, stderr)
-		if code != 0 {
-			return code
-		}
-		// Fall through: unfixable findings still print and still gate.
-	}
-
-	if *jsonF {
-		*format = "json"
-	}
 	switch *format {
 	case "json":
 		enc := json.NewEncoder(stdout)
@@ -167,73 +137,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "maprat-vet: %d finding(s)\n", len(diags))
 		return 1
 	}
-	if skippedFixes > 0 {
-		// Overlapping fixes were left unapplied; another -fix pass is needed.
-		return 1
-	}
 	return 0
-}
-
-// runDiff renders every suggested fix as a unified diff without touching
-// the tree. A non-empty diff exits 1 — the CI vet-fix-gate.
-func runDiff(res *analysis.Result, dir string, stdout io.Writer) int {
-	fixed, _, _, err := analysis.ApplyFixes(res.Diags, res.Sources)
-	if err != nil {
-		fmt.Fprintf(stdout, "maprat-vet: %v\n", err)
-		return 2
-	}
-	files := make([]string, 0, len(fixed))
-	for f := range fixed {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	any := false
-	for _, f := range files {
-		d := analysis.UnifiedDiff(relPath(dir, f), res.Sources[f], fixed[f])
-		if d != "" {
-			any = true
-			fmt.Fprint(stdout, d)
-		}
-	}
-	if any {
-		return 1
-	}
-	return 0
-}
-
-// applyFixes writes every suggested fix back to disk and returns the
-// findings that had no fix (they still print and still gate the exit
-// code) plus the count of overlap-skipped fixes, which also gate.
-func applyFixes(res *analysis.Result, stderr io.Writer) ([]analysis.Diagnostic, int, int) {
-	fixed, applied, skipped, err := analysis.ApplyFixes(res.Diags, res.Sources)
-	if err != nil {
-		fmt.Fprintf(stderr, "maprat-vet: %v\n", err)
-		return nil, 0, 2
-	}
-	files := make([]string, 0, len(fixed))
-	for f := range fixed {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		if err := os.WriteFile(f, fixed[f], 0o644); err != nil {
-			fmt.Fprintf(stderr, "maprat-vet: %v\n", err)
-			return nil, 0, 2
-		}
-	}
-	fmt.Fprintf(stderr, "maprat-vet: applied %d fix(es) across %d file(s)", applied, len(files))
-	if skipped > 0 {
-		fmt.Fprintf(stderr, ", skipped %d overlapping", skipped)
-	}
-	fmt.Fprintln(stderr)
-
-	var remaining []analysis.Diagnostic
-	for _, d := range res.Diags {
-		if len(d.SuggestedFixes) == 0 {
-			remaining = append(remaining, d)
-		}
-	}
-	return remaining, skipped, 0
 }
 
 func analyzerNames() []string {

@@ -161,6 +161,42 @@ func TestExplainContextCancelMidMine(t *testing.T) {
 	}
 }
 
+// TestDrillContextDeadline is the drill counterpart of
+// TestExplainContextCancelMidMine: the deadline must reach the drill's
+// RHE run, which would otherwise grind through every restart. The plan is
+// warmed first, so the deadline can only fire inside DrillPlan's solve.
+func TestDrillContextDeadline(t *testing.T) {
+	e := testEngine(t)
+	q := mustQuery(t, e, `genre:Drama`)
+	ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ex.Result(SimilarityMining).Groups[0].Key
+	if _, err := e.DrillMineContext(t.Context(), q, key, SimilarityMining, DefaultSettings()); err != nil {
+		t.Fatalf("warm-up drill: %v", err)
+	}
+
+	s := DefaultSettings()
+	s.Restarts = 100_000
+	s.MaxIters = 100_000
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.DrillMineContext(ctx, q, key, SimilarityMining, s)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("got %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drill still mining 10s past its 20ms deadline")
+	}
+}
+
 // TestContextVariantsPreCancelled sweeps the remaining Context APIs with a
 // dead context; all must refuse immediately.
 func TestContextVariantsPreCancelled(t *testing.T) {

@@ -1,9 +1,8 @@
-// Package analysis is MapRat's static-analysis suite: five analyzers
-// that machine-enforce the invariants the repeatable-exploration claim
-// rests on — deterministic mining (no wall clock, no global RNG, no map
-// iteration order in results), context discipline, the uniform /api/v1
-// error envelope, guarded zero-copy aliasing over mmap'd snapshot pages,
-// and clone-on-return for cache-fetched pointers.
+// Package analysis is MapRat's static-analysis suite: five analyzers,
+// each kept because it catches a recorded bug no test catches (see
+// README.md) — deterministic mining (no wall clock, no global RNG),
+// context discipline, guarded zero-copy aliasing over mmap'd snapshot
+// pages, error-chain wrapping, and allocation hygiene in the hot kernels.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic, analysistest fixtures with // want comments) but is built
@@ -67,28 +66,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a finding at pos carrying a suggested fix that
-// `maprat-vet -fix` can apply (and `-diff` can preview).
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer:       p.Analyzer.Name,
-		File:           position.Filename,
-		Line:           position.Line,
-		Col:            position.Column,
-		Message:        fmt.Sprintf(format, args...),
-		SuggestedFixes: []SuggestedFix{fix},
-	})
-}
-
-// Edit builds a TextEdit replacing the source range [from, to) with new
-// text, resolving token positions to byte offsets in the original file.
-func (p *Pass) Edit(from, to token.Pos, new string) TextEdit {
-	start := p.Fset.Position(from)
-	end := p.Fset.Position(to)
-	return TextEdit{File: start.Filename, Start: start.Offset, End: end.Offset, New: new}
-}
-
 // Diagnostic is one finding, positioned in the original source.
 type Diagnostic struct {
 	Analyzer string `json:"analyzer"`
@@ -96,24 +73,6 @@ type Diagnostic struct {
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	Message  string `json:"message"`
-	// SuggestedFixes are machine-applicable repairs for the finding; the
-	// first one is what -fix applies. Empty for advice-only findings.
-	SuggestedFixes []SuggestedFix `json:"suggested_fixes,omitempty"`
-}
-
-// SuggestedFix is one machine-applicable repair: a message plus the text
-// edits that realize it. Edits within one fix must not overlap.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// TextEdit replaces the byte range [Start, End) of File with New.
-type TextEdit struct {
-	File  string `json:"file"`
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	New   string `json:"new"`
 }
 
 func (d Diagnostic) String() string {
@@ -184,6 +143,14 @@ func isContextType(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
+// identObj resolves an identifier to the object it uses or defines.
+func identObj(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
 // constInt extracts an integer constant value from expr, if it is one.
 func constInt(info *types.Info, expr ast.Expr) (int64, bool) {
 	tv, ok := info.Types[expr]
@@ -193,5 +160,3 @@ func constInt(info *types.Info, expr ast.Expr) (int64, bool) {
 	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
 	return v, exact
 }
-
-var _ = token.NoPos

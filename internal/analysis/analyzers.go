@@ -6,11 +6,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		Ctxflow,
-		Envelope,
 		Aliasguard,
-		Clonecheck,
-		Lockcheck,
-		Mergeorder,
 		Errflow,
 		Hotalloc,
 	}

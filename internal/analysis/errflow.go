@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -15,23 +14,20 @@ import (
 // pipeline sentinels only because of this), and fmt.Errorf over an
 // error value must wrap with %w so errors.Is/As can see through the new
 // layer.
-// Both rules carry suggested fixes that `maprat-vet -fix` applies.
 var Errflow = &Analyzer{
 	Name: "errflow",
 	Doc: "require errors.Is for sentinel comparisons (== / != against a " +
 		"non-nil error breaks under wrapping) and %w when fmt.Errorf " +
-		"formats an error value (%v/%s hide the chain from errors.Is/As); " +
-		"both findings carry suggested fixes",
+		"formats an error value (%v/%s hide the chain from errors.Is/As)",
 	Run: runErrflow,
 }
 
 func runErrflow(pass *Pass) error {
 	for _, file := range pass.Files {
-		f := file
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.BinaryExpr:
-				checkSentinelCompare(pass, f, x)
+				checkSentinelCompare(pass, x)
 			case *ast.CallExpr:
 				checkErrorfWrap(pass, x)
 			}
@@ -56,10 +52,10 @@ func isNilExpr(pass *Pass, e ast.Expr) bool {
 }
 
 // checkSentinelCompare flags err == sentinel / err != sentinel where
-// both sides are error-typed and neither is nil, and suggests the
-// errors.Is rewrite (argument order: the checked error first, the
+// both sides are error-typed and neither is nil, and names the errors.Is
+// replacement (argument order: the checked error first, the
 // package-level sentinel second).
-func checkSentinelCompare(pass *Pass, file *ast.File, be *ast.BinaryExpr) {
+func checkSentinelCompare(pass *Pass, be *ast.BinaryExpr) {
 	if be.Op != token.EQL && be.Op != token.NEQ {
 		return
 	}
@@ -76,23 +72,11 @@ func checkSentinelCompare(pass *Pass, file *ast.File, be *ast.BinaryExpr) {
 		errSide, sentinelSide = be.Y, be.X
 	}
 
-	neg := ""
+	op, neg := "==", ""
 	if be.Op == token.NEQ {
-		neg = "!"
+		op, neg = "!=", "!"
 	}
-	replacement := fmt.Sprintf("%serrors.Is(%s, %s)", neg, types.ExprString(errSide), types.ExprString(sentinelSide))
-	fix := SuggestedFix{
-		Message: fmt.Sprintf("replace with %s", replacement),
-		Edits:   []TextEdit{pass.Edit(be.Pos(), be.End(), replacement)},
-	}
-	if imp, ok := importEdit(pass, file, "errors"); ok {
-		fix.Edits = append(fix.Edits, imp)
-	}
-	op := "=="
-	if be.Op == token.NEQ {
-		op = "!="
-	}
-	pass.ReportFix(be.Pos(), fix, "sentinel error compared with %s: wrapping (fmt.Errorf %%w) breaks identity comparison; use %serrors.Is(%s, %s)", op, neg, types.ExprString(errSide), types.ExprString(sentinelSide))
+	pass.Reportf(be.Pos(), "sentinel error compared with %s: wrapping (fmt.Errorf %%w) breaks identity comparison; use %serrors.Is(%s, %s)", op, neg, types.ExprString(errSide), types.ExprString(sentinelSide))
 }
 
 func isPackageLevelVar(pass *Pass, e ast.Expr) bool {
@@ -110,47 +94,8 @@ func isPackageLevelVar(pass *Pass, e ast.Expr) bool {
 	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
-// importEdit returns a TextEdit adding an import of path to file, or
-// ok=false when the file already imports it.
-func importEdit(pass *Pass, file *ast.File, path string) (TextEdit, bool) {
-	for _, imp := range file.Imports {
-		if strings.Trim(imp.Path.Value, `"`) == path {
-			return TextEdit{}, false
-		}
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			// Insert in lexicographic position so the block stays sorted.
-			for _, spec := range gd.Specs {
-				imp, ok := spec.(*ast.ImportSpec)
-				if !ok {
-					continue
-				}
-				if strings.Trim(imp.Path.Value, `"`) > path {
-					return pass.Edit(imp.Pos(), imp.Pos(), fmt.Sprintf("%q\n\t", path)), true
-				}
-			}
-			if n := len(gd.Specs); n > 0 {
-				last := gd.Specs[n-1]
-				return pass.Edit(last.End(), last.End(), fmt.Sprintf("\n\t%q", path)), true
-			}
-			return pass.Edit(gd.Lparen+1, gd.Lparen+1, fmt.Sprintf("\n\t%q", path)), true
-		}
-		// Single-import form: prepend a separate declaration.
-		return pass.Edit(gd.Pos(), gd.Pos(), fmt.Sprintf("import %q\n", path)), true
-	}
-	// No imports at all: add one right after the package clause.
-	return pass.Edit(file.Name.End(), file.Name.End(), fmt.Sprintf("\n\nimport %q", path)), true
-}
-
 // checkErrorfWrap flags fmt.Errorf calls that format an error-typed
-// argument without %w. When the format is a plain string literal with
-// positional (non-indexed) verbs, the fix rewrites the error arguments'
-// %v/%s verbs to %w in place.
+// argument without %w.
 func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 	if !isPkgFunc(pass.Info, call, "fmt", "Errorf") || len(call.Args) < 2 {
 		return
@@ -167,101 +112,10 @@ func checkErrorfWrap(pass *Pass, call *ast.CallExpr) {
 	if strings.Contains(format, "%w") {
 		return
 	}
-	var errArgs []int // indexes into call.Args[1:]
-	for i, a := range call.Args[1:] {
-		atv, ok := pass.Info.Types[a]
-		if ok && !atv.IsNil() && isErrorType(atv.Type) {
-			errArgs = append(errArgs, i)
+	for _, a := range call.Args[1:] {
+		if atv, ok := pass.Info.Types[a]; ok && !atv.IsNil() && isErrorType(atv.Type) {
+			pass.Reportf(call.Pos(), "fmt.Errorf formats an error without %%w: the cause is flattened to text and errors.Is/As can no longer see it")
+			return
 		}
 	}
-	if len(errArgs) == 0 {
-		return
-	}
-
-	msg := "fmt.Errorf formats an error without %w: the cause is flattened to text and errors.Is/As can no longer see it"
-	lit, isLit := ast.Unparen(formatArg).(*ast.BasicLit)
-	if !isLit || lit.Kind != token.STRING {
-		pass.Reportf(call.Pos(), "%s", msg)
-		return
-	}
-	rewritten, ok := rewriteVerbs(lit.Value, errArgs)
-	if !ok {
-		pass.Reportf(call.Pos(), "%s", msg)
-		return
-	}
-	fix := SuggestedFix{
-		Message: "wrap the error with %w",
-		Edits:   []TextEdit{pass.Edit(lit.Pos(), lit.End(), rewritten)},
-	}
-	pass.ReportFix(call.Pos(), fix, "%s", msg)
-}
-
-// rewriteVerbs walks the raw string literal (quotes included), maps each
-// format verb to its argument index, and rewrites the verbs of the given
-// argument indexes from v/s to w. It refuses (ok=false) on explicit
-// argument indexes (%[1]v), star widths consuming arguments out of an
-// order it would have to re-derive are handled (each * consumes one
-// argument), and on verbs other than v/s for an error argument.
-func rewriteVerbs(raw string, errArgs []int) (string, bool) {
-	want := map[int]bool{}
-	for _, i := range errArgs {
-		want[i] = true
-	}
-	b := []byte(raw)
-	arg := 0
-	rewrote := 0
-	for i := 0; i < len(b); i++ {
-		if b[i] != '%' {
-			continue
-		}
-		i++
-		if i >= len(b) {
-			return "", false
-		}
-		if b[i] == '%' {
-			continue
-		}
-		// flags
-		for i < len(b) && strings.ContainsRune("+-# 0", rune(b[i])) {
-			i++
-		}
-		if i < len(b) && b[i] == '[' {
-			return "", false // explicit argument index: bail
-		}
-		// width
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		if i < len(b) && b[i] == '*' {
-			arg++
-			i++
-		}
-		// precision
-		if i < len(b) && b[i] == '.' {
-			i++
-			for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-				i++
-			}
-			if i < len(b) && b[i] == '*' {
-				arg++
-				i++
-			}
-		}
-		if i >= len(b) {
-			return "", false
-		}
-		verb := b[i]
-		if want[arg] {
-			if verb != 'v' && verb != 's' {
-				return "", false
-			}
-			b[i] = 'w'
-			rewrote++
-		}
-		arg++
-	}
-	if rewrote != len(errArgs) {
-		return "", false
-	}
-	return string(b), true
 }

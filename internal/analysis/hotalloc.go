@@ -249,3 +249,12 @@ func capturesOuter(pass *Pass, lit *ast.FuncLit) bool {
 	})
 	return captures
 }
+
+func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
+}

@@ -102,10 +102,12 @@ func onOwnLine(lines [][]byte, pos token.Position) bool {
 // applySuppressions drops diagnostics covered by a well-formed directive
 // and appends one SuppressName finding per misused directive: unknown
 // analyzer name, missing reason, or a stale directive whose target line
-// has no finding to suppress. Malformed directives never suppress —
-// an unjustified silence would otherwise be quieter than the finding it
-// hides.
-func applySuppressions(diags []Diagnostic, dirs []directive, known map[string]bool) []Diagnostic {
+// has no finding to suppress. Staleness is judged only for directives
+// whose analyzers all ran, so a run restricted with -analyzers does not
+// condemn the other analyzers' directives. Malformed directives never
+// suppress — an unjustified silence would otherwise be quieter than the
+// finding it hides.
+func applySuppressions(diags []Diagnostic, dirs []directive, known, ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 
 	type key struct {
@@ -150,10 +152,10 @@ func applySuppressions(diags []Diagnostic, dirs []directive, known map[string]bo
 		case d.reason == "":
 			out = append(out, suppressFinding(d, fmt.Sprintf("maprat:allow(%s) has no reason; every suppression must say why the invariant does not apply", strings.Join(d.names, ","))))
 		default:
-			unknown := unknownNames(d.names, known)
+			unknown := missingFrom(d.names, known)
 			if len(unknown) > 0 {
 				out = append(out, suppressFinding(d, fmt.Sprintf("maprat:allow names unknown analyzer %q (known: %s)", strings.Join(unknown, ","), knownList(known))))
-			} else if !d.used {
+			} else if !d.used && len(missingFrom(d.names, ran)) == 0 {
 				out = append(out, suppressFinding(d, fmt.Sprintf("stale maprat:allow(%s): no %s finding on the governed line; delete the directive", strings.Join(d.names, ","), strings.Join(d.names, "/"))))
 			}
 		}
@@ -171,10 +173,11 @@ func suppressFinding(d *directive, msg string) Diagnostic {
 	}
 }
 
-func unknownNames(names []string, known map[string]bool) []string {
+// missingFrom returns the names not in set.
+func missingFrom(names []string, set map[string]bool) []string {
 	var out []string
 	for _, n := range names {
-		if !known[n] {
+		if !set[n] {
 			out = append(out, n)
 		}
 	}

@@ -48,3 +48,22 @@ func TestSuppressKnownNames(t *testing.T) {
 	}
 	t.Error("no unknown-analyzer misuse finding produced")
 }
+
+// TestSuppressStaleOnlyForAnalyzersRun runs the fixture with errflow
+// alone: its determinism directives have nothing to suppress in that run,
+// but they are not stale — only malformed directives are findings.
+func TestSuppressStaleOnlyForAnalyzersRun(t *testing.T) {
+	diags, err := analysis.Run("testdata/suppress", []*analysis.Analyzer{analysis.Errflow}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if strings.Contains(d.Message, "stale") {
+			t.Errorf("directive of an analyzer that did not run reported stale: %s", d)
+		}
+	}
+	// unknownName, missingReason and emptyName stay misuse findings.
+	if len(diags) != 3 {
+		t.Errorf("got %d findings, want the 3 malformed directives: %v", len(diags), diags)
+	}
+}

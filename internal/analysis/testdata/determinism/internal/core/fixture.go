@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"fixture/internal/rng"
@@ -30,35 +29,6 @@ func seeded(seed int64) *rand.Rand {
 
 func draw(gen *rand.Rand) int {
 	return gen.Intn(10) // ok: method on an explicitly seeded generator
-}
-
-func leakOrder(m map[string]int) []string {
-	var keys []string
-	for k := range m { // want `map iteration order leaks into returned slice "keys"`
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-func sortedOrder(m map[string]int) []string {
-	var keys []string
-	for k := range m { // ok: sorted before returning
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func internalOnly(m map[string]int) int {
-	var vals []int
-	for _, v := range m { // ok: never returned
-		vals = append(vals, v)
-	}
-	total := 0
-	for _, v := range vals {
-		total += v
-	}
-	return total
 }
 
 func annotatedSeam() int64 {

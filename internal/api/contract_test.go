@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // -update regenerates the golden contract files:
@@ -136,6 +138,10 @@ func TestV1ContractErrorCodes(t *testing.T) {
 		{"refine no group", "/api/v1/refine?q=" + toyStory + "&key=" + url.QueryEscape("state=WY,occupation=farmer"), 404, CodeNoGroup},
 		{"drill bad task", "/api/v1/drill?q=" + toyStory + "&key=" + url.QueryEscape("state=CA") + "&task=zz", 400, CodeBadRequest},
 		{"batch via GET", "/api/v1/batch", 405, CodeMethodNotAllowed},
+		{"dm with k=1", "/api/v1/explain?q=" + toyStory + "&k=1&tasks=dm", 400, CodeBadRequest},
+		{"default tasks with k=1", "/api/v1/explain?q=" + toyStory + "&k=1", 400, CodeBadRequest},
+		{"drill dm with k=1", "/api/v1/drill?q=" + toyStory + "&key=" + url.QueryEscape("state=CA") + "&task=dm&k=1", 400, CodeBadRequest},
+		{"evolution with k=1", "/api/v1/evolution?q=" + toyStory + "&k=1", 400, CodeBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -174,6 +180,26 @@ func TestV1ContractErrorCodes(t *testing.T) {
 	}
 	if got := envelopeCode(t, body); got != CodeBadRequest {
 		t.Errorf("oversized body code %q", got)
+	}
+}
+
+// TestV1InfeasibleDrillEnvelope pins the drill's answer to a coverage
+// constraint no selection meets: the envelope an unrelaxed explain
+// answers, naming core.ErrInfeasible, not a failed encode of the
+// solver's +Inf objective.
+func TestV1InfeasibleDrillEnvelope(t *testing.T) {
+	drama := url.QueryEscape("genre:Drama")
+	for _, path := range []string{
+		"/api/v1/explain?q=" + drama + "&coverage=1&relax=false",
+		"/api/v1/drill?q=" + drama + "&key=" + url.QueryEscape("state=CA") + "&coverage=1",
+	} {
+		code, body := get(t, path)
+		if code != http.StatusInternalServerError || envelopeCode(t, body) != CodeInternal {
+			t.Fatalf("%s: %d %s, want 500 %s", path, code, body, CodeInternal)
+		}
+		if !strings.Contains(body, core.ErrInfeasible.Error()) {
+			t.Errorf("%s: message does not name core.ErrInfeasible: %s", path, body)
+		}
 	}
 }
 

@@ -116,7 +116,7 @@ func StatusForError(err error) int { return CodeForError(err).HTTPStatus() }
 // encode cannot meaningfully fail after the header is out.
 func writeEnvelope(w http.ResponseWriter, code ErrorCode, msg string) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code.HTTPStatus()) //maprat:allow(envelope) this IS the envelope writer: the one place a mapped status legitimately reaches the wire
+	w.WriteHeader(code.HTTPStatus())
 	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
 }
 

@@ -308,6 +308,9 @@ func TestJobErrors(t *testing.T) {
 			{"refine", `"key":"state=CA","limit":-1`},
 			{"drill", `"key":"state=CA","task":"zz"`},
 			{"evolution", `"from":2001,"to":1999`},
+			{"explain", `"k":1,"tasks":["dm"]`},
+			{"drill", `"key":"state=CA","task":"dm","k":1`},
+			{"evolution", `"k":1`},
 		} {
 			params := `"q":"movie:\"Toy Story\"",` + tc.knobs + `}`
 			code, _, body := submitJob(t, ts, `{"op":"`+tc.op+`",`+params)

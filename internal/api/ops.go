@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"slices"
 
 	"repro"
 )
@@ -51,6 +52,9 @@ func withProgress(s maprat.Settings, progress func(done, total int)) maprat.Sett
 func explainOp(p Params) (Call, error) {
 	req, err := p.ExplainRequest()
 	if err != nil {
+		return nil, err
+	}
+	if err := checkDMK(req.Settings.K, req.Tasks); err != nil {
 		return nil, err
 	}
 	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
@@ -117,6 +121,9 @@ func drillOp(p Params) (Call, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkDMK(req.Settings.K, []maprat.Task{task}); err != nil {
+		return nil, err
+	}
 	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
 		tr, err := m.DrillMineContext(ctx, req.Query, key, task, withProgress(req.Settings, progress))
 		if err != nil {
@@ -135,6 +142,9 @@ func evolutionOp(p Params) (Call, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkDMK(req.Settings.K, req.Tasks); err != nil {
+		return nil, err
+	}
 	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
 		r := req
 		r.Settings = withProgress(r.Settings, progress)
@@ -144,6 +154,17 @@ func evolutionOp(p Params) (Call, error) {
 		}
 		return evolutionDTO(req.Query.String(), points), nil
 	}, nil
+}
+
+// checkDMK rejects Diversity Mining with k < 2 before any dataset work:
+// DM needs two groups to disagree, and the solver's refusal would
+// otherwise surface from the pipeline as a 500. An empty task list is the
+// engine's default, which includes DM.
+func checkDMK(k int, tasks []maprat.Task) error {
+	if k >= 2 || (len(tasks) > 0 && !slices.Contains(tasks, maprat.DiversityMining)) {
+		return nil
+	}
+	return badRequestf("bad k %d for task dm (want 2..12)", k)
 }
 
 // groupRequest validates the (explain request, group key) pair the

@@ -176,10 +176,9 @@ func statusForError(err error) int { return api.StatusForError(err) }
 // envelope, and browsers render them fine), but every status they carry
 // still comes from the same api.StatusForError mapping as the v1
 // surface, so the two front-ends cannot drift. Every other error path in
-// this package must go through this helper or the api envelope writers —
-// maprat-vet's envelope analyzer enforces it.
+// this package must go through this helper or the api envelope writers.
 func htmlError(w http.ResponseWriter, msg string, status int) {
-	http.Error(w, msg, status) //maprat:allow(envelope) the HTML front-end's one sanctioned text-error seam; statuses still come from api.StatusForError
+	http.Error(w, msg, status)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

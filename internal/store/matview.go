@@ -137,7 +137,7 @@ func (pc *PlanCache) GetOrBuild(ctx context.Context, key string, build func() (*
 	pc.mu.Lock()
 	epoch := pc.epoch
 	pc.mu.Unlock()
-	return pc.GetOrBuildAt(ctx, key, epoch, build) //maprat:allow(clonecheck) delegation inside the plan cache's own API; Plan is immutable by contract
+	return pc.GetOrBuildAt(ctx, key, epoch, build)
 }
 
 // GetOrBuildAt returns the materialized plan for key as of epoch,
@@ -185,7 +185,7 @@ func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64,
 		pc.hits++
 		pc.mu.Unlock()
 	}
-	return v.(*Plan), sharedFlight, nil //maprat:allow(clonecheck) GetOrBuildAt is the plan cache's own API; Plan is immutable by contract and documented above
+	return v.(*Plan), sharedFlight, nil
 }
 
 // lookupAt returns the cached plan version valid at epoch, counting and

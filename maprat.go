@@ -376,7 +376,16 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 		hit.Query.Epoch = reqEpoch
 		return hit, nil
 	}
+	recheckHit := false
 	v, shared, err := e.flight.Do(ctx, cacheKey, func() (any, error) {
+		// Re-check under flight leadership: a previous leader may have
+		// stored its result and left the flight between this caller's
+		// cache miss and its leadership. The key is re-derived because
+		// that leader's mining may have cached the plan it is keyed by.
+		if v, ok := e.st.Cache().Get(e.cacheKey(req, planKey)); ok {
+			recheckHit = true
+			return v, nil
+		}
 		ex, err := e.explainUncached(ctx, req, base, planKey, start)
 		if err != nil {
 			return nil, err
@@ -392,9 +401,10 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 	// The leader's value is the cached Explanation itself and a follower's
 	// aliases it; clone either way so no caller can mutate the cache.
 	ex := v.(*Explanation).Clone()
-	// A follower's result came from another request's mining run — from
-	// the caller's perspective that is a cache hit.
-	ex.FromCache = shared
+	// A follower's result came from another request's mining run, and a
+	// re-check hit from the cache — from the caller's perspective both
+	// are cache hits.
+	ex.FromCache = shared || recheckHit
 	ex.Elapsed = time.Since(start)
 	ex.Query.Epoch = reqEpoch
 	return ex, nil
@@ -547,7 +557,7 @@ func (e *Engine) planForKey(ctx context.Context, q Query, base cube.Config, key 
 	p, _, err := pc.GetOrBuildAt(ctx, key, q.Epoch, func() (*store.Plan, error) {
 		return e.buildPlan(q, base)
 	})
-	return p, err //maprat:allow(clonecheck) store.Plan is immutable by contract (see the Plan doc); consumers only read, so the shared pointer is safe
+	return p, err
 }
 
 // PlanStats returns a snapshot of the materialization tier's counters
@@ -842,8 +852,10 @@ func RefinePlan(p *store.Plan, q Query, key Key, limit int) ([]Refinement, error
 // city-anchored sub-groups *inside* that group ("if the original geo
 // condition was over a state, the drill down provides city level" views).
 // The returned TaskResult's groups all carry a city condition.
-// Cancellation is threaded through the sub-problem's RHE run. The parent
-// cube comes from the materialization tier; only the city-anchored
+// Cancellation is threaded through the sub-problem's RHE run. The
+// coverage constraint is not relaxed: when no selection meets it, the
+// error wraps core.ErrInfeasible, as an unrelaxed explain's does. The
+// parent cube comes from the materialization tier; only the city-anchored
 // sub-cube over the parent's tuples is built per call.
 func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task Task, s Settings) (*TaskResult, error) {
 	if s.K == 0 {
@@ -896,6 +908,9 @@ func DrillPlan(ctx context.Context, p *store.Plan, q Query, parent Key, task Tas
 	sol, err := prob.SolveRHECtx(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if !sol.Feasible {
+		return nil, fmt.Errorf("maprat: drill mining: %w", core.ErrInfeasible)
 	}
 	tr := &TaskResult{
 		Task:            task,
