@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cube"
 	"repro/internal/model"
 )
 
@@ -399,20 +400,40 @@ func TestEvolutionGainsLiveWindow(t *testing.T) {
 	}
 }
 
-// TestAppendWhileMining races the write path against concurrent readers;
-// run under -race it pins the locking discipline end to end. Every read
-// is checked afterwards against an uncached read at its epoch: a pinned
-// read must equal the oracle at the epoch it pinned, and a latest read
-// the oracle at some epoch current while it ran.
+// TestAppendWhileMining races the write path against concurrent readers
+// of explains, group explorations and drills; run under -race it pins
+// the locking discipline, the plan memos' included, end to end. Every
+// read is checked afterwards against an uncached read at its epoch: a
+// pinned read must equal the oracle at the epoch it pinned, and a latest
+// read the oracle at some epoch current while it ran. The group and
+// drill oracle is an engine opened with CacheSize 0 and fed the same
+// appends.
 func TestAppendWhileMining(t *testing.T) {
 	e := ingestEngine(t)
+	refOpts := DefaultOptions()
+	refOpts.Store.CacheSize = 0
+	ref, err := Open(ingestDataset(t), &refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.EnableIngest(filepath.Join(t.TempDir(), "ref.wal")); err != nil {
+		t.Fatal(err)
+	}
 	item := itemIDByTitle(t, "Toy Story")
 	q := mustQuery(t, e, `movie:"Toy Story"`)
+	key := cube.KeyAll.With(cube.State, cube.StateIndex("CA"))
+	// others renders the group and drill answers for one query.
+	others := func(m *Engine, q Query) string {
+		ge, err := m.ExploreFullContext(t.Context(), q, key, 8, 3)
+		tr, derr := m.DrillMineContext(t.Context(), q, key, SimilarityMining, DefaultSettings())
+		return opAnswer(t, ge, err) + "\n" + opAnswer(t, tr, derr)
+	}
 
 	// read is one answer and the epochs it may have resolved to.
 	type read struct {
 		lo, hi uint64
 		ex     *Explanation
+		others string
 	}
 	stop := make(chan struct{})
 	progress := make(chan struct{})
@@ -441,12 +462,13 @@ func TestAppendWhileMining(t *testing.T) {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
+				got := others(e, req.Query)
 				hi := lo
 				if r%2 == 0 {
 					hi = e.CurrentEpoch()
 				}
 				ex.Query.Epoch = 0
-				reads[r] = append(reads[r], read{lo, hi, ex})
+				reads[r] = append(reads[r], read{lo, hi, ex, got})
 				if _, err := e.BrowseStatesAt(0); err != nil {
 					errs <- fmt.Errorf("reader %d browse: %w", r, err)
 					return
@@ -475,8 +497,11 @@ func TestAppendWhileMining(t *testing.T) {
 			if err := waitReads(); err != nil {
 				return err
 			}
-			if _, err := e.AppendRatings(context.Background(), ratingsFor(t, e, item, 3)); err != nil {
-				return fmt.Errorf("append %d: %w", i, err)
+			batch := ratingsFor(t, e, item, 3)
+			for _, m := range []*Engine{e, ref} {
+				if _, err := m.AppendRatings(context.Background(), batch); err != nil {
+					return fmt.Errorf("append %d: %w", i, err)
+				}
 			}
 		}
 		return waitReads()
@@ -495,6 +520,7 @@ func TestAppendWhileMining(t *testing.T) {
 	}
 
 	oracle := make(map[uint64][]byte)
+	otherOracle := make(map[uint64]string)
 	for ep := uint64(1); ep <= 6; ep++ {
 		pinned := q
 		pinned.Epoch = ep
@@ -504,17 +530,25 @@ func TestAppendWhileMining(t *testing.T) {
 		}
 		ex.Query.Epoch = 0
 		oracle[ep] = explainJSON(t, ex)
+		otherOracle[ep] = others(ref, pinned)
 	}
 	for r, rs := range reads {
 		for i, rd := range rs {
 			got := explainJSON(t, rd.ex)
-			ok := false
-			for ep := rd.lo; ep <= rd.hi && !ok; ep++ {
-				ok = bytes.Equal(got, oracle[ep])
+			ok, otherOK := false, false
+			for ep := rd.lo; ep <= rd.hi; ep++ {
+				ok = ok || bytes.Equal(got, oracle[ep])
+				otherOK = otherOK || rd.others == otherOracle[ep]
 			}
 			if !ok {
 				t.Errorf("reader %d read %d: answer matches no uncached read at epochs %d-%d", r, i, rd.lo, rd.hi)
 			}
+			if !otherOK {
+				t.Errorf("reader %d read %d: group or drill answer matches no cache-off read at epochs %d-%d", r, i, rd.lo, rd.hi)
+			}
 		}
+	}
+	if st := e.PlanStats(); st.MemoHits == 0 {
+		t.Error("no group or drill read hit a plan memo; the test does not exercise them")
 	}
 }

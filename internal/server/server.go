@@ -268,11 +268,15 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseRequest reads the Figure-1 form fields shared by all result pages
-// through the same decoder the v1 surface uses, so the two front-ends
-// accept exactly the same knob set.
-func (s *Server) parseRequest(r *http.Request) (api.Params, maprat.ExplainRequest, error) {
+// through the same decoder and the same per-op validation (api.Op) the
+// v1 surface uses, so the two front-ends accept and reject exactly the
+// same knob set for op.
+func (s *Server) parseRequest(r *http.Request, op string) (api.Params, maprat.ExplainRequest, error) {
 	p, err := api.DecodeParams(r)
 	if err != nil {
+		return p, maprat.ExplainRequest{}, err
+	}
+	if _, err := api.Op(op, p); err != nil {
 		return p, maprat.ExplainRequest{}, err
 	}
 	req, err := p.ExplainRequest()
@@ -295,7 +299,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	_, req, err := s.parseRequest(r)
+	_, req, err := s.parseRequest(r, "explain")
 	if err != nil {
 		htmlError(w, err.Error(), http.StatusBadRequest)
 		return
@@ -348,7 +352,7 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	p, req, err := s.parseRequest(r)
+	p, req, err := s.parseRequest(r, "group")
 	if err != nil {
 		htmlError(w, err.Error(), http.StatusBadRequest)
 		return
@@ -424,7 +428,7 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	_, req, err := s.parseRequest(r)
+	_, req, err := s.parseRequest(r, "evolution")
 	if err != nil {
 		htmlError(w, err.Error(), http.StatusBadRequest)
 		return

@@ -112,11 +112,20 @@ func TestExplainBadRequests(t *testing.T) {
 		explainPath(`movie:"Toy Story"`, "coverage=7"), // bad coverage
 		explainPath(`movie:"Toy Story"`, "from=abcd"),  // bad year
 		explainPath(`movie:"Toy Story"`, "profile=zz%3D1"),
+		// The default tasks include DM, which needs k ≥ 2: the pages
+		// reject k=1 up front as the v1 endpoints do, not with a 500
+		// from the solver.
+		explainPath(`movie:"Toy Story"`, "k=1"),
+		"/evolution?q=" + url.QueryEscape(`movie:"Toy Story"`) + "&k=1",
 	}
 	for _, p := range cases {
 		if code, _ := get(t, ts, p); code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", p, code)
 		}
+	}
+	// k=1 stays valid for similarity mining alone.
+	if code, body := get(t, ts, explainPath(`movie:"Toy Story"`, "k=1&tasks=sm")); code != http.StatusOK {
+		t.Errorf("k=1 with tasks=sm = %d, want 200: %s", code, body)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cube"
 )
@@ -19,15 +20,74 @@ import (
 //
 // Plans are shared across concurrent requests and MUST be treated as
 // immutable by every consumer: the solver keeps its scratch per Problem,
-// and the exploration layer only reads tuples and member lists. The one
-// sanctioned exception is the cube's own lazily built, internally
-// synchronized caches (coverage bitsets, sibling table), which populate
-// once under sync.Once on first use and are immutable afterwards.
+// and the exploration layer only reads tuples and member lists. The
+// sanctioned exceptions are internally synchronized: the cube's lazily
+// built caches (coverage bitsets, sibling table), which populate once
+// under sync.Once on first use and are immutable afterwards, and the
+// plan's result memo (Memo, SetMemo).
 type Plan struct {
 	ItemIDs []int
 	Tuples  []cube.Tuple
 	Cube    *cube.Cube
 	Overall cube.Agg
+
+	// memo holds results mined from this plan version; nil unless a
+	// PlanCache holds the plan (see PlanCache.put).
+	memo *planMemo
+}
+
+// PlanMemoCap bounds the results one plan's memo holds. A plan serves
+// one query, and a session clicks, refines and drills a handful of its
+// groups, so the cap is rarely reached; once it is, further results are
+// computed but not stored.
+const PlanMemoCap = 32
+
+// planMemo is a plan version's result memo. A plan is immutable over its
+// epoch range, so its memo never needs invalidating: it is dropped with
+// the plan when the tier evicts it.
+type planMemo struct {
+	mu      sync.Mutex
+	entries map[string]any
+	bytes   int64
+	stats   *memoStats // the holding cache's counters
+}
+
+type memoStats struct{ hits, misses atomic.Uint64 }
+
+// Memo returns the result stored under key. A plan the tier does not
+// hold has no memo: every lookup misses and none is counted.
+func (p *Plan) Memo(key string) (any, bool) {
+	m := p.memo
+	if m == nil {
+		return nil, false
+	}
+	m.mu.Lock()
+	v, ok := m.entries[key]
+	m.mu.Unlock()
+	if ok {
+		m.stats.hits.Add(1)
+	} else {
+		m.stats.misses.Add(1)
+	}
+	return v, ok
+}
+
+// SetMemo stores v, approximately size bytes, under key. It is a no-op
+// on a plan the tier does not hold and once the memo holds PlanMemoCap
+// entries. Stored values are shared by every later Memo hit, so callers
+// store a value no one else references and clone it on the way out.
+func (p *Plan) SetMemo(key string, v any, size int64) {
+	m := p.memo
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.entries[key]; ok || len(m.entries) >= PlanMemoCap {
+		return
+	}
+	m.entries[key] = v
+	m.bytes += size + int64(len(key))
 }
 
 // Cost is the plan's tuple count — the unit the cache budget is
@@ -36,10 +96,16 @@ type Plan struct {
 // without per-entry byte bookkeeping on the hot path.
 func (p *Plan) Cost() int { return len(p.Tuples) }
 
-// SizeBytes approximates the plan's resident memory. The cube's tuple
-// slice is the plan's tuple slice, so it is counted once, via the cube.
+// SizeBytes approximates the plan's resident memory, memoized results
+// included. The cube's tuple slice is the plan's tuple slice, so it is
+// counted once, via the cube.
 func (p *Plan) SizeBytes() int64 {
 	b := int64(len(p.ItemIDs)) * 8
+	if m := p.memo; m != nil {
+		m.mu.Lock()
+		b += m.bytes
+		m.mu.Unlock()
+	}
 	if p.Cube != nil {
 		return b + p.Cube.SizeBytes()
 	}
@@ -71,6 +137,11 @@ type PlanStats struct {
 	Tuples    int   `json:"tuples"`
 	MaxTuples int   `json:"max_tuples"`
 	Bytes     int64 `json:"bytes"`
+	// MemoHits and MemoMisses count lookups in the result memos of held
+	// plans (Plan.Memo): the hit ratio of the group, refine and drill
+	// results memoized per plan version.
+	MemoHits   uint64 `json:"memo_hits"`
+	MemoMisses uint64 `json:"memo_misses"`
 }
 
 // PlanCache is the materialization tier of §2.3's "aggressive data
@@ -101,6 +172,9 @@ type PlanCache struct {
 	// burst of interactions on one query resolves and builds its cube
 	// once.
 	flight Flight
+
+	// memo counts lookups in the memos of the plans this cache holds.
+	memo memoStats
 }
 
 type planEntry struct {
@@ -239,6 +313,9 @@ func (pc *PlanCache) put(key string, p *Plan, buildEpoch uint64) {
 	if cost > pc.maxTuples {
 		return
 	}
+	// The plan is not yet visible to any other caller, so arming its
+	// memo here needs no synchronization with readers.
+	p.memo = &planMemo{entries: make(map[string]any), stats: &pc.memo}
 	hi := uint64(0)
 	if buildEpoch < pc.epoch {
 		hi = buildEpoch
@@ -371,6 +448,8 @@ func (pc *PlanCache) Stats() PlanStats {
 		Tuples:      pc.tuples,
 		MaxTuples:   pc.maxTuples,
 		Bytes:       bytes,
+		MemoHits:    pc.memo.hits.Load(),
+		MemoMisses:  pc.memo.misses.Load(),
 	}
 }
 
@@ -384,4 +463,6 @@ func (pc *PlanCache) Reset() {
 	pc.tuples = 0
 	pc.hits, pc.misses, pc.shared, pc.builds, pc.evictions = 0, 0, 0, 0, 0
 	pc.invalidated, pc.surviving = 0, 0
+	pc.memo.hits.Store(0)
+	pc.memo.misses.Store(0)
 }

@@ -210,3 +210,65 @@ func TestPlanSizeBytes(t *testing.T) {
 		t.Error("cube-bearing plan should cost at least the bare tuples")
 	}
 }
+
+// TestPlanMemoBounds pins the memo's resource bounds and counters: a
+// held plan memoizes up to PlanMemoCap results and then stops, each
+// stored entry grows the tier's byte accounting, hits and misses are
+// counted, and a plan the tier does not hold memoizes nothing.
+func TestPlanMemoBounds(t *testing.T) {
+	pc := NewPlanCache(100)
+	p, _, err := pc.GetOrBuild(context.Background(), "k", func() (*Plan, error) { return fakePlan(10), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := pc.Stats().Bytes
+	for i := 0; i < PlanMemoCap+8; i++ {
+		key := fmt.Sprintf("op|%d", i)
+		if _, ok := p.Memo(key); ok {
+			t.Fatalf("%s: hit before any store", key)
+		}
+		p.SetMemo(key, i, 100)
+		st := pc.Stats()
+		if i < PlanMemoCap && st.Bytes <= bytes {
+			t.Fatalf("entry %d: bytes %d did not grow from %d", i, st.Bytes, bytes)
+		}
+		if i >= PlanMemoCap && st.Bytes != bytes {
+			t.Fatalf("entry %d past the cap: bytes %d moved from %d", i, st.Bytes, bytes)
+		}
+		bytes = st.Bytes
+	}
+	stored := 0
+	for i := 0; i < PlanMemoCap+8; i++ {
+		if v, ok := p.Memo(fmt.Sprintf("op|%d", i)); ok {
+			if v != i {
+				t.Fatalf("entry %d holds %v", i, v)
+			}
+			stored++
+		}
+	}
+	if stored != PlanMemoCap {
+		t.Fatalf("memo holds %d entries, want the cap %d", stored, PlanMemoCap)
+	}
+	st := pc.Stats()
+	if st.MemoHits != PlanMemoCap || st.MemoMisses != 2*(PlanMemoCap+8)-PlanMemoCap {
+		t.Fatalf("memo counters = %d hits / %d misses", st.MemoHits, st.MemoMisses)
+	}
+
+	// Over budget, so served uncached: no memo, no counting.
+	big, _, err := pc.GetOrBuild(context.Background(), "big", func() (*Plan, error) { return fakePlan(1000), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.SetMemo("op", 1, 100)
+	if _, ok := big.Memo("op"); ok {
+		t.Fatal("a plan the tier does not hold memoized a result")
+	}
+	if after := pc.Stats(); after.MemoHits != st.MemoHits || after.MemoMisses != st.MemoMisses {
+		t.Fatalf("lookups on an unheld plan were counted: %+v", after)
+	}
+
+	pc.Reset()
+	if st := pc.Stats(); st.MemoHits != 0 || st.MemoMisses != 0 {
+		t.Fatalf("Reset left memo counters %d/%d", st.MemoHits, st.MemoMisses)
+	}
+}

@@ -23,10 +23,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -104,13 +106,17 @@ func DefaultOptions() Options {
 	return Options{Store: store.DefaultOptions(), Cube: cube.DefaultConfig()}
 }
 
-// Engine is an opened MapRat instance over one dataset. An Engine is safe
-// for concurrent use: the store is read-only after Open, the result cache
-// and the singleflight layer are internally synchronized, and each mining
-// request solves on its own problem instance. Cubes shared through the
-// plan tier populate their derived caches (coverage bitsets, sibling
-// table) lazily under sync.Once, so concurrent first use is safe and
-// every later solve or exploration on the same plan gets them for free.
+// Engine is an opened MapRat instance over one dataset. It caches at two
+// levels: explanations in the store's result LRU behind a singleflight,
+// and group, refine and drill results in the memo of the plan version
+// they were computed from (both on exactly when Options.Store.CacheSize
+// is positive). An Engine is safe for concurrent use: the store is
+// read-only after Open, the result cache, the singleflight layer and
+// each plan's memo are internally synchronized, and each mining request
+// solves on its own problem instance. Cubes shared through the plan tier
+// populate their derived caches (coverage bitsets, sibling table) lazily
+// under sync.Once, so concurrent first use is safe and every later solve
+// or exploration on the same plan gets them for free.
 type Engine struct {
 	st      *store.Store
 	cubeCfg cube.Config
@@ -278,6 +284,18 @@ type TaskResult struct {
 	RelaxedCoverage float64
 }
 
+// clone returns a deep copy: the copy's Groups slice is freshly
+// allocated.
+func (tr *TaskResult) clone() *TaskResult {
+	out := *tr
+	out.Groups = slices.Clone(tr.Groups)
+	return &out
+}
+
+func (tr *TaskResult) sizeBytes() int64 {
+	return int64(unsafe.Sizeof(*tr)) + groupResultsBytes(tr.Groups)
+}
+
 // Explanation is the full result of ExplainContext: everything Figure 2
 // renders.
 type Explanation struct {
@@ -310,9 +328,8 @@ func (ex *Explanation) Clone() *Explanation {
 	out.Query.Preds = append([]query.Pred(nil), ex.Query.Preds...)
 	out.ItemIDs = append([]int(nil), ex.ItemIDs...)
 	out.Results = make([]TaskResult, len(ex.Results))
-	for i, tr := range ex.Results {
-		tr.Groups = append([]GroupResult(nil), tr.Groups...)
-		out.Results[i] = tr
+	for i := range ex.Results {
+		out.Results[i] = *ex.Results[i].clone()
 	}
 	return &out
 }
@@ -721,10 +738,68 @@ func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
 			version = lo
 		}
 	}
-	s := req.Settings
-	return fmt.Sprintf("explain|%s|v=%d|k=%d|a=%v|l=%v|sb=%v|p=%v|seed=%d|r=%d|mi=%d|ss=%d|tasks=%v|relax=%v",
-		planKey, version, s.K, s.Coverage, s.Lambda, s.SiblingBoost,
-		s.Profile, s.Seed, s.Restarts, s.MaxIters, s.SampleSize, req.Tasks, !req.DisableRelax)
+	return fmt.Sprintf("explain|%s|v=%d|%s|tasks=%v|relax=%v",
+		planKey, version, settingsKey(req.Settings), req.Tasks, !req.DisableRelax)
+}
+
+// settingsKey formats every result-affecting Settings field for a cache
+// or memo key, floats in their shortest exact form (%v) so settings that
+// differ in any digit never share an entry. Workers and Progress are left
+// out: neither changes a result.
+func settingsKey(s Settings) string {
+	return fmt.Sprintf("k=%d|a=%v|l=%v|sb=%v|p=%v|seed=%d|r=%d|mi=%d|ss=%d",
+		s.K, s.Coverage, s.Lambda, s.SiblingBoost, s.Profile, s.Seed,
+		s.Restarts, s.MaxIters, s.SampleSize)
+}
+
+// memoized serves one result from the memo of the plan it is computed
+// from: a hit returns a clone of the stored value; a miss computes the
+// result, stores a clone and returns the original. The plan is the
+// version the result depends on, so the key carries only the op and its
+// arguments, and an append that seals the plan retires its memo with it.
+// Memoization is on exactly when the result cache is (CacheSize > 0), and
+// only on plans the tier holds (Plan.SetMemo ignores others). Errors are
+// never stored. Two concurrent identical misses may both compute; results
+// are deterministic, so either stored value is the answer.
+func memoized[T any](e *Engine, p *store.Plan, key string, clone func(T) T, size func(T) int64, compute func() (T, error)) (T, error) {
+	if e.st.Cache() == nil {
+		return compute()
+	}
+	if v, ok := p.Memo(key); ok {
+		return clone(v.(T)), nil
+	}
+	v, err := compute()
+	if err != nil {
+		return v, err
+	}
+	p.SetMemo(key, clone(v), size(v))
+	return v, nil
+}
+
+// Approximate resident sizes of the memoized result types, for the plan
+// tier's byte accounting.
+const (
+	groupResultBytes = int64(unsafe.Sizeof(GroupResult{}))
+	refinementBytes  = int64(unsafe.Sizeof(Refinement{}))
+	cityStatBytes    = int64(unsafe.Sizeof(explore.CityStat{}))
+	timeBucketBytes  = int64(unsafe.Sizeof(explore.TimeBucket{}))
+)
+
+func groupResultsBytes(gs []GroupResult) int64 {
+	b := int64(len(gs)) * groupResultBytes
+	for i := range gs {
+		b += int64(len(gs[i].Phrase) + len(gs[i].Icons) + len(gs[i].State))
+	}
+	return b
+}
+
+func refinementsBytes(rs []Refinement) int64 {
+	b := int64(len(rs)) * refinementBytes
+	for i := range rs {
+		g := &rs[i].Group
+		b += int64(len(g.Phrase) + len(g.Icons) + len(g.State) + len(rs[i].Added))
+	}
+	return b
 }
 
 // GroupExploration bundles everything the per-group exploration renders —
@@ -740,16 +815,38 @@ type GroupExploration struct {
 	Refinements []Refinement
 }
 
-// ExploreFullContext recomputes the Figure-3 exploration for one
+// clone returns a deep copy: mutating the copy's slices never touches
+// the original.
+func (ge *GroupExploration) clone() *GroupExploration {
+	out := *ge
+	out.Stats.Cities = slices.Clone(ge.Stats.Cities)
+	out.Stats.Timeline = slices.Clone(ge.Stats.Timeline)
+	out.Related = slices.Clone(ge.Related)
+	out.Refinements = slices.Clone(ge.Refinements)
+	return &out
+}
+
+func (ge *GroupExploration) sizeBytes() int64 {
+	b := int64(unsafe.Sizeof(*ge)) + int64(len(ge.Stats.Phrase))
+	b += int64(len(ge.Stats.Cities)) * cityStatBytes
+	for i := range ge.Stats.Cities {
+		b += int64(len(ge.Stats.Cities[i].City))
+	}
+	b += int64(len(ge.Stats.Timeline)) * timeBucketBytes
+	return b + groupResultsBytes(ge.Related) + refinementsBytes(ge.Refinements)
+}
+
+// ExploreFullContext computes the Figure-3 exploration for one
 // explanation group — full statistics (histogram, city drill-down,
 // timeline), the sibling groups to compare against, and the drill-deeper
 // refinements — from one plan fetch, with cancellation between the
 // pipeline's stages. The resolve → gather → cube stages come from the
 // materialization tier, so exploring a group right after its
-// ExplainContext does no pipeline work at all. refineLimit caps the
-// refinement list (0 = all); a negative refineLimit skips the refinement
-// stage entirely. Both the HTML front-end and the /api/v1 handlers
-// consume this one call.
+// ExplainContext does no pipeline work at all, and the result is
+// memoized on the plan version, so a repeated click is a lookup and a
+// clone. refineLimit caps the refinement list (0 = all); a negative
+// refineLimit skips the refinement stage entirely. Both the HTML
+// front-end and the /api/v1 handlers consume this one call.
 func (e *Engine) ExploreFullContext(ctx context.Context, q Query, key Key, buckets, refineLimit int) (*GroupExploration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -762,7 +859,10 @@ func (e *Engine) ExploreFullContext(ctx context.Context, q Query, key Key, bucke
 	if err != nil {
 		return nil, err
 	}
-	return ExplorePlan(ctx, p, q, key, buckets, refineLimit)
+	return memoized(e, p,
+		fmt.Sprintf("group|%v|b=%d|l=%d", key, buckets, refineLimit),
+		(*GroupExploration).clone, (*GroupExploration).sizeBytes,
+		func() (*GroupExploration, error) { return ExplorePlan(ctx, p, q, key, buckets, refineLimit) })
 }
 
 // ExplorePlan computes the per-group exploration from an
@@ -819,8 +919,8 @@ type Refinement struct {
 // RefineGroupContext returns the most deviant drill-deeper refinements of
 // a group for the query, capped at limit (0 = all) — the paper's "drill
 // deeper" exploration beyond city statistics. It is served from the
-// materialization tier like ExploreFullContext, with cancellation between
-// the pipeline's stages.
+// materialization tier and memoized on the plan version like
+// ExploreFullContext, with cancellation between the pipeline's stages.
 func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit int) ([]Refinement, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -833,7 +933,10 @@ func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit
 	if err != nil {
 		return nil, err
 	}
-	return RefinePlan(p, q, key, limit)
+	return memoized(e, p,
+		fmt.Sprintf("refine|%v|l=%d", key, limit),
+		slices.Clone[[]Refinement], refinementsBytes,
+		func() ([]Refinement, error) { return RefinePlan(p, q, key, limit) })
 }
 
 // RefinePlan computes a group's drill-deeper refinements from an
@@ -855,8 +958,10 @@ func RefinePlan(p *store.Plan, q Query, key Key, limit int) ([]Refinement, error
 // Cancellation is threaded through the sub-problem's RHE run. The
 // coverage constraint is not relaxed: when no selection meets it, the
 // error wraps core.ErrInfeasible, as an unrelaxed explain's does. The
-// parent cube comes from the materialization tier; only the city-anchored
-// sub-cube over the parent's tuples is built per call.
+// parent cube comes from the materialization tier. The city-anchored
+// sub-cube and its RHE solve run on the first drill of a (parent, task,
+// settings) on a plan version; the result is memoized on that version,
+// so repeated drills are a lookup and a clone.
 func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task Task, s Settings) (*TaskResult, error) {
 	if s.K == 0 {
 		s = DefaultSettings()
@@ -872,7 +977,10 @@ func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task
 	if err != nil {
 		return nil, err
 	}
-	return DrillPlan(ctx, p, q, parent, task, s)
+	return memoized(e, p,
+		fmt.Sprintf("drill|%v|t=%v|%s", parent, task, settingsKey(s)),
+		(*TaskResult).clone, (*TaskResult).sizeBytes,
+		func() (*TaskResult, error) { return DrillPlan(ctx, p, q, parent, task, s) })
 }
 
 // DrillPlan mines the city-anchored sub-groups inside a parent group from

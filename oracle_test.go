@@ -3,6 +3,7 @@ package maprat
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -55,13 +56,70 @@ func oracleRead(t *testing.T, e *Engine, q Query) (*Explanation, []byte) {
 	return got, gotJSON
 }
 
+// opAnswer renders one group, refine or drill answer — or its error —
+// for byte-level comparison.
+func opAnswer(t *testing.T, v any, err error) string {
+	t.Helper()
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("marshal answer: %v", err)
+	}
+	return string(b)
+}
+
+// oracleOps runs a group, a refine and a drill on key with randomly
+// drawn arguments — each read twice, so the second read can hit the
+// plan's memo — through the memoizing engine e and through ref, an
+// engine opened with the result cache off at the same epoch, and fails
+// unless every answer agrees.
+func oracleOps(t *testing.T, e, ref *Engine, q Query, key Key, rnd *rand.Rand) {
+	t.Helper()
+	ctx := t.Context()
+	buckets, limit := 4*rnd.Intn(2), 3-4*rnd.Intn(2)
+	refineLimit := 2 * rnd.Intn(2)
+	task := []Task{SimilarityMining, DiversityMining}[rnd.Intn(2)]
+	s := DefaultSettings()
+	s.Seed = 1 + rnd.Int63n(2)
+	ops := []struct {
+		name string
+		run  func(*Engine) string
+	}{
+		{fmt.Sprintf("group b=%d l=%d", buckets, limit), func(m *Engine) string {
+			ge, err := m.ExploreFullContext(ctx, q, key, buckets, limit)
+			return opAnswer(t, ge, err)
+		}},
+		{fmt.Sprintf("refine l=%d", refineLimit), func(m *Engine) string {
+			refs, err := m.RefineGroupContext(ctx, q, key, refineLimit)
+			return opAnswer(t, refs, err)
+		}},
+		{fmt.Sprintf("drill %v seed=%d", task, s.Seed), func(m *Engine) string {
+			tr, err := m.DrillMineContext(ctx, q, key, task, s)
+			return opAnswer(t, tr, err)
+		}},
+	}
+	for _, op := range ops {
+		want := op.run(ref)
+		for i := 0; i < 2; i++ {
+			if got := op.run(e); got != want {
+				t.Fatalf("%s %s on %v pinned at %d (current %d), read %d: memoized answer differs from the cache-off engine\n got %s\nwant %s",
+					op.name, q, key, q.Epoch, e.CurrentEpoch(), i, got, want)
+			}
+		}
+	}
+}
+
 // TestCachedAnswersMatchUncachedOracle is a seeded differential test of
-// the (query, seed, epoch) contract across the result cache and the plan
-// tier: a sequence of appends, each touching the items of a random
-// subset of the queries, interleaved with latest and randomly pinned
-// explains and one evolution sweep. Every answer must equal the same
-// request mined with every cache disabled, and a fresh engine replaying
-// a copy of the WAL must serve the same answers.
+// the (query, seed, epoch) contract across the result cache, the plan
+// tier and the plans' result memos: a sequence of appends, each touching
+// the items of a random subset of the queries, interleaved with latest
+// and randomly pinned explains, groups, refines and drills and one
+// evolution sweep. Every explain must equal the same request mined with
+// every cache disabled, every other op the same request on an engine
+// opened with CacheSize 0 and fed the same appends, and a fresh engine
+// replaying a copy of the WAL must serve the same explains.
 func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	ds := ingestDataset(t)
 	wal := filepath.Join(t.TempDir(), "oracle.wal")
@@ -72,11 +130,22 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	if _, err := e.EnableIngest(wal); err != nil {
 		t.Fatal(err)
 	}
+	refOpts := DefaultOptions()
+	refOpts.Store.CacheSize = 0
+	ref, err := Open(ds, &refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.EnableIngest(filepath.Join(t.TempDir(), "ref.wal")); err != nil {
+		t.Fatal(err)
+	}
 	queries := oracleQueries(t, e)
 	items := make([][]int, len(queries))
+	keys := make([]Key, len(queries))
 	for i, q := range queries {
 		ex, _ := oracleRead(t, e, q)
 		items[i] = ex.ItemIDs
+		keys[i] = ex.Result(SimilarityMining).Groups[0].Key
 	}
 
 	rnd := rand.New(rand.NewSource(1))
@@ -102,20 +171,24 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 			}
 		}
 		if len(batch) > 0 {
-			if _, err := e.AppendRatings(context.Background(), batch); err != nil {
-				t.Fatalf("append %d: %v", step, err)
+			for _, m := range []*Engine{e, ref} {
+				if _, err := m.AppendRatings(context.Background(), batch); err != nil {
+					t.Fatalf("append %d: %v", step, err)
+				}
 			}
 		}
 		// Latest and pinned reads, each query possibly read twice so
 		// repeats within an epoch hit too.
 		for r := 0; r < 3; r++ {
-			q := queries[rnd.Intn(len(queries))]
+			qi := rnd.Intn(len(queries))
+			q := queries[qi]
 			if rnd.Intn(2) == 0 {
 				q.Epoch = 1 + uint64(rnd.Int63n(int64(e.CurrentEpoch())))
 			}
 			if ex, _ := oracleRead(t, e, q); ex.FromCache {
 				hits++
 			}
+			oracleOps(t, e, ref, q, keys[qi], rnd)
 		}
 		if step == steps/2 {
 			q := queries[0]
@@ -143,6 +216,12 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no read hit the result cache; the test does not exercise it")
 	}
+	if st := e.PlanStats(); st.MemoHits == 0 || st.MemoMisses == 0 {
+		t.Fatalf("memo hits %d, misses %d: the test does not exercise the plan memos", st.MemoHits, st.MemoMisses)
+	}
+	if st := ref.PlanStats(); st.MemoHits+st.MemoMisses != 0 {
+		t.Fatalf("the CacheSize 0 engine consulted plan memos (%d hits, %d misses)", st.MemoHits, st.MemoMisses)
+	}
 
 	// Final answers at every fourth epoch and at latest, then the same
 	// reads from a fresh engine replaying a copy of the WAL.
@@ -153,11 +232,12 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	}
 	epochs = append(epochs, 0)
 	want := make(map[string][]byte)
-	for _, q := range queries {
+	for qi, q := range queries {
 		for _, ep := range epochs {
 			q.Epoch = ep
 			_, b := oracleRead(t, e, q)
 			want[fmt.Sprintf("%s@%d", q, ep)] = b
+			oracleOps(t, e, ref, q, keys[qi], rnd)
 		}
 	}
 

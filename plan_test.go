@@ -248,3 +248,140 @@ func TestPlanKeyedByCubeConfig(t *testing.T) {
 		t.Errorf("distinct cube configs shared a plan: builds = %d, want 2", st.Builds)
 	}
 }
+
+// TestMemoHitIsDeepCopy is TestExplainCacheHitIsDeepCopy for the results
+// memoized on a plan: a caller mutating every slice of a group, refine or
+// drill answer must not poison the memoized value later callers receive.
+func TestMemoHitIsDeepCopy(t *testing.T) {
+	e := freshEngine(t)
+	ctx := t.Context()
+	q := mustQuery(t, e, `movie:"Toy Story"`)
+	key := cube.KeyAll.With(cube.State, cube.StateIndex("CA"))
+	ops := []struct {
+		name string
+		read func() (any, error)
+		maul func(v any)
+	}{
+		{"group", func() (any, error) { return e.ExploreFullContext(ctx, q, key, 8, 0) }, func(v any) {
+			ge := v.(*GroupExploration)
+			if len(ge.Stats.Cities) == 0 || len(ge.Stats.Timeline) == 0 || len(ge.Related) == 0 || len(ge.Refinements) == 0 {
+				t.Fatalf("group answer has an empty slice, so the test cannot maul it: %+v", ge)
+			}
+			ge.Stats.Cities[0].City = "poisoned"
+			ge.Stats.Cities = ge.Stats.Cities[:0]
+			ge.Stats.Timeline[0].Agg.Count = -1
+			ge.Stats.Timeline = ge.Stats.Timeline[:0]
+			ge.Stats.Histogram[1] = -1
+			ge.Related[0].Phrase = "poisoned"
+			ge.Related = ge.Related[:0]
+			ge.Refinements[0].Added = "poisoned"
+			ge.Refinements[0].Group.Phrase = "poisoned"
+			ge.Refinements = ge.Refinements[:0]
+		}},
+		{"refine", func() (any, error) { return e.RefineGroupContext(ctx, q, key, 0) }, func(v any) {
+			refs := v.([]Refinement)
+			if len(refs) == 0 {
+				t.Fatal("no refinements to maul")
+			}
+			refs[0].Added = "poisoned"
+			refs[0].Group.Phrase = "poisoned"
+			refs[0].Delta = -99
+		}},
+		{"drill", func() (any, error) { return e.DrillMineContext(ctx, q, key, SimilarityMining, DefaultSettings()) }, func(v any) {
+			tr := v.(*TaskResult)
+			if len(tr.Groups) == 0 {
+				t.Fatal("no drill groups to maul")
+			}
+			tr.Groups[0].Phrase = "poisoned"
+			tr.Groups[0].Agg.Count = -1
+			tr.Groups = tr.Groups[:0]
+			tr.Objective = -99
+		}},
+	}
+	for _, op := range ops {
+		// The first read is the miss whose value was memoized, the second
+		// a hit: mauling either must leave the memo intact.
+		for i := 0; i < 2; i++ {
+			hits := e.PlanStats().MemoHits
+			v, err := op.read()
+			if err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			if hit := e.PlanStats().MemoHits > hits; hit != (i == 1) {
+				t.Fatalf("%s read %d: memo hit = %v", op.name, i, hit)
+			}
+			want := opAnswer(t, v, nil)
+			op.maul(v)
+			again, err := op.read()
+			if err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			if got := opAnswer(t, again, nil); got != want {
+				t.Fatalf("%s read %d: memo poisoned through a returned answer\n got %s\nwant %s", op.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestMemoKeyCoverage: every argument that changes a group, refine or
+// drill answer is part of its memo key, so no two of these requests on
+// one parent share an entry — each is a miss the first time and a hit
+// the second — and each answer equals the cache-off engine's.
+func TestMemoKeyCoverage(t *testing.T) {
+	ds, err := Generate(SmallGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Store.CacheSize = 0
+	ref, err := Open(ds, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := t.Context()
+	q := mustQuery(t, e, `movie:"Toy Story"`)
+	key := cube.KeyAll.With(cube.State, cube.StateIndex("CA"))
+	var reqs []func(*Engine) string
+	for _, buckets := range []int{4, 8} {
+		for _, limit := range []int{2, 5} {
+			reqs = append(reqs, func(m *Engine) string {
+				ge, err := m.ExploreFullContext(ctx, q, key, buckets, limit)
+				return opAnswer(t, ge, err)
+			})
+		}
+	}
+	for _, limit := range []int{2, 5} {
+		reqs = append(reqs, func(m *Engine) string {
+			refs, err := m.RefineGroupContext(ctx, q, key, limit)
+			return opAnswer(t, refs, err)
+		})
+	}
+	for _, task := range []Task{SimilarityMining, DiversityMining} {
+		for _, seed := range []int64{1, 2} {
+			s := DefaultSettings()
+			s.Seed = seed
+			reqs = append(reqs, func(m *Engine) string {
+				tr, err := m.DrillMineContext(ctx, q, key, task, s)
+				return opAnswer(t, tr, err)
+			})
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, req := range reqs {
+			before := e.PlanStats()
+			got := req(e)
+			after := e.PlanStats()
+			hit := after.MemoHits > before.MemoHits
+			if hit != (round == 1) {
+				t.Fatalf("request %d, round %d: memo hit = %v — two requests share an entry", i, round, hit)
+			}
+			if want := req(ref); got != want {
+				t.Fatalf("request %d, round %d: memoized answer differs from the cache-off engine\n got %s\nwant %s", i, round, got, want)
+			}
+		}
+	}
+}
