@@ -9,6 +9,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/api"
 	"repro/pkg/client"
 )
 
@@ -130,7 +131,7 @@ func runRemoteAsync(ctx context.Context, c *client.Client, o runOpts) (any, erro
 		return nil, fmt.Errorf("job %s ended in unexpected state %q", st.ID, st.State)
 	}
 	v := response(o.op)
-	if err := json.Unmarshal(st.Result, v); err != nil {
+	if err := api.DecodeResponse(st.Result, v); err != nil {
 		return nil, err
 	}
 	return v, nil

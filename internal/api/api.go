@@ -1,9 +1,7 @@
 package api
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -193,13 +191,13 @@ func (h *Handler) requestContext(r *http.Request) (context.Context, context.Canc
 // still answer a clean 500 (the error envelope) instead of corrupting a
 // half-written 200. Shared with internal/server's JSON handlers.
 func WriteJSON(w http.ResponseWriter, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+	body, err := encodeJSON(v)
+	if err != nil {
 		writeEnvelope(w, CodeInternal, "encoding response: "+err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // decodeFail answers a decode/validation failure: 405 with Allow for an

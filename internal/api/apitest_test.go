@@ -22,7 +22,7 @@ var (
 	srvMemo *httptest.Server
 )
 
-func testEngine(t *testing.T) *maprat.Engine {
+func testEngine(t testing.TB) *maprat.Engine {
 	t.Helper()
 	engOnce.Do(func() {
 		ds, err := maprat.Generate(maprat.SmallGenConfig())
@@ -39,13 +39,13 @@ func testEngine(t *testing.T) *maprat.Engine {
 	return engMemo
 }
 
-func testServer(t *testing.T) *httptest.Server {
+func testServer(t testing.TB) *httptest.Server {
 	t.Helper()
 	testEngine(t)
 	return srvMemo
 }
 
-func get(t *testing.T, path string) (int, string) {
+func get(t testing.TB, path string) (int, string) {
 	t.Helper()
 	ts := testServer(t)
 	resp, err := http.Get(ts.URL + path)
@@ -60,7 +60,7 @@ func get(t *testing.T, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func post(t *testing.T, path, body string) (int, string) {
+func post(t testing.TB, path, body string) (int, string) {
 	t.Helper()
 	ts := testServer(t)
 	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))

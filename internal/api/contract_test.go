@@ -21,6 +21,76 @@ import (
 //	go test ./internal/api -run Contract -update
 var update = flag.Bool("update", false, "rewrite golden contract files")
 
+// contractCase is one request of the pinned v1 contract: a GET path, or
+// a POST path and body.
+type contractCase struct {
+	name   string
+	golden string
+	path   string   // GET path, when set
+	post   []string // POST path + body, when set
+}
+
+func (c contractCase) fetch(t testing.TB) (int, string) {
+	t.Helper()
+	if c.post != nil {
+		return post(t, c.post[0], c.post[1])
+	}
+	return get(t, c.path)
+}
+
+var (
+	contractToyStory = url.QueryEscape(`movie:"Toy Story"`)
+	contractCAKey    = url.QueryEscape("state=CA")
+)
+
+// contractCases are the requests whose bodies the golden files pin.
+var contractCases = []contractCase{
+	{
+		name:   "explain",
+		golden: "explain.golden.json",
+		path:   "/api/v1/explain?q=" + contractToyStory + "&k=2",
+	},
+	{
+		name:   "explain framework mode",
+		golden: "explain_geo_off.golden.json",
+		path:   "/api/v1/explain?q=" + contractToyStory + "&geo=off&coverage=0.10&k=2",
+	},
+	{
+		name:   "group",
+		golden: "group.golden.json",
+		path:   "/api/v1/group?q=" + contractToyStory + "&key=" + contractCAKey + "&buckets=4&limit=3",
+	},
+	{
+		name:   "refine",
+		golden: "refine.golden.json",
+		path:   "/api/v1/refine?q=" + contractToyStory + "&key=" + contractCAKey + "&limit=5",
+	},
+	{
+		name:   "drill",
+		golden: "drill.golden.json",
+		path:   "/api/v1/drill?q=" + contractToyStory + "&key=" + contractCAKey + "&k=2",
+	},
+	{
+		name:   "evolution",
+		golden: "evolution.golden.json",
+		path:   "/api/v1/evolution?q=" + contractToyStory + "&from=1999&to=2001&k=2&tasks=sm",
+	},
+	{
+		name:   "browse",
+		golden: "browse.golden.json",
+		path:   "/api/v1/browse",
+	},
+	{
+		name:   "batch",
+		golden: "batch.golden.json",
+		post: []string{"/api/v1/batch", `{"requests":[
+			{"q":"movie:\"Toy Story\"","k":2},
+			{"q":"movie:\"Zyzzyva The Unfilmed\""},
+			{"q":"notafield:x"}
+		]}`},
+	},
+}
+
 // TestV1ContractGolden pins the exact JSON every /api/v1 endpoint
 // returns for a fixed dataset, seed and knob set. The non-deterministic
 // fields (elapsed_ms, from_cache) are scrubbed; everything else —
@@ -29,68 +99,9 @@ var update = flag.Bool("update", false, "rewrite golden contract files")
 // change with a new API version (or a deliberate re-baseline via
 // -update).
 func TestV1ContractGolden(t *testing.T) {
-	toyStory := url.QueryEscape(`movie:"Toy Story"`)
-	caKey := url.QueryEscape("state=CA")
-	cases := []struct {
-		name   string
-		golden string
-		path   string   // GET path, when set
-		post   []string // POST path + body, when set
-	}{
-		{
-			name:   "explain",
-			golden: "explain.golden.json",
-			path:   "/api/v1/explain?q=" + toyStory + "&k=2",
-		},
-		{
-			name:   "explain framework mode",
-			golden: "explain_geo_off.golden.json",
-			path:   "/api/v1/explain?q=" + toyStory + "&geo=off&coverage=0.10&k=2",
-		},
-		{
-			name:   "group",
-			golden: "group.golden.json",
-			path:   "/api/v1/group?q=" + toyStory + "&key=" + caKey + "&buckets=4&limit=3",
-		},
-		{
-			name:   "refine",
-			golden: "refine.golden.json",
-			path:   "/api/v1/refine?q=" + toyStory + "&key=" + caKey + "&limit=5",
-		},
-		{
-			name:   "drill",
-			golden: "drill.golden.json",
-			path:   "/api/v1/drill?q=" + toyStory + "&key=" + caKey + "&k=2",
-		},
-		{
-			name:   "evolution",
-			golden: "evolution.golden.json",
-			path:   "/api/v1/evolution?q=" + toyStory + "&from=1999&to=2001&k=2&tasks=sm",
-		},
-		{
-			name:   "browse",
-			golden: "browse.golden.json",
-			path:   "/api/v1/browse",
-		},
-		{
-			name:   "batch",
-			golden: "batch.golden.json",
-			post: []string{"/api/v1/batch", `{"requests":[
-				{"q":"movie:\"Toy Story\"","k":2},
-				{"q":"movie:\"Zyzzyva The Unfilmed\""},
-				{"q":"notafield:x"}
-			]}`},
-		},
-	}
-	for _, c := range cases {
+	for _, c := range contractCases {
 		t.Run(c.name, func(t *testing.T) {
-			var code int
-			var body string
-			if c.post != nil {
-				code, body = post(t, c.post[0], c.post[1])
-			} else {
-				code, body = get(t, c.path)
-			}
+			code, body := c.fetch(t)
 			if code != 200 {
 				t.Fatalf("status %d: %s", code, body)
 			}

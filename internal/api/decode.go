@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -112,18 +113,27 @@ func (e *tooLargeError) Error() string { return e.msg }
 // decodeBody decodes a JSON request body into v, distinguishing an
 // oversized body (413) from malformed JSON (400). http.MaxBytesReader
 // (rather than a plain LimitReader) yields a typed error at the cap and
-// closes the connection properly.
+// closes the connection properly. A body is one JSON value: anything
+// after it but whitespace is malformed, not silently ignored.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return &tooLargeError{msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+	err := dec.Decode(v)
+	if err == nil {
+		// Token answers io.EOF only when nothing but whitespace is left.
+		_, err = dec.Token()
+		if errors.Is(err, io.EOF) {
+			return nil
 		}
-		return badRequestf("bad JSON body: %v", err)
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return &tooLargeError{msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+	}
+	return badRequestf("bad JSON body: %v", err)
 }
 
 // DecodeParams reads the request's knobs: from the URL query on GET, from

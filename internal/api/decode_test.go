@@ -230,6 +230,42 @@ func TestV1DecoderBadKnobs(t *testing.T) {
 	}
 }
 
+// decoderTrailingBodies follow a valid POST body with more data. A body
+// is one JSON value, so each must fail as a bad request rather than
+// answer for its first value and drop the rest.
+var decoderTrailingBodies = []string{
+	`{"q":"movie:\"Toy Story\"","k":2}{"k":99}`,
+	`{"q":"movie:\"Toy Story\"","k":2} garbage`,
+}
+
+// TestV1DecoderRejectsTrailingData drives the trailing-data bodies
+// through every POST endpoint that decodes a body, batch and job
+// submission included, with knobs that answer 200 on their own.
+func TestV1DecoderRejectsTrailingData(t *testing.T) {
+	endpoints := []struct{ path, prefix string }{
+		{"/api/v1/explain", `{`},
+		{"/api/v1/group", `{"key":"state=CA",`},
+		{"/api/v1/refine", `{"key":"state=CA",`},
+		{"/api/v1/drill", `{"key":"state=CA",`},
+		{"/api/v1/jobs", `{"op":"explain",`},
+	}
+	for _, body := range decoderTrailingBodies {
+		for _, e := range endpoints {
+			if code, resp := post(t, e.path, e.prefix+body[1:]); code != 400 || envelopeCode(t, resp) != CodeBadRequest {
+				t.Errorf("POST %s %s: status %d, want 400 %s", e.path, e.prefix+body[1:], code, CodeBadRequest)
+			}
+		}
+		batch := `{"requests":[` + strings.Replace(body, "}", "}]}", 1)
+		if code, resp := post(t, "/api/v1/batch", batch); code != 400 || envelopeCode(t, resp) != CodeBadRequest {
+			t.Errorf("POST /api/v1/batch %s: status %d, want 400 %s", batch, code, CodeBadRequest)
+		}
+	}
+	// Trailing whitespace is not data.
+	if code, resp := post(t, "/api/v1/explain", `{"q":"movie:\"Toy Story\"","k":2}`+" \r\n\t"); code != 200 {
+		t.Errorf("trailing whitespace: %d %s, want 200", code, resp)
+	}
+}
+
 // TestV1EndToEndParity drives GET/POST parity through the live handler:
 // identical knobs must produce byte-identical (scrubbed) payloads.
 func TestV1EndToEndParity(t *testing.T) {

@@ -26,6 +26,9 @@ func FuzzDecodeParams(f *testing.F) {
 	for _, q := range decoderMalformedQueries {
 		f.Add(encodeQuery(q), `{"q":"genre:Drama","coverage_":0.5}`)
 	}
+	for _, body := range decoderTrailingBodies {
+		f.Add("", body)
+	}
 	f.Fuzz(func(t *testing.T, rawQuery, body string) {
 		get := &http.Request{
 			Method: http.MethodGet,

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -68,11 +69,13 @@ func (h *Handler) jobStatusDTO(s jobs.Snapshot, withResult bool) *JobStatus {
 		st.Error = errorBodyFor(s.Err)
 	}
 	if withResult && s.State == jobs.Done && s.Result != nil {
-		raw, err := json.Marshal(s.Result)
+		// The same encoder as the synchronous endpoint, so a job's result
+		// is byte for byte the document the sync call answers.
+		raw, err := encodeJSON(s.Result)
 		if err != nil {
 			st.Error = &ErrorBody{Code: CodeInternal, Message: "encoding result: " + err.Error()}
 		} else {
-			st.Result = raw
+			st.Result = bytes.TrimSuffix(raw, []byte{'\n'})
 		}
 	}
 	return st

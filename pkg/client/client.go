@@ -232,7 +232,11 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		_, err = io.Copy(io.Discard, resp.Body)
 		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	return api.DecodeResponse(raw, out)
 }
 
 // apiErrorFrom reads an error response into an APIError, decoding the
