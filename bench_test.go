@@ -1,7 +1,7 @@
 package maprat
 
-// One benchmark per experiment in DESIGN.md's index (E1–E9), mirroring the
-// workloads of internal/bench so `go test -bench=.` regenerates the
+// One benchmark per experiment of internal/bench (E1–E9), mirroring its
+// workloads so `go test -bench=.` regenerates the
 // latency side of every figure/claim. Benchmarks default to the small
 // (80k-rating) dataset so the suite stays minutes-fast; set
 // MAPRAT_BENCH_SCALE=full for the MovieLens-1M scale the paper demos on
@@ -288,7 +288,7 @@ func BenchmarkE8_Rendering(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v := e.RenderExploration(ex)
+	v := RenderExploration(ex)
 	b.Run("svg", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -378,7 +378,6 @@ func BenchmarkWarmExplore(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		opts := DefaultOptions()
-		opts.Store.Precompute = false
 		opts.Store.PlanCacheTuples = 0
 		cold, err := Open(benchDS, &opts)
 		if err != nil {

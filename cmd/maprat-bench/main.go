@@ -1,6 +1,6 @@
 // Command maprat-bench runs the experiment harness: one experiment per
-// figure or claim of the paper (E1–E9 in DESIGN.md), printing the measured
-// tables that EXPERIMENTS.md records.
+// figure or claim of the paper (E1–E12, listed in internal/bench),
+// printing each one's measured table.
 //
 //	maprat-bench                  # full MovieLens-1M scale (the paper's)
 //	maprat-bench -scale small     # quick 80k-rating run

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/api"
 	"repro/internal/jobs"
 	"repro/internal/server"
 )
@@ -46,15 +47,15 @@ func main() {
 		dataDir   = flag.String("data", "", "MovieLens-format data directory (default: synthetic)")
 		scale     = flag.String("scale", "small", "synthetic data scale when -data is unset: small|full")
 		seed      = flag.Int64("seed", 1, "generator seed")
-		timeout   = flag.Duration("timeout", server.DefaultRequestTimeout, "per-request mining timeout")
+		timeout   = flag.Duration("timeout", api.DefaultRequestTimeout, "per-request mining timeout")
 		maxBatch  = flag.Int("max-batch", 0, "max requests per /api/v1/batch call (0 = default)")
-		accessLog = flag.Bool("access-log", true, "log /api/v1 requests")
+		accessLog = flag.Bool("access-log", true, "log /api/v1 requests and the /explain, /group, /evolution and /browse pages")
 
 		jobWorkers = flag.Int("job-workers", 0, "async jobs executed concurrently (0 = default)")
 		jobQueue   = flag.Int("job-queue", 0, "async job admission queue depth (0 = default)")
 		jobTTL     = flag.Duration("job-ttl", 0, "how long finished job results stay retrievable (0 = default)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job mining timeout (0 = default)")
-		gzipOn     = flag.Bool("gzip", true, "offer gzip-compressed /api/v1 responses to clients that accept it")
+		gzipOn     = flag.Bool("gzip", true, "offer gzip-compressed /api/v1 responses and HTML pages to clients that accept it")
 		walPath    = flag.String("wal", "", "arm live ingestion with a write-ahead log at this path (single-dataset servers only)")
 	)
 	var snapshots multiFlag
@@ -96,7 +97,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop)
-	cfg := server.Config{
+	cfg := server.Config{Config: api.Config{
 		RequestTimeout: *timeout,
 		MaxBatch:       *maxBatch,
 		EnableGzip:     *gzipOn,
@@ -106,9 +107,9 @@ func main() {
 			ResultTTL:  *jobTTL,
 			JobTimeout: *jobTimeout,
 		},
-	}
+	}}
 	if *accessLog {
-		cfg.AccessLog = log.Default()
+		cfg.Logger = log.Default()
 	}
 	srv := server.NewMulti(reg, cfg)
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {

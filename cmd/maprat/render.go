@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/viz"
+	"repro/internal/api"
 	"repro/pkg/client"
 )
 
@@ -38,38 +38,16 @@ func render(w io.Writer, v any, color bool) {
 	}
 }
 
-// renderExplain rebuilds the terminal choropleths from the response
+// renderExplain draws the terminal choropleths from the response
 // document.
 func renderExplain(w io.Writer, ex *client.ExplainResponse, color bool) {
-	out := &viz.Exploration{Query: ex.Query}
-	for _, tr := range ex.Tasks {
-		m := viz.Map{Title: fmt.Sprintf("%s — %s (%d ratings, overall μ=%.2f)",
-			taskLongName(tr.Task), ex.Query, ex.NumRatings, ex.OverallMean)}
-		for _, g := range tr.Groups {
-			m.Shades = append(m.Shades, viz.Shade{
-				State:   g.State,
-				Mean:    g.Mean,
-				Support: g.Count,
-				Label:   g.Phrase,
-				Icons:   g.Icons,
-			})
-		}
-		out.Maps = append(out.Maps, m)
-	}
-	fmt.Fprint(w, out.ASCII(color))
+	fmt.Fprint(w, api.ExplainMaps(ex).ASCII(color))
 	fmt.Fprintf(w, "\n%d items, %d ratings, overall μ=%.2f σ=%.2f (mined in %.0fms)\n",
 		len(ex.ItemIDs), ex.NumRatings, ex.OverallMean, ex.OverallStd, ex.ElapsedMS)
 	for _, tr := range ex.Tasks {
 		fmt.Fprintf(w, "%s: objective=%.4f coverage=%.0f%% (α=%.0f%%)\n",
 			tr.Task, tr.Objective, tr.Coverage*100, tr.RelaxedCoverage*100)
 	}
-}
-
-func taskLongName(task string) string {
-	if task == "DM" {
-		return "Diversity Mining (reviewers who disagree)"
-	}
-	return "Similarity Mining (reviewers who agree)"
 }
 
 func renderGroup(w io.Writer, g *client.GroupResponse) {

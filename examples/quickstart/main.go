@@ -61,5 +61,5 @@ func main() {
 
 	// 5. The geo-visualization: each group is anchored on its state and
 	//    shaded red→green by its average rating.
-	fmt.Print(eng.RenderExploration(ex).ASCII(false))
+	fmt.Print(maprat.RenderExploration(ex).ASCII(false))
 }

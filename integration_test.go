@@ -147,7 +147,7 @@ func TestIntegrationDemoWalkthrough(t *testing.T) {
 			if len(points) == 0 {
 				t.Error("no evolution windows")
 			}
-			v := e.RenderExploration(ex)
+			v := RenderExploration(ex)
 			if len(v.Maps) == 0 || !strings.HasPrefix(v.Maps[0].SVG(), "<svg") {
 				t.Error("rendering broken")
 			}

@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -24,26 +23,24 @@ type Config struct {
 	// MaxBatch caps the requests accepted by /api/v1/batch (zero means
 	// DefaultMaxBatch).
 	MaxBatch int
-	// BatchWorkers bounds the concurrency a batch fans out with (zero
-	// means DefaultBatchWorkers). Identical requests inside one batch
-	// still mine once: the engine's singleflight layer dedups them.
-	BatchWorkers int
-	// Logger receives the access log; nil disables it.
+	// Logger receives the access log; nil disables it. Panic reports go
+	// to log.Default() regardless, so crashes are recorded even when the
+	// access log is off.
 	Logger *log.Logger
-	// ErrorLog receives panic reports; nil means log.Default(), so
-	// crashes are recorded even when the access log is off.
-	ErrorLog *log.Logger
 	// Jobs tunes the async job subsystem (queue depth, worker pool,
 	// result TTL, job timeout); the zero value uses the jobs package
 	// defaults.
 	Jobs jobs.Config
-	// EnableGzip lets clients negotiate gzip-compressed JSON responses
-	// via Accept-Encoding on every /api/v1 endpoint except the SSE
-	// stream (which must never sit behind a buffering compressor).
+	// EnableGzip lets clients negotiate gzip-compressed responses via
+	// Accept-Encoding on every endpoint behind Wrap (the v1 surface and
+	// the server's HTML pages) except the SSE stream, which must never
+	// sit behind a buffering compressor.
 	EnableGzip bool
 }
 
-// The v1 defaults.
+// The v1 defaults. DefaultBatchWorkers bounds the concurrency a batch
+// fans out with; identical requests inside one batch still mine once,
+// because the engine's singleflight layer dedups them.
 const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxBatch       = 16
@@ -96,31 +93,27 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.BatchWorkers <= 0 {
-		cfg.BatchWorkers = DefaultBatchWorkers
-	}
 	h := &Handler{reg: reg, cfg: cfg, mux: http.NewServeMux(), metrics: map[string]*endpointMetrics{}}
 	h.jobs = jobs.NewManager(cfg.Jobs)
 	for _, name := range opNames {
-		h.mux.Handle("/api/v1/"+name, h.wrap(name, h.handleOp(name)))
+		h.mux.Handle("/api/v1/"+name, h.Wrap(name, h.handleOp(name)))
 	}
-	h.mux.Handle("/api/v1/browse", h.wrap("browse", h.handleBrowse))
-	h.mux.Handle("/api/v1/batch", h.wrap("batch", h.handleBatch))
+	h.mux.Handle("/api/v1/browse", h.Wrap("browse", h.handleBrowse))
+	h.mux.Handle("/api/v1/batch", h.Wrap("batch", h.handleBatch))
 	// The live-ingestion write path. Deliberately absent from
 	// etagEndpoints: a write is never cacheable.
-	h.mux.Handle("/api/v1/ratings", h.wrap("ratings", h.handleAppend))
+	h.mux.Handle("/api/v1/ratings", h.Wrap("ratings", h.handleAppend))
 	// The async job surface. The patterns carry no method so every
 	// unsupported method still answers the structured 405 envelope
 	// (ServeMux's own 405 is plain text).
-	h.mux.Handle("/api/v1/jobs", h.wrap("jobs_submit", h.handleJobs))
-	h.mux.Handle("/api/v1/jobs/{id}", h.wrap("jobs_get", h.handleJob))
-	h.mux.Handle("/api/v1/jobs/{id}/events", h.wrap("jobs_events", h.handleJobEvents))
+	h.mux.Handle("/api/v1/jobs", h.Wrap("jobs_submit", h.handleJobs))
+	h.mux.Handle("/api/v1/jobs/{id}", h.Wrap("jobs_get", h.handleJob))
+	h.mux.Handle("/api/v1/jobs/{id}/events", h.Wrap("jobs_events", h.handleJobEvents))
 	// Routing failures reuse the envelope shape but carry the status the
 	// condition deserves: 404 for a path that doesn't exist, 405 (with
-	// Allow) for a method the endpoint doesn't support — see notFound and
-	// methodNotAllowed.
-	h.mux.Handle("/api/v1/", h.wrap("unknown", func(w http.ResponseWriter, r *http.Request) {
-		notFound(w, "unknown endpoint "+r.URL.Path)
+	// Allow) for a method the endpoint doesn't support.
+	h.mux.Handle("/api/v1/", h.Wrap("unknown", func(w http.ResponseWriter, r *http.Request) {
+		writeEnvelope(w, CodeNotFound, "unknown endpoint "+r.URL.Path)
 	}))
 	return h
 }
@@ -153,30 +146,25 @@ func datasetName(r *http.Request, explicit string) string {
 	return r.Header.Get("X-Maprat-Dataset")
 }
 
-// lookupEngine resolves a dataset name against the registry.
-func (h *Handler) lookupEngine(name string) (maprat.Miner, bool) {
+// datasetError marks a request naming a dataset that is not mounted.
+type datasetError struct {
+	name    string
+	mounted []string
+}
+
+func (e *datasetError) Error() string {
+	return fmt.Sprintf("no dataset %q (mounted: %s)", e.name, strings.Join(e.mounted, ", "))
+}
+
+// resolve picks the mount a request addresses; a name that is not
+// mounted is a *datasetError (404 dataset_not_found).
+func (h *Handler) resolve(r *http.Request, explicit string) (*maprat.Mount, error) {
+	name := datasetName(r, explicit)
 	m, ok := h.reg.Lookup(name)
 	if !ok {
-		return nil, false
+		return nil, &datasetError{name: name, mounted: h.reg.Names()}
 	}
-	return m.Engine, true
-}
-
-// resolveEngine picks the miner a request mines against, answering the
-// dataset_not_found envelope itself when the named dataset is not
-// mounted.
-func (h *Handler) resolveEngine(w http.ResponseWriter, r *http.Request, explicit string) (maprat.Miner, bool) {
-	name := datasetName(r, explicit)
-	eng, ok := h.lookupEngine(name)
-	if !ok {
-		writeEnvelope(w, CodeDatasetNotFound, datasetNotFoundMsg(name, h.reg.Names()))
-		return nil, false
-	}
-	return eng, true
-}
-
-func datasetNotFoundMsg(name string, mounted []string) string {
-	return fmt.Sprintf("no dataset %q (mounted: %s)", name, strings.Join(mounted, ", "))
+	return m, nil
 }
 
 // requestContext derives the mining context for one request.
@@ -200,50 +188,45 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	_, _ = w.Write(body)
 }
 
-// decodeFail answers a decode/validation failure: 405 with Allow for an
-// unsupported method, 413 for an oversized body, 400 for everything
-// else.
-func decodeFail(w http.ResponseWriter, err error) {
-	var me *methodError
-	if errors.As(err, &me) {
-		methodNotAllowed(w, me.allow, me.msg)
-		return
+// Run is the synchronous op path every front-end shares: decode the
+// request's knobs, validate them through the op table, resolve the
+// dataset, and run the call under the request's deadline. It returns the
+// response document and the mount it was computed on. A non-nil defaults
+// fills knobs the request left absent before validation, for a
+// front-end whose defaults differ from the v1 ones. Every error it
+// returns is classified by CodeForError and StatusForError.
+func (h *Handler) Run(r *http.Request, op string, defaults func(*Params)) (any, *maprat.Mount, error) {
+	p, err := DecodeParams(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	var tle *tooLargeError
-	if errors.As(err, &tle) {
-		writeEnvelopeStatus(w, http.StatusRequestEntityTooLarge, CodeBadRequest, tle.msg)
-		return
+	if defaults != nil {
+		defaults(&p)
 	}
-	writeEnvelope(w, CodeBadRequest, err.Error())
+	call, err := Op(op, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := h.resolve(r, p.Dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx, cancel := h.requestContext(r)
+	defer cancel()
+	doc, err := call(ctx, m.Engine, nil)
+	return doc, m, err
 }
 
-// handleOp serves one pipeline's synchronous endpoint: decode, validate
-// the knobs through the op table, resolve the dataset, mine, and write
+// handleOp serves one pipeline's synchronous endpoint: Run, then write
 // the response document.
 func (h *Handler) handleOp(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		p, err := DecodeParams(r)
-		if err != nil {
-			decodeFail(w, err)
-			return
-		}
-		call, err := Op(name, p)
-		if err != nil {
-			decodeFail(w, err)
-			return
-		}
-		eng, ok := h.resolveEngine(w, r, p.Dataset)
-		if !ok {
-			return
-		}
-		ctx, cancel := h.requestContext(r)
-		defer cancel()
-		v, err := call(ctx, eng, nil)
+		doc, _, err := h.Run(r, name, nil)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		WriteJSON(w, v)
+		WriteJSON(w, doc)
 	}
 }
 
@@ -254,26 +237,23 @@ func (h *Handler) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, "GET, POST", "method "+r.Method+" not allowed (use GET or POST)")
 		return
 	}
-	eng, ok := h.resolveEngine(w, r, "")
-	if !ok {
+	m, err := h.resolve(r, "")
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	epoch, err := uint64Param(r.URL.Query().Get("epoch"), "epoch")
 	if err != nil {
-		decodeFail(w, err)
+		writeError(w, err)
 		return
 	}
 	var at uint64
 	if epoch != nil {
 		at = *epoch
 	}
-	states, err := eng.BrowseStatesAt(at)
+	states, err := m.Engine.BrowseStatesAt(at)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	if states == nil {
-		writeEnvelope(w, CodeInternal, "browse mode needs the precomputed per-state aggregates")
 		return
 	}
 	resp := &BrowseResponse{GeoJSON: browseGeoJSON(states)}
@@ -297,37 +277,34 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var batch BatchRequest
 	if err := decodeBody(r, &batch); err != nil {
-		decodeFail(w, err)
+		writeError(w, err)
 		return
 	}
 	if len(batch.Requests) == 0 {
-		decodeFail(w, badRequestf("empty batch"))
+		writeError(w, badRequestf("empty batch"))
 		return
 	}
 	if len(batch.Requests) > h.cfg.MaxBatch {
-		decodeFail(w, badRequestf("batch of %d exceeds the limit of %d", len(batch.Requests), h.cfg.MaxBatch))
+		writeError(w, badRequestf("batch of %d exceeds the limit of %d", len(batch.Requests), h.cfg.MaxBatch))
 		return
 	}
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
 
 	results := make([]BatchResult, len(batch.Requests))
-	sem := make(chan struct{}, h.cfg.BatchWorkers)
+	sem := make(chan struct{}, DefaultBatchWorkers)
 	var wg sync.WaitGroup
 	for i, p := range batch.Requests {
 		call, err := Op("explain", p)
 		if err != nil {
-			results[i] = BatchResult{Error: &ErrorBody{Code: CodeBadRequest, Message: err.Error()}}
+			results[i] = BatchResult{Error: errorBodyFor(err)}
 			continue
 		}
 		// Each element picks its own dataset; the request-level query /
 		// header act as the default for elements that name none.
-		eng, ok := h.lookupEngine(datasetName(r, p.Dataset))
-		if !ok {
-			results[i] = BatchResult{Error: &ErrorBody{
-				Code:    CodeDatasetNotFound,
-				Message: datasetNotFoundMsg(datasetName(r, p.Dataset), h.reg.Names()),
-			}}
+		m, err := h.resolve(r, p.Dataset)
+		if err != nil {
+			results[i] = BatchResult{Error: errorBodyFor(err)}
 			continue
 		}
 		wg.Add(1)
@@ -338,7 +315,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// process, so each worker contains its own.
 			defer func() {
 				if p := recover(); p != nil {
-					h.errorf("batch element %d panic: %v\n%s", i, p, debug.Stack())
+					log.Printf("batch element %d panic: %v\n%s", i, p, debug.Stack())
 					results[i] = BatchResult{Error: &ErrorBody{Code: CodeInternal, Message: "internal error"}}
 				}
 			}()
@@ -350,7 +327,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			results[i] = BatchResult{Explain: v.(*ExplainResponse)}
-		}(i, call, eng)
+		}(i, call, m.Engine)
 	}
 	wg.Wait()
 	WriteJSON(w, &BatchResponse{Results: results})

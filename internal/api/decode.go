@@ -4,9 +4,10 @@
 // explain. It owns the wire DTOs, the shared request decoder (GET query
 // params and POST JSON bodies decode identically), the structured error
 // envelope with machine-readable codes, and the middleware stack (request
-// ID, panic recovery, access log, per-endpoint metrics) the server mounts
-// it behind. The HTML front-end in internal/server reuses the decoder and
-// the error→status mapping so the two surfaces cannot drift.
+// ID, panic recovery, access log, per-endpoint metrics). Handler.Run is
+// the one synchronous request path: the v1 endpoints write its response
+// document as JSON, and the HTML pages in internal/server render the same
+// document behind the same middleware, so the surfaces cannot drift.
 package api
 
 import (
@@ -274,8 +275,7 @@ func ParseTask(s string) (maprat.Task, error) {
 }
 
 // ExplainRequest validates the knobs and builds the engine request — the
-// one decode path both the HTML handlers and every v1 endpoint go
-// through (it replaced the server's ad-hoc parseRequest).
+// one decode path every op in the op table goes through.
 func (p Params) ExplainRequest() (maprat.ExplainRequest, error) {
 	var req maprat.ExplainRequest
 	if strings.TrimSpace(p.Q) == "" {

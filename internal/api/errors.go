@@ -56,10 +56,23 @@ type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// CodeForError classifies a pipeline failure. Decode failures are the
-// caller's to classify as CodeBadRequest before the pipeline runs.
+// CodeForError classifies any failure a v1 request can end in: the
+// request errors Run reports before the pipeline starts (decode,
+// validation, method, body size, dataset) and the pipeline's own.
 func CodeForError(err error) ErrorCode {
+	var (
+		bad      *badRequestError
+		tooLarge *tooLargeError
+		method   *methodError
+		dataset  *datasetError
+	)
 	switch {
+	case errors.As(err, &bad), errors.As(err, &tooLarge):
+		return CodeBadRequest
+	case errors.As(err, &method):
+		return CodeMethodNotAllowed
+	case errors.As(err, &dataset):
+		return CodeDatasetNotFound
 	case errors.Is(err, context.DeadlineExceeded):
 		return CodeTimeout
 	case errors.Is(err, context.Canceled):
@@ -83,7 +96,7 @@ func CodeForError(err error) ErrorCode {
 }
 
 // HTTPStatus maps a code to its response status. 499 is the nginx-style
-// "client closed request" status the HTML front-end already uses.
+// "client closed request" status.
 func (c ErrorCode) HTTPStatus() int {
 	switch c {
 	case CodeBadRequest:
@@ -106,43 +119,46 @@ func (c ErrorCode) HTTPStatus() int {
 }
 
 // StatusForError is the one error→status mapping shared by the v1 surface
-// and the HTML front-end: timeouts are the gateway's fault (504),
-// disconnects get 499, and only the errors meaning "the client asked for
-// something that doesn't exist" are 404s. Everything else is an internal
-// mining failure and surfaces as a 500, never blamed on the client.
-func StatusForError(err error) int { return CodeForError(err).HTTPStatus() }
-
-// writeEnvelope writes a v1 error response. The envelope is tiny, so the
-// encode cannot meaningfully fail after the header is out.
-func writeEnvelope(w http.ResponseWriter, code ErrorCode, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code.HTTPStatus())
-	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
+// and the HTML front-end: a bad knob is 400 (413 for an oversized body,
+// 405 for a method the endpoint does not take), timeouts are the
+// gateway's fault (504), disconnects get 499, and only the errors meaning
+// "the client asked for something that doesn't exist" are 404s.
+// Everything else is an internal mining failure and surfaces as a 500,
+// never blamed on the client.
+func StatusForError(err error) int {
+	var tooLarge *tooLargeError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return CodeForError(err).HTTPStatus()
 }
 
-// writeError classifies err and writes its envelope.
+// writeError answers err with the v1 envelope: its code, its status, and
+// the Allow header when the method was the problem.
 func writeError(w http.ResponseWriter, err error) {
-	writeEnvelope(w, CodeForError(err), err.Error())
+	var method *methodError
+	if errors.As(err, &method) {
+		w.Header().Set("Allow", method.allow)
+	}
+	writeEnvelopeStatus(w, StatusForError(err), CodeForError(err), err.Error())
 }
 
-// writeEnvelopeStatus writes the envelope with an explicit status for
-// the rare failure whose status is not the code's default (413 for an
-// oversized body).
+// writeEnvelope writes a v1 error response with the code's own status.
+func writeEnvelope(w http.ResponseWriter, code ErrorCode, msg string) {
+	writeEnvelopeStatus(w, code.HTTPStatus(), code, msg)
+}
+
+// writeEnvelopeStatus writes the envelope. The envelope is tiny, so the
+// encode cannot meaningfully fail after the header is out.
 func writeEnvelopeStatus(w http.ResponseWriter, status int, code ErrorCode, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
 }
 
-// notFound answers 404 for a path that does not exist under /api/v1/.
-func notFound(w http.ResponseWriter, msg string) {
-	writeEnvelope(w, CodeNotFound, msg)
-}
-
 // methodNotAllowed answers 405 with the Allow header.
 func methodNotAllowed(w http.ResponseWriter, allow, msg string) {
-	w.Header().Set("Allow", allow)
-	writeEnvelope(w, CodeMethodNotAllowed, msg)
+	writeError(w, &methodError{allow: allow, msg: msg})
 }
 
 // errorBodyFor builds the inner error object for embedding in composite

@@ -49,15 +49,16 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	var req AppendRequest
 	if err := decodeBody(r, &req); err != nil {
-		decodeFail(w, err)
+		writeError(w, err)
 		return
 	}
 	if len(req.Ratings) == 0 {
-		decodeFail(w, badRequestf("empty ratings batch"))
+		writeError(w, badRequestf("empty ratings batch"))
 		return
 	}
-	eng, ok := h.resolveEngine(w, r, req.Dataset)
-	if !ok {
+	m, err := h.resolve(r, req.Dataset)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	ratings := make([]model.Rating, len(req.Ratings))
@@ -65,7 +66,7 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 		ratings[i] = model.Rating{UserID: in.UserID, ItemID: in.ItemID, Score: in.Score, Unix: in.Unix}
 	}
 	j, err := h.jobs.Submit("append", func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
-		epoch, err := eng.AppendRatings(ctx, ratings)
+		epoch, err := m.Engine.AppendRatings(ctx, ratings)
 		if err != nil {
 			return nil, err
 		}

@@ -90,11 +90,12 @@ func (h *Handler) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	var req JobSubmitRequest
 	if err := decodeBody(r, &req); err != nil {
-		decodeFail(w, err)
+		writeError(w, err)
 		return
 	}
-	eng, ok := h.resolveEngine(w, r, req.Params.Dataset)
-	if !ok {
+	m, err := h.resolve(r, req.Params.Dataset)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	// Bad parameters must fail the POST with 400, not surface minutes
@@ -103,11 +104,11 @@ func (h *Handler) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// completions inside the solver surface as job progress events.
 	call, err := Op(req.Op, req.Params)
 	if err != nil {
-		decodeFail(w, err)
+		writeError(w, err)
 		return
 	}
 	j, err := h.jobs.Submit(req.Op, func(ctx context.Context, report func(jobs.Progress)) (any, error) {
-		return call(ctx, eng, func(done, total int) {
+		return call(ctx, m.Engine, func(done, total int) {
 			report(jobs.Progress{Done: done, Total: total})
 		})
 	})

@@ -194,7 +194,7 @@ var etagEndpoints = map[string]bool{
 // request names a dataset that is not mounted — no tag exists, and the
 // handler's own resolution will answer the 404 envelope.
 func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
-	eng, ok := h.lookupEngine(datasetName(r, ""))
+	m, ok := h.reg.Lookup(datasetName(r, ""))
 	if !ok {
 		return "", false
 	}
@@ -202,10 +202,10 @@ func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
 	// tag rolls over on every accepted append batch (a write invalidates
 	// cached 304s), while a ?epoch=-pinned tag is a function of the pinned
 	// epoch and stays valid across later appends.
-	fp := eng.Fingerprint()
+	fp := m.Engine.Fingerprint()
 	if v := r.URL.Query().Get("epoch"); v != "" {
 		if ep, err := strconv.ParseUint(v, 10, 64); err == nil && ep > 0 {
-			if pin, ok := eng.(interface{ FingerprintAt(uint64) uint64 }); ok {
+			if pin, ok := m.Engine.(interface{ FingerprintAt(uint64) uint64 }); ok {
 				fp = pin.FingerprintAt(ep)
 			}
 		}
@@ -237,11 +237,13 @@ func etagMatches(header, tag string) bool {
 	return false
 }
 
-// wrap applies the v1 middleware stack to one endpoint: request ID,
+// Wrap applies the v1 middleware stack to one endpoint: request ID,
 // panic recovery, opt-in gzip encoding, conditional-request handling on
 // the deterministic GET endpoints, access log, and per-endpoint
-// latency/status counters.
-func (h *Handler) wrap(name string, fn http.HandlerFunc) http.Handler {
+// latency/status counters reported under name in MetricsSnapshot. The
+// server mounts its HTML pages behind it too. Call it only while
+// building the mux, before the handler serves.
+func (h *Handler) Wrap(name string, fn http.HandlerFunc) http.Handler {
 	m := &endpointMetrics{}
 	h.metrics[name] = m
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -269,7 +271,8 @@ func (h *Handler) wrap(name string, fn http.HandlerFunc) http.Handler {
 					// re-panic so net/http suppresses it as intended.
 					panic(p)
 				}
-				h.errorf("%s %s id=%s panic: %v\n%s", r.Method, r.URL.Path, id, p, debug.Stack())
+				// Never silent: the access log may be off.
+				log.Printf("%s %s id=%s panic: %v\n%s", r.Method, r.URL.Path, id, p, debug.Stack())
 				if !rec.written {
 					writeEnvelope(rec, CodeInternal, "internal error")
 				}
@@ -310,15 +313,4 @@ func (h *Handler) logf(format string, args ...any) {
 	if h.cfg.Logger != nil {
 		h.cfg.Logger.Printf(format, args...)
 	}
-}
-
-// errorf reports a crash. Unlike the access log it is never silent: with
-// no ErrorLog configured it falls back to the process logger, so turning
-// the access log off cannot hide recurring panics.
-func (h *Handler) errorf(format string, args ...any) {
-	l := h.cfg.ErrorLog
-	if l == nil {
-		l = log.Default()
-	}
-	l.Printf(format, args...)
 }

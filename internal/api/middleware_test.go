@@ -12,8 +12,13 @@ import (
 // TestV1MiddlewareRecovery pins the panic guard: a panicking endpoint
 // answers the internal envelope instead of tearing the connection down.
 func TestV1MiddlewareRecovery(t *testing.T) {
-	h := New(testEngine(t), Config{ErrorLog: log.New(io.Discard, "", 0)})
-	boom := h.wrap("boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
+	h := New(testEngine(t), Config{})
+	// Panic reports go to the process logger; keep them out of the test
+	// output.
+	prev := log.Writer()
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	boom := h.Wrap("boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
 	w := httptest.NewRecorder()
 	boom.ServeHTTP(w, httptest.NewRequest("GET", "/api/v1/boom", nil))
 	if w.Code != 500 {

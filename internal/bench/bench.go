@@ -1,8 +1,8 @@
-// Package bench is the experiment harness behind EXPERIMENTS.md: one
-// function per experiment (E1–E9 in DESIGN.md), each regenerating the
-// functional content of a paper figure or claim and printing the measured
-// table. cmd/maprat-bench runs them all; the root bench_test.go wraps the
-// same workloads in testing.B benchmarks.
+// Package bench is the experiment harness: one function per experiment
+// (E1–E12, listed in Experiments), each regenerating the functional
+// content of a paper figure or claim and printing the measured table.
+// cmd/maprat-bench runs them all; the root bench_test.go wraps the same
+// workloads in testing.B benchmarks.
 package bench
 
 import (
@@ -466,7 +466,7 @@ func E8Rendering(ctx context.Context, eng *maprat.Engine) Report {
 	if err != nil {
 		panic(err)
 	}
-	v := eng.RenderExploration(ex)
+	v := maprat.RenderExploration(ex)
 	var svgLen, asciiLen int
 	svgMed := timeIt(9, func() {
 		svgLen = 0
@@ -583,7 +583,7 @@ func E11ColdPath(ctx context.Context, eng *maprat.Engine) Report {
 	return r
 }
 
-// E10Ablations measures the design choices DESIGN.md calls out: geo-
+// E10Ablations measures the reproduction's main design choices: geo-
 // anchored vs framework candidates, the DM sibling boost, and σ vs MAD as
 // the consistency error.
 func E10Ablations(ctx context.Context, eng *maprat.Engine) Report {

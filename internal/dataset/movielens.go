@@ -1,8 +1,8 @@
 // Package dataset provides the data substrate for MapRat: a reader/writer
 // for the MovieLens 1M file format the paper demos on, and a deterministic
 // synthetic generator that emits the same schema at the same scale with
-// planted rating structure (the substitution for the real MovieLens+IMDB
-// data documented in DESIGN.md).
+// planted rating structure, standing in for the real MovieLens+IMDB data
+// (see Planted in generate.go).
 package dataset
 
 import (

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/jobs"
 )
 
@@ -108,7 +109,7 @@ func TestStatszJobGauges(t *testing.T) {
 func TestShutdownDrainsJobs(t *testing.T) {
 	eng := testEngineOnly(t)
 	gate := make(chan struct{}, 1)
-	s := NewWithConfig(eng, Config{Jobs: jobs.Config{Workers: 1, Queue: 4, Gate: gate}})
+	s := NewWithConfig(eng, Config{Config: api.Config{Jobs: jobs.Config{Workers: 1, Queue: 4, Gate: gate}}})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/api"
 )
 
 // testEngine reuses the memoized test server's engine-building path but
@@ -31,16 +32,18 @@ func testEngineOnly(t *testing.T) *maprat.Engine {
 // of hanging or mislabelling the failure as a 404.
 func TestRequestTimeoutAnswers504(t *testing.T) {
 	eng := testEngineOnly(t)
-	srv := httptest.NewServer(NewWithConfig(eng, Config{RequestTimeout: time.Nanosecond}))
+	srv := httptest.NewServer(NewWithConfig(eng, Config{Config: api.Config{RequestTimeout: time.Nanosecond}}))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/v1/explain?q=genre:Drama")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusGatewayTimeout)
+	for _, p := range []string{"/api/v1/explain?q=genre:Drama", "/explain?q=genre:Drama"} {
+		resp, err := http.Get(srv.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("GET %s status = %d, want %d", p, resp.StatusCode, http.StatusGatewayTimeout)
+		}
 	}
 }
 
@@ -97,7 +100,7 @@ func TestGracefulShutdown(t *testing.T) {
 // normal query succeeds.
 func TestNegativeTimeoutDisablesDeadline(t *testing.T) {
 	eng := testEngineOnly(t)
-	srv := httptest.NewServer(NewWithConfig(eng, Config{RequestTimeout: -1}))
+	srv := httptest.NewServer(NewWithConfig(eng, Config{Config: api.Config{RequestTimeout: -1}}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/api/v1/explain?q=genre:Drama")

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,5 +101,52 @@ func TestStatszDatasets(t *testing.T) {
 	code, _ = get(t, ts, "/")
 	if code != http.StatusOK {
 		t.Fatalf("index over a multi-mount server: status %d", code)
+	}
+}
+
+// TestExplainPageSelectsDataset checks the explain page serves the mount
+// its request names, like the v1 endpoint: item titles come from that
+// mount's catalog, and an unknown name answers 404.
+func TestExplainPageSelectsDataset(t *testing.T) {
+	gen := func() *maprat.Dataset {
+		cfg := maprat.SmallGenConfig()
+		cfg.Users, cfg.Movies, cfg.Ratings = 300, 120, 6000
+		ds, err := maprat.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	first, second := gen(), gen()
+	for i := range second.Items {
+		second.Items[i].Title = "Second " + second.Items[i].Title
+	}
+	reg := maprat.NewRegistry()
+	for i, ds := range []*maprat.Dataset{first, second} {
+		eng, err := maprat.Open(ds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Add([]string{"first", "second"}[i], eng, maprat.DatasetInfo{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(NewMulti(reg, Config{}))
+	defer ts.Close()
+
+	path := explainPath("genre:Drama", "dataset=second")
+	code, body := get(t, ts, path)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", path, code, body)
+	}
+	if !strings.Contains(body, "Second ") {
+		t.Errorf("explain page for dataset=second lists no title of that mount:\n%s", body)
+	}
+	code, body = get(t, ts, explainPath("genre:Drama", "dataset=first"))
+	if code != http.StatusOK || strings.Contains(body, "Second ") {
+		t.Errorf("explain page for dataset=first = %d, lists the second mount's titles: %v", code, strings.Contains(body, "Second "))
+	}
+	if code, body := get(t, ts, explainPath("genre:Drama", "dataset=nope")); code != http.StatusNotFound {
+		t.Errorf("dataset=nope = %d, want 404: %s", code, body)
 	}
 }

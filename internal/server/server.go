@@ -2,7 +2,9 @@
 // form over item attributes with mining settings and a time restriction,
 // tabbed SM/DM choropleth result pages, a per-group exploration page with
 // statistics and the city drill-down, a time-slider page, and the
-// versioned JSON API mounted from internal/api. It is a stdlib net/http
+// versioned JSON API mounted from internal/api. The result pages are
+// templates over the v1 response documents, which they get from the same
+// api.Handler.Run call the v1 endpoints make. It is a stdlib net/http
 // application; the choropleths are the inline SVG documents produced by
 // internal/viz.
 package server
@@ -11,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"html/template"
-	"log"
 	"net"
 	"net/http"
 	"time"
@@ -23,45 +24,29 @@ import (
 	"repro/internal/viz"
 )
 
-// Config tunes the server's request lifecycle.
+// Config tunes the server: the v1 surface's settings (request timeout,
+// batch cap, access log, jobs, gzip), which the HTML pages share, plus the
+// shutdown window. The zero value is valid.
 type Config struct {
-	// RequestTimeout bounds each mining request; the request's context is
-	// cancelled at the deadline and the handler answers 504. Zero means
-	// DefaultRequestTimeout; negative disables the per-request deadline.
-	RequestTimeout time.Duration
+	api.Config
 	// ShutdownGrace bounds how long ListenAndServe waits for in-flight
 	// requests after its context ends. Zero means DefaultShutdownGrace.
 	ShutdownGrace time.Duration
-	// MaxBatch caps /api/v1/batch (zero means api.DefaultMaxBatch).
-	MaxBatch int
-	// AccessLog receives the v1 surface's access log; nil disables it.
-	// Panic reports go to the process logger regardless.
-	AccessLog *log.Logger
-	// Jobs tunes the async job subsystem mounted under /api/v1/jobs
-	// (zero value = the jobs package defaults).
-	Jobs jobs.Config
-	// EnableGzip lets API clients negotiate gzip responses via
-	// Accept-Encoding.
-	EnableGzip bool
 }
 
-// The lifecycle defaults: generous for full-scale mining, finite so a
-// stuck request cannot pin a connection forever.
-const (
-	DefaultRequestTimeout = 30 * time.Second
-	DefaultShutdownGrace  = 10 * time.Second
-)
+// DefaultShutdownGrace is generous for full-scale mining, finite so a
+// stuck request cannot hold up shutdown forever.
+const DefaultShutdownGrace = 10 * time.Second
 
-// Server routes MapRat's HTTP endpoints. Every mining handler derives its
-// context from the request (so a client that disconnects cancels its mine
-// mid-restart) bounded by Config.RequestTimeout.
+// Server routes MapRat's HTTP endpoints. The HTML result pages and the
+// v1 endpoints reach the engine the same way: api.Handler.Run behind the
+// v1 middleware, so every mining request derives its context from the
+// request (a client that disconnects cancels its mine mid-restart),
+// bounded by Config.RequestTimeout.
 type Server struct {
-	// def is the default mount. The HTML pages serve it.
+	// def is the default mount. The index, browse and /statsz pages
+	// serve it.
 	def maprat.Miner
-	// eng is def when it is a local engine, nil otherwise; it gates the
-	// few features that need direct store/dataset access (item titles,
-	// result-cache stats).
-	eng *maprat.Engine
 	reg *maprat.Registry
 	mux *http.ServeMux
 	cfg Config
@@ -79,30 +64,20 @@ func NewWithConfig(eng *maprat.Engine, cfg Config) *Server {
 }
 
 // NewMulti builds a server over a registry of mounted datasets. The v1
-// API selects a dataset per request (?dataset= / X-Maprat-Dataset); the
-// HTML pages serve the default (first) mount.
+// API and the explain, group and evolution pages select a dataset per
+// request (?dataset= / X-Maprat-Dataset); the index and browse pages
+// serve the default (first) mount.
 func NewMulti(reg *maprat.Registry, cfg Config) *Server {
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = DefaultRequestTimeout
-	}
 	if cfg.ShutdownGrace == 0 {
 		cfg.ShutdownGrace = DefaultShutdownGrace
 	}
-	def := reg.Default().Engine
-	eng, _ := def.(*maprat.Engine)
-	s := &Server{def: def, eng: eng, reg: reg, mux: http.NewServeMux(), cfg: cfg}
-	s.api = api.NewMulti(reg, api.Config{
-		RequestTimeout: cfg.RequestTimeout,
-		MaxBatch:       cfg.MaxBatch,
-		Logger:         cfg.AccessLog,
-		Jobs:           cfg.Jobs,
-		EnableGzip:     cfg.EnableGzip,
-	})
+	s := &Server{def: reg.Default().Engine, reg: reg, mux: http.NewServeMux(), cfg: cfg}
+	s.api = api.NewMulti(reg, cfg.Config)
 	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/explain", s.handleExplain)
-	s.mux.HandleFunc("/group", s.handleGroup)
-	s.mux.HandleFunc("/evolution", s.handleEvolution)
-	s.mux.HandleFunc("/browse", s.handleBrowse)
+	s.mux.Handle("/explain", s.api.Wrap("page_explain", s.handleExplain))
+	s.mux.Handle("/group", s.api.Wrap("page_group", s.handleGroup))
+	s.mux.Handle("/evolution", s.api.Wrap("page_evolution", s.handleEvolution))
+	s.mux.Handle("/browse", s.api.Wrap("page_browse", s.handleBrowse))
 	s.mux.Handle("/api/v1/", s.api)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/statsz", s.handleStats)
@@ -154,42 +129,15 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return nil
 }
 
-// requestContext derives the mining context for one request.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout < 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-}
-
-// statusForError maps a mining failure to an HTTP status. The mapping is
-// owned by internal/api so the HTML pages and the v1 surface cannot
-// drift: timeouts are the gateway's fault (504), disconnects get the
-// nginx-style 499, and only the errors meaning "the client asked for
-// something that doesn't exist" — no items, no ratings in the window, no
-// such group — are 404s. Everything else is an internal mining failure
-// and must surface as a 500, not be blamed on the client.
-func statusForError(err error) int { return api.StatusForError(err) }
-
-// htmlError is the HTML front-end's single text-error seam. The result
-// pages speak plain-text errors (their contract predates the v1
-// envelope, and browsers render them fine), but every status they carry
-// still comes from the same api.StatusForError mapping as the v1
-// surface, so the two front-ends cannot drift. Every other error path in
-// this package must go through this helper or the api envelope writers.
-func htmlError(w http.ResponseWriter, msg string, status int) {
-	http.Error(w, msg, status)
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleStats exposes the engine's caching tiers and the v1 surface's
-// per-endpoint counters as JSON for monitoring: the plan materialization
-// tier (hit/miss/builds/tuple budget/bytes), the result LRU, the explain
-// singleflight, the mining-run counter, and per-endpoint latency/status
-// metrics. The payload is encoded into a buffer before any header is
+// handleStats exposes the engine's caching tiers and the per-endpoint
+// counters as JSON for monitoring: the plan materialization tier
+// (hit/miss/builds/tuple budget/bytes), the result LRU, the explain
+// singleflight, the mining-run counter, and the latency/status metrics of
+// every v1 endpoint and HTML page. The payload is encoded into a buffer before any header is
 // written, so an encode failure still produces a clean 500.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	type datasetStat struct {
@@ -242,8 +190,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			OpenMS:      float64(m.Info.OpenDuration.Microseconds()) / 1000,
 		})
 	}
-	if s.eng != nil {
-		if c := s.eng.Store().Cache(); c != nil {
+	if eng, ok := s.def.(*maprat.Engine); ok {
+		if c := eng.Store().Cache(); c != nil {
 			resp.Result.Hits, resp.Result.Misses = c.Stats()
 			resp.Result.Entries = c.Len()
 		}
@@ -267,135 +215,101 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseRequest reads the Figure-1 form fields shared by all result pages
-// through the same decoder and the same per-op validation (api.Op) the
-// v1 surface uses, so the two front-ends accept and reject exactly the
-// same knob set for op.
-func (s *Server) parseRequest(r *http.Request, op string) (api.Params, maprat.ExplainRequest, error) {
-	p, err := api.DecodeParams(r)
+// run serves an HTML result page's request through the v1 op path:
+// GET only (the forms submit with GET; the v1 surface is the place for
+// POST bodies), then api.Handler.Run. A failure is answered as plain
+// text with the status the v1 endpoint would answer, and ok is false.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, op string, defaults func(*api.Params)) (doc any, m *maprat.Mount, ok bool) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		w.Header().Set("Allow", "GET")
+		http.Error(w, "method "+r.Method+" not allowed (use GET)", http.StatusMethodNotAllowed)
+		return nil, nil, false
+	}
+	doc, m, err := s.api.Run(r, op, defaults)
 	if err != nil {
-		return p, maprat.ExplainRequest{}, err
+		http.Error(w, err.Error(), api.StatusForError(err))
+		return nil, nil, false
 	}
-	if _, err := api.Op(op, p); err != nil {
-		return p, maprat.ExplainRequest{}, err
-	}
-	req, err := p.ExplainRequest()
-	return p, req, err
-}
-
-// requireGet guards the HTML result pages: their forms submit with GET,
-// so any other method answers 405 (the v1 surface is the place for POST
-// bodies) instead of reaching the decoder's JSON-body path.
-func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
-	}
-	w.Header().Set("Allow", "GET")
-	htmlError(w, "method "+r.Method+" not allowed (use GET)", http.StatusMethodNotAllowed)
-	return false
+	return doc, m, true
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	doc, m, ok := s.run(w, r, "explain", nil)
+	if !ok {
 		return
 	}
-	_, req, err := s.parseRequest(r, "explain")
-	if err != nil {
-		htmlError(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	ex, err := s.def.ExplainContext(ctx, req)
-	if err != nil {
-		htmlError(w, err.Error(), statusForError(err))
-		return
-	}
-	v := maprat.RenderExploration(ex)
+	ex := doc.(*api.ExplainResponse)
+	maps := api.ExplainMaps(ex)
 	type tab struct {
-		Title  string
 		SVG    template.HTML
-		Groups []maprat.GroupResult
-		Result maprat.TaskResult
+		Result api.TaskResult
 	}
 	var tabs []tab
-	for i, tr := range ex.Results {
-		tabs = append(tabs, tab{
-			Title:  tr.Task.String(),
-			SVG:    template.HTML(v.Maps[i].SVG()),
-			Groups: tr.Groups,
-			Result: tr,
-		})
+	for i, tr := range ex.Tasks {
+		tabs = append(tabs, tab{SVG: template.HTML(maps.Maps[i].SVG()), Result: tr})
 	}
 	titles := make([]string, 0, len(ex.ItemIDs))
-	if s.eng != nil { // a wrapping Miner exposes no item catalog
+	if eng, ok := m.Engine.(*maprat.Engine); ok { // a wrapping Miner exposes no item catalog
 		for _, id := range ex.ItemIDs {
-			if it := s.eng.Dataset().ItemByID(id); it != nil {
+			if it := eng.Dataset().ItemByID(id); it != nil {
 				titles = append(titles, fmt.Sprintf("%s (%d)", it.Title, it.Year))
 			}
 		}
 	}
+	elapsed := time.Duration(ex.ElapsedMS * float64(time.Millisecond))
 	render(w, explainTmpl, map[string]any{
-		"Query":      ex.Query.String(),
+		"Query":      ex.Query,
 		"RawQuery":   r.URL.Query().Get("q"),
 		"Items":      titles,
 		"NumRatings": ex.NumRatings,
-		"Overall":    ex.Overall,
+		"Mean":       ex.OverallMean,
+		"Std":        ex.OverallStd,
 		"Tabs":       tabs,
-		"Elapsed":    ex.Elapsed.Round(time.Millisecond).String(),
+		"Elapsed":    elapsed.Round(time.Millisecond).String(),
 		"FromCache":  ex.FromCache,
 		"URLQuery":   template.URL(r.URL.RawQuery),
 	})
 }
 
+// groupPageLimit caps the group page's refinement list when the URL
+// names no limit.
+const groupPageLimit = 8
+
 func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	// One call serves stats, related groups and refinements from the same
+	// materialized plan.
+	doc, _, ok := s.run(w, r, "group", func(p *api.Params) {
+		if p.Limit == nil {
+			limit := groupPageLimit
+			p.Limit = &limit
+		}
+	})
+	if !ok {
 		return
 	}
-	p, req, err := s.parseRequest(r, "group")
-	if err != nil {
-		htmlError(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key, err := p.GroupKey()
-	if err != nil {
-		htmlError(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	// One unified call serves stats, related groups and refinements from
-	// the same materialized plan. A context deadline or disconnect in any
-	// stage propagates as 504/499 — refinements are no longer a separate
-	// best-effort call whose cancellation was silently swallowed.
-	ge, err := s.def.ExploreFullContext(ctx, req.Query, key, 0, 8)
-	if err != nil {
-		htmlError(w, err.Error(), statusForError(err))
-		return
-	}
-	st := ge.Stats
+	g := doc.(*api.GroupResponse)
 	type bar struct {
 		Score int
 		Count int
 		Width int
 	}
 	maxCount := 1
-	for _, c := range st.Histogram {
-		if c > maxCount {
-			maxCount = c
-		}
+	for _, c := range g.Histogram {
+		maxCount = max(maxCount, c)
 	}
 	var bars []bar
-	for sc := 1; sc < len(st.Histogram); sc++ {
-		bars = append(bars, bar{Score: sc, Count: st.Histogram[sc], Width: 300 * st.Histogram[sc] / maxCount})
+	for i, c := range g.Histogram {
+		bars = append(bars, bar{Score: i + 1, Count: c, Width: 300 * c / maxCount})
 	}
 	render(w, groupTmpl, map[string]any{
-		"Query":       req.Query.String(),
+		"Query":       g.Query,
 		"RawQuery":    r.URL.Query().Get("q"),
-		"Stats":       st,
+		"Group":       g.Group,
+		"Cities":      g.Cities,
+		"Timeline":    g.Timeline,
 		"Bars":        bars,
-		"Related":     ge.Related,
-		"Refinements": ge.Refinements,
+		"Related":     g.Related,
+		"Refinements": g.Refinements,
 		"URLQuery":    template.URL(r.URL.RawQuery),
 	})
 }
@@ -404,8 +318,8 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 // store's per-state aggregates — browse mode before any query is entered.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	states, err := s.def.BrowseStatesAt(0)
-	if err != nil || states == nil {
-		htmlError(w, "browse mode needs the precomputed per-state aggregates", http.StatusServiceUnavailable)
+	if err != nil {
+		http.Error(w, err.Error(), api.StatusForError(err))
 		return
 	}
 	m := viz.Map{Title: "All ratings by state (whole log)"}
@@ -425,41 +339,33 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	doc, _, ok := s.run(w, r, "evolution", nil)
+	if !ok {
 		return
 	}
-	_, req, err := s.parseRequest(r, "evolution")
-	if err != nil {
-		htmlError(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	points, err := s.def.EvolutionContext(ctx, req)
-	if err != nil {
-		htmlError(w, err.Error(), statusForError(err))
-		return
-	}
+	ev := doc.(*api.EvolutionResponse)
 	type row struct {
 		Year   int
-		Groups []maprat.GroupResult
+		Groups []api.Group
 		Empty  bool
 	}
 	var rows []row
-	for _, p := range points {
-		y := time.Unix(p.Window.From, 0).UTC().Year()
-		if p.Err != nil || p.Explanation == nil {
-			rows = append(rows, row{Year: y, Empty: true})
+	for _, p := range ev.Points {
+		if p.Explain == nil {
+			rows = append(rows, row{Year: p.Year, Empty: true})
 			continue
 		}
-		var groups []maprat.GroupResult
-		if sm := p.Explanation.Result(maprat.SimilarityMining); sm != nil {
-			groups = sm.Groups
+		var groups []api.Group
+		for _, tr := range p.Explain.Tasks {
+			if tr.Task == "SM" {
+				groups = tr.Groups
+				break
+			}
 		}
-		rows = append(rows, row{Year: y, Groups: groups})
+		rows = append(rows, row{Year: p.Year, Groups: groups})
 	}
 	render(w, evolutionTmpl, map[string]any{
-		"Query": req.Query.String(),
+		"Query": ev.Query,
 		"Rows":  rows,
 	})
 }
@@ -467,6 +373,6 @@ func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
 func render(w http.ResponseWriter, t *template.Template, data any) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := t.Execute(w, data); err != nil {
-		htmlError(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

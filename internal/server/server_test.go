@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/api"
 )
 
 var (
@@ -316,8 +317,8 @@ func TestStatusForError(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := statusForError(c.err); got != c.want {
-				t.Errorf("statusForError(%v) = %d, want %d", c.err, got, c.want)
+			if got := api.StatusForError(c.err); got != c.want {
+				t.Errorf("api.StatusForError(%v) = %d, want %d", c.err, got, c.want)
 			}
 		})
 	}
@@ -519,5 +520,105 @@ func TestGroupPageShowsRefinements(t *testing.T) {
 	}
 	if !strings.Contains(page, "Drill deeper") {
 		t.Error("group page missing the refinement section")
+	}
+}
+
+// TestHTMLPagesInStatsz checks the HTML pages run behind the v1
+// middleware: after one GET of each, /statsz lists the page's own metric
+// name under "api", apart from the v1 endpoint's counters.
+func TestHTMLPagesInStatsz(t *testing.T) {
+	ts := testServer(t)
+	q := url.QueryEscape(`movie:"Toy Story"`)
+	for _, p := range []string{
+		"/explain?q=" + q,
+		"/group?q=" + q + "&key=" + url.QueryEscape("state=CA"),
+		"/evolution?q=" + q,
+		"/browse",
+	} {
+		if code, body := get(t, ts, p); code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", p, code, body)
+		}
+	}
+	code, body := get(t, ts, "/statsz")
+	if code != http.StatusOK {
+		t.Fatalf("statsz status %d", code)
+	}
+	var stats struct {
+		API map[string]struct {
+			Requests uint64 `json:"requests"`
+		} `json:"api"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatalf("statsz json: %v", err)
+	}
+	for _, name := range []string{"page_explain", "page_group", "page_evolution", "page_browse"} {
+		if stats.API[name].Requests < 1 {
+			t.Errorf("statsz api[%q] = %+v, want requests >= 1", name, stats.API[name])
+		}
+	}
+}
+
+// TestHTMLAndV1StatusParity checks each HTML page answers a request with
+// the status its v1 endpoint answers the same query string with.
+func TestHTMLAndV1StatusParity(t *testing.T) {
+	ts := testServer(t)
+	toy := "q=" + url.QueryEscape(`movie:"Toy Story"`)
+	cases := []struct {
+		name, op, query string
+		want            int
+	}{
+		{"k=99", "explain", toy + "&k=99", http.StatusBadRequest},
+		{"k=1", "explain", toy + "&k=1", http.StatusBadRequest},
+		{"evolution k=1", "evolution", toy + "&k=1", http.StatusBadRequest},
+		{"from>to", "explain", toy + "&from=2001&to=1999", http.StatusBadRequest},
+		{"unknown movie", "explain", "q=" + url.QueryEscape(`movie:"Zyzzyva The Unfilmed"`), http.StatusNotFound},
+		{"absent group", "group", toy + "&key=" + url.QueryEscape("state=WY,occupation=farmer"), http.StatusNotFound},
+		{"missing key", "group", toy, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			page, _ := get(t, ts, "/"+c.op+"?"+c.query)
+			v1, _ := get(t, ts, "/api/v1/"+c.op+"?"+c.query)
+			if page != c.want || v1 != c.want {
+				t.Errorf("/%s = %d, /api/v1/%s = %d, want both %d", c.op, page, c.op, v1, c.want)
+			}
+		})
+	}
+}
+
+// TestGroupPageDefaultLimit checks the group page shows at most 8
+// refinements when the URL names no limit, and honours one that it
+// names.
+func TestGroupPageDefaultLimit(t *testing.T) {
+	ts := testServer(t)
+	query := "q=" + url.QueryEscape(`genre:Drama`) + "&key=" + url.QueryEscape("state=CA")
+	code, body := get(t, ts, "/api/v1/refine?"+query)
+	if code != http.StatusOK {
+		t.Fatalf("refine status %d: %s", code, body)
+	}
+	var refs struct {
+		Refinements []json.RawMessage `json:"refinements"`
+	}
+	if err := json.Unmarshal([]byte(body), &refs); err != nil {
+		t.Fatal(err)
+	}
+	if len(refs.Refinements) <= 8 {
+		t.Fatalf("the group has %d refinements; the test needs more than 8", len(refs.Refinements))
+	}
+	rows := func(extra string) int {
+		t.Helper()
+		code, page := get(t, ts, "/group?"+query+extra)
+		if code != http.StatusOK {
+			t.Fatalf("group page %d: %s", code, page)
+		}
+		_, section, _ := strings.Cut(page, "Drill deeper")
+		section, _, _ = strings.Cut(section, "</table>")
+		return strings.Count(section, "<tr><td>")
+	}
+	if n := rows(""); n != 8 {
+		t.Errorf("group page without limit shows %d refinements, want 8", n)
+	}
+	if n := rows("&limit=3"); n != 3 {
+		t.Errorf("group page with limit=3 shows %d refinements, want 3", n)
 	}
 }

@@ -61,22 +61,22 @@ var explainTmpl = mustTmpl("explain", `<!DOCTYPE html>
 <h1>{{.Query}}</h1>
 <p class="meta">
   {{len .Items}} item(s): {{range $i, $t := .Items}}{{if $i}}, {{end}}{{$t}}{{end}}<br>
-  {{.NumRatings}} ratings · overall μ = {{printf "%.2f" .Overall.Mean}} · σ = {{printf "%.2f" .Overall.Std}}
+  {{.NumRatings}} ratings · overall μ = {{printf "%.2f" .Mean}} · σ = {{printf "%.2f" .Std}}
   · computed in {{.Elapsed}}{{if .FromCache}} (cached){{end}}
 </p>
 {{range .Tabs}}
-<h2>{{if eq .Title "SM"}}Similarity Mining — reviewer groups that agree{{else}}Diversity Mining — reviewer groups that disagree{{end}}</h2>
+<h2>{{if eq .Result.Task "SM"}}Similarity Mining — reviewer groups that agree{{else}}Diversity Mining — reviewer groups that disagree{{end}}</h2>
 <p class="meta">objective = {{printf "%.4f" .Result.Objective}} · coverage = {{printf "%.0f%%" (mulf .Result.Coverage 100.0)}}
   (α enforced: {{printf "%.0f%%" (mulf .Result.RelaxedCoverage 100.0)}})</p>
 {{.SVG}}
 <table>
 <tr><th>group</th><th>icons</th><th>μ</th><th>σ</th><th>ratings</th><th>share</th><th></th></tr>
-{{range .Groups}}
+{{range .Result.Groups}}
 <tr>
   <td>{{.Phrase}}</td><td>{{.Icons}}</td>
-  <td>{{printf "%.2f" .Agg.Mean}}</td><td>{{printf "%.2f" .Agg.Std}}</td>
-  <td>{{.Agg.Count}}</td><td>{{printf "%.1f%%" (mulf .Share 100.0)}}</td>
-  <td><a href="/group?q={{$.RawQuery}}&key={{.Key.Param}}">explore</a></td>
+  <td>{{printf "%.2f" .Mean}}</td><td>{{printf "%.2f" .Std}}</td>
+  <td>{{.Count}}</td><td>{{printf "%.1f%%" (mulf .Share 100.0)}}</td>
+  <td><a href="/group?q={{$.RawQuery}}&key={{.Key}}">explore</a></td>
 </tr>
 {{end}}
 </table>
@@ -87,27 +87,27 @@ var groupTmpl = mustTmpl("group", `<!DOCTYPE html>
 <html><head><title>MapRat — group</title><style>`+baseCSS+`</style></head>
 <body>
 <p><a href="/explain?{{.URLQuery}}">← back to results</a></p>
-<h1>{{.Stats.Phrase}}</h1>
-<p class="meta">query {{.Query}} · μ = {{printf "%.2f" .Stats.Agg.Mean}} · σ = {{printf "%.2f" .Stats.Agg.Std}}
- · {{.Stats.Agg.Count}} ratings · {{printf "%.1f%%" (mulf .Stats.Share 100.0)}} of the query's ratings</p>
+<h1>{{.Group.Phrase}}</h1>
+<p class="meta">query {{.Query}} · μ = {{printf "%.2f" .Group.Mean}} · σ = {{printf "%.2f" .Group.Std}}
+ · {{.Group.Count}} ratings · {{printf "%.1f%%" (mulf .Group.Share 100.0)}} of the query's ratings</p>
 
 <h2>Rating distribution</h2>
 <table>
 {{range .Bars}}<tr><td>{{.Score}}★</td><td style="border:none"><span class="bar" style="width:{{.Width}}px"></span> {{.Count}}</td></tr>{{end}}
 </table>
 
-{{if .Stats.Cities}}
+{{if .Cities}}
 <h2>City drill-down</h2>
 <table>
 <tr><th>city</th><th>μ</th><th>σ</th><th>ratings</th></tr>
-{{range .Stats.Cities}}<tr><td>{{.City}}</td><td>{{printf "%.2f" .Agg.Mean}}</td><td>{{printf "%.2f" .Agg.Std}}</td><td>{{.Agg.Count}}</td></tr>{{end}}
+{{range .Cities}}<tr><td>{{.City}}</td><td>{{printf "%.2f" .Mean}}</td><td>{{printf "%.2f" .Std}}</td><td>{{.Count}}</td></tr>{{end}}
 </table>
 {{end}}
 
 <h2>Rating evolution</h2>
 <table>
 <tr><th>period</th><th>μ</th><th>ratings</th></tr>
-{{range .Stats.Timeline}}<tr><td>{{.Label}}</td><td>{{if .Agg.Count}}{{printf "%.2f" .Agg.Mean}}{{else}}—{{end}}</td><td>{{.Agg.Count}}</td></tr>{{end}}
+{{range .Timeline}}<tr><td>{{.Label}}</td><td>{{if .Count}}{{printf "%.2f" .Mean}}{{else}}—{{end}}</td><td>{{.Count}}</td></tr>{{end}}
 </table>
 
 {{if .Refinements}}
@@ -116,8 +116,8 @@ var groupTmpl = mustTmpl("group", `<!DOCTYPE html>
 <tr><th>refinement</th><th>adds</th><th>μ</th><th>Δ vs group</th><th>ratings</th><th></th></tr>
 {{range .Refinements}}
 <tr><td>{{.Group.Phrase}}</td><td>{{.Added}}</td>
-<td>{{printf "%.2f" .Group.Agg.Mean}}</td><td>{{printf "%+.2f" .Delta}}</td><td>{{.Group.Agg.Count}}</td>
-<td><a href="/group?q={{$.RawQuery}}&key={{.Group.Key.Param}}">explore</a></td></tr>
+<td>{{printf "%.2f" .Group.Mean}}</td><td>{{printf "%+.2f" .Delta}}</td><td>{{.Group.Count}}</td>
+<td><a href="/group?q={{$.RawQuery}}&key={{.Group.Key}}">explore</a></td></tr>
 {{end}}
 </table>
 {{else}}
@@ -130,8 +130,8 @@ var groupTmpl = mustTmpl("group", `<!DOCTYPE html>
 <table>
 <tr><th>group</th><th>μ</th><th>ratings</th><th></th></tr>
 {{range .Related}}
-<tr><td>{{.Phrase}}</td><td>{{printf "%.2f" .Agg.Mean}}</td><td>{{.Agg.Count}}</td>
-<td><a href="/group?q={{$.RawQuery}}&key={{.Key.Param}}">explore</a></td></tr>
+<tr><td>{{.Phrase}}</td><td>{{printf "%.2f" .Mean}}</td><td>{{.Count}}</td>
+<td><a href="/group?q={{$.RawQuery}}&key={{.Key}}">explore</a></td></tr>
 {{end}}
 </table>
 {{end}}
@@ -159,7 +159,7 @@ var evolutionTmpl = mustTmpl("evolution", `<!DOCTYPE html>
 {{range .Rows}}
 <tr><td>{{.Year}}</td><td>
 {{if .Empty}}<span class="meta">no ratings / no feasible groups</span>{{else}}
-{{range .Groups}}{{.Phrase}} (μ={{printf "%.2f" .Agg.Mean}}, n={{.Agg.Count}})<br>{{end}}
+{{range .Groups}}{{.Phrase}} (μ={{printf "%.2f" .Mean}}, n={{.Count}})<br>{{end}}
 {{end}}
 </td></tr>
 {{end}}

@@ -85,10 +85,7 @@ func TestAppendEnforcesEpochSequence(t *testing.T) {
 // pinned reads are frozen, the latest read gains exactly the batch.
 func TestAppendStateAggsDelta(t *testing.T) {
 	s := openStore(t, DefaultOptions())
-	before, _, ok := s.StateAggsAt(0)
-	if !ok {
-		t.Fatal("precompute enabled but StateAggsAt not ok")
-	}
+	before, _ := s.StateAggsAt(0)
 	batch := appendBatch(t, s, 4)
 	st := batch[0].Vals[cube.State]
 	if st == cube.Wildcard {
@@ -97,8 +94,8 @@ func TestAppendStateAggsDelta(t *testing.T) {
 	if err := s.Append(2, batch); err != nil {
 		t.Fatal(err)
 	}
-	pinned, _, _ := s.StateAggsAt(1)
-	latest, _, _ := s.StateAggsAt(0)
+	pinned, _ := s.StateAggsAt(1)
+	latest, _ := s.StateAggsAt(0)
 	for i := range before {
 		if pinned[i] != before[i] {
 			t.Fatalf("state %d pinned agg changed: %+v -> %+v", i, before[i], pinned[i])

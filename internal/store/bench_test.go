@@ -14,17 +14,6 @@ func benchStore(b *testing.B, opts Options) *Store {
 	return s
 }
 
-func BenchmarkOpenNoPrecompute(b *testing.B) {
-	ds := smallDataset(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Open(ds, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTuplesForItems(b *testing.B) {
 	s := benchStore(b, Options{})
 	ids := s.ItemsByActor("Tom Hanks")

@@ -81,12 +81,6 @@ func (w TimeWindow) String() string {
 
 // Options configures Open.
 type Options struct {
-	// Precompute arms browse mode's per-state aggregates over the whole
-	// rating log (StateAggsAt). The base log's aggregate is built lazily
-	// on the first browse rather than at open time, so opening a store —
-	// in particular from a memory-mapped snapshot — never pays for an
-	// aggregate the workload might not touch.
-	Precompute bool
 	// CubeConfig is the candidate-group configuration whose MinSupport
 	// is browse mode's per-state cut; per-query cubes are configured by
 	// the mining layer.
@@ -100,12 +94,11 @@ type Options struct {
 	PlanCacheTuples int
 }
 
-// DefaultOptions enables precomputation, a small result cache, and a
+// DefaultOptions enables a small result cache and a
 // plan-materialization budget of 2M tuples (roughly two whole-log plans
 // at MovieLens-1M scale).
 func DefaultOptions() Options {
 	return Options{
-		Precompute:      true,
 		CubeConfig:      cube.DefaultConfig(),
 		CacheSize:       256,
 		PlanCacheTuples: 2 << 20,
@@ -144,10 +137,8 @@ type Store struct {
 	epoch  uint64
 	bounds []epochMark
 
-	// statesEnabled arms the browse aggregates (Options.Precompute);
-	// minSupport is the cut a state must reach to surface there.
-	statesEnabled bool
-	minSupport    int
+	// minSupport is the cut a state must reach to surface in browse mode.
+	minSupport int
 
 	cache *LRU       // nil unless Options.CacheSize > 0
 	plans *PlanCache // nil unless Options.PlanCacheTuples > 0
@@ -178,8 +169,10 @@ const openParallelMin = 1 << 15
 // index — are sharded over rating partitions across GOMAXPROCS
 // goroutines. The result is identical to a sequential open: shards are
 // contiguous index ranges merged in order, and every sort below carries a
-// total-order tie-break. The browse aggregates (Options.Precompute) are
-// deferred to the first StateAggsAt call.
+// total-order tie-break. The browse aggregates are deferred to the first
+// StateAggsAt call, so opening a store — in particular from a
+// memory-mapped snapshot — never pays for an aggregate the workload might
+// not touch.
 func Open(ds *model.Dataset, opts Options) (*Store, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("store: nil dataset")
@@ -217,7 +210,6 @@ func Open(ds *model.Dataset, opts Options) (*Store, error) {
 // lazy browse aggregates, building the caching tiers, and sealing the base log
 // as epoch 1.
 func (s *Store) finishOpen(opts Options) {
-	s.statesEnabled = opts.Precompute
 	s.minSupport = opts.CubeConfig.MinSupport
 	if opts.CacheSize > 0 {
 		s.cache = NewLRU(opts.CacheSize)
@@ -246,7 +238,7 @@ type Prejoined struct {
 // OpenPrejoined is Open minus the join: the expensive tuple
 // materialization and per-item sort are taken from pj (typically slices
 // aliasing a memory-mapped snapshot), so only the item-attribute
-// indexes and the optional precompute/caching tiers are built here. The
+// indexes and the optional caching tiers are built here. The
 // store never mutates the tuple log or the index after open, so
 // read-only mapped pages are safe underneath it.
 func OpenPrejoined(ds *model.Dataset, opts Options, pj Prejoined) (*Store, error) {
@@ -627,18 +619,14 @@ func windowBounds(tuples []cube.Tuple, idxs []int32, w TimeWindow) (int, int) {
 
 // StateAggsAt returns the per-state rating aggregates as of an epoch
 // (index = state descriptor value), along with the minimum support a
-// state must reach to surface in browse mode. ok is false when the store
-// was opened without precomputation — browse statistics are an opt-in
-// tier. Epoch 0 means latest. The result is a fresh slice.
+// state must reach to surface in browse mode. Epoch 0 means latest. The
+// result is a fresh slice.
 //
 // At the base epoch this is exactly the set of state-only groups a
 // whole-log cube surfaces (same aggregates, same MinSupport cut); at later
 // epochs it folds in each batch's delta, so pinned browse reads are
 // exact at every epoch.
-func (s *Store) StateAggsAt(epoch uint64) (aggs []cube.Agg, minSupport int, ok bool) {
-	if !s.statesEnabled {
-		return nil, 0, false
-	}
+func (s *Store) StateAggsAt(epoch uint64) (aggs []cube.Agg, minSupport int) {
 	s.ensureBaseStates()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -653,7 +641,7 @@ func (s *Store) StateAggsAt(epoch uint64) (aggs []cube.Agg, minSupport int, ok b
 			out[i].Merge(d)
 		}
 	}
-	return out, s.minSupport, true
+	return out, s.minSupport
 }
 
 // ensureBaseStates lazily builds the base epoch's whole-log per-state

@@ -47,20 +47,10 @@ func TestOpenBasics(t *testing.T) {
 	if lo <= 0 || hi < lo {
 		t.Errorf("TimeRange = [%d,%d]", lo, hi)
 	}
-	if _, _, ok := s.StateAggsAt(0); !ok {
-		t.Error("precompute enabled but browse aggregates are off")
-	}
 	if s.Cache() == nil {
 		t.Error("cache enabled but Cache is nil")
 	}
-}
-
-func TestOpenWithoutPrecompute(t *testing.T) {
-	s := openStore(t, Options{})
-	if _, _, ok := s.StateAggsAt(0); ok {
-		t.Error("browse aggregates should be off without precompute")
-	}
-	if s.Cache() != nil {
+	if openStore(t, Options{}).Cache() != nil {
 		t.Error("Cache should be nil when disabled")
 	}
 }
@@ -241,10 +231,7 @@ func TestTimeWindowContains(t *testing.T) {
 
 func TestStateAggsMatchRawScan(t *testing.T) {
 	s := openStore(t, DefaultOptions())
-	aggs, _, ok := s.StateAggsAt(0)
-	if !ok {
-		t.Fatal("precompute enabled but browse aggregates are off")
-	}
+	aggs, _ := s.StateAggsAt(0)
 	// A state's browse aggregate must match a raw scan.
 	ds := s.Dataset()
 	var want cube.Agg

@@ -16,7 +16,7 @@
 //	eng, _ := maprat.Open(ds, nil)
 //	q, _ := eng.ParseQuery(`movie:"Toy Story"`)
 //	ex, _ := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q})
-//	fmt.Println(eng.RenderExploration(ex).ASCII(false))
+//	fmt.Println(maprat.RenderExploration(ex).ASCII(false))
 package maprat
 
 import (
@@ -1047,17 +1047,13 @@ type StateOverview struct {
 // epoch (0 = latest), sorted by rating count descending. The rows are
 // exactly the state-only groups a whole-log cube would surface at that
 // epoch: same aggregates, same minimum-support cut. A future epoch is
-// ErrFutureEpoch; a store opened without precomputation (the default
-// arms it) yields (nil, nil).
+// ErrFutureEpoch.
 func (e *Engine) BrowseStatesAt(epoch uint64) ([]StateOverview, error) {
 	ep, err := e.resolveEpoch(epoch)
 	if err != nil {
 		return nil, err
 	}
-	aggs, minSupport, ok := e.st.StateAggsAt(ep)
-	if !ok {
-		return nil, nil
-	}
+	aggs, minSupport := e.st.StateAggsAt(ep)
 	var out []StateOverview
 	for i, a := range aggs {
 		if a.Count == 0 || a.Count < minSupport {
@@ -1137,14 +1133,8 @@ func (e *Engine) EvolutionContext(ctx context.Context, req ExplainRequest) ([]Ev
 
 // RenderExploration converts an explanation into the paper's set of
 // choropleth maps (one per sub-problem), ready for SVG or terminal
-// rendering. The engine method delegates here; the package-level form
-// serves front-ends rendering explanations they received over the wire.
-func (e *Engine) RenderExploration(ex *Explanation) *viz.Exploration {
-	return RenderExploration(ex)
-}
-
-// RenderExploration is the package-level form of
-// (*Engine).RenderExploration — it depends only on the explanation.
+// rendering. Front-ends holding the v1 explain document instead draw the
+// same maps with api.ExplainMaps.
 func RenderExploration(ex *Explanation) *viz.Exploration {
 	out := &viz.Exploration{Query: ex.Query.String()}
 	for _, tr := range ex.Results {

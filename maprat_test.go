@@ -373,7 +373,7 @@ func TestRenderExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := e.RenderExploration(ex)
+	v := RenderExploration(ex)
 	if len(v.Maps) != 2 {
 		t.Fatalf("maps = %d, want SM + DM", len(v.Maps))
 	}
@@ -499,7 +499,7 @@ func TestBrowseStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(states) == 0 {
-		t.Fatal("no browse states despite precompute")
+		t.Fatal("no browse states")
 	}
 	total := 0
 	seen := map[string]bool{}
@@ -516,22 +516,6 @@ func TestBrowseStates(t *testing.T) {
 	// Every rating belongs to exactly one state (all zips resolve).
 	if total != len(e.Dataset().Ratings) {
 		t.Errorf("state totals %d != ratings %d", total, len(e.Dataset().Ratings))
-	}
-	// Without precompute, browse is unavailable.
-	ds, err := Generate(func() GenConfig {
-		c := SmallGenConfig()
-		c.Users, c.Movies, c.Ratings = 100, 40, 1200
-		return c
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := Open(ds, &Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if states, err := bare.BrowseStatesAt(0); states != nil || err != nil {
-		t.Errorf("BrowseStatesAt = %v, %v; want nil without precompute", states, err)
 	}
 }
 

@@ -34,7 +34,7 @@ type Miner interface {
 	// EvolutionContext mines the query across consecutive yearly windows.
 	EvolutionContext(ctx context.Context, req ExplainRequest) ([]EvolutionPoint, error)
 	// BrowseStatesAt returns every state's whole-log aggregate as of an
-	// epoch (0 = latest); nil when browse statistics are not armed.
+	// epoch (0 = latest).
 	BrowseStatesAt(epoch uint64) ([]StateOverview, error)
 	// AppendRatings validates and applies one batch of new ratings,
 	// returning the epoch it was accepted at (ErrIngestDisabled when the
