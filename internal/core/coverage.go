@@ -15,6 +15,25 @@ import "repro/internal/cube"
 // per evaluation — is kept below as the executable reference;
 // differential tests drive both and require identical integers, which
 // also keeps every solver's output byte-identical across engines.
+//
+// The production solver also skips work whose outcome is already
+// decided, using three invariants. Each is exact, so every chosen move,
+// evaluation count and Solution matches the unpruned reference scans:
+//
+//   - A group's marginal coverage never exceeds its support. The repair
+//     scan in randomFeasibleInit keeps a candidate only on a strictly
+//     larger gain, so it stops once suffixMax[i], the largest support
+//     among cands[i:], is at most the best gain so far. The suffix
+//     maximum holds in any group order, not only cube.Build's
+//     support-sorted one.
+//   - A neighbourhood trial is chosen only if it is both feasible and
+//     improving, so bestSampledMove may test the cheap objective first
+//     and compute coverage only for an improving trial. A swap or add
+//     whose other groups plus the candidate's whole support fall short
+//     of the required count is infeasible without a popcount.
+//   - The objective reads per-group n, n·σ and μ precomputed by
+//     NewProblem and sums them in the original order, so it yields the
+//     same floats as computing them from each group's aggregate.
 
 // orGroup ORs group gi's member set into a bitset: word-wise for dense
 // groups, by setting each member's bit for sparse ones (their list is
@@ -102,9 +121,9 @@ func (p *Problem) leastUniqueIndex(sel []int) int {
 }
 
 // useReferenceCoverage switches this Problem to the epoch-marking
-// reference engine (and the reference neighbourhood scan). Test-only: the
-// differential suite solves the same instance on both engines and demands
-// byte-identical Solutions.
+// reference engine, the reference neighbourhood scan and the unpruned
+// repair scan. Test-only: the differential suite solves the same instance
+// on both engines and demands byte-identical Solutions.
 func (p *Problem) useReferenceCoverage() {
 	p.refCoverage = true
 	p.mark = make([]int32, len(p.Cube.Tuples))

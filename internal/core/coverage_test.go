@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -154,6 +155,103 @@ func TestParallelRHEMatchesReference(t *testing.T) {
 		p := newProblem(t, DiversityMining, c, s)
 		if got := solve(t, p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d diverged from reference:\n%+v\n%+v", workers, got, want)
+		}
+	}
+}
+
+// TestLargeInstancesMatchReferenceEngine runs the differential check at
+// the size where the solver's exact pruning engages: a state-anchored
+// cube of 12k tuples and over a thousand candidate groups at α = 0.2, so
+// the support-bounded coverage repair stops scanning early and most
+// neighbourhood trials are rejected on the objective before their
+// coverage is computed. Every seed must return a Solution identical to
+// the unpruned reference scans, evaluation count included. The unsorted
+// case permutes the cube's groups after the build, so the repair scan's
+// bound cannot lean on the support order cube.Build produces; the drill
+// case mines city-anchored cells with no coverage constraint, as drills
+// do.
+func TestLargeInstancesMatchReferenceEngine(t *testing.T) {
+	state := cube.Config{RequireState: true, MinSupport: 10, MaxAVPairs: 3, SkipApex: true}
+	stateTuples := miningTuples(12_000, 29)
+	unsorted := cube.Build(stateTuples, state)
+	rand.New(rand.NewSource(31)).Shuffle(len(unsorted.Groups), func(i, j int) {
+		unsorted.Groups[i], unsorted.Groups[j] = unsorted.Groups[j], unsorted.Groups[i]
+	})
+	drill := cube.Build(cityMiningTuples(12_000, 37), cube.Config{RequireCity: true, MinSupport: 5, MaxAVPairs: 3, SkipApex: true})
+
+	instances := []struct {
+		name     string
+		c        *cube.Cube
+		coverage float64
+	}{
+		{"state", cube.Build(stateTuples, state), 0.2},
+		{"state-unsorted", unsorted, 0.2},
+		{"drill", drill, 0},
+	}
+	if n := instances[0].c.Len(); n < 1000 {
+		t.Fatalf("state cube has %d groups, want at least 1000", n)
+	}
+	for _, inst := range instances {
+		for _, task := range []Task{SimilarityMining, DiversityMining} {
+			for _, seed := range []int64{1, 2, 3} {
+				s := DefaultSettings()
+				s.Coverage = inst.coverage
+				s.Restarts = 4
+				s.Seed = seed
+				p := newProblem(t, task, inst.c, s)
+				ref := newProblem(t, task, inst.c, s)
+				ref.useReferenceCoverage()
+				if got, want := solve(t, p), solve(t, ref); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%v/seed %d: RHE diverged:\npruned    %+v\nreference %+v", inst.name, task, seed, got, want)
+				}
+				if got, want := p.SolveRandom(4), ref.SolveRandom(4); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%v/seed %d: random diverged:\npruned    %+v\nreference %+v", inst.name, task, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestObjectiveMatchesDirectFormula pins the precomputed per-group n·σ and
+// μ: the objective must equal, bit for bit, the formula evaluated
+// straight from each group's aggregate in the same summation order.
+func TestObjectiveMatchesDirectFormula(t *testing.T) {
+	c := buildCube(t, polarizedTuples(900, 41), cube.Config{RequireState: false, MinSupport: 4, MaxAVPairs: 2, SkipApex: true})
+	s := DefaultSettings()
+	s.Coverage = 0
+	sm := newProblem(t, SimilarityMining, c, s)
+	dm := newProblem(t, DiversityMining, c, s)
+	direct := func(sel []int) (smErr, gap float64) {
+		var num, den float64
+		for _, gi := range sel {
+			g := &c.Groups[gi]
+			n := float64(g.Support())
+			num += n * g.Agg.Std()
+			den += n
+		}
+		pairs := 0
+		for i := range sel {
+			for j := i + 1; j < len(sel); j++ {
+				gi, gj := &c.Groups[sel[i]], &c.Groups[sel[j]]
+				w := 1.0
+				if _, ok := gi.Key.SiblingOf(gj.Key); ok {
+					w = s.SiblingBoost
+				}
+				gap += w * math.Abs(gi.Mean()-gj.Mean())
+				pairs++
+			}
+		}
+		return num / den, gap / float64(pairs)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 500; trial++ {
+		sel := rng.Perm(c.Len())[:2+rng.Intn(4)]
+		smErr, gap := direct(sel)
+		if got := sm.Objective(sel); math.Float64bits(got) != math.Float64bits(smErr) {
+			t.Fatalf("SM objective(%v) = %v, direct formula %v", sel, got, smErr)
+		}
+		if got, want := dm.Objective(sel), s.Lambda*smErr-gap; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DM objective(%v) = %v, direct formula %v", sel, got, want)
 		}
 	}
 }

@@ -148,6 +148,20 @@ type Problem struct {
 
 	total int // |R_I|
 
+	// Bounds and statistics fixed at construction. suffixMax[i] is the
+	// largest support among cands[i:] (with one trailing 0), the repair
+	// scan's exact stopping bound. stats holds n, n·σ and μ per group of
+	// Cube.Groups, so the objective reads them from one compact table
+	// instead of recomputing a square root per group per evaluation.
+	suffixMax []int
+	stats     []groupStats
+
+	// stamp marks, per group of Cube.Groups, the generation of the last
+	// sampleCandidates call that excluded it (selected or already drawn);
+	// stampGen is the current generation.
+	stamp    []uint32
+	stampGen uint32
+
 	// Coverage engine state (see coverage.go). bits is the cube's cached
 	// per-group member bitset table, shared read-only across every Problem
 	// on the same cube; cover and base are this instance's scratch
@@ -163,6 +177,12 @@ type Problem struct {
 	refCoverage bool
 	mark        []int32
 	epoch       int32
+}
+
+// groupStats are the per-group figures the objective reads: support n,
+// n·σ and μ.
+type groupStats struct {
+	n, nSigma, mean float64
 }
 
 // NewProblem builds an instance. It fails fast when no candidate survives
@@ -191,6 +211,17 @@ func NewProblem(task Task, c *cube.Cube, s Settings) (*Problem, error) {
 	if len(p.cands) == 0 {
 		return nil, ErrNoCandidates
 	}
+	p.suffixMax = make([]int, len(p.cands)+1)
+	for i := len(p.cands) - 1; i >= 0; i-- {
+		p.suffixMax[i] = max(p.suffixMax[i+1], c.Groups[p.cands[i]].Support())
+	}
+	p.stats = make([]groupStats, len(c.Groups))
+	for i := range c.Groups {
+		g := &c.Groups[i]
+		n := float64(g.Support())
+		p.stats[i] = groupStats{n: n, nSigma: n * g.Agg.Std(), mean: g.Mean()}
+	}
+	p.stamp = make([]uint32, len(c.Groups))
 	if task == DiversityMining && s.K < 2 {
 		return nil, fmt.Errorf("core: DM needs K ≥ 2, got %d", s.K)
 	}
@@ -212,18 +243,32 @@ func NewProblem(task Task, c *cube.Cube, s Settings) (*Problem, error) {
 	}
 	// Optimistic feasibility bound: the K largest candidates, ignoring
 	// overlap, must reach the threshold … otherwise nothing can.
-	// (Candidates are support-sorted by cube.Build, profile filtering
-	// preserves that order.)
-	bound := 0
-	for i := 0; i < len(p.cands) && i < s.K; i++ {
-		bound += c.Groups[p.cands[i]].Support()
-	}
-	if float64(bound) < p.required() {
-		// The bound ignores overlap, so exact union coverage of the top-K
-		// prefix decides; if even optimism fails, report infeasible.
+	if float64(p.topSupportSum(s.K)) < p.required() {
 		return nil, ErrInfeasible
 	}
 	return p, nil
+}
+
+// topSupportSum returns the summed support of the k largest candidates.
+// cube.Build support-sorts its groups and profile filtering preserves
+// that order, so this is usually the prefix sum; carrying each support
+// down a descending top-k keeps it exact on a cube whose groups are in
+// any other order, as the solver's pruning bounds are.
+func (p *Problem) topSupportSum(k int) int {
+	top := make([]int, k) // descending
+	for _, gi := range p.cands {
+		n := p.Cube.Groups[gi].Support()
+		for j := range top {
+			if n > top[j] {
+				n, top[j] = top[j], n
+			}
+		}
+	}
+	sum := 0
+	for _, n := range top {
+		sum += n
+	}
+	return sum
 }
 
 // scratchClone returns a shallow copy sharing the immutable instance data
@@ -235,6 +280,7 @@ func (p *Problem) scratchClone() *Problem {
 	q.cover = make([]uint64, words)
 	q.base = make([]uint64, words)
 	q.trialBuf, q.dropBuf = nil, nil
+	q.stamp, q.stampGen = make([]uint32, len(p.Cube.Groups)), 0
 	if p.refCoverage {
 		q.mark = make([]int32, len(p.Cube.Tuples))
 		q.epoch = 0
@@ -294,10 +340,8 @@ func (p *Problem) smError(sel []int) float64 {
 	}
 	var num, den float64
 	for _, gi := range sel {
-		g := &p.Cube.Groups[gi]
-		n := float64(g.Support())
-		num += n * g.Agg.Std()
-		den += n
+		num += p.stats[gi].nSigma
+		den += p.stats[gi].n
 	}
 	if den == 0 {
 		return math.Inf(1)
@@ -318,12 +362,11 @@ func (p *Problem) pairGap(sel []int) float64 {
 	for i := 0; i < len(sel); i++ {
 		gi := &p.Cube.Groups[sel[i]]
 		for j := i + 1; j < len(sel); j++ {
-			gj := &p.Cube.Groups[sel[j]]
 			w := 1.0
-			if _, ok := gi.Key.SiblingOf(gj.Key); ok {
+			if _, ok := gi.Key.SiblingOf(p.Cube.Groups[sel[j]].Key); ok {
 				w = p.Settings.SiblingBoost
 			}
-			num += w * math.Abs(gi.Mean()-gj.Mean())
+			num += w * math.Abs(p.stats[sel[i]].mean-p.stats[sel[j]].mean)
 			pairs++
 		}
 	}

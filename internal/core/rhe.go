@@ -246,7 +246,14 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 		worst := p.leastUniqueIndex(sel)
 		p.markSelection(sel, worst)
 		bestCand, bestGain := -1, -1
-		for _, gi := range p.cands {
+		for i, gi := range p.cands {
+			// A marginal gain never exceeds the group's support, and only
+			// a strictly larger gain replaces the best: once no remaining
+			// candidate's support beats bestGain, the scan's outcome is
+			// decided. The reference engine scans everything.
+			if !p.refCoverage && p.suffixMax[i] <= bestGain {
+				break
+			}
 			if used[gi] {
 				continue
 			}
@@ -268,14 +275,17 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 // with SampleSize candidates, dropping a position, adding a candidate — and
 // returns the best feasible selection that improves on curObj.
 //
-// Coverage is evaluated incrementally: for each position, the union bitset
-// of the other selected groups is built once (markSelection), and every
-// sampled replacement then costs a single AND-NOT popcount of the
-// candidate's bitset against that base — instead of re-marking all K
-// groups' member lists per trial as the reference scan does. Trials reuse
-// one scratch selection, and the objective is only computed for feasible
-// trials; the trial order, the evaluation count and every number compared
-// are identical to the reference, so the chosen move is too.
+// Each trial is tested cheapest first: size and duplicates, then the O(K)
+// objective against the best so far, and only for an improving trial its
+// coverage. Coverage is evaluated incrementally: for each position, the
+// union bitset of the other selected groups is built once
+// (markSelection), and a sampled replacement then costs a single AND-NOT
+// popcount of the candidate's bitset against that base — skipped outright
+// when even the candidate's full support cannot lift the trial to the
+// required coverage. A trial wins only if it is both feasible and
+// improving, so the order of the tests cannot change the chosen move;
+// trials reuse one scratch selection, and the trial order, the evaluation
+// count and every number compared are identical to the reference scan.
 func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64) (newSel []int, obj float64, evals int, moved bool) {
 	if p.refCoverage {
 		return p.bestSampledMoveRef(rng, sel, curObj)
@@ -283,38 +293,46 @@ func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64) (ne
 	bestObj := curObj
 	var bestSel []int
 
-	inSel := map[int]bool{}
-	for _, gi := range sel {
-		inSel[gi] = true
-	}
 	required := p.required()
-	// consider scores one trial whose exact union coverage is already
-	// known; the trial slice is scratch and cloned only on improvement.
-	consider := func(covered int, trial []int) {
+	// consider scores one trial: covered is the coverage of the trial's
+	// other groups, cand the group whose marginal coverage against the
+	// marked base still has to be added (-1 when there is none). The
+	// trial slice is scratch and cloned only on improvement.
+	consider := func(trial []int, covered, cand int) {
 		evals++
-		if len(trial) < p.minGroups() || len(trial) > p.Settings.K ||
-			float64(covered) < required || hasDup(trial) {
+		if len(trial) < p.minGroups() || len(trial) > p.Settings.K || hasDup(trial) {
 			return
 		}
-		if o := p.Objective(trial); o < bestObj-1e-12 {
-			bestObj, bestSel = o, clone(trial)
+		o := p.Objective(trial)
+		if !(o < bestObj-1e-12) {
+			return
 		}
+		if cand >= 0 {
+			if float64(covered+p.Cube.Groups[cand].Support()) < required {
+				return
+			}
+			covered += p.unmarkedCount(cand)
+		}
+		if float64(covered) < required {
+			return
+		}
+		bestObj, bestSel = o, clone(trial)
 	}
 
-	sample := p.sampleCandidates(rng, inSel)
+	sample := p.sampleCandidates(rng, sel)
 	trial := append(p.trialBuf[:0], sel...)
 	for pos := range sel {
 		p.markSelection(sel, pos) // base = union of sel minus pos
 		others := p.baseCount()
 		for _, cand := range sample {
 			trial[pos] = cand
-			consider(others+p.unmarkedCount(cand), trial)
+			consider(trial, others, cand)
 		}
 		trial[pos] = sel[pos]
 		if len(sel) > p.minGroups() {
 			drop := append(p.dropBuf[:0], sel[:pos]...)
 			drop = append(drop, sel[pos+1:]...)
-			consider(others, drop)
+			consider(drop, others, -1)
 			p.dropBuf = drop
 		}
 	}
@@ -324,7 +342,7 @@ func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64) (ne
 		grow := append(trial, 0)
 		for _, cand := range sample {
 			grow[len(grow)-1] = cand
-			consider(all+p.unmarkedCount(cand), grow)
+			consider(grow, all, cand)
 		}
 		trial = grow[:len(sel)]
 	}
@@ -343,10 +361,6 @@ func (p *Problem) bestSampledMoveRef(rng *rand.Rand, sel []int, curObj float64) 
 	bestObj := curObj
 	var bestSel []int
 
-	inSel := map[int]bool{}
-	for _, gi := range sel {
-		inSel[gi] = true
-	}
 	try := func(trial []int) {
 		o, _, feasible := p.Evaluate(trial)
 		evals++
@@ -355,7 +369,7 @@ func (p *Problem) bestSampledMoveRef(rng *rand.Rand, sel []int, curObj float64) 
 		}
 	}
 
-	sample := p.sampleCandidates(rng, inSel)
+	sample := p.sampleCandidates(rng, sel)
 	for pos := range sel {
 		for _, cand := range sample {
 			trial := clone(sel)
@@ -387,18 +401,28 @@ func (p *Problem) bestSampledMoveRef(rng *rand.Rand, sel []int, curObj float64) 
 // Diversity Mining additionally the extreme-mean head (small groups with
 // far-out averages are exactly what the DM reward wants, and uniform
 // sampling almost never surfaces them), and uniform random exploration for
-// the rest.
-func (p *Problem) sampleCandidates(rng *rand.Rand, inSel map[int]bool) []int {
+// the rest. A group is excluded once its stamp carries this call's
+// generation: the selection is stamped up front, every drawn group as it
+// is taken.
+func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) []int {
+	p.stampGen++
+	if p.stampGen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(p.stamp)
+		p.stampGen = 1
+	}
+	gen := p.stampGen
+	for _, gi := range sel {
+		p.stamp[gi] = gen
+	}
 	n := p.Settings.SampleSize
 	out := make([]int, 0, n)
-	seen := map[int]bool{}
 	take := func(list []int, quota int) {
 		for _, gi := range list {
 			if len(out) >= quota {
 				return
 			}
-			if !inSel[gi] && !seen[gi] {
-				seen[gi] = true
+			if p.stamp[gi] != gen {
+				p.stamp[gi] = gen
 				out = append(out, gi)
 			}
 		}
@@ -409,8 +433,8 @@ func (p *Problem) sampleCandidates(rng *rand.Rand, inSel map[int]bool) []int {
 	}
 	for attempts := 0; len(out) < n && attempts < 4*n; attempts++ {
 		gi := p.cands[rng.Intn(len(p.cands))]
-		if !inSel[gi] && !seen[gi] {
-			seen[gi] = true
+		if p.stamp[gi] != gen {
+			p.stamp[gi] = gen
 			out = append(out, gi)
 		}
 	}

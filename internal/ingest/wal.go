@@ -152,8 +152,15 @@ func ReadLog(path string, base uint64) ([]Batch, error) {
 // replay validates the header and decodes records until the first bad
 // one, returning the batches and the offset just past the last good
 // record. Only a malformed header is an error: a bad record is the
-// expected crash artifact, a bad header means this is not a WAL.
+// expected crash artifact, a bad header means this is not a WAL. A
+// record whose declared length runs past the end of the file is a torn
+// tail, found before its payload buffer is allocated, so a corrupt
+// length field costs no more memory than the file itself holds.
 func replay(f *os.File, base uint64) ([]Batch, int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("ingest: stat wal: %w", err)
+	}
 	var hdr [headerLen]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, 0, fmt.Errorf("ingest: read wal header: %w", err)
@@ -175,7 +182,8 @@ func replay(f *os.File, base uint64) ([]Batch, int64, error) {
 		}
 		payloadLen := binary.LittleEndian.Uint32(rh[:4])
 		crc := binary.LittleEndian.Uint32(rh[4:])
-		if payloadLen < 12 || payloadLen > maxPayload {
+		if payloadLen < 12 || payloadLen > maxPayload ||
+			int64(payloadLen) > st.Size()-off-recHeaderLen {
 			return batches, off, nil
 		}
 		payload := make([]byte, payloadLen)
