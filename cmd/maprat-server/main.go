@@ -28,7 +28,6 @@ import (
 
 	"repro"
 	"repro/internal/api"
-	"repro/internal/jobs"
 	"repro/internal/server"
 )
 
@@ -50,13 +49,8 @@ func main() {
 		timeout   = flag.Duration("timeout", api.DefaultRequestTimeout, "per-request mining timeout")
 		maxBatch  = flag.Int("max-batch", 0, "max requests per /api/v1/batch call (0 = default)")
 		accessLog = flag.Bool("access-log", true, "log /api/v1 requests and the /explain, /group, /evolution and /browse pages")
-
-		jobWorkers = flag.Int("job-workers", 0, "async jobs executed concurrently (0 = default)")
-		jobQueue   = flag.Int("job-queue", 0, "async job admission queue depth (0 = default)")
-		jobTTL     = flag.Duration("job-ttl", 0, "how long finished job results stay retrievable (0 = default)")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-job mining timeout (0 = default)")
-		gzipOn     = flag.Bool("gzip", true, "offer gzip-compressed /api/v1 responses and HTML pages to clients that accept it")
-		walPath    = flag.String("wal", "", "arm live ingestion with a write-ahead log at this path (single-dataset servers only)")
+		gzipOn    = flag.Bool("gzip", true, "offer gzip-compressed /api/v1 responses and HTML pages to clients that accept it")
+		walPath   = flag.String("wal", "", "arm live ingestion with a write-ahead log at this path (single-dataset servers only)")
 	)
 	var snapshots multiFlag
 	flag.Var(&snapshots, "snapshot", "mount a .msnap snapshot (repeatable; first mount is the default dataset)")
@@ -101,12 +95,6 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxBatch:       *maxBatch,
 		EnableGzip:     *gzipOn,
-		Jobs: jobs.Config{
-			Workers:    *jobWorkers,
-			Queue:      *jobQueue,
-			ResultTTL:  *jobTTL,
-			JobTimeout: *jobTimeout,
-		},
 	}}
 	if *accessLog {
 		cfg.Logger = log.Default()

@@ -10,7 +10,7 @@
 //	maprat-vet ./...                    # whole repo, text findings
 //	maprat-vet -format=json ./...       # machine-readable findings
 //	maprat-vet -format=github ./...     # GitHub Actions ::error annotations
-//	maprat-vet -analyzers=ctxflow,errflow ./internal/jobs
+//	maprat-vet -analyzers=ctxflow,errflow ./internal/store
 //	maprat-vet -list                    # rule catalog
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.

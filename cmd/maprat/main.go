@@ -12,11 +12,10 @@
 //
 // With -server the same requests run against a live maprat-server
 // through the pkg/client SDK instead of opening a local dataset, and
-// print the same output; adding -async submits the work as a job and
-// streams restart progress:
+// print the same output:
 //
 //	maprat -server http://localhost:8080 -q 'movie:"Toy Story"'
-//	maprat -server http://localhost:8080 -async -q 'genre:Drama' -k 4
+//	maprat -server http://localhost:8080 -q 'genre:Drama' -drill state=CA
 //
 // The snap subcommand manages columnar dataset snapshots:
 //
@@ -26,7 +25,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,8 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Ctrl-C cancels the mine or the upload; in async mode it also
-	// cancels the submitted job server-side before exiting.
+	// Ctrl-C cancels the mine or the upload.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	// `maprat -server URL append <file.json>` posts a batch of new
@@ -107,7 +104,6 @@ type cliConfig struct {
 type runOpts struct {
 	op     string
 	params client.Params
-	async  bool
 	color  bool
 }
 
@@ -134,12 +130,8 @@ func parseFlags(args []string, onError flag.ErrorHandling) (cliConfig, error) {
 	fs.Int64Var(&cfg.seed, "seed", 1, "generator seed")
 	fs.BoolVar(&cfg.run.color, "color", false, "ANSI-colored choropleth tiles")
 	fs.StringVar(&cfg.serverURL, "server", "", "remote mode: run against a live maprat-server at this base URL")
-	fs.BoolVar(&cfg.run.async, "async", false, "remote mode: submit as an async job and stream progress (requires -server)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
-	}
-	if cfg.serverURL == "" && cfg.run.async {
-		return cfg, errors.New("-async requires -server")
 	}
 	cfg.args = fs.Args()
 
@@ -181,7 +173,7 @@ func runLocal(ctx context.Context, w io.Writer, eng maprat.Miner, o runOpts) err
 	if err != nil {
 		return err
 	}
-	v, err := call(ctx, eng, nil)
+	v, err := call(ctx, eng)
 	if err != nil {
 		return err
 	}

@@ -17,8 +17,8 @@ import (
 var elapsed = regexp.MustCompile(`mined in \d+ms`)
 
 // TestLocalOutputMatchesServer runs each CLI mode twice over one engine —
-// in process, and through -server against an httptest server (both
-// synchronously and as an async job) — and requires identical output.
+// in process, and through -server against an httptest server — and
+// requires identical output.
 func TestLocalOutputMatchesServer(t *testing.T) {
 	ds, err := maprat.Generate(maprat.SmallGenConfig())
 	if err != nil {
@@ -28,12 +28,8 @@ func TestLocalOutputMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := api.New(eng, api.Config{})
-	srv := httptest.NewServer(h)
-	t.Cleanup(func() {
-		srv.Close()
-		_ = h.Close(t.Context())
-	})
+	srv := httptest.NewServer(api.New(eng, api.Config{}))
+	t.Cleanup(srv.Close)
 
 	for _, tc := range []struct {
 		name string
@@ -58,16 +54,12 @@ func TestLocalOutputMatchesServer(t *testing.T) {
 			if !strings.Contains(got, tc.want) {
 				t.Fatalf("local output lacks %q:\n%s", tc.want, got)
 			}
-			for _, async := range []bool{false, true} {
-				o := cfg.run
-				o.async = async
-				var remote bytes.Buffer
-				if err := runRemote(t.Context(), &remote, srv.URL, o); err != nil {
-					t.Fatalf("remote (async=%v): %v", async, err)
-				}
-				if r := elapsed.ReplaceAllString(remote.String(), "mined in Xms"); r != got {
-					t.Errorf("async=%v: -server output differs from local:\n--- local\n%s\n--- server\n%s", async, got, r)
-				}
+			var remote bytes.Buffer
+			if err := runRemote(t.Context(), &remote, srv.URL, cfg.run); err != nil {
+				t.Fatalf("remote: %v", err)
+			}
+			if r := elapsed.ReplaceAllString(remote.String(), "mined in Xms"); r != got {
+				t.Errorf("-server output differs from local:\n--- local\n%s\n--- server\n%s", got, r)
 			}
 		})
 	}
@@ -90,8 +82,5 @@ func TestModeSpecificKnobs(t *testing.T) {
 	}
 	if explore.run.op != "group" || explore.run.params.Limit == nil || *explore.run.params.Limit != exploreRefinements {
 		t.Errorf("explore request = %s with limit %v, want group capped at %d", explore.run.op, explore.run.params.Limit, exploreRefinements)
-	}
-	if _, err := parseFlags([]string{"-async"}, flag.ContinueOnError); err == nil {
-		t.Error("-async without -server accepted")
 	}
 }

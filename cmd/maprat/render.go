@@ -8,21 +8,6 @@ import (
 	"repro/pkg/client"
 )
 
-// response returns a fresh response document for op, to decode a job
-// result into.
-func response(op string) any {
-	switch op {
-	case "group":
-		return new(client.GroupResponse)
-	case "drill":
-		return new(client.DrillResponse)
-	case "evolution":
-		return new(client.EvolutionResponse)
-	default:
-		return new(client.ExplainResponse)
-	}
-}
-
 // render writes one op's response document as terminal text. Local and
 // -server mode both end here, so the same request prints the same text.
 func render(w io.Writer, v any, color bool) {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/jobs"
 )
 
 // Config tunes the v1 surface.
@@ -27,14 +26,9 @@ type Config struct {
 	// to log.Default() regardless, so crashes are recorded even when the
 	// access log is off.
 	Logger *log.Logger
-	// Jobs tunes the async job subsystem (queue depth, worker pool,
-	// result TTL, job timeout); the zero value uses the jobs package
-	// defaults.
-	Jobs jobs.Config
 	// EnableGzip lets clients negotiate gzip-compressed responses via
 	// Accept-Encoding on every endpoint behind Wrap (the v1 surface and
-	// the server's HTML pages) except the SSE stream, which must never
-	// sit behind a buffering compressor.
+	// the server's HTML pages).
 	EnableGzip bool
 }
 
@@ -67,7 +61,9 @@ type Handler struct {
 	mux     *http.ServeMux
 	metrics map[string]*endpointMetrics
 	reqID   atomic.Uint64
-	jobs    *jobs.Manager
+	// appendSlots admits at most maxPendingAppends append batches at a
+	// time; a batch that finds every slot taken answers 429.
+	appendSlots chan struct{}
 }
 
 // New mounts the v1 endpoints over a single engine — the compatibility
@@ -93,8 +89,13 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	h := &Handler{reg: reg, cfg: cfg, mux: http.NewServeMux(), metrics: map[string]*endpointMetrics{}}
-	h.jobs = jobs.NewManager(cfg.Jobs)
+	h := &Handler{
+		reg:         reg,
+		cfg:         cfg,
+		mux:         http.NewServeMux(),
+		metrics:     map[string]*endpointMetrics{},
+		appendSlots: make(chan struct{}, maxPendingAppends),
+	}
 	for _, name := range opNames {
 		h.mux.Handle("/api/v1/"+name, h.Wrap(name, h.handleOp(name)))
 	}
@@ -103,12 +104,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	// The live-ingestion write path. Deliberately absent from
 	// etagEndpoints: a write is never cacheable.
 	h.mux.Handle("/api/v1/ratings", h.Wrap("ratings", h.handleAppend))
-	// The async job surface. The patterns carry no method so every
-	// unsupported method still answers the structured 405 envelope
-	// (ServeMux's own 405 is plain text).
-	h.mux.Handle("/api/v1/jobs", h.Wrap("jobs_submit", h.handleJobs))
-	h.mux.Handle("/api/v1/jobs/{id}", h.Wrap("jobs_get", h.handleJob))
-	h.mux.Handle("/api/v1/jobs/{id}/events", h.Wrap("jobs_events", h.handleJobEvents))
 	// Routing failures reuse the envelope shape but carry the status the
 	// condition deserves: 404 for a path that doesn't exist, 405 (with
 	// Allow) for a method the endpoint doesn't support.
@@ -120,14 +115,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
-
-// Close drains the job subsystem: submits stop being admitted, queued
-// jobs are canceled, and running jobs get until ctx ends to finish.
-// The server calls it after the HTTP listener has shut down.
-func (h *Handler) Close(ctx context.Context) error { return h.jobs.Close(ctx) }
-
-// JobStats exposes the job subsystem's gauges and counters for /statsz.
-func (h *Handler) JobStats() jobs.Stats { return h.jobs.Stats() }
 
 // Registry exposes the mounted datasets (for /statsz and tests).
 func (h *Handler) Registry() *maprat.Registry { return h.reg }
@@ -213,7 +200,7 @@ func (h *Handler) Run(r *http.Request, op string, defaults func(*Params)) (any, 
 	}
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
-	doc, err := call(ctx, m.Engine, nil)
+	doc, err := call(ctx, m.Engine)
 	return doc, m, err
 }
 
@@ -321,7 +308,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			v, err := call(ctx, eng, nil)
+			v, err := call(ctx, eng)
 			if err != nil {
 				results[i] = BatchResult{Error: errorBodyFor(err)}
 				return

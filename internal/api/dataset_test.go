@@ -224,21 +224,3 @@ func TestDatasetBatchRouting(t *testing.T) {
 		t.Error("batch elements for the two datasets answered identical results")
 	}
 }
-
-func TestDatasetJobSubmit(t *testing.T) {
-	ts := multiServer(t)
-	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json",
-		strings.NewReader(`{"op":"explain","q":"genre:Drama","dataset":"nope"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("job submit with unknown dataset: status %d (%s)", resp.StatusCode, b)
-	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(b, &env); err != nil || env.Error.Code != CodeDatasetNotFound {
-		t.Errorf("envelope %s, want code %s", b, CodeDatasetNotFound)
-	}
-}

@@ -100,9 +100,7 @@ func TestV1DecoderDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Settings carries a func field (Progress), so compare reflectively;
-	// DeepEqual treats the two nil callbacks as equal.
-	if !reflect.DeepEqual(req.Settings, maprat.DefaultSettings()) {
+	if req.Settings != maprat.DefaultSettings() {
 		t.Errorf("settings = %+v, want defaults", req.Settings)
 	}
 	if req.DisableRelax || req.CubeConfig != nil || len(req.Tasks) != 0 {
@@ -239,15 +237,14 @@ var decoderTrailingBodies = []string{
 }
 
 // TestV1DecoderRejectsTrailingData drives the trailing-data bodies
-// through every POST endpoint that decodes a body, batch and job
-// submission included, with knobs that answer 200 on their own.
+// through every POST endpoint that decodes a body, batch included, with
+// knobs that answer 200 on their own.
 func TestV1DecoderRejectsTrailingData(t *testing.T) {
 	endpoints := []struct{ path, prefix string }{
 		{"/api/v1/explain", `{`},
 		{"/api/v1/group", `{"key":"state=CA",`},
 		{"/api/v1/refine", `{"key":"state=CA",`},
 		{"/api/v1/drill", `{"key":"state=CA",`},
-		{"/api/v1/jobs", `{"op":"explain",`},
 	}
 	for _, body := range decoderTrailingBodies {
 		for _, e := range endpoints {

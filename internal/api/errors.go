@@ -31,11 +31,9 @@ const (
 	// Routing failures.
 	CodeNotFound         ErrorCode = "not_found"
 	CodeMethodNotAllowed ErrorCode = "method_not_allowed"
-	// Async job surface: admission control rejected the submit (the
-	// response carries Retry-After), or the job ID does not exist —
-	// never submitted, or its result retention expired.
-	CodeQueueFull   ErrorCode = "queue_full"
-	CodeJobNotFound ErrorCode = "job_not_found"
+	// Append admission: every pending-append slot is taken (the
+	// response carries Retry-After).
+	CodeQueueFull ErrorCode = "queue_full"
 	// Multi-dataset serving: the request named a dataset that is not
 	// mounted on this server.
 	CodeDatasetNotFound ErrorCode = "dataset_not_found"
@@ -101,7 +99,7 @@ func (c ErrorCode) HTTPStatus() int {
 	switch c {
 	case CodeBadRequest:
 		return http.StatusBadRequest
-	case CodeNoItems, CodeNoRatings, CodeNoGroup, CodeNotFound, CodeJobNotFound, CodeDatasetNotFound:
+	case CodeNoItems, CodeNoRatings, CodeNoGroup, CodeNotFound, CodeDatasetNotFound:
 		return http.StatusNotFound
 	case CodeQueueFull:
 		return http.StatusTooManyRequests

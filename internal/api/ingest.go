@@ -1,13 +1,10 @@
 package api
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
-	"repro/internal/jobs"
 	"repro/internal/model"
 )
 
@@ -37,11 +34,16 @@ type AppendResponse struct {
 	Accepted int    `json:"accepted"`
 }
 
+// maxPendingAppends bounds the append batches admitted at once: one
+// applies while the rest wait on the engine's single-writer semaphore.
+// A batch that finds every slot taken answers 429 instead of queueing
+// without limit.
+const maxPendingAppends = 32
+
 // handleAppend is POST /api/v1/ratings: validate the batch, admit it
-// through the job queue (writes share the same admission control as
-// async mining — a full queue answers 429 with Retry-After), apply it,
-// and answer 202 with the assigned epoch. The batch is WAL-durable
-// before the response is written.
+// (a full admission bound answers 429 with Retry-After), apply it, and
+// answer 202 with the assigned epoch. The batch is WAL-durable before
+// the response is written.
 func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost, "appending ratings requires POST")
@@ -65,51 +67,28 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	for i, in := range req.Ratings {
 		ratings[i] = model.Rating{UserID: in.UserID, ItemID: in.ItemID, Score: in.Score, Unix: in.Unix}
 	}
-	j, err := h.jobs.Submit("append", func(ctx context.Context, _ func(jobs.Progress)) (any, error) {
-		epoch, err := m.Engine.AppendRatings(ctx, ratings)
-		if err != nil {
-			return nil, err
-		}
-		return &AppendResponse{Epoch: epoch, Accepted: len(ratings)}, nil
-	})
-	if err != nil {
-		w.Header().Set("Retry-After", fmt.Sprint(h.retryAfterSeconds()))
-		writeEnvelope(w, CodeQueueFull, err.Error())
+	select {
+	case h.appendSlots <- struct{}{}:
+		defer func() { <-h.appendSlots }()
+	default:
+		// An admitted batch costs about one fsync, so a slot frees soon.
+		w.Header().Set("Retry-After", "1")
+		writeEnvelope(w, CodeQueueFull, fmt.Sprintf("%d append batches already pending", maxPendingAppends))
 		return
 	}
-	// The handler waits for the apply synchronously — the 202 must carry
-	// the assigned epoch — but the job keeps running if the client
-	// disconnects: an admitted batch is never half-abandoned.
-	wake, unsub := j.Subscribe()
-	defer unsub()
-	for {
-		s := j.Snapshot()
-		if s.State.Terminal() {
-			if s.Err != nil {
-				writeError(w, s.Err)
-				return
-			}
-			resp, _ := s.Result.(*AppendResponse)
-			if resp == nil {
-				writeEnvelope(w, CodeInternal, "append job returned no result")
-				return
-			}
-			var buf bytes.Buffer
-			if err := json.NewEncoder(&buf).Encode(resp); err != nil {
-				writeEnvelope(w, CodeInternal, "encoding response: "+err.Error())
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusAccepted)
-			_, _ = w.Write(buf.Bytes())
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			// The client went away; the admitted batch still applies (and
-			// is WAL-durable once it does). Nothing useful to write.
-			return
-		}
+	// An admitted batch applies even if the client disconnects: the WAL
+	// write and the in-memory apply are all-or-nothing either way.
+	epoch, err := m.Engine.AppendRatings(context.WithoutCancel(r.Context()), ratings)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
+	body, err := encodeJSON(&AppendResponse{Epoch: epoch, Accepted: len(ratings)})
+	if err != nil {
+		writeEnvelope(w, CodeInternal, "encoding response: "+err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_, _ = w.Write(body)
 }

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,14 +9,17 @@ import (
 	"net/url"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro"
 )
 
-// ingestServer mounts a fresh engine with live ingestion armed — the
-// shared test engine must stay immutable for the golden suites.
-func ingestServer(t *testing.T) (*httptest.Server, *maprat.Engine) {
+// ingestEngine opens a fresh engine with live ingestion armed — the
+// shared test engine must stay immutable for the golden suites — and
+// returns it with its WAL path.
+func ingestEngine(t *testing.T) (*maprat.Engine, string) {
 	t.Helper()
 	ds, err := maprat.Generate(maprat.SmallGenConfig())
 	if err != nil {
@@ -25,9 +29,17 @@ func ingestServer(t *testing.T) (*httptest.Server, *maprat.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.EnableIngest(filepath.Join(t.TempDir(), "ingest.wal")); err != nil {
+	wal := filepath.Join(t.TempDir(), "ingest.wal")
+	if _, err := eng.EnableIngest(wal); err != nil {
 		t.Fatal(err)
 	}
+	return eng, wal
+}
+
+// ingestServer mounts a fresh write-armed engine behind the v1 handler.
+func ingestServer(t *testing.T) (*httptest.Server, *maprat.Engine) {
+	t.Helper()
+	eng, _ := ingestEngine(t)
 	ts := httptest.NewServer(New(eng, Config{}))
 	t.Cleanup(ts.Close)
 	return ts, eng
@@ -195,5 +207,122 @@ func TestAppendEndpointDisabledEngine(t *testing.T) {
 	}
 	if got := envelopeCode(t, body); got != CodeUnavailable {
 		t.Fatalf("code=%q, want %q", got, CodeUnavailable)
+	}
+}
+
+// TestAppendAdmissionBound: with every pending-append slot taken, a
+// batch answers 429 queue_full with Retry-After and leaves the epoch
+// alone; once a slot frees, the same batch is accepted at the next
+// epoch.
+func TestAppendAdmissionBound(t *testing.T) {
+	eng, _ := ingestEngine(t)
+	h := New(eng, Config{})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	for range maxPendingAppends {
+		h.appendSlots <- struct{}{}
+	}
+	body := appendBody(t, eng, 4)
+
+	resp, err := http.Post(ts.URL+"/api/v1/ratings", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("append with every slot taken: status=%d, want 429\n%s", resp.StatusCode, out)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 carries no Retry-After")
+	}
+	if got := envelopeCode(t, string(out)); got != CodeQueueFull {
+		t.Errorf("code=%q, want %q", got, CodeQueueFull)
+	}
+	if eng.CurrentEpoch() != 1 {
+		t.Fatalf("rejected batch advanced the epoch to %d", eng.CurrentEpoch())
+	}
+
+	<-h.appendSlots
+	code, out2 := postJSON(t, ts, "/api/v1/ratings", body)
+	var ar AppendResponse
+	if code != http.StatusAccepted || json.Unmarshal([]byte(out2), &ar) != nil || ar.Epoch != 2 {
+		t.Fatalf("append after a slot freed: status=%d body=%s, want 202 at epoch 2", code, out2)
+	}
+}
+
+// TestAppendSingleWriter: concurrent batches are applied one at a time,
+// each at its own epoch, with no gaps and no batch lost.
+func TestAppendSingleWriter(t *testing.T) {
+	ts, eng := ingestServer(t)
+	const writers = 8
+	epochs := make(chan uint64, writers)
+	var wg sync.WaitGroup
+	for i := range writers {
+		wg.Add(1)
+		go func(score int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/api/v1/ratings", "application/json", strings.NewReader(appendBody(t, eng, score)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var ar AppendResponse
+			if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&ar) != nil {
+				t.Errorf("concurrent append: status %d", resp.StatusCode)
+				return
+			}
+			epochs <- ar.Epoch
+		}(i%5 + 1)
+	}
+	wg.Wait()
+	close(epochs)
+	seen := map[uint64]bool{}
+	for ep := range epochs {
+		if seen[ep] || ep < 2 || ep > writers+1 {
+			t.Errorf("epoch %d assigned twice or out of range", ep)
+		}
+		seen[ep] = true
+	}
+	if len(seen) != writers || eng.CurrentEpoch() != writers+1 {
+		t.Fatalf("%d distinct epochs, current %d; want %d batches ending at epoch %d", len(seen), eng.CurrentEpoch(), writers, writers+1)
+	}
+}
+
+// TestAppendSurvivesDisconnect: a batch whose client is already gone
+// still applies and is logged — the WAL write and the in-memory apply
+// are all-or-nothing, never abandoned halfway.
+func TestAppendSurvivesDisconnect(t *testing.T) {
+	eng, wal := ingestEngine(t)
+	h := New(eng, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/ratings", strings.NewReader(appendBody(t, eng, 2))).WithContext(ctx)
+	h.ServeHTTP(httptest.NewRecorder(), req)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.CurrentEpoch() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("epoch = %d after a disconnected append, want 2", eng.CurrentEpoch())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Replaying the WAL into a fresh engine lands on the same epoch.
+	ds, err := maprat.Generate(maprat.SmallGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := maprat.Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = replay.Close() })
+	epoch, err := replay.EnableIngest(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 2 {
+		t.Fatalf("WAL replay lands on epoch %d, want 2", epoch)
 	}
 }

@@ -97,14 +97,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// Flush forwards to the underlying writer so streaming handlers (the SSE
-// job events endpoint) can push each event out immediately.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // gzipWriter transparently compresses the response body when the client
 // opted in via Accept-Encoding. The encoding decision is deferred to the
 // first header write so bodyless responses (304) stay unencoded.
@@ -144,15 +136,6 @@ func (g *gzipWriter) Close() error {
 	return nil
 }
 
-func (g *gzipWriter) Flush() {
-	if g.gz != nil {
-		_ = g.gz.Flush()
-	}
-	if f, ok := g.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // acceptsGzip reports whether the request opted into a gzip response.
 // A qvalue of 0 means "not acceptable" (RFC 9110 §12.4.2), so
 // `gzip;q=0` is an explicit refusal, not an opt-in.
@@ -176,8 +159,6 @@ func acceptsGzip(r *http.Request) bool {
 // etagEndpoints names the deterministic GET endpoints that participate
 // in conditional requests: seeded mining is a pure function of (request,
 // dataset), so their representations are cacheable under a strong tag.
-// The jobs surface is deliberately absent — job state is anything but
-// deterministic.
 var etagEndpoints = map[string]bool{
 	"explain":   true,
 	"group":     true,
@@ -253,10 +234,8 @@ func (h *Handler) Wrap(name string, fn http.HandlerFunc) http.Handler {
 			id = fmt.Sprintf("v1-%06d", h.reqID.Add(1))
 		}
 		w.Header().Set("X-Request-ID", id)
-		// The SSE stream must never be buffered behind a compressor;
-		// every other endpoint may negotiate gzip when enabled.
 		var gzw *gzipWriter
-		if h.cfg.EnableGzip && name != "jobs_events" {
+		if h.cfg.EnableGzip {
 			w.Header().Set("Vary", "Accept-Encoding")
 			if acceptsGzip(r) {
 				gzw = &gzipWriter{ResponseWriter: w}

@@ -10,18 +10,17 @@ import (
 // Call is one validated pipeline request, ready to run against a miner.
 // It returns the response document the v1 endpoint answers (an
 // *ExplainResponse, *GroupResponse, *RefinementsResponse, *DrillResponse
-// or *EvolutionResponse). A non-nil progress receives the solver's
-// restart completions; nil leaves the request's settings untouched.
-type Call func(ctx context.Context, m maprat.Miner, progress func(done, total int)) (any, error)
+// or *EvolutionResponse).
+type Call func(ctx context.Context, m maprat.Miner) (any, error)
 
 // opNames lists the v1 pipelines in route order.
 var opNames = []string{"explain", "group", "refine", "drill", "evolution"}
 
-// ops is the one op table behind the synchronous endpoints, job
-// submission, batch elements and the CLI's local mode. Each entry
-// validates its Params eagerly — a bad knob fails before any dataset
-// work — in a fixed per-op order, so a request with several bad knobs
-// gets the same 400 from every caller.
+// ops is the one op table behind the v1 endpoints, the HTML pages,
+// batch elements and the CLI's local mode. Each entry validates its
+// Params eagerly — a bad knob fails before any dataset work — in a
+// fixed per-op order, so a request with several bad knobs gets the same
+// 400 from every caller.
 var ops = map[string]func(Params) (Call, error){
 	"explain":   explainOp,
 	"group":     groupOp,
@@ -40,15 +39,6 @@ func Op(name string, p Params) (Call, error) {
 	return prepare(p)
 }
 
-// withProgress returns s with the progress hook wired in, when there is
-// one.
-func withProgress(s maprat.Settings, progress func(done, total int)) maprat.Settings {
-	if progress != nil {
-		s.Progress = progress
-	}
-	return s
-}
-
 func explainOp(p Params) (Call, error) {
 	req, err := p.ExplainRequest()
 	if err != nil {
@@ -57,10 +47,8 @@ func explainOp(p Params) (Call, error) {
 	if err := checkDMK(req.Settings.K, req.Tasks); err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
-		r := req
-		r.Settings = withProgress(r.Settings, progress)
-		ex, err := m.ExplainContext(ctx, r)
+	return func(ctx context.Context, m maprat.Miner) (any, error) {
+		ex, err := m.ExplainContext(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +69,7 @@ func groupOp(p Params) (Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner, _ func(int, int)) (any, error) {
+	return func(ctx context.Context, m maprat.Miner) (any, error) {
 		ge, err := m.ExploreFullContext(ctx, req.Query, key, buckets, limit)
 		if err != nil {
 			return nil, err
@@ -99,7 +87,7 @@ func refineOp(p Params) (Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner, _ func(int, int)) (any, error) {
+	return func(ctx context.Context, m maprat.Miner) (any, error) {
 		refs, err := m.RefineGroupContext(ctx, req.Query, key, limit)
 		if err != nil {
 			return nil, err
@@ -124,8 +112,8 @@ func drillOp(p Params) (Call, error) {
 	if err := checkDMK(req.Settings.K, []maprat.Task{task}); err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
-		tr, err := m.DrillMineContext(ctx, req.Query, key, task, withProgress(req.Settings, progress))
+	return func(ctx context.Context, m maprat.Miner) (any, error) {
+		tr, err := m.DrillMineContext(ctx, req.Query, key, task, req.Settings)
 		if err != nil {
 			return nil, err
 		}
@@ -145,10 +133,8 @@ func evolutionOp(p Params) (Call, error) {
 	if err := checkDMK(req.Settings.K, req.Tasks); err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner, progress func(int, int)) (any, error) {
-		r := req
-		r.Settings = withProgress(r.Settings, progress)
-		points, err := m.EvolutionContext(ctx, r)
+	return func(ctx context.Context, m maprat.Miner) (any, error) {
+		points, err := m.EvolutionContext(ctx, req)
 		if err != nil {
 			return nil, err
 		}

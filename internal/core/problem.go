@@ -75,14 +75,6 @@ type Settings struct {
 	// sub-seeded generator, so Workers never changes the Solution — only
 	// the wall clock.
 	Workers int
-	// Progress, when non-nil, is invoked after each restart completes
-	// with the number of finished restarts and the total for this solve.
-	// With Workers > 1 it is called from multiple goroutines, so the
-	// callback must be safe for concurrent use. It observes the solve, it
-	// must not influence it — and when nil the solver pays nothing for
-	// it. Progress is result-neutral and deliberately excluded from every
-	// cache key.
-	Progress func(done, total int)
 }
 
 // DefaultSettings mirrors the demo defaults: the best 3 groups covering at

@@ -50,9 +50,6 @@ func (p *Problem) SolveRHECtx(ctx context.Context) (Solution, error) {
 				return Solution{}, ctx.Err()
 			}
 			fold.add(p.runRestart(ctx, r), r)
-			if p.Settings.Progress != nil {
-				p.Settings.Progress(r+1, p.Settings.Restarts)
-			}
 		}
 		if err := ctx.Err(); err != nil {
 			return Solution{}, err
@@ -67,7 +64,7 @@ func (p *Problem) SolveRHECtx(ctx context.Context) (Solution, error) {
 	// the index tie-break in rheFold makes the merged result identical
 	// to the sequential first-wins fold.
 	folds := make([]rheFold, workers)
-	var next, completed atomic.Int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -80,12 +77,6 @@ func (p *Problem) SolveRHECtx(ctx context.Context) (Solution, error) {
 					return
 				}
 				fold.add(q.runRestart(ctx, r), r)
-				if p.Settings.Progress != nil {
-					// done is the count of completed restarts, not which
-					// ones: under work stealing the indices finish out of
-					// order, but the count is still monotonic.
-					p.Settings.Progress(int(completed.Add(1)), p.Settings.Restarts)
-				}
 			}
 		}(&folds[w])
 	}

@@ -19,13 +19,12 @@ import (
 
 	"repro"
 	"repro/internal/api"
-	"repro/internal/jobs"
 	"repro/internal/store"
 	"repro/internal/viz"
 )
 
 // Config tunes the server: the v1 surface's settings (request timeout,
-// batch cap, access log, jobs, gzip), which the HTML pages share, plus the
+// batch cap, access log, gzip), which the HTML pages share, plus the
 // shutdown window. The zero value is valid.
 type Config struct {
 	api.Config
@@ -115,14 +114,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	grace, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace) //maprat:allow(ctxflow) shutdown grace window: ctx is already done here, the drain deadline must outlive it
 	defer cancel()
-	err := srv.Shutdown(grace)
-	// Drain the job subsystem too: queued jobs are canceled, running
-	// jobs get the rest of the grace window to finish before their
-	// contexts are cut.
-	if cerr := s.api.Close(grace); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := srv.Shutdown(grace); err != nil {
 		return err
 	}
 	<-errc // always http.ErrServerClosed after a Shutdown
@@ -162,14 +154,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		} `json:"result_cache"`
 		Mines    uint64                          `json:"mines"`
 		API      map[string]api.EndpointSnapshot `json:"api"`
-		Jobs     jobs.Stats                      `json:"jobs"`
 		Datasets []datasetStat                   `json:"datasets"`
 		Ingest   *maprat.IngestStats             `json:"ingest,omitempty"`
 	}{
 		PlanCache: s.def.PlanStats(),
 		Mines:     s.def.MineCount(),
 		API:       s.api.MetricsSnapshot(),
-		Jobs:      s.api.JobStats(),
 	}
 	// A write-armed engine contributes its live-ingestion section (epoch
 	// clock, batch/tuple counters, WAL size, plan invalidation split).

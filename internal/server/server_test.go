@@ -622,3 +622,40 @@ func TestGroupPageDefaultLimit(t *testing.T) {
 		t.Errorf("group page with limit=3 shows %d refinements, want 3", n)
 	}
 }
+
+// TestV1ExplainInstrumented checks that /api/v1/explain, served through
+// the server mux, runs the v1 middleware stack: the response carries the
+// request-ID header the stack adds and the traffic shows up in the
+// /statsz "api" counters.
+func TestV1ExplainInstrumented(t *testing.T) {
+	ts := testServer(t)
+	resp, err := http.Get(ts.URL + "/api/v1/explain?q=" + url.QueryEscape(`movie:"Toy Story"`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("v1 explain status %d", resp.StatusCode)
+	}
+	if resp.Header.Get("X-Request-ID") == "" {
+		t.Error("v1 explain bypassed the middleware stack: no X-Request-ID")
+	}
+
+	code, body := get(t, ts, "/statsz")
+	if code != http.StatusOK {
+		t.Fatalf("statsz status %d", code)
+	}
+	var stats struct {
+		API map[string]struct {
+			Requests uint64            `json:"requests"`
+			Status   map[string]uint64 `json:"status"`
+		} `json:"api"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatalf("statsz json: %v", err)
+	}
+	ep, ok := stats.API["explain"]
+	if !ok || ep.Requests == 0 || ep.Status["2xx"] == 0 {
+		t.Fatalf("statsz has no explain counters: %+v", stats.API)
+	}
+}

@@ -744,8 +744,8 @@ func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
 
 // settingsKey formats every result-affecting Settings field for a cache
 // or memo key, floats in their shortest exact form (%v) so settings that
-// differ in any digit never share an entry. Workers and Progress are left
-// out: neither changes a result.
+// differ in any digit never share an entry. Workers is left out: it
+// never changes a result.
 func settingsKey(s Settings) string {
 	return fmt.Sprintf("k=%d|a=%v|l=%v|sb=%v|p=%v|seed=%d|r=%d|mi=%d|ss=%d",
 		s.K, s.Coverage, s.Lambda, s.SiblingBoost, s.Profile, s.Seed,

@@ -1,22 +1,16 @@
 // Package client is the Go SDK for a running MapRat server: typed calls
-// for every synchronous /api/v1 endpoint, the asynchronous job surface
-// (submit, poll, cancel, wait, stream progress over SSE), and
-// retry-with-backoff around the transport. The wire types are shared
-// with the server's transport package, so the SDK cannot drift from the
-// contract it consumes.
+// for every /api/v1 endpoint, with retry-with-backoff around the
+// transport. The wire types are shared with the server's transport
+// package, so the SDK cannot drift from the contract it consumes.
 //
 // Typical use:
 //
 //	c, _ := client.New("http://localhost:8080")
 //	ex, err := c.Explain(ctx, client.Params{Q: `movie:"Toy Story"`})
 //
-// and the async lifecycle:
-//
-//	job, _ := c.SubmitJob(ctx, "explain", client.Params{Q: ...})
-//	st, _ := c.StreamJob(ctx, job.ID, func(ev client.JobEvent) error {
-//	    log.Printf("%s %s", ev.Type, ev.Data)
-//	    return nil
-//	})
+// Reads retry transport errors and 429/502/503/504. AppendRatings
+// retries only the 429 admission rejection: any other failure may have
+// come after the batch was logged, and a replay would log it twice.
 package client
 
 import (
@@ -56,10 +50,6 @@ type (
 	BrowseResponse = api.BrowseResponse
 	// BatchResponse is the /api/v1/batch payload.
 	BatchResponse = api.BatchResponse
-	// JobStatus is the job resource the async endpoints return.
-	JobStatus = api.JobStatus
-	// JobProgress is a job's latest restart progress.
-	JobProgress = api.JobProgress
 	// RatingInput is one rating of an append batch.
 	RatingInput = api.RatingInput
 	// AppendResponse is the /api/v1/ratings payload: the assigned epoch.
@@ -149,11 +139,26 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
+// retryRead reports whether a read can be retried after err: transport
+// errors and Temporary API errors (429 honoring Retry-After,
+// 502/503/504). Reads are idempotent, so a replay is always safe.
+func retryRead(err error) bool {
+	var ae *APIError
+	return !errors.As(err, &ae) || ae.Temporary()
+}
+
+// retryAppend reports whether an append can be retried after err: only
+// a 429, which the server answers before the engine sees the batch.
+// After any other failure the batch may already be logged.
+func retryAppend(err error) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests
+}
+
 // do runs one HTTP call with retry+backoff and decodes a JSON success
 // into out. Request bodies are byte slices, so every retry replays the
-// identical payload. Retried failures: transport errors and Temporary
-// API errors (429 honoring Retry-After, 502/503/504).
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// identical payload. retry decides which failures are tried again.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, retry func(error) bool) error {
 	var lastErr error
 	for attempt := 0; attempt < c.attempts; attempt++ {
 		if attempt > 0 {
@@ -166,11 +171,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			return nil
 		}
 		lastErr = err
-		var ae *APIError
-		if errors.As(err, &ae) && !ae.Temporary() {
-			return err
-		}
-		if ctx.Err() != nil {
+		if !retry(err) || ctx.Err() != nil {
 			return err
 		}
 	}
@@ -257,14 +258,15 @@ func apiErrorFrom(resp *http.Response) *APIError {
 	return ae
 }
 
-// post marshals p and POSTs it; every mining endpoint accepts the same
-// JSON body it accepts as GET query parameters.
+// post marshals p and POSTs it under the read retry policy; every
+// mining endpoint accepts the same JSON body it accepts as GET query
+// parameters.
 func (c *Client) post(ctx context.Context, path string, p any, out any) error {
 	body, err := json.Marshal(p)
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, path, body, out)
+	return c.do(ctx, http.MethodPost, path, body, out, retryRead)
 }
 
 // Explain runs the full SM/DM mining pipeline.
@@ -315,7 +317,7 @@ func (c *Client) Evolution(ctx context.Context, p Params) (*EvolutionResponse, e
 // Browse fetches the whole-log per-state choropleth.
 func (c *Client) Browse(ctx context.Context) (*BrowseResponse, error) {
 	var out BrowseResponse
-	if err := c.do(ctx, http.MethodGet, "/api/v1/browse", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/api/v1/browse", nil, &out, retryRead); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -330,7 +332,7 @@ func (c *Client) BrowseAt(ctx context.Context, epoch uint64) (*BrowseResponse, e
 		path += "?epoch=" + strconv.FormatUint(epoch, 10)
 	}
 	var out BrowseResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, &out, retryRead); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -339,13 +341,18 @@ func (c *Client) BrowseAt(ctx context.Context, epoch uint64) (*BrowseResponse, e
 // AppendRatings appends one batch of new ratings and returns the epoch
 // the server accepted it at. dataset selects the mounted dataset ("" =
 // default). The batch is all-or-nothing and WAL-durable before the
-// server answers. A queue-full 429 retries within the client's retry
-// budget honoring the server's Retry-After — safe, because admission
-// rejections happen before the batch is logged.
+// server answers. Appends are not idempotent, so only an admission 429
+// retries (within the client's retry budget, honoring Retry-After): the
+// server rejects it before the batch is logged. Every other failure,
+// a lost connection or a 503 included, returns to the caller, who
+// alone can tell whether the batch should be sent again.
 func (c *Client) AppendRatings(ctx context.Context, dataset string, ratings []RatingInput) (*AppendResponse, error) {
+	body, err := json.Marshal(api.AppendRequest{Dataset: dataset, Ratings: ratings})
+	if err != nil {
+		return nil, err
+	}
 	var out AppendResponse
-	req := api.AppendRequest{Dataset: dataset, Ratings: ratings}
-	if err := c.post(ctx, "/api/v1/ratings", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/api/v1/ratings", body, &out, retryAppend); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -359,104 +366,4 @@ func (c *Client) Batch(ctx context.Context, reqs []Params) (*BatchResponse, erro
 		return nil, err
 	}
 	return &out, nil
-}
-
-// SubmitJob submits an asynchronous job: op is one of explain, group,
-// refine, drill, evolution, and p carries the same knobs as the
-// synchronous endpoint. A 429 (queue full) is retried within the
-// client's retry budget, honoring the server's Retry-After.
-func (c *Client) SubmitJob(ctx context.Context, op string, p Params) (*JobStatus, error) {
-	var out JobStatus
-	if err := c.post(ctx, "/api/v1/jobs", api.JobSubmitRequest{Op: op, Params: p}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// GetJob polls a job; the result document rides along once done.
-func (c *Client) GetJob(ctx context.Context, id string) (*JobStatus, error) {
-	var out JobStatus
-	if err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// CancelJob requests cancellation. Canceling an already-terminal job is
-// a no-op that answers the current status.
-func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
-	var out JobStatus
-	if err := c.do(ctx, http.MethodDelete, "/api/v1/jobs/"+url.PathEscape(id), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Terminal reports whether a polled state string is an end state.
-func Terminal(state string) bool {
-	return state == "done" || state == "failed" || state == "canceled"
-}
-
-// JobFailedError is the typed error WaitJob and StreamJob return for a
-// job that reached the terminal "failed" state, carrying the envelope
-// code so callers can dispatch on it (errors.As). The terminal status
-// is still returned alongside the error.
-type JobFailedError struct {
-	ID      string
-	Code    api.ErrorCode
-	Message string
-}
-
-// Error implements error.
-func (e *JobFailedError) Error() string {
-	return fmt.Sprintf("maprat job %s failed: %s: %s", e.ID, e.Code, e.Message)
-}
-
-// failedJobError converts a terminal snapshot into its typed error (nil
-// unless the state is "failed"). A canceled job is not an error: the
-// caller asked for that outcome.
-func failedJobError(st *JobStatus) error {
-	if st.State != "failed" {
-		return nil
-	}
-	e := &JobFailedError{ID: st.ID, Code: api.CodeInternal, Message: "job failed"}
-	if st.Error != nil {
-		e.Code, e.Message = st.Error.Code, st.Error.Message
-	}
-	return e
-}
-
-// WaitJob polls until the job reaches a terminal state (or ctx ends),
-// backing off from 50ms to 1s between polls. A 429 from the poll —
-// admission control pushing back harder than the do() retry budget —
-// does not fail the wait: the server's Retry-After becomes the next
-// poll delay. A job that terminates in the "failed" state returns its
-// status AND a *JobFailedError carrying the envelope code; "done" and
-// "canceled" return a nil error.
-func (c *Client) WaitJob(ctx context.Context, id string) (*JobStatus, error) {
-	delay := 50 * time.Millisecond
-	for {
-		st, err := c.GetJob(ctx, id)
-		if err != nil {
-			var ae *APIError
-			if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || ctx.Err() != nil {
-				return nil, err
-			}
-			if ae.RetryAfter > delay {
-				delay = ae.RetryAfter
-			}
-		} else if Terminal(st.State) {
-			return st, failedJobError(st)
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		}
-		if delay *= 2; delay > time.Second {
-			delay = time.Second
-		}
-	}
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -18,7 +17,7 @@ var (
 	tsMemo *httptest.Server
 )
 
-// testServer mounts the full MapRat server (HTML + v1 + jobs) over one
+// testServer mounts the full MapRat server (HTML + v1) over one
 // shared small engine.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -142,100 +141,12 @@ func asAPIError(err error, out **APIError) bool {
 	return false
 }
 
-func asJobFailed(err error, out **JobFailedError) bool {
-	for ; err != nil; err = unwrap(err) {
-		if je, ok := err.(*JobFailedError); ok {
-			*out = je
-			return true
-		}
-	}
-	return false
-}
-
 func unwrap(err error) error {
 	u, ok := err.(interface{ Unwrap() error })
 	if !ok {
 		return nil
 	}
 	return u.Unwrap()
-}
-
-// TestJobSubmitWaitStream drives the full async lifecycle through the
-// SDK: submit, stream progress over SSE, and compare the job's result
-// with the synchronous endpoint.
-func TestJobSubmitWaitStream(t *testing.T) {
-	c := testClient(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// Knobs no other test uses, so the solver runs and emits progress.
-	p := Params{Q: `genre:Drama`, K: intp(2), Seed: int64p(77), Restarts: intp(18)}
-	job, err := c.SubmitJob(ctx, "explain", p)
-	if err != nil {
-		t.Fatalf("SubmitJob: %v", err)
-	}
-	if job.ID == "" {
-		t.Fatalf("submit status: %+v", job)
-	}
-
-	var progress int
-	st, err := c.StreamJob(ctx, job.ID, func(ev JobEvent) error {
-		if pr := ev.Progress(); pr != nil {
-			progress++
-			if pr.Total != 18 {
-				t.Errorf("progress total = %d, want 18", pr.Total)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("StreamJob: %v", err)
-	}
-	if st.State != "done" || len(st.Result) == 0 {
-		t.Fatalf("terminal status: %+v", st)
-	}
-	if progress < 1 {
-		t.Fatal("stream delivered no progress events")
-	}
-
-	var jobEx ExplainResponse
-	if err := json.Unmarshal(st.Result, &jobEx); err != nil {
-		t.Fatalf("result decode: %v", err)
-	}
-	syncEx, err := c.Explain(ctx, p)
-	if err != nil {
-		t.Fatalf("sync Explain: %v", err)
-	}
-	jobEx.ElapsedMS, syncEx.ElapsedMS = 0, 0
-	jobEx.FromCache, syncEx.FromCache = false, false
-	a, _ := json.Marshal(&jobEx)
-	b, _ := json.Marshal(syncEx)
-	if string(a) != string(b) {
-		t.Errorf("job result diverges from sync explain:\njob:  %s\nsync: %s", a, b)
-	}
-
-	// WaitJob on an already-terminal job returns immediately.
-	st2, err := c.WaitJob(ctx, job.ID)
-	if err != nil || st2.State != "done" {
-		t.Fatalf("WaitJob: %v %+v", err, st2)
-	}
-
-	// Canceling a terminal job is an idempotent no-op.
-	st3, err := c.CancelJob(ctx, job.ID)
-	if err != nil || st3.State != "done" {
-		t.Fatalf("CancelJob on terminal job: %v %+v", err, st3)
-	}
-}
-
-func int64p(v int64) *int64 { return &v }
-
-func TestGetJobNotFound(t *testing.T) {
-	c := testClient(t)
-	_, err := c.GetJob(context.Background(), "job-424242")
-	var ae *APIError
-	if !asAPIError(err, &ae) || ae.Status != http.StatusNotFound || ae.Code != "job_not_found" {
-		t.Fatalf("got %v, want 404 job_not_found", err)
-	}
 }
 
 // TestRetryBackoff pins the retry loop: transient statuses are retried
@@ -254,7 +165,7 @@ func TestRetryBackoff(t *testing.T) {
 			w.Write([]byte(`{"error":{"code":"queue_full","message":"full"}}`))
 			return
 		}
-		w.Write([]byte(`{"id":"job-000001","op":"explain","state":"queued","created":"2026-01-01T00:00:00Z"}`))
+		w.Write([]byte(`{"query":"x"}`))
 	}))
 	defer fake.Close()
 
@@ -262,12 +173,12 @@ func TestRetryBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.SubmitJob(context.Background(), "explain", Params{Q: "x"})
+	ex, err := c.Explain(context.Background(), Params{Q: "x"})
 	if err != nil {
 		t.Fatalf("retries exhausted: %v", err)
 	}
-	if st.ID != "job-000001" || hits != 3 {
-		t.Fatalf("status %+v after %d hits", st, hits)
+	if ex.Query != "x" || hits != 3 {
+		t.Fatalf("response %+v after %d hits", ex, hits)
 	}
 
 	// With the budget too small, the terminal failure surfaces.
@@ -275,7 +186,7 @@ func TestRetryBackoff(t *testing.T) {
 	hits, fails = 0, 99
 	mu.Unlock()
 	c2, _ := New(fake.URL, WithRetry(2, time.Millisecond))
-	_, err = c2.SubmitJob(context.Background(), "explain", Params{Q: "x"})
+	_, err = c2.Explain(context.Background(), Params{Q: "x"})
 	var ae *APIError
 	if !asAPIError(err, &ae) || ae.Status != http.StatusTooManyRequests {
 		t.Fatalf("got %v, want 429 after retries", err)
@@ -363,120 +274,79 @@ func TestSleepJittersBackoffAndRetryAfter(t *testing.T) {
 	}
 }
 
-// TestWaitJobRidesOut429 pins the admission-control contract: a 429
-// from the status poll is not a wait failure — the server's Retry-After
-// becomes the next poll delay and the wait continues to the terminal
-// state.
-func TestWaitJobRidesOut429(t *testing.T) {
-	var mu sync.Mutex
-	polls := 0
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		polls++
-		w.Header().Set("Content-Type", "application/json")
-		if polls <= 2 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":{"code":"queue_full","message":"busy"}}`))
-			return
-		}
-		w.Write([]byte(`{"id":"job-000007","op":"explain","state":"done","created":"2026-01-01T00:00:00Z"}`))
-	}))
-	defer fake.Close()
-
-	// WithRetry(1, 0) turns off do()'s own retries, so WaitJob's loop is
-	// the only thing keeping the poll alive.
-	c, err := New(fake.URL, WithRetry(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	start := time.Now()
-	st, err := c.WaitJob(ctx, "job-000007")
-	if err != nil {
-		t.Fatalf("WaitJob failed on 429: %v", err)
-	}
-	if st.State != "done" {
-		t.Fatalf("state = %q, want done", st.State)
-	}
-	// Two 429s each carrying Retry-After: 1 → at least ~2s of hint-driven
-	// delay before the third poll succeeds.
-	if d := time.Since(start); d < 2*time.Second {
-		t.Errorf("wait finished in %v; Retry-After hints were not honored", d)
-	}
-	mu.Lock()
-	if polls != 3 {
-		t.Errorf("polled %d times, want 3", polls)
-	}
-	mu.Unlock()
-}
-
-// TestWaitJobReturnsTypedFailure: a job that terminates in "failed"
-// surfaces both the terminal status and a *JobFailedError carrying the
-// envelope code.
-func TestWaitJobReturnsTypedFailure(t *testing.T) {
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"id":"job-000008","op":"explain","state":"failed","created":"2026-01-01T00:00:00Z","error":{"code":"bad_query","message":"unknown field"}}`))
-	}))
-	defer fake.Close()
-
-	c, err := New(fake.URL, WithRetry(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.WaitJob(context.Background(), "job-000008")
-	if st == nil || st.State != "failed" {
-		t.Fatalf("terminal status = %+v, want the failed snapshot alongside the error", st)
-	}
-	var jfe *JobFailedError
-	if !asJobFailed(err, &jfe) {
-		t.Fatalf("WaitJob returned %v, want *JobFailedError", err)
-	}
-	if jfe.ID != "job-000008" || string(jfe.Code) != "bad_query" || jfe.Message != "unknown field" {
-		t.Errorf("JobFailedError = %+v, envelope fields not carried over", jfe)
-	}
-}
-
-// TestStreamJobReturnsTypedFailure: the SSE path classifies a failed
-// terminal event the same way WaitJob does.
-func TestStreamJobReturnsTypedFailure(t *testing.T) {
-	status := `{"id":"job-000009","op":"explain","state":"failed","created":"2026-01-01T00:00:00Z","error":{"code":"internal","message":"solver blew up"}}`
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Accept") == "text/event-stream" {
-			w.Header().Set("Content-Type", "text/event-stream")
-			w.Write([]byte("event: failed\ndata: " + status + "\n\n"))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(status))
-	}))
-	defer fake.Close()
-
-	c, err := New(fake.URL, WithRetry(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawTerminal bool
-	st, err := c.StreamJob(context.Background(), "job-000009", func(ev JobEvent) error {
-		if ev.Terminal() {
-			sawTerminal = true
-		}
-		return nil
-	})
-	if !sawTerminal {
-		t.Error("terminal SSE event never reached the callback")
-	}
-	if st == nil || st.State != "failed" {
-		t.Fatalf("terminal status = %+v, want the failed snapshot alongside the error", st)
-	}
-	var jfe *JobFailedError
-	if !asJobFailed(err, &jfe) {
-		t.Fatalf("StreamJob returned %v, want *JobFailedError", err)
-	}
-	if string(jfe.Code) != "internal" || jfe.Message != "solver blew up" {
-		t.Errorf("JobFailedError = %+v, envelope fields not carried over", jfe)
+// TestAppendRetriesOnlyAdmission pins the append retry policy: an append
+// is not idempotent, so only a 429 (rejected before the engine sees the
+// batch) is sent again. A lost response or a 503 returns to the caller
+// after one POST, while a read against the same server still retries.
+func TestAppendRetriesOnlyAdmission(t *testing.T) {
+	batch := []RatingInput{{UserID: 1, ItemID: 1, Score: 5, Unix: 1100000000}}
+	for _, tc := range []struct {
+		name      string
+		answer    func(w http.ResponseWriter, post int)
+		wantOK    bool
+		wantPosts int
+	}{
+		{"connection lost", func(w http.ResponseWriter, _ int) {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+		}, false, 1},
+		{"503 unavailable", func(w http.ResponseWriter, _ int) {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(`{"error":{"code":"unavailable","message":"live ingestion is disabled"}}`))
+		}, false, 1},
+		{"429 then 202", func(w http.ResponseWriter, post int) {
+			if post == 1 {
+				w.WriteHeader(http.StatusTooManyRequests)
+				w.Write([]byte(`{"error":{"code":"queue_full","message":"full"}}`))
+				return
+			}
+			w.WriteHeader(http.StatusAccepted)
+			w.Write([]byte(`{"epoch":2,"accepted":1}`))
+		}, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			posts := 0
+			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				posts++
+				n := posts
+				mu.Unlock()
+				w.Header().Set("Content-Type", "application/json")
+				tc.answer(w, n)
+			}))
+			defer fake.Close()
+			c, err := New(fake.URL, WithRetry(3, time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.AppendRatings(context.Background(), "", batch)
+			if tc.wantOK && (err != nil || resp.Epoch != 2) {
+				t.Fatalf("AppendRatings = %+v, %v; want epoch 2", resp, err)
+			}
+			if !tc.wantOK && err == nil {
+				t.Fatal("AppendRatings succeeded, want the failure returned")
+			}
+			mu.Lock()
+			if posts != tc.wantPosts {
+				t.Errorf("server saw %d POSTs, want %d", posts, tc.wantPosts)
+			}
+			posts = 0
+			mu.Unlock()
+			if tc.wantOK {
+				return
+			}
+			// Reads are idempotent and keep retrying the same failure.
+			if _, err := c.Explain(context.Background(), Params{Q: "x"}); err == nil {
+				t.Fatal("Explain succeeded against a failing server")
+			}
+			mu.Lock()
+			if posts != 3 {
+				t.Errorf("read made %d attempts, want the retry budget of 3", posts)
+			}
+			mu.Unlock()
+		})
 	}
 }
