@@ -4,29 +4,24 @@ import (
 	"go/ast"
 )
 
-// goroutineCtxSuffixes are the packages where a goroutine that cannot
-// observe a context is a cancellation leak: the mining pipeline threads
-// ctx solver→engine→HTTP (PR 1) and the jobs subsystem owns per-job
-// timeouts (PR 5) — an unanchored goroutine in either keeps computing
-// for callers that already hung up.
-var goroutineCtxSuffixes = append([]string{"internal/jobs"}, miningPkgSuffixes...)
-
 // Ctxflow enforces the context discipline: no context.Background()/TODO()
 // outside main packages and annotated seams, context.Context only as the
-// first parameter, and no context-blind goroutine launches in mining or
-// jobs code.
+// first parameter, and no context-blind goroutine launches in the mining
+// packages, where the pipeline threads ctx solver→engine→HTTP — an
+// unanchored goroutine there keeps computing for callers that already
+// hung up.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "flag context.Background()/context.TODO() outside main packages " +
 		"and annotated seams, context.Context parameters not in first " +
-		"position, and goroutines in mining/jobs packages that capture no " +
+		"position, and goroutines in mining packages that capture no " +
 		"context",
 	Run: runCtxflow,
 }
 
 func runCtxflow(pass *Pass) error {
 	isMain := pass.Pkg.Name() == "main"
-	checkGoroutines := inGoroutinePkg(pass.Pkg.Path())
+	checkGoroutines := inMiningPkg(pass.Pkg.Path())
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch node := n.(type) {
@@ -50,15 +45,6 @@ func runCtxflow(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-func inGoroutinePkg(path string) bool {
-	for _, s := range goroutineCtxSuffixes {
-		if pathHasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // checkCtxPosition flags context.Context parameters that are not the
@@ -111,5 +97,5 @@ func checkGoroutineCtx(pass *Pass, gs *ast.GoStmt) {
 			return
 		}
 	}
-	pass.Reportf(gs.Pos(), "goroutine launched without a context in mining/jobs code: cancellation cannot reach it; pass or capture a ctx, or annotate the seam")
+	pass.Reportf(gs.Pos(), "goroutine launched without a context in mining code: cancellation cannot reach it; pass or capture a ctx, or annotate the seam")
 }

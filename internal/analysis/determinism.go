@@ -7,8 +7,7 @@ import (
 
 // miningPkgSuffixes are the packages whose outputs feed mined results.
 // Inside them, everything must be a pure function of (query, seed,
-// epoch): PAPER.md's repeatable exploration, PR 1's sub-seeded restarts
-// and the parallel cube build's partition-merge identity all assume it.
+// epoch): repeatable exploration and sub-seeded restarts assume it.
 var miningPkgSuffixes = []string{
 	"internal/core",
 	"internal/cube",

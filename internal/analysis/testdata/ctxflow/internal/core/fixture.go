@@ -1,4 +1,4 @@
-package jobs
+package core
 
 import "context"
 

@@ -4,6 +4,6 @@ package webish
 
 func Spawn() {
 	done := make(chan struct{})
-	go func() { close(done) }() // ok: outside the mining/jobs goroutine scope
+	go func() { close(done) }() // ok: outside the mining goroutine scope
 	<-done
 }

@@ -556,7 +556,7 @@ func E11ColdPath(ctx context.Context, eng *maprat.Engine) Report {
 		r.addf("%-44s %9d %12s", truncate(qs, 44), ex.NumRatings, med)
 	}
 
-	// Kernel isolation on a mid-size R_I: the packed build and the bitset
+	// Kernel isolation on a mid-size R_I: the roll-up build and the bitset
 	// coverage engine against their executable reference specifications.
 	q := mustParse(eng, `actor:"Tom Hanks"`)
 	ids, _ := query.Resolve(eng.Store(), q)
@@ -565,7 +565,7 @@ func E11ColdPath(ctx context.Context, eng *maprat.Engine) Report {
 	r.addf("-- cube build over %d tuples --", len(tuples))
 	packed := timeIt(5, func() { cube.Build(tuples, cfg) })
 	reference := timeIt(5, func() { cube.BuildReference(tuples, cfg) })
-	r.addf("packed two-pass build   : %12s", packed)
+	r.addf("packed roll-up build    : %12s", packed)
 	r.addf("reference map build     : %12s", reference)
 	if packed > 0 {
 		r.addf("speedup                 : %11.1fx", float64(reference)/float64(packed))

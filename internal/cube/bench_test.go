@@ -34,30 +34,29 @@ func BenchmarkBuildFramework(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPacked measures the packed two-pass cube build against
-// the retained reference (map[Key]*cell) build on the identical input —
-// the cold-path kernel the flat table and member arena optimize.
+// BenchmarkBuildPacked measures the roll-up cube build. "packed" and
+// "reference" compare it with the retained reference (map[Key]*cell)
+// build on the identical 8-state input. "plan" and "genre" shape the
+// input like live traffic (see trafficTuples): about 5.6k tuples is a
+// typical plan's R_I, and about 130k a whole-genre query.
 func BenchmarkBuildPacked(b *testing.B) {
-	tuples := benchTuples(10_000)
 	cfg := DefaultConfig()
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if c := Build(tuples, cfg); c.Len() == 0 {
-				b.Fatal("empty cube")
+	run := func(name string, tuples []Tuple, build func([]Tuple, Config) *Cube) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c := build(tuples, cfg); c.Len() == 0 {
+					b.Fatal("empty cube")
+				}
 			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if c := BuildReference(tuples, cfg); c.Len() == 0 {
-				b.Fatal("empty cube")
-			}
-		}
-	})
+		})
+	}
+	tuples := benchTuples(10_000)
+	run("packed", tuples, Build)
+	run("reference", tuples, BuildReference)
+	run("plan", trafficTuples(5_600, 42), Build)
+	run("genre", trafficTuples(130_000, 42), Build)
 }
 
 func BenchmarkKeyMatches(b *testing.B) {

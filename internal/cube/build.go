@@ -2,7 +2,7 @@ package cube
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,259 +100,143 @@ type Cube struct {
 	sibBytes atomic.Int64
 }
 
-// parallelBuildMin is the tuple count below which Build stays sequential:
-// sharding a small R_I costs more in goroutine start-up and table merging
-// than the scan saves. Per-query cubes of hundreds to tens of thousands of
-// tuples stay on the fast single-threaded path; whole-genre queries go
-// wide.
-const parallelBuildMin = 1 << 15
-
 // Build materializes every cube cell with at least one tuple that passes
 // cfg's pruning rules. This is the "set of groups that has at least one
 // rating tuple in R_I are then constructed" step of §2.3.
 //
 // Each tuple contributes to every subset of its attribute values (2^4 cells,
-// or 2^3 when the state condition is mandatory), so construction is
-// O(|R_I| · 2^|UA|). The implementation is the packed two-pass build: cells
-// live in a flat open-addressed table keyed by the mixed-radix cell code
-// (see pack.go) rather than a map[Key]*cell, and member lists are laid out
-// counting-sort style into one shared arena — pass one counts members per
-// cell, pass two writes each tuple index at its cell's precomputed offset.
-// No per-cell allocation, no map rehashing of 10-byte keys, no incremental
-// slice growth.
+// or 2^3 when the state condition is mandatory), so the cube is
+// O(|R_I| · 2^|UA|) (tuple, cell) pairs. Build rolls them up instead of
+// hashing each pair. Cells are keyed by their mixed-radix code in flat
+// open-addressed tables (see pack.go), and the tuples that share all their
+// attribute values share all their cells:
 //
-// Large inputs are sharded across GOMAXPROCS goroutines; shard tables merge
-// with the O(1) Agg merge and each shard writes its members at per-shard
-// precomputed arena offsets, so the output is byte-identical to the
-// sequential build (and to BuildReference): member lists stay ascending
-// because shards are contiguous and ordered, and the final group order is
-// re-established by the deterministic sort below.
+//   - pass 1 aggregates each tuple into its base cell (every attribute at
+//     the tuple's own value) with one hash probe, and records the tuple's
+//     base cell;
+//   - the roll-up merges each base cell's Agg into its admissible
+//     ancestors with the O(1) Agg merge, and records the ancestors of each
+//     base cell;
+//   - pass 2 walks the tuples in ascending order and writes each index at
+//     the next arena offset of its base cell's surviving ancestors, with
+//     no hashing. Member lists live counting-sort style in one shared
+//     arena, so they come out ascending with no per-cell allocation.
+//
+// The output is byte-identical to BuildReference.
 func Build(tuples []Tuple, cfg Config) *Cube {
-	workers := runtime.GOMAXPROCS(0)
-	if len(tuples) < parallelBuildMin {
-		workers = 1
-	}
-	return buildWith(tuples, cfg, workers)
-}
-
-func buildWith(tuples []Tuple, cfg Config, workers int) *Cube {
 	lay := newPackLayout(cfg)
-	if workers < 1 || len(tuples) < 2*workers {
-		workers = 1
+
+	// Pass 1: one probe per tuple. baseOf[ti] is -1 for a tuple that
+	// lacks a mandatory value. Base cells are the distinct rater profiles
+	// in R_I, a few thousand even for whole-genre inputs, so the table
+	// starts at that size and grows past it only if it must.
+	bases := newPackTable(min(len(tuples)/2, 4096))
+	baseOf := make([]int32, len(tuples))
+	for ti := range tuples {
+		tp := &tuples[ti]
+		code, ok := lay.baseCode(tp)
+		if !ok {
+			baseOf[ti] = -1
+			continue
+		}
+		b := bases.id(code)
+		bases.aggs[b].Add(tp.Score)
+		baseOf[ti] = b
 	}
 
-	// Pass 1: count pass. Each shard accumulates (code → Agg) over its
-	// contiguous tuple partition; Agg.Count doubles as the shard's member
-	// count per cell.
-	parts := make([]*packTable, workers)
-	if workers == 1 {
-		parts[0] = packCount(tuples, cfg, lay, 0, len(tuples))
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * len(tuples) / workers
-			hi := (w + 1) * len(tuples) / workers
-			wg.Add(1)
-			go func(w, lo, hi int) { //maprat:allow(ctxflow) bounded CPU shard joined by wg.Wait before Build returns; callers check ctx between pipeline stages
-				defer wg.Done()
-				parts[w] = packCount(tuples, cfg, lay, lo, hi)
-			}(w, lo, hi)
+	// Roll-up: base cell b's ancestor cell ids are anc[ancOff[b]:ancOff[b+1]].
+	nb := len(bases.codes)
+	cells := newPackTable(nb * len(lay.masks) / 3)
+	ancOff := make([]int32, nb+1)
+	anc := make([]int32, 0, nb*len(lay.masks))
+	var add [NumAttrs]uint64
+	for b, code := range bases.codes {
+		req, missing := lay.split(code, &add)
+		for mi := range lay.masks {
+			m := &lay.masks[mi]
+			if m.bits&missing != 0 {
+				continue // base cell lacks a constrained attribute
+			}
+			code := req
+			for _, bi := range m.idx {
+				code += add[bi]
+			}
+			c := cells.id(code)
+			cells.aggs[c].Merge(bases.aggs[b])
+			anc = append(anc, c)
 		}
-		wg.Wait()
-	}
-
-	// Merge shard tables. The global table must stay distinct from the
-	// shard tables when sharded: the per-shard counts position each
-	// shard's arena writes.
-	global := parts[0]
-	if workers > 1 {
-		total := 0
-		for _, p := range parts {
-			total += p.n
-		}
-		global = newPackTable(total)
-		for _, p := range parts {
-			global.merge(p)
-		}
+		ancOff[b+1] = int32(len(anc))
 	}
 
 	// Prune and order cells: support descending, then key ascending. The
 	// packed code is constructed so ascending code order is exactly
-	// lessKey order, so the sort never needs to decode.
-	type survivor struct {
-		code uint64
-		agg  Agg
-	}
-	survivors := make([]survivor, 0, global.n)
+	// lessKey order, and codes fit 32 bits, so one integer per survivor,
+	// its inverted count above its code, sorts both.
+	survivors := make([]uint64, 0, len(cells.codes))
 	arenaLen := 0
-	for i, k := range global.keys {
-		if k == 0 || global.aggs[i].Count < cfg.MinSupport {
+	for c, agg := range cells.aggs {
+		if agg.Count < cfg.MinSupport {
 			continue
 		}
-		survivors = append(survivors, survivor{code: k - 1, agg: global.aggs[i]})
-		arenaLen += global.aggs[i].Count
+		survivors = append(survivors, uint64(^uint32(agg.Count))<<32|cells.codes[c])
+		arenaLen += agg.Count
 	}
-	sort.Slice(survivors, func(a, b int) bool {
-		if survivors[a].agg.Count != survivors[b].agg.Count {
-			return survivors[a].agg.Count > survivors[b].agg.Count
-		}
-		return survivors[a].code < survivors[b].code
-	})
+	slices.Sort(survivors)
 
 	// Lay out the member arena: each surviving cell owns the contiguous
-	// range [offset, offset+count) of one shared []int32.
+	// range [offset, offset+count) of one shared []int32, and its write
+	// cursor starts at the offset.
 	arena := make([]int32, arenaLen)
 	cb := &Cube{Tuples: tuples, Cfg: cfg, byKey: make(map[Key]int, len(survivors))}
 	cb.Groups = make([]Group, len(survivors))
-	off := 0
-	for i, s := range survivors {
-		cb.Groups[i] = Group{
-			Key:     UnpackKey(s.code),
-			Agg:     s.agg,
-			Members: arena[off : off+s.agg.Count : off+s.agg.Count],
-		}
-		cb.byKey[cb.Groups[i].Key] = i
-		off += s.agg.Count
-	}
-
-	// Per-shard write cursors: shard w's first write for a cell lands
-	// after every earlier shard's members of that cell, keeping each
-	// member list ascending exactly as one sequential scan would append.
-	groupOf := make([]int32, len(global.keys)) // global slot → group index
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for gi, s := range survivors {
-		groupOf[global.slot(s.code)] = int32(gi)
+	groupOf := make([]int32, len(cells.codes)) // cell id → group index, -1 = pruned
+	for c := range groupOf {
+		groupOf[c] = -1
 	}
 	cursor := make([]int32, len(survivors))
-	for gi := range cb.Groups {
-		if gi > 0 {
-			cursor[gi] = cursor[gi-1] + int32(cb.Groups[gi-1].Agg.Count)
+	off := 0
+	for gi, key := range survivors {
+		code := uint64(uint32(key))
+		c := cells.id(code)
+		n := cells.aggs[c].Count
+		cb.Groups[gi] = Group{
+			Key:     UnpackKey(code),
+			Agg:     cells.aggs[c],
+			Members: arena[off : off+n : off+n],
 		}
-	}
-	starts := make([][]int32, workers)
-	for w, p := range parts {
-		st := make([]int32, len(p.keys))
-		for i, k := range p.keys {
-			if k == 0 {
-				st[i] = -1
-				continue
-			}
-			gi := groupOf[global.slot(k-1)]
-			if gi < 0 {
-				st[i] = -1 // pruned by MinSupport
-				continue
-			}
-			st[i] = cursor[gi]
-			cursor[gi] += int32(p.aggs[i].Count)
-		}
-		starts[w] = st
+		cb.byKey[cb.Groups[gi].Key] = gi
+		groupOf[c] = int32(gi)
+		cursor[gi] = int32(off)
+		off += n
 	}
 
-	// Pass 2: fill pass. Each shard re-scans its partition and writes
-	// member indices at its precomputed offsets; shards touch disjoint
-	// arena positions, so the parallel fill is race-free.
-	if workers == 1 {
-		packFill(tuples, cfg, lay, 0, len(tuples), parts[0], starts[0], arena)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * len(tuples) / workers
-			hi := (w + 1) * len(tuples) / workers
-			wg.Add(1)
-			go func(w, lo, hi int) { //maprat:allow(ctxflow) bounded CPU shard joined by wg.Wait before Build returns; callers check ctx between pipeline stages
-				defer wg.Done()
-				packFill(tuples, cfg, lay, lo, hi, parts[w], starts[w], arena)
-			}(w, lo, hi)
+	// Rewrite the ancestor lists as group indices in place, dropping the
+	// pruned cells: the write position never passes the read position.
+	w := int32(0)
+	for b := 0; b < nb; b++ {
+		lo, hi := ancOff[b], ancOff[b+1]
+		ancOff[b] = w
+		for _, c := range anc[lo:hi] {
+			if gi := groupOf[c]; gi >= 0 {
+				anc[w] = gi
+				w++
+			}
 		}
-		wg.Wait()
+	}
+	ancOff[nb] = w
+
+	// Pass 2: no hashing, and ascending tuple order keeps every member
+	// list ascending.
+	for ti, b := range baseOf {
+		if b < 0 {
+			continue
+		}
+		for _, gi := range anc[ancOff[b]:ancOff[b+1]] {
+			arena[cursor[gi]] = int32(ti)
+			cursor[gi]++
+		}
 	}
 	return cb
-}
-
-// packCount is the count pass: scan tuples[lo:hi] and accumulate each
-// admissible (tuple, subset) cell into a flat packed table.
-func packCount(tuples []Tuple, cfg Config, lay *packLayout, lo, hi int) *packTable {
-	t := newPackTable(1024)
-	var add [NumAttrs]uint64
-	for ti := lo; ti < hi; ti++ {
-		tp := &tuples[ti]
-		base, missing, ok := packPrepare(tp, cfg, lay, &add)
-		if !ok {
-			continue
-		}
-		for mi := range lay.masks {
-			m := &lay.masks[mi]
-			if m.bits&missing != 0 {
-				continue // tuple lacks a constrained attribute; skip cell
-			}
-			code := base
-			for _, bi := range m.idx {
-				code += add[bi]
-			}
-			t.add(code, tp.Score)
-		}
-	}
-	return t
-}
-
-// packFill is the fill pass: re-scan tuples[lo:hi] and write each member
-// index at its cell's next arena offset. starts is indexed by the shard
-// table's slots (-1 marks a pruned cell).
-func packFill(tuples []Tuple, cfg Config, lay *packLayout, lo, hi int, t *packTable, starts []int32, arena []int32) {
-	var add [NumAttrs]uint64
-	for ti := lo; ti < hi; ti++ {
-		tp := &tuples[ti]
-		base, missing, ok := packPrepare(tp, cfg, lay, &add)
-		if !ok {
-			continue
-		}
-		for mi := range lay.masks {
-			m := &lay.masks[mi]
-			if m.bits&missing != 0 {
-				continue
-			}
-			code := base
-			for _, bi := range m.idx {
-				code += add[bi]
-			}
-			s := t.slot(code)
-			if starts[s] < 0 {
-				continue
-			}
-			arena[starts[s]] = int32(ti)
-			starts[s]++
-		}
-	}
-}
-
-// packPrepare computes a tuple's base code (required state/city digits),
-// its per-free-attribute code addends, and the mask of free attributes the
-// tuple has no value for. ok is false when the tuple cannot satisfy the
-// mandatory conditions at all.
-func packPrepare(tp *Tuple, cfg Config, lay *packLayout, add *[NumAttrs]uint64) (base uint64, missing uint32, ok bool) {
-	if cfg.RequireState {
-		if tp.Vals[State] == Wildcard {
-			return 0, 0, false // unresolvable zip: no geo-anchored group
-		}
-		base += uint64(tp.Vals[State]+1) * packWeight[State]
-	}
-	if cfg.RequireCity {
-		if tp.Vals[City] == Wildcard {
-			return 0, 0, false
-		}
-		base += uint64(tp.Vals[City]+1) * packWeight[City]
-	}
-	for bi, a := range lay.free {
-		v := tp.Vals[a]
-		if v == Wildcard {
-			missing |= 1 << uint(bi)
-			continue
-		}
-		add[bi] = uint64(v+1) * packWeight[a]
-	}
-	return base, missing, true
 }
 
 // cell accumulates one cube cell during the reference build.

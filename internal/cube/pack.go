@@ -20,8 +20,9 @@ var packRadix = func() [NumAttrs]uint64 {
 
 // packWeight[a] is the positional weight of attribute a's digit: the
 // product of the radices of all less-significant (higher-index) attributes.
-// The full code space is Π packRadix ≈ 3.6M, far inside uint64 (and even
-// uint32); the headroom keeps the encoding stable if vocabularies grow.
+// The full code space is Π packRadix ≈ 3.6M. The cube build packs a code
+// into 32 bits (packTable slots, Build's sort key), which leaves the
+// vocabularies about a thousandfold headroom.
 var packWeight = func() [NumAttrs]uint64 {
 	var w [NumAttrs]uint64
 	acc := uint64(1)
@@ -52,17 +53,19 @@ func UnpackKey(code uint64) Key {
 	return k
 }
 
-// packTable is an open-addressed hash table from cell code to aggregate —
-// the flat replacement for map[Key]*cell in the cube build. Slots store
-// code+1 so the zero value marks an empty slot (code 0 is the valid apex
-// cell). Linear probing keeps collision chains in cache; the table grows
-// at ~70% load.
+// packTable is an open-addressed hash table from cell code to a dense
+// cell id, numbering cells in first-touch order; the cells' codes and
+// aggregates live in dense arrays indexed by id, so ids stay valid when
+// the table grows. A slot packs code+1 above the id, so one load compares
+// and resolves a probe, and the zero value marks an empty slot (code 0 is
+// the valid apex cell, and every code fits 32 bits). Linear probing keeps
+// collision chains in cache; the table grows at ~70% load.
 type packTable struct {
-	keys []uint64 // code+1; 0 = empty
-	aggs []Agg
-	mask uint64
-	n    int // occupied slots
-	lim  int // grow threshold
+	slots []uint64 // (code+1)<<32 | id; 0 = empty
+	codes []uint64 // cell id → code
+	aggs  []Agg    // cell id → aggregate
+	mask  uint64
+	lim   int // grow threshold
 }
 
 func newPackTable(hint int) *packTable {
@@ -70,80 +73,50 @@ func newPackTable(hint int) *packTable {
 	for size*7 < hint*10 {
 		size <<= 1
 	}
-	t := &packTable{}
+	t := &packTable{codes: make([]uint64, 0, hint), aggs: make([]Agg, 0, hint)}
 	t.init(size)
 	return t
 }
 
 func (t *packTable) init(size int) {
-	t.keys = make([]uint64, size)
-	t.aggs = make([]Agg, size)
+	t.slots = make([]uint64, size)
 	t.mask = uint64(size - 1)
 	t.lim = size * 7 / 10
 }
 
 // probe returns the slot holding key k (= code+1) or the empty slot where
 // it belongs.
-func (t *packTable) probe(k uint64) int {
+func (t *packTable) probe(k uint64) uint64 {
 	h := k * 0x9E3779B97F4A7C15 // Fibonacci scramble of the dense code space
 	i := (h ^ h>>29) & t.mask
-	for t.keys[i] != 0 && t.keys[i] != k {
+	for t.slots[i] != 0 && t.slots[i]>>32 != k {
 		i = (i + 1) & t.mask
-	}
-	return int(i)
-}
-
-// add accumulates one score into the cell for code, inserting it on first
-// touch.
-func (t *packTable) add(code uint64, score int8) {
-	if t.n >= t.lim {
-		t.grow()
-	}
-	i := t.probe(code + 1)
-	if t.keys[i] == 0 {
-		t.keys[i] = code + 1
-		t.n++
-	}
-	t.aggs[i].Add(score)
-}
-
-// slot returns the occupied slot index for code, or -1.
-func (t *packTable) slot(code uint64) int {
-	i := t.probe(code + 1)
-	if t.keys[i] == 0 {
-		return -1
 	}
 	return i
 }
 
-func (t *packTable) grow() {
-	oldKeys, oldAggs := t.keys, t.aggs
-	t.init(len(oldKeys) * 2)
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
+// id returns the cell id of code, inserting an empty cell on first touch.
+func (t *packTable) id(code uint64) int32 {
+	i := t.probe(code + 1)
+	if t.slots[i] == 0 {
+		if len(t.codes) >= t.lim {
+			t.grow()
+			i = t.probe(code + 1)
 		}
-		j := t.probe(k)
-		t.keys[j] = k
-		t.aggs[j] = oldAggs[i]
+		t.slots[i] = (code+1)<<32 | uint64(len(t.codes))
+		t.codes = append(t.codes, code)
+		t.aggs = append(t.aggs, Agg{})
 	}
+	return int32(uint32(t.slots[i]))
 }
 
-// merge folds another table's cells into t with the O(1) Agg merge.
-func (t *packTable) merge(other *packTable) {
-	for i, k := range other.keys {
-		if k == 0 {
-			continue
+func (t *packTable) grow() {
+	old := t.slots
+	t.init(len(old) * 2)
+	for _, s := range old {
+		if s != 0 {
+			t.slots[t.probe(s>>32)] = s
 		}
-		if t.n >= t.lim {
-			t.grow()
-		}
-		j := t.probe(k)
-		if t.keys[j] == 0 {
-			t.keys[j] = k
-			t.n++
-		}
-		t.aggs[j].Merge(other.aggs[i])
 	}
 }
 
@@ -155,25 +128,26 @@ type packMask struct {
 }
 
 // packLayout is the per-Config precomputation of the packed build: which
-// attributes vary, and which subsets survive the apex / label-length
-// pruning no matter the tuple. Tuple-dependent pruning (missing attribute
-// values) stays in the scan via the missing-bit mask.
+// attributes every cell fixes (the mandatory state/city conditions), which
+// vary, and which subsets of the varying ones survive the apex /
+// label-length pruning no matter the tuple. Tuple-dependent pruning
+// (missing attribute values) stays in the build via the missing-bit mask.
 type packLayout struct {
-	free  []Attr
-	masks []packMask
+	required []Attr
+	free     []Attr
+	masks    []packMask
 }
 
 func newPackLayout(cfg Config) *packLayout {
 	l := &packLayout{free: freeAttrs(cfg)}
-	baseN := 0
 	if cfg.RequireState {
-		baseN++
+		l.required = append(l.required, State)
 	}
 	if cfg.RequireCity {
-		baseN++
+		l.required = append(l.required, City)
 	}
 	for bits := 0; bits < 1<<len(l.free); bits++ {
-		n := baseN + popcount32(uint32(bits))
+		n := len(l.required) + popcount32(uint32(bits))
 		if cfg.SkipApex && n == 0 {
 			continue
 		}
@@ -189,6 +163,40 @@ func newPackLayout(cfg Config) *packLayout {
 		l.masks = append(l.masks, m)
 	}
 	return l
+}
+
+// baseCode returns the code of tp's base cell: the mandatory and free
+// attributes at the tuple's own values, a free attribute the tuple lacks
+// packing as Wildcard (digit 0). Every cell the tuple contributes to is
+// an ancestor of its base cell. ok is false when the tuple lacks a
+// mandatory value and so contributes to no cell.
+func (l *packLayout) baseCode(tp *Tuple) (code uint64, ok bool) {
+	for _, a := range l.required {
+		if tp.Vals[a] == Wildcard {
+			return 0, false
+		}
+		code += uint64(tp.Vals[a]+1) * packWeight[a]
+	}
+	for _, a := range l.free {
+		code += uint64(tp.Vals[a]+1) * packWeight[a]
+	}
+	return code, true
+}
+
+// split decomposes a base cell's code into its mandatory part, the code
+// addend of each free attribute's digit, and the mask of free attributes
+// the cell leaves Wildcard. An ancestor's code is req plus the addends of
+// its mask's attributes.
+func (l *packLayout) split(code uint64, add *[NumAttrs]uint64) (req uint64, missing uint32) {
+	req = code
+	for bi, a := range l.free {
+		add[bi] = code / packWeight[a] % packRadix[a] * packWeight[a]
+		req -= add[bi]
+		if add[bi] == 0 {
+			missing |= 1 << uint(bi)
+		}
+	}
+	return req, missing
 }
 
 func popcount32(x uint32) int {

@@ -81,76 +81,152 @@ func wildcardedTuples(n int, seed int64) []Tuple {
 	return tuples
 }
 
+// trafficTuples shapes a tuple set like a plan's R_I: ratings by a
+// population of users with skewed demographics spread over every state,
+// a few heavy raters, and a sprinkle of unresolved values in each free
+// attribute. Tuples by the same user share all their attribute values,
+// which is what the roll-up build exploits.
+func trafficTuples(n int, seed int64) []Tuple {
+	rng := rand.New(rand.NewSource(seed))
+	skewed := func(card int) int16 { // quadratic skew toward low indices
+		u := rng.Float64()
+		return int16(float64(card) * u * u)
+	}
+	maybeWild := func(v int16, oneIn int) int16 {
+		if rng.Intn(oneIn) == 0 {
+			return Wildcard
+		}
+		return v
+	}
+	users := make([][NumAttrs]int16, 6040)
+	for i := range users {
+		var v [NumAttrs]int16
+		v[Gender] = maybeWild(skewed(Cardinality(Gender)), 200)
+		v[Age] = maybeWild(skewed(Cardinality(Age)), 200)
+		v[Occupation] = maybeWild(skewed(Cardinality(Occupation)), 200)
+		v[State] = maybeWild(skewed(Cardinality(State)), 40)
+		v[City] = maybeWild(skewed(Cardinality(City)), 20)
+		users[i] = v
+	}
+	tuples := make([]Tuple, n)
+	for i := range tuples {
+		u := int(skewed(len(users)))
+		tuples[i] = Tuple{
+			Vals:   users[u],
+			Score:  int8(1 + rng.Intn(5)),
+			Unix:   int64(978300000 + rng.Intn(1000000)),
+			UserID: int32(u + 1),
+			ItemID: int32(1 + rng.Intn(50)),
+		}
+	}
+	return tuples
+}
+
 // TestBuildMatchesReference is the differential test behind the packed
 // build: on seeded datasets — with city mining off, enabled, and required —
 // Build must reproduce BuildReference group-for-group: identical order,
 // keys, aggregates and member lists.
 func TestBuildMatchesReference(t *testing.T) {
-	datasets := map[string][]Tuple{
-		"plain":      randomTuples(3000, 41),
-		"wildcarded": wildcardedTuples(3000, 43),
-		"tiny":       randomTuples(7, 47),
-		"empty":      nil,
+	stateGaps := randomTuples(5000, 77)
+	for i := 0; i < len(stateGaps); i += 97 {
+		stateGaps[i].Vals[State] = Wildcard
+	}
+	datasets := []struct {
+		name   string
+		tuples []Tuple
+	}{
+		{"plain", randomTuples(3000, 41)},
+		{"wildcarded", wildcardedTuples(3000, 43)},
+		{"wildcard-state-every-97", stateGaps},
+		{"traffic", trafficTuples(6000, 59)},
+		{"tiny", randomTuples(7, 47)},
+		{"five-tuples", randomTuples(5, 3)},
+		{"empty", nil},
 	}
 	configs := []Config{
 		{RequireState: true, MinSupport: 12, MaxAVPairs: 3, SkipApex: true}, // demo default
 		{RequireState: false, MinSupport: 5, MaxAVPairs: 2, SkipApex: true}, // framework mode
 		{RequireState: false, MinSupport: 1},                                // no pruning
+		{RequireState: true, MinSupport: 8, MaxAVPairs: 2, SkipApex: true},
+		{RequireState: false, MinSupport: 5, MaxAVPairs: 3},
 		{RequireState: true, EnableCity: true, MinSupport: 3, MaxAVPairs: 3, SkipApex: true},
 		{RequireCity: true, MinSupport: 3, MaxAVPairs: 4, SkipApex: true}, // drill-down mining
+		{RequireState: true, RequireCity: true, MinSupport: 2, MaxAVPairs: 4, SkipApex: true},
 		{EnableCity: true, MinSupport: 2, MaxAVPairs: 1, SkipApex: false},
 	}
-	for name, tuples := range datasets {
-		for _, cfg := range configs {
-			ref := BuildReference(tuples, cfg)
-			for _, workers := range []int{1, 4} {
-				got := buildWith(tuples, cfg, workers)
-				if got.Len() != ref.Len() {
-					t.Fatalf("%s %+v workers=%d: %d groups, reference %d",
-						name, cfg, workers, got.Len(), ref.Len())
-				}
-				for i := range ref.Groups {
-					if !reflect.DeepEqual(got.Groups[i], ref.Groups[i]) {
-						t.Fatalf("%s %+v workers=%d: group %d differs:\npacked    %+v\nreference %+v",
-							name, cfg, workers, i, got.Groups[i], ref.Groups[i])
-					}
-				}
-				for i := range ref.Groups {
-					if j, ok := got.IndexOf(ref.Groups[i].Key); !ok || j != i {
-						t.Fatalf("%s %+v: key index broken for %v", name, cfg, ref.Groups[i].Key)
-					}
-				}
+	for _, ds := range datasets {
+		t.Run(ds.name, func(t *testing.T) {
+			for _, cfg := range configs {
+				requireSameCube(t, cfg, Build(ds.tuples, cfg), BuildReference(ds.tuples, cfg))
 			}
+		})
+	}
+}
+
+// requireSameCube fails unless got equals the reference cube group for
+// group — order, keys, aggregates and member lists — and indexes every
+// key at its reference position.
+func requireSameCube(t testing.TB, cfg Config, got, ref *Cube) {
+	t.Helper()
+	if got.Len() != ref.Len() {
+		t.Fatalf("%+v: %d groups, reference %d", cfg, got.Len(), ref.Len())
+	}
+	for i := range ref.Groups {
+		if !reflect.DeepEqual(got.Groups[i], ref.Groups[i]) {
+			t.Fatalf("%+v: group %d differs:\npacked    %+v\nreference %+v",
+				cfg, i, got.Groups[i], ref.Groups[i])
+		}
+		if j, ok := got.IndexOf(ref.Groups[i].Key); !ok || j != i {
+			t.Fatalf("%+v: key index broken for %v", cfg, ref.Groups[i].Key)
 		}
 	}
 }
 
+// TestPackCodeSpaceFits32Bits pins the bound packTable's slots and
+// Build's survivor sort key rely on: every cell code, plus one, fits in
+// 32 bits.
+func TestPackCodeSpaceFits32Bits(t *testing.T) {
+	space := uint64(1)
+	for a := 0; a < NumAttrs; a++ {
+		space *= packRadix[a]
+	}
+	if space >= 1<<32 {
+		t.Fatalf("code space %d does not fit 32 bits", space)
+	}
+}
+
 // TestPackTableGrowth forces the flat table through several rehashes and
-// checks no cell is lost or double-counted.
+// checks no cell is lost or double-counted and every cell keeps the id
+// it was first given.
 func TestPackTableGrowth(t *testing.T) {
 	tab := newPackTable(16)
 	const n = 50000
+	first := map[uint64]int32{}
 	for i := 0; i < n; i++ {
-		tab.add(uint64(i%9973)*3, int8(1+i%5))
+		code := uint64(i%9973) * 3
+		id := tab.id(code)
+		if want, seen := first[code]; seen && id != want {
+			t.Fatalf("code %d moved from id %d to %d", code, want, id)
+		} else if !seen {
+			first[code] = id
+		}
+		tab.aggs[id].Add(int8(1 + i%5))
 	}
-	if tab.n != 9973 {
-		t.Fatalf("distinct cells = %d, want 9973", tab.n)
+	if len(tab.codes) != 9973 {
+		t.Fatalf("distinct cells = %d, want 9973", len(tab.codes))
 	}
 	count := 0
-	for i, k := range tab.keys {
-		if k == 0 {
-			continue
+	for id, agg := range tab.aggs {
+		count += agg.Count
+		if first[tab.codes[id]] != int32(id) {
+			t.Fatalf("cell %d holds code %d, first given id %d", id, tab.codes[id], first[tab.codes[id]])
 		}
-		count += tab.aggs[i].Count
 	}
 	if count != n {
-		t.Fatalf("total count across slots = %d, want %d", count, n)
+		t.Fatalf("total count across cells = %d, want %d", count, n)
 	}
-	if s := tab.slot(3 * 42); s < 0 || tab.keys[s] != 3*42+1 {
-		t.Fatalf("slot lookup broken: %d", s)
-	}
-	if tab.slot(9973*3+1) != -1 {
-		t.Fatal("absent code found")
+	if id := tab.id(9973*3 + 1); int(id) != 9973 || len(tab.codes) != 9974 {
+		t.Fatalf("absent code got id %d with %d cells", id, len(tab.codes))
 	}
 }
 

@@ -638,14 +638,13 @@ func mixFP(fp, epoch uint64) uint64 {
 // AdaptCubeConfig scales a cube config's MinSupport down for small tuple
 // sets so sparse queries still produce candidates — the adaptation every
 // mining pipeline applies between gathering R_I and building its cube.
-// Exported so benchmarks and experiments constructing cubes outside
-// Explain build exactly the configuration the engine would.
+// The scaled value is |R_I|/50, floored at 3 or at the caller's own
+// MinSupport if that is lower; it never rises. Exported so benchmarks and
+// experiments constructing cubes outside Explain build exactly the
+// configuration the engine would.
 func AdaptCubeConfig(cfg cube.Config, numTuples int) cube.Config {
 	if adaptive := numTuples / 50; adaptive < cfg.MinSupport {
-		cfg.MinSupport = adaptive
-		if cfg.MinSupport < 3 {
-			cfg.MinSupport = 3
-		}
+		cfg.MinSupport = max(adaptive, min(3, cfg.MinSupport))
 	}
 	return cfg
 }

@@ -546,3 +546,26 @@ func TestExplainConcurrent(t *testing.T) {
 		t.Fatalf("concurrent explain: %v", err)
 	}
 }
+
+// TestAdaptCubeConfig pins the MinSupport adaptation: it scales down to
+// |R_I|/50 on small inputs, never below 3 unless the caller asked for
+// less, and never above the caller's value.
+func TestAdaptCubeConfig(t *testing.T) {
+	cases := []struct{ base, tuples, want int }{
+		{1, 40, 1}, {1, 600, 1}, {1, 10_000, 1},
+		{3, 40, 3}, {3, 600, 3}, {3, 10_000, 3},
+		{12, 40, 3}, {12, 600, 12}, {12, 10_000, 12},
+	}
+	for _, c := range cases {
+		cfg := cube.DefaultConfig()
+		cfg.MinSupport = c.base
+		got := AdaptCubeConfig(cfg, c.tuples)
+		if got.MinSupport != c.want {
+			t.Errorf("MinSupport %d with %d tuples: got %d, want %d", c.base, c.tuples, got.MinSupport, c.want)
+		}
+		got.MinSupport = cfg.MinSupport
+		if got != cfg {
+			t.Errorf("MinSupport %d with %d tuples: changed more than MinSupport: %+v", c.base, c.tuples, got)
+		}
+	}
+}
