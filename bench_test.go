@@ -126,13 +126,13 @@ func BenchmarkE3_Exploration(b *testing.B) {
 func BenchmarkE4_DiversityMining(b *testing.B) {
 	e := benchEngine(b)
 	q := benchQuery(b, e, `movie:"The Twilight Saga: Eclipse"`)
+	q.Framework = true
 	s := DefaultSettings()
 	s.K = 2
 	s.Coverage = 0.10
-	free := cube.Config{RequireState: false, MinSupport: 10, MaxAVPairs: 2, SkipApex: true}
 	req := ExplainRequest{
 		Query: q, Settings: s, Tasks: []Task{DiversityMining},
-		CubeConfig: &free, DisableCache: true,
+		DisableCache: true,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

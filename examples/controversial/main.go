@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/cube"
 )
 
 func main() {
@@ -31,21 +30,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	// The intro's analysis is framework mode: disagreeing demographic
-	// groups, no geo-condition required. The controversial split lives in
-	// a small slice of the audience (the under-18 reviewers), so the
-	// coverage requirement must be low enough not to exclude it.
+	// groups, no geo-condition required.
+	q.Framework = true
+
+	// The controversial split lives in a small slice of the audience (the
+	// under-18 reviewers), so the coverage requirement must be low enough
+	// not to exclude it.
 	settings := maprat.DefaultSettings()
 	settings.K = 2
 	settings.Coverage = 0.04
-	free := cube.Config{RequireState: false, MinSupport: 6, MaxAVPairs: 2, SkipApex: true}
 
 	ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{
-		Query:      q,
-		Settings:   settings,
-		Tasks:      []maprat.Task{maprat.DiversityMining},
-		CubeConfig: &free,
+		Query:    q,
+		Settings: settings,
+		Tasks:    []maprat.Task{maprat.DiversityMining},
 	})
 	if err != nil {
 		log.Fatal(err)

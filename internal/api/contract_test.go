@@ -61,6 +61,13 @@ var contractCases = []contractCase{
 		path:   "/api/v1/group?q=" + contractToyStory + "&key=" + contractCAKey + "&buckets=4&limit=3",
 	},
 	{
+		// A key only the framework cube holds: on a state-anchored query it
+		// cannot exist, so the request reaches it through geo=off alone.
+		name:   "group framework mode",
+		golden: "group_geo_off.golden.json",
+		path:   "/api/v1/group?q=" + contractToyStory + "&key=" + url.QueryEscape("age=18-24,occupation=K-12 student") + "&geo=off&buckets=4&limit=3",
+	},
+	{
 		name:   "refine",
 		golden: "refine.golden.json",
 		path:   "/api/v1/refine?q=" + contractToyStory + "&key=" + contractCAKey + "&limit=5",

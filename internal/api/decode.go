@@ -65,7 +65,10 @@ type Params struct {
 	// matter how many batches were appended after that epoch.
 	Epoch *uint64 `json:"epoch,omitempty"`
 	// Geo is "" or "on" for the demo's state-anchored groups, "off" for
-	// the framework mode (groups without a geo-condition).
+	// the framework mode (groups without a geo-condition). It applies to
+	// every mining endpoint: a group, refine or drill request on a
+	// framework explanation's group must carry geo=off too, so it reaches
+	// the cube the explanation was mined from.
 	Geo string `json:"geo,omitempty"`
 	// Dataset selects the mounted dataset on a multi-dataset server
 	// ("" = the default mount). A GET request may pass ?dataset= or the
@@ -91,12 +94,6 @@ func (e *badRequestError) Error() string { return e.msg }
 
 func badRequestf(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
-}
-
-// IsBadRequest reports whether err is a decode/validation failure.
-func IsBadRequest(err error) bool {
-	_, ok := err.(*badRequestError)
-	return ok
 }
 
 // methodError marks an unsupported HTTP method; the v1 surface answers
@@ -335,8 +332,7 @@ func (p Params) ExplainRequest() (maprat.ExplainRequest, error) {
 	switch p.Geo {
 	case "", "on":
 	case "off":
-		free := cube.Config{RequireState: false, MinSupport: 8, MaxAVPairs: 2, SkipApex: true}
-		req.CubeConfig = &free
+		req.Query.Framework = true
 	default:
 		return req, badRequestf("bad geo %q (want on or off)", p.Geo)
 	}

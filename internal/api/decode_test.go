@@ -45,6 +45,12 @@ var decoderParityCases = []decoderCase{
 	},
 }
 
+// isBadRequest reports whether err is a decode/validation failure.
+func isBadRequest(err error) bool {
+	_, ok := err.(*badRequestError)
+	return ok
+}
+
 // TestV1DecoderParity pins GET/POST equivalence: the same knob set
 // supplied as query parameters and as a JSON body must decode to the
 // identical engine request.
@@ -103,7 +109,7 @@ func TestV1DecoderDefaults(t *testing.T) {
 	if req.Settings != maprat.DefaultSettings() {
 		t.Errorf("settings = %+v, want defaults", req.Settings)
 	}
-	if req.DisableRelax || req.CubeConfig != nil || len(req.Tasks) != 0 {
+	if req.DisableRelax || req.Query.Framework || len(req.Tasks) != 0 {
 		t.Errorf("non-default request: %+v", req)
 	}
 	if !req.Query.Window.IsAll() {
@@ -140,8 +146,8 @@ func TestV1DecoderKnobs(t *testing.T) {
 			}
 		}},
 		{"geo off", "geo=off", func(t *testing.T, req maprat.ExplainRequest) {
-			if req.CubeConfig == nil || req.CubeConfig.RequireState {
-				t.Errorf("geo=off cube config = %+v", req.CubeConfig)
+			if !req.Query.Framework {
+				t.Error("geo=off did not select framework mode")
 			}
 		}},
 		{"window", "from=1999&to=2001", func(t *testing.T, req maprat.ExplainRequest) {
@@ -205,7 +211,7 @@ func TestV1DecoderBadKnobs(t *testing.T) {
 				if err == nil {
 					t.Fatalf("%s: no error for bad knob", enc)
 				}
-				if !IsBadRequest(err) {
+				if !isBadRequest(err) {
 					t.Errorf("%s: error %v is not a bad request", enc, err)
 				}
 			}
@@ -215,7 +221,7 @@ func TestV1DecoderBadKnobs(t *testing.T) {
 	// Syntactically malformed values only exist in the GET encoding.
 	for _, q := range decoderMalformedQueries {
 		r := httptest.NewRequest("GET", "/api/v1/explain?"+encodeQuery(q), nil)
-		if _, err := DecodeParams(r); err == nil || !IsBadRequest(err) {
+		if _, err := DecodeParams(r); err == nil || !isBadRequest(err) {
 			t.Errorf("query %q: err = %v, want bad request", q, err)
 		}
 	}
@@ -223,7 +229,7 @@ func TestV1DecoderBadKnobs(t *testing.T) {
 	// Unknown JSON fields are rejected (typo'd knobs must not be
 	// silently ignored).
 	r := httptest.NewRequest("POST", "/api/v1/explain", strings.NewReader(`{"q":"genre:Drama","coverage_":0.5}`))
-	if _, err := DecodeParams(r); err == nil || !IsBadRequest(err) {
+	if _, err := DecodeParams(r); err == nil || !isBadRequest(err) {
 		t.Errorf("unknown JSON field: err = %v, want bad request", err)
 	}
 }

@@ -60,7 +60,7 @@ func FuzzDecodeParams(f *testing.F) {
 // transport answers with a 4xx envelope.
 func checkClientError(t *testing.T, method, step string, err error) {
 	t.Helper()
-	if err == nil || IsBadRequest(err) {
+	if err == nil || isBadRequest(err) {
 		return
 	}
 	var tooLarge *tooLargeError

@@ -209,25 +209,19 @@ func E3Exploration(ctx context.Context, eng *maprat.Engine) Report {
 	return r
 }
 
-// FrameworkCube is the un-anchored candidate configuration used by the
-// intro's controversial-title analysis.
-func FrameworkCube() cube.Config {
-	return cube.Config{RequireState: false, MinSupport: 10, MaxAVPairs: 2, SkipApex: true}
-}
-
 // E4Controversial regenerates the intro example: Diversity Mining on the
 // polarized title must surface a sibling pair with a large gap while the
 // overall average looks mediocre (paper: 4.8/10 ≈ 2.4/5).
 func E4Controversial(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E4", Title: "Intro example — Diversity Mining on the controversial title"}
 	q := mustParse(eng, `movie:"The Twilight Saga: Eclipse"`)
+	q.Framework = true
 	s := maprat.DefaultSettings()
 	s.K = 2
 	s.Coverage = 0.10
-	free := FrameworkCube()
 	req := maprat.ExplainRequest{
 		Query: q, Settings: s, Tasks: []maprat.Task{maprat.DiversityMining},
-		CubeConfig: &free, DisableCache: true,
+		DisableCache: true,
 	}
 	var ex *maprat.Explanation
 	med := timeIt(3, func() {
@@ -616,15 +610,15 @@ func E10Ablations(ctx context.Context, eng *maprat.Engine) Report {
 	// (b) sibling boost on the controversial title (DM, α=3%).
 	r.addf("-- (b) DM sibling boost on the controversial title (α=3%%, K=2) --")
 	eq := mustParse(eng, `movie:"The Twilight Saga: Eclipse"`)
+	eq.Framework = true
 	for _, boost := range []float64{1.0, 2.0} {
 		s := maprat.DefaultSettings()
 		s.K = 2
 		s.Coverage = 0.03
 		s.SiblingBoost = boost
-		free := FrameworkCube()
 		ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{
 			Query: eq, Settings: s, Tasks: []maprat.Task{maprat.DiversityMining},
-			CubeConfig: &free, DisableCache: true,
+			DisableCache: true,
 		})
 		if err != nil {
 			r.addf("w=%.0f: %v", boost, err)

@@ -139,7 +139,7 @@ func BenchmarkCoverageOf(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cov := p.CoverageOf(sel); cov <= 0 {
+		if cov := coverageOf(p, sel); cov <= 0 {
 			b.Fatal("zero coverage")
 		}
 	}

@@ -170,7 +170,7 @@ func TestEvaluateCoverageAgainstBruteForce(t *testing.T) {
 			}
 		}
 		want := float64(len(union)) / float64(len(tuples))
-		if got := p.CoverageOf(selIdx); math.Abs(got-want) > 1e-12 {
+		if got := coverageOf(p, selIdx); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("trial %d: coverage %f, brute force %f", trial, got, want)
 		}
 	}
@@ -447,6 +447,12 @@ func TestSolutionBetterOrdering(t *testing.T) {
 	}
 }
 
+// coverageOf is the exact union coverage of a selection of group indices
+// (into Cube.Groups) as a fraction of |R_I|.
+func coverageOf(p *Problem, sel []int) float64 {
+	return float64(p.coveredCount(sel)) / float64(max(1, p.total))
+}
+
 func TestCoverageOfProperty(t *testing.T) {
 	tuples := miningTuples(300, 29)
 	c := buildCube(t, tuples, cube.Config{RequireState: true, MinSupport: 3, MaxAVPairs: 2})
@@ -455,7 +461,7 @@ func TestCoverageOfProperty(t *testing.T) {
 	p := newProblem(t, SimilarityMining, c, s)
 	f := func(picks []uint16) bool {
 		if len(picks) == 0 {
-			return p.CoverageOf(nil) == 0
+			return coverageOf(p, nil) == 0
 		}
 		k := len(picks)%5 + 1
 		if k > len(picks) {
@@ -465,13 +471,13 @@ func TestCoverageOfProperty(t *testing.T) {
 		for _, pk := range picks[:k] {
 			sel = append(sel, int(pk)%c.Len())
 		}
-		cov := p.CoverageOf(sel)
+		cov := coverageOf(p, sel)
 		if cov < 0 || cov > 1 {
 			return false
 		}
 		// Coverage is monotone: adding a group cannot reduce it.
 		bigger := append(clone(sel), 0)
-		return p.CoverageOf(bigger) >= cov
+		return coverageOf(p, bigger) >= cov
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

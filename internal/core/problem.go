@@ -307,12 +307,6 @@ func (p *Problem) Candidates() []int {
 // NumTuples returns |R_I|.
 func (p *Problem) NumTuples() int { return p.total }
 
-// CoverageOf computes the exact union coverage of a selection of group
-// indices (into Cube.Groups) as a fraction of |R_I|.
-func (p *Problem) CoverageOf(sel []int) float64 {
-	return float64(p.coveredCount(sel)) / float64(max(1, p.total))
-}
-
 // Objective computes the task objective for a selection (lower is better
 // for both tasks; DM internally negates the disagreement reward).
 func (p *Problem) Objective(sel []int) float64 {

@@ -77,6 +77,14 @@ func DefaultConfig() Config {
 	return Config{RequireState: true, MinSupport: 12, MaxAVPairs: 3, SkipApex: true}
 }
 
+// FrameworkConfig is the un-anchored framework mode of the paper's intro
+// (the Twilight analysis: male vs female under-18 reviewers): groups need
+// no geo-condition, so descriptions are capped at two pairs and the
+// support cut is lower to keep small demographic slices in play.
+func FrameworkConfig() Config {
+	return Config{RequireState: false, MinSupport: 8, MaxAVPairs: 2, SkipApex: true}
+}
+
 // Cube is the materialized set of candidate groups over a tuple set R_I.
 type Cube struct {
 	Tuples []Tuple

@@ -195,27 +195,3 @@ func YearWindows(from, to int64) []store.TimeWindow {
 	}
 	return out
 }
-
-// SlidingWindows splits [from, to] into n equal windows (a finer-grained
-// slider for short ranges).
-func SlidingWindows(from, to int64, n int) []store.TimeWindow {
-	if n <= 0 || to < from {
-		return nil
-	}
-	span := to - from + 1
-	width := span / int64(n)
-	if width == 0 {
-		width = 1
-		n = int(span)
-	}
-	out := make([]store.TimeWindow, 0, n)
-	for i := 0; i < n; i++ {
-		lo := from + int64(i)*width
-		hi := lo + width - 1
-		if i == n-1 {
-			hi = to
-		}
-		out = append(out, store.Between(lo, hi))
-	}
-	return out
-}

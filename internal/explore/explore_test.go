@@ -266,31 +266,6 @@ func TestYearWindows(t *testing.T) {
 	}
 }
 
-func TestSlidingWindows(t *testing.T) {
-	ws := SlidingWindows(0, 99, 4)
-	if len(ws) != 4 {
-		t.Fatalf("windows = %d", len(ws))
-	}
-	if ws[0].From != 0 || ws[3].To != 99 {
-		t.Errorf("bounds: %+v", ws)
-	}
-	covered := int64(0)
-	for _, w := range ws {
-		covered += w.To - w.From + 1
-	}
-	if covered != 100 {
-		t.Errorf("windows cover %d seconds, want 100", covered)
-	}
-	if SlidingWindows(0, 99, 0) != nil {
-		t.Error("n=0 should yield nil")
-	}
-	// Degenerate: more windows than seconds.
-	tiny := SlidingWindows(10, 12, 9)
-	if len(tiny) != 3 {
-		t.Errorf("tiny windows = %+v", tiny)
-	}
-}
-
 func TestStatsHistogramMatchesModelBounds(t *testing.T) {
 	c, tuples := buildFixture(t)
 	st := Stats(tuples, caGroup(t, c), 2)

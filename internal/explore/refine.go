@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cube"
-	"repro/internal/model"
 )
 
 // Refinement is a child of a group in the cube lattice: the group's
@@ -84,46 +83,4 @@ func cubeKeyLess(a, b cube.Key) bool {
 		}
 	}
 	return false
-}
-
-// Comparison contrasts two groups' rating behaviour over the same query —
-// the paper's "convenient way to compare the rating patterns of related
-// groups" (Figure 3).
-type Comparison struct {
-	A, B cube.Key
-	// MeanGap is mean(A) − mean(B).
-	MeanGap float64
-	// HistA and HistB are the per-score rating counts.
-	HistA, HistB [model.MaxScore + 1]int
-	// OverlapUsers counts reviewers present in both groups (a reviewer
-	// can belong to both only when the descriptions are non-exclusive).
-	OverlapUsers int
-	// SiblingAttr is set when the groups are siblings (one attribute
-	// apart); it names the attribute the controversy pivots on.
-	SiblingAttr    cube.Attr
-	SiblingRelated bool
-}
-
-// Compare builds the comparison payload for two groups of the same cube.
-func Compare(tuples []cube.Tuple, a, b *cube.Group) Comparison {
-	cmp := Comparison{A: a.Key, B: b.Key, MeanGap: a.Mean() - b.Mean()}
-	if attr, ok := a.Key.SiblingOf(b.Key); ok {
-		cmp.SiblingAttr = attr
-		cmp.SiblingRelated = true
-	}
-	usersA := map[int32]bool{}
-	for _, ti := range a.Members {
-		cmp.HistA[tuples[ti].Score]++
-		usersA[tuples[ti].UserID] = true
-	}
-	seenOverlap := map[int32]bool{}
-	for _, ti := range b.Members {
-		cmp.HistB[tuples[ti].Score]++
-		uid := tuples[ti].UserID
-		if usersA[uid] && !seenOverlap[uid] {
-			seenOverlap[uid] = true
-			cmp.OverlapUsers++
-		}
-	}
-	return cmp
 }

@@ -105,43 +105,3 @@ func TestRefinesBy(t *testing.T) {
 		t.Error("parent accepted as refinement of child")
 	}
 }
-
-func TestCompare(t *testing.T) {
-	c, tuples := refineFixture(t)
-	maleCA, ok1 := c.Group(cube.KeyAll.With(cube.State, cube.StateIndex("CA")).With(cube.Gender, 0))
-	femaleCA, ok2 := c.Group(cube.KeyAll.With(cube.State, cube.StateIndex("CA")).With(cube.Gender, 1))
-	if !ok1 || !ok2 {
-		t.Fatal("gender groups missing")
-	}
-	cmp := Compare(tuples, maleCA, femaleCA)
-	if !cmp.SiblingRelated || cmp.SiblingAttr != cube.Gender {
-		t.Errorf("sibling detection: %+v", cmp)
-	}
-	wantGap := maleCA.Mean() - femaleCA.Mean()
-	if math.Abs(cmp.MeanGap-wantGap) > 1e-12 {
-		t.Errorf("gap = %f, want %f", cmp.MeanGap, wantGap)
-	}
-	if cmp.HistA[5] != 2 || cmp.HistA[4] != 1 {
-		t.Errorf("histA = %v", cmp.HistA)
-	}
-	if cmp.HistB[2] != 1 || cmp.HistB[1] != 1 {
-		t.Errorf("histB = %v", cmp.HistB)
-	}
-	if cmp.OverlapUsers != 0 {
-		t.Errorf("disjoint gender groups overlap: %d", cmp.OverlapUsers)
-	}
-}
-
-func TestCompareOverlap(t *testing.T) {
-	c, tuples := refineFixture(t)
-	ca, _ := c.Group(cube.KeyAll.With(cube.State, cube.StateIndex("CA")))
-	maleCA, _ := c.Group(cube.KeyAll.With(cube.State, cube.StateIndex("CA")).With(cube.Gender, 0))
-	cmp := Compare(tuples, ca, maleCA)
-	// Every male-CA reviewer is also a CA reviewer.
-	if cmp.OverlapUsers != maleCA.Support() {
-		t.Errorf("overlap = %d, want %d", cmp.OverlapUsers, maleCA.Support())
-	}
-	if cmp.SiblingRelated {
-		t.Error("parent/child are not siblings")
-	}
-}

@@ -290,9 +290,6 @@ func States() []State {
 // StateByCode returns the state for a two-letter code, or nil if unknown.
 func StateByCode(code string) *State { return stateByCode[code] }
 
-// NumStates is the number of renderable regions (50 states + DC).
-func NumStates() int { return len(states) }
-
 // StateCodes returns all two-letter state codes in a deterministic order.
 func StateCodes() []string {
 	codes := make([]string, 0, len(states))
@@ -361,27 +358,4 @@ func PrefixesFor(stateCode string) []int {
 		}
 	}
 	return out
-}
-
-// PrefixesForCity returns the prefixes of a named city, or the state
-// prefixes without a named city for the catch-all.
-func PrefixesForCity(stateCode, city string) []int {
-	if city == restOf(stateCode) {
-		var out []int
-		for p, st := range prefixState {
-			if st == stateCode && prefixCity[p] == "" {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	for _, c := range cityDefs {
-		if c.State == stateCode && c.Name == city {
-			out := make([]int, len(c.Prefixes))
-			copy(out, c.Prefixes)
-			sort.Ints(out)
-			return out
-		}
-	}
-	return nil
 }

@@ -1,14 +1,15 @@
 package geo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestStatesComplete(t *testing.T) {
-	if NumStates() != 51 {
-		t.Fatalf("NumStates() = %d, want 51 (50 states + DC)", NumStates())
+	if n := len(States()); n != 51 {
+		t.Fatalf("len(States()) = %d, want 51 (50 states + DC)", n)
 	}
 	seen := map[string]bool{}
 	for _, s := range States() {
@@ -187,25 +188,29 @@ func TestCitiesCoverState(t *testing.T) {
 }
 
 func TestCityPrefixesPartitionState(t *testing.T) {
-	// The union of all city prefixes (named + catch-all) must equal the
-	// state's allocation, with no overlap.
+	// Every prefix a state allocates must resolve, through Locate, to that
+	// state and to one of its cities (named or catch-all), and every named
+	// city must own at least one prefix.
 	for _, s := range States() {
-		owned := map[int]string{}
+		cities := map[string]int{}
 		for _, city := range Cities(s.Code) {
-			for _, p := range PrefixesForCity(s.Code, city) {
-				if prev, dup := owned[p]; dup {
-					t.Errorf("%s: prefix %03d owned by both %q and %q", s.Code, p, prev, city)
-				}
-				owned[p] = city
+			cities[city] = 0
+		}
+		for _, p := range PrefixesFor(s.Code) {
+			zip := fmt.Sprintf("%03d00", p)
+			loc, ok := Locate(zip)
+			if !ok || loc.State != s.Code {
+				t.Errorf("%s: prefix %03d locates to %+v (ok=%v)", s.Code, p, loc, ok)
+				continue
 			}
+			if _, known := cities[loc.City]; !known {
+				t.Errorf("%s: prefix %03d locates to unlisted city %q", s.Code, p, loc.City)
+			}
+			cities[loc.City]++
 		}
-		all := PrefixesFor(s.Code)
-		if len(owned) != len(all) {
-			t.Errorf("%s: cities own %d prefixes, state allocates %d", s.Code, len(owned), len(all))
-		}
-		for _, p := range all {
-			if _, ok := owned[p]; !ok {
-				t.Errorf("%s: prefix %03d not owned by any city", s.Code, p)
+		for city, n := range cities {
+			if n == 0 && city != restOf(s.Code) {
+				t.Errorf("%s: city %q owns no prefix", s.Code, city)
 			}
 		}
 	}
@@ -231,7 +236,7 @@ func TestCitiesAreSortedAndDeterministic(t *testing.T) {
 
 func TestStateCodesSorted(t *testing.T) {
 	codes := StateCodes()
-	if len(codes) != NumStates() {
+	if len(codes) != len(States()) {
 		t.Fatalf("StateCodes len = %d", len(codes))
 	}
 	for i := 1; i < len(codes); i++ {

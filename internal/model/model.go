@@ -114,26 +114,6 @@ func ParseAgeCode(code int) (AgeBucket, error) {
 	return 0, fmt.Errorf("model: unknown MovieLens age code %d", code)
 }
 
-// BucketForAge returns the bucket containing an exact age in years.
-func BucketForAge(years int) AgeBucket {
-	switch {
-	case years < 18:
-		return AgeUnder18
-	case years <= 24:
-		return Age18to24
-	case years <= 34:
-		return Age25to34
-	case years <= 44:
-		return Age35to44
-	case years <= 49:
-		return Age45to49
-	case years <= 55:
-		return Age50to55
-	default:
-		return Age56Plus
-	}
-}
-
 // Occupation is a MovieLens occupation code (0..20).
 type Occupation uint8
 

@@ -41,33 +41,6 @@ func TestAgeBucketRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBucketForAge(t *testing.T) {
-	cases := []struct {
-		years int
-		want  AgeBucket
-	}{
-		{5, AgeUnder18}, {17, AgeUnder18}, {18, Age18to24}, {24, Age18to24},
-		{25, Age25to34}, {34, Age25to34}, {35, Age35to44}, {44, Age35to44},
-		{45, Age45to49}, {49, Age45to49}, {50, Age50to55}, {55, Age50to55},
-		{56, Age56Plus}, {90, Age56Plus},
-	}
-	for _, c := range cases {
-		if got := BucketForAge(c.years); got != c.want {
-			t.Errorf("BucketForAge(%d) = %v, want %v", c.years, got, c.want)
-		}
-	}
-}
-
-func TestBucketForAgeAlwaysValid(t *testing.T) {
-	f := func(years uint8) bool {
-		b := BucketForAge(int(years))
-		return int(b) < NumAgeBuckets
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestOccupationRoundTrip(t *testing.T) {
 	for code := 0; code < NumOccupations; code++ {
 		o, err := ParseOccupation(code)

@@ -91,6 +91,11 @@ type Query struct {
 	// an append invalidates plans surgically instead of colding every
 	// key; result-cache keys fold the resolved epoch in separately.
 	Epoch uint64
+	// Framework selects the un-anchored framework mode (groups need no
+	// geo-condition); the zero value is the demo's state-anchored mode.
+	// Like Epoch it stays out of String(): the mode picks the candidate
+	// cube, and the plan key carries the cube config.
+	Framework bool
 }
 
 // String renders the query canonically (predicates in input order joined

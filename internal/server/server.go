@@ -250,6 +250,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	render(w, explainTmpl, map[string]any{
 		"Query":      ex.Query,
 		"RawQuery":   r.URL.Query().Get("q"),
+		"Framework":  framework(r),
 		"Items":      titles,
 		"NumRatings": ex.NumRatings,
 		"Mean":       ex.OverallMean,
@@ -260,6 +261,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		"URLQuery":   template.URL(r.URL.RawQuery),
 	})
 }
+
+// framework reports whether a page was requested in framework mode. Its
+// groups live in the framework cube, so its explore links carry geo=off
+// to reach the plan the page was mined from.
+func framework(r *http.Request) bool { return r.URL.Query().Get("geo") == "off" }
 
 // groupPageLimit caps the group page's refinement list when the URL
 // names no limit.
@@ -294,6 +300,7 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	render(w, groupTmpl, map[string]any{
 		"Query":       g.Query,
 		"RawQuery":    r.URL.Query().Get("q"),
+		"Framework":   framework(r),
 		"Group":       g.Group,
 		"Cities":      g.Cities,
 		"Timeline":    g.Timeline,

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"html"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -657,5 +659,79 @@ func TestV1ExplainInstrumented(t *testing.T) {
 	ep, ok := stats.API["explain"]
 	if !ok || ep.Requests == 0 || ep.Status["2xx"] == 0 {
 		t.Fatalf("statsz has no explain counters: %+v", stats.API)
+	}
+}
+
+// exploreLinks extracts the /group hrefs of a page's "explore" links.
+var exploreLinks = regexp.MustCompile(`href="(/group\?[^"]*)">explore</a>`)
+
+// TestFrameworkModeClicks: every group a framework-mode (geo=off) explain
+// returns must be explorable through every front-end — the v1 group,
+// refine and drill endpoints with geo=off, the explain page's own
+// explore links and the links on the group pages they open — because
+// each reaches the plan the explanation was mined from rather than a
+// cube inferred from the key.
+func TestFrameworkModeClicks(t *testing.T) {
+	ts := testServer(t)
+	queries := []string{
+		`movie:"Toy Story"`,
+		`movie:"The Twilight Saga: Eclipse"`,
+		`genre:Drama`,
+		`genre:Comedy`,
+		`actor:"Tom Hanks"`,
+		`title:"lord rings"`,
+		`director:"Steven Spielberg" AND genre:Thriller`,
+	}
+	links, seen := 0, map[string]bool{}
+	for _, q := range queries {
+		qs := "q=" + url.QueryEscape(q) + "&geo=off&coverage=0.10&k=2"
+		code, body := get(t, ts, "/api/v1/explain?"+qs)
+		if code != http.StatusOK {
+			t.Fatalf("explain %s = %d: %s", q, code, body)
+		}
+		var ex api.ExplainResponse
+		if err := json.Unmarshal([]byte(body), &ex); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range ex.Tasks {
+			for _, g := range tr.Groups {
+				click := qs + "&key=" + url.QueryEscape(g.Key)
+				for _, op := range []string{"group", "refine"} {
+					if code, body := get(t, ts, "/api/v1/"+op+"?"+click); code != http.StatusOK {
+						t.Errorf("%s %s key %s = %d: %s", op, q, g.Key, code, body)
+					}
+				}
+				if code, body := get(t, ts, "/api/v1/drill?"+click); code != http.StatusOK &&
+					strings.Contains(body, `"`+string(api.CodeNoGroup)+`"`) {
+					t.Errorf("drill %s key %s = %d: %s", q, g.Key, code, body)
+				}
+			}
+		}
+		code, page := get(t, ts, "/explain?"+qs)
+		if code != http.StatusOK {
+			t.Fatalf("explain page %s = %d", q, code)
+		}
+		for _, m := range exploreLinks.FindAllStringSubmatch(page, -1) {
+			href := html.UnescapeString(m[1])
+			code, group := get(t, ts, href)
+			if code != http.StatusOK {
+				t.Errorf("explore link %s = %d: %s", href, code, group)
+				continue
+			}
+			links++
+			for _, m := range exploreLinks.FindAllStringSubmatch(group, -1) {
+				href := html.UnescapeString(m[1])
+				if seen[href] {
+					continue
+				}
+				seen[href] = true
+				if code, body := get(t, ts, href); code != http.StatusOK {
+					t.Errorf("group page link %s = %d: %s", href, code, body)
+				}
+			}
+		}
+	}
+	if links == 0 {
+		t.Fatal("no explore links on the framework-mode pages")
 	}
 }

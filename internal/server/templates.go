@@ -76,7 +76,7 @@ var explainTmpl = mustTmpl("explain", `<!DOCTYPE html>
   <td>{{.Phrase}}</td><td>{{.Icons}}</td>
   <td>{{printf "%.2f" .Mean}}</td><td>{{printf "%.2f" .Std}}</td>
   <td>{{.Count}}</td><td>{{printf "%.1f%%" (mulf .Share 100.0)}}</td>
-  <td><a href="/group?q={{$.RawQuery}}&key={{.Key}}">explore</a></td>
+  <td><a href="/group?q={{$.RawQuery}}&key={{.Key}}{{if $.Framework}}&geo=off{{end}}">explore</a></td>
 </tr>
 {{end}}
 </table>
@@ -117,7 +117,7 @@ var groupTmpl = mustTmpl("group", `<!DOCTYPE html>
 {{range .Refinements}}
 <tr><td>{{.Group.Phrase}}</td><td>{{.Added}}</td>
 <td>{{printf "%.2f" .Group.Mean}}</td><td>{{printf "%+.2f" .Delta}}</td><td>{{.Group.Count}}</td>
-<td><a href="/group?q={{$.RawQuery}}&key={{.Group.Key}}">explore</a></td></tr>
+<td><a href="/group?q={{$.RawQuery}}&key={{.Group.Key}}{{if $.Framework}}&geo=off{{end}}">explore</a></td></tr>
 {{end}}
 </table>
 {{else}}
@@ -131,7 +131,7 @@ var groupTmpl = mustTmpl("group", `<!DOCTYPE html>
 <tr><th>group</th><th>μ</th><th>ratings</th><th></th></tr>
 {{range .Related}}
 <tr><td>{{.Phrase}}</td><td>{{printf "%.2f" .Mean}}</td><td>{{.Count}}</td>
-<td><a href="/group?q={{$.RawQuery}}&key={{.Key}}">explore</a></td></tr>
+<td><a href="/group?q={{$.RawQuery}}&key={{.Key}}{{if $.Framework}}&geo=off{{end}}">explore</a></td></tr>
 {{end}}
 </table>
 {{end}}

@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cube"
 	"repro/internal/dataset"
+	"repro/internal/store"
 )
 
 // fuzzSnapshotBytes is one small valid snapshot, encoded once: the seed
@@ -176,4 +178,20 @@ func checkOpened(t *testing.T, s *Snapshot) {
 	if total != int(h.Ratings) {
 		t.Errorf("item index covers %d tuples, header says %d", total, h.Ratings)
 	}
+
+	// An accepted file must also serve: a store over it answers browse
+	// and gathers a query's log, and the cube builds over that log.
+	lo, hi := s.TimeRange()
+	st, err := store.OpenPrejoined(ds, store.Options{}, store.Prejoined{
+		Tuples: s.Tuples(), ItemTuples: s.ItemTuples(), MinUnix: lo, MaxUnix: hi,
+	})
+	if err != nil {
+		t.Fatalf("store over an accepted snapshot: %v", err)
+	}
+	st.StateAggsAt(0)
+	ids := make([]int, len(ds.Items))
+	for i := range ds.Items {
+		ids[i] = ds.Items[i].ID
+	}
+	cube.Build(st.TuplesForItems(ids, store.TimeWindow{}), cube.DefaultConfig())
 }

@@ -122,19 +122,6 @@ func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	ratingSec, err := hdr.section(data, secRatings)
-	if err != nil {
-		return nil, err
-	}
-	ratings, err := decodeRatings(ratingSec, int(hdr.Ratings))
-	if err != nil {
-		return nil, err
-	}
-	s.ds, err = model.NewDataset(users, items, ratings)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-
 	tupleSec, err := hdr.section(data, secTuples)
 	if err != nil {
 		return nil, err
@@ -149,14 +136,31 @@ func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
 	if s.tuples == nil {
 		s.tuples = decodeTuples(tupleSec)
 	}
-
-	idxSec, err := hdr.section(data, secItemIndex)
+	// The item index is checked against the tuple log while the ratings
+	// decode: the two scans are independent and cost about the same, so
+	// on two cores the check hides behind the decode. decode waits for
+	// the check on every path, since the caller unmaps data on an error.
+	idxErr := make(chan error, 1)
+	go func() {
+		idxSec, err := hdr.section(data, secItemIndex)
+		if err == nil {
+			s.itemTuples, err = decodeItemIndex(idxSec, items, s.tuples, opts)
+		}
+		idxErr <- err
+	}()
+	ratingSec, err := hdr.section(data, secRatings)
+	var ratings []model.Rating
+	if err == nil {
+		ratings, err = decodeRatings(ratingSec, s.tuples)
+	}
+	if ierr := <-idxErr; err == nil {
+		err = ierr
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.itemTuples, err = decodeItemIndex(idxSec, items, int(hdr.Ratings), opts)
-	if err != nil {
-		return nil, err
+	if s.ds, err = model.NewDataset(users, items, ratings); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 
 	metaSec, err := hdr.section(data, secMeta)
@@ -353,9 +357,23 @@ func decodeItems(b []byte, n int, strs []string) ([]model.Item, error) {
 	return items, nil
 }
 
-func decodeRatings(b []byte, n int) ([]model.Rating, error) {
+// decodeRatings decodes the rating columns and, in the same pass, checks
+// the tuple log against them: each tuple must repeat its rating's
+// UserID, ItemID, Score and Unix, and hold only attribute values inside
+// {Wildcard} ∪ [0, Cardinality). The cube and the browse aggregates index
+// per-value tables by those values, so one out of range would panic a
+// request instead of failing the open. The demographic values are not
+// re-joined: a log in range that agrees with the ratings is trusted to
+// be store.Join's output.
+func decodeRatings(b []byte, tuples []cube.Tuple) ([]model.Rating, error) {
+	n := len(tuples)
 	if len(b) != 17*n {
 		return nil, fmt.Errorf("snapshot: rating section is %d bytes, want %d for %d ratings", len(b), 17*n, n)
+	}
+	// Wildcard is -1, so v+1 must lie in [0, Cardinality].
+	var card [cube.NumAttrs]uint16
+	for a := range card {
+		card[a] = uint16(cube.Cardinality(cube.Attr(a)))
 	}
 	unix := b[0 : 8*n]
 	userIDs := b[8*n : 12*n]
@@ -363,11 +381,21 @@ func decodeRatings(b []byte, n int) ([]model.Rating, error) {
 	scores := b[16*n : 17*n]
 	ratings := make([]model.Rating, n)
 	for i := 0; i < n; i++ {
-		ratings[i] = model.Rating{
+		r := model.Rating{
 			UserID: int(int32(le.Uint32(userIDs[4*i:]))),
 			ItemID: int(int32(le.Uint32(itemIDs[4*i:]))),
 			Score:  int(int8(scores[i])),
 			Unix:   int64(le.Uint64(unix[8*i:])),
+		}
+		ratings[i] = r
+		t := &tuples[i]
+		if int(t.UserID) != r.UserID || int(t.ItemID) != r.ItemID || int(t.Score) != r.Score || t.Unix != r.Unix {
+			return nil, fmt.Errorf("snapshot: tuple %d disagrees with its rating", i)
+		}
+		for a, v := range t.Vals {
+			if uint16(v+1) > card[a] {
+				return nil, fmt.Errorf("snapshot: tuple %d has %s value %d, outside [0,%d)", i, cube.Attr(a), v, card[a])
+			}
 		}
 	}
 	return ratings, nil
@@ -396,9 +424,11 @@ func decodeTuples(b []byte) []cube.Tuple {
 // decodeItemIndex rebuilds the item ID → tuple-indices map by slicing
 // the flat arena per the offsets column. The arena itself is aliased
 // over the file bytes when possible, so the map's inner slices cost no
-// copies.
-func decodeItemIndex(b []byte, items []model.Item, ratings int, opts Options) (map[int][]int32, error) {
-	n := len(items)
+// copies. Every entry must be a tuple of its own item, and each item's
+// run must be strictly ascending in (Unix, index) — the order the
+// store's window search relies on.
+func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple, opts Options) (map[int][]int32, error) {
+	n, ratings := len(items), len(tuples)
 	want := 4*(n+1) + 4*ratings
 	if len(b) != want {
 		return nil, fmt.Errorf("snapshot: item index is %d bytes, want %d", len(b), want)
@@ -415,14 +445,6 @@ func decodeItemIndex(b []byte, items []model.Item, ratings int, opts Options) (m
 			arena[i] = int32(le.Uint32(arenaBytes[4*i:]))
 		}
 	}
-	// The arena holds indices into the tuple log; reject any that point
-	// outside it, or a corrupted file would panic consumers at mining
-	// time instead of failing here.
-	for i, v := range arena {
-		if v < 0 || int(v) >= ratings {
-			return nil, fmt.Errorf("snapshot: item index entry %d is %d, outside the %d-tuple log", i, v, ratings)
-		}
-	}
 	m := make(map[int][]int32, n)
 	prev := uint32(0)
 	for i := 0; i < n; i++ {
@@ -431,14 +453,40 @@ func decodeItemIndex(b []byte, items []model.Item, ratings int, opts Options) (m
 			return nil, fmt.Errorf("snapshot: item index offsets corrupt at item %d", i)
 		}
 		prev = hi
-		if hi > lo {
-			m[items[i].ID] = arena[lo:hi:hi]
+		if hi == lo {
+			continue
 		}
+		run := arena[lo:hi:hi]
+		if err := checkItemRun(run, tuples, items[i].ID, lo); err != nil {
+			return nil, err
+		}
+		m[items[i].ID] = run
 	}
 	if int(prev) != ratings {
 		return nil, fmt.Errorf("snapshot: item index covers %d of %d tuples", prev, ratings)
 	}
 	return m, nil
+}
+
+// checkItemRun validates one item's run of the index arena (starting at
+// arena entry base): every entry points into the tuple log, at a tuple of
+// this item, in strictly ascending (Unix, index) order.
+func checkItemRun(run []int32, tuples []cube.Tuple, itemID int, base uint32) error {
+	prevIdx, prevUnix := int32(-1), int64(0)
+	for k, v := range run {
+		if v < 0 || int(v) >= len(tuples) {
+			return fmt.Errorf("snapshot: item index entry %d is %d, outside the %d-tuple log", int(base)+k, v, len(tuples))
+		}
+		t := &tuples[v]
+		if int(t.ItemID) != itemID {
+			return fmt.Errorf("snapshot: item index entry %d (item %d) points at tuple %d of item %d", int(base)+k, itemID, v, t.ItemID)
+		}
+		if k > 0 && (t.Unix < prevUnix || t.Unix == prevUnix && v <= prevIdx) {
+			return fmt.Errorf("snapshot: item index entry %d (item %d) breaks (time, index) order", int(base)+k, itemID)
+		}
+		prevIdx, prevUnix = v, t.Unix
+	}
+	return nil
 }
 
 func decodeMeta(b []byte) (map[string]string, error) {

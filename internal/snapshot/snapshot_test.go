@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cube"
 	"repro/internal/dataset"
 	"repro/internal/model"
 )
@@ -243,6 +244,89 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			t.Errorf("got %v, want ErrTruncated", err)
 		}
 	})
+}
+
+// TestOpenRejectsInconsistentLog: a file whose checksums are intact but
+// whose tuple log or item index disagrees with the rest of it must fail
+// the open. Before these checks, a tuple whose state was set to 300
+// opened cleanly and the first browse call panicked on an index out of
+// range; every mine touching that item answered 500 after that.
+func TestOpenRejectsInconsistentLog(t *testing.T) {
+	path := writeTestSnapshot(t, Meta{Source: "generated"})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsetOf := func(id uint32) int {
+		for _, sec := range h.Sections {
+			if sec.ID == id {
+				return int(sec.Offset)
+			}
+		}
+		t.Fatalf("section %d missing", id)
+		return 0
+	}
+	tupleOff, idxOff := offsetOf(secTuples), offsetOf(secItemIndex)
+	idx := raw[idxOff:]
+	nItems := len(testDS.Items)
+	arena := func(k int) int { return idxOff + 4*(nItems+1) + 4*k }
+	// The first two items with at least two tuples each, and their runs.
+	var runs [][2]int
+	for i := 0; i < nItems && len(runs) < 2; i++ {
+		lo, hi := int(le.Uint32(idx[4*i:])), int(le.Uint32(idx[4*(i+1):]))
+		if hi-lo >= 2 {
+			runs = append(runs, [2]int{lo, hi})
+		}
+	}
+	if len(runs) < 2 {
+		t.Fatal("fixture has fewer than two items with two ratings")
+	}
+	swap := func(b []byte, i, j int) {
+		for k := 0; k < 4; k++ {
+			b[i+k], b[j+k] = b[j+k], b[i+k]
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"tuple-state-out-of-range", func(b []byte) {
+			le.PutUint16(b[tupleOff+2*int(cube.State):], 300)
+		}},
+		{"tuple-value-below-wildcard", func(b []byte) {
+			le.PutUint16(b[tupleOff+2*int(cube.Gender):], uint16(0xfffe)) // -2
+		}},
+		{"tuple-score-disagrees", func(b []byte) { b[tupleOff+10] ^= 0x03 }},
+		{"tuple-unix-disagrees", func(b []byte) { b[tupleOff+16] ^= 0x01 }},
+		{"index-entry-of-another-item", func(b []byte) {
+			swap(b, arena(runs[0][0]), arena(runs[1][0]))
+		}},
+		{"index-run-out-of-order", func(b []byte) {
+			swap(b, arena(runs[0][0]), arena(runs[0][0]+1))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := append([]byte(nil), raw...)
+			c.mutate(b)
+			b = fixCRCs(b)
+			p := filepath.Join(t.TempDir(), "bad.msnap")
+			if err := os.WriteFile(p, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []Options{{}, {DisableMmap: true, DisableAlias: true}} {
+				snap, err := OpenWith(p, opts)
+				if err == nil {
+					snap.Close()
+					t.Errorf("opened cleanly with options %+v", opts)
+				}
+			}
+		})
+	}
 }
 
 // TestCloseIdempotent guards the munmap path: double Close must not

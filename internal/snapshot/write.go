@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/model"
+	"repro/internal/store"
 )
 
 // Meta is the builder-supplied identity a snapshot carries beyond the
@@ -49,15 +50,19 @@ func WriteFile(path string, ds *model.Dataset, meta Meta) error {
 // in memory first (≈60 MB at MovieLens-1M scale) so the output is a
 // single sequential write with every checksum already in place.
 //
-// Write performs the same demographics join and per-item time sort the
-// store performs at open time, in the same order with the same
-// tie-breaks, so an engine opened from the snapshot is indistinguishable
-// from one opened over the original dataset.
+// Write stores the output of store.Join, the demographics join and
+// per-item time sort the store performs at open time, so an engine opened
+// from the snapshot is indistinguishable from one opened over the
+// original dataset.
 func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	if ds == nil {
 		return fmt.Errorf("snapshot: nil dataset")
 	}
-	tuples, offsets, arena, minUnix, maxUnix, err := joinForWrite(ds)
+	pj, err := store.Join(ds)
+	if err != nil {
+		return err
+	}
+	offsets, arena, err := itemIndex(ds, pj.ItemTuples)
 	if err != nil {
 		return err
 	}
@@ -70,7 +75,7 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 		{secUsers, encodeUsers(ds.Users, in)},
 		{secItems, encodeItems(ds.Items, in)},
 		{secRatings, encodeRatings(ds.Ratings)},
-		{secTuples, encodeTuples(tuples)},
+		{secTuples, encodeTuples(pj.Tuples)},
 		{secItemIndex, encodeItemIndex(offsets, arena)},
 		{secMeta, encodeMeta(meta)},
 	}
@@ -102,9 +107,9 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	le.PutUint64(out[16:], uint64(len(ds.Users)))
 	le.PutUint64(out[24:], uint64(len(ds.Items)))
 	le.PutUint64(out[32:], uint64(len(ds.Ratings)))
-	le.PutUint64(out[40:], uint64(minUnix))
-	le.PutUint64(out[48:], uint64(maxUnix))
-	le.PutUint64(out[56:], model.Fingerprint(ds, minUnix, maxUnix))
+	le.PutUint64(out[40:], uint64(pj.MinUnix))
+	le.PutUint64(out[48:], uint64(pj.MaxUnix))
+	le.PutUint64(out[56:], model.Fingerprint(ds, pj.MinUnix, pj.MaxUnix))
 	le.PutUint64(out[64:], model.LogHash(ds.Ratings))
 	le.PutUint64(out[72:], meta.Provenance)
 	for i, s := range sections {
@@ -122,51 +127,20 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	return err
 }
 
-// joinForWrite materializes the demographics-joined tuple log, the
-// per-item index arena (tuple indices grouped by item position, each
-// group sorted by (time, index)), and the rating time range — exactly
-// what store.Open derives, so the snapshot's precomputation substitutes
-// for the store's.
-func joinForWrite(ds *model.Dataset) (tuples []cube.Tuple, offsets []uint32, arena []int32, minUnix, maxUnix int64, err error) {
-	tuples = make([]cube.Tuple, len(ds.Ratings))
-	perItem := make(map[int][]int32)
-	seen := false
-	for i := range ds.Ratings {
-		r := ds.Ratings[i]
-		u := ds.UserByID(r.UserID)
-		if u == nil {
-			return nil, nil, nil, 0, 0, fmt.Errorf("snapshot: rating %d references unknown user %d", i, r.UserID)
-		}
-		tuples[i] = cube.JoinRating(r, u)
-		if !seen || r.Unix < minUnix {
-			minUnix = r.Unix
-		}
-		if !seen || r.Unix > maxUnix {
-			maxUnix = r.Unix
-		}
-		seen = true
-		perItem[r.ItemID] = append(perItem[r.ItemID], int32(i))
-	}
-
+// itemIndex flattens the joined per-item index into the on-disk arena:
+// each item's tuple indices in catalog order, offsets[i] marking where
+// item i's run starts.
+func itemIndex(ds *model.Dataset, itemTuples map[int][]int32) (offsets []uint32, arena []int32, err error) {
 	offsets = make([]uint32, len(ds.Items)+1)
 	arena = make([]int32, 0, len(ds.Ratings))
 	for i := range ds.Items {
-		idxs := perItem[ds.Items[i].ID]
-		// The same (time, index) total order the store sorts with.
-		sort.Slice(idxs, func(a, b int) bool {
-			ta, tb := tuples[idxs[a]].Unix, tuples[idxs[b]].Unix
-			if ta != tb {
-				return ta < tb
-			}
-			return idxs[a] < idxs[b]
-		})
-		arena = append(arena, idxs...)
+		arena = append(arena, itemTuples[ds.Items[i].ID]...)
 		offsets[i+1] = uint32(len(arena))
 	}
 	if len(arena) != len(ds.Ratings) {
-		return nil, nil, nil, 0, 0, fmt.Errorf("snapshot: %d of %d ratings reference unknown items", len(ds.Ratings)-len(arena), len(ds.Ratings))
+		return nil, nil, fmt.Errorf("snapshot: %d of %d ratings reference unknown items", len(ds.Ratings)-len(arena), len(ds.Ratings))
 	}
-	return tuples, offsets, arena, minUnix, maxUnix, nil
+	return offsets, arena, nil
 }
 
 // interner assigns dense IDs to strings; ID 0 is always "".

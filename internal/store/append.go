@@ -89,7 +89,7 @@ func (s *Store) Append(epoch uint64, tuples []cube.Tuple) error {
 // insertItemIndexLocked inserts a new tuple position into an item's
 // time-sorted index list at the upper bound of its timestamp. New
 // positions are larger than every existing one, so inserting at the
-// upper bound preserves the (Unix, index) total order joinRatings
+// upper bound preserves the (Unix, index) total order Join
 // established — including within a batch, where later entries insert
 // after earlier ones carrying the same timestamp.
 func (s *Store) insertItemIndexLocked(itemID int, idx int32, unix int64) {

@@ -85,7 +85,7 @@ func TestAppendEnforcesEpochSequence(t *testing.T) {
 // pinned reads are frozen, the latest read gains exactly the batch.
 func TestAppendStateAggsDelta(t *testing.T) {
 	s := openStore(t, DefaultOptions())
-	before, _ := s.StateAggsAt(0)
+	before := s.StateAggsAt(0)
 	batch := appendBatch(t, s, 4)
 	st := batch[0].Vals[cube.State]
 	if st == cube.Wildcard {
@@ -94,8 +94,8 @@ func TestAppendStateAggsDelta(t *testing.T) {
 	if err := s.Append(2, batch); err != nil {
 		t.Fatal(err)
 	}
-	pinned, _ := s.StateAggsAt(1)
-	latest, _ := s.StateAggsAt(0)
+	pinned := s.StateAggsAt(1)
+	latest := s.StateAggsAt(0)
 	for i := range before {
 		if pinned[i] != before[i] {
 			t.Fatalf("state %d pinned agg changed: %+v -> %+v", i, before[i], pinned[i])

@@ -205,15 +205,6 @@ func NewPlanCache(maxTuples int) *PlanCache {
 	}
 }
 
-// GetOrBuild fetches the plan for key at the cache's current epoch. See
-// GetOrBuildAt.
-func (pc *PlanCache) GetOrBuild(ctx context.Context, key string, build func() (*Plan, error)) (plan *Plan, hit bool, err error) {
-	pc.mu.Lock()
-	epoch := pc.epoch
-	pc.mu.Unlock()
-	return pc.GetOrBuildAt(ctx, key, epoch, build)
-}
-
 // GetOrBuildAt returns the materialized plan for key as of epoch,
 // building it with build on a miss. A version whose range covers the
 // epoch serves the fetch — in particular a live entry built before the

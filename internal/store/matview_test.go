@@ -24,11 +24,11 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	builds := 0
 	build := func() (*Plan, error) { builds++; return fakePlan(10), nil }
 
-	p1, hit, err := pc.GetOrBuild(ctx, "k", build)
+	p1, hit, err := pc.GetOrBuildAt(ctx, "k", 1, build)
 	if err != nil || hit {
 		t.Fatalf("first fetch: hit=%v err=%v", hit, err)
 	}
-	p2, hit, err := pc.GetOrBuild(ctx, "k", build)
+	p2, hit, err := pc.GetOrBuildAt(ctx, "k", 1, build)
 	if err != nil || !hit {
 		t.Fatalf("second fetch: hit=%v err=%v", hit, err)
 	}
@@ -60,7 +60,7 @@ func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 		return func() (*Plan, error) { return fakePlan(n), nil }
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := pc.GetOrBuild(ctx, fmt.Sprintf("k%d", i), mk(40)); err != nil {
+		if _, _, err := pc.GetOrBuildAt(ctx, fmt.Sprintf("k%d", i), 1, mk(40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 	}
 	// k0 was evicted: fetching it again must rebuild.
 	rebuilt := false
-	if _, hit, err := pc.GetOrBuild(ctx, "k0", func() (*Plan, error) {
+	if _, hit, err := pc.GetOrBuildAt(ctx, "k0", 1, func() (*Plan, error) {
 		rebuilt = true
 		return fakePlan(40), nil
 	}); err != nil || hit {
@@ -80,7 +80,7 @@ func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 		t.Error("evicted plan was not rebuilt")
 	}
 	// k1 is now the LRU entry and must have been evicted by k0's return.
-	if _, hit, _ := pc.GetOrBuild(ctx, "k2", mk(40)); !hit {
+	if _, hit, _ := pc.GetOrBuildAt(ctx, "k2", 1, mk(40)); !hit {
 		t.Error("recently used k2 should have survived")
 	}
 }
@@ -93,7 +93,7 @@ func TestPlanCacheOversizePlanNotCached(t *testing.T) {
 	builds := 0
 	build := func() (*Plan, error) { builds++; return fakePlan(80), nil }
 	for i := 0; i < 2; i++ {
-		if _, _, err := pc.GetOrBuild(ctx, "big", build); err != nil {
+		if _, _, err := pc.GetOrBuildAt(ctx, "big", 1, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,11 +109,11 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 	pc := NewPlanCache(100)
 	ctx := context.Background()
 	boom := errors.New("boom")
-	if _, _, err := pc.GetOrBuild(ctx, "k", func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure is not cached; the next fetch builds and succeeds.
-	p, hit, err := pc.GetOrBuild(ctx, "k", func() (*Plan, error) { return fakePlan(5), nil })
+	p, hit, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(5), nil })
 	if err != nil || hit || p == nil {
 		t.Fatalf("after error: plan=%v hit=%v err=%v", p, hit, err)
 	}
@@ -141,7 +141,7 @@ func TestPlanCacheConcurrentBuildOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			plans[i], _, errs[i] = pc.GetOrBuild(context.Background(), "k", build)
+			plans[i], _, errs[i] = pc.GetOrBuildAt(context.Background(), "k", 1, build)
 		}(i)
 	}
 	close(start)
@@ -175,7 +175,7 @@ func TestPlanCacheFollowerCancellation(t *testing.T) {
 	pc := NewPlanCache(1000)
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
-	go pc.GetOrBuild(context.Background(), "k", func() (*Plan, error) {
+	go pc.GetOrBuildAt(context.Background(), "k", 1, func() (*Plan, error) {
 		close(leaderIn)
 		<-release
 		return fakePlan(1), nil
@@ -183,7 +183,7 @@ func TestPlanCacheFollowerCancellation(t *testing.T) {
 	<-leaderIn
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := pc.GetOrBuild(ctx, "k", func() (*Plan, error) { return fakePlan(1), nil })
+	_, _, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(1), nil })
 	close(release)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower err = %v, want context.Canceled", err)
@@ -193,7 +193,7 @@ func TestPlanCacheFollowerCancellation(t *testing.T) {
 func TestPlanCacheReset(t *testing.T) {
 	pc := NewPlanCache(100)
 	ctx := context.Background()
-	pc.GetOrBuild(ctx, "k", func() (*Plan, error) { return fakePlan(10), nil })
+	pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(10), nil })
 	pc.Reset()
 	if st := pc.Stats(); st.Entries != 0 || st.Tuples != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("after reset: %+v", st)
@@ -217,7 +217,7 @@ func TestPlanSizeBytes(t *testing.T) {
 // counted, and a plan the tier does not hold memoizes nothing.
 func TestPlanMemoBounds(t *testing.T) {
 	pc := NewPlanCache(100)
-	p, _, err := pc.GetOrBuild(context.Background(), "k", func() (*Plan, error) { return fakePlan(10), nil })
+	p, _, err := pc.GetOrBuildAt(context.Background(), "k", 1, func() (*Plan, error) { return fakePlan(10), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestPlanMemoBounds(t *testing.T) {
 	}
 
 	// Over budget, so served uncached: no memo, no counting.
-	big, _, err := pc.GetOrBuild(context.Background(), "big", func() (*Plan, error) { return fakePlan(1000), nil })
+	big, _, err := pc.GetOrBuildAt(context.Background(), "big", 1, func() (*Plan, error) { return fakePlan(1000), nil })
 	if err != nil {
 		t.Fatal(err)
 	}

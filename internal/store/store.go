@@ -81,10 +81,6 @@ func (w TimeWindow) String() string {
 
 // Options configures Open.
 type Options struct {
-	// CubeConfig is the candidate-group configuration whose MinSupport
-	// is browse mode's per-state cut; per-query cubes are configured by
-	// the mining layer.
-	CubeConfig cube.Config
 	// CacheSize bounds the LRU result cache; 0 disables caching.
 	CacheSize int
 	// PlanCacheTuples bounds the materialized query-plan cache — the tier
@@ -99,7 +95,6 @@ type Options struct {
 // at MovieLens-1M scale).
 func DefaultOptions() Options {
 	return Options{
-		CubeConfig:      cube.DefaultConfig(),
 		CacheSize:       256,
 		PlanCacheTuples: 2 << 20,
 	}
@@ -136,9 +131,6 @@ type Store struct {
 	// epoch e, so any past epoch can be served exactly.
 	epoch  uint64
 	bounds []epochMark
-
-	// minSupport is the cut a state must reach to surface in browse mode.
-	minSupport int
 
 	cache *LRU       // nil unless Options.CacheSize > 0
 	plans *PlanCache // nil unless Options.PlanCacheTuples > 0
@@ -177,15 +169,7 @@ func Open(ds *model.Dataset, opts Options) (*Store, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("store: nil dataset")
 	}
-	s := &Store{
-		ds:         ds,
-		itemTuples: make(map[int][]int32),
-		byGenre:    make(map[string][]int),
-		byActor:    make(map[string][]int),
-		byDirector: make(map[string][]int),
-		byTitle:    make(map[string][]int),
-		titleTerm:  make(map[string][]int),
-	}
+	s := newStore(ds)
 
 	// The item-attribute indexes only read ds.Items; build them while the
 	// rating join runs.
@@ -195,22 +179,35 @@ func Open(ds *model.Dataset, opts Options) (*Store, error) {
 		defer itemWG.Done()
 		s.buildItemIndexes()
 	}()
-
-	if err := s.joinRatings(); err != nil {
-		itemWG.Wait()
+	pj, err := Join(ds)
+	itemWG.Wait()
+	if err != nil {
 		return nil, err
 	}
-	itemWG.Wait()
-
-	s.finishOpen(opts)
+	s.finishOpen(opts, pj)
 	return s, nil
 }
 
-// finishOpen runs the open-time stages that follow the join: arming the
-// lazy browse aggregates, building the caching tiers, and sealing the base log
-// as epoch 1.
-func (s *Store) finishOpen(opts Options) {
-	s.minSupport = opts.CubeConfig.MinSupport
+func newStore(ds *model.Dataset) *Store {
+	return &Store{
+		ds:         ds,
+		byGenre:    make(map[string][]int),
+		byActor:    make(map[string][]int),
+		byDirector: make(map[string][]int),
+		byTitle:    make(map[string][]int),
+		titleTerm:  make(map[string][]int),
+	}
+}
+
+// finishOpen runs the open-time stages that follow the join: installing
+// the joined log, arming the lazy browse aggregates, building the caching
+// tiers, and sealing the base log as epoch 1.
+func (s *Store) finishOpen(opts Options, pj Prejoined) {
+	s.tuples, s.itemTuples = pj.Tuples, pj.ItemTuples
+	s.minUnix, s.maxUnix = pj.MinUnix, pj.MaxUnix
+	if s.itemTuples == nil {
+		s.itemTuples = make(map[int][]int32)
+	}
 	if opts.CacheSize > 0 {
 		s.cache = NewLRU(opts.CacheSize)
 	}
@@ -223,11 +220,11 @@ func (s *Store) finishOpen(opts Options) {
 	s.bounds = []epochMark{{tuples: len(s.tuples), minUnix: s.minUnix, maxUnix: s.maxUnix}}
 }
 
-// Prejoined carries the open-time artifacts a snapshot already holds:
-// the demographics-joined tuple log in rating-log order, the per-item
-// time-sorted index into it, and the rating time range. OpenPrejoined
-// trusts these to match what joinRatings would derive — the snapshot
-// writer produces them with the same ordering and tie-breaks.
+// Prejoined carries the open-time artifacts Join derives and a snapshot
+// stores: the demographics-joined tuple log in rating-log order, the
+// per-item time-sorted index into it, and the rating time range.
+// OpenPrejoined trusts these to match what Join would derive — the
+// snapshot writer produces them with Join itself.
 type Prejoined struct {
 	Tuples     []cube.Tuple
 	ItemTuples map[int][]int32
@@ -248,31 +245,20 @@ func OpenPrejoined(ds *model.Dataset, opts Options, pj Prejoined) (*Store, error
 	if len(pj.Tuples) != len(ds.Ratings) {
 		return nil, fmt.Errorf("store: prejoined log has %d tuples for %d ratings", len(pj.Tuples), len(ds.Ratings))
 	}
-	s := &Store{
-		ds:         ds,
-		tuples:     pj.Tuples,
-		itemTuples: pj.ItemTuples,
-		minUnix:    pj.MinUnix,
-		maxUnix:    pj.MaxUnix,
-		byGenre:    make(map[string][]int),
-		byActor:    make(map[string][]int),
-		byDirector: make(map[string][]int),
-		byTitle:    make(map[string][]int),
-		titleTerm:  make(map[string][]int),
-	}
-	if s.itemTuples == nil {
-		s.itemTuples = make(map[int][]int32)
-	}
+	s := newStore(ds)
 	s.buildItemIndexes()
-	s.finishOpen(opts)
+	s.finishOpen(opts, pj)
 	return s, nil
 }
 
-// joinRatings materializes the demographics-joined tuple log and the
-// per-item time-sorted index, sharding the work over rating partitions.
-func (s *Store) joinRatings() error {
-	ds := s.ds
-	s.tuples = make([]cube.Tuple, len(ds.Ratings))
+// Join materializes the demographics-joined tuple log, the per-item index
+// sorted by (Unix, log index), and the rating time range, sharding the
+// work over rating partitions. Open and the snapshot writer both call it,
+// so a store opened from a snapshot holds exactly the log a text open
+// derives.
+func Join(ds *model.Dataset) (Prejoined, error) {
+	tuples := make([]cube.Tuple, len(ds.Ratings))
+	pj := Prejoined{Tuples: tuples, ItemTuples: make(map[int][]int32)}
 
 	workers := runtime.GOMAXPROCS(0)
 	if len(ds.Ratings) < openParallelMin {
@@ -291,7 +277,7 @@ func (s *Store) joinRatings() error {
 		lo := w * len(ds.Ratings) / workers
 		hi := (w + 1) * len(ds.Ratings) / workers
 		wg.Add(1)
-		go func(sh *shard, lo, hi int) { //maprat:allow(ctxflow) startup join shard: bounded CPU work joined by wg.Wait before Open returns
+		go func(sh *shard, lo, hi int) { //maprat:allow(ctxflow) startup join shard: bounded CPU work joined by wg.Wait before Join returns
 			defer wg.Done()
 			sh.itemTuples = make(map[int][]int32)
 			for i := lo; i < hi; i++ {
@@ -303,7 +289,7 @@ func (s *Store) joinRatings() error {
 					sh.err = fmt.Errorf("store: rating %d references unknown user %d", i, r.UserID)
 					return
 				}
-				s.tuples[i] = cube.JoinRating(r, u)
+				tuples[i] = cube.JoinRating(r, u)
 				if !sh.seen || r.Unix < sh.minUnix {
 					sh.minUnix = r.Unix
 				}
@@ -325,34 +311,34 @@ func (s *Store) joinRatings() error {
 	for w := range shards {
 		sh := &shards[w]
 		if sh.err != nil {
-			return sh.err
+			return Prejoined{}, sh.err
 		}
 		if !sh.seen {
 			continue
 		}
-		if !merged || sh.minUnix < s.minUnix {
-			s.minUnix = sh.minUnix
+		if !merged || sh.minUnix < pj.MinUnix {
+			pj.MinUnix = sh.minUnix
 		}
-		if !merged || sh.maxUnix > s.maxUnix {
-			s.maxUnix = sh.maxUnix
+		if !merged || sh.maxUnix > pj.MaxUnix {
+			pj.MaxUnix = sh.maxUnix
 		}
 		merged = true
 		for id, idxs := range sh.itemTuples {
-			s.itemTuples[id] = append(s.itemTuples[id], idxs...)
+			pj.ItemTuples[id] = append(pj.ItemTuples[id], idxs...)
 		}
 	}
 
 	// Time-sort each item's index list; items are independent, so spread
 	// them over the same worker count.
-	ids := make([]int, 0, len(s.itemTuples))
-	for id := range s.itemTuples {
+	ids := make([]int, 0, len(pj.ItemTuples))
+	for id := range pj.ItemTuples {
 		ids = append(ids, id)
 	}
 	sortShard := func(ids []int) {
 		for _, id := range ids {
-			idxs := s.itemTuples[id]
+			idxs := pj.ItemTuples[id]
 			sort.Slice(idxs, func(a, b int) bool {
-				ta, tb := s.tuples[idxs[a]].Unix, s.tuples[idxs[b]].Unix
+				ta, tb := tuples[idxs[a]].Unix, tuples[idxs[b]].Unix
 				if ta != tb {
 					return ta < tb
 				}
@@ -368,14 +354,14 @@ func (s *Store) joinRatings() error {
 			lo := w * len(ids) / workers
 			hi := (w + 1) * len(ids) / workers
 			sw.Add(1)
-			go func(part []int) { //maprat:allow(ctxflow) startup sort shard: bounded CPU work joined by sw.Wait before Open returns
+			go func(part []int) { //maprat:allow(ctxflow) startup sort shard: bounded CPU work joined by sw.Wait before Join returns
 				defer sw.Done()
 				sortShard(part)
 			}(ids[lo:hi])
 		}
 		sw.Wait()
 	}
-	return nil
+	return pj, nil
 }
 
 // buildItemIndexes fills the item-attribute inverted indexes.
@@ -618,15 +604,13 @@ func windowBounds(tuples []cube.Tuple, idxs []int32, w TimeWindow) (int, int) {
 }
 
 // StateAggsAt returns the per-state rating aggregates as of an epoch
-// (index = state descriptor value), along with the minimum support a
-// state must reach to surface in browse mode. Epoch 0 means latest. The
-// result is a fresh slice.
+// (index = state descriptor value). Epoch 0 means latest. The result is
+// a fresh slice.
 //
-// At the base epoch this is exactly the set of state-only groups a
-// whole-log cube surfaces (same aggregates, same MinSupport cut); at later
-// epochs it folds in each batch's delta, so pinned browse reads are
-// exact at every epoch.
-func (s *Store) StateAggsAt(epoch uint64) (aggs []cube.Agg, minSupport int) {
+// At the base epoch these are exactly the aggregates of the state-only
+// groups of a whole-log cube; at later epochs they fold in each batch's
+// delta, so pinned browse reads are exact at every epoch.
+func (s *Store) StateAggsAt(epoch uint64) []cube.Agg {
 	s.ensureBaseStates()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -641,7 +625,7 @@ func (s *Store) StateAggsAt(epoch uint64) (aggs []cube.Agg, minSupport int) {
 			out[i].Merge(d)
 		}
 	}
-	return out, s.minSupport
+	return out
 }
 
 // ensureBaseStates lazily builds the base epoch's whole-log per-state

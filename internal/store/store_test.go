@@ -231,7 +231,7 @@ func TestTimeWindowContains(t *testing.T) {
 
 func TestStateAggsMatchRawScan(t *testing.T) {
 	s := openStore(t, DefaultOptions())
-	aggs, _ := s.StateAggsAt(0)
+	aggs := s.StateAggsAt(0)
 	// A state's browse aggregate must match a raw scan.
 	ds := s.Dataset()
 	var want cube.Agg

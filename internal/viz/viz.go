@@ -81,21 +81,6 @@ type Shade struct {
 	Icons   string  // compact attribute annotation (see Icons)
 }
 
-// ShadeFor builds a Shade from a candidate group.
-func ShadeFor(g *cube.Group) Shade {
-	state := ""
-	if g.Key.Has(cube.State) {
-		state = cube.StateCode(g.Key[cube.State])
-	}
-	return Shade{
-		State:   state,
-		Mean:    g.Mean(),
-		Support: g.Support(),
-		Label:   g.Key.Phrase(),
-		Icons:   Icons(g.Key),
-	}
-}
-
 // Map is one choropleth: a titled set of shaded states (one rating
 // interpretation object in the paper's terms).
 type Map struct {

@@ -111,8 +111,8 @@ func TestSVGStructure(t *testing.T) {
 		}
 	}
 	// One rect per state tile at minimum.
-	if n := strings.Count(svg, "<rect"); n < geo.NumStates() {
-		t.Errorf("only %d rects for %d states", n, geo.NumStates())
+	if n := strings.Count(svg, "<rect"); n < len(geo.States()) {
+		t.Errorf("only %d rects for %d states", n, len(geo.States()))
 	}
 }
 
@@ -169,25 +169,6 @@ func TestDominantShadePerState(t *testing.T) {
 	// Both groups still listed in the legend.
 	if !strings.Contains(svg, "small") || !strings.Contains(svg, "big") {
 		t.Error("legend must list every shade")
-	}
-}
-
-func TestShadeFor(t *testing.T) {
-	g := &cube.Group{
-		Key: cube.KeyAll.With(cube.Gender, 0).With(cube.State, cube.StateIndex("CA")),
-	}
-	g.Agg.Add(4)
-	g.Agg.Add(5)
-	sh := ShadeFor(g)
-	if sh.State != "CA" || sh.Support != 2 || sh.Mean != 4.5 {
-		t.Errorf("ShadeFor = %+v", sh)
-	}
-	if sh.Label != "male reviewers from California" {
-		t.Errorf("label = %q", sh.Label)
-	}
-	stateless := &cube.Group{Key: cube.KeyAll.With(cube.Gender, 1)}
-	if ShadeFor(stateless).State != "" {
-		t.Error("stateless group must yield empty state")
 	}
 }
 

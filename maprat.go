@@ -97,7 +97,10 @@ func DefaultSettings() Settings { return core.DefaultSettings() }
 type Options struct {
 	// Store controls indexing, precomputation and the result cache.
 	Store store.Options
-	// Cube is the candidate-group construction config used per query.
+	// Cube is the geo-anchored base config explain and evolution mine
+	// with; framework-mode requests (Query.Framework) always mine
+	// cube.FrameworkConfig. It stays settable only because perfbench reads
+	// DefaultOptions().Cube, until ROADMAP item 1's benchmark PR.
 	Cube cube.Config
 }
 
@@ -236,18 +239,16 @@ func (e *Engine) ParseQuery(s string) (Query, error) { return query.Parse(s) }
 
 // ExplainRequest selects what to mine.
 type ExplainRequest struct {
+	// Query selects the items, and its Framework flag the candidate cube:
+	// the demo default anchors every group on a state; the intro's
+	// Twilight analysis (male-under-18 vs female-under-18) is the
+	// un-anchored framework mode.
 	Query Query
 	// Settings defaults to DefaultSettings when zero-valued (detected via
 	// K == 0).
 	Settings Settings
 	// Tasks defaults to both sub-problems.
 	Tasks []Task
-	// CubeConfig overrides the engine's candidate-group construction for
-	// this request. The demo default anchors every group on a state; the
-	// intro's Twilight analysis (male-under-18 vs female-under-18) is the
-	// un-anchored framework mode — pass a config with RequireState=false
-	// to reproduce it.
-	CubeConfig *cube.Config
 	// DisableCache bypasses the store's result cache AND the plan
 	// materialization tier: the full resolve → gather → cube → mine
 	// pipeline runs from scratch, paying the packed cube build and a
@@ -374,7 +375,7 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 	}
 	req.Query = q
 
-	base := e.baseCubeConfig(req.CubeConfig)
+	base := e.cubeConfig(req.Query, nil)
 	planKey := PlanKey(req.Query, base)
 	if req.DisableCache || e.st.Cache() == nil {
 		ex, err := e.explainUncached(ctx, req, base, planKey, start)
@@ -487,29 +488,31 @@ func MinePlan(ctx context.Context, p *store.Plan, req ExplainRequest) (*Explanat
 	return ex, nil
 }
 
-// baseCubeConfig resolves the pre-adaptation cube config for a request:
-// the per-request override when present, the engine default otherwise.
-func (e *Engine) baseCubeConfig(override *cube.Config) cube.Config {
-	if override != nil {
-		return *override
+// cubeConfig is the one decision of which pre-adaptation candidate cube
+// an op mines: the framework cube for a framework-mode query, else the
+// engine's geo-anchored base for explain and evolution (key == nil), else
+// the cube the group key needs. A group op on a framework explanation's
+// group thus reaches the very plan the explanation was mined from.
+func (e *Engine) cubeConfig(q Query, key *Key) cube.Config {
+	switch {
+	case q.Framework:
+		return cube.FrameworkConfig()
+	case key == nil:
+		return e.cubeCfg
 	}
-	return e.cubeCfg
+	return GroupCubeConfig(e.cubeCfg, *key)
 }
 
-// GroupCubeConfig picks the base cube config a group key needs: a key
-// without a state condition came from a framework-mode (un-anchored)
-// mining run, so the cube must be rebuilt accordingly or the key cannot
-// materialize. Exported so callers that build plans themselves derive
-// exactly the config the engine would for the same key.
+// GroupCubeConfig picks the base cube config a group key needs on a
+// state-anchored query: a key without a state condition can only come
+// from a framework-mode mining run, so it is looked up in the framework
+// cube. Exported so callers that build plans themselves derive exactly
+// the config the engine would for the same key.
 func GroupCubeConfig(base cube.Config, key Key) cube.Config {
 	if !key.Has(cube.State) {
-		base.RequireState = false
+		return cube.FrameworkConfig()
 	}
 	return base
-}
-
-func (e *Engine) groupCubeConfig(key Key) cube.Config {
-	return GroupCubeConfig(e.cubeCfg, key)
 }
 
 // PlanKey canonicalizes the (query, window, cube config) triple the
@@ -854,7 +857,7 @@ func (e *Engine) ExploreFullContext(ctx context.Context, q Query, key Key, bucke
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.planFor(ctx, q, e.groupCubeConfig(key))
+	p, err := e.planFor(ctx, q, e.cubeConfig(q, &key))
 	if err != nil {
 		return nil, err
 	}
@@ -928,7 +931,7 @@ func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.planFor(ctx, q, e.groupCubeConfig(key))
+	p, err := e.planFor(ctx, q, e.cubeConfig(q, &key))
 	if err != nil {
 		return nil, err
 	}
@@ -972,7 +975,7 @@ func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.planFor(ctx, q, e.groupCubeConfig(parent))
+	p, err := e.planFor(ctx, q, e.cubeConfig(q, &parent))
 	if err != nil {
 		return nil, err
 	}
@@ -1052,10 +1055,9 @@ func (e *Engine) BrowseStatesAt(epoch uint64) ([]StateOverview, error) {
 	if err != nil {
 		return nil, err
 	}
-	aggs, minSupport := e.st.StateAggsAt(ep)
 	var out []StateOverview
-	for i, a := range aggs {
-		if a.Count == 0 || a.Count < minSupport {
+	for i, a := range e.st.StateAggsAt(ep) {
+		if a.Count == 0 || a.Count < e.cubeCfg.MinSupport {
 			continue
 		}
 		out = append(out, StateOverview{State: cube.StateCode(int16(i)), Agg: a})

@@ -177,12 +177,12 @@ func TestExplainPolarizedDM(t *testing.T) {
 	q := mustQuery(t, e, `movie:"The Twilight Saga: Eclipse"`)
 	// The intro's Twilight analysis is framework-mode (no geo anchoring):
 	// the disagreeing sub-populations are demographic, not geographic.
+	q.Framework = true
 	s := DefaultSettings()
 	s.K = 2
 	s.Coverage = 0.10
-	free := cube.Config{RequireState: false, MinSupport: 8, MaxAVPairs: 2, SkipApex: true}
 	ex, err := e.ExplainContext(t.Context(), ExplainRequest{
-		Query: q, Settings: s, Tasks: []Task{DiversityMining}, CubeConfig: &free,
+		Query: q, Settings: s, Tasks: []Task{DiversityMining},
 	})
 	if err != nil {
 		t.Fatalf("Explain: %v", err)

@@ -1,6 +1,7 @@
 package maprat
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -228,9 +229,9 @@ func TestConcurrentExploresBuildPlanOnce(t *testing.T) {
 	}
 }
 
-// TestPlanSharedBetweenExplainAndFrameworkMode: a framework-mode
-// (un-anchored) request uses a different cube config and therefore a
-// different plan — the tier must key them apart.
+// TestPlanKeyedByCubeConfig: a framework-mode (un-anchored) request uses
+// a different cube config and therefore a different plan — the tier must
+// key them apart.
 func TestPlanKeyedByCubeConfig(t *testing.T) {
 	e := freshEngine(t)
 	q := mustQuery(t, e, `movie:"The Twilight Saga: Eclipse"`)
@@ -240,12 +241,59 @@ func TestPlanKeyedByCubeConfig(t *testing.T) {
 	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}}); err != nil {
 		t.Fatal(err)
 	}
-	free := cube.Config{RequireState: false, MinSupport: 8, MaxAVPairs: 2, SkipApex: true}
-	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}, CubeConfig: &free}); err != nil {
+	q.Framework = true
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.PlanStats(); st.Builds != 2 {
 		t.Errorf("distinct cube configs shared a plan: builds = %d, want 2", st.Builds)
+	}
+}
+
+// TestFrameworkClicksShareExplainPlan: group, refine and drill calls on
+// the groups of a framework-mode explanation run on the plan that
+// explanation was mined from, so the whole session builds one plan. A
+// stateless key reaches that plan from a state-anchored query too: no
+// other cube can hold it.
+func TestFrameworkClicksShareExplainPlan(t *testing.T) {
+	e := freshEngine(t)
+	ctx := t.Context()
+	q := mustQuery(t, e, `movie:"Toy Story"`)
+	q.Framework = true
+	s := DefaultSettings()
+	s.K = 2
+	s.Coverage = 0.10
+	ex, err := e.ExplainContext(ctx, ExplainRequest{Query: q, Settings: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateless := false
+	for _, tr := range ex.Results {
+		for _, g := range tr.Groups {
+			if _, err := e.ExploreFullContext(ctx, q, g.Key, 0, 0); err != nil {
+				t.Errorf("group %v: %v", g.Key, err)
+			}
+			if _, err := e.RefineGroupContext(ctx, q, g.Key, 0); err != nil {
+				t.Errorf("refine %v: %v", g.Key, err)
+			}
+			if _, err := e.DrillMineContext(ctx, q, g.Key, SimilarityMining, s); errors.Is(err, ErrNoGroup) {
+				t.Errorf("drill %v: %v", g.Key, err)
+			}
+			if !g.Key.Has(cube.State) {
+				stateless = true
+				geo := q
+				geo.Framework = false
+				if _, err := e.ExploreFullContext(ctx, geo, g.Key, 0, 0); err != nil {
+					t.Errorf("state-anchored group %v: %v", g.Key, err)
+				}
+			}
+		}
+	}
+	if !stateless {
+		t.Fatal("fixture explanation has no stateless group; pick another query")
+	}
+	if st := e.PlanStats(); st.Builds != 1 {
+		t.Errorf("framework explain and its clicks built %d plans, want 1 (stats %+v)", st.Builds, st)
 	}
 }
 
