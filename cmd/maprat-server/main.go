@@ -47,7 +47,6 @@ func main() {
 		scale     = flag.String("scale", "small", "synthetic data scale when -data is unset: small|full")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		timeout   = flag.Duration("timeout", api.DefaultRequestTimeout, "per-request mining timeout")
-		maxBatch  = flag.Int("max-batch", 0, "max requests per /api/v1/batch call (0 = default)")
 		accessLog = flag.Bool("access-log", true, "log /api/v1 requests and the /explain, /group, /evolution and /browse pages")
 		gzipOn    = flag.Bool("gzip", true, "offer gzip-compressed /api/v1 responses and HTML pages to clients that accept it")
 		walPath   = flag.String("wal", "", "arm live ingestion with a write-ahead log at this path (single-dataset servers only)")
@@ -62,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, m := range reg.Mounts() {
-		st := m.Engine.DatasetStats()
+		st := m.Engine.Dataset().Stats()
 		log.Printf("dataset %q (%s) ready in %s: %d ratings, %d movies, %d reviewers, fingerprint %016x",
 			m.Name, m.Info.Source, m.Info.OpenDuration.Round(time.Millisecond),
 			st.Ratings, st.Items, st.Users, m.Engine.Fingerprint())
@@ -93,7 +92,6 @@ func main() {
 	context.AfterFunc(ctx, stop)
 	cfg := server.Config{Config: api.Config{
 		RequestTimeout: *timeout,
-		MaxBatch:       *maxBatch,
 		EnableGzip:     *gzipOn,
 	}}
 	if *accessLog {

@@ -19,9 +19,6 @@ type Config struct {
 	// RequestTimeout bounds each mining request; zero means
 	// DefaultRequestTimeout, negative disables the deadline.
 	RequestTimeout time.Duration
-	// MaxBatch caps the requests accepted by /api/v1/batch (zero means
-	// DefaultMaxBatch).
-	MaxBatch int
 	// Logger receives the access log; nil disables it. Panic reports go
 	// to log.Default() regardless, so crashes are recorded even when the
 	// access log is off.
@@ -32,9 +29,10 @@ type Config struct {
 	EnableGzip bool
 }
 
-// The v1 defaults. DefaultBatchWorkers bounds the concurrency a batch
-// fans out with; identical requests inside one batch still mine once,
-// because the engine's singleflight layer dedups them.
+// The v1 defaults. DefaultMaxBatch caps the requests one /api/v1/batch
+// call accepts. DefaultBatchWorkers bounds the concurrency a batch fans
+// out with; identical requests inside one batch still mine once, because
+// the engine's singleflight layer dedups them.
 const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxBatch       = 16
@@ -49,12 +47,15 @@ const (
 //	GET|POST /api/v1/drill      — city-anchored mining inside a state group
 //	GET|POST /api/v1/evolution  — the yearly time slider
 //	GET|POST /api/v1/browse     — whole-log per-state choropleth
-//	POST     /api/v1/batch      — up to MaxBatch explains, fanned out concurrently
+//	POST     /api/v1/batch      — up to DefaultMaxBatch explains, fanned out concurrently
 //	POST     /api/v1/ratings    — append a batch of new ratings (202 + epoch)
 //
-// Every endpoint answers failures with the ErrorEnvelope. Handlers encode
-// into a buffer before touching the response headers, so an encode
-// failure still produces a clean 500.
+// The six reads are the op table's entries: each runs through Run, so a
+// GET query string and a POST body decode to the same Params, and the
+// dataset resolves the same way on every read. Every endpoint answers
+// failures with the ErrorEnvelope. Handlers encode into a buffer before
+// touching the response headers, so an encode failure still produces a
+// clean 500.
 type Handler struct {
 	reg     *maprat.Registry
 	cfg     Config
@@ -86,9 +87,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	h := &Handler{
 		reg:         reg,
 		cfg:         cfg,
@@ -99,7 +97,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	for _, name := range opNames {
 		h.mux.Handle("/api/v1/"+name, h.Wrap(name, h.handleOp(name)))
 	}
-	h.mux.Handle("/api/v1/browse", h.Wrap("browse", h.handleBrowse))
 	h.mux.Handle("/api/v1/batch", h.Wrap("batch", h.handleBatch))
 	// The live-ingestion write path. Deliberately absent from
 	// etagEndpoints: a write is never cacheable.
@@ -115,9 +112,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
-
-// Registry exposes the mounted datasets (for /statsz and tests).
-func (h *Handler) Registry() *maprat.Registry { return h.reg }
 
 // datasetName resolves which dataset a request addresses, in precedence
 // order: an explicit value decoded from the body/params, the ?dataset=
@@ -217,43 +211,8 @@ func (h *Handler) handleOp(name string) http.HandlerFunc {
 	}
 }
 
-func (h *Handler) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet, http.MethodHead, http.MethodPost:
-	default:
-		methodNotAllowed(w, "GET, POST", "method "+r.Method+" not allowed (use GET or POST)")
-		return
-	}
-	m, err := h.resolve(r, "")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	epoch, err := uint64Param(r.URL.Query().Get("epoch"), "epoch")
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var at uint64
-	if epoch != nil {
-		at = *epoch
-	}
-	states, err := m.Engine.BrowseStatesAt(at)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := &BrowseResponse{GeoJSON: browseGeoJSON(states)}
-	for _, st := range states {
-		resp.States = append(resp.States, StateOverview{
-			State: st.State, Mean: st.Agg.Mean(), Std: st.Agg.Std(), Count: st.Agg.Count,
-		})
-	}
-	WriteJSON(w, resp)
-}
-
-// handleBatch fans up to MaxBatch explain requests out through the op
-// table's explain entry with bounded concurrency. The engine's
+// handleBatch fans up to DefaultMaxBatch explain requests out through
+// the op table's explain entry with bounded concurrency. The engine's
 // singleflight + plan tiers make duplicate elements cheap: M identical
 // explains mine exactly once. Results are index-aligned with the request
 // list and each element fails independently.
@@ -271,8 +230,8 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("empty batch"))
 		return
 	}
-	if len(batch.Requests) > h.cfg.MaxBatch {
-		writeError(w, badRequestf("batch of %d exceeds the limit of %d", len(batch.Requests), h.cfg.MaxBatch))
+	if len(batch.Requests) > DefaultMaxBatch {
+		writeError(w, badRequestf("batch of %d exceeds the limit of %d", len(batch.Requests), DefaultMaxBatch))
 		return
 	}
 	ctx, cancel := h.requestContext(r)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/core"
 )
 
@@ -250,6 +252,32 @@ func TestV1ContractCanceled(t *testing.T) {
 	}
 	if got := envelopeCode(t, w.Body.String()); got != CodeCanceled {
 		t.Errorf("code %q, want %q", got, CodeCanceled)
+	}
+}
+
+// TestV1BrowseEmptyLog pins browse over a log whose every state falls
+// below the support cut: no rows, and a present but empty layer.
+func TestV1BrowseEmptyLog(t *testing.T) {
+	ds, err := maprat.Generate(maprat.SmallGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Ratings = ds.Ratings[:5]
+	eng, err := maprat.Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, Config{}))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/v1/browse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	want := `{"states":null,"geojson":{"type":"FeatureCollection","features":null}}` + "\n"
+	if resp.StatusCode != 200 || string(body) != want {
+		t.Errorf("browse over an empty log = %d %q, want 200 %q", resp.StatusCode, body, want)
 	}
 }
 

@@ -70,6 +70,20 @@ func multiGet(t *testing.T, path string, hdr map[string]string) (*http.Response,
 	return resp, string(body)
 }
 
+func multiPost(t *testing.T, path, body string) (*http.Response, string) {
+	t.Helper()
+	resp, err := http.Post(multiServer(t).URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, string(out)
+}
+
 func TestDatasetQueryRouting(t *testing.T) {
 	// The same query against the two mounts must answer different data;
 	// the default (no dataset param) must equal the first mount.
@@ -86,6 +100,20 @@ func TestDatasetQueryRouting(t *testing.T) {
 	}
 	if string(scrub(t, bodyAlpha)) == string(scrub(t, bodyBeta)) {
 		t.Error("alpha and beta served identical results — routing is not selecting datasets")
+	}
+}
+
+// TestBrowseBodySelectsDataset checks a POST body's dataset routes browse
+// like the query parameter does.
+func TestBrowseBodySelectsDataset(t *testing.T) {
+	resp, viaBody := multiPost(t, "/api/v1/browse", `{"dataset":"beta"}`)
+	_, viaQuery := multiGet(t, "/api/v1/browse?dataset=beta", nil)
+	_, alpha := multiGet(t, "/api/v1/browse", nil)
+	if resp.StatusCode != http.StatusOK || viaBody != viaQuery {
+		t.Errorf("POST {\"dataset\":\"beta\"} = %d, differs from GET ?dataset=beta", resp.StatusCode)
+	}
+	if viaBody == alpha {
+		t.Error("POST {\"dataset\":\"beta\"} served the default mount's states")
 	}
 }
 
@@ -108,13 +136,19 @@ func TestDatasetUnknown404(t *testing.T) {
 		name string
 		path string
 		hdr  map[string]string
+		// body, when set, is POSTed instead of a GET.
+		body string
 	}{
-		{"query", "/api/v1/explain?q=genre:Drama&dataset=nope", nil},
-		{"header", "/api/v1/explain?q=genre:Drama", map[string]string{"X-Maprat-Dataset": "nope"}},
-		{"browse", "/api/v1/browse?dataset=nope", nil},
+		{"query", "/api/v1/explain?q=genre:Drama&dataset=nope", nil, ""},
+		{"header", "/api/v1/explain?q=genre:Drama", map[string]string{"X-Maprat-Dataset": "nope"}, ""},
+		{"browse", "/api/v1/browse?dataset=nope", nil, ""},
+		{"browse body", "/api/v1/browse", nil, `{"dataset":"nope"}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := multiGet(t, tc.path, tc.hdr)
+			if tc.body != "" {
+				resp, body = multiPost(t, tc.path, tc.body)
+			}
 			if resp.StatusCode != http.StatusNotFound {
 				t.Fatalf("status %d, want 404 (body %s)", resp.StatusCode, body)
 			}

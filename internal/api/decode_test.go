@@ -251,6 +251,7 @@ func TestV1DecoderRejectsTrailingData(t *testing.T) {
 		{"/api/v1/group", `{"key":"state=CA",`},
 		{"/api/v1/refine", `{"key":"state=CA",`},
 		{"/api/v1/drill", `{"key":"state=CA",`},
+		{"/api/v1/browse", `{`},
 	}
 	for _, body := range decoderTrailingBodies {
 		for _, e := range endpoints {
@@ -266,6 +267,17 @@ func TestV1DecoderRejectsTrailingData(t *testing.T) {
 	// Trailing whitespace is not data.
 	if code, resp := post(t, "/api/v1/explain", `{"q":"movie:\"Toy Story\"","k":2}`+" \r\n\t"); code != 200 {
 		t.Errorf("trailing whitespace: %d %s, want 200", code, resp)
+	}
+}
+
+// TestV1BrowseBody checks browse decodes a POST body like every other
+// read: a future epoch, a body that is not JSON and an unknown field each
+// answer 400.
+func TestV1BrowseBody(t *testing.T) {
+	for _, body := range []string{`{"epoch":99}`, `garbage`, `{"epochs":1}`} {
+		if code, resp := post(t, "/api/v1/browse", body); code != 400 || envelopeCode(t, resp) != CodeBadRequest {
+			t.Errorf("POST /api/v1/browse %s: status %d, want 400 %s", body, code, CodeBadRequest)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"repro"
 	"repro/internal/geo"
 	"repro/internal/viz"
 )
@@ -65,71 +64,34 @@ func tilePolygon(row, col int) [][][2]float64 {
 	return [][][2]float64{{{w, s}, {e, s}, {e, n}, {w, n}, {w, s}}}
 }
 
-func stateFeature(code string, props ShadeProperties) (Feature, bool) {
-	st := geo.StateByCode(code)
-	if st == nil {
-		return Feature{}, false
-	}
-	props.State = code
-	props.Name = st.Name
-	return Feature{
-		Type:       "Feature",
-		Geometry:   Geometry{Type: "Polygon", Coordinates: tilePolygon(st.Row, st.Col)},
-		Properties: props,
-	}, true
-}
-
-// groupsGeoJSON builds the per-task choropleth layer. When several
-// groups share a state, the one with the most ratings wins the tile
-// (matching the SVG renderer's dominant-shade rule). Returns nil when no
-// group carries a geo-condition (framework mode), so the field is
-// omitted rather than an empty collection.
-func groupsGeoJSON(groups []Group) *GeoJSON {
-	dominant := map[string]Group{}
-	order := []string{}
-	for _, g := range groups {
-		if g.State == "" {
-			continue
-		}
-		if cur, ok := dominant[g.State]; !ok {
-			dominant[g.State] = g
-			order = append(order, g.State)
-		} else if g.Count > cur.Count {
-			dominant[g.State] = g
-		}
-	}
-	if len(order) == 0 {
+// geoJSON builds a map's choropleth layer: one feature per tile of
+// viz.(*Map).Tiles, in tile order. It returns nil when no shade carries a
+// state (framework mode), so a task's field is omitted rather than an
+// empty collection.
+func geoJSON(m *viz.Map) *GeoJSON {
+	tiles := m.Tiles()
+	if len(tiles) == 0 {
 		return nil
 	}
 	gj := &GeoJSON{Type: "FeatureCollection"}
-	for _, code := range order {
-		g := dominant[code]
-		f, ok := stateFeature(code, ShadeProperties{
-			Mean:  g.Mean,
-			Count: g.Count,
-			Fill:  viz.Hex(g.Mean),
-			Label: g.Phrase,
-			Icons: g.Icons,
-		})
-		if ok {
-			gj.Features = append(gj.Features, f)
+	for _, t := range tiles {
+		st := geo.StateByCode(t.State)
+		if st == nil {
+			continue
 		}
-	}
-	return gj
-}
-
-// browseGeoJSON builds the whole-log browse choropleth layer.
-func browseGeoJSON(states []maprat.StateOverview) *GeoJSON {
-	gj := &GeoJSON{Type: "FeatureCollection"}
-	for _, st := range states {
-		f, ok := stateFeature(st.State, ShadeProperties{
-			Mean:  st.Agg.Mean(),
-			Count: st.Agg.Count,
-			Fill:  viz.Hex(st.Agg.Mean()),
+		gj.Features = append(gj.Features, Feature{
+			Type:     "Feature",
+			Geometry: Geometry{Type: "Polygon", Coordinates: tilePolygon(st.Row, st.Col)},
+			Properties: ShadeProperties{
+				State: t.State,
+				Name:  st.Name,
+				Mean:  t.Mean,
+				Count: t.Support,
+				Fill:  viz.Hex(t.Mean),
+				Label: t.Label,
+				Icons: t.Icons,
+			},
 		})
-		if ok {
-			gj.Features = append(gj.Features, f)
-		}
 	}
 	return gj
 }

@@ -157,6 +157,19 @@ func TestAppendEndpointLifecycle(t *testing.T) {
 			t.Errorf("GET %s: status=%d, want %d", tc.path, resp.StatusCode, tc.code)
 		}
 	}
+
+	// A POST body pins browse like the query string: the same bytes, and
+	// not the latest epoch's.
+	resp = rawGet(t, ts, "/api/v1/browse?epoch=1", nil)
+	pinned, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	code, viaBody := postJSON(t, ts, "/api/v1/browse", `{"epoch":1}`)
+	if code != http.StatusOK || viaBody != string(pinned) {
+		t.Errorf("POST {\"epoch\":1} = %d, differs from GET ?epoch=1", code)
+	}
+	if _, latest := postJSON(t, ts, "/api/v1/browse", `{}`); latest == viaBody {
+		t.Error("browse at epoch 1 equals the latest epoch's; the append moved no state")
+	}
 }
 
 func TestAppendEndpointRejectsBadBatches(t *testing.T) {

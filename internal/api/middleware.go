@@ -186,9 +186,7 @@ func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
 	fp := m.Engine.Fingerprint()
 	if v := r.URL.Query().Get("epoch"); v != "" {
 		if ep, err := strconv.ParseUint(v, 10, 64); err == nil && ep > 0 {
-			if pin, ok := m.Engine.(interface{ FingerprintAt(uint64) uint64 }); ok {
-				fp = pin.FingerprintAt(ep)
-			}
+			fp = m.Engine.FingerprintAt(ep)
 		}
 		// Garbage (or 0 = latest) falls through to the live fingerprint;
 		// the handler's own decode answers the 400 for garbage, and a

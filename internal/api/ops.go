@@ -5,16 +5,17 @@ import (
 	"slices"
 
 	"repro"
+	"repro/internal/viz"
 )
 
 // Call is one validated pipeline request, ready to run against a miner.
 // It returns the response document the v1 endpoint answers (an
-// *ExplainResponse, *GroupResponse, *RefinementsResponse, *DrillResponse
-// or *EvolutionResponse).
+// *ExplainResponse, *GroupResponse, *RefinementsResponse, *DrillResponse,
+// *EvolutionResponse or *BrowseResponse).
 type Call func(ctx context.Context, m maprat.Miner) (any, error)
 
-// opNames lists the v1 pipelines in route order.
-var opNames = []string{"explain", "group", "refine", "drill", "evolution"}
+// opNames lists the v1 reads in route order.
+var opNames = []string{"explain", "group", "refine", "drill", "evolution", "browse"}
 
 // ops is the one op table behind the v1 endpoints, the HTML pages,
 // batch elements and the CLI's local mode. Each entry validates its
@@ -27,6 +28,7 @@ var ops = map[string]func(Params) (Call, error){
 	"refine":    refineOp,
 	"drill":     drillOp,
 	"evolution": evolutionOp,
+	"browse":    browseOp,
 }
 
 // Op validates p for the named pipeline and returns the call that runs
@@ -34,7 +36,7 @@ var ops = map[string]func(Params) (Call, error){
 func Op(name string, p Params) (Call, error) {
 	prepare, ok := ops[name]
 	if !ok {
-		return nil, badRequestf("bad op %q (want explain, group, refine, drill or evolution)", name)
+		return nil, badRequestf("bad op %q (want explain, group, refine, drill, evolution or browse)", name)
 	}
 	return prepare(p)
 }
@@ -139,6 +141,34 @@ func evolutionOp(p Params) (Call, error) {
 			return nil, err
 		}
 		return evolutionDTO(req.Query.String(), points), nil
+	}, nil
+}
+
+// browseOp serves browse mode, the whole-log per-state choropleth shown
+// before any query. It reads only the epoch (absent or 0 = latest).
+func browseOp(p Params) (Call, error) {
+	var epoch uint64
+	if p.Epoch != nil {
+		epoch = *p.Epoch
+	}
+	return func(_ context.Context, m maprat.Miner) (any, error) {
+		states, err := m.BrowseStatesAt(epoch)
+		if err != nil {
+			return nil, err
+		}
+		resp := &BrowseResponse{}
+		var layer viz.Map
+		for _, st := range states {
+			resp.States = append(resp.States, StateOverview{
+				State: st.State, Mean: st.Agg.Mean(), Std: st.Agg.Std(), Count: st.Agg.Count,
+			})
+			layer.Shades = append(layer.Shades, viz.Shade{State: st.State, Mean: st.Agg.Mean(), Support: st.Agg.Count})
+		}
+		// Unlike a task's layer, browse's is present even when empty.
+		if resp.GeoJSON = geoJSON(&layer); resp.GeoJSON == nil {
+			resp.GeoJSON = &GeoJSON{Type: "FeatureCollection"}
+		}
+		return resp, nil
 	}, nil
 }
 

@@ -17,18 +17,21 @@ func ExplainMaps(ex *ExplainResponse) *viz.Exploration {
 		if tr.Task == "DM" {
 			name = "Diversity Mining (reviewers who disagree)"
 		}
-		m := viz.Map{Title: fmt.Sprintf("%s — %s (%d ratings, overall μ=%.2f)",
-			name, ex.Query, ex.NumRatings, ex.OverallMean)}
-		for _, g := range tr.Groups {
-			m.Shades = append(m.Shades, viz.Shade{
-				State:   g.State,
-				Mean:    g.Mean,
-				Support: g.Count,
-				Label:   g.Phrase,
-				Icons:   g.Icons,
-			})
-		}
-		out.Maps = append(out.Maps, m)
+		out.Maps = append(out.Maps, viz.Map{
+			Title: fmt.Sprintf("%s — %s (%d ratings, overall μ=%.2f)",
+				name, ex.Query, ex.NumRatings, ex.OverallMean),
+			Shades: groupShades(tr.Groups),
+		})
+	}
+	return out
+}
+
+// groupShades is the one group→shade conversion: the explain pages' maps
+// and every task's GeoJSON layer shade the same groups the same way.
+func groupShades(groups []Group) []viz.Shade {
+	out := make([]viz.Shade, len(groups))
+	for i, g := range groups {
+		out[i] = viz.Shade{State: g.State, Mean: g.Mean, Support: g.Count, Label: g.Phrase, Icons: g.Icons}
 	}
 	return out
 }

@@ -73,7 +73,7 @@ func taskResultDTO(tr maprat.TaskResult) TaskResult {
 		Feasible:        tr.Feasible,
 		Evals:           tr.Evals,
 		Groups:          groups,
-		GeoJSON:         groupsGeoJSON(groups),
+		GeoJSON:         geoJSON(&viz.Map{Shades: groupShades(groups)}),
 	}
 }
 
@@ -246,7 +246,7 @@ type BrowseResponse struct {
 	GeoJSON *GeoJSON        `json:"geojson"`
 }
 
-// BatchRequest is the /api/v1/batch input: up to MaxBatch explain
+// BatchRequest is the /api/v1/batch input: up to DefaultMaxBatch explain
 // requests fanned out concurrently through the engine's singleflight +
 // plan tiers.
 type BatchRequest struct {

@@ -44,23 +44,14 @@ type Experiment struct {
 	Run func(context.Context, *maprat.Engine) Report
 }
 
-// Experiments is the single ordered registry of every experiment; RunAll
-// and cmd/maprat-bench both iterate it, so a new experiment registered
+// Experiments is the single ordered registry of every experiment;
+// cmd/maprat-bench iterates it, so a new experiment registered
 // here appears in default runs, -only lookup, and JSON snapshots alike.
 var Experiments = []Experiment{
 	{"E1", E1Queries}, {"E2", E2SimilarityToyStory}, {"E3", E3Exploration},
 	{"E4", E4Controversial}, {"E5", E5Caching}, {"E6", E6QualityVsBaselines},
 	{"E7", E7Scalability}, {"E8", E8Rendering}, {"E9", E9TimeSlider},
 	{"E10", E10Ablations}, {"E11", E11ColdPath}, {"E12", E12Snapshot},
-}
-
-// RunAll executes every experiment against the engine and streams the
-// reports.
-func RunAll(ctx context.Context, eng *maprat.Engine, w io.Writer) {
-	for _, e := range Experiments {
-		rep := e.Run(ctx, eng)
-		rep.Print(w)
-	}
 }
 
 // timeIt returns the median wall time of reps runs of f.

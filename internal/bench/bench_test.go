@@ -90,17 +90,6 @@ func TestReportPrint(t *testing.T) {
 	}
 }
 
-func TestRunAllStreamsEveryExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	RunAll(t.Context(), smallEngine(t), &buf)
-	out := buf.String()
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
-		if !strings.Contains(out, "=== "+id+" ") {
-			t.Errorf("RunAll missing experiment %s", id)
-		}
-	}
-}
-
 func TestE2ShapeHoldsOnSmallScale(t *testing.T) {
 	rep := runExperiment(t, "E2", E2SimilarityToyStory)
 	joined := strings.Join(rep.Lines, "\n")

@@ -51,11 +51,10 @@ type Batch struct {
 
 // WAL is an open write-ahead log positioned at its end. It is not
 // internally synchronized: the ingest layer admits one writer at a time,
-// so Append must not be called concurrently (Size and Path are safe from
-// any goroutine).
+// so Append must not be called concurrently (Size is safe from any
+// goroutine).
 type WAL struct {
 	f    *os.File
-	path string
 	size atomic.Int64
 	// poisoned is set when a failed append could not be rolled back
 	// (truncate/seek to the last known-good offset failed): the file may
@@ -88,7 +87,7 @@ func Open(path string, base uint64) (*WAL, []Batch, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("ingest: stat wal: %w", err)
 	}
-	w := &WAL{f: f, path: path}
+	w := &WAL{f: f}
 	if st.Size() < headerLen {
 		// Fresh (or torn before the header finished): start clean.
 		if err := f.Truncate(0); err != nil {
@@ -291,9 +290,6 @@ func (w *WAL) rollback() {
 
 // Size returns the log's current byte length (header included).
 func (w *WAL) Size() int64 { return w.size.Load() }
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Close closes the log file.
 func (w *WAL) Close() error { return w.f.Close() }

@@ -6,10 +6,7 @@
 // IMDB-style enrichment attributes (actors, directors).
 package model
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // MinScore and MaxScore bound the integer rating scale s ∈ [1,5] from §2.1
 // of the paper.
@@ -222,9 +219,6 @@ type Rating struct {
 	Score  int   // integer score in [MinScore, MaxScore]
 	Unix   int64 // seconds since the Unix epoch
 }
-
-// Time returns the rating's timestamp as a time.Time in UTC.
-func (r Rating) Time() time.Time { return time.Unix(r.Unix, 0).UTC() }
 
 // Validate reports the first schema violation in r, if any.
 func (r Rating) Validate() error {

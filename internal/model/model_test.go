@@ -220,11 +220,3 @@ func TestItemsByTitle(t *testing.T) {
 		t.Errorf("ItemsByTitle miss returned %+v", got)
 	}
 }
-
-func TestRatingTime(t *testing.T) {
-	r := Rating{UserID: 1, ItemID: 1, Score: 5, Unix: 978307200}
-	tm := r.Time()
-	if tm.Year() != 2001 || tm.Month() != 1 || tm.Day() != 1 {
-		t.Errorf("Time() = %v, want 2001-01-01", tm)
-	}
-}

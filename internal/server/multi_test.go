@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -147,6 +148,54 @@ func TestExplainPageSelectsDataset(t *testing.T) {
 		t.Errorf("explain page for dataset=first = %d, lists the second mount's titles: %v", code, strings.Contains(body, "Second "))
 	}
 	if code, body := get(t, ts, explainPath("genre:Drama", "dataset=nope")); code != http.StatusNotFound {
+		t.Errorf("dataset=nope = %d, want 404: %s", code, body)
+	}
+}
+
+// TestBrowsePageSelectsDataset checks the browse page serves the mount its
+// request names: its table lists that mount's states, and an unknown name
+// answers 404.
+func TestBrowsePageSelectsDataset(t *testing.T) {
+	reg := maprat.NewRegistry()
+	var second *maprat.Engine
+	for i, name := range []string{"first", "second"} {
+		cfg := maprat.SmallGenConfig()
+		cfg.Users, cfg.Movies, cfg.Ratings = 300, 120, 6000
+		cfg.Seed = int64(i + 1)
+		ds, err := maprat.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := maprat.Open(ds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Add(name, eng, maprat.DatasetInfo{}); err != nil {
+			t.Fatal(err)
+		}
+		second = eng
+	}
+	ts := httptest.NewServer(NewMulti(reg, Config{}))
+	defer ts.Close()
+
+	code, body := get(t, ts, "/browse?dataset=second")
+	if code != http.StatusOK {
+		t.Fatalf("GET /browse?dataset=second = %d: %s", code, body)
+	}
+	states, err := second.BrowseStatesAt(0)
+	if err != nil || len(states) == 0 {
+		t.Fatalf("second mount's states: %v, %v", states, err)
+	}
+	for _, st := range states {
+		row := fmt.Sprintf("<tr><td>%s</td><td>%.2f</td><td>%.2f</td><td>%d</td></tr>", st.State, st.Agg.Mean(), st.Agg.Std(), st.Agg.Count)
+		if !strings.Contains(body, row) {
+			t.Errorf("browse page for dataset=second lacks its row %s", row)
+		}
+	}
+	if _, first := get(t, ts, "/browse"); first == body {
+		t.Error("the default mount's browse page equals the second mount's")
+	}
+	if code, body := get(t, ts, "/browse?dataset=nope"); code != http.StatusNotFound {
 		t.Errorf("dataset=nope = %d, want 404: %s", code, body)
 	}
 }

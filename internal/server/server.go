@@ -1,12 +1,12 @@
 // Package server is MapRat's web front-end (§3, Figures 1–3): a search
 // form over item attributes with mining settings and a time restriction,
 // tabbed SM/DM choropleth result pages, a per-group exploration page with
-// statistics and the city drill-down, a time-slider page, and the
-// versioned JSON API mounted from internal/api. The result pages are
-// templates over the v1 response documents, which they get from the same
-// api.Handler.Run call the v1 endpoints make. It is a stdlib net/http
-// application; the choropleths are the inline SVG documents produced by
-// internal/viz.
+// statistics and the city drill-down, a time-slider page, the browse
+// page, and the versioned JSON API mounted from internal/api. The result
+// pages are templates over the v1 response documents, which they get from
+// the same api.Handler.Run call the v1 endpoints make. It is a stdlib
+// net/http application; the choropleths are the inline SVG documents
+// produced by internal/viz.
 package server
 
 import (
@@ -43,8 +43,7 @@ const DefaultShutdownGrace = 10 * time.Second
 // request (a client that disconnects cancels its mine mid-restart),
 // bounded by Config.RequestTimeout.
 type Server struct {
-	// def is the default mount. The index, browse and /statsz pages
-	// serve it.
+	// def is the default mount. The index and /statsz pages serve it.
 	def maprat.Miner
 	reg *maprat.Registry
 	mux *http.ServeMux
@@ -63,9 +62,9 @@ func NewWithConfig(eng *maprat.Engine, cfg Config) *Server {
 }
 
 // NewMulti builds a server over a registry of mounted datasets. The v1
-// API and the explain, group and evolution pages select a dataset per
-// request (?dataset= / X-Maprat-Dataset); the index and browse pages
-// serve the default (first) mount.
+// API and the explain, group, evolution and browse pages select a
+// dataset per request (?dataset= / X-Maprat-Dataset); the index page
+// serves the default (first) mount.
 func NewMulti(reg *maprat.Registry, cfg Config) *Server {
 	if cfg.ShutdownGrace == 0 {
 		cfg.ShutdownGrace = DefaultShutdownGrace
@@ -167,7 +166,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.Ingest = &st
 	}
 	for _, m := range s.reg.Mounts() {
-		st := m.Engine.DatasetStats()
+		st := m.Engine.Dataset().Stats()
 		resp.Datasets = append(resp.Datasets, datasetStat{
 			Name:        m.Name,
 			Fingerprint: fmt.Sprintf("%016x", m.Engine.Fingerprint()),
@@ -194,7 +193,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	stats := s.def.DatasetStats()
+	stats := s.def.Dataset().Stats()
 	lo, hi := s.def.TimeRange()
 	render(w, indexTmpl, map[string]any{
 		"Users":    stats.Users,
@@ -239,11 +238,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		tabs = append(tabs, tab{SVG: template.HTML(maps.Maps[i].SVG()), Result: tr})
 	}
 	titles := make([]string, 0, len(ex.ItemIDs))
-	if eng, ok := m.Engine.(*maprat.Engine); ok { // a wrapping Miner exposes no item catalog
-		for _, id := range ex.ItemIDs {
-			if it := eng.Dataset().ItemByID(id); it != nil {
-				titles = append(titles, fmt.Sprintf("%s (%d)", it.Title, it.Year))
-			}
+	ds := m.Engine.Dataset()
+	for _, id := range ex.ItemIDs {
+		if it := ds.ItemByID(id); it != nil {
+			titles = append(titles, fmt.Sprintf("%s (%d)", it.Title, it.Year))
 		}
 	}
 	elapsed := time.Duration(ex.ElapsedMS * float64(time.Millisecond))
@@ -311,27 +309,27 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleBrowse renders the whole-log per-state choropleth from the
-// store's per-state aggregates — browse mode before any query is entered.
+// handleBrowse renders browse mode, the whole-log per-state choropleth
+// shown before any query is entered, from the browse document.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	states, err := s.def.BrowseStatesAt(0)
-	if err != nil {
-		http.Error(w, err.Error(), api.StatusForError(err))
+	doc, _, ok := s.run(w, r, "browse", nil)
+	if !ok {
 		return
 	}
+	b := doc.(*api.BrowseResponse)
 	m := viz.Map{Title: "All ratings by state (whole log)"}
-	for _, st := range states {
+	for _, st := range b.States {
 		m.Shades = append(m.Shades, viz.Shade{
 			State:   st.State,
-			Mean:    st.Agg.Mean(),
-			Support: st.Agg.Count,
+			Mean:    st.Mean,
+			Support: st.Count,
 			Label:   "reviewers from " + st.State,
 			Icons:   "all reviewers",
 		})
 	}
 	render(w, browseTmpl, map[string]any{
 		"SVG":    template.HTML(m.SVG()),
-		"States": states,
+		"States": b.States,
 	})
 }
 

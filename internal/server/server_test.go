@@ -460,7 +460,7 @@ func TestV1MountedThroughServer(t *testing.T) {
 // 405 instead of feeding them into the decoder's JSON-body path.
 func TestHTMLPagesGetOnly(t *testing.T) {
 	ts := testServer(t)
-	for _, p := range []string{"/explain", "/group", "/evolution"} {
+	for _, p := range []string{"/explain", "/group", "/evolution", "/browse"} {
 		resp, err := http.Post(ts.URL+p+"?q="+url.QueryEscape(`movie:"Toy Story"`), "", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -576,6 +576,7 @@ func TestHTMLAndV1StatusParity(t *testing.T) {
 		{"unknown movie", "explain", "q=" + url.QueryEscape(`movie:"Zyzzyva The Unfilmed"`), http.StatusNotFound},
 		{"absent group", "group", toy + "&key=" + url.QueryEscape("state=WY,occupation=farmer"), http.StatusNotFound},
 		{"missing key", "group", toy, http.StatusBadRequest},
+		{"future epoch", "browse", "epoch=99", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

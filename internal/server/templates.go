@@ -145,7 +145,7 @@ var browseTmpl = mustTmpl("browse", `<!DOCTYPE html>
 {{.SVG}}
 <table>
 <tr><th>state</th><th>μ</th><th>σ</th><th>ratings</th></tr>
-{{range .States}}<tr><td>{{.State}}</td><td>{{printf "%.2f" .Agg.Mean}}</td><td>{{printf "%.2f" .Agg.Std}}</td><td>{{.Agg.Count}}</td></tr>{{end}}
+{{range .States}}<tr><td>{{.State}}</td><td>{{printf "%.2f" .Mean}}</td><td>{{printf "%.2f" .Std}}</td><td>{{.Count}}</td></tr>{{end}}
 </table>
 </body></html>`)
 

@@ -198,9 +198,6 @@ func (s *Snapshot) Fingerprint() uint64 { return s.hdr.Fingerprint }
 // Provenance returns the builder's config hash (0 = unknown).
 func (s *Snapshot) Provenance() uint64 { return s.hdr.Provenance }
 
-// Source returns the meta section's source label ("" if absent).
-func (s *Snapshot) Source() string { return s.meta["source"] }
-
 // Meta returns the snapshot's key=value metadata.
 func (s *Snapshot) Meta() map[string]string { return s.meta }
 

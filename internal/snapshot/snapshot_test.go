@@ -72,8 +72,8 @@ func TestRoundTrip(t *testing.T) {
 	if snap.Provenance() != 0xdeadbeef {
 		t.Errorf("provenance %x != deadbeef", snap.Provenance())
 	}
-	if snap.Source() != "generated" {
-		t.Errorf("source %q != generated", snap.Source())
+	if src := snap.Meta()["source"]; src != "generated" {
+		t.Errorf("source %q != generated", src)
 	}
 	if snap.Meta()["k"] != "v" {
 		t.Errorf("meta extra lost: %v", snap.Meta())

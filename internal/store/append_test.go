@@ -156,8 +156,8 @@ func TestPlanCacheAdvanceSurgical(t *testing.T) {
 	// Both versions of "toy" coexist under one key; a second disjoint
 	// append leaves all three live-or-sealed entries in place and counts
 	// the two live ones as surviving.
-	if pc.Len() != 3 {
-		t.Fatalf("entries = %d, want 3 (two toy versions + heat)", pc.Len())
+	if n := pc.Stats().Entries; n != 3 {
+		t.Fatalf("entries = %d, want 3 (two toy versions + heat)", n)
 	}
 	pc.Advance(3, []int{99})
 	st = pc.Stats()

@@ -75,12 +75,3 @@ func (c *LRU) Stats() (hits, misses uint64) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
-
-// Reset clears the cache and its counters.
-func (c *LRU) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-	c.hits, c.misses = 0, 0
-}

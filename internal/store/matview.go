@@ -408,13 +408,6 @@ func intersectsSorted(a, b []int) bool {
 	return false
 }
 
-// Len returns the number of cached plan versions.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.ll.Len()
-}
-
 // Stats returns a snapshot of the tier's counters and current usage.
 // Bytes is recomputed from the live entries rather than carried from
 // insert time: a cached plan's cube grows lazily built structures after
@@ -442,18 +435,4 @@ func (pc *PlanCache) Stats() PlanStats {
 		MemoHits:    pc.memo.hits.Load(),
 		MemoMisses:  pc.memo.misses.Load(),
 	}
-}
-
-// Reset clears the cache and its counters; the epoch clock is preserved
-// so versioning stays aligned with the store.
-func (pc *PlanCache) Reset() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.ll.Init()
-	pc.versions = make(map[string][]*list.Element)
-	pc.tuples = 0
-	pc.hits, pc.misses, pc.shared, pc.builds, pc.evictions = 0, 0, 0, 0, 0
-	pc.invalidated, pc.surviving = 0, 0
-	pc.memo.hits.Store(0)
-	pc.memo.misses.Store(0)
 }

@@ -190,16 +190,6 @@ func TestPlanCacheFollowerCancellation(t *testing.T) {
 	}
 }
 
-func TestPlanCacheReset(t *testing.T) {
-	pc := NewPlanCache(100)
-	ctx := context.Background()
-	pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(10), nil })
-	pc.Reset()
-	if st := pc.Stats(); st.Entries != 0 || st.Tuples != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("after reset: %+v", st)
-	}
-}
-
 func TestPlanSizeBytes(t *testing.T) {
 	p := fakePlan(100)
 	if got := p.SizeBytes(); got < 100*cube.TupleBytes {
@@ -265,10 +255,5 @@ func TestPlanMemoBounds(t *testing.T) {
 	}
 	if after := pc.Stats(); after.MemoHits != st.MemoHits || after.MemoMisses != st.MemoMisses {
 		t.Fatalf("lookups on an unheld plan were counted: %+v", after)
-	}
-
-	pc.Reset()
-	if st := pc.Stats(); st.MemoHits != 0 || st.MemoMisses != 0 {
-		t.Fatalf("Reset left memo counters %d/%d", st.MemoHits, st.MemoMisses)
 	}
 }

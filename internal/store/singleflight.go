@@ -16,10 +16,6 @@ import (
 type Flight struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
-
-	// leads and joins count leader executions and follower waits, for
-	// tests and monitoring.
-	leads, joins uint64
 }
 
 type flightCall struct {
@@ -46,7 +42,6 @@ func (f *Flight) Do(ctx context.Context, key string, fn func() (any, error)) (va
 			f.calls = make(map[string]*flightCall)
 		}
 		if c, ok := f.calls[key]; ok {
-			f.joins++
 			f.mu.Unlock()
 			select {
 			case <-c.done:
@@ -60,7 +55,6 @@ func (f *Flight) Do(ctx context.Context, key string, fn func() (any, error)) (va
 		}
 		c := &flightCall{done: make(chan struct{})}
 		f.calls[key] = c
-		f.leads++
 		f.mu.Unlock()
 
 		// Deregister and wake followers even if fn panics — otherwise the
@@ -82,10 +76,3 @@ func (f *Flight) Do(ctx context.Context, key string, fn func() (any, error)) (va
 // errFlightPanic is what followers observe when a leader's fn panicked
 // before assigning a result (the panic itself propagates to the leader).
 var errFlightPanic = errors.New("store: singleflight leader panicked")
-
-// Stats returns the cumulative leader and follower counts.
-func (f *Flight) Stats() (leads, joins uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.leads, f.joins
-}

@@ -286,20 +286,6 @@ func TestLRUUpdateExisting(t *testing.T) {
 	}
 }
 
-func TestLRUReset(t *testing.T) {
-	c := NewLRU(4)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("b")
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatal("Reset left entries")
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatal("Reset left counters")
-	}
-}
-
 func TestLRUConcurrent(t *testing.T) {
 	c := NewLRU(64)
 	var wg sync.WaitGroup

@@ -10,6 +10,7 @@ package viz
 import (
 	"fmt"
 	"html"
+	"slices"
 	"strings"
 
 	"repro/internal/cube"
@@ -88,17 +89,33 @@ type Map struct {
 	Shades []Shade
 }
 
-// dominant returns, per state, the shade that wins the tile fill (largest
-// support), preserving all shades for the legend.
-func (m *Map) dominant() map[string]Shade {
-	out := map[string]Shade{}
+// Tiles is the one tile rule every rendering of a map shares (SVG,
+// ASCII and the v1 GeoJSON layer): per state, the shade with the most
+// ratings fills the tile, the earlier shade winning ties. Tiles come in
+// the order their states first appear; a shade without a state
+// (framework mode) fills none.
+func (m *Map) Tiles() []Shade {
+	var tiles []Shade
 	for _, s := range m.Shades {
 		if s.State == "" {
 			continue
 		}
-		if cur, ok := out[s.State]; !ok || s.Support > cur.Support {
-			out[s.State] = s
+		i := slices.IndexFunc(tiles, func(t Shade) bool { return t.State == s.State })
+		switch {
+		case i < 0:
+			tiles = append(tiles, s)
+		case s.Support > tiles[i].Support:
+			tiles[i] = s
 		}
+	}
+	return tiles
+}
+
+// tileByState indexes Tiles by state code for the renderers' grid walk.
+func (m *Map) tileByState() map[string]Shade {
+	out := map[string]Shade{}
+	for _, t := range m.Tiles() {
+		out[t.State] = t
 	}
 	return out
 }
@@ -133,7 +150,7 @@ func (m *Map) SVG() string {
 	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="#ffffff"/>`, width, height)
 	fmt.Fprintf(&b, `<text x="%d" y="22" font-size="16" font-weight="bold">%s</text>`, pad, html.EscapeString(m.Title))
 
-	dom := m.dominant()
+	dom := m.tileByState()
 	for _, s := range states {
 		x := pad + s.Col*tile
 		y := headerH + s.Row*tile
@@ -201,7 +218,7 @@ func (m *Map) ASCII(color bool) string {
 		s := states[i]
 		grid[s.Row][s.Col] = &states[i]
 	}
-	dom := m.dominant()
+	dom := m.tileByState()
 
 	var b strings.Builder
 	b.WriteString(m.Title)

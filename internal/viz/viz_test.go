@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,26 @@ func TestDominantShadePerState(t *testing.T) {
 	// Both groups still listed in the legend.
 	if !strings.Contains(svg, "small") || !strings.Contains(svg, "big") {
 		t.Error("legend must list every shade")
+	}
+}
+
+// TestTilesRule pins the one tile rule: most ratings wins a state, the
+// earlier shade wins a tie, tiles keep their states' first-appearance
+// order, and a shade without a state fills no tile.
+func TestTilesRule(t *testing.T) {
+	m := Map{Shades: []Shade{
+		{State: "TX", Support: 5, Label: "tx first"},
+		{Support: 900, Label: "framework"},
+		{State: "CA", Support: 10, Label: "ca small"},
+		{State: "TX", Support: 5, Label: "tx tie"},
+		{State: "CA", Support: 400, Label: "ca big"},
+	}}
+	var got []string
+	for _, tile := range m.Tiles() {
+		got = append(got, tile.State+":"+tile.Label)
+	}
+	if want := []string{"TX:tx first", "CA:ca big"}; !slices.Equal(got, want) {
+		t.Errorf("tiles %v, want %v", got, want)
 	}
 }
 

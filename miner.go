@@ -7,13 +7,11 @@ import (
 	"repro/internal/store"
 )
 
-// DatasetStats is the per-dataset summary served on /statsz and the boot
-// log (entity counts, mean score, time range).
-type DatasetStats = model.Stats
-
 // Miner is the full serving surface of a mounted dataset: the five
-// mining pipelines plus the identity and monitoring hooks the HTTP layer
-// needs. *Engine implements it over a local store. The HTTP layer takes
+// mining pipelines, browse, and the identity and monitoring hooks the
+// HTTP layer needs; apart from /statsz's result-cache counters, the HTTP
+// layer reaches an engine through nothing else. *Engine implements it
+// over a local store. The HTTP layer takes
 // the interface rather than *Engine so a wrapper can sit in front of an
 // engine: the perfbench traced run mounts one that records each call
 // and replays it stage by stage through the exported plan functions
@@ -43,11 +41,16 @@ type Miner interface {
 
 	// TimeRange returns the dataset's [min, max] rating timestamps.
 	TimeRange() (int64, int64)
-	// Fingerprint identifies the served dataset; it feeds the HTTP
-	// layer's ETags, so two miners over the same data must agree on it.
+	// Fingerprint identifies the served dataset at the current epoch; it
+	// feeds the HTTP layer's ETags, so two miners over the same data must
+	// agree on it.
 	Fingerprint() uint64
-	// DatasetStats summarizes the served dataset for monitoring.
-	DatasetStats() DatasetStats
+	// FingerprintAt is the fingerprint of one epoch's view of the data,
+	// the tag source for an epoch-pinned request.
+	FingerprintAt(epoch uint64) uint64
+	// Dataset returns the served dataset: its item catalog titles the
+	// explain page, and its summary feeds /statsz and the boot log.
+	Dataset() *Dataset
 	// PlanStats snapshots the plan materialization tier's counters
 	// (zero-valued when the tier is disabled).
 	PlanStats() store.PlanStats
@@ -59,10 +62,6 @@ type Miner interface {
 	// Close releases the miner's resources; idempotent.
 	Close() error
 }
-
-// DatasetStats summarizes the engine's dataset — the Miner monitoring
-// hook behind /statsz and the server boot log.
-func (e *Engine) DatasetStats() DatasetStats { return e.st.Dataset().Stats() }
 
 // Compile-time check: the local engine serves the full Miner surface.
 var _ Miner = (*Engine)(nil)

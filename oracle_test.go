@@ -2,12 +2,14 @@ package maprat
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -264,5 +266,132 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 				t.Fatalf("%s @%d: replayed engine answers differently", q, ep)
 			}
 		}
+	}
+}
+
+// TestBrowseMatchesRebuildOracle is the browse leg of the differential
+// test. Four batches, each from the reviewers of one state, are appended
+// before the first browse, so the lazy per-state base aggregate is built
+// only once the deltas exist. Two of the states start with the fewest
+// ratings and get enough new ones to cross the minimum-support cut. At
+// every epoch k, the live engine, an engine replaying a copy of the WAL
+// and a fresh engine opened over the base ratings plus batches 1..k−1
+// must answer exactly the same rows: the aggregates are integer sums.
+func TestBrowseMatchesRebuildOracle(t *testing.T) {
+	// A log small enough that some states start below the cut.
+	cfg := SmallGenConfig()
+	cfg.Users, cfg.Movies, cfg.Ratings = 300, 120, 6000
+	ds, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(t.TempDir(), "browse.wal")
+	e, err := Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.EnableIngest(wal); err != nil {
+		t.Fatal(err)
+	}
+
+	usersOf := map[string][]int{}
+	for _, u := range ds.Users {
+		if u.State != "" {
+			usersOf[u.State] = append(usersOf[u.State], u.ID)
+		}
+	}
+	counts := map[string]int{}
+	for _, r := range ds.Ratings {
+		counts[ds.UserByID(r.UserID).State]++
+	}
+	var states []string
+	for st := range usersOf {
+		states = append(states, st)
+	}
+	slices.SortFunc(states, func(a, b string) int {
+		return cmp.Or(cmp.Compare(counts[a], counts[b]), cmp.Compare(a, b))
+	})
+	touched := []string{states[0], states[len(states)-1], states[1], states[len(states)-2]}
+
+	_, maxUnix := e.TimeRange()
+	var batches [][]model.Rating
+	for i, st := range touched {
+		var batch []model.Rating
+		for j := 0; j < e.cubeCfg.MinSupport+i; j++ {
+			users := usersOf[st]
+			batch = append(batch, model.Rating{
+				UserID: users[j%len(users)],
+				ItemID: ds.Items[(7*i+j)%len(ds.Items)].ID,
+				Score:  1 + (i+j)%5,
+				Unix:   maxUnix + int64(len(batches)*100+j+1),
+			})
+		}
+		if _, err := e.AppendRatings(t.Context(), batch); err != nil {
+			t.Fatalf("append %d (%s): %v", i+1, st, err)
+		}
+		batches = append(batches, batch)
+	}
+	final := e.CurrentEpoch()
+
+	replay := filepath.Join(t.TempDir(), "replay.wal")
+	logged, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(replay, logged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch, err := e2.EnableIngest(replay); err != nil || epoch != final {
+		t.Fatalf("replay: epoch %d, err %v; want epoch %d", epoch, err, final)
+	}
+
+	browse := func(m *Engine, epoch uint64) []StateOverview {
+		t.Helper()
+		rows, err := m.BrowseStatesAt(epoch)
+		if err != nil {
+			t.Fatalf("browse @%d: %v", epoch, err)
+		}
+		return rows
+	}
+	var prev []StateOverview
+	for k := uint64(1); k <= final; k++ {
+		ratings := slices.Clone(ds.Ratings)
+		for _, b := range batches[:k-1] {
+			ratings = append(ratings, b...)
+		}
+		rebuilt, err := model.NewDataset(ds.Users, ds.Items, ratings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Open(rebuilt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := browse(fresh, 0)
+		if got := browse(e, k); !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: live browse differs from the rebuild\n got %v\nwant %v", k, got, want)
+		}
+		if got := browse(e2, k); !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: replayed browse differs from the rebuild\n got %v\nwant %v", k, got, want)
+		}
+		if slices.Equal(want, prev) {
+			t.Fatalf("epoch %d: batch %d moved no state", k, k-1)
+		}
+		prev = want
+	}
+	if latest := browse(e, 0); !slices.Equal(latest, prev) {
+		t.Fatal("the latest browse differs from the final epoch's")
+	}
+	// The cut: a state below the minimum support at the base is a row
+	// once its batch lands.
+	if rows := browse(e, 1); slices.ContainsFunc(rows, func(r StateOverview) bool { return r.State == touched[0] }) {
+		t.Fatalf("state %s already clears the support cut at the base; the test does not cross it", touched[0])
+	}
+	if !slices.ContainsFunc(prev, func(r StateOverview) bool { return r.State == touched[0] }) {
+		t.Fatalf("state %s is not a row after its batch", touched[0])
 	}
 }

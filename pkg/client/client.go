@@ -8,9 +8,12 @@
 //	c, _ := client.New("http://localhost:8080")
 //	ex, err := c.Explain(ctx, client.Params{Q: `movie:"Toy Story"`})
 //
-// Reads retry transport errors and 429/502/503/504. AppendRatings
-// retries only the 429 admission rejection: any other failure may have
-// come after the batch was logged, and a replay would log it twice.
+// Every read, Browse included, POSTs its Params as a JSON body, which the
+// server decodes exactly as it decodes the same knobs in a GET query
+// string; Params.Dataset picks the mount. Reads retry transport errors
+// and 429/502/503/504. AppendRatings retries only the 429 admission
+// rejection: any other failure may have come after the batch was logged,
+// and a replay would log it twice.
 package client
 
 import (
@@ -314,25 +317,13 @@ func (c *Client) Evolution(ctx context.Context, p Params) (*EvolutionResponse, e
 	return &out, nil
 }
 
-// Browse fetches the whole-log per-state choropleth.
-func (c *Client) Browse(ctx context.Context) (*BrowseResponse, error) {
+// Browse fetches the whole-log per-state choropleth. It reads only
+// p.Epoch (absent or 0 = latest) and p.Dataset: a pinned document is
+// byte-identical no matter how many batches were appended after that
+// epoch.
+func (c *Client) Browse(ctx context.Context, p Params) (*BrowseResponse, error) {
 	var out BrowseResponse
-	if err := c.do(ctx, http.MethodGet, "/api/v1/browse", nil, &out, retryRead); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// BrowseAt fetches the per-state choropleth pinned at an epoch (0 =
-// latest): the payload is byte-identical no matter how many batches were
-// appended after that epoch.
-func (c *Client) BrowseAt(ctx context.Context, epoch uint64) (*BrowseResponse, error) {
-	path := "/api/v1/browse"
-	if epoch != 0 {
-		path += "?epoch=" + strconv.FormatUint(epoch, 10)
-	}
-	var out BrowseResponse
-	if err := c.do(ctx, http.MethodGet, path, nil, &out, retryRead); err != nil {
+	if err := c.post(ctx, "/api/v1/browse", p, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -358,7 +349,7 @@ func (c *Client) AppendRatings(ctx context.Context, dataset string, ratings []Ra
 	return &out, nil
 }
 
-// Batch fans up to the server's MaxBatch explain requests out in one
+// Batch fans up to api.DefaultMaxBatch explain requests out in one
 // call; results are index-aligned and fail independently.
 func (c *Client) Batch(ctx context.Context, reqs []Params) (*BatchResponse, error) {
 	var out BatchResponse

@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -99,7 +101,7 @@ func TestSyncRoundTrips(t *testing.T) {
 		t.Fatal("evolution returned no points")
 	}
 
-	b, err := c.Browse(ctx)
+	b, err := c.Browse(ctx, Params{})
 	if err != nil {
 		t.Fatalf("Browse: %v", err)
 	}
@@ -113,6 +115,53 @@ func TestSyncRoundTrips(t *testing.T) {
 	}
 	if len(batch.Results) != 2 || batch.Results[0].Explain == nil || batch.Results[1].Error == nil {
 		t.Fatalf("batch payload: %+v", batch.Results)
+	}
+}
+
+// TestBrowsePinsEpoch checks Browse sends its Params: after an append, a
+// browse pinned at epoch 1 returns the pre-append document, not the
+// latest one.
+func TestBrowsePinsEpoch(t *testing.T) {
+	ds, err := maprat.Generate(maprat.SmallGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := maprat.Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.EnableIngest(filepath.Join(t.TempDir(), "browse.wal")); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(eng))
+	defer ts.Close()
+	c, err := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before, err := c.Browse(ctx, Params{})
+	if err != nil {
+		t.Fatalf("Browse: %v", err)
+	}
+	_, maxUnix := eng.TimeRange()
+	if _, err := c.AppendRatings(ctx, "", []RatingInput{{UserID: ds.Users[0].ID, ItemID: ds.Items[0].ID, Score: 1, Unix: maxUnix + 1}}); err != nil {
+		t.Fatalf("AppendRatings: %v", err)
+	}
+	epoch := uint64(1)
+	pinned, err := c.Browse(ctx, Params{Epoch: &epoch})
+	if err != nil {
+		t.Fatalf("Browse at epoch 1: %v", err)
+	}
+	latest, err := c.Browse(ctx, Params{})
+	if err != nil {
+		t.Fatalf("Browse: %v", err)
+	}
+	if !reflect.DeepEqual(pinned, before) {
+		t.Error("browse pinned at epoch 1 differs from the pre-append document")
+	}
+	if reflect.DeepEqual(latest, before) {
+		t.Error("the latest browse did not move after the append")
 	}
 }
 
