@@ -90,10 +90,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop)
-	cfg := server.Config{Config: api.Config{
+	cfg := server.Config{
 		RequestTimeout: *timeout,
 		EnableGzip:     *gzipOn,
-	}}
+	}
 	if *accessLog {
 		cfg.Logger = log.Default()
 	}

@@ -28,7 +28,7 @@ func TestLocalOutputMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(api.New(eng, api.Config{}))
+	srv := httptest.NewServer(api.NewMulti(maprat.NewSingleRegistry("default", eng, maprat.DatasetInfo{}), api.Config{}))
 	t.Cleanup(srv.Close)
 
 	for _, tc := range []struct {

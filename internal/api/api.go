@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,15 +27,9 @@ type Config struct {
 	EnableGzip bool
 }
 
-// The v1 defaults. DefaultMaxBatch caps the requests one /api/v1/batch
-// call accepts. DefaultBatchWorkers bounds the concurrency a batch fans
-// out with; identical requests inside one batch still mine once, because
-// the engine's singleflight layer dedups them.
-const (
-	DefaultRequestTimeout = 30 * time.Second
-	DefaultMaxBatch       = 16
-	DefaultBatchWorkers   = 4
-)
+// DefaultRequestTimeout bounds a mining request whose Config leaves
+// RequestTimeout zero.
+const DefaultRequestTimeout = 30 * time.Second
 
 // Handler serves the versioned /api/v1 surface over an opened engine:
 //
@@ -47,15 +39,14 @@ const (
 //	GET|POST /api/v1/drill      — city-anchored mining inside a state group
 //	GET|POST /api/v1/evolution  — the yearly time slider
 //	GET|POST /api/v1/browse     — whole-log per-state choropleth
-//	POST     /api/v1/batch      — up to DefaultMaxBatch explains, fanned out concurrently
 //	POST     /api/v1/ratings    — append a batch of new ratings (202 + epoch)
 //
-// The six reads are the op table's entries: each runs through Run, so a
-// GET query string and a POST body decode to the same Params, and the
-// dataset resolves the same way on every read. Every endpoint answers
-// failures with the ErrorEnvelope. Handlers encode into a buffer before
-// touching the response headers, so an encode failure still produces a
-// clean 500.
+// The six reads are the op table's entries. Each is one request through
+// Run, so a GET query string and a POST body decode to the same Params,
+// and the dataset resolves the same way on every read. Every endpoint
+// answers failures with the ErrorEnvelope. Handlers encode into a buffer
+// before touching the response headers, so an encode failure still
+// produces a clean 500.
 type Handler struct {
 	reg     *maprat.Registry
 	cfg     Config
@@ -65,14 +56,6 @@ type Handler struct {
 	// appendSlots admits at most maxPendingAppends append batches at a
 	// time; a batch that finds every slot taken answers 429.
 	appendSlots chan struct{}
-}
-
-// New mounts the v1 endpoints over a single engine — the compatibility
-// constructor for servers that predate multi-dataset serving. The engine
-// becomes the sole (default) mount, so requests that name no dataset
-// behave exactly as before.
-func New(eng *maprat.Engine, cfg Config) *Handler {
-	return NewMulti(maprat.NewSingleRegistry("default", eng, maprat.DatasetInfo{}), cfg)
 }
 
 // NewMulti mounts the v1 endpoints over a registry of datasets. Every
@@ -97,7 +80,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	for _, name := range opNames {
 		h.mux.Handle("/api/v1/"+name, h.Wrap(name, h.handleOp(name)))
 	}
-	h.mux.Handle("/api/v1/batch", h.Wrap("batch", h.handleBatch))
 	// The live-ingestion write path. Deliberately absent from
 	// etagEndpoints: a write is never cacheable.
 	h.mux.Handle("/api/v1/ratings", h.Wrap("ratings", h.handleAppend))
@@ -209,72 +191,4 @@ func (h *Handler) handleOp(name string) http.HandlerFunc {
 		}
 		WriteJSON(w, doc)
 	}
-}
-
-// handleBatch fans up to DefaultMaxBatch explain requests out through
-// the op table's explain entry with bounded concurrency. The engine's
-// singleflight + plan tiers make duplicate elements cheap: M identical
-// explains mine exactly once. Results are index-aligned with the request
-// list and each element fails independently.
-func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost, "batch requires POST")
-		return
-	}
-	var batch BatchRequest
-	if err := decodeBody(r, &batch); err != nil {
-		writeError(w, err)
-		return
-	}
-	if len(batch.Requests) == 0 {
-		writeError(w, badRequestf("empty batch"))
-		return
-	}
-	if len(batch.Requests) > DefaultMaxBatch {
-		writeError(w, badRequestf("batch of %d exceeds the limit of %d", len(batch.Requests), DefaultMaxBatch))
-		return
-	}
-	ctx, cancel := h.requestContext(r)
-	defer cancel()
-
-	results := make([]BatchResult, len(batch.Requests))
-	sem := make(chan struct{}, DefaultBatchWorkers)
-	var wg sync.WaitGroup
-	for i, p := range batch.Requests {
-		call, err := Op("explain", p)
-		if err != nil {
-			results[i] = BatchResult{Error: errorBodyFor(err)}
-			continue
-		}
-		// Each element picks its own dataset; the request-level query /
-		// header act as the default for elements that name none.
-		m, err := h.resolve(r, p.Dataset)
-		if err != nil {
-			results[i] = BatchResult{Error: errorBodyFor(err)}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, call Call, eng maprat.Miner) {
-			defer wg.Done()
-			// The recovery middleware only guards the handler's own
-			// goroutine; an unrecovered panic here would kill the whole
-			// process, so each worker contains its own.
-			defer func() {
-				if p := recover(); p != nil {
-					log.Printf("batch element %d panic: %v\n%s", i, p, debug.Stack())
-					results[i] = BatchResult{Error: &ErrorBody{Code: CodeInternal, Message: "internal error"}}
-				}
-			}()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			v, err := call(ctx, eng)
-			if err != nil {
-				results[i] = BatchResult{Error: errorBodyFor(err)}
-				return
-			}
-			results[i] = BatchResult{Explain: v.(*ExplainResponse)}
-		}(i, call, m.Engine)
-	}
-	wg.Wait()
-	WriteJSON(w, &BatchResponse{Results: results})
 }

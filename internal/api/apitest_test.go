@@ -33,10 +33,15 @@ func testEngine(t testing.TB) *maprat.Engine {
 		if err != nil {
 			panic(err)
 		}
-		hdlMemo = New(engMemo, Config{})
+		hdlMemo = newHandler(engMemo, Config{})
 		srvMemo = httptest.NewServer(hdlMemo)
 	})
 	return engMemo
+}
+
+// newHandler mounts eng as the sole (default) dataset.
+func newHandler(eng *maprat.Engine, cfg Config) *Handler {
+	return NewMulti(maprat.NewSingleRegistry("default", eng, maprat.DatasetInfo{}), cfg)
 }
 
 func testServer(t testing.TB) *httptest.Server {

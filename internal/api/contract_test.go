@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,21 +24,11 @@ import (
 //	go test ./internal/api -run Contract -update
 var update = flag.Bool("update", false, "rewrite golden contract files")
 
-// contractCase is one request of the pinned v1 contract: a GET path, or
-// a POST path and body.
+// contractCase is one GET request of the pinned v1 contract.
 type contractCase struct {
 	name   string
 	golden string
-	path   string   // GET path, when set
-	post   []string // POST path + body, when set
-}
-
-func (c contractCase) fetch(t testing.TB) (int, string) {
-	t.Helper()
-	if c.post != nil {
-		return post(t, c.post[0], c.post[1])
-	}
-	return get(t, c.path)
+	path   string
 }
 
 var (
@@ -89,15 +80,6 @@ var contractCases = []contractCase{
 		golden: "browse.golden.json",
 		path:   "/api/v1/browse",
 	},
-	{
-		name:   "batch",
-		golden: "batch.golden.json",
-		post: []string{"/api/v1/batch", `{"requests":[
-			{"q":"movie:\"Toy Story\"","k":2},
-			{"q":"movie:\"Zyzzyva The Unfilmed\""},
-			{"q":"notafield:x"}
-		]}`},
-	},
 }
 
 // TestV1ContractGolden pins the exact JSON every /api/v1 endpoint
@@ -110,7 +92,7 @@ var contractCases = []contractCase{
 func TestV1ContractGolden(t *testing.T) {
 	for _, c := range contractCases {
 		t.Run(c.name, func(t *testing.T) {
-			code, body := c.fetch(t)
+			code, body := get(t, c.path)
 			if code != 200 {
 				t.Fatalf("status %d: %s", code, body)
 			}
@@ -157,7 +139,7 @@ func TestV1ContractErrorCodes(t *testing.T) {
 		{"missing key", "/api/v1/group?q=" + toyStory, 400, CodeBadRequest},
 		{"refine no group", "/api/v1/refine?q=" + toyStory + "&key=" + url.QueryEscape("state=WY,occupation=farmer"), 404, CodeNoGroup},
 		{"drill bad task", "/api/v1/drill?q=" + toyStory + "&key=" + url.QueryEscape("state=CA") + "&task=zz", 400, CodeBadRequest},
-		{"batch via GET", "/api/v1/batch", 405, CodeMethodNotAllowed},
+		{"batch is gone", "/api/v1/batch", 404, CodeNotFound},
 		{"dm with k=1", "/api/v1/explain?q=" + toyStory + "&k=1&tasks=dm", 400, CodeBadRequest},
 		{"default tasks with k=1", "/api/v1/explain?q=" + toyStory + "&k=1", 400, CodeBadRequest},
 		{"drill dm with k=1", "/api/v1/drill?q=" + toyStory + "&key=" + url.QueryEscape("state=CA") + "&task=dm&k=1", 400, CodeBadRequest},
@@ -226,7 +208,7 @@ func TestV1InfeasibleDrillEnvelope(t *testing.T) {
 // TestV1ContractTimeout pins the timeout envelope: a deadline shorter
 // than any mine answers 504 with code "timeout".
 func TestV1ContractTimeout(t *testing.T) {
-	h := New(testEngine(t), Config{RequestTimeout: time.Nanosecond})
+	h := newHandler(testEngine(t), Config{RequestTimeout: time.Nanosecond})
 	r := httptest.NewRequest("GET", "/api/v1/explain?q="+url.QueryEscape(`movie:"Heat"`)+"&seed=999", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, r)
@@ -241,7 +223,7 @@ func TestV1ContractTimeout(t *testing.T) {
 // TestV1ContractCanceled pins the disconnect envelope: a client that
 // goes away mid-mine answers 499 with code "canceled".
 func TestV1ContractCanceled(t *testing.T) {
-	h := New(testEngine(t), Config{})
+	h := newHandler(testEngine(t), Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := httptest.NewRequest("GET", "/api/v1/explain?q="+url.QueryEscape(`movie:"Heat"`)+"&seed=998", nil).WithContext(ctx)
@@ -267,7 +249,7 @@ func TestV1BrowseEmptyLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(eng, Config{}))
+	ts := httptest.NewServer(newHandler(eng, Config{}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/api/v1/browse")
 	if err != nil {
@@ -342,5 +324,32 @@ func TestV1ContractGeoJSON(t *testing.T) {
 		if task.GeoJSON == nil || len(task.GeoJSON.Features) == 0 {
 			t.Errorf("task %d: missing geojson layer", i)
 		}
+	}
+}
+
+// TestV1ExplainSingleflight: concurrent identical explains share one
+// mining run through the engine's singleflight and result cache, so N
+// clients asking the same question at once cost one mine. Run under
+// -race this also exercises the handler's shared state.
+func TestV1ExplainSingleflight(t *testing.T) {
+	eng := testEngine(t)
+	// A knob set no other test uses, so the result cache is cold.
+	const body = `{"q":"movie:\"Heat\"","k":2,"seed":31337}`
+	const clients = 24
+
+	before := eng.MineCount()
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, resp := post(t, "/api/v1/explain", body); code != 200 {
+				t.Errorf("explain status %d: %s", code, resp)
+			}
+		}()
+	}
+	wg.Wait()
+	if mines := eng.MineCount() - before; mines != 1 {
+		t.Errorf("%d concurrent identical explains mined %d times, want exactly 1", clients, mines)
 	}
 }

@@ -223,38 +223,3 @@ func TestDatasetPostBody(t *testing.T) {
 		t.Errorf("POST with unknown dataset: status %d (%s)", code, body)
 	}
 }
-
-func TestDatasetBatchRouting(t *testing.T) {
-	ts := multiServer(t)
-	body := `{"requests":[
-		{"q":"genre:Drama","dataset":"alpha"},
-		{"q":"genre:Drama","dataset":"beta"},
-		{"q":"genre:Drama","dataset":"nope"}
-	]}`
-	resp, err := http.Post(ts.URL+"/api/v1/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-	var out BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(out.Results))
-	}
-	if out.Results[0].Error != nil || out.Results[1].Error != nil {
-		t.Errorf("mounted-dataset elements failed: %+v %+v", out.Results[0].Error, out.Results[1].Error)
-	}
-	if out.Results[2].Error == nil || out.Results[2].Error.Code != CodeDatasetNotFound {
-		t.Errorf("unknown-dataset element: %+v, want %s", out.Results[2].Error, CodeDatasetNotFound)
-	}
-	a, _ := json.Marshal(out.Results[0].Explain)
-	b, _ := json.Marshal(out.Results[1].Explain)
-	if string(scrub(t, string(a))) == string(scrub(t, string(b))) {
-		t.Error("batch elements for the two datasets answered identical results")
-	}
-}

@@ -1,13 +1,14 @@
 // Package api is MapRat's versioned HTTP transport layer: the /api/v1
 // surface over all five mining pipelines (explain, per-group exploration,
-// refinement, city drill-down, evolution) plus browse mode and a batched
-// explain. It owns the wire DTOs, the shared request decoder (GET query
-// params and POST JSON bodies decode identically), the structured error
-// envelope with machine-readable codes, and the middleware stack (request
-// ID, panic recovery, access log, per-endpoint metrics). Handler.Run is
-// the one synchronous request path: the v1 endpoints write its response
-// document as JSON, and the HTML pages in internal/server render the same
-// document behind the same middleware, so the surfaces cannot drift.
+// refinement, city drill-down, evolution) plus browse mode and the
+// ratings append. It owns the wire DTOs, the shared request decoder (GET
+// query params and POST JSON bodies decode identically), the structured
+// error envelope with machine-readable codes, and the middleware stack
+// (request ID, panic recovery, access log, per-endpoint metrics).
+// Handler.Run is the one read path: every v1 read is one request through
+// it, the v1 endpoints write its response document as JSON, and the HTML
+// pages in internal/server render the same document behind the same
+// middleware, so the surfaces cannot drift.
 package api
 
 import (
@@ -27,8 +28,9 @@ import (
 	"repro/internal/store"
 )
 
-// maxBodyBytes bounds a POST body; a batch of the maximum size fits with
-// room to spare.
+// maxBodyBytes bounds a POST body. A read's knobs take a few hundred
+// bytes, so in practice it caps an append: about 18,000 ratings at
+// roughly 58 bytes each.
 const maxBodyBytes = 1 << 20
 
 // Params is the wire form of a v1 request: the full knob set shared by

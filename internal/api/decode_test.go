@@ -243,8 +243,8 @@ var decoderTrailingBodies = []string{
 }
 
 // TestV1DecoderRejectsTrailingData drives the trailing-data bodies
-// through every POST endpoint that decodes a body, batch included, with
-// knobs that answer 200 on their own.
+// through every read's POST endpoint, with knobs that answer 200 on
+// their own.
 func TestV1DecoderRejectsTrailingData(t *testing.T) {
 	endpoints := []struct{ path, prefix string }{
 		{"/api/v1/explain", `{`},
@@ -258,10 +258,6 @@ func TestV1DecoderRejectsTrailingData(t *testing.T) {
 			if code, resp := post(t, e.path, e.prefix+body[1:]); code != 400 || envelopeCode(t, resp) != CodeBadRequest {
 				t.Errorf("POST %s %s: status %d, want 400 %s", e.path, e.prefix+body[1:], code, CodeBadRequest)
 			}
-		}
-		batch := `{"requests":[` + strings.Replace(body, "}", "}]}", 1)
-		if code, resp := post(t, "/api/v1/batch", batch); code != 400 || envelopeCode(t, resp) != CodeBadRequest {
-			t.Errorf("POST /api/v1/batch %s: status %d, want 400 %s", batch, code, CodeBadRequest)
 		}
 	}
 	// Trailing whitespace is not data.

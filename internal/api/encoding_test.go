@@ -37,7 +37,7 @@ func rawGet(t *testing.T, ts *httptest.Server, path string, hdr map[string]strin
 // golden-file payload the uncompressed endpoint serves.
 func TestGzipGoldenUnchanged(t *testing.T) {
 	eng := testEngine(t)
-	h := New(eng, Config{EnableGzip: true})
+	h := newHandler(eng, Config{EnableGzip: true})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -94,7 +94,7 @@ func TestGzipGoldenUnchanged(t *testing.T) {
 // decision is per-response, not per-handler outcome.
 func TestGzipCompressesErrors(t *testing.T) {
 	eng := testEngine(t)
-	h := New(eng, Config{EnableGzip: true})
+	h := newHandler(eng, Config{EnableGzip: true})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -158,9 +158,3 @@ func writeEnvelopeStatus(w http.ResponseWriter, status int, code ErrorCode, msg 
 func methodNotAllowed(w http.ResponseWriter, allow, msg string) {
 	writeError(w, &methodError{allow: allow, msg: msg})
 }
-
-// errorBodyFor builds the inner error object for embedding in composite
-// payloads (evolution points, batch results).
-func errorBodyFor(err error) *ErrorBody {
-	return &ErrorBody{Code: CodeForError(err), Message: err.Error()}
-}

@@ -40,7 +40,7 @@ func ingestEngine(t *testing.T) (*maprat.Engine, string) {
 func ingestServer(t *testing.T) (*httptest.Server, *maprat.Engine) {
 	t.Helper()
 	eng, _ := ingestEngine(t)
-	ts := httptest.NewServer(New(eng, Config{}))
+	ts := httptest.NewServer(newHandler(eng, Config{}))
 	t.Cleanup(ts.Close)
 	return ts, eng
 }
@@ -229,7 +229,7 @@ func TestAppendEndpointDisabledEngine(t *testing.T) {
 // epoch.
 func TestAppendAdmissionBound(t *testing.T) {
 	eng, _ := ingestEngine(t)
-	h := New(eng, Config{})
+	h := newHandler(eng, Config{})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	for range maxPendingAppends {
@@ -308,7 +308,7 @@ func TestAppendSingleWriter(t *testing.T) {
 // are all-or-nothing, never abandoned halfway.
 func TestAppendSurvivesDisconnect(t *testing.T) {
 	eng, wal := ingestEngine(t)
-	h := New(eng, Config{})
+	h := newHandler(eng, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/ratings", strings.NewReader(appendBody(t, eng, 2))).WithContext(ctx)

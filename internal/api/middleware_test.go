@@ -12,7 +12,7 @@ import (
 // TestV1MiddlewareRecovery pins the panic guard: a panicking endpoint
 // answers the internal envelope instead of tearing the connection down.
 func TestV1MiddlewareRecovery(t *testing.T) {
-	h := New(testEngine(t), Config{})
+	h := newHandler(testEngine(t), Config{})
 	// Panic reports go to the process logger; keep them out of the test
 	// output.
 	prev := log.Writer()

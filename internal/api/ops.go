@@ -17,8 +17,8 @@ type Call func(ctx context.Context, m maprat.Miner) (any, error)
 // opNames lists the v1 reads in route order.
 var opNames = []string{"explain", "group", "refine", "drill", "evolution", "browse"}
 
-// ops is the one op table behind the v1 endpoints, the HTML pages,
-// batch elements and the CLI's local mode. Each entry validates its
+// ops is the one op table behind the v1 endpoints, the HTML pages and
+// the CLI's local mode. Each entry validates its
 // Params eagerly — a bad knob fails before any dataset work — in a
 // fixed per-op order, so a request with several bad knobs gets the same
 // 400 from every caller.

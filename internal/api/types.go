@@ -246,26 +246,6 @@ type BrowseResponse struct {
 	GeoJSON *GeoJSON        `json:"geojson"`
 }
 
-// BatchRequest is the /api/v1/batch input: up to DefaultMaxBatch explain
-// requests fanned out concurrently through the engine's singleflight +
-// plan tiers.
-type BatchRequest struct {
-	Requests []Params `json:"requests"`
-}
-
-// BatchResult is one element of the batch response, index-aligned with
-// the request list. Exactly one of Explain and Error is set; a failure of
-// one element never fails the batch.
-type BatchResult struct {
-	Explain *ExplainResponse `json:"explain,omitempty"`
-	Error   *ErrorBody       `json:"error,omitempty"`
-}
-
-// BatchResponse is the /api/v1/batch payload.
-type BatchResponse struct {
-	Results []BatchResult `json:"results"`
-}
-
 func yearWindowStrings(w maprat.TimeWindow) (year int, from, to string) {
 	f := time.Unix(w.From, 0).UTC()
 	t := time.Unix(w.To, 0).UTC()
@@ -278,7 +258,7 @@ func evolutionDTO(q string, points []maprat.EvolutionPoint) *EvolutionResponse {
 		year, from, to := yearWindowStrings(p.Window)
 		ep := EvolutionPoint{Year: year, From: from, To: to}
 		if p.Err != nil {
-			ep.Error = errorBodyFor(p.Err)
+			ep.Error = &ErrorBody{Code: CodeForError(p.Err), Message: p.Err.Error()}
 		} else {
 			ep.Explain = explainDTO(p.Explanation)
 		}

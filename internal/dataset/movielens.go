@@ -201,7 +201,9 @@ func ParseCast(r io.Reader, items []model.Item) error {
 }
 
 // LoadDir loads a complete MovieLens-1M-format directory. The cast file is
-// optional (the real MovieLens distribution lacks it).
+// optional (the real MovieLens distribution lacks it). The loaded dataset
+// must validate: a rating of a user or item the directory does not
+// define fails the load, as it fails an append.
 func LoadDir(dir string) (*model.Dataset, error) {
 	users, err := loadParsed(filepath.Join(dir, UsersFile), ParseUsers)
 	if err != nil {
@@ -225,7 +227,14 @@ func LoadDir(dir string) (*model.Dataset, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	return model.NewDataset(users, items, ratings)
+	ds, err := model.NewDataset(users, items, ratings)
+	if err != nil {
+		return nil, err
+	}
+	if err := ds.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
+	return ds, nil
 }
 
 func loadParsed[T any](path string, parse func(io.Reader) ([]T, error)) ([]T, error) {

@@ -257,6 +257,37 @@ func TestLoadDirWithoutCast(t *testing.T) {
 	}
 }
 
+// TestLoadDirRejectsOrphanRatings: a rating of an item or user that
+// the directory does not define fails the load instead of being counted.
+func TestLoadDirRejectsOrphanRatings(t *testing.T) {
+	for name, orphan := range map[string]string{
+		"unknown item": "1::999999::5::978300760\n",
+		"unknown user": "999999::1::5::978300760\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, body := range map[string]string{
+				UsersFile:   usersSample,
+				MoviesFile:  moviesSample,
+				RatingsFile: ratingsSample + orphan,
+			} {
+				if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "999999") {
+				t.Fatalf("LoadDir with an orphan rating: err = %v, want one naming 999999", err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, RatingsFile), []byte(ratingsSample), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadDir(dir); err != nil {
+				t.Fatalf("LoadDir without the orphan: %v", err)
+			}
+		})
+	}
+}
+
 func TestLoadDirMissing(t *testing.T) {
 	if _, err := LoadDir(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Error("LoadDir of missing directory should fail")

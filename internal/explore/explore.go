@@ -142,27 +142,18 @@ func timeline(tuples []cube.Tuple, members []int32, minUnix, maxUnix int64, buck
 
 // Related returns the sibling groups of g present in the cube (identical
 // description except one attribute's value), sorted by support descending —
-// Figure 3's "compare the rating patterns of related groups". For groups
-// materialized in the cube it reads the cube's memoized sibling table
-// (built once per cube, amortized across a plan's explorations) instead
-// of scanning every group pairwise.
+// Figure 3's "compare the rating patterns of related groups". It reads the
+// cube's memoized sibling table (built once per cube, amortized across a
+// plan's explorations), so g must come from c: a group the cube does not
+// hold has no related groups.
 func Related(c *cube.Cube, g *cube.Group) []*cube.Group {
+	gi, ok := c.IndexOf(g.Key)
+	if !ok {
+		return nil
+	}
 	var out []*cube.Group
-	if gi, ok := c.IndexOf(g.Key); ok {
-		for _, j := range c.Siblings()[gi] {
-			out = append(out, &c.Groups[j])
-		}
-	} else {
-		// A group from outside this cube: fall back to the pairwise scan.
-		for i := range c.Groups {
-			other := &c.Groups[i]
-			if other.Key == g.Key {
-				continue
-			}
-			if _, ok := g.Key.SiblingOf(other.Key); ok {
-				out = append(out, other)
-			}
-		}
+	for _, j := range c.Siblings()[gi] {
+		out = append(out, &c.Groups[j])
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Support() != out[b].Support() {

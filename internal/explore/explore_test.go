@@ -219,6 +219,11 @@ func TestRelated(t *testing.T) {
 	if cube.StateCode(rel[0].Key[cube.State]) != "NY" {
 		t.Errorf("related group = %v", rel[0].Key)
 	}
+	// A group the cube does not hold has no related groups.
+	tx := &cube.Group{Key: cube.KeyAll.With(cube.State, cube.StateIndex("TX"))}
+	if rel := Related(c, tx); rel != nil {
+		t.Errorf("related of a group outside the cube = %v, want none", rel)
+	}
 }
 
 func TestRelatedSortedBySupport(t *testing.T) {

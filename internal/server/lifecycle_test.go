@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/api"
 )
 
 // testEngine reuses the memoized test server's engine-building path but
@@ -32,7 +31,7 @@ func testEngineOnly(t *testing.T) *maprat.Engine {
 // of hanging or mislabelling the failure as a 404.
 func TestRequestTimeoutAnswers504(t *testing.T) {
 	eng := testEngineOnly(t)
-	srv := httptest.NewServer(NewWithConfig(eng, Config{Config: api.Config{RequestTimeout: time.Nanosecond}}))
+	srv := httptest.NewServer(newServer(eng, Config{RequestTimeout: time.Nanosecond}))
 	defer srv.Close()
 
 	for _, p := range []string{"/api/v1/explain?q=genre:Drama", "/explain?q=genre:Drama"} {
@@ -52,7 +51,7 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 // plus a refused connection afterwards.
 func TestGracefulShutdown(t *testing.T) {
 	eng := testEngineOnly(t)
-	s := New(eng)
+	s := newServer(eng, Config{})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -100,7 +99,7 @@ func TestGracefulShutdown(t *testing.T) {
 // normal query succeeds.
 func TestNegativeTimeoutDisablesDeadline(t *testing.T) {
 	eng := testEngineOnly(t)
-	srv := httptest.NewServer(NewWithConfig(eng, Config{Config: api.Config{RequestTimeout: -1}}))
+	srv := httptest.NewServer(newServer(eng, Config{RequestTimeout: -1}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/api/v1/explain?q=genre:Drama")

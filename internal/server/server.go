@@ -23,19 +23,15 @@ import (
 	"repro/internal/viz"
 )
 
-// Config tunes the server: the v1 surface's settings (request timeout,
-// batch cap, access log, gzip), which the HTML pages share, plus the
-// shutdown window. The zero value is valid.
-type Config struct {
-	api.Config
-	// ShutdownGrace bounds how long ListenAndServe waits for in-flight
-	// requests after its context ends. Zero means DefaultShutdownGrace.
-	ShutdownGrace time.Duration
-}
+// Config tunes the server. It is the v1 surface's settings (request
+// timeout, access log, gzip), which the HTML pages share. The zero value
+// is valid.
+type Config = api.Config
 
-// DefaultShutdownGrace is generous for full-scale mining, finite so a
-// stuck request cannot hold up shutdown forever.
-const DefaultShutdownGrace = 10 * time.Second
+// shutdownGrace bounds how long ListenAndServe waits for in-flight
+// requests after its context ends: generous for full-scale mining,
+// finite so a stuck request cannot hold up shutdown forever.
+const shutdownGrace = 10 * time.Second
 
 // Server routes MapRat's HTTP endpoints. The HTML result pages and the
 // v1 endpoints reach the engine the same way: api.Handler.Run behind the
@@ -47,18 +43,7 @@ type Server struct {
 	def maprat.Miner
 	reg *maprat.Registry
 	mux *http.ServeMux
-	cfg Config
 	api *api.Handler
-}
-
-// New builds a server over an opened engine with default lifecycle
-// settings.
-func New(eng *maprat.Engine) *Server { return NewWithConfig(eng, Config{}) }
-
-// NewWithConfig builds a single-dataset server with explicit lifecycle
-// settings.
-func NewWithConfig(eng *maprat.Engine, cfg Config) *Server {
-	return NewMulti(maprat.NewSingleRegistry("default", eng, maprat.DatasetInfo{}), cfg)
 }
 
 // NewMulti builds a server over a registry of mounted datasets. The v1
@@ -66,11 +51,8 @@ func NewWithConfig(eng *maprat.Engine, cfg Config) *Server {
 // dataset per request (?dataset= / X-Maprat-Dataset); the index page
 // serves the default (first) mount.
 func NewMulti(reg *maprat.Registry, cfg Config) *Server {
-	if cfg.ShutdownGrace == 0 {
-		cfg.ShutdownGrace = DefaultShutdownGrace
-	}
-	s := &Server{def: reg.Default().Engine, reg: reg, mux: http.NewServeMux(), cfg: cfg}
-	s.api = api.NewMulti(reg, cfg.Config)
+	s := &Server{def: reg.Default().Engine, reg: reg, mux: http.NewServeMux()}
+	s.api = api.NewMulti(reg, cfg)
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.Handle("/explain", s.api.Wrap("page_explain", s.handleExplain))
 	s.mux.Handle("/group", s.api.Wrap("page_group", s.handleGroup))
@@ -87,7 +69,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // ListenAndServe serves on addr until ctx ends, then shuts down
 // gracefully: the listener closes immediately, in-flight requests get
-// Config.ShutdownGrace to finish. It returns nil on a clean shutdown.
+// shutdownGrace to finish. It returns nil on a clean shutdown.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -101,7 +83,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// Request contexts deliberately do not descend from ctx: shutdown
 	// must drain in-flight mines, not cancel them. A mine that outlives
-	// ShutdownGrace is cut off when Shutdown gives up and the process
+	// shutdownGrace is cut off when Shutdown gives up and the process
 	// exits; per-request deadlines already bound each mine anyway.
 	srv := &http.Server{Handler: s}
 	errc := make(chan error, 1)
@@ -111,7 +93,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		return err
 	case <-ctx.Done():
 	}
-	grace, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace) //maprat:allow(ctxflow) shutdown grace window: ctx is already done here, the drain deadline must outlive it
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace) //maprat:allow(ctxflow) shutdown grace window: ctx is already done here, the drain deadline must outlive it
 	defer cancel()
 	if err := srv.Shutdown(grace); err != nil {
 		return err

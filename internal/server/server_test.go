@@ -35,9 +35,14 @@ func testServer(t *testing.T) *httptest.Server {
 		if err != nil {
 			panic(err)
 		}
-		srvMemo = httptest.NewServer(New(eng))
+		srvMemo = httptest.NewServer(newServer(eng, Config{}))
 	})
 	return srvMemo
+}
+
+// newServer serves eng as the sole (default) dataset.
+func newServer(eng *maprat.Engine, cfg Config) *Server {
+	return NewMulti(maprat.NewSingleRegistry("default", eng, maprat.DatasetInfo{}), cfg)
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, string) {

@@ -990,9 +990,6 @@ func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task
 // DrillMineContext, exported for callers that build plans themselves. Settings
 // must already be defaulted (s.K > 0).
 func DrillPlan(ctx context.Context, p *store.Plan, q Query, parent Key, task Task, s Settings) (*TaskResult, error) {
-	if s.K == 0 {
-		s = DefaultSettings()
-	}
 	pg, ok := p.Cube.Group(parent)
 	if !ok {
 		return nil, groupNotFound(parent, q)
@@ -1010,30 +1007,14 @@ func DrillPlan(ctx context.Context, p *store.Plan, q Query, parent Key, task Tas
 		MaxAVPairs:  parent.NumConstrained() + 2,
 		SkipApex:    true,
 	}
-	c := cube.Build(sub, cfg)
-	prob, err := core.NewProblem(task, c, s)
+	tr, err := solveTask(ctx, task, cube.Build(sub, cfg), ExplainRequest{Settings: s, DisableRelax: true})
 	if err != nil {
+		if errors.Is(err, ctx.Err()) {
+			return nil, err
+		}
 		return nil, fmt.Errorf("maprat: drill mining: %w", err)
 	}
-	sol, err := prob.SolveRHECtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if !sol.Feasible {
-		return nil, fmt.Errorf("maprat: drill mining: %w", core.ErrInfeasible)
-	}
-	tr := &TaskResult{
-		Task:            task,
-		Objective:       sol.Objective,
-		Coverage:        sol.Coverage,
-		Feasible:        sol.Feasible,
-		Evals:           sol.Evals,
-		RelaxedCoverage: s.Coverage,
-	}
-	for _, gi := range sol.Groups {
-		tr.Groups = append(tr.Groups, groupResult(&c.Groups[gi], len(sub)))
-	}
-	return tr, nil
+	return &tr, nil
 }
 
 // StateOverview is one row of the browse-mode choropleth: a state's

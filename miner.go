@@ -14,9 +14,9 @@ import (
 // over a local store. The HTTP layer takes
 // the interface rather than *Engine so a wrapper can sit in front of an
 // engine: the perfbench traced run mounts one that records each call
-// and replays it stage by stage through the exported plan functions
-// (MinePlan, ExplorePlan, RefinePlan, DrillPlan). Implementations must
-// be safe for concurrent use.
+// and replays it stage by stage, through MinePlan, ExplorePlan and
+// RefinePlan and, for a drill, through the cube build and RHE solve
+// directly. Implementations must be safe for concurrent use.
 type Miner interface {
 	// ExplainContext runs the full §2.3 pipeline for a query.
 	ExplainContext(ctx context.Context, req ExplainRequest) (*Explanation, error)

@@ -51,8 +51,6 @@ type (
 	EvolutionResponse = api.EvolutionResponse
 	// BrowseResponse is the /api/v1/browse payload.
 	BrowseResponse = api.BrowseResponse
-	// BatchResponse is the /api/v1/batch payload.
-	BatchResponse = api.BatchResponse
 	// RatingInput is one rating of an append batch.
 	RatingInput = api.RatingInput
 	// AppendResponse is the /api/v1/ratings payload: the assigned epoch.
@@ -344,16 +342,6 @@ func (c *Client) AppendRatings(ctx context.Context, dataset string, ratings []Ra
 	}
 	var out AppendResponse
 	if err := c.do(ctx, http.MethodPost, "/api/v1/ratings", body, &out, retryAppend); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Batch fans up to api.DefaultMaxBatch explain requests out in one
-// call; results are index-aligned and fail independently.
-func (c *Client) Batch(ctx context.Context, reqs []Params) (*BatchResponse, error) {
-	var out BatchResponse
-	if err := c.post(ctx, "/api/v1/batch", api.BatchRequest{Requests: reqs}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

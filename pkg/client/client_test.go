@@ -32,9 +32,14 @@ func testServer(t *testing.T) *httptest.Server {
 		if err != nil {
 			panic(err)
 		}
-		tsMemo = httptest.NewServer(server.New(eng))
+		tsMemo = httptest.NewServer(newServer(eng))
 	})
 	return tsMemo
+}
+
+// newServer serves eng as the sole (default) dataset.
+func newServer(eng *maprat.Engine) *server.Server {
+	return server.NewMulti(maprat.NewSingleRegistry("default", eng, maprat.DatasetInfo{}), server.Config{})
 }
 
 func testClient(t *testing.T, opts ...Option) *Client {
@@ -108,14 +113,6 @@ func TestSyncRoundTrips(t *testing.T) {
 	if len(b.States) == 0 {
 		t.Fatal("browse returned no states")
 	}
-
-	batch, err := c.Batch(ctx, []Params{{Q: q, K: intp(2)}, {Q: `movie:"No Such Film Exists"`}})
-	if err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if len(batch.Results) != 2 || batch.Results[0].Explain == nil || batch.Results[1].Error == nil {
-		t.Fatalf("batch payload: %+v", batch.Results)
-	}
 }
 
 // TestBrowsePinsEpoch checks Browse sends its Params: after an append, a
@@ -133,7 +130,7 @@ func TestBrowsePinsEpoch(t *testing.T) {
 	if _, err := eng.EnableIngest(filepath.Join(t.TempDir(), "browse.wal")); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(eng))
+	ts := httptest.NewServer(newServer(eng))
 	defer ts.Close()
 	c, err := New(ts.URL)
 	if err != nil {
