@@ -137,6 +137,7 @@ func TestV1ContractErrorCodes(t *testing.T) {
 		{"no ratings", "/api/v1/explain?q=" + toyStory + "&from=1901&to=1902", 404, CodeNoRatings},
 		{"no group", "/api/v1/group?q=" + toyStory + "&key=" + url.QueryEscape("state=WY,occupation=farmer"), 404, CodeNoGroup},
 		{"missing key", "/api/v1/group?q=" + toyStory, 400, CodeBadRequest},
+		{"repeated key attribute", "/api/v1/group?q=" + toyStory + "&key=" + url.QueryEscape("state=CA,state=NY"), 400, CodeBadRequest},
 		{"refine no group", "/api/v1/refine?q=" + toyStory + "&key=" + url.QueryEscape("state=WY,occupation=farmer"), 404, CodeNoGroup},
 		{"drill bad task", "/api/v1/drill?q=" + toyStory + "&key=" + url.QueryEscape("state=CA") + "&task=zz", 400, CodeBadRequest},
 		{"batch is gone", "/api/v1/batch", 404, CodeNotFound},

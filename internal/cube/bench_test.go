@@ -71,18 +71,6 @@ func BenchmarkKeyMatches(b *testing.B) {
 	}
 }
 
-func BenchmarkSiblings(b *testing.B) {
-	tuples := benchTuples(5_000)
-	c := Build(tuples, Config{RequireState: true, MinSupport: 5, MaxAVPairs: 2})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sibs := c.Siblings(); len(sibs) != c.Len() {
-			b.Fatal("bad sibling table")
-		}
-	}
-}
-
 func BenchmarkAggAdd(b *testing.B) {
 	var a Agg
 	b.ReportAllocs()

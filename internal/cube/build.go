@@ -93,19 +93,14 @@ type Cube struct {
 
 	byKey map[Key]int
 
-	// Lazily built, cached derived structures. Cubes are shared across
-	// requests through the plan-materialization tier, so a structure built
-	// for one pipeline stage (e.g. the solver's coverage bitsets) is
-	// amortized across every later interaction on the same plan. The
-	// atomic byte counters let SizeBytes stay safe against a concurrent
+	// The solver's coverage bitsets, built lazily and cached. Cubes are
+	// shared across requests through the plan-materialization tier, so the
+	// table is amortized across every later solve on the same plan. The
+	// atomic byte counter lets SizeBytes stay safe against a concurrent
 	// first build.
 	bitsOnce  sync.Once
 	bits      [][]uint64
 	bitsBytes atomic.Int64
-
-	sibOnce  sync.Once
-	sibs     [][]int
-	sibBytes atomic.Int64
 }
 
 // Build materializes every cube cell with at least one tuple that passes
@@ -367,13 +362,6 @@ func (c *Cube) Group(k Key) (*Group, bool) {
 	return nil, false
 }
 
-// IndexOf returns the position of a descriptor's group in Groups, if it
-// survived pruning.
-func (c *Cube) IndexOf(k Key) (int, bool) {
-	i, ok := c.byKey[k]
-	return i, ok
-}
-
 // Len returns the number of candidate groups.
 func (c *Cube) Len() int { return len(c.Groups) }
 
@@ -386,89 +374,17 @@ const (
 )
 
 // SizeBytes approximates the cube's resident memory — the tuple slice,
-// the group headers with their member lists, the key index, and any
-// lazily built caches (coverage bitsets, sibling table) — in O(|Groups|)
-// time, cheap enough for cache accounting on every insert.
+// the group headers with their member lists, the key index, and the
+// coverage bitsets once built — in O(|Groups|) time, cheap enough for
+// cache accounting on every insert.
 func (c *Cube) SizeBytes() int64 {
 	b := int64(len(c.Tuples)) * TupleBytes
 	for i := range c.Groups {
 		b += groupBytes + int64(len(c.Groups[i].Members))*4
 	}
 	b += int64(len(c.byKey)) * (keyBytes + 8)
-	b += c.bitsBytes.Load() + c.sibBytes.Load()
+	b += c.bitsBytes.Load()
 	return b
-}
-
-// Siblings returns, for each group index, the indices of its sibling groups
-// (same constrained attributes, exactly one differing value). Diversity
-// Mining weights sibling disagreement higher because the paper's canonical
-// DM output is a sibling pair.
-//
-// The table is computed once per Cube and cached, so repeated solves and
-// explorations on a materialized plan stop rebuilding the buckets.
-func (c *Cube) Siblings() [][]int {
-	c.sibOnce.Do(func() {
-		c.sibs = c.buildSiblings()
-		var b int64
-		for _, s := range c.sibs {
-			b += 24 + int64(len(s))*8 // slice header + elements
-		}
-		c.sibBytes.Store(b)
-	})
-	return c.sibs
-}
-
-func (c *Cube) buildSiblings() [][]int {
-	// Bucket groups by (wildcard mask, values with one attribute blanked):
-	// two groups are siblings iff they share a bucket for the blanked
-	// attribute and differ there.
-	type bucketKey struct {
-		blank Attr
-		k     Key
-	}
-	buckets := make(map[bucketKey][]int)
-	for i := range c.Groups {
-		k := c.Groups[i].Key
-		for a := 0; a < NumAttrs; a++ {
-			if k[a] == Wildcard {
-				continue
-			}
-			bk := bucketKey{blank: Attr(a), k: k.With(Attr(a), Wildcard)}
-			buckets[bk] = append(buckets[bk], i)
-		}
-	}
-	out := make([][]int, len(c.Groups))
-	for _, idxs := range buckets {
-		if len(idxs) < 2 {
-			continue
-		}
-		for _, i := range idxs {
-			for _, j := range idxs {
-				if i != j {
-					out[i] = append(out[i], j)
-				}
-			}
-		}
-	}
-	for i := range out {
-		sort.Ints(out[i])
-		out[i] = dedupInts(out[i])
-	}
-	return out
-}
-
-func dedupInts(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	w := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[w-1] {
-			xs[w] = xs[i]
-			w++
-		}
-	}
-	return xs[:w]
 }
 
 // String summarizes the cube for logs.

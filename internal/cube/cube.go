@@ -345,7 +345,8 @@ func (k Key) Param() string {
 }
 
 // ParseKey parses a comma-separated descriptor such as
-// "gender=F,age=under 18,state=NY". An empty string yields KeyAll.
+// "gender=F,age=under 18,state=NY". An empty string yields KeyAll. An
+// attribute may be named once: "state=CA,state=NY" describes no group.
 func ParseKey(s string) (Key, error) {
 	k := KeyAll
 	if strings.TrimSpace(s) == "" {
@@ -359,6 +360,9 @@ func ParseKey(s string) (Key, error) {
 		a, err := ParseAttr(strings.TrimSpace(part[:eq]))
 		if err != nil {
 			return k, err
+		}
+		if k[a] != Wildcard {
+			return k, fmt.Errorf("cube: descriptor names %s twice", a)
 		}
 		v, err := ParseValue(a, strings.TrimSpace(part[eq+1:]))
 		if err != nil {

@@ -176,7 +176,7 @@ func requireSameCube(t testing.TB, cfg Config, got, ref *Cube) {
 			t.Fatalf("%+v: group %d differs:\npacked    %+v\nreference %+v",
 				cfg, i, got.Groups[i], ref.Groups[i])
 		}
-		if j, ok := got.IndexOf(ref.Groups[i].Key); !ok || j != i {
+		if g, ok := got.Group(ref.Groups[i].Key); !ok || g != &got.Groups[i] {
 			t.Fatalf("%+v: key index broken for %v", cfg, ref.Groups[i].Key)
 		}
 	}

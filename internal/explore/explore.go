@@ -141,19 +141,20 @@ func timeline(tuples []cube.Tuple, members []int32, minUnix, maxUnix int64, buck
 }
 
 // Related returns the sibling groups of g present in the cube (identical
-// description except one attribute's value), sorted by support descending —
-// Figure 3's "compare the rating patterns of related groups". It reads the
-// cube's memoized sibling table (built once per cube, amortized across a
-// plan's explorations), so g must come from c: a group the cube does not
-// hold has no related groups.
+// description except one attribute's value), sorted by support descending,
+// ties by label — Figure 3's "compare the rating patterns of related
+// groups". It is one Key.SiblingOf scan over the cube's groups, so a click
+// pays only for its own group's siblings. g must come from c: a group the
+// cube does not hold has no related groups.
 func Related(c *cube.Cube, g *cube.Group) []*cube.Group {
-	gi, ok := c.IndexOf(g.Key)
-	if !ok {
+	if _, ok := c.Group(g.Key); !ok {
 		return nil
 	}
 	var out []*cube.Group
-	for _, j := range c.Siblings()[gi] {
-		out = append(out, &c.Groups[j])
+	for i := range c.Groups {
+		if _, ok := g.Key.SiblingOf(c.Groups[i].Key); ok {
+			out = append(out, &c.Groups[i])
+		}
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Support() != out[b].Support() {

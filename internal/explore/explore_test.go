@@ -245,6 +245,40 @@ func TestRelatedSortedBySupport(t *testing.T) {
 	}
 }
 
+// TestRelatedTiesByLabel pins the order among equal-support siblings:
+// Key.String() ascending, not cube (value index) order. "age=18-24" sorts
+// before "age=under 18" as a label but after it by index.
+func TestRelatedTiesByLabel(t *testing.T) {
+	ca := cube.StateIndex("CA")
+	var tuples []cube.Tuple
+	for i, age := range []int16{0, 0, 1, 1, 2} { // under 18, 18-24, 25-34
+		var tp cube.Tuple
+		tp.Vals[cube.Age] = age
+		tp.Vals[cube.State] = ca
+		tp.Score = 3
+		tp.UserID = int32(i) + 1
+		tuples = append(tuples, tp)
+	}
+	c := cube.Build(tuples, cube.Config{RequireState: true, MinSupport: 1, MaxAVPairs: 2})
+	g, ok := c.Group(cube.KeyAll.With(cube.State, ca).With(cube.Age, 2))
+	if !ok {
+		t.Fatal("25-34 CA group missing")
+	}
+	rel := Related(c, g)
+	want := []cube.Key{
+		cube.KeyAll.With(cube.State, ca).With(cube.Age, 1),
+		cube.KeyAll.With(cube.State, ca).With(cube.Age, 0),
+	}
+	if len(rel) != len(want) {
+		t.Fatalf("related = %d groups, want %d", len(rel), len(want))
+	}
+	for i, k := range want {
+		if rel[i].Key != k {
+			t.Errorf("related[%d] = %v, want %v", i, rel[i].Key, k)
+		}
+	}
+}
+
 func TestYearWindows(t *testing.T) {
 	from := time.Date(1999, 6, 1, 0, 0, 0, 0, time.UTC).Unix()
 	to := time.Date(2002, 3, 1, 0, 0, 0, 0, time.UTC).Unix()

@@ -22,8 +22,8 @@ type Refinement struct {
 }
 
 // Refinements returns g's children present in the cube, ordered by
-// |Delta| descending (ties: larger support first). The cube's MaxAVPairs
-// pruning bounds how deep refinement can go.
+// |Delta| descending (ties: larger support first, then key order). The
+// cube's MaxAVPairs pruning bounds how deep refinement can go.
 func Refinements(c *cube.Cube, g *cube.Group) []Refinement {
 	parentMean := g.Mean()
 	var out []Refinement
@@ -42,15 +42,10 @@ func Refinements(c *cube.Cube, g *cube.Group) []Refinement {
 			Delta: child.Mean() - parentMean,
 		})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		da, db := math.Abs(out[a].Delta), math.Abs(out[b].Delta)
-		if da != db {
-			return da > db
-		}
-		if out[a].Group.Support() != out[b].Group.Support() {
-			return out[a].Group.Support() > out[b].Group.Support()
-		}
-		return cubeKeyLess(out[a].Group.Key, out[b].Group.Key)
+	// out is in c.Groups order, which Build fixes as support descending,
+	// then key ascending; a stable sort keeps that order among |Delta| ties.
+	sort.SliceStable(out, func(a, b int) bool {
+		return math.Abs(out[a].Delta) > math.Abs(out[b].Delta)
 	})
 	return out
 }
@@ -74,13 +69,4 @@ func refinesBy(parent, child cube.Key) (cube.Attr, bool) {
 		return 0, false
 	}
 	return cube.Attr(added), true
-}
-
-func cubeKeyLess(a, b cube.Key) bool {
-	for i := 0; i < cube.NumAttrs; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

@@ -68,6 +68,41 @@ func TestRefinements(t *testing.T) {
 	}
 }
 
+// TestRefinementsTiesInKeyOrder pins the order among refinements with
+// equal |Delta| and equal support: ascending key order. Twenty one-tuple
+// occupation children of CA sit at |Delta| = 2 (scores alternate 5 and 1
+// around a mean of 3); enough ties that an unstable sort would reorder them.
+func TestRefinementsTiesInKeyOrder(t *testing.T) {
+	ca := cube.StateIndex("CA")
+	var tuples []cube.Tuple
+	for occ := int16(0); occ < 20; occ++ {
+		var tp cube.Tuple
+		tp.Vals[cube.Occupation] = occ
+		tp.Vals[cube.State] = ca
+		tp.Score = 5
+		if occ%2 == 1 {
+			tp.Score = 1
+		}
+		tp.UserID = int32(occ) + 1
+		tuples = append(tuples, tp)
+	}
+	c := cube.Build(tuples, cube.Config{RequireState: true, MinSupport: 1, MaxAVPairs: 2})
+	parent, ok := c.Group(cube.KeyAll.With(cube.State, ca))
+	if !ok {
+		t.Fatal("CA group missing")
+	}
+	refs := Refinements(c, parent)
+	if len(refs) < 20 {
+		t.Fatalf("%d refinements, want at least the 20 occupations", len(refs))
+	}
+	for i, r := range refs[:20] {
+		want := parent.Key.With(cube.Occupation, int16(i))
+		if r.Group.Key != want || math.Abs(r.Delta) != 2 {
+			t.Fatalf("refinement %d = %v (delta %.2f), want %v at |delta| 2", i, r.Group.Key, r.Delta, want)
+		}
+	}
+}
+
 func TestRefinementsExcludeNonChildren(t *testing.T) {
 	c, _ := refineFixture(t)
 	parent, _ := c.Group(cube.KeyAll.With(cube.State, cube.StateIndex("CA")))

@@ -22,9 +22,8 @@ import (
 // immutable by every consumer: the solver keeps its scratch per Problem,
 // and the exploration layer only reads tuples and member lists. The
 // sanctioned exceptions are internally synchronized: the cube's lazily
-// built caches (coverage bitsets, sibling table), which populate once
-// under sync.Once on first use and are immutable afterwards, and the
-// plan's result memo (Memo, SetMemo).
+// built coverage bitsets, which populate once under sync.Once on first use
+// and are immutable afterwards, and the plan's result memo (Memo, SetMemo).
 type Plan struct {
 	ItemIDs []int
 	Tuples  []cube.Tuple
@@ -410,9 +409,8 @@ func intersectsSorted(a, b []int) bool {
 
 // Stats returns a snapshot of the tier's counters and current usage.
 // Bytes is recomputed from the live entries rather than carried from
-// insert time: a cached plan's cube grows lazily built structures after
-// caching (the solver's coverage bitsets, the sibling table), and the
-// snapshot should account for them.
+// insert time: a cached plan's cube grows the solver's coverage bitsets
+// after caching, and the snapshot should account for them.
 func (pc *PlanCache) Stats() PlanStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

@@ -117,9 +117,8 @@ func DefaultOptions() Options {
 // read-only after Open, the result cache, the singleflight layer and
 // each plan's memo are internally synchronized, and each mining request
 // solves on its own problem instance. Cubes shared through the plan tier
-// populate their derived caches (coverage bitsets, sibling table) lazily
-// under sync.Once, so concurrent first use is safe and every later solve
-// or exploration on the same plan gets them for free.
+// build their coverage bitsets lazily under sync.Once, so concurrent first
+// use is safe and every later solve on the same plan gets them for free.
 type Engine struct {
 	st      *store.Store
 	cubeCfg cube.Config
