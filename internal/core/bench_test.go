@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -117,6 +118,69 @@ func BenchmarkRHECoverage(b *testing.B) {
 	}
 	b.Run("bitset", func(b *testing.B) { run(b, false) })
 	b.Run("reference", func(b *testing.B) { run(b, true) })
+}
+
+// planTuples shapes n tuples like one plan's R_I in live traffic: a fixed
+// population of users with quadratically skewed demographics (a few
+// without an attribute value), each rating with a skewed frequency.
+func planTuples(n int, seed int64) []cube.Tuple {
+	rng := rand.New(rand.NewSource(seed))
+	skewed := func(card int) int16 {
+		u := rng.Float64()
+		return int16(float64(card) * u * u)
+	}
+	wild := func(v int16, oneIn int) int16 {
+		if rng.Intn(oneIn) == 0 {
+			return cube.Wildcard
+		}
+		return v
+	}
+	users := make([][cube.NumAttrs]int16, 6040)
+	for i := range users {
+		v := &users[i]
+		v[cube.Gender] = wild(skewed(cube.Cardinality(cube.Gender)), 200)
+		v[cube.Age] = wild(skewed(cube.Cardinality(cube.Age)), 200)
+		v[cube.Occupation] = wild(skewed(cube.Cardinality(cube.Occupation)), 200)
+		v[cube.State] = wild(skewed(cube.Cardinality(cube.State)), 40)
+		v[cube.City] = wild(skewed(cube.Cardinality(cube.City)), 20)
+	}
+	tuples := make([]cube.Tuple, n)
+	for i := range tuples {
+		u := int(skewed(len(users)))
+		tuples[i] = cube.Tuple{
+			Vals:   users[u],
+			Score:  int8(1 + rng.Intn(5)),
+			Unix:   int64(978300000 + rng.Intn(1000000)),
+			UserID: int32(u + 1),
+			ItemID: int32(1 + rng.Intn(50)),
+		}
+	}
+	return tuples
+}
+
+// BenchmarkMine times what one explain's mining costs the engine on a
+// plan-shaped cube (about 5.6k tuples, 700 groups): NewProblem and
+// SolveRHECtx for SM and then DM, with the default settings. Unlike the
+// BenchmarkSolveRHE_* loops it pays the per-solve setup too, such as the
+// DM candidate order.
+func BenchmarkMine(b *testing.B) {
+	c := cube.Build(planTuples(5_600, 42), cube.DefaultConfig())
+	c.MemberBits() // cached on the plan's cube before any mine
+	s := DefaultSettings()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, task := range []Task{SimilarityMining, DiversityMining} {
+			p, err := NewProblem(task, c, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sol := solve(b, p); !sol.Feasible {
+				b.Fatal("infeasible")
+			}
+		}
+	}
+	b.ReportMetric(float64(c.Len()), "groups")
 }
 
 func BenchmarkSolveGreedy(b *testing.B) {

@@ -34,6 +34,12 @@ import "repro/internal/cube"
 //   - The objective reads per-group n, n·σ and μ precomputed by
 //     NewProblem and sums them in the original order, so it yields the
 //     same floats as computing them from each group's aggregate.
+//   - A swap trial keeps the selection's admissible size and, because
+//     sampleCandidates stamps the selection out of the sample, has no
+//     duplicate, so bestSampledMove skips both checks for swaps. It
+//     scores a swap through the per-position evaluator (swapEval), which
+//     replays Objective's left-to-right sums term for term, so its
+//     floats equal Objective's bit for bit.
 
 // orGroup ORs group gi's member set into a bitset: word-wise for dense
 // groups, by setting each member's bit for sparse ones (their list is

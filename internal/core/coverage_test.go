@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -254,4 +255,70 @@ func TestObjectiveMatchesDirectFormula(t *testing.T) {
 			t.Fatalf("DM objective(%v) = %v, direct formula %v", sel, got, want)
 		}
 	}
+}
+
+// TestSwapObjectiveMatchesObjective pins the per-position swap evaluator
+// of bestSampledMove: for every position of a selection and every
+// candidate, it must score the swapped selection exactly as Objective
+// does, bit for bit. Half the selections are grown from one group's
+// siblings so that the DM sibling weight takes part.
+func TestSwapObjectiveMatchesObjective(t *testing.T) {
+	c := buildCube(t, polarizedTuples(900, 41), cube.Config{RequireState: false, MinSupport: 4, MaxAVPairs: 2, SkipApex: true})
+	rng := rand.New(rand.NewSource(47))
+	for _, task := range []Task{SimilarityMining, DiversityMining} {
+		for _, boost := range []float64{1, 2} {
+			for k := 2; k <= 6; k++ {
+				s := DefaultSettings()
+				s.Coverage, s.K, s.SiblingBoost = 0, k, boost
+				p := newProblem(t, task, c, s)
+				siblingPairs := 0
+				for round := 0; round < 12; round++ {
+					sel := randomSelection(rng, p, p.minGroups()+rng.Intn(k-p.minGroups()+1), round%2 == 0)
+					trial := clone(sel)
+					for pos := range sel {
+						p.swap.reset(p, sel, pos)
+						for _, cand := range p.cands {
+							trial[pos] = cand
+							for _, gi := range trial {
+								if _, ok := c.Groups[gi].Key.SiblingOf(c.Groups[cand].Key); ok {
+									siblingPairs++
+								}
+							}
+							got, want := p.swap.objective(p, cand), p.Objective(trial)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%v boost %v K %d: swap %v[%d]=%d: evaluator %v, Objective %v",
+									task, boost, k, sel, pos, cand, got, want)
+							}
+						}
+						trial[pos] = sel[pos]
+					}
+				}
+				if siblingPairs == 0 {
+					t.Fatalf("%v boost %v K %d: no trial held a sibling pair", task, boost, k)
+				}
+			}
+		}
+	}
+}
+
+// randomSelection draws n distinct candidates of p. With siblings set it
+// prefers siblings of the first drawn group while any remain.
+func randomSelection(rng *rand.Rand, p *Problem, n int, siblings bool) []int {
+	sel := []int{p.cands[rng.Intn(len(p.cands))]}
+	in := func(gi int) bool { return slices.Contains(sel, gi) }
+	if siblings {
+		first := p.Cube.Groups[sel[0]].Key
+		for _, gi := range rng.Perm(len(p.cands)) {
+			gi = p.cands[gi]
+			if _, ok := first.SiblingOf(p.Cube.Groups[gi].Key); ok && len(sel) < n && !in(gi) {
+				sel = append(sel, gi)
+			}
+		}
+	}
+	for len(sel) < n {
+		if gi := p.cands[rng.Intn(len(p.cands))]; !in(gi) {
+			sel = append(sel, gi)
+		}
+	}
+	return sel
 }

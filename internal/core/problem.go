@@ -15,10 +15,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/rand"
+	"slices"
 
 	"repro/internal/cube"
 )
@@ -149,10 +151,17 @@ type Problem struct {
 	stats     []groupStats
 
 	// stamp marks, per group of Cube.Groups, the generation of the last
-	// sampleCandidates call that excluded it (selected or already drawn);
-	// stampGen is the current generation.
+	// sampleCandidates call that excluded it (selected or already drawn)
+	// or of the last randomFeasibleInit that put it in use; stampGen is
+	// the current generation.
 	stamp    []uint32
 	stampGen uint32
+
+	// Restart scratch: the generator each restart re-seeds, the sampled
+	// neighbourhood, and the per-position swap evaluator.
+	gen       *rand.Rand
+	sampleBuf []int
+	swap      swapEval
 
 	// Coverage engine state (see coverage.go). bits is the cube's cached
 	// per-group member bitset table, shared read-only across every Problem
@@ -223,15 +232,23 @@ func NewProblem(task Task, c *cube.Cube, s Settings) (*Problem, error) {
 			overall.Add(c.Tuples[i].Score)
 		}
 		mean := overall.Mean()
-		p.byExtreme = append([]int(nil), p.cands...)
-		sort.Slice(p.byExtreme, func(a, b int) bool {
-			da := math.Abs(c.Groups[p.byExtreme[a]].Mean() - mean)
-			db := math.Abs(c.Groups[p.byExtreme[b]].Mean() - mean)
-			if da != db {
-				return da > db
-			}
-			return p.byExtreme[a] < p.byExtreme[b]
+		type extreme struct {
+			dev float64
+			gi  int
+		}
+		ext := make([]extreme, len(p.cands))
+		for i, gi := range p.cands {
+			ext[i] = extreme{math.Abs(c.Groups[gi].Mean() - mean), gi}
+		}
+		// Deviation descending, then index ascending: a total order, so
+		// the result does not depend on the sort algorithm.
+		slices.SortFunc(ext, func(a, b extreme) int {
+			return cmp.Or(cmp.Compare(b.dev, a.dev), cmp.Compare(a.gi, b.gi))
 		})
+		p.byExtreme = make([]int, len(ext))
+		for i, e := range ext {
+			p.byExtreme[i] = e.gi
+		}
 	}
 	// Optimistic feasibility bound: the K largest candidates, ignoring
 	// overlap, must reach the threshold … otherwise nothing can.
@@ -273,6 +290,7 @@ func (p *Problem) scratchClone() *Problem {
 	q.base = make([]uint64, words)
 	q.trialBuf, q.dropBuf = nil, nil
 	q.stamp, q.stampGen = make([]uint32, len(p.Cube.Groups)), 0
+	q.gen, q.sampleBuf, q.swap = nil, nil, swapEval{}
 	if p.refCoverage {
 		q.mark = make([]int32, len(p.Cube.Tuples))
 		q.epoch = 0
@@ -348,15 +366,121 @@ func (p *Problem) pairGap(sel []int) float64 {
 	for i := 0; i < len(sel); i++ {
 		gi := &p.Cube.Groups[sel[i]]
 		for j := i + 1; j < len(sel); j++ {
-			w := 1.0
-			if _, ok := gi.Key.SiblingOf(p.Cube.Groups[sel[j]].Key); ok {
-				w = p.Settings.SiblingBoost
-			}
-			num += w * math.Abs(p.stats[sel[i]].mean-p.stats[sel[j]].mean)
+			num += p.pairTerm(gi.Key, p.Cube.Groups[sel[j]].Key, p.stats[sel[i]].mean, p.stats[sel[j]].mean)
 			pairs++
 		}
 	}
 	return num / float64(pairs)
+}
+
+// pairTerm is one pair's pairGap term, w(g,g')·|μ−μ'|. The conversion
+// rounds the product on its own, so no compiler may fuse it into the
+// caller's sum: the swap evaluator stores terms and sums them later, and
+// must get the same floats as pairGap's running sum.
+func (p *Problem) pairTerm(a, b cube.Key, ma, mb float64) float64 {
+	w := 1.0
+	if _, ok := a.SiblingOf(b); ok {
+		w = p.Settings.SiblingBoost
+	}
+	return float64(w * math.Abs(ma-mb))
+}
+
+// swapEval scores the swap trials of one selection position: the
+// selection with only position pos replaced by a candidate. It reads the
+// fixed groups' figures once per position (reset) and then costs each
+// candidate only its own terms (objective). Objective sums left to right,
+// and float addition does not associate, so the evaluator replays that
+// order exactly, term by term; only the smError sums over the positions
+// before pos are taken once. The result equals Objective of the trial
+// bit for bit (TestSwapObjectiveMatchesObjective).
+type swapEval struct {
+	pos int
+	// smError: the n·σ and n sums over the positions before pos, and the
+	// terms after it in order.
+	numPre, denPre float64
+	numSuf, denSuf []float64
+	// pairGap (DM only): each position's key and mean, and every pair
+	// term in pairGap's order; those involving pos are filled per
+	// candidate, at slots[i] for the pair of positions i and pos.
+	keys  []cube.Key
+	means []float64
+	terms []float64
+	slots []int
+}
+
+// reset prepares the evaluator for the swaps of sel's position pos.
+func (e *swapEval) reset(p *Problem, sel []int, pos int) {
+	e.pos = pos
+	e.numPre, e.denPre = 0, 0
+	e.numSuf, e.denSuf = e.numSuf[:0], e.denSuf[:0]
+	for i, gi := range sel {
+		st := &p.stats[gi]
+		switch {
+		case i < pos:
+			e.numPre += st.nSigma
+			e.denPre += st.n
+		case i > pos:
+			e.numSuf = append(e.numSuf, st.nSigma)
+			e.denSuf = append(e.denSuf, st.n)
+		}
+	}
+	if p.Task != DiversityMining {
+		return
+	}
+	k := len(sel)
+	e.keys, e.means = e.keys[:0], e.means[:0]
+	for _, gi := range sel {
+		e.keys = append(e.keys, p.Cube.Groups[gi].Key)
+		e.means = append(e.means, p.stats[gi].mean)
+	}
+	e.slots = slices.Grow(e.slots[:0], k)[:k]
+	e.terms = e.terms[:0]
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			t := 0.0
+			switch pos {
+			case i:
+				e.slots[j] = len(e.terms)
+			case j:
+				e.slots[i] = len(e.terms)
+			default:
+				t = p.pairTerm(e.keys[i], e.keys[j], e.means[i], e.means[j])
+			}
+			e.terms = append(e.terms, t)
+		}
+	}
+}
+
+// objective returns Objective of the selection reset saw with position
+// pos replaced by cand.
+func (e *swapEval) objective(p *Problem, cand int) float64 {
+	st := &p.stats[cand]
+	num, den := e.numPre+st.nSigma, e.denPre+st.n
+	for i, t := range e.numSuf {
+		num += t
+		den += e.denSuf[i]
+	}
+	sm := math.Inf(1)
+	if den != 0 {
+		sm = num / den
+	}
+	if p.Task != DiversityMining {
+		return sm
+	}
+	key := p.Cube.Groups[cand].Key
+	for i := range e.keys {
+		switch {
+		case i < e.pos:
+			e.terms[e.slots[i]] = p.pairTerm(e.keys[i], key, e.means[i], st.mean)
+		case i > e.pos:
+			e.terms[e.slots[i]] = p.pairTerm(key, e.keys[i], st.mean, e.means[i])
+		}
+	}
+	var gap float64
+	for _, t := range e.terms {
+		gap += t
+	}
+	return p.Settings.Lambda*sm - gap/float64(len(e.terms))
 }
 
 // minGroups is the smallest admissible selection size for the task.

@@ -165,7 +165,12 @@ func (p *Problem) finish(f rheFold) Solution {
 // climbing. It uses p's scratch buffers, so concurrent callers must operate
 // on distinct scratch clones.
 func (p *Problem) runRestart(ctx context.Context, r int) restartResult {
-	gen := rng.Sub(p.Settings.Seed, int64(r))
+	if p.gen == nil {
+		p.gen = rng.Sub(p.Settings.Seed, int64(r))
+	} else {
+		rng.Reseed(p.gen, p.Settings.Seed, int64(r))
+	}
+	gen := p.gen
 	sel, ok := p.randomFeasibleInit(gen)
 	if !ok {
 		return restartResult{}
@@ -211,9 +216,10 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 		return nil, false
 	}
 	// Support-biased sampling: candidates are support-sorted, so a squared
-	// uniform index skews toward the head.
+	// uniform index skews toward the head. A group is in use while its
+	// stamp carries this call's generation.
 	sel := make([]int, 0, k)
-	used := map[int]bool{}
+	used := p.nextStamp()
 	for attempts := 0; len(sel) < k && attempts < 64*k; attempts++ {
 		u := rng.Float64()
 		idx := int(u * u * float64(len(p.cands)))
@@ -221,8 +227,8 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 			idx = len(p.cands) - 1
 		}
 		gi := p.cands[idx]
-		if !used[gi] {
-			used[gi] = true
+		if p.stamp[gi] != used {
+			p.stamp[gi] = used
 			sel = append(sel, gi)
 		}
 	}
@@ -245,7 +251,7 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 			if !p.refCoverage && p.suffixMax[i] <= bestGain {
 				break
 			}
-			if used[gi] {
+			if p.stamp[gi] == used {
 				continue
 			}
 			if gain := p.unmarkedCount(gi); gain > bestGain {
@@ -255,8 +261,8 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 		if bestCand < 0 {
 			break
 		}
-		delete(used, sel[worst])
-		used[bestCand] = true
+		p.stamp[sel[worst]] = 0 // never a live generation
+		p.stamp[bestCand] = used
 		sel[worst] = bestCand
 	}
 	return sel, float64(p.coveredCount(sel)) >= p.required()
@@ -266,9 +272,16 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 // with SampleSize candidates, dropping a position, adding a candidate — and
 // returns the best feasible selection that improves on curObj.
 //
-// Each trial is tested cheapest first: size and duplicates, then the O(K)
+// Each trial is tested cheapest first: size and duplicates, then the
 // objective against the best so far, and only for an improving trial its
-// coverage. Coverage is evaluated incrementally: for each position, the
+// coverage. Swap trials skip the size and duplicate tests, which they
+// cannot fail, and are scored by the per-position swap evaluator
+// (swapEval): for each position it reads the other groups' n, n·σ, μ,
+// keys and pair terms once, so a sampled candidate costs only its own
+// terms instead of a full Objective, with bit-identical floats. Drops
+// and adds call Objective.
+//
+// Coverage is evaluated incrementally: for each position, the
 // union bitset of the other selected groups is built once
 // (markSelection), and a sampled replacement then costs a single AND-NOT
 // popcount of the candidate's bitset against that base — skipped outright
@@ -285,16 +298,12 @@ func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64) (ne
 	var bestSel []int
 
 	required := p.required()
-	// consider scores one trial: covered is the coverage of the trial's
-	// other groups, cand the group whose marginal coverage against the
-	// marked base still has to be added (-1 when there is none). The
-	// trial slice is scratch and cloned only on improvement.
-	consider := func(trial []int, covered, cand int) {
-		evals++
-		if len(trial) < p.minGroups() || len(trial) > p.Settings.K || hasDup(trial) {
-			return
-		}
-		o := p.Objective(trial)
+	// admit keeps a trial scoring o if it improves and is feasible:
+	// covered is the coverage of the trial's other groups, cand the group
+	// whose marginal coverage against the marked base still has to be
+	// added (-1 when there is none). The trial slice is scratch and cloned
+	// only on improvement.
+	admit := func(trial []int, o float64, covered, cand int) {
 		if !(o < bestObj-1e-12) {
 			return
 		}
@@ -309,15 +318,28 @@ func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64) (ne
 		}
 		bestObj, bestSel = o, clone(trial)
 	}
+	// consider scores a drop or add trial, which may break the size bound.
+	consider := func(trial []int, covered, cand int) {
+		evals++
+		if len(trial) < p.minGroups() || len(trial) > p.Settings.K || hasDup(trial) {
+			return
+		}
+		admit(trial, p.Objective(trial), covered, cand)
+	}
 
 	sample := p.sampleCandidates(rng, sel)
 	trial := append(p.trialBuf[:0], sel...)
 	for pos := range sel {
 		p.markSelection(sel, pos) // base = union of sel minus pos
 		others := p.baseCount()
+		// A swap keeps sel's admissible size, and sampleCandidates stamps
+		// the selection out of a duplicate-free sample, so no swap trial
+		// can fail the size or duplicate checks: swaps skip them.
+		p.swap.reset(p, sel, pos)
 		for _, cand := range sample {
+			evals++
 			trial[pos] = cand
-			consider(trial, others, cand)
+			admit(trial, p.swap.objective(p, cand), others, cand)
 		}
 		trial[pos] = sel[pos]
 		if len(sel) > p.minGroups() {
@@ -395,18 +417,18 @@ func (p *Problem) bestSampledMoveRef(rng *rand.Rand, sel []int, curObj float64) 
 // the rest. A group is excluded once its stamp carries this call's
 // generation: the selection is stamped up front, every drawn group as it
 // is taken.
+//
+// The returned slice is p's scratch, valid until the next call.
 func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) []int {
-	p.stampGen++
-	if p.stampGen == 0 { // wrapped: stale stamps could alias the new generation
-		clear(p.stamp)
-		p.stampGen = 1
-	}
-	gen := p.stampGen
+	gen := p.nextStamp()
 	for _, gi := range sel {
 		p.stamp[gi] = gen
 	}
 	n := p.Settings.SampleSize
-	out := make([]int, 0, n)
+	if cap(p.sampleBuf) < n {
+		p.sampleBuf = make([]int, 0, n)
+	}
+	out := p.sampleBuf[:0] // never grows: every take stops at n
 	take := func(list []int, quota int) {
 		for _, gi := range list {
 			if len(out) >= quota {
@@ -430,6 +452,17 @@ func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) []int {
 		}
 	}
 	return out
+}
+
+// nextStamp starts a new stamp generation: every group whose stamp does
+// not carry the returned value counts as unmarked.
+func (p *Problem) nextStamp() uint32 {
+	p.stampGen++
+	if p.stampGen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(p.stamp)
+		p.stampGen = 1
+	}
+	return p.stampGen
 }
 
 func (p *Problem) sortForPresentation(sel []int) {
