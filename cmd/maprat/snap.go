@@ -17,7 +17,7 @@ import (
 // runSnap dispatches the `maprat snap` subcommand family:
 //
 //	maprat snap pack <data-dir> <out.msnap>            — pack a MovieLens directory
-//	maprat snap info <file.msnap>                      — print header and sections
+//	maprat snap info <file.msnap>                      — print header, fingerprint and sections
 //	maprat snap compact <in.msnap> <wal> <out.msnap>   — fold a WAL into a fresh snapshot
 func runSnap(args []string) {
 	if len(args) == 0 {
@@ -174,8 +174,7 @@ func snapInfo(args []string) {
 	fmt.Printf("  ratings        : %d\n", h.Ratings)
 	fmt.Printf("  time range     : %s .. %s\n",
 		time.Unix(lo, 0).UTC().Format("2006-01-02"), time.Unix(hi, 0).UTC().Format("2006-01-02"))
-	fmt.Printf("  fingerprint    : %016x\n", h.Fingerprint)
-	fmt.Printf("  log hash       : %016x\n", h.LogHash)
+	fmt.Printf("  fingerprint    : %016x\n", model.Fingerprint(snap.Dataset(), lo, hi))
 	fmt.Printf("  provenance     : %016x\n", h.Provenance)
 	fmt.Printf("  size           : %d bytes\n", snap.Size())
 	fmt.Printf("  mmap           : %v (zero-copy tuples: %v)\n", snap.Mapped(), snap.Aliased())

@@ -358,6 +358,63 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsFingerprints: an engine's identity is its base log's,
+// whichever way the base arrived. A restart that replays a WAL must keep
+// both the base fingerprint and the latest one, or every ETag issued
+// before the crash, epoch-pinned ones included, stops matching after it.
+func TestRestartKeepsFingerprints(t *testing.T) {
+	ds := ingestDataset(t)
+	snapPath := filepath.Join(t.TempDir(), "base.msnap")
+	if err := WriteSnapshot(snapPath, ds, SnapshotMeta{Source: "generated"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func() (*Engine, error)
+	}{
+		{"text", func() (*Engine, error) { return Open(ds, nil) }},
+		{"snapshot", func() (*Engine, error) { return OpenSnapshot(snapPath, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wal := filepath.Join(t.TempDir(), "ingest.wal")
+			arm := func() *Engine {
+				t.Helper()
+				e, err := tc.open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.EnableIngest(wal); err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			e1 := arm()
+			base := e1.FingerprintAt(1)
+			if e1.Fingerprint() != base {
+				t.Fatalf("epoch-1 Fingerprint %016x != FingerprintAt(1) %016x", e1.Fingerprint(), base)
+			}
+			_, hi := e1.TimeRange()
+			r := model.Rating{UserID: ds.Users[0].ID, ItemID: ds.Items[0].ID, Score: 5, Unix: hi + 86400}
+			if _, err := e1.AppendRatings(t.Context(), []model.Rating{r}); err != nil {
+				t.Fatal(err)
+			}
+			latest := e1.Fingerprint()
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			e2 := arm()
+			defer e2.Close()
+			if got := e2.FingerprintAt(1); got != base {
+				t.Errorf("FingerprintAt(1) after restart %016x, want %016x", got, base)
+			}
+			if got := e2.Fingerprint(); got != latest {
+				t.Errorf("Fingerprint after restart %016x, want %016x", got, latest)
+			}
+		})
+	}
+}
+
 // TestEvolutionGainsLiveWindow: a batch of fresh ratings extends the
 // time range, so the latest-epoch slider gains a live window while a
 // pinned sweep replays exactly the windows its epoch had.

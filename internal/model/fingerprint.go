@@ -12,9 +12,8 @@ import (
 // (new ratings, different scores, reordered load) almost surely changes
 // it.
 //
-// The algorithm lives here — not on the engine — because the snapshot
-// writer must stamp the exact same value into a snapshot header that the
-// engine will later trust without re-deriving it.
+// The engine computes it once at open, over the base log, whichever
+// way that log arrived (text, snapshot); WAL replay never moves it.
 func Fingerprint(ds *Dataset, lo, hi int64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -36,24 +35,6 @@ func Fingerprint(ds *Dataset, lo, hi int64) uint64 {
 		put(uint64(r.ItemID))
 		put(uint64(r.Score))
 		put(uint64(r.Unix))
-	}
-	return h.Sum64()
-}
-
-// LogHash returns an FNV-64a hash over every rating in load order — the
-// full-log identity a snapshot header carries next to the strided
-// Fingerprint. Unlike Fingerprint it touches each rating, so two logs
-// differing in any single tuple disagree on it with near certainty.
-func LogHash(ratings []Rating) uint64 {
-	h := fnv.New64a()
-	var buf [32]byte
-	for i := range ratings {
-		r := &ratings[i]
-		binary.LittleEndian.PutUint64(buf[0:], uint64(r.UserID))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(r.ItemID))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(r.Score))
-		binary.LittleEndian.PutUint64(buf[24:], uint64(r.Unix))
-		h.Write(buf[:])
 	}
 	return h.Sum64()
 }

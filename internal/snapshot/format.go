@@ -14,8 +14,7 @@
 //	offset 12     flags (u32, reserved)
 //	offset 16     users, items, ratings (u64 each)
 //	offset 40     minUnix, maxUnix (i64 each)
-//	offset 56     fingerprint (u64)  — strided dataset identity (ETags)
-//	offset 64     logHash (u64)      — full-log FNV-64a identity
+//	offset 56     reserved (16 bytes, zero; version 1 stored two hashes here)
 //	offset 72     provenance (u64)   — builder config hash (0 = unknown)
 //	offset 80     reserved (16 bytes)
 //	offset 96     section table: count × {id u32, crc u32, offset u64, length u64}
@@ -23,9 +22,13 @@
 //	then          sections, each 64-byte aligned, CRC-32C checksummed
 //
 // Sections: a string-intern table (every descriptor string stored once),
-// columnar user/item/rating tuples, the pre-joined 32-byte cube.Tuple
-// log, the per-item time-sorted tuple index (offsets + one flat arena),
-// and a free-form key=value meta block.
+// columnar users and items, the pre-joined 32-byte cube.Tuple log, the
+// per-item time-sorted tuple index (offsets + one flat arena), and a
+// free-form key=value meta block. Each fact is stored once: the rating
+// log is the tuple log's (user, item, score, unix) fields, and the
+// dataset fingerprint is derived from the data by whoever needs it.
+// Version 1 files also carry a rating-column section (ID 4), which Open
+// never reads.
 package snapshot
 
 import (
@@ -40,15 +43,15 @@ const Magic = "MSNP"
 
 // Version is the current format version. Open rejects files from the
 // future; older versions are readable as long as their layout is.
-const Version = 1
+const Version = 2
 
 // Section IDs. Unknown IDs are ignored by Open so later versions can add
-// sections without breaking old readers.
+// sections without breaking old readers. ID 4 (version 1's rating
+// columns) is retired and never reused.
 const (
 	secStrings   = 1 // intern table: count, offsets u32[count+1], blob
 	secUsers     = 2 // id i32[n] | gender,age,occ u8[n] | zip,state,city u32[n]
 	secItems     = 3 // id,year i32[n] | title u32[n] | 3× list columns
-	secRatings   = 4 // unix i64[n] | user,item i32[n] | score i8[n]
 	secTuples    = 5 // n × 32-byte packed cube.Tuple records
 	secItemIndex = 6 // offsets u32[items+1] | arena i32[ratings]
 	secMeta      = 7 // count, then {klen u32, vlen u32, key, value}×count
@@ -90,8 +93,6 @@ func (s SectionInfo) Name() string {
 		return "users"
 	case secItems:
 		return "items"
-	case secRatings:
-		return "ratings"
 	case secTuples:
 		return "tuples"
 	case secItemIndex:
@@ -109,12 +110,6 @@ type Header struct {
 	Items            uint64
 	Ratings          uint64
 	MinUnix, MaxUnix int64
-	// Fingerprint is the strided dataset identity — the exact value a
-	// text-opened engine computes via model.Fingerprint, so ETags agree
-	// across open paths.
-	Fingerprint uint64
-	// LogHash is the full-log FNV-64a identity (model.LogHash).
-	LogHash uint64
 	// Provenance is the builder's config hash: for generated snapshots a
 	// hash of (GenConfig, seed), for packed text dirs a hash of the
 	// source files. Zero means unknown.
@@ -161,8 +156,6 @@ func decodeHeader(b []byte) (Header, error) {
 	h.Ratings = le.Uint64(b[32:])
 	h.MinUnix = int64(le.Uint64(b[40:]))
 	h.MaxUnix = int64(le.Uint64(b[48:]))
-	h.Fingerprint = le.Uint64(b[56:])
-	h.LogHash = le.Uint64(b[64:])
 	h.Provenance = le.Uint64(b[72:])
 	h.Sections = make([]SectionInfo, nsec)
 	for i := 0; i < nsec; i++ {

@@ -137,9 +137,10 @@ func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
 		s.tuples = decodeTuples(tupleSec)
 	}
 	// The item index is checked against the tuple log while the ratings
-	// decode: the two scans are independent and cost about the same, so
-	// on two cores the check hides behind the decode. decode waits for
-	// the check on every path, since the caller unmaps data on an error.
+	// are derived from it: the two scans are independent and cost about
+	// the same, so on two cores the check hides behind the derivation.
+	// decode waits for the check on every path, since the caller unmaps
+	// data on an error.
 	idxErr := make(chan error, 1)
 	go func() {
 		idxSec, err := hdr.section(data, secItemIndex)
@@ -148,11 +149,7 @@ func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
 		}
 		idxErr <- err
 	}()
-	ratingSec, err := hdr.section(data, secRatings)
-	var ratings []model.Rating
-	if err == nil {
-		ratings, err = decodeRatings(ratingSec, s.tuples)
-	}
+	ratings, err := deriveRatings(s.tuples)
 	if ierr := <-idxErr; err == nil {
 		err = ierr
 	}
@@ -185,15 +182,12 @@ func (s *Snapshot) Tuples() []cube.Tuple { return s.tuples }
 // indices into Tuples). The inner slices may alias the mapped file.
 func (s *Snapshot) ItemTuples() map[int][]int32 { return s.itemTuples }
 
-// Header returns the decoded header (counts, identities, section table).
+// Header returns the decoded header (counts, time range, provenance,
+// section table).
 func (s *Snapshot) Header() Header { return s.hdr }
 
 // TimeRange returns the [min, max] rating timestamps from the header.
 func (s *Snapshot) TimeRange() (int64, int64) { return s.hdr.MinUnix, s.hdr.MaxUnix }
-
-// Fingerprint returns the strided dataset identity stamped at write
-// time — equal to what model.Fingerprint computes over the data.
-func (s *Snapshot) Fingerprint() uint64 { return s.hdr.Fingerprint }
 
 // Provenance returns the builder's config hash (0 = unknown).
 func (s *Snapshot) Provenance() uint64 { return s.hdr.Provenance }
@@ -354,41 +348,28 @@ func decodeItems(b []byte, n int, strs []string) ([]model.Item, error) {
 	return items, nil
 }
 
-// decodeRatings decodes the rating columns and, in the same pass, checks
-// the tuple log against them: each tuple must repeat its rating's
-// UserID, ItemID, Score and Unix, and hold only attribute values inside
-// {Wildcard} ∪ [0, Cardinality). The cube and the browse aggregates index
-// per-value tables by those values, so one out of range would panic a
-// request instead of failing the open. The demographic values are not
-// re-joined: a log in range that agrees with the ratings is trusted to
-// be store.Join's output.
-func decodeRatings(b []byte, tuples []cube.Tuple) ([]model.Rating, error) {
-	n := len(tuples)
-	if len(b) != 17*n {
-		return nil, fmt.Errorf("snapshot: rating section is %d bytes, want %d for %d ratings", len(b), 17*n, n)
-	}
+// deriveRatings builds the rating log from the tuple log, which carries
+// each rating's UserID, ItemID, Score and Unix, and in the same pass
+// checks every tuple: its rating must pass Rating.Validate, and its
+// attribute values must lie inside {Wildcard} ∪ [0, Cardinality). The
+// cube and the browse aggregates index per-value tables by those values,
+// and group statistics a histogram by score, so one out of range would
+// panic a request instead of failing the open. The demographic values are
+// not re-joined: a log in range is trusted to be store.Join's output.
+func deriveRatings(tuples []cube.Tuple) ([]model.Rating, error) {
 	// Wildcard is -1, so v+1 must lie in [0, Cardinality].
 	var card [cube.NumAttrs]uint16
 	for a := range card {
 		card[a] = uint16(cube.Cardinality(cube.Attr(a)))
 	}
-	unix := b[0 : 8*n]
-	userIDs := b[8*n : 12*n]
-	itemIDs := b[12*n : 16*n]
-	scores := b[16*n : 17*n]
-	ratings := make([]model.Rating, n)
-	for i := 0; i < n; i++ {
-		r := model.Rating{
-			UserID: int(int32(le.Uint32(userIDs[4*i:]))),
-			ItemID: int(int32(le.Uint32(itemIDs[4*i:]))),
-			Score:  int(int8(scores[i])),
-			Unix:   int64(le.Uint64(unix[8*i:])),
+	ratings := make([]model.Rating, len(tuples))
+	for i := range tuples {
+		t := &tuples[i]
+		r := model.Rating{UserID: int(t.UserID), ItemID: int(t.ItemID), Score: int(t.Score), Unix: t.Unix}
+		if err := r.Validate(); err != nil {
+			return nil, fmt.Errorf("snapshot: tuple %d: %w", i, err)
 		}
 		ratings[i] = r
-		t := &tuples[i]
-		if int(t.UserID) != r.UserID || int(t.ItemID) != r.ItemID || int(t.Score) != r.Score || t.Unix != r.Unix {
-			return nil, fmt.Errorf("snapshot: tuple %d disagrees with its rating", i)
-		}
 		for a, v := range t.Vals {
 			if uint16(v+1) > card[a] {
 				return nil, fmt.Errorf("snapshot: tuple %d has %s value %d, outside [0,%d)", i, cube.Attr(a), v, card[a])

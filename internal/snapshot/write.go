@@ -74,7 +74,6 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	}{
 		{secUsers, encodeUsers(ds.Users, in)},
 		{secItems, encodeItems(ds.Items, in)},
-		{secRatings, encodeRatings(ds.Ratings)},
 		{secTuples, encodeTuples(pj.Tuples)},
 		{secItemIndex, encodeItemIndex(offsets, arena)},
 		{secMeta, encodeMeta(meta)},
@@ -109,8 +108,6 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	le.PutUint64(out[32:], uint64(len(ds.Ratings)))
 	le.PutUint64(out[40:], uint64(pj.MinUnix))
 	le.PutUint64(out[48:], uint64(pj.MaxUnix))
-	le.PutUint64(out[56:], model.Fingerprint(ds, pj.MinUnix, pj.MaxUnix))
-	le.PutUint64(out[64:], model.LogHash(ds.Ratings))
 	le.PutUint64(out[72:], meta.Provenance)
 	for i, s := range sections {
 		e := out[headerFixedBytes+i*sectionEntrySize:]
@@ -241,24 +238,6 @@ func encodeItems(items []model.Item, in *interner) []byte {
 				out = le.AppendUint32(out, in.id(s))
 			}
 		}
-	}
-	return out
-}
-
-func encodeRatings(ratings []model.Rating) []byte {
-	n := len(ratings)
-	out := make([]byte, 0, 17*n)
-	for i := range ratings {
-		out = le.AppendUint64(out, uint64(ratings[i].Unix))
-	}
-	for i := range ratings {
-		out = le.AppendUint32(out, uint32(int32(ratings[i].UserID)))
-	}
-	for i := range ratings {
-		out = le.AppendUint32(out, uint32(int32(ratings[i].ItemID)))
-	}
-	for i := range ratings {
-		out = append(out, byte(int8(ratings[i].Score)))
 	}
 	return out
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -130,8 +129,9 @@ type Engine struct {
 	// lost the singleflight race are not counted — they never mined).
 	mines atomic.Uint64
 
-	fpOnce sync.Once
-	fp     uint64
+	// fp is the base log's fingerprint (model.Fingerprint), computed once
+	// at open before any WAL replay; later epochs mix into it.
+	fp uint64
 
 	// ingest is the live-append state (WAL, writer admission, counters);
 	// nil until EnableIngest arms the write path.
@@ -145,15 +145,28 @@ type Engine struct {
 // Open indexes a dataset and returns the engine. A nil opts uses
 // DefaultOptions.
 func Open(ds *Dataset, opts *Options) (*Engine, error) {
+	return newEngine(opts, nil, func(so store.Options) (*store.Store, error) { return store.Open(ds, so) })
+}
+
+// newEngine is the constructor both open paths share: it opens the store
+// with the defaulted options and computes the base fingerprint over the
+// base log, so an engine's identity is the same however its data
+// arrived, and a later WAL replay never moves it. closer, when non-nil,
+// is released if the store fails to open.
+func newEngine(opts *Options, closer interface{ Close() error }, openStore func(store.Options) (*store.Store, error)) (*Engine, error) {
 	o := DefaultOptions()
 	if opts != nil {
 		o = *opts
 	}
-	st, err := store.Open(ds, o.Store)
+	st, err := openStore(o.Store)
 	if err != nil {
+		if closer != nil {
+			_ = closer.Close()
+		}
 		return nil, err
 	}
-	return &Engine{st: st, cubeCfg: o.Cube}, nil
+	lo, hi := st.TimeRange()
+	return &Engine{st: st, cubeCfg: o.Cube, fp: model.Fingerprint(st.Dataset(), lo, hi), closer: closer}, nil
 }
 
 // SnapshotMeta is the builder identity stamped into a snapshot header
@@ -169,36 +182,25 @@ func WriteSnapshot(path string, ds *Dataset, meta SnapshotMeta) error {
 // OpenSnapshot opens an engine over a .msnap snapshot. The file is
 // memory-mapped where the platform allows it and the pre-joined rating
 // tuple log is served straight from the mapped pages, so opening skips
-// both text parsing and the store's join. The snapshot's stored
-// fingerprint seeds Engine.Fingerprint, making ETags from a
-// snapshot-opened server byte-identical to a text-opened one over the
-// same data. Call Close on the returned engine to release the mapping.
+// both text parsing and the store's join. The engine computes its
+// fingerprint from the opened data exactly as Open does, so ETags from a
+// snapshot-opened server are byte-identical to a text-opened one over
+// the same data. Call Close on the returned engine to release the
+// mapping.
 func OpenSnapshot(path string, opts *Options) (*Engine, error) {
-	o := DefaultOptions()
-	if opts != nil {
-		o = *opts
-	}
 	snap, err := snapshot.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	lo, hi := snap.TimeRange()
-	st, err := store.OpenPrejoined(snap.Dataset(), o.Store, store.Prejoined{
-		Tuples:     snap.Tuples(),
-		ItemTuples: snap.ItemTuples(),
-		MinUnix:    lo,
-		MaxUnix:    hi,
+	return newEngine(opts, snap, func(so store.Options) (*store.Store, error) {
+		return store.OpenPrejoined(snap.Dataset(), so, store.Prejoined{
+			Tuples:     snap.Tuples(),
+			ItemTuples: snap.ItemTuples(),
+			MinUnix:    lo,
+			MaxUnix:    hi,
+		})
 	})
-	if err != nil {
-		_ = snap.Close()
-		return nil, err
-	}
-	e := &Engine{st: st, cubeCfg: o.Cube, closer: snap}
-	// The header's fingerprint is the value model.Fingerprint would
-	// recompute over the reconstructed data; trusting it saves the
-	// strided scan and keeps the identity authoritative in one place.
-	e.fpOnce.Do(func() { e.fp = snap.Fingerprint() })
-	return e, nil
 }
 
 // Close releases resources held by the engine's open path — the mapped
@@ -596,14 +598,16 @@ func (e *Engine) MineCount() uint64 { return e.mines.Load() }
 
 // Fingerprint returns a stable 64-bit hash identifying the opened
 // dataset AT ITS CURRENT EPOCH: the base-log fingerprint (entity counts,
-// rating time range, a strided sample of the log) mixed with the current
-// epoch when appends have grown the data. Two engines opened over the
-// same data agree on it; any edit to the log (new ratings, different
-// scores, reordered load) almost surely changes it, and every accepted
-// append batch rolls it. Seeded mining is a pure function of (dataset,
-// epoch, request), so the HTTP layer folds the fingerprint into its
-// ETags: a tag stays valid exactly as long as the data underneath it
-// does — an append immediately invalidates previously issued 304s.
+// rating time range, a strided sample of the log, computed once at open
+// before any WAL replay) mixed with the current epoch when appends have
+// grown the data. Two engines opened over the same data agree on it,
+// whether from text or a snapshot and across restarts that replay a WAL;
+// any edit to the base log (new ratings, different scores, reordered
+// load) almost surely changes it, and every accepted append batch rolls
+// it. Seeded mining is a pure function of (dataset, epoch, request), so
+// the HTTP layer folds the fingerprint into its ETags: a tag stays valid
+// exactly as long as the data underneath it does — an append
+// immediately invalidates previously issued 304s.
 func (e *Engine) Fingerprint() uint64 {
 	return e.FingerprintAt(e.st.CurrentEpoch())
 }
@@ -615,10 +619,6 @@ func (e *Engine) Fingerprint() uint64 {
 // epoch in, so every epoch's ETags are distinct and a pinned read's tag
 // stays stable across later appends.
 func (e *Engine) FingerprintAt(epoch uint64) uint64 {
-	e.fpOnce.Do(func() {
-		lo, hi := e.st.TimeRange()
-		e.fp = model.Fingerprint(e.st.Dataset(), lo, hi)
-	})
 	if epoch <= 1 {
 		return e.fp
 	}
@@ -777,6 +777,25 @@ func memoized[T any](e *Engine, p *store.Plan, key string, clone func(T) T, size
 	return v, nil
 }
 
+// planOp is the one path the per-group ops (explore, refine, drill) take:
+// check ctx, pin the query's epoch, fetch the plan for the cube the key
+// selects, and serve op over that plan through its memo under memoKey.
+func planOp[T any](ctx context.Context, e *Engine, q Query, key Key, memoKey string, clone func(T) T, size func(T) int64, op func(*store.Plan, Query) (T, error)) (T, error) {
+	var zero T
+	if err := ctx.Err(); err != nil {
+		return zero, err
+	}
+	q, err := e.pinQuery(q)
+	if err != nil {
+		return zero, err
+	}
+	p, err := e.planFor(ctx, q, e.cubeConfig(q, &key))
+	if err != nil {
+		return zero, err
+	}
+	return memoized(e, p, memoKey, clone, size, func() (T, error) { return op(p, q) })
+}
+
 // Approximate resident sizes of the memoized result types, for the plan
 // tier's byte accounting.
 const (
@@ -849,21 +868,12 @@ func (ge *GroupExploration) sizeBytes() int64 {
 // refineLimit skips the refinement stage entirely. Both the HTML
 // front-end and the /api/v1 handlers consume this one call.
 func (e *Engine) ExploreFullContext(ctx context.Context, q Query, key Key, buckets, refineLimit int) (*GroupExploration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	q, err := e.pinQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	p, err := e.planFor(ctx, q, e.cubeConfig(q, &key))
-	if err != nil {
-		return nil, err
-	}
-	return memoized(e, p,
+	return planOp(ctx, e, q, key,
 		fmt.Sprintf("group|%v|b=%d|l=%d", key, buckets, refineLimit),
 		(*GroupExploration).clone, (*GroupExploration).sizeBytes,
-		func() (*GroupExploration, error) { return ExplorePlan(ctx, p, q, key, buckets, refineLimit) })
+		func(p *store.Plan, q Query) (*GroupExploration, error) {
+			return ExplorePlan(ctx, p, q, key, buckets, refineLimit)
+		})
 }
 
 // ExplorePlan computes the per-group exploration from an
@@ -923,21 +933,10 @@ type Refinement struct {
 // materialization tier and memoized on the plan version like
 // ExploreFullContext, with cancellation between the pipeline's stages.
 func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit int) ([]Refinement, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	q, err := e.pinQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	p, err := e.planFor(ctx, q, e.cubeConfig(q, &key))
-	if err != nil {
-		return nil, err
-	}
-	return memoized(e, p,
+	return planOp(ctx, e, q, key,
 		fmt.Sprintf("refine|%v|l=%d", key, limit),
 		slices.Clone[[]Refinement], refinementsBytes,
-		func() ([]Refinement, error) { return RefinePlan(p, q, key, limit) })
+		func(p *store.Plan, q Query) ([]Refinement, error) { return RefinePlan(p, q, key, limit) })
 }
 
 // RefinePlan computes a group's drill-deeper refinements from an
@@ -967,21 +966,10 @@ func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task
 	if s.K == 0 {
 		s = DefaultSettings()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	q, err := e.pinQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	p, err := e.planFor(ctx, q, e.cubeConfig(q, &parent))
-	if err != nil {
-		return nil, err
-	}
-	return memoized(e, p,
+	return planOp(ctx, e, q, parent,
 		fmt.Sprintf("drill|%v|t=%v|%s", parent, task, settingsKey(s)),
 		(*TaskResult).clone, (*TaskResult).sizeBytes,
-		func() (*TaskResult, error) { return DrillPlan(ctx, p, q, parent, task, s) })
+		func(p *store.Plan, q Query) (*TaskResult, error) { return DrillPlan(ctx, p, q, parent, task, s) })
 }
 
 // DrillPlan mines the city-anchored sub-groups inside a parent group from
