@@ -23,6 +23,9 @@ var (
 	benchOnce sync.Once
 	benchDS   *Dataset
 	benchEng  *Engine
+
+	benchColdOnce sync.Once
+	benchCold     *Engine
 )
 
 func benchEngine(b *testing.B) *Engine {
@@ -43,6 +46,22 @@ func benchEngine(b *testing.B) *Engine {
 		}
 	})
 	return benchEng
+}
+
+// benchColdEngine opens one engine with every cache tier off
+// (coldOptions) over the benchmark dataset: each explain on it pays the
+// full resolve → gather → cube → mine pipeline.
+func benchColdEngine(b *testing.B) *Engine {
+	b.Helper()
+	benchEngine(b)
+	benchColdOnce.Do(func() {
+		var err error
+		benchCold, err = Open(benchDS, coldOptions())
+		if err != nil {
+			panic(err)
+		}
+	})
+	return benchCold
 }
 
 func benchQuery(b *testing.B, e *Engine, s string) Query {
@@ -90,9 +109,9 @@ func BenchmarkE1_QueryResolution(b *testing.B) {
 // BenchmarkE2_SimilarityMining measures the Figure-2 pipeline end to end
 // (resolve → cube → RHE), cache disabled.
 func BenchmarkE2_SimilarityMining(b *testing.B) {
-	e := benchEngine(b)
+	e := benchColdEngine(b)
 	q := benchQuery(b, e, `movie:"Toy Story"`)
-	req := ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}, DisableCache: true}
+	req := ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,16 +143,13 @@ func BenchmarkE3_Exploration(b *testing.B) {
 // BenchmarkE4_DiversityMining measures the intro example: framework-mode
 // DM on the polarized title.
 func BenchmarkE4_DiversityMining(b *testing.B) {
-	e := benchEngine(b)
+	e := benchColdEngine(b)
 	q := benchQuery(b, e, `movie:"The Twilight Saga: Eclipse"`)
 	q.Framework = true
 	s := DefaultSettings()
 	s.K = 2
 	s.Coverage = 0.10
-	req := ExplainRequest{
-		Query: q, Settings: s, Tasks: []Task{DiversityMining},
-		DisableCache: true,
-	}
+	req := ExplainRequest{Query: q, Settings: s, Tasks: []Task{DiversityMining}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -149,11 +165,12 @@ func BenchmarkE5_CachingAblation(b *testing.B) {
 	e := benchEngine(b)
 	q := benchQuery(b, e, `actor:"Tom Hanks"`)
 	b.Run("cold", func(b *testing.B) {
-		req := ExplainRequest{Query: q, DisableCache: true}
+		cold := benchColdEngine(b)
+		req := ExplainRequest{Query: q}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.ExplainContext(b.Context(), req); err != nil {
+			if _, err := cold.ExplainContext(b.Context(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -321,25 +338,20 @@ func BenchmarkE8_Rendering(b *testing.B) {
 }
 
 // BenchmarkE10_ParallelRestarts measures the worker-pool RHE through the
-// public API: identical Solutions, wall clock scaling with Workers
-// (workers=0 is the GOMAXPROCS default).
+// public API: identical Solutions, wall clock scaling with the pool,
+// which GOMAXPROCS sizes (run with -cpu 1,2,4 to compare).
 func BenchmarkE10_ParallelRestarts(b *testing.B) {
-	e := benchEngine(b)
+	e := benchColdEngine(b)
 	q := benchQuery(b, e, `genre:Drama`)
-	for _, workers := range []int{1, 2, 4, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := DefaultSettings()
-			s.Restarts = 32
-			s.Workers = workers
-			req := ExplainRequest{Query: q, Settings: s, Tasks: []Task{SimilarityMining}, DisableCache: true}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.ExplainContext(b.Context(), req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := DefaultSettings()
+	s.Restarts = 32
+	req := ExplainRequest{Query: q, Settings: s, Tasks: []Task{SimilarityMining}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExplainContext(b.Context(), req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -413,7 +425,7 @@ func BenchmarkWarmExplore(b *testing.B) {
 // packed-key cube build and the bitset coverage engine target; the warm
 // path is covered by BenchmarkWarmExplore.
 func BenchmarkColdExplain(b *testing.B) {
-	e := benchEngine(b)
+	e := benchColdEngine(b)
 	for _, c := range []struct {
 		name string
 		q    string
@@ -424,7 +436,7 @@ func BenchmarkColdExplain(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			q := benchQuery(b, e, c.q)
-			req := ExplainRequest{Query: q, DisableCache: true}
+			req := ExplainRequest{Query: q}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -438,9 +450,9 @@ func BenchmarkColdExplain(b *testing.B) {
 
 // BenchmarkE9_TimeSlider measures the §3.1 per-year mining sweep.
 func BenchmarkE9_TimeSlider(b *testing.B) {
-	e := benchEngine(b)
+	e := benchColdEngine(b)
 	q := benchQuery(b, e, `movie:"Toy Story"`)
-	req := ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}, DisableCache: true}
+	req := ExplainRequest{Query: q, Tasks: []Task{SimilarityMining}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

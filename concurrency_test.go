@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -110,36 +111,33 @@ func TestConcurrentMixedExplains(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineWorkersMatchSequential runs the same request with a sequential
-// and a parallel solver through the public API; the mined groups must be
-// identical (Elapsed differs, so compare Results).
+// TestEngineWorkersMatchSequential runs the same request with a one-worker
+// and a four-worker solver through the public API (the RHE pool is sized
+// by GOMAXPROCS); the mined groups must be identical (Elapsed differs, so
+// compare Results).
 func TestEngineWorkersMatchSequential(t *testing.T) {
-	e := testEngine(t)
+	e := testColdEngine(t)
 	q := mustQuery(t, e, `genre:Drama`)
-
-	seqReq := ExplainRequest{Query: q, DisableCache: true, Settings: DefaultSettings()}
-	seqReq.Settings.Workers = 1
-	seq, err := e.ExplainContext(t.Context(), seqReq)
-	if err != nil {
-		t.Fatal(err)
+	explainAt := func(procs int) *Explanation {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
 	}
-	parReq := ExplainRequest{Query: q, DisableCache: true, Settings: DefaultSettings()}
-	parReq.Settings.Workers = 4
-	par, err := e.ExplainContext(t.Context(), parReq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := explainAt(1), explainAt(4)
 	if !reflect.DeepEqual(seq.Results, par.Results) {
 		t.Fatalf("results diverged:\nseq %+v\npar %+v", seq.Results, par.Results)
 	}
 }
 
 func TestExplainContextPreCancelled(t *testing.T) {
-	e := testEngine(t)
+	e := testColdEngine(t)
 	q := mustQuery(t, e, `genre:Drama`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.ExplainContext(ctx, ExplainRequest{Query: q, DisableCache: true})
+	_, err := e.ExplainContext(ctx, ExplainRequest{Query: q})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -148,14 +146,14 @@ func TestExplainContextPreCancelled(t *testing.T) {
 // TestExplainContextCancelMidMine makes the mine expensive enough that the
 // deadline fires inside RHE, and checks the context error surfaces.
 func TestExplainContextCancelMidMine(t *testing.T) {
-	e := testEngine(t)
+	e := testColdEngine(t)
 	q := mustQuery(t, e, `genre:Drama`)
 	s := DefaultSettings()
 	s.Restarts = 100_000
 	s.MaxIters = 100_000
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := e.ExplainContext(ctx, ExplainRequest{Query: q, Settings: s, DisableCache: true})
+	_, err := e.ExplainContext(ctx, ExplainRequest{Query: q, Settings: s})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}

@@ -33,11 +33,11 @@ func ingestDataset(t testing.TB) *Dataset {
 	return ingestDSMemo
 }
 
-// ingestEngine opens a fresh engine with live ingestion armed on a
-// per-test WAL.
-func ingestEngine(t testing.TB) *Engine {
+// ingestEngine opens a fresh engine with opts (nil for the defaults) and
+// live ingestion armed on a per-test WAL.
+func ingestEngine(t testing.TB, opts *Options) *Engine {
 	t.Helper()
-	e, err := Open(ingestDataset(t), nil)
+	e, err := Open(ingestDataset(t), opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -93,7 +93,7 @@ func explainJSON(t testing.TB, ex *Explanation) []byte {
 }
 
 func TestAppendBumpsEpochAndFingerprint(t *testing.T) {
-	e := ingestEngine(t)
+	e := ingestEngine(t, nil)
 	fp1 := e.Fingerprint()
 	if e.CurrentEpoch() != 1 {
 		t.Fatalf("fresh engine at epoch %d", e.CurrentEpoch())
@@ -119,7 +119,7 @@ func TestAppendBumpsEpochAndFingerprint(t *testing.T) {
 }
 
 func TestAppendValidation(t *testing.T) {
-	e := ingestEngine(t)
+	e := ingestEngine(t, nil)
 	ctx := context.Background()
 	item := itemIDByTitle(t, "Toy Story")
 	good := ratingsFor(t, e, item, 1)
@@ -162,7 +162,7 @@ func tc0bad(r model.Rating) model.Rating {
 }
 
 func TestFutureEpochRejected(t *testing.T) {
-	e := ingestEngine(t)
+	e := ingestEngine(t, nil)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 	q.Epoch = 99
 	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); !errors.Is(err, ErrFutureEpoch) {
@@ -175,13 +175,13 @@ func TestFutureEpochRejected(t *testing.T) {
 
 // TestPinnedReadByteIdentical is the determinism acceptance check: a
 // read pinned at epoch 1 returns byte-identical results before and after
-// later appends land — even with every cache disabled, so the identity
-// comes from the epoch watermark, not from a cached payload.
+// later appends land — on an engine with every cache disabled, so the
+// identity comes from the epoch watermark, not from a cached payload.
 func TestPinnedReadByteIdentical(t *testing.T) {
-	e := ingestEngine(t)
+	e := ingestEngine(t, coldOptions())
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 	q.Epoch = 1
-	req := ExplainRequest{Query: q, DisableCache: true}
+	req := ExplainRequest{Query: q}
 
 	before, err := e.ExplainContext(t.Context(), req)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestPinnedReadByteIdentical(t *testing.T) {
 	// The latest view, by contrast, sees the 6 new ratings.
 	qLatest := q
 	qLatest.Epoch = 0
-	latest, err := e.ExplainContext(t.Context(), ExplainRequest{Query: qLatest, DisableCache: true})
+	latest, err := e.ExplainContext(t.Context(), ExplainRequest{Query: qLatest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestPinnedReadByteIdentical(t *testing.T) {
 // keeps serving warm hits at the new epoch, and so does the result mined
 // from it.
 func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
-	e := ingestEngine(t)
+	e := ingestEngine(t, nil)
 	toy := mustQuery(t, e, `movie:"Toy Story"`)
 	heat := mustQuery(t, e, `movie:"Heat"`)
 	prime := func(q Query) *Explanation {
@@ -314,7 +314,7 @@ func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 func TestWALCrashRecovery(t *testing.T) {
 	ds := ingestDataset(t)
 	wal := filepath.Join(t.TempDir(), "ingest.wal")
-	e1, err := Open(ds, nil)
+	e1, err := Open(ds, coldOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,14 +328,14 @@ func TestWALCrashRecovery(t *testing.T) {
 		}
 	}
 	q := mustQuery(t, e1, `movie:"Toy Story"`)
-	req := ExplainRequest{Query: q, DisableCache: true}
+	req := ExplainRequest{Query: q}
 	want, err := e1.ExplainContext(t.Context(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// "Crash": abandon e1, rebuild from the dataset + WAL alone.
-	e2, err := Open(ds, nil)
+	e2, err := Open(ds, coldOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestRestartKeepsFingerprints(t *testing.T) {
 // time range, so the latest-epoch slider gains a live window while a
 // pinned sweep replays exactly the windows its epoch had.
 func TestEvolutionGainsLiveWindow(t *testing.T) {
-	e := ingestEngine(t)
+	e := ingestEngine(t, nil)
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 	before, err := e.EvolutionContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
@@ -459,23 +459,15 @@ func TestEvolutionGainsLiveWindow(t *testing.T) {
 
 // TestAppendWhileMining races the write path against concurrent readers
 // of explains, group explorations and drills; run under -race it pins
-// the locking discipline, the plan memos' included, end to end. Every
-// read is checked afterwards against an uncached read at its epoch: a
-// pinned read must equal the oracle at the epoch it pinned, and a latest
-// read the oracle at some epoch current while it ran. The group and
-// drill oracle is an engine opened with CacheSize 0 and fed the same
-// appends.
+// the locking discipline, the plan memos' included, end to end. The
+// oracle is an engine with both cache tiers off, fed the same appends;
+// every third read goes to it, so cold reads race the appends too. Every
+// read is checked afterwards against the oracle at its epoch: a pinned
+// read must equal the oracle at the epoch it pinned, and a latest read
+// the oracle at some epoch current while it ran.
 func TestAppendWhileMining(t *testing.T) {
-	e := ingestEngine(t)
-	refOpts := DefaultOptions()
-	refOpts.Store.CacheSize = 0
-	ref, err := Open(ingestDataset(t), &refOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.EnableIngest(filepath.Join(t.TempDir(), "ref.wal")); err != nil {
-		t.Fatal(err)
-	}
+	e := ingestEngine(t, nil)
+	ref := ingestEngine(t, coldOptions())
 	item := itemIDByTitle(t, "Toy Story")
 	q := mustQuery(t, e, `movie:"Toy Story"`)
 	key := cube.KeyAll.With(cube.State, cube.StateIndex("CA"))
@@ -507,22 +499,26 @@ func TestAppendWhileMining(t *testing.T) {
 					return
 				default:
 				}
-				req := ExplainRequest{Query: q, DisableCache: i%3 == 0}
-				lo := e.CurrentEpoch()
+				m := e
+				if i%3 == 0 {
+					m = ref
+				}
+				req := ExplainRequest{Query: q}
+				lo := m.CurrentEpoch()
 				if r%2 == 1 {
 					// Pin at an epoch in [1, current], cycling.
 					req.Query.Epoch = 1 + uint64(i)%lo
 					lo = req.Query.Epoch
 				}
-				ex, err := e.ExplainContext(t.Context(), req)
+				ex, err := m.ExplainContext(t.Context(), req)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
-				got := others(e, req.Query)
+				got := others(m, req.Query)
 				hi := lo
 				if r%2 == 0 {
-					hi = e.CurrentEpoch()
+					hi = m.CurrentEpoch()
 				}
 				ex.Query.Epoch = 0
 				reads[r] = append(reads[r], read{lo, hi, ex, got})
@@ -581,7 +577,7 @@ func TestAppendWhileMining(t *testing.T) {
 	for ep := uint64(1); ep <= 6; ep++ {
 		pinned := q
 		pinned.Epoch = ep
-		ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: pinned, DisableCache: true})
+		ex, err := ref.ExplainContext(t.Context(), ExplainRequest{Query: pinned})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,7 +594,7 @@ func TestAppendWhileMining(t *testing.T) {
 				otherOK = otherOK || rd.others == otherOracle[ep]
 			}
 			if !ok {
-				t.Errorf("reader %d read %d: answer matches no uncached read at epochs %d-%d", r, i, rd.lo, rd.hi)
+				t.Errorf("reader %d read %d: answer matches no cache-off read at epochs %d-%d", r, i, rd.lo, rd.hi)
 			}
 			if !otherOK {
 				t.Errorf("reader %d read %d: group or drill answer matches no cache-off read at epochs %d-%d", r, i, rd.lo, rd.hi)

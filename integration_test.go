@@ -30,11 +30,11 @@ func TestIntegrationFileRoundTripExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engMem, err := Open(ds, nil)
+	engMem, err := Open(ds, coldOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	engFile, err := Open(loaded, nil)
+	engFile, err := Open(loaded, coldOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestIntegrationFileRoundTripExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := engMem.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
+	a, err := engMem.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engFile.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
+	b, err := engFile.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}

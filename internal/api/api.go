@@ -80,8 +80,8 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 	for _, name := range opNames {
 		h.mux.Handle("/api/v1/"+name, h.Wrap(name, h.handleOp(name)))
 	}
-	// The live-ingestion write path. Deliberately absent from
-	// etagEndpoints: a write is never cacheable.
+	// The live-ingestion write path. It is not an op, so it carries no
+	// ETag: a write is never cacheable.
 	h.mux.Handle("/api/v1/ratings", h.Wrap("ratings", h.handleAppend))
 	// Routing failures reuse the envelope shape but carry the status the
 	// condition deserves: 404 for a path that doesn't exist, 405 (with

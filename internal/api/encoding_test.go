@@ -188,3 +188,53 @@ func TestETagConditionalRequests(t *testing.T) {
 		t.Fatalf("error response: status=%d etag=%q, want 400 without a tag", resp.StatusCode, got)
 	}
 }
+
+// TestEveryReadOpHasETag runs the conditional-GET contract over the whole
+// op table: a GET of every read op answers 200 with an ETag, and the same
+// GET with If-None-Match answers 304. The write path, which is not an op,
+// answers without a tag.
+func TestEveryReadOpHasETag(t *testing.T) {
+	reads := map[string]string{
+		"explain":   "/api/v1/explain?q=" + contractToyStory + "&k=2",
+		"group":     "/api/v1/group?q=" + contractToyStory + "&key=" + contractCAKey + "&buckets=4&limit=3",
+		"refine":    "/api/v1/refine?q=" + contractToyStory + "&key=" + contractCAKey + "&limit=5",
+		"drill":     "/api/v1/drill?q=" + contractToyStory + "&key=" + contractCAKey + "&k=2",
+		"evolution": "/api/v1/evolution?q=" + contractToyStory + "&from=1999&to=2001&k=2&tasks=sm",
+		"browse":    "/api/v1/browse",
+	}
+	ts := testServer(t)
+	for _, name := range opNames {
+		t.Run(name, func(t *testing.T) {
+			path, ok := reads[name]
+			if !ok {
+				t.Fatalf("no request for op %q in the table", name)
+			}
+			resp := rawGet(t, ts, path, nil)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			tag := resp.Header.Get("ETag")
+			if resp.StatusCode != http.StatusOK || tag == "" {
+				t.Fatalf("GET: status=%d etag=%q, want 200 with a tag", resp.StatusCode, tag)
+			}
+			resp = rawGet(t, ts, path, map[string]string{"If-None-Match": tag})
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotModified {
+				t.Fatalf("conditional GET: status=%d, want 304", resp.StatusCode)
+			}
+		})
+	}
+
+	t.Run("ratings", func(t *testing.T) {
+		ts, eng := ingestServer(t)
+		resp, err := http.Post(ts.URL+"/api/v1/ratings", "application/json", strings.NewReader(appendBody(t, eng, 5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("ETag"); resp.StatusCode != http.StatusAccepted || got != "" {
+			t.Fatalf("append: status=%d etag=%q, want 202 without a tag", resp.StatusCode, got)
+		}
+	})
+}

@@ -156,18 +156,6 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// etagEndpoints names the deterministic GET endpoints that participate
-// in conditional requests: seeded mining is a pure function of (request,
-// dataset), so their representations are cacheable under a strong tag.
-var etagEndpoints = map[string]bool{
-	"explain":   true,
-	"group":     true,
-	"refine":    true,
-	"drill":     true,
-	"evolution": true,
-	"browse":    true,
-}
-
 // etagFor derives the strong entity tag for a GET request: a hash of the
 // endpoint, the canonical (sorted) query string, and the fingerprint of
 // the dataset the request addresses. Any change to the knobs or the data
@@ -268,11 +256,13 @@ func (h *Handler) Wrap(name string, fn http.HandlerFunc) http.Handler {
 			}
 			h.logf("%s %s id=%s status=%d elapsed=%s", r.Method, r.URL.Path, id, rec.status, elapsed.Round(time.Microsecond))
 		}()
-		// Conditional requests: a matching If-None-Match answers 304
-		// without running the pipeline at all — the tag covers both the
-		// request knobs and the dataset, so a match proves the client
-		// already holds exactly what mining would recompute.
-		if etagEndpoints[name] && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
+		// Conditional requests: every read op is a pure function of
+		// (request, dataset) — seeded mining included — so its GETs carry
+		// a strong tag, and a matching If-None-Match answers 304 without
+		// running the pipeline at all. The tag covers both the request
+		// knobs and the dataset, so a match proves the client already
+		// holds exactly what mining would recompute.
+		if _, read := ops[name]; read && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
 			if tag, ok := h.etagFor(name, r); ok {
 				if etagMatches(r.Header.Get("If-None-Match"), tag) {
 					rec.Header().Set("ETag", tag)

@@ -1,10 +1,6 @@
 package api
 
-import (
-	"fmt"
-
-	"repro/internal/viz"
-)
+import "repro/internal/viz"
 
 // ExplainMaps rebuilds the paper's per-task choropleths from an explain
 // document: the same titles and shades maprat.RenderExploration builds
@@ -13,13 +9,8 @@ import (
 func ExplainMaps(ex *ExplainResponse) *viz.Exploration {
 	out := &viz.Exploration{Query: ex.Query}
 	for _, tr := range ex.Tasks {
-		name := "Similarity Mining (reviewers who agree)"
-		if tr.Task == "DM" {
-			name = "Diversity Mining (reviewers who disagree)"
-		}
 		out.Maps = append(out.Maps, viz.Map{
-			Title: fmt.Sprintf("%s — %s (%d ratings, overall μ=%.2f)",
-				name, ex.Query, ex.NumRatings, ex.OverallMean),
+			Title:  viz.MapTitle(tr.Task, ex.Query, ex.NumRatings, ex.OverallMean),
 			Shades: groupShades(tr.Groups),
 		})
 	}

@@ -79,6 +79,20 @@ func solveRHE(ctx context.Context, p *core.Problem) core.Solution {
 	return sol
 }
 
+// coldEngine opens a second engine over eng's dataset with the result
+// cache and the plan tier both off, so every explain it answers runs the
+// full resolve → gather → cube → mine pipeline. It is opened over an
+// in-memory dataset, so it holds nothing Close would release.
+func coldEngine(eng *maprat.Engine) *maprat.Engine {
+	opts := maprat.DefaultOptions()
+	opts.Store.CacheSize, opts.Store.PlanCacheTuples = 0, 0
+	cold, err := maprat.Open(eng.Dataset(), &opts)
+	if err != nil {
+		panic(err)
+	}
+	return cold
+}
+
 func mustParse(eng *maprat.Engine, s string) maprat.Query {
 	q, err := eng.ParseQuery(s)
 	if err != nil {
@@ -121,14 +135,13 @@ func E1Queries(ctx context.Context, eng *maprat.Engine) Report {
 // geo-anchored, internally consistent, positively rated groups).
 func E2SimilarityToyStory(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E2", Title: "Figure 2 — Similarity Mining for movie:\"Toy Story\""}
+	cold := coldEngine(eng)
 	q := mustParse(eng, `movie:"Toy Story"`)
-	req := maprat.ExplainRequest{
-		Query: q, Tasks: []maprat.Task{maprat.SimilarityMining}, DisableCache: true,
-	}
+	req := maprat.ExplainRequest{Query: q, Tasks: []maprat.Task{maprat.SimilarityMining}}
 	var ex *maprat.Explanation
 	med := timeIt(3, func() {
 		var err error
-		ex, err = eng.ExplainContext(ctx, req)
+		ex, err = cold.ExplainContext(ctx, req)
 		if err != nil {
 			panic(err)
 		}
@@ -210,14 +223,12 @@ func E4Controversial(ctx context.Context, eng *maprat.Engine) Report {
 	s := maprat.DefaultSettings()
 	s.K = 2
 	s.Coverage = 0.10
-	req := maprat.ExplainRequest{
-		Query: q, Settings: s, Tasks: []maprat.Task{maprat.DiversityMining},
-		DisableCache: true,
-	}
+	req := maprat.ExplainRequest{Query: q, Settings: s, Tasks: []maprat.Task{maprat.DiversityMining}}
+	cold := coldEngine(eng)
 	var ex *maprat.Explanation
 	med := timeIt(3, func() {
 		var err error
-		ex, err = eng.ExplainContext(ctx, req)
+		ex, err = cold.ExplainContext(ctx, req)
 		if err != nil {
 			panic(err)
 		}
@@ -246,7 +257,7 @@ func E4Controversial(ctx context.Context, eng *maprat.Engine) Report {
 	// the audience, so it needs the coverage constraint dropped further.
 	s.Coverage = 0.03
 	req.Settings = s
-	ex2, err := eng.ExplainContext(ctx, req)
+	ex2, err := cold.ExplainContext(ctx, req)
 	if err == nil {
 		dm2 := ex2.Result(maprat.DiversityMining)
 		r.addf("with α=3%% (the intro pair is a small slice of the audience):")
@@ -263,8 +274,9 @@ func E4Controversial(ctx context.Context, eng *maprat.Engine) Report {
 func E5Caching(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E5", Title: "§2.3 — pre-computation and caching ablation"}
 	q := mustParse(eng, `actor:"Tom Hanks"`)
+	coldEng := coldEngine(eng)
 	cold := timeIt(3, func() {
-		if _, err := eng.ExplainContext(ctx, maprat.ExplainRequest{Query: q, DisableCache: true}); err != nil {
+		if _, err := coldEng.ExplainContext(ctx, maprat.ExplainRequest{Query: q}); err != nil {
 			panic(err)
 		}
 	})
@@ -470,11 +482,12 @@ func E8Rendering(ctx context.Context, eng *maprat.Engine) Report {
 func E9TimeSlider(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E9", Title: "§3.1 — time slider: Toy Story per year"}
 	q := mustParse(eng, `movie:"Toy Story"`)
+	cold := coldEngine(eng)
 	var points []maprat.EvolutionPoint
 	med := timeIt(1, func() {
 		var err error
-		points, err = eng.EvolutionContext(ctx, maprat.ExplainRequest{
-			Query: q, Tasks: []maprat.Task{maprat.SimilarityMining}, DisableCache: true,
+		points, err = cold.EvolutionContext(ctx, maprat.ExplainRequest{
+			Query: q, Tasks: []maprat.Task{maprat.SimilarityMining},
 		})
 		if err != nil {
 			panic(err)
@@ -523,17 +536,18 @@ func E11ColdPath(ctx context.Context, eng *maprat.Engine) Report {
 
 	r.addf("-- cold Explain (all cache tiers disabled) --")
 	r.addf("%-44s %9s %12s", "query", "ratings", "median")
+	cold := coldEngine(eng)
 	for _, qs := range []string{
 		`movie:"Toy Story"`,
 		`actor:"Tom Hanks"`,
 		`genre:Animation`,
 	} {
 		q := mustParse(eng, qs)
-		req := maprat.ExplainRequest{Query: q, DisableCache: true}
+		req := maprat.ExplainRequest{Query: q}
 		var ex *maprat.Explanation
 		med := timeIt(3, func() {
 			var err error
-			ex, err = eng.ExplainContext(ctx, req)
+			ex, err = cold.ExplainContext(ctx, req)
 			if err != nil {
 				panic(err)
 			}
@@ -602,14 +616,14 @@ func E10Ablations(ctx context.Context, eng *maprat.Engine) Report {
 	r.addf("-- (b) DM sibling boost on the controversial title (α=3%%, K=2) --")
 	eq := mustParse(eng, `movie:"The Twilight Saga: Eclipse"`)
 	eq.Framework = true
+	cold := coldEngine(eng)
 	for _, boost := range []float64{1.0, 2.0} {
 		s := maprat.DefaultSettings()
 		s.K = 2
 		s.Coverage = 0.03
 		s.SiblingBoost = boost
-		ex, err := eng.ExplainContext(ctx, maprat.ExplainRequest{
+		ex, err := cold.ExplainContext(ctx, maprat.ExplainRequest{
 			Query: eq, Settings: s, Tasks: []maprat.Task{maprat.DiversityMining},
-			DisableCache: true,
 		})
 		if err != nil {
 			r.addf("w=%.0f: %v", boost, err)

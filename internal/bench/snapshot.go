@@ -2,18 +2,32 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"time"
 
 	"repro"
 )
 
+// E12 times e12Pairs text/snapshot open pairs. A snapshot open takes a
+// few milliseconds at small scale, so one noisy open moves a short run's
+// ratio by several x; the verdict on the e12Bar speedup rests on the
+// spread of the per-pair ratios instead of one median.
+const (
+	e12Pairs = 9
+	e12Bar   = 10.0
+)
+
 // E12Snapshot measures the snapshot cold path against the text cold
 // path over the engine's own dataset: write both representations to a
-// temp directory, then time text parse+join (LoadDir → Open) versus
-// snapshot open (mmap → OpenSnapshot), and verify the two opens agree on
-// the dataset fingerprint. The open speedup is the PR's perf bar (≥10×).
+// temp directory, then time text parse+join (LoadDir → Open) against
+// snapshot open (mmap → OpenSnapshot) in alternating pairs, and verify
+// the two opens agree on the dataset fingerprint. The bar (≥10×) is met
+// only when the lowest per-pair speedup reaches it, not met when the
+// highest falls short, and unresolved otherwise.
 func E12Snapshot(_ context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E12", Title: "Columnar snapshot vs text cold path"}
 	ds := eng.Dataset()
@@ -49,35 +63,61 @@ func E12Snapshot(_ context.Context, eng *maprat.Engine) Report {
 	r.addf("%-28s %12d %14s", "snapshot (.msnap)", snapSize, wSnap.Round(time.Millisecond))
 
 	// The cold path under measure: bytes on disk → a mining-ready engine.
-	var textEng, snapEng *maprat.Engine
-	tText := timeIt(3, func() {
+	// Each open starts after a collection, so one open's garbage is not
+	// collected on the next one's clock.
+	timeOpen := func(open func() (*maprat.Engine, error)) (*maprat.Engine, time.Duration) {
+		runtime.GC()
+		start := time.Now()
+		e, err := open()
+		if err != nil {
+			panic(err)
+		}
+		return e, time.Since(start)
+	}
+	openText := func() (*maprat.Engine, error) {
 		loaded, err := maprat.LoadDir(dir)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		textEng, err = maprat.Open(loaded, nil)
-		if err != nil {
-			panic(err)
-		}
-	})
-	tSnap := timeIt(3, func() {
+		return maprat.Open(loaded, nil)
+	}
+	openSnap := func() (*maprat.Engine, error) { return maprat.OpenSnapshot(snapPath, nil) }
+	var textEng, snapEng *maprat.Engine
+	tText := make([]time.Duration, e12Pairs)
+	tSnap := make([]time.Duration, e12Pairs)
+	ratios := make([]float64, e12Pairs)
+	for i := range ratios {
 		if snapEng != nil {
 			snapEng.Close()
 		}
-		var err error
-		snapEng, err = maprat.OpenSnapshot(snapPath, nil)
-		if err != nil {
-			panic(err)
+		if i%2 == 0 { // alternate which side opens first
+			textEng, tText[i] = timeOpen(openText)
 		}
-	})
+		snapEng, tSnap[i] = timeOpen(openSnap)
+		if i%2 == 1 {
+			textEng, tText[i] = timeOpen(openText)
+		}
+		ratios[i] = float64(tText[i]) / float64(max(1, tSnap[i]))
+	}
 	defer snapEng.Close()
+	slices.Sort(tText)
+	slices.Sort(tSnap)
+	slices.Sort(ratios)
 
 	r.addf("")
-	r.addf("%-28s %14s", "cold path (median of 3)", "open")
-	r.addf("%-28s %14s", "text: LoadDir + Open", tText.Round(time.Millisecond))
-	r.addf("%-28s %14s", "snapshot: OpenSnapshot", tSnap.Round(time.Microsecond))
-	speedup := float64(tText) / float64(max(1, int(tSnap)))
-	r.addf("open speedup: %.1fx (bar: >= 10x)", speedup)
+	r.addf("%-28s %14s", fmt.Sprintf("cold path (median of %d)", e12Pairs), "open")
+	r.addf("%-28s %14s", "text: LoadDir + Open", tText[e12Pairs/2].Round(time.Millisecond))
+	r.addf("%-28s %14s", "snapshot: OpenSnapshot", tSnap[e12Pairs/2].Round(time.Microsecond))
+	lo, med, hi := ratios[0], ratios[e12Pairs/2], ratios[e12Pairs-1]
+	verdict := "unresolved"
+	switch {
+	case lo >= e12Bar:
+		verdict = "met"
+	case hi < e12Bar:
+		verdict = "not met"
+	}
+	r.addf("open speedup: %.1fx median, %.1fx-%.1fx over %d pairs (bar: >= %.0fx, %s)",
+		med, lo, hi, e12Pairs, e12Bar, verdict)
 
 	fpText, fpSnap := textEng.Fingerprint(), snapEng.Fingerprint()
 	r.addf("fingerprints: text %016x, snapshot %016x, equal=%v", fpText, fpSnap, fpText == fpSnap)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/cube"
@@ -78,22 +76,17 @@ func BenchmarkSolveRHELarge(b *testing.B) {
 }
 
 // BenchmarkSolveRHEWorkers shows the multi-restart speedup: identical
-// Solutions, wall clock scaling with the worker pool (compare workers=1
-// against workers=GOMAXPROCS).
+// Solutions, wall clock scaling with the worker pool, which GOMAXPROCS
+// sizes (run with -cpu 1,2,4 to compare).
 func BenchmarkSolveRHEWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := benchInstance(b, SimilarityMining)
-			p.Settings.Restarts = 32
-			p.Settings.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sol := solve(b, p); !sol.Feasible {
-					b.Fatal("infeasible")
-				}
-			}
-		})
+	p := benchInstance(b, SimilarityMining)
+	p.Settings.Restarts = 32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sol := solve(b, p); !sol.Feasible {
+			b.Fatal("infeasible")
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +93,15 @@ func solve(t testing.TB, p *Problem) Solution {
 		t.Fatalf("SolveRHECtx: %v", err)
 	}
 	return sol
+}
+
+// solveAt solves p with GOMAXPROCS set to procs, which sizes the RHE
+// worker pool (min(GOMAXPROCS, Restarts)), and restores the previous
+// setting before it returns.
+func solveAt(t testing.TB, procs int, p *Problem) Solution {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return solve(t, p)
 }
 
 func TestNewProblemValidation(t *testing.T) {

@@ -151,11 +151,10 @@ func TestParallelRHEMatchesReference(t *testing.T) {
 	ref.useReferenceCoverage()
 	want := solve(t, ref)
 
-	for _, workers := range []int{1, 2, 4} {
-		s.Workers = workers
+	for _, procs := range []int{1, 2, 4} {
 		p := newProblem(t, DiversityMining, c, s)
-		if got := solve(t, p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d diverged from reference:\n%+v\n%+v", workers, got, want)
+		if got := solveAt(t, procs, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS=%d diverged from reference:\n%+v\n%+v", procs, got, want)
 		}
 	}
 }

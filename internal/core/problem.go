@@ -72,11 +72,6 @@ type Settings struct {
 	SampleSize int
 	// Seed makes every solver deterministic.
 	Seed int64
-	// Workers bounds the goroutines SolveRHECtx spreads its restarts over
-	// (0 = GOMAXPROCS, 1 = sequential). Every restart draws from its own
-	// sub-seeded generator, so Workers never changes the Solution — only
-	// the wall clock.
-	Workers int
 }
 
 // DefaultSettings mirrors the demo defaults: the best 3 groups covering at

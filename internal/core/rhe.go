@@ -26,43 +26,21 @@ const rhePatience = 3
 // local optimum across restarts wins.
 //
 // Each restart r draws from its own sub-seeded generator (rng.Sub(Seed, r)),
-// so the result is a pure function of Settings.Seed regardless of how many
-// worker goroutines (Settings.Workers; 0 means GOMAXPROCS) execute the
-// restarts: the parallel and sequential paths return byte-identical
-// Solutions.
+// so the result is a pure function of Settings.Seed however many worker
+// goroutines (min(GOMAXPROCS, Restarts)) execute the restarts.
 //
 // It stops between hill-climb iterations once ctx is done and returns
 // ctx.Err(). The partial best is discarded — a cancelled mine has no
 // useful answer to cache.
 func (p *Problem) SolveRHECtx(ctx context.Context) (Solution, error) {
-	workers := p.Settings.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p.Settings.Restarts {
-		workers = p.Settings.Restarts
-	}
-
-	if workers <= 1 {
-		var fold rheFold
-		for r := 0; r < p.Settings.Restarts; r++ {
-			if ctx.Err() != nil {
-				return Solution{}, ctx.Err()
-			}
-			fold.add(p.runRestart(ctx, r), r)
-		}
-		if err := ctx.Err(); err != nil {
-			return Solution{}, err
-		}
-		return p.finish(fold), nil
-	}
+	workers := min(runtime.GOMAXPROCS(0), p.Settings.Restarts)
 
 	// Work-stealing over restart indices: the restart's generator depends
 	// only on its index, and each worker climbs on a private scratch
 	// clone, so the schedule cannot influence the outcome. Each worker
 	// folds its own running best (O(workers) memory, not O(restarts));
 	// the index tie-break in rheFold makes the merged result identical
-	// to the sequential first-wins fold.
+	// to a first-wins fold in restart order.
 	folds := make([]rheFold, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -100,10 +78,10 @@ type restartResult struct {
 }
 
 // rheFold accumulates restart results into the running best. It keeps the
-// originating restart index so merging partial folds reproduces the
-// sequential loop exactly: Better is a preorder (feasibility, then strict
-// objective), and the sequential loop keeps the earlier restart on ties,
-// so (Better, lowest-index) is the total order both paths minimize.
+// originating restart index so merging partial folds reproduces a fold in
+// restart order exactly: Better is a preorder (feasibility, then strict
+// objective), and ties go to the earlier restart, so (Better,
+// lowest-index) is the total order every schedule minimizes.
 type rheFold struct {
 	best    Solution
 	bestIdx int // restart index of best; -1 while empty

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,7 +12,9 @@ import (
 
 // TestParallelRHEMatchesSequential is the determinism contract of the
 // worker-pool solver: for any fixed seed, the Solution must be
-// byte-identical no matter how many workers execute the restarts.
+// byte-identical no matter how many workers execute the restarts. The
+// pool is sized by GOMAXPROCS, so the test swaps it: one worker at
+// GOMAXPROCS 1, up to eight above.
 func TestParallelRHEMatchesSequential(t *testing.T) {
 	tuples := miningTuples(900, 31)
 	c := buildCube(t, tuples, cube.Config{RequireState: true, MinSupport: 8, MaxAVPairs: 2})
@@ -21,15 +24,13 @@ func TestParallelRHEMatchesSequential(t *testing.T) {
 			s.Seed = seed
 			s.Restarts = 12
 
-			s.Workers = 1
-			seq := solve(t, newProblem(t, task, c, s))
+			seq := solveAt(t, 1, newProblem(t, task, c, s))
 
-			for _, workers := range []int{2, 4, 8} {
-				s.Workers = workers
-				par := solve(t, newProblem(t, task, c, s))
+			for _, procs := range []int{2, 4, 8} {
+				par := solveAt(t, procs, newProblem(t, task, c, s))
 				if !reflect.DeepEqual(seq, par) {
-					t.Fatalf("%v seed %d: workers=%d diverged:\nseq %+v\npar %+v",
-						task, seed, workers, seq, par)
+					t.Fatalf("%v seed %d: GOMAXPROCS=%d diverged:\nseq %+v\npar %+v",
+						task, seed, procs, seq, par)
 				}
 			}
 		}
@@ -43,14 +44,13 @@ func TestParallelRHESharedProblem(t *testing.T) {
 	tuples := miningTuples(700, 37)
 	c := buildCube(t, tuples, cube.Config{RequireState: true, MinSupport: 8, MaxAVPairs: 2})
 	s := DefaultSettings()
-	s.Workers = 4
 	s.Restarts = 16
 	p := newProblem(t, DiversityMining, c, s)
-	first := solve(t, p)
+	first := solveAt(t, 4, p)
 	if !first.Feasible {
 		t.Fatal("infeasible")
 	}
-	second := solve(t, p)
+	second := solveAt(t, 4, p)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("repeated parallel solves diverged: %+v vs %+v", first, second)
 	}
@@ -76,8 +76,8 @@ func TestSolveRHECtxCancelMidMine(t *testing.T) {
 	s := DefaultSettings()
 	s.Restarts = 10_000
 	s.MaxIters = 10_000
-	s.Workers = 2
 	p := newProblem(t, SimilarityMining, c, s)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -97,10 +97,8 @@ func TestWorkersDoNotChangeEvals(t *testing.T) {
 	tuples := miningTuples(600, 47)
 	c := buildCube(t, tuples, cube.Config{RequireState: true, MinSupport: 8, MaxAVPairs: 2})
 	s := DefaultSettings()
-	s.Workers = 1
-	base := solve(t, newProblem(t, SimilarityMining, c, s)).Evals
-	s.Workers = 6
-	if got := solve(t, newProblem(t, SimilarityMining, c, s)).Evals; got != base {
+	base := solveAt(t, 1, newProblem(t, SimilarityMining, c, s)).Evals
+	if got := solveAt(t, 6, newProblem(t, SimilarityMining, c, s)).Evals; got != base {
 		t.Fatalf("Evals varies with workers: %d vs %d", got, base)
 	}
 }

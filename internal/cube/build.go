@@ -51,13 +51,10 @@ type Config struct {
 	// condition, the paper's demo mode ("each of the groups always specify
 	// the state as their geo condition").
 	RequireState bool
-	// EnableCity lets the City attribute participate in candidate
-	// enumeration (off by default: state-level mining then pays nothing
-	// for the extra attribute).
-	EnableCity bool
 	// RequireCity restricts candidates to groups carrying a city
-	// condition — drill-down mining inside a state group. Implies
-	// EnableCity.
+	// condition — drill-down mining inside a state group. It is the one
+	// mode in which City enters a candidate: without it, state-level
+	// mining pays nothing for the extra attribute.
 	RequireCity bool
 	// MinSupport prunes cells covering fewer tuples. The paper requires
 	// each returned group to "cover a reasonable fraction" of ratings;
@@ -330,13 +327,12 @@ func buildCells(tuples []Tuple, cfg Config, free []Attr, lo, hi int) map[Key]*ce
 	return cells
 }
 
+// freeAttrs lists the attributes a cell may leave Wildcard or constrain.
+// City is never free: a RequireCity cube fixes it, any other leaves it out.
 func freeAttrs(cfg Config) []Attr {
 	free := make([]Attr, 0, NumAttrs)
 	for a := 0; a < NumAttrs; a++ {
-		switch {
-		case cfg.RequireState && Attr(a) == State:
-			continue
-		case Attr(a) == City && (cfg.RequireCity || !cfg.EnableCity):
+		if Attr(a) == City || (cfg.RequireState && Attr(a) == State) {
 			continue
 		}
 		free = append(free, Attr(a))

@@ -473,7 +473,7 @@ func TestBuildWithCityDisabledIgnoresCity(t *testing.T) {
 	c := Build(tuples, Config{RequireState: true, MinSupport: 1, MaxAVPairs: 3, SkipApex: true})
 	for i := range c.Groups {
 		if c.Groups[i].Key.Has(City) {
-			t.Fatalf("city condition leaked into %v with EnableCity=false", c.Groups[i].Key)
+			t.Fatalf("city condition leaked into %v without RequireCity", c.Groups[i].Key)
 		}
 	}
 }
@@ -499,30 +499,6 @@ func TestBuildRequireCity(t *testing.T) {
 	sf, ok := c.Group(KeyAll.With(City, CityIndex("San Francisco")))
 	if !ok || sf.Mean() != 2 {
 		t.Errorf("SF group wrong: %v", sf)
-	}
-}
-
-func TestBuildEnableCityAgainstBruteForce(t *testing.T) {
-	tuples := cityTuples(80)
-	c := Build(tuples, Config{EnableCity: true, MinSupport: 1, MaxAVPairs: 2, SkipApex: true})
-	foundCityCell := false
-	for gi := range c.Groups {
-		g := &c.Groups[gi]
-		if g.Key.Has(City) {
-			foundCityCell = true
-		}
-		var want Agg
-		for ti := range tuples {
-			if g.Key.Matches(tuples[ti].Vals) {
-				want.Add(tuples[ti].Score)
-			}
-		}
-		if g.Agg != want {
-			t.Fatalf("group %v agg %+v, brute force %+v", g.Key, g.Agg, want)
-		}
-	}
-	if !foundCityCell {
-		t.Error("EnableCity produced no city cells")
 	}
 }
 

@@ -13,8 +13,8 @@ const fuzzTupleBytes = NumAttrs + 2
 const maxFuzzTuples = 512
 
 // decodeFuzzBuild turns fuzz bytes into a config and a tuple set. The
-// first three bytes are the config: flag bits (RequireState, EnableCity,
-// RequireCity, SkipApex), MinSupport 0–5 and MaxAVPairs 0–5. Every later
+// first three bytes are the config: flag bits (1 RequireState, 4
+// RequireCity, 8 SkipApex), MinSupport 0–5 and MaxAVPairs 0–5. Every later
 // fuzzTupleBytes-sized chunk is one tuple whose attribute values are each
 // in range or Wildcard.
 func decodeFuzzBuild(data []byte) (Config, []Tuple) {
@@ -22,7 +22,6 @@ func decodeFuzzBuild(data []byte) (Config, []Tuple) {
 	copy(hdr[:], data)
 	cfg := Config{
 		RequireState: hdr[0]&1 != 0,
-		EnableCity:   hdr[0]&2 != 0,
 		RequireCity:  hdr[0]&4 != 0,
 		SkipApex:     hdr[0]&8 != 0,
 		MinSupport:   int(hdr[1] % 6),
@@ -71,7 +70,7 @@ func FuzzBuildMatchesReference(f *testing.F) {
 	}
 	f.Add(encode([3]byte{1 | 8, 12, 3}, randomTuples(64, 1)))
 	f.Add(encode([3]byte{0, 1, 0}, wildcardedTuples(64, 2)))
-	f.Add(encode([3]byte{2 | 8, 2, 3}, trafficTuples(128, 3)))
+	f.Add(encode([3]byte{4 | 8, 2, 3}, trafficTuples(128, 3)))
 	f.Add(encode([3]byte{1 | 4 | 8, 2, 4}, trafficTuples(128, 4)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -149,10 +149,10 @@ func TestBuildMatchesReference(t *testing.T) {
 		{RequireState: false, MinSupport: 1},                                // no pruning
 		{RequireState: true, MinSupport: 8, MaxAVPairs: 2, SkipApex: true},
 		{RequireState: false, MinSupport: 5, MaxAVPairs: 3},
-		{RequireState: true, EnableCity: true, MinSupport: 3, MaxAVPairs: 3, SkipApex: true},
+		{RequireState: true, MinSupport: 3, MaxAVPairs: 3, SkipApex: true},
 		{RequireCity: true, MinSupport: 3, MaxAVPairs: 4, SkipApex: true}, // drill-down mining
 		{RequireState: true, RequireCity: true, MinSupport: 2, MaxAVPairs: 4, SkipApex: true},
-		{EnableCity: true, MinSupport: 2, MaxAVPairs: 1, SkipApex: false},
+		{MinSupport: 2, MaxAVPairs: 1, SkipApex: false},
 	}
 	for _, ds := range datasets {
 		t.Run(ds.name, func(t *testing.T) {

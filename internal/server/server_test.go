@@ -741,3 +741,26 @@ func TestFrameworkModeClicks(t *testing.T) {
 		t.Fatal("no explore links on the framework-mode pages")
 	}
 }
+
+// TestPagesCarryNoETag: the HTML pages run the same ops as /api/v1 but
+// are not ops themselves, so they answer 200 without an entity tag.
+func TestPagesCarryNoETag(t *testing.T) {
+	ts := testServer(t)
+	q := url.QueryEscape(`movie:"Toy Story"`)
+	for _, p := range []string{
+		"/explain?q=" + q,
+		"/group?q=" + q + "&key=" + url.QueryEscape("state=CA"),
+		"/evolution?q=" + q,
+		"/browse",
+	} {
+		resp, err := http.Get(ts.URL + p)
+		if err != nil {
+			t.Fatalf("GET %s: %v", p, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("ETag"); resp.StatusCode != http.StatusOK || got != "" {
+			t.Errorf("%s: status=%d etag=%q, want 200 without a tag", p, resp.StatusCode, got)
+		}
+	}
+}

@@ -89,6 +89,17 @@ type Map struct {
 	Shades []Shade
 }
 
+// MapTitle is the one title rule for a mining task's map, shared by the
+// engine's rendering and every front-end that draws the v1 explain
+// document: task is the task's code ("SM" or "DM").
+func MapTitle(task, query string, ratings int, overallMean float64) string {
+	name := "Similarity Mining (reviewers who agree)"
+	if task == "DM" {
+		name = "Diversity Mining (reviewers who disagree)"
+	}
+	return fmt.Sprintf("%s — %s (%d ratings, overall μ=%.2f)", name, query, ratings, overallMean)
+}
+
 // Tiles is the one tile rule every rendering of a map shares (SVG,
 // ASCII and the v1 GeoJSON layer): per state, the shade with the most
 // ratings fills the tile, the earlier shade winning ties. Tiles come in

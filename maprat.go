@@ -250,12 +250,6 @@ type ExplainRequest struct {
 	Settings Settings
 	// Tasks defaults to both sub-problems.
 	Tasks []Task
-	// DisableCache bypasses the store's result cache AND the plan
-	// materialization tier: the full resolve → gather → cube → mine
-	// pipeline runs from scratch, paying the packed cube build and a
-	// fresh coverage-bitset build (BenchmarkColdExplain measures this
-	// path).
-	DisableCache bool
 	// DisableRelax fails immediately on an unsatisfiable coverage
 	// constraint instead of relaxing α stepwise (the web demo relaxes so
 	// every query renders something).
@@ -378,7 +372,7 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 
 	base := e.cubeConfig(req.Query, nil)
 	planKey := PlanKey(req.Query, base)
-	if req.DisableCache || e.st.Cache() == nil {
+	if e.st.Cache() == nil {
 		ex, err := e.explainUncached(ctx, req, base, planKey, start)
 		if err != nil {
 			return nil, err
@@ -431,16 +425,11 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 
 // explainUncached executes the mining pipeline, bypassing the result
 // cache and its singleflight. The pre-mining stages still come from the
-// plan materialization tier, fetched under planKey, unless the request
-// disables caching.
+// plan materialization tier, fetched under planKey; an engine opened with
+// both tiers off (CacheSize and PlanCacheTuples 0) runs every stage from
+// scratch, the cold path BenchmarkColdExplain measures.
 func (e *Engine) explainUncached(ctx context.Context, req ExplainRequest, base cube.Config, planKey string, start time.Time) (*Explanation, error) {
-	var p *store.Plan
-	var err error
-	if req.DisableCache {
-		p, err = e.buildPlan(req.Query, base)
-	} else {
-		p, err = e.planForKey(ctx, req.Query, base, planKey)
-	}
+	p, err := e.planForKey(ctx, req.Query, base, planKey)
 	if err != nil {
 		return nil, err
 	}
@@ -719,8 +708,7 @@ func groupResult(g *cube.Group, total int) GroupResult {
 // cacheKey derives the result-cache key of an epoch-resolved request
 // from its plan key. Every result-affecting setting participates, floats
 // in their shortest exact form (%v), so settings that differ in any digit
-// never share an entry; Workers is left out on purpose — it is
-// result-neutral by construction.
+// never share an entry.
 //
 // The epoch enters as v=, the version of the plan the result is mined
 // from: the first epoch of the plan tier's version covering the request's
@@ -743,10 +731,9 @@ func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
 		planKey, version, settingsKey(req.Settings), req.Tasks, !req.DisableRelax)
 }
 
-// settingsKey formats every result-affecting Settings field for a cache
-// or memo key, floats in their shortest exact form (%v) so settings that
-// differ in any digit never share an entry. Workers is left out: it
-// never changes a result.
+// settingsKey formats every Settings field for a cache or memo key,
+// floats in their shortest exact form (%v) so settings that differ in any
+// digit never share an entry.
 func settingsKey(s Settings) string {
 	return fmt.Sprintf("k=%d|a=%v|l=%v|sb=%v|p=%v|seed=%d|r=%d|mi=%d|ss=%d",
 		s.K, s.Coverage, s.Lambda, s.SiblingBoost, s.Profile, s.Seed,
@@ -1107,7 +1094,7 @@ func (e *Engine) EvolutionContext(ctx context.Context, req ExplainRequest) ([]Ev
 func RenderExploration(ex *Explanation) *viz.Exploration {
 	out := &viz.Exploration{Query: ex.Query.String()}
 	for _, tr := range ex.Results {
-		m := viz.Map{Title: taskTitle(tr.Task, ex)}
+		m := viz.Map{Title: viz.MapTitle(tr.Task.String(), ex.Query.String(), ex.NumRatings, ex.Overall.Mean())}
 		for _, g := range tr.Groups {
 			m.Shades = append(m.Shades, viz.Shade{
 				State:   g.State,
@@ -1120,13 +1107,4 @@ func RenderExploration(ex *Explanation) *viz.Exploration {
 		out.Maps = append(out.Maps, m)
 	}
 	return out
-}
-
-func taskTitle(t Task, ex *Explanation) string {
-	name := "Similarity Mining (reviewers who agree)"
-	if t == DiversityMining {
-		name = "Diversity Mining (reviewers who disagree)"
-	}
-	return fmt.Sprintf("%s — %s (%d ratings, overall μ=%.2f)",
-		name, ex.Query.String(), ex.NumRatings, ex.Overall.Mean())
 }

@@ -14,6 +14,9 @@ import (
 var (
 	engOnce sync.Once
 	engMemo *Engine
+
+	coldOnce sync.Once
+	coldMemo *Engine
 )
 
 // testEngine memoizes one engine over the small synthetic dataset.
@@ -30,6 +33,30 @@ func testEngine(t testing.TB) *Engine {
 		}
 	})
 	return engMemo
+}
+
+// coldOptions turns the result cache and the plan tier both off: an
+// engine opened with them runs resolve, gather, cube build and mining
+// from scratch on every read, the oracle the cached paths are checked
+// against.
+func coldOptions() *Options {
+	o := DefaultOptions()
+	o.Store.CacheSize, o.Store.PlanCacheTuples = 0, 0
+	return &o
+}
+
+// testColdEngine memoizes one cold engine over testEngine's dataset.
+func testColdEngine(t testing.TB) *Engine {
+	t.Helper()
+	ds := testEngine(t).Dataset()
+	coldOnce.Do(func() {
+		var err error
+		coldMemo, err = Open(ds, coldOptions())
+		if err != nil {
+			panic(err)
+		}
+	})
+	return coldMemo
 }
 
 func mustQuery(t testing.TB, e *Engine, s string) Query {
@@ -110,12 +137,15 @@ func TestExplainCacheHit(t *testing.T) {
 	if second.NumRatings != first.NumRatings || len(second.Results) != len(first.Results) {
 		t.Error("cached explanation differs")
 	}
-	third, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.FromCache {
-		t.Error("DisableCache still hit the cache")
+	cold := testColdEngine(t)
+	for i := 0; i < 2; i++ {
+		ex, err := cold.ExplainContext(t.Context(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.FromCache {
+			t.Errorf("call %d on a cache-off engine claims a cache hit", i)
+		}
 	}
 }
 
@@ -388,13 +418,13 @@ func TestRenderExploration(t *testing.T) {
 }
 
 func TestDeterministicExplain(t *testing.T) {
-	e := testEngine(t)
+	e := testColdEngine(t)
 	q := mustQuery(t, e, `movie:"Jurassic Park"`)
-	a, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
+	a, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
+	b, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}

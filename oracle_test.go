@@ -35,18 +35,18 @@ func oracleQueries(t *testing.T, e *Engine) []Query {
 	return append(qs, genre)
 }
 
-// oracleRead runs one explain through the caches and the same request
-// with every cache disabled, and fails unless the two answers agree in
-// every field but FromCache and Elapsed. Callers hold the epoch still
-// between the two reads, so an unpinned request resolves to the same
-// epoch both times.
-func oracleRead(t *testing.T, e *Engine, q Query) (*Explanation, []byte) {
+// oracleRead runs one explain through e's caches and the same request on
+// ref, an engine with every cache disabled at the same epoch, and fails
+// unless the two answers agree in every field but FromCache and Elapsed.
+// Callers hold the epoch still between the two reads, so an unpinned
+// request resolves to the same epoch both times.
+func oracleRead(t *testing.T, e, ref *Engine, q Query) (*Explanation, []byte) {
 	t.Helper()
 	got, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatalf("explain %s @%d: %v", q, q.Epoch, err)
 	}
-	want, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
+	want, err := ref.ExplainContext(t.Context(), ExplainRequest{Query: q})
 	if err != nil {
 		t.Fatalf("uncached explain %s @%d: %v", q, q.Epoch, err)
 	}
@@ -75,8 +75,8 @@ func opAnswer(t *testing.T, v any, err error) string {
 // oracleOps runs a group, a refine and a drill on key with randomly
 // drawn arguments — each read twice, so the second read can hit the
 // plan's memo — through the memoizing engine e and through ref, an
-// engine opened with the result cache off at the same epoch, and fails
-// unless every answer agrees.
+// engine with every cache off at the same epoch, and fails unless every
+// answer agrees.
 func oracleOps(t *testing.T, e, ref *Engine, q Query, key Key, rnd *rand.Rand) {
 	t.Helper()
 	ctx := t.Context()
@@ -118,9 +118,8 @@ func oracleOps(t *testing.T, e, ref *Engine, q Query, key Key, rnd *rand.Rand) {
 // tier and the plans' result memos: a sequence of appends, each touching
 // the items of a random subset of the queries, interleaved with latest
 // and randomly pinned explains, groups, refines and drills and one
-// evolution sweep. Every explain must equal the same request mined with
-// every cache disabled, every other op the same request on an engine
-// opened with CacheSize 0 and fed the same appends, and a fresh engine
+// evolution sweep. Every read must equal the same request on an engine
+// with every cache disabled and fed the same appends, and a fresh engine
 // replaying a copy of the WAL must serve the same explains.
 func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	ds := ingestDataset(t)
@@ -132,9 +131,7 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	if _, err := e.EnableIngest(wal); err != nil {
 		t.Fatal(err)
 	}
-	refOpts := DefaultOptions()
-	refOpts.Store.CacheSize = 0
-	ref, err := Open(ds, &refOpts)
+	ref, err := Open(ds, coldOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +142,7 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	items := make([][]int, len(queries))
 	keys := make([]Key, len(queries))
 	for i, q := range queries {
-		ex, _ := oracleRead(t, e, q)
+		ex, _ := oracleRead(t, e, ref, q)
 		items[i] = ex.ItemIDs
 		keys[i] = ex.Result(SimilarityMining).Groups[0].Key
 	}
@@ -187,7 +184,7 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 			if rnd.Intn(2) == 0 {
 				q.Epoch = 1 + uint64(rnd.Int63n(int64(e.CurrentEpoch())))
 			}
-			if ex, _ := oracleRead(t, e, q); ex.FromCache {
+			if ex, _ := oracleRead(t, e, ref, q); ex.FromCache {
 				hits++
 			}
 			oracleOps(t, e, ref, q, keys[qi], rnd)
@@ -198,7 +195,7 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e.EvolutionContext(t.Context(), ExplainRequest{Query: q, DisableCache: true})
+			want, err := ref.EvolutionContext(t.Context(), ExplainRequest{Query: q})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,9 +218,6 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	if st := e.PlanStats(); st.MemoHits == 0 || st.MemoMisses == 0 {
 		t.Fatalf("memo hits %d, misses %d: the test does not exercise the plan memos", st.MemoHits, st.MemoMisses)
 	}
-	if st := ref.PlanStats(); st.MemoHits+st.MemoMisses != 0 {
-		t.Fatalf("the CacheSize 0 engine consulted plan memos (%d hits, %d misses)", st.MemoHits, st.MemoMisses)
-	}
 
 	// Final answers at every fourth epoch and at latest, then the same
 	// reads from a fresh engine replaying a copy of the WAL.
@@ -237,7 +231,7 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	for qi, q := range queries {
 		for _, ep := range epochs {
 			q.Epoch = ep
-			_, b := oracleRead(t, e, q)
+			_, b := oracleRead(t, e, ref, q)
 			want[fmt.Sprintf("%s@%d", q, ep)] = b
 			oracleOps(t, e, ref, q, keys[qi], rnd)
 		}
@@ -261,7 +255,7 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 	for _, q := range queries {
 		for _, ep := range epochs {
 			q.Epoch = ep
-			_, b := oracleRead(t, e2, q)
+			_, b := oracleRead(t, e2, ref, q)
 			if !bytes.Equal(b, want[fmt.Sprintf("%s@%d", q, ep)]) {
 				t.Fatalf("%s @%d: replayed engine answers differently", q, ep)
 			}

@@ -374,7 +374,8 @@ func TestMemoHitIsDeepCopy(t *testing.T) {
 // TestMemoKeyCoverage: every argument that changes a group, refine or
 // drill answer is part of its memo key, so no two of these requests on
 // one parent share an entry — each is a miss the first time and a hit
-// the second — and each answer equals the cache-off engine's.
+// the second — and each answer equals that of an engine with the result
+// cache off and the plan tier on, which never memoizes.
 func TestMemoKeyCoverage(t *testing.T) {
 	ds, err := Generate(SmallGenConfig())
 	if err != nil {
@@ -431,5 +432,8 @@ func TestMemoKeyCoverage(t *testing.T) {
 				t.Fatalf("request %d, round %d: memoized answer differs from the cache-off engine\n got %s\nwant %s", i, round, got, want)
 			}
 		}
+	}
+	if st := ref.PlanStats(); st.MemoHits+st.MemoMisses != 0 {
+		t.Fatalf("the CacheSize 0 engine consulted plan memos (%d hits, %d misses)", st.MemoHits, st.MemoMisses)
 	}
 }
