@@ -150,7 +150,6 @@ func TestExplainContextCancelMidMine(t *testing.T) {
 	q := mustQuery(t, e, `genre:Drama`)
 	s := DefaultSettings()
 	s.Restarts = 100_000
-	s.MaxIters = 100_000
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := e.ExplainContext(ctx, ExplainRequest{Query: q, Settings: s})
@@ -177,7 +176,6 @@ func TestDrillContextDeadline(t *testing.T) {
 
 	s := DefaultSettings()
 	s.Restarts = 100_000
-	s.MaxIters = 100_000
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)

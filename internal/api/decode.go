@@ -292,7 +292,7 @@ func (p Params) ExplainRequest() (maprat.ExplainRequest, error) {
 		settings.K = *p.K
 	}
 	if p.Coverage != nil {
-		if *p.Coverage < 0 || *p.Coverage > 1 {
+		if !(*p.Coverage >= 0 && *p.Coverage <= 1) {
 			return req, badRequestf("bad coverage %g (want 0..1)", *p.Coverage)
 		}
 		settings.Coverage = *p.Coverage
@@ -342,8 +342,16 @@ func (p Params) ExplainRequest() (maprat.ExplainRequest, error) {
 }
 
 // window converts the From/To years into the inclusive rating window.
+// Years are 1..9999, the years an RFC 3339 timestamp can print, which
+// also bounds the evolution sweep to one window per such year.
 func (p Params) window() (store.TimeWindow, error) {
 	var w store.TimeWindow
+	if p.From != nil && (*p.From < 1 || *p.From > 9999) {
+		return w, badRequestf("bad from year %d (want 1..9999)", *p.From)
+	}
+	if p.To != nil && (*p.To < 1 || *p.To > 9999) {
+		return w, badRequestf("bad to year %d (want 1..9999)", *p.To)
+	}
 	if p.From != nil {
 		w.From = time.Date(*p.From, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
 		w.HasFrom = true

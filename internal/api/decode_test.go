@@ -185,13 +185,16 @@ var decoderBadKnobCases = []decoderCase{
 	{"bad task name", `q=genre:Drama&tasks=xx`, `{"q":"genre:Drama","tasks":["xx"]}`},
 	{"bad geo", `q=genre:Drama&geo=sideways`, `{"q":"genre:Drama","geo":"sideways"}`},
 	{"inverted window", `q=genre:Drama&from=2001&to=1999`, `{"q":"genre:Drama","from":2001,"to":1999}`},
+	{"from year zero", `q=genre:Drama&from=0`, `{"q":"genre:Drama","from":0}`},
+	{"to year past 9999", `q=genre:Drama&to=10000`, `{"q":"genre:Drama","to":10000}`},
 }
 
-// decoderMalformedQueries are GET-only syntax failures: the values cannot
-// be expressed in the typed JSON encoding.
+// decoderMalformedQueries are GET-only failures: values the typed JSON
+// encoding cannot express (text where a number goes, NaN).
 var decoderMalformedQueries = []string{
 	`q=genre:Drama&k=abc`, `q=genre:Drama&coverage=x`, `q=genre:Drama&seed=x`,
 	`q=genre:Drama&relax=maybe`, `q=genre:Drama&from=abcd`, `q=genre:Drama&limit=x`,
+	`q=genre:Drama&coverage=NaN`,
 }
 
 // TestV1DecoderBadKnobs pins validation failures: every bad knob is a
@@ -218,10 +221,14 @@ func TestV1DecoderBadKnobs(t *testing.T) {
 		})
 	}
 
-	// Syntactically malformed values only exist in the GET encoding.
+	// Malformed values (and NaN) only exist in the GET encoding.
 	for _, q := range decoderMalformedQueries {
 		r := httptest.NewRequest("GET", "/api/v1/explain?"+encodeQuery(q), nil)
-		if _, err := DecodeParams(r); err == nil || !isBadRequest(err) {
+		p, err := DecodeParams(r)
+		if err == nil {
+			_, err = p.ExplainRequest()
+		}
+		if err == nil || !isBadRequest(err) {
 			t.Errorf("query %q: err = %v, want bad request", q, err)
 		}
 	}

@@ -117,6 +117,12 @@ func TestNewProblemValidation(t *testing.T) {
 	if _, err := NewProblem(SimilarityMining, c, s); err == nil {
 		t.Error("coverage > 1 accepted")
 	}
+	// NaN fails every comparison, so it must not slip past the range check
+	// into the feasibility bound.
+	s.Coverage = math.NaN()
+	if _, err := NewProblem(SimilarityMining, c, s); err == nil || err == ErrInfeasible {
+		t.Errorf("coverage NaN: got %v, want a validation error", err)
+	}
 	s = DefaultSettings()
 	s.K = 1
 	if _, err := NewProblem(DiversityMining, c, s); err == nil {

@@ -250,7 +250,7 @@ func TestObjectiveMatchesDirectFormula(t *testing.T) {
 		if got := sm.Objective(sel); math.Float64bits(got) != math.Float64bits(smErr) {
 			t.Fatalf("SM objective(%v) = %v, direct formula %v", sel, got, smErr)
 		}
-		if got, want := dm.Objective(sel), s.Lambda*smErr-gap; math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := dm.Objective(sel), smErr-gap; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("DM objective(%v) = %v, direct formula %v", sel, got, want)
 		}
 	}

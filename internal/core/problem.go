@@ -46,7 +46,7 @@ func (t Task) String() string {
 }
 
 // Settings are the optimization knobs exposed by the Figure-1 search form
-// plus the solver parameters.
+// plus the solver's restart count and seed.
 type Settings struct {
 	// K is the maximum number of returned groups ("small enough, not to
 	// overwhelm a user"; the demo shows the best three).
@@ -54,8 +54,6 @@ type Settings struct {
 	// Coverage is α: the fraction of R_I the selected groups must jointly
 	// cover (the form's "rating coverage" setting).
 	Coverage float64
-	// Lambda weighs internal consistency inside the DM objective.
-	Lambda float64
 	// SiblingBoost is the DM pair weight for sibling groups (>1 prefers
 	// the paper's same-demographic-except-one-attribute controversies).
 	SiblingBoost float64
@@ -64,12 +62,8 @@ type Settings struct {
 	// description does not contradict any attribute the profile fixes.
 	Profile cube.Key
 
-	// Restarts, MaxIters and SampleSize parameterize RHE: the number of
-	// randomized restarts, the hill-climb step cap per restart, and the
-	// number of candidate replacements examined per position per step.
-	Restarts   int
-	MaxIters   int
-	SampleSize int
+	// Restarts is the number of randomized RHE restarts.
+	Restarts int
 	// Seed makes every solver deterministic.
 	Seed int64
 }
@@ -81,12 +75,9 @@ func DefaultSettings() Settings {
 	return Settings{
 		K:            3,
 		Coverage:     0.20,
-		Lambda:       1.0,
 		SiblingBoost: 2.0,
 		Profile:      cube.KeyAll,
 		Restarts:     16,
-		MaxIters:     60,
-		SampleSize:   48,
 		Seed:         1,
 	}
 }
@@ -95,17 +86,11 @@ func (s *Settings) normalize() error {
 	if s.K <= 0 {
 		return fmt.Errorf("core: K = %d must be positive", s.K)
 	}
-	if s.Coverage < 0 || s.Coverage > 1 {
+	if !(s.Coverage >= 0 && s.Coverage <= 1) {
 		return fmt.Errorf("core: coverage α = %f outside [0,1]", s.Coverage)
 	}
 	if s.Restarts <= 0 {
 		s.Restarts = 1
-	}
-	if s.MaxIters <= 0 {
-		s.MaxIters = 1
-	}
-	if s.SampleSize <= 0 {
-		s.SampleSize = 16
 	}
 	if s.SiblingBoost <= 0 {
 		s.SiblingBoost = 1
@@ -155,7 +140,7 @@ type Problem struct {
 	// Restart scratch: the generator each restart re-seeds, the sampled
 	// neighbourhood, and the per-position swap evaluator.
 	gen       *rand.Rand
-	sampleBuf []int
+	sampleBuf [rheSampleSize]int
 	swap      swapEval
 
 	// Coverage engine state (see coverage.go). bits is the cube's cached
@@ -285,7 +270,7 @@ func (p *Problem) scratchClone() *Problem {
 	q.base = make([]uint64, words)
 	q.trialBuf, q.dropBuf = nil, nil
 	q.stamp, q.stampGen = make([]uint32, len(p.Cube.Groups)), 0
-	q.gen, q.sampleBuf, q.swap = nil, nil, swapEval{}
+	q.gen, q.swap = nil, swapEval{}
 	if p.refCoverage {
 		q.mark = make([]int32, len(p.Cube.Tuples))
 		q.epoch = 0
@@ -327,7 +312,7 @@ func (p *Problem) Objective(sel []int) float64 {
 	case SimilarityMining:
 		return p.smError(sel)
 	case DiversityMining:
-		return p.Settings.Lambda*p.smError(sel) - p.pairGap(sel)
+		return p.smError(sel) - p.pairGap(sel)
 	}
 	return math.Inf(1)
 }
@@ -475,7 +460,7 @@ func (e *swapEval) objective(p *Problem, cand int) float64 {
 	for _, t := range e.terms {
 		gap += t
 	}
-	return p.Settings.Lambda*sm - gap/float64(len(e.terms))
+	return sm - gap/float64(len(e.terms))
 }
 
 // minGroups is the smallest admissible selection size for the task.

@@ -12,12 +12,18 @@ import (
 	"repro/internal/rng"
 )
 
-// rhePatience is how many fresh neighbourhood samples a restart draws
-// after one shows no improving move, before declaring a local optimum.
-// The neighbourhood is sampled, so a single empty sample is weak evidence
-// of local optimality when the candidate set is much larger than the
-// sample.
-const rhePatience = 3
+// RHE's fixed search budget. rhePatience is how many fresh neighbourhood
+// samples a restart draws after one shows no improving move, before
+// declaring a local optimum. The neighbourhood is sampled, so a single
+// empty sample is weak evidence of local optimality when the candidate
+// set is much larger than the sample. rheMaxIters caps the hill-climb
+// steps of one restart; rheSampleSize is the number of candidate
+// replacements examined per position per step.
+const (
+	rhePatience   = 3
+	rheMaxIters   = 60
+	rheSampleSize = 48
+)
 
 // SolveRHECtx runs Randomized Hill Exploration: repeated randomized
 // restarts, each drawing a random coverage-repaired selection and
@@ -158,11 +164,11 @@ func (p *Problem) runRestart(ctx context.Context, r int) restartResult {
 	// Re-sampling only helps when the sample cannot already cover the
 	// whole candidate set.
 	patience := rhePatience
-	if p.Settings.SampleSize >= len(p.cands) {
+	if rheSampleSize >= len(p.cands) {
 		patience = 1
 	}
 	misses := 0
-	for iter := 0; iter < p.Settings.MaxIters && misses < patience; iter++ {
+	for iter := 0; iter < rheMaxIters && misses < patience; iter++ {
 		if ctx.Err() != nil {
 			return restartResult{}
 		}
@@ -246,9 +252,10 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 	return sel, float64(p.coveredCount(sel)) >= p.required()
 }
 
-// bestSampledMove examines a sampled neighbourhood — swapping each position
-// with SampleSize candidates, dropping a position, adding a candidate — and
-// returns the best feasible selection that improves on curObj.
+// bestSampledMove examines a sampled neighbourhood — swapping each
+// position with rheSampleSize candidates, dropping a position, adding a
+// candidate — and returns the best feasible selection that improves on
+// curObj.
 //
 // Each trial is tested cheapest first: size and duplicates, then the
 // objective against the best so far, and only for an improving trial its
@@ -387,8 +394,8 @@ func (p *Problem) bestSampledMoveRef(rng *rand.Rand, sel []int, curObj float64) 
 	return bestSel, bestObj, evals, true
 }
 
-// sampleCandidates draws up to SampleSize distinct candidates outside the
-// current selection: the support-sorted head (always worth trying), for
+// sampleCandidates draws up to rheSampleSize distinct candidates outside
+// the current selection: the support-sorted head (always worth trying), for
 // Diversity Mining additionally the extreme-mean head (small groups with
 // far-out averages are exactly what the DM reward wants, and uniform
 // sampling almost never surfaces them), and uniform random exploration for
@@ -402,10 +409,7 @@ func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) []int {
 	for _, gi := range sel {
 		p.stamp[gi] = gen
 	}
-	n := p.Settings.SampleSize
-	if cap(p.sampleBuf) < n {
-		p.sampleBuf = make([]int, 0, n)
-	}
+	const n = rheSampleSize
 	out := p.sampleBuf[:0] // never grows: every take stops at n
 	take := func(list []int, quota int) {
 		for _, gi := range list {

@@ -75,7 +75,6 @@ func TestSolveRHECtxCancelMidMine(t *testing.T) {
 	c := buildCube(t, tuples, cube.Config{RequireState: true, MinSupport: 4, MaxAVPairs: 3})
 	s := DefaultSettings()
 	s.Restarts = 10_000
-	s.MaxIters = 10_000
 	p := newProblem(t, SimilarityMining, c, s)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 

@@ -54,7 +54,8 @@ type (
 	Key = cube.Key
 	// Agg is a group rating aggregate (count / mean / stddev).
 	Agg = cube.Agg
-	// Settings are the mining knobs (K, coverage α, RHE parameters).
+	// Settings are the mining knobs (K, coverage α, sibling boost,
+	// profile, RHE restarts and seed).
 	Settings = core.Settings
 	// Task selects a mining sub-problem.
 	Task = core.Task
@@ -706,9 +707,8 @@ func groupResult(g *cube.Group, total int) GroupResult {
 }
 
 // cacheKey derives the result-cache key of an epoch-resolved request
-// from its plan key. Every result-affecting setting participates, floats
-// in their shortest exact form (%v), so settings that differ in any digit
-// never share an entry.
+// from its plan key, the six Settings fields (settingsKey), the tasks and
+// the relax flag: everything that changes the mined result.
 //
 // The epoch enters as v=, the version of the plan the result is mined
 // from: the first epoch of the plan tier's version covering the request's
@@ -731,13 +731,12 @@ func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
 		planKey, version, settingsKey(req.Settings), req.Tasks, !req.DisableRelax)
 }
 
-// settingsKey formats every Settings field for a cache or memo key,
+// settingsKey formats all six Settings fields for a cache or memo key,
 // floats in their shortest exact form (%v) so settings that differ in any
 // digit never share an entry.
 func settingsKey(s Settings) string {
-	return fmt.Sprintf("k=%d|a=%v|l=%v|sb=%v|p=%v|seed=%d|r=%d|mi=%d|ss=%d",
-		s.K, s.Coverage, s.Lambda, s.SiblingBoost, s.Profile, s.Seed,
-		s.Restarts, s.MaxIters, s.SampleSize)
+	return fmt.Sprintf("k=%d|a=%v|sb=%v|p=%v|seed=%d|r=%d",
+		s.K, s.Coverage, s.SiblingBoost, s.Profile, s.Seed, s.Restarts)
 }
 
 // memoized serves one result from the memo of the plan it is computed

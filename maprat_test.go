@@ -150,8 +150,8 @@ func TestExplainCacheHit(t *testing.T) {
 }
 
 // TestExplainCacheKeyExactFloats: settings that differ below the old
-// key's printed precision (coverage at 3 decimals, λ and the sibling
-// boost at 2) must not share a cached result.
+// key's printed precision (coverage at 3 decimals, the sibling boost at
+// 2) must not share a cached result.
 func TestExplainCacheKeyExactFloats(t *testing.T) {
 	e := testEngine(t)
 	q := mustQuery(t, e, `movie:"Jaws"`)
@@ -161,7 +161,6 @@ func TestExplainCacheKeyExactFloats(t *testing.T) {
 		a, b float64
 	}{
 		{"coverage", func(s *Settings, v float64) { s.Coverage = v }, 0.2001, 0.2004},
-		{"lambda", func(s *Settings, v float64) { s.Lambda = v }, 0.501, 0.504},
 		{"sibling boost", func(s *Settings, v float64) { s.SiblingBoost = v }, 1.501, 1.504},
 	} {
 		req := func(v float64) ExplainRequest {
@@ -185,6 +184,32 @@ func TestExplainCacheKeyExactFloats(t *testing.T) {
 					t.Errorf("%v relaxed coverage = %g, want %g", tr.Task, tr.RelaxedCoverage, c.b)
 				}
 			}
+		}
+	}
+}
+
+// TestSettingsKeyCoversEveryField: a Settings field the result and memo
+// keys leave out would let two requests that mine differently share an
+// entry. Each field is moved off its default in turn, and the key must
+// move with it.
+func TestSettingsKeyCoversEveryField(t *testing.T) {
+	base := DefaultSettings()
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		s := base
+		f := reflect.ValueOf(&s).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.5)
+		case reflect.Array:
+			f.Index(0).SetInt(f.Index(0).Int() + 1)
+		default:
+			t.Fatalf("Settings.%s: no change defined for kind %v", typ.Field(i).Name, f.Kind())
+		}
+		if settingsKey(s) == settingsKey(base) {
+			t.Errorf("settingsKey ignores Settings.%s", typ.Field(i).Name)
 		}
 	}
 }
