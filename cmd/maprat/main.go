@@ -173,11 +173,11 @@ func runLocal(ctx context.Context, w io.Writer, eng maprat.Miner, o runOpts) err
 	if err != nil {
 		return err
 	}
-	v, err := call(ctx, eng)
+	rep, err := call(ctx, eng)
 	if err != nil {
 		return err
 	}
-	render(w, v, o.color)
+	render(w, rep.Doc(), o.color)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -98,13 +99,17 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.Serv
 // datasetName resolves which dataset a request addresses, in precedence
 // order: an explicit value decoded from the body/params, the ?dataset=
 // query parameter, then the X-Maprat-Dataset header. "" means "the
-// default mount".
+// default mount". A GET's or HEAD's params are its query parameters, so
+// its caller passes ?dataset= as explicit and the query is not parsed
+// again here.
 func datasetName(r *http.Request, explicit string) string {
 	if explicit != "" {
 		return explicit
 	}
-	if q := r.URL.Query().Get("dataset"); q != "" {
-		return q
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		if q := r.URL.Query().Get("dataset"); q != "" {
+			return q
+		}
 	}
 	return r.Header.Get("X-Maprat-Dataset")
 }
@@ -143,6 +148,12 @@ func (h *Handler) requestContext(r *http.Request) (context.Context, context.Canc
 // half-written 200. Shared with internal/server's JSON handlers.
 func WriteJSON(w http.ResponseWriter, v any) {
 	body, err := encodeJSON(v)
+	writeBody(w, body, err)
+}
+
+// writeBody writes an encoded JSON body, or the 500 envelope when the
+// encode failed.
+func writeBody(w http.ResponseWriter, body []byte, err error) {
 	if err != nil {
 		writeEnvelope(w, CodeInternal, "encoding response: "+err.Error())
 		return
@@ -159,6 +170,15 @@ func WriteJSON(w http.ResponseWriter, v any) {
 // front-end whose defaults differ from the v1 ones. Every error it
 // returns is classified by CodeForError and StatusForError.
 func (h *Handler) Run(r *http.Request, op string, defaults func(*Params)) (any, *maprat.Mount, error) {
+	rep, m, err := h.run(r, op, defaults)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep.Doc(), m, nil
+}
+
+// run is Run up to the call's Reply.
+func (h *Handler) run(r *http.Request, op string, defaults func(*Params)) (*Reply, *maprat.Mount, error) {
 	p, err := DecodeParams(r)
 	if err != nil {
 		return nil, nil, err
@@ -176,19 +196,32 @@ func (h *Handler) Run(r *http.Request, op string, defaults func(*Params)) (any, 
 	}
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
-	doc, err := call(ctx, m.Engine)
-	return doc, m, err
+	rep, err := call(ctx, m.Engine)
+	return rep, m, err
 }
 
-// handleOp serves one pipeline's synchronous endpoint: Run, then write
-// the response document.
+// handleOp serves one pipeline's synchronous endpoint: run, then write
+// the reply's body. An explain's per-call facts go out as headers:
+// X-Maprat-Cache says whether the result cache answered (hit) or the
+// call mined (miss), and Server-Timing's total is the engine's time in
+// milliseconds.
 func (h *Handler) handleOp(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		doc, _, err := h.Run(r, name, nil)
+		rep, _, err := h.run(r, name, nil)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		WriteJSON(w, doc)
+		body, err := rep.encode()
+		if ex := rep.ex; ex != nil && err == nil {
+			cache := "miss"
+			if ex.FromCache {
+				cache = "hit"
+			}
+			w.Header().Set("X-Maprat-Cache", cache)
+			var buf [32]byte
+			w.Header().Set("Server-Timing", string(strconv.AppendFloat(append(buf[:0], "total;dur="...), elapsedMS(ex.Elapsed), 'f', -1, 64)))
+		}
+		writeBody(w, body, err)
 	}
 }

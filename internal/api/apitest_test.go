@@ -93,38 +93,19 @@ func envelopeCode(t *testing.T, body string) ErrorCode {
 	return env.Error.Code
 }
 
-// scrub normalizes the non-deterministic response fields (elapsed_ms,
-// from_cache — timing and cache state depend on test order) so payloads
-// can be compared byte-for-byte and pinned in golden files.
+// scrub re-indents a JSON body with sorted keys, so payloads compare
+// line by line and pin in readable golden files. It changes no value: every body is a
+// pure function of its request and data, so a field that differs
+// between two identical requests fails the comparison.
 func scrub(t *testing.T, raw string) []byte {
 	t.Helper()
 	var v any
 	if err := json.Unmarshal([]byte(raw), &v); err != nil {
 		t.Fatalf("response json: %v\n%s", err, raw)
 	}
-	scrubValue(v)
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
 	return append(out, '\n')
-}
-
-func scrubValue(v any) {
-	switch x := v.(type) {
-	case map[string]any:
-		if _, ok := x["elapsed_ms"]; ok {
-			x["elapsed_ms"] = 0.0
-		}
-		if _, ok := x["from_cache"]; ok {
-			x["from_cache"] = false
-		}
-		for _, child := range x {
-			scrubValue(child)
-		}
-	case []any:
-		for _, child := range x {
-			scrubValue(child)
-		}
-	}
 }

@@ -83,12 +83,12 @@ var contractCases = []contractCase{
 }
 
 // TestV1ContractGolden pins the exact JSON every /api/v1 endpoint
-// returns for a fixed dataset, seed and knob set. The non-deterministic
-// fields (elapsed_ms, from_cache) are scrubbed; everything else —
-// field names, group ordering, GeoJSON geometry, error gaps in the
-// evolution sweep — is part of the versioned contract and may only
-// change with a new API version (or a deliberate re-baseline via
-// -update).
+// returns for a fixed dataset, seed and knob set. Bodies are compared
+// with every value as written, only re-indented with sorted keys.
+// Everything in them — field names, group ordering, GeoJSON geometry,
+// error gaps in the evolution sweep — is part of the versioned contract
+// and may only change with a new API version (or a deliberate
+// re-baseline via -update).
 func TestV1ContractGolden(t *testing.T) {
 	for _, c := range contractCases {
 		t.Run(c.name, func(t *testing.T) {

@@ -194,18 +194,10 @@ func TestETagConditionalRequests(t *testing.T) {
 // GET with If-None-Match answers 304. The write path, which is not an op,
 // answers without a tag.
 func TestEveryReadOpHasETag(t *testing.T) {
-	reads := map[string]string{
-		"explain":   "/api/v1/explain?q=" + contractToyStory + "&k=2",
-		"group":     "/api/v1/group?q=" + contractToyStory + "&key=" + contractCAKey + "&buckets=4&limit=3",
-		"refine":    "/api/v1/refine?q=" + contractToyStory + "&key=" + contractCAKey + "&limit=5",
-		"drill":     "/api/v1/drill?q=" + contractToyStory + "&key=" + contractCAKey + "&k=2",
-		"evolution": "/api/v1/evolution?q=" + contractToyStory + "&from=1999&to=2001&k=2&tasks=sm",
-		"browse":    "/api/v1/browse",
-	}
 	ts := testServer(t)
 	for _, name := range opNames {
 		t.Run(name, func(t *testing.T) {
-			path, ok := reads[name]
+			path, ok := readPaths[name]
 			if !ok {
 				t.Fatalf("no request for op %q in the table", name)
 			}

@@ -27,6 +27,10 @@ type Feature struct {
 type Geometry struct {
 	Type        string         `json:"type"` // always "Polygon"
 	Coordinates [][][2]float64 `json:"coordinates"`
+	// encoded is Coordinates as encoding/json writes it, for a ring taken
+	// from tileRings; the writer copies it instead of formatting the
+	// floats again. A decoded or hand-built Geometry has none.
+	encoded []byte
 }
 
 // ShadeProperties carries everything a client-side choropleth needs to
@@ -55,14 +59,33 @@ const (
 	geoCellLat  = 4.0
 )
 
-// tilePolygon builds the counter-clockwise ring for a state's tile.
-func tilePolygon(row, col int) [][][2]float64 {
-	w := geoWestLon + float64(col)*geoCellLon
-	e := w + geoCellLon
-	n := geoNorthLat - float64(row)*geoCellLat
-	s := n - geoCellLat
-	return [][][2]float64{{{w, s}, {e, s}, {e, n}, {w, n}, {w, s}}}
+// tile is one state's feature geometry, built once: its name, its
+// counter-clockwise ring, and the ring encoded. Every layer's feature
+// for the state shares the ring, so callers must not modify a built
+// layer's coordinates.
+type tile struct {
+	name    string
+	ring    [][][2]float64
+	encoded []byte
 }
+
+// tileRings holds every state's tile, keyed by state code.
+var tileRings = func() map[string]tile {
+	out := map[string]tile{}
+	for _, st := range geo.States() {
+		// The products are rounded on their own (float64(...)), so no
+		// architecture fuses them into the additions.
+		w := geoWestLon + float64(float64(st.Col)*geoCellLon)
+		e := w + geoCellLon
+		n := geoNorthLat - float64(float64(st.Row)*geoCellLat)
+		s := n - geoCellLat
+		ring := [][][2]float64{{{w, s}, {e, s}, {e, n}, {w, n}, {w, s}}}
+		var enc writer
+		enc.coordinates("", ring)
+		out[st.Code] = tile{name: st.Name, ring: ring, encoded: enc.b}
+	}
+	return out
+}()
 
 // geoJSON builds a map's choropleth layer: one feature per tile of
 // viz.(*Map).Tiles, in tile order. It returns nil when no shade carries a
@@ -75,16 +98,16 @@ func geoJSON(m *viz.Map) *GeoJSON {
 	}
 	gj := &GeoJSON{Type: "FeatureCollection"}
 	for _, t := range tiles {
-		st := geo.StateByCode(t.State)
-		if st == nil {
+		st, ok := tileRings[t.State]
+		if !ok {
 			continue
 		}
 		gj.Features = append(gj.Features, Feature{
 			Type:     "Feature",
-			Geometry: Geometry{Type: "Polygon", Coordinates: tilePolygon(st.Row, st.Col)},
+			Geometry: Geometry{Type: "Polygon", Coordinates: st.ring, encoded: st.encoded},
 			Properties: ShadeProperties{
 				State: t.State,
-				Name:  st.Name,
+				Name:  st.name,
 				Mean:  t.Mean,
 				Count: t.Support,
 				Fill:  viz.Hex(t.Mean),

@@ -163,7 +163,8 @@ func acceptsGzip(r *http.Request) bool {
 // request names a dataset that is not mounted — no tag exists, and the
 // handler's own resolution will answer the 404 envelope.
 func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
-	m, ok := h.reg.Lookup(datasetName(r, ""))
+	query := r.URL.Query()
+	m, ok := h.reg.Lookup(datasetName(r, query.Get("dataset")))
 	if !ok {
 		return "", false
 	}
@@ -172,7 +173,7 @@ func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
 	// cached 304s), while a ?epoch=-pinned tag is a function of the pinned
 	// epoch and stays valid across later appends.
 	fp := m.Engine.Fingerprint()
-	if v := r.URL.Query().Get("epoch"); v != "" {
+	if v := query.Get("epoch"); v != "" {
 		if ep, err := strconv.ParseUint(v, 10, 64); err == nil && ep > 0 {
 			fp = m.Engine.FingerprintAt(ep)
 		}
@@ -180,13 +181,33 @@ func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
 		// the handler's own decode answers the 400 for garbage, and a
 		// client can never hold a tag for a request that answered 400.
 	}
+	var buf [24]byte
 	f := fnv.New64a()
 	f.Write([]byte(name))
 	f.Write([]byte{0})
-	f.Write([]byte(r.URL.Query().Encode()))
+	f.Write([]byte(query.Encode()))
 	f.Write([]byte{0})
-	fmt.Fprintf(f, "%016x", fp)
-	return fmt.Sprintf(`"mr64-%016x"`, f.Sum64()), true
+	f.Write(appendHex16(buf[:0], fp))
+	return string(append(appendHex16(append(buf[:0], `"mr64-`...), f.Sum64()), '"')), true
+}
+
+// requestID formats the n-th generated request ID as "v1-%06d".
+func requestID(n uint64) string {
+	var buf, digits [24]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	b := append(buf[:0], "v1-"...)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
+
+// appendHex16 appends v as sixteen hex digits, as %016x formats it.
+func appendHex16(b []byte, v uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hexDigits[v>>shift&0xF])
+	}
+	return b
 }
 
 // etagMatches implements the If-None-Match comparison for a strong tag:
@@ -217,7 +238,7 @@ func (h *Handler) Wrap(name string, fn http.HandlerFunc) http.Handler {
 		start := time.Now()
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
-			id = fmt.Sprintf("v1-%06d", h.reqID.Add(1))
+			id = requestID(h.reqID.Add(1))
 		}
 		w.Header().Set("X-Request-ID", id)
 		var gzw *gzipWriter

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"slices"
 
@@ -9,10 +10,44 @@ import (
 )
 
 // Call is one validated pipeline request, ready to run against a miner.
-// It returns the response document the v1 endpoint answers (an
+type Call func(ctx context.Context, m maprat.Miner) (*Reply, error)
+
+// Reply is what a Call answers: the engine's result, which Doc turns into
+// the response document, and the result's body cell. The v1 handler
+// writes the bytes stored in the cell and encodes the document only when
+// the cell holds none, so a result served from the result cache or a plan
+// memo is encoded once.
+type Reply struct {
+	doc  func() any
+	body *maprat.BodyCell
+	// ex is an explain call's result, whose per-call fields go out as
+	// headers; nil for every other op.
+	ex *maprat.Explanation
+}
+
+// Doc builds the response document the v1 endpoint answers: an
 // *ExplainResponse, *GroupResponse, *RefinementsResponse, *DrillResponse,
-// *EvolutionResponse or *BrowseResponse).
-type Call func(ctx context.Context, m maprat.Miner) (any, error)
+// *EvolutionResponse or *BrowseResponse.
+func (r *Reply) Doc() any { return r.doc() }
+
+// docReply answers a document that no cache stores.
+func docReply(doc any) *Reply {
+	return &Reply{doc: func() any { return doc }}
+}
+
+// encode returns the response body: the bytes stored in the body cell,
+// or the document encoded now and stored, at its exact length, for the
+// result's later replies.
+func (r *Reply) encode() ([]byte, error) {
+	if b := r.body.Load(); b != nil {
+		return b, nil
+	}
+	b, err := encodeJSON(r.Doc())
+	if err == nil && r.body != nil {
+		r.body.Store(bytes.Clone(b))
+	}
+	return b, err
+}
 
 // opNames lists the v1 reads in route order.
 var opNames = []string{"explain", "group", "refine", "drill", "evolution", "browse"}
@@ -49,12 +84,12 @@ func explainOp(p Params) (Call, error) {
 	if err := checkDMK(req.Settings.K, req.Tasks); err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner) (any, error) {
+	return func(ctx context.Context, m maprat.Miner) (*Reply, error) {
 		ex, err := m.ExplainContext(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		return explainDTO(ex), nil
+		return &Reply{doc: func() any { return explainDTO(ex) }, body: ex.Body, ex: ex}, nil
 	}, nil
 }
 
@@ -71,12 +106,15 @@ func groupOp(p Params) (Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner) (any, error) {
+	return func(ctx context.Context, m maprat.Miner) (*Reply, error) {
 		ge, err := m.ExploreFullContext(ctx, req.Query, key, buckets, limit)
 		if err != nil {
 			return nil, err
 		}
-		return groupResponseDTO(req.Query.String(), ge), nil
+		// The query string is in the plan key, and the key, buckets and
+		// limit in the memo key, so the body is a function of the cached
+		// result.
+		return &Reply{doc: func() any { return groupResponseDTO(req.Query.String(), ge) }, body: ge.Body}, nil
 	}, nil
 }
 
@@ -89,16 +127,16 @@ func refineOp(p Params) (Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner) (any, error) {
+	return func(ctx context.Context, m maprat.Miner) (*Reply, error) {
 		refs, err := m.RefineGroupContext(ctx, req.Query, key, limit)
 		if err != nil {
 			return nil, err
 		}
-		return &RefinementsResponse{
+		return docReply(&RefinementsResponse{
 			Query:       req.Query.String(),
 			Key:         key.Param(),
 			Refinements: refinementDTOs(refs),
-		}, nil
+		}), nil
 	}, nil
 }
 
@@ -114,16 +152,20 @@ func drillOp(p Params) (Call, error) {
 	if err := checkDMK(req.Settings.K, []maprat.Task{task}); err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner) (any, error) {
+	return func(ctx context.Context, m maprat.Miner) (*Reply, error) {
 		tr, err := m.DrillMineContext(ctx, req.Query, key, task, req.Settings)
 		if err != nil {
 			return nil, err
 		}
-		return &DrillResponse{
-			Query:  req.Query.String(),
-			Parent: key.Param(),
-			Result: taskResultDTO(*tr),
-		}, nil
+		// The query string is in the plan key and the parent key in the
+		// memo key, so the body is a function of the cached result.
+		return &Reply{doc: func() any {
+			return &DrillResponse{
+				Query:  req.Query.String(),
+				Parent: key.Param(),
+				Result: taskResultDTO(*tr),
+			}
+		}, body: tr.Body}, nil
 	}, nil
 }
 
@@ -135,12 +177,12 @@ func evolutionOp(p Params) (Call, error) {
 	if err := checkDMK(req.Settings.K, req.Tasks); err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, m maprat.Miner) (any, error) {
+	return func(ctx context.Context, m maprat.Miner) (*Reply, error) {
 		points, err := m.EvolutionContext(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		return evolutionDTO(req.Query.String(), points), nil
+		return docReply(evolutionDTO(req.Query.String(), points)), nil
 	}, nil
 }
 
@@ -151,7 +193,7 @@ func browseOp(p Params) (Call, error) {
 	if p.Epoch != nil {
 		epoch = *p.Epoch
 	}
-	return func(_ context.Context, m maprat.Miner) (any, error) {
+	return func(_ context.Context, m maprat.Miner) (*Reply, error) {
 		states, err := m.BrowseStatesAt(epoch)
 		if err != nil {
 			return nil, err
@@ -168,7 +210,7 @@ func browseOp(p Params) (Call, error) {
 		if resp.GeoJSON = geoJSON(&layer); resp.GeoJSON == nil {
 			resp.GeoJSON = &GeoJSON{Type: "FeatureCollection"}
 		}
-		return resp, nil
+		return docReply(resp), nil
 	}, nil
 }
 

@@ -86,8 +86,12 @@ type ExplainResponse struct {
 	OverallMean float64      `json:"overall_mean"`
 	OverallStd  float64      `json:"overall_std"`
 	Tasks       []TaskResult `json:"tasks"`
-	FromCache   bool         `json:"from_cache"`
-	ElapsedMS   float64      `json:"elapsed_ms"`
+	// FromCache and ElapsedMS describe one call, not the answer, so they
+	// stay out of the body: the v1 endpoint sends them as the
+	// X-Maprat-Cache and Server-Timing headers, and pkg/client fills them
+	// from those headers. Each evolution point leaves them zero.
+	FromCache bool    `json:"-"`
+	ElapsedMS float64 `json:"-"`
 }
 
 func explainDTO(ex *maprat.Explanation) *ExplainResponse {
@@ -98,13 +102,16 @@ func explainDTO(ex *maprat.Explanation) *ExplainResponse {
 		OverallMean: ex.Overall.Mean(),
 		OverallStd:  ex.Overall.Std(),
 		FromCache:   ex.FromCache,
-		ElapsedMS:   float64(ex.Elapsed.Microseconds()) / 1000,
+		ElapsedMS:   elapsedMS(ex.Elapsed),
 	}
 	for _, tr := range ex.Results {
 		resp.Tasks = append(resp.Tasks, taskResultDTO(tr))
 	}
 	return resp
 }
+
+// elapsedMS is d in milliseconds, to the microsecond.
+func elapsedMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // CityStat is one row of the state→city drill-down.
 type CityStat struct {

@@ -192,8 +192,6 @@ func (w *writer) explain(v *ExplainResponse) {
 	w.float(`,"overall_mean":`, v.OverallMean)
 	w.float(`,"overall_std":`, v.OverallStd)
 	list(w, `,"tasks":`, v.Tasks, (*writer).task)
-	w.bool(`,"from_cache":`, v.FromCache)
-	w.float(`,"elapsed_ms":`, v.ElapsedMS)
 	w.b = append(w.b, '}')
 }
 
@@ -235,13 +233,11 @@ func (w *writer) geojson(g *GeoJSON) {
 func (w *writer) feature(f *Feature) {
 	w.str(`{"type":`, f.Type)
 	w.str(`,"geometry":{"type":`, f.Geometry.Type)
-	list(w, `,"coordinates":`, f.Geometry.Coordinates, func(w *writer, ring *[][2]float64) {
-		list(w, "", *ring, func(w *writer, p *[2]float64) {
-			w.float("[", p[0])
-			w.float(",", p[1])
-			w.b = append(w.b, ']')
-		})
-	})
+	if g := &f.Geometry; g.encoded != nil {
+		w.b = append(append(w.b, `,"coordinates":`...), g.encoded...)
+	} else {
+		w.coordinates(`,"coordinates":`, g.Coordinates)
+	}
 	p := &f.Properties
 	w.str(`},"properties":{"state":`, p.State)
 	w.str(`,"name":`, p.Name)
@@ -255,6 +251,16 @@ func (w *writer) feature(f *Feature) {
 		w.str(`,"icons":`, p.Icons)
 	}
 	w.b = append(w.b, "}}"...)
+}
+
+func (w *writer) coordinates(prefix string, c [][][2]float64) {
+	list(w, prefix, c, func(w *writer, ring *[][2]float64) {
+		list(w, "", *ring, func(w *writer, p *[2]float64) {
+			w.float("[", p[0])
+			w.float(",", p[1])
+			w.b = append(w.b, ']')
+		})
+	})
 }
 
 func (w *writer) groupResponse(v *GroupResponse) {
@@ -417,8 +423,7 @@ func (r *reader) value(p any) {
 		r.object("type", &(*p).Type, "features", &(*p).Features)
 	case *ExplainResponse:
 		r.object("query", &p.Query, "item_ids", &p.ItemIDs, "num_ratings", &p.NumRatings,
-			"overall_mean", &p.OverallMean, "overall_std", &p.OverallStd, "tasks", &p.Tasks,
-			"from_cache", &p.FromCache, "elapsed_ms", &p.ElapsedMS)
+			"overall_mean", &p.OverallMean, "overall_std", &p.OverallStd, "tasks", &p.Tasks)
 	case *TaskResult:
 		r.object("task", &p.Task, "objective", &p.Objective, "coverage", &p.Coverage,
 			"relaxed_coverage", &p.RelaxedCoverage, "feasible", &p.Feasible, "evals", &p.Evals,

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -279,10 +280,13 @@ type TaskResult struct {
 	// RelaxedCoverage is the α actually used after automatic relaxation
 	// (equal to the requested α when no relaxation was needed).
 	RelaxedCoverage float64
+	// Body is a drill result's body cell (DrillPlan sets it). The tasks of
+	// an Explanation carry none: the Explanation's cell covers them.
+	Body *BodyCell
 }
 
 // clone returns a deep copy: the copy's Groups slice is freshly
-// allocated.
+// allocated, and the copy shares the original's body cell.
 func (tr *TaskResult) clone() *TaskResult {
 	out := *tr
 	out.Groups = slices.Clone(tr.Groups)
@@ -293,6 +297,38 @@ func (tr *TaskResult) sizeBytes() int64 {
 	return int64(unsafe.Sizeof(*tr)) + groupResultsBytes(tr.Groups)
 }
 
+// BodyCell holds the encoded response body of one result. MinePlan,
+// ExplorePlan and DrillPlan give each result a fresh cell, and every
+// copy the result cache or a plan memo hands out shares the stored
+// result's cell, so a front-end encodes a cached result once and writes
+// the stored bytes on every later hit. A stored body must be a pure
+// function of the result, and through it of the key the result is
+// cached under. A Miner wrapper that changes a result before passing it
+// on must set the result's cell to nil. Every method is safe on a nil
+// cell, which holds nothing, so a result without one is encoded on every
+// request.
+type BodyCell struct{ body atomic.Pointer[[]byte] }
+
+// Load returns the stored body, or nil when none is stored yet.
+func (c *BodyCell) Load() []byte {
+	if c == nil {
+		return nil
+	}
+	if p := c.body.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store keeps body unless the cell already holds one; the first store
+// wins, and the caller must not modify body afterwards. A nil cell
+// ignores it.
+func (c *BodyCell) Store(body []byte) {
+	if c != nil {
+		c.body.CompareAndSwap(nil, &body)
+	}
+}
+
 // Explanation is the full result of ExplainContext: everything Figure 2
 // renders.
 type Explanation struct {
@@ -301,8 +337,14 @@ type Explanation struct {
 	NumRatings int
 	Overall    Agg // the single aggregate the paper argues is insufficient
 	Results    []TaskResult
-	FromCache  bool
-	Elapsed    time.Duration
+	// FromCache and Elapsed describe this call, not the result: whether
+	// it was answered from the result cache (or shared another call's
+	// mining run), and how long it took.
+	FromCache bool
+	Elapsed   time.Duration
+	// Body is the result's body cell, shared by every copy of a cached
+	// result.
+	Body *BodyCell
 }
 
 // Result returns the TaskResult for a task, or nil.
@@ -319,14 +361,25 @@ func (ex *Explanation) Result(t Task) *TaskResult {
 // Groups slices are freshly allocated, so mutating them never touches the
 // original. Every cache hit and singleflight share hands out a clone —
 // a shallow copy would alias the cached slices and let one caller poison
-// the cache for everyone.
+// the cache for everyone. The copy shares the original's body cell.
 func (ex *Explanation) Clone() *Explanation {
 	out := *ex
 	out.Query.Preds = append([]query.Pred(nil), ex.Query.Preds...)
 	out.ItemIDs = append([]int(nil), ex.ItemIDs...)
-	out.Results = make([]TaskResult, len(ex.Results))
+	out.Results = slices.Clone(ex.Results)
+	// Every task's groups share one fresh backing array, each task's
+	// slice capped at its own length so an append cannot reach the next.
+	n := 0
 	for i := range ex.Results {
-		out.Results[i] = *ex.Results[i].clone()
+		n += len(ex.Results[i].Groups)
+	}
+	groups := make([]GroupResult, 0, n)
+	for i := range out.Results {
+		if g := out.Results[i].Groups; g != nil {
+			start := len(groups)
+			groups = append(groups, g...)
+			out.Results[i].Groups = groups[start:len(groups):len(groups)]
+		}
 	}
 	return &out
 }
@@ -465,6 +518,7 @@ func MinePlan(ctx context.Context, p *store.Plan, req ExplainRequest) (*Explanat
 		ItemIDs:    append([]int(nil), p.ItemIDs...),
 		NumRatings: len(p.Tuples),
 		Overall:    p.Overall,
+		Body:       new(BodyCell),
 	}
 	for _, task := range req.Tasks {
 		tr, err := solveTask(ctx, task, p.Cube, req)
@@ -513,7 +567,21 @@ func GroupCubeConfig(base cube.Config, key Key) cube.Config {
 // itself determined by the key, so keying on the base config is sound.
 // Exported so external plan caches key identically to the engine's.
 func PlanKey(q Query, cfg cube.Config) string {
-	return fmt.Sprintf("plan|%s|cube=%+v", q.String(), cfg)
+	var buf [160]byte
+	b := append(append(buf[:0], "plan|"...), q.String()...)
+	return string(appendCubeConfig(append(b, "|cube="...), cfg))
+}
+
+// appendCubeConfig appends cfg as fmt's %+v formats it, without the
+// reflection. TestPlanKeyFormatsEveryCubeField pins the two together, so
+// a field added to cube.Config cannot be left out of plan keys.
+func appendCubeConfig(b []byte, cfg cube.Config) []byte {
+	b = strconv.AppendBool(append(b, "{RequireState:"...), cfg.RequireState)
+	b = strconv.AppendBool(append(b, " RequireCity:"...), cfg.RequireCity)
+	b = strconv.AppendInt(append(b, " MinSupport:"...), int64(cfg.MinSupport), 10)
+	b = strconv.AppendInt(append(b, " MaxAVPairs:"...), int64(cfg.MaxAVPairs), 10)
+	b = strconv.AppendBool(append(b, " SkipApex:"...), cfg.SkipApex)
+	return append(b, '}')
 }
 
 // buildPlan runs the §2.3 pre-mining pipeline from scratch: resolve the
@@ -727,23 +795,62 @@ func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
 			version = lo
 		}
 	}
-	return fmt.Sprintf("explain|%s|v=%d|%s|tasks=%v|relax=%v",
-		planKey, version, settingsKey(req.Settings), req.Tasks, !req.DisableRelax)
+	var buf [256]byte
+	b := append(append(buf[:0], "explain|"...), planKey...)
+	b = strconv.AppendUint(append(b, "|v="...), version, 10)
+	b = appendSettings(append(b, '|'), req.Settings)
+	b = append(b, "|tasks="...)
+	for _, t := range req.Tasks {
+		b = append(strconv.AppendInt(b, int64(t), 10), ',')
+	}
+	return string(strconv.AppendBool(append(b, "|relax="...), !req.DisableRelax))
 }
 
-// settingsKey formats all six Settings fields for a cache or memo key,
-// floats in their shortest exact form (%v) so settings that differ in any
+// settingsKey formats all six Settings fields for a memo key.
+func settingsKey(s Settings) string { return string(appendSettings(nil, s)) }
+
+// appendSettings appends all six Settings fields for a cache or memo key,
+// floats in their shortest exact form so settings that differ in any
 // digit never share an entry.
-func settingsKey(s Settings) string {
-	return fmt.Sprintf("k=%d|a=%v|sb=%v|p=%v|seed=%d|r=%d",
-		s.K, s.Coverage, s.SiblingBoost, s.Profile, s.Seed, s.Restarts)
+func appendSettings(b []byte, s Settings) []byte {
+	b = strconv.AppendInt(append(b, "k="...), int64(s.K), 10)
+	b = strconv.AppendFloat(append(b, "|a="...), s.Coverage, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, "|sb="...), s.SiblingBoost, 'g', -1, 64)
+	b = appendKey(append(b, "|p="...), s.Profile)
+	b = strconv.AppendInt(append(b, "|seed="...), s.Seed, 10)
+	return strconv.AppendInt(append(b, "|r="...), int64(s.Restarts), 10)
+}
+
+// appendKey appends a group key's attribute values for a cache or memo
+// key.
+func appendKey(b []byte, k Key) []byte {
+	for i, v := range k {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
+}
+
+// memoKey builds a per-group op's memo key: the op, the group key, then
+// the op's integer arguments.
+func memoKey(op string, k Key, args ...int) string {
+	var buf [128]byte
+	b := appendKey(append(append(buf[:0], op...), '|'), k)
+	for _, a := range args {
+		b = strconv.AppendInt(append(b, '|'), int64(a), 10)
+	}
+	return string(b)
 }
 
 // memoized serves one result from the memo of the plan it is computed
 // from: a hit returns a clone of the stored value; a miss computes the
-// result, stores a clone and returns the original. The plan is the
-// version the result depends on, so the key carries only the op and its
-// arguments, and an append that seals the plan retires its memo with it.
+// result, stores a clone and returns the original. Clones share the
+// result's body cell, so the body encoded for the first answer serves
+// every later hit. The plan is the version the result depends on, so the
+// key carries only the op and its arguments, and an append that seals
+// the plan retires its memo with it.
 // Memoization is on exactly when the result cache is (CacheSize > 0), and
 // only on plans the tier holds (Plan.SetMemo ignores others). Errors are
 // never stored. Two concurrent identical misses may both compute; results
@@ -819,10 +926,13 @@ type GroupExploration struct {
 	// (refineLimit < 0) or when the group has no drill-deeper children in
 	// the cube.
 	Refinements []Refinement
+	// Body is the result's body cell, shared by every copy of a memoized
+	// result.
+	Body *BodyCell
 }
 
 // clone returns a deep copy: mutating the copy's slices never touches
-// the original.
+// the original. The copy shares the original's body cell.
 func (ge *GroupExploration) clone() *GroupExploration {
 	out := *ge
 	out.Stats.Cities = slices.Clone(ge.Stats.Cities)
@@ -855,7 +965,7 @@ func (ge *GroupExploration) sizeBytes() int64 {
 // front-end and the /api/v1 handlers consume this one call.
 func (e *Engine) ExploreFullContext(ctx context.Context, q Query, key Key, buckets, refineLimit int) (*GroupExploration, error) {
 	return planOp(ctx, e, q, key,
-		fmt.Sprintf("group|%v|b=%d|l=%d", key, buckets, refineLimit),
+		memoKey("group", key, buckets, refineLimit),
 		(*GroupExploration).clone, (*GroupExploration).sizeBytes,
 		func(p *store.Plan, q Query) (*GroupExploration, error) {
 			return ExplorePlan(ctx, p, q, key, buckets, refineLimit)
@@ -870,7 +980,7 @@ func ExplorePlan(ctx context.Context, p *store.Plan, q Query, key Key, buckets, 
 	if !ok {
 		return nil, groupNotFound(key, q)
 	}
-	ge := &GroupExploration{Stats: explore.Stats(p.Tuples, g, buckets)}
+	ge := &GroupExploration{Stats: explore.Stats(p.Tuples, g, buckets), Body: new(BodyCell)}
 	for _, rg := range explore.Related(p.Cube, g) {
 		ge.Related = append(ge.Related, groupResult(rg, len(p.Tuples)))
 	}
@@ -920,7 +1030,7 @@ type Refinement struct {
 // ExploreFullContext, with cancellation between the pipeline's stages.
 func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit int) ([]Refinement, error) {
 	return planOp(ctx, e, q, key,
-		fmt.Sprintf("refine|%v|l=%d", key, limit),
+		memoKey("refine", key, limit),
 		slices.Clone[[]Refinement], refinementsBytes,
 		func(p *store.Plan, q Query) ([]Refinement, error) { return RefinePlan(p, q, key, limit) })
 }
@@ -953,7 +1063,7 @@ func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task
 		s = DefaultSettings()
 	}
 	return planOp(ctx, e, q, parent,
-		fmt.Sprintf("drill|%v|t=%v|%s", parent, task, settingsKey(s)),
+		memoKey("drill", parent, int(task))+"|"+settingsKey(s),
 		(*TaskResult).clone, (*TaskResult).sizeBytes,
 		func(p *store.Plan, q Query) (*TaskResult, error) { return DrillPlan(ctx, p, q, parent, task, s) })
 }
@@ -987,6 +1097,7 @@ func DrillPlan(ctx context.Context, p *store.Plan, q Query, parent Key, task Tas
 		}
 		return nil, fmt.Errorf("maprat: drill mining: %w", err)
 	}
+	tr.Body = new(BodyCell)
 	return &tr, nil
 }
 

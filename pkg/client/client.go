@@ -10,7 +10,11 @@
 //
 // Every read, Browse included, POSTs its Params as a JSON body, which the
 // server decodes exactly as it decodes the same knobs in a GET query
-// string; Params.Dataset picks the mount. Reads retry transport errors
+// string; Params.Dataset picks the mount. A response body is a pure
+// function of the request and the data, so two identical reads at one
+// epoch return identical bodies. What one call did is sent as headers,
+// and Explain copies them into the response's FromCache and ElapsedMS
+// fields. Reads retry transport errors
 // and 429/502/503/504. AppendRatings retries only the 429 admission
 // rejection: any other failure may have come after the batch was logged,
 // and a replay would log it twice.
@@ -156,27 +160,28 @@ func retryAppend(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests
 }
 
-// do runs one HTTP call with retry+backoff and decodes a JSON success
-// into out. Request bodies are byte slices, so every retry replays the
-// identical payload. retry decides which failures are tried again.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, retry func(error) bool) error {
+// do runs one HTTP call with retry+backoff, decodes a JSON success into
+// out and returns the success's headers. Request bodies are byte slices,
+// so every retry replays the identical payload. retry decides which
+// failures are tried again.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, retry func(error) bool) (http.Header, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.attempts; attempt++ {
 		if attempt > 0 {
 			if err := c.sleep(ctx, lastErr, attempt); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		err := c.once(ctx, method, path, body, out)
+		hdr, err := c.once(ctx, method, path, body, out)
 		if err == nil {
-			return nil
+			return hdr, nil
 		}
 		lastErr = err
 		if !retry(err) || ctx.Err() != nil {
-			return err
+			return nil, err
 		}
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // sleep waits out the backoff before retry #attempt, preferring the
@@ -210,35 +215,35 @@ func (c *Client) sleep(ctx context.Context, lastErr error, attempt int) error {
 
 func (c *Client) url(path string) string { return c.base.String() + path }
 
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (http.Header, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return apiErrorFrom(resp)
+		return nil, apiErrorFrom(resp)
 	}
 	if out == nil {
 		_, err = io.Copy(io.Discard, resp.Body)
-		return err
+		return resp.Header, err
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return api.DecodeResponse(raw, out)
+	return resp.Header, api.DecodeResponse(raw, out)
 }
 
 // apiErrorFrom reads an error response into an APIError, decoding the
@@ -262,27 +267,55 @@ func apiErrorFrom(resp *http.Response) *APIError {
 // post marshals p and POSTs it under the read retry policy; every
 // mining endpoint accepts the same JSON body it accepts as GET query
 // parameters.
-func (c *Client) post(ctx context.Context, path string, p any, out any) error {
+func (c *Client) post(ctx context.Context, path string, p any, out any) (http.Header, error) {
 	body, err := json.Marshal(p)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	return c.do(ctx, http.MethodPost, path, body, out, retryRead)
 }
 
-// Explain runs the full SM/DM mining pipeline.
+// Explain runs the full SM/DM mining pipeline. The body carries the
+// answer alone; FromCache is read from the X-Maprat-Cache header ("hit"
+// when the server's result cache answered) and ElapsedMS from the total
+// entry of the Server-Timing header (the server's engine time in
+// milliseconds, 0 when absent).
 func (c *Client) Explain(ctx context.Context, p Params) (*ExplainResponse, error) {
 	var out ExplainResponse
-	if err := c.post(ctx, "/api/v1/explain", p, &out); err != nil {
+	hdr, err := c.post(ctx, "/api/v1/explain", p, &out)
+	if err != nil {
 		return nil, err
 	}
+	out.FromCache = hdr.Get("X-Maprat-Cache") == "hit"
+	out.ElapsedMS = serverTimingTotal(hdr)
 	return &out, nil
+}
+
+// serverTimingTotal returns the duration of the Server-Timing header's
+// "total" metric in milliseconds, or 0 when the header names none.
+func serverTimingTotal(h http.Header) float64 {
+	for _, v := range h.Values("Server-Timing") {
+		for _, metric := range strings.Split(v, ",") {
+			name, params, _ := strings.Cut(metric, ";")
+			if strings.TrimSpace(name) != "total" {
+				continue
+			}
+			for _, param := range strings.Split(params, ";") {
+				if dur, ok := strings.CutPrefix(strings.TrimSpace(param), "dur="); ok {
+					if ms, err := strconv.ParseFloat(dur, 64); err == nil {
+						return ms
+					}
+				}
+			}
+		}
+	}
+	return 0
 }
 
 // Group runs the per-group exploration (stats, related, refinements).
 func (c *Client) Group(ctx context.Context, p Params) (*GroupResponse, error) {
 	var out GroupResponse
-	if err := c.post(ctx, "/api/v1/group", p, &out); err != nil {
+	if _, err := c.post(ctx, "/api/v1/group", p, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -291,7 +324,7 @@ func (c *Client) Group(ctx context.Context, p Params) (*GroupResponse, error) {
 // Refine returns the drill-deeper refinements of a group.
 func (c *Client) Refine(ctx context.Context, p Params) (*RefinementsResponse, error) {
 	var out RefinementsResponse
-	if err := c.post(ctx, "/api/v1/refine", p, &out); err != nil {
+	if _, err := c.post(ctx, "/api/v1/refine", p, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -300,7 +333,7 @@ func (c *Client) Refine(ctx context.Context, p Params) (*RefinementsResponse, er
 // Drill mines city-anchored sub-groups inside a state group.
 func (c *Client) Drill(ctx context.Context, p Params) (*DrillResponse, error) {
 	var out DrillResponse
-	if err := c.post(ctx, "/api/v1/drill", p, &out); err != nil {
+	if _, err := c.post(ctx, "/api/v1/drill", p, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -309,7 +342,7 @@ func (c *Client) Drill(ctx context.Context, p Params) (*DrillResponse, error) {
 // Evolution runs the yearly time slider.
 func (c *Client) Evolution(ctx context.Context, p Params) (*EvolutionResponse, error) {
 	var out EvolutionResponse
-	if err := c.post(ctx, "/api/v1/evolution", p, &out); err != nil {
+	if _, err := c.post(ctx, "/api/v1/evolution", p, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -321,7 +354,7 @@ func (c *Client) Evolution(ctx context.Context, p Params) (*EvolutionResponse, e
 // epoch.
 func (c *Client) Browse(ctx context.Context, p Params) (*BrowseResponse, error) {
 	var out BrowseResponse
-	if err := c.post(ctx, "/api/v1/browse", p, &out); err != nil {
+	if _, err := c.post(ctx, "/api/v1/browse", p, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -341,7 +374,7 @@ func (c *Client) AppendRatings(ctx context.Context, dataset string, ratings []Ra
 		return nil, err
 	}
 	var out AppendResponse
-	if err := c.do(ctx, http.MethodPost, "/api/v1/ratings", body, &out, retryAppend); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/api/v1/ratings", body, &out, retryAppend); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -115,6 +115,47 @@ func TestSyncRoundTrips(t *testing.T) {
 	}
 }
 
+// TestExplainReadsCallHeaders: an explain body carries the answer alone,
+// and the SDK fills FromCache and ElapsedMS from the response headers.
+func TestExplainReadsCallHeaders(t *testing.T) {
+	c := testClient(t)
+	p := Params{Q: `movie:"Heat"`, K: intp(2), Seed: new(int64)}
+	*p.Seed = 90210 // a knob set no other test mines, so the first call mines
+	first, err := c.Explain(t.Context(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Explain(t.Context(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.FromCache || !second.FromCache {
+		t.Errorf("FromCache: first %v, second %v; want false then true", first.FromCache, second.FromCache)
+	}
+	if first.ElapsedMS <= 0 {
+		t.Errorf("first call's ElapsedMS = %v, want the mining time", first.ElapsedMS)
+	}
+
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Maprat-Cache", "hit")
+		w.Header().Add("Server-Timing", "db;desc=\"plan\";dur=9")
+		w.Header().Add("Server-Timing", "cache;desc=lru, total ; dur=12.5")
+		_, _ = w.Write([]byte(`{"query":"q","item_ids":[1],"num_ratings":3,"overall_mean":4,"overall_std":0,"tasks":[]}` + "\n"))
+	}))
+	defer fake.Close()
+	fc, err := New(fake.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := fc.Explain(t.Context(), Params{Q: "q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ex.FromCache || ex.ElapsedMS != 12.5 || ex.NumRatings != 3 {
+		t.Errorf("decoded %+v, want from cache, 12.5 ms and 3 ratings", ex)
+	}
+}
+
 // TestBrowsePinsEpoch checks Browse sends its Params: after an append, a
 // browse pinned at epoch 1 returns the pre-append document, not the
 // latest one.

@@ -2,6 +2,7 @@ package maprat
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -247,6 +248,23 @@ func TestPlanKeyedByCubeConfig(t *testing.T) {
 	}
 	if st := e.PlanStats(); st.Builds != 2 {
 		t.Errorf("distinct cube configs shared a plan: builds = %d, want 2", st.Builds)
+	}
+}
+
+// TestPlanKeyFormatsEveryCubeField: PlanKey formats the cube config by
+// hand, field by field. It must write what fmt's %+v writes, which names
+// every field, so a field added to cube.Config and left out of the key
+// fails here instead of letting two configs share a plan.
+func TestPlanKeyFormatsEveryCubeField(t *testing.T) {
+	q := mustQuery(t, freshEngine(t), `movie:"Toy Story" OR movie:"Heat"`)
+	q.Window = TimeWindow{From: 1, To: 2}
+	for _, cfg := range []cube.Config{
+		{}, cube.DefaultConfig(), cube.FrameworkConfig(),
+		{RequireState: true, RequireCity: true, MinSupport: -7, MaxAVPairs: 1 << 20, SkipApex: true},
+	} {
+		if got, want := PlanKey(q, cfg), fmt.Sprintf("plan|%s|cube=%+v", q.String(), cfg); got != want {
+			t.Errorf("PlanKey = %q, want %q", got, want)
+		}
 	}
 }
 
