@@ -10,15 +10,11 @@ import (
 	"time"
 )
 
-// freshEngine builds an unshared engine so MineCount and cache state start
-// at zero.
+// freshEngine opens an unshared engine over the shared test dataset, so
+// MineCount and cache state start at zero on every run.
 func freshEngine(t testing.TB) *Engine {
 	t.Helper()
-	ds, err := Generate(SmallGenConfig())
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	eng, err := Open(ds, nil)
+	eng, err := Open(testEngine(t).Dataset(), nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

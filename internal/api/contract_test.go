@@ -333,24 +333,34 @@ func TestV1ContractGeoJSON(t *testing.T) {
 // clients asking the same question at once cost one mine. Run under
 // -race this also exercises the handler's shared state.
 func TestV1ExplainSingleflight(t *testing.T) {
-	eng := testEngine(t)
-	// A knob set no other test uses, so the result cache is cold.
-	const body = `{"q":"movie:\"Heat\"","k":2,"seed":31337}`
+	// A fresh engine, so the result cache is cold on every run.
+	eng, err := maprat.Open(testEngine(t).Dataset(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := freshServer(t, eng)
+	const body = `{"q":"movie:\"Heat\"","k":2}`
 	const clients = 24
 
-	before := eng.MineCount()
 	var wg sync.WaitGroup
 	for range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if code, resp := post(t, "/api/v1/explain", body); code != 200 {
-				t.Errorf("explain status %d: %s", code, resp)
+			resp, err := http.Post(ts.URL+"/api/v1/explain", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != 200 {
+				out, _ := io.ReadAll(resp.Body)
+				t.Errorf("explain status %d: %s", resp.StatusCode, out)
 			}
 		}()
 	}
 	wg.Wait()
-	if mines := eng.MineCount() - before; mines != 1 {
+	if mines := eng.MineCount(); mines != 1 {
 		t.Errorf("%d concurrent identical explains mined %d times, want exactly 1", clients, mines)
 	}
 }

@@ -27,10 +27,6 @@ type Feature struct {
 type Geometry struct {
 	Type        string         `json:"type"` // always "Polygon"
 	Coordinates [][][2]float64 `json:"coordinates"`
-	// encoded is Coordinates as encoding/json writes it, for a ring taken
-	// from tileRings; the writer copies it instead of formatting the
-	// floats again. A decoded or hand-built Geometry has none.
-	encoded []byte
 }
 
 // ShadeProperties carries everything a client-side choropleth needs to
@@ -59,14 +55,12 @@ const (
 	geoCellLat  = 4.0
 )
 
-// tile is one state's feature geometry, built once: its name, its
-// counter-clockwise ring, and the ring encoded. Every layer's feature
-// for the state shares the ring, so callers must not modify a built
-// layer's coordinates.
+// tile is one state's feature geometry, built once: its name and its
+// counter-clockwise ring. Every layer's feature for the state shares the
+// ring, so callers must not modify a built layer's coordinates.
 type tile struct {
-	name    string
-	ring    [][][2]float64
-	encoded []byte
+	name string
+	ring [][][2]float64
 }
 
 // tileRings holds every state's tile, keyed by state code.
@@ -79,10 +73,7 @@ var tileRings = func() map[string]tile {
 		e := w + geoCellLon
 		n := geoNorthLat - float64(float64(st.Row)*geoCellLat)
 		s := n - geoCellLat
-		ring := [][][2]float64{{{w, s}, {e, s}, {e, n}, {w, n}, {w, s}}}
-		var enc writer
-		enc.coordinates("", ring)
-		out[st.Code] = tile{name: st.Name, ring: ring, encoded: enc.b}
+		out[st.Code] = tile{name: st.Name, ring: [][][2]float64{{{w, s}, {e, s}, {e, n}, {w, n}, {w, s}}}}
 	}
 	return out
 }()
@@ -104,7 +95,7 @@ func geoJSON(m *viz.Map) *GeoJSON {
 		}
 		gj.Features = append(gj.Features, Feature{
 			Type:     "Feature",
-			Geometry: Geometry{Type: "Polygon", Coordinates: st.ring, encoded: st.encoded},
+			Geometry: Geometry{Type: "Polygon", Coordinates: st.ring},
 			Properties: ShadeProperties{
 				State: t.State,
 				Name:  st.name,

@@ -205,7 +205,7 @@ func requestID(n uint64) string {
 // appendHex16 appends v as sixteen hex digits, as %016x formats it.
 func appendHex16(b []byte, v uint64) []byte {
 	for shift := 60; shift >= 0; shift -= 4 {
-		b = append(b, hexDigits[v>>shift&0xF])
+		b = append(b, "0123456789abcdef"[v>>shift&0xF])
 	}
 	return b
 }

@@ -117,7 +117,7 @@ func TestExplainToyStory(t *testing.T) {
 }
 
 func TestExplainCacheHit(t *testing.T) {
-	e := testEngine(t)
+	e := freshEngine(t)
 	q := mustQuery(t, e, `movie:"Heat"`)
 	req := ExplainRequest{Query: q}
 	first, err := e.ExplainContext(t.Context(), req)
@@ -153,7 +153,7 @@ func TestExplainCacheHit(t *testing.T) {
 // key's printed precision (coverage at 3 decimals, the sibling boost at
 // 2) must not share a cached result.
 func TestExplainCacheKeyExactFloats(t *testing.T) {
-	e := testEngine(t)
+	e := freshEngine(t)
 	q := mustQuery(t, e, `movie:"Jaws"`)
 	for _, c := range []struct {
 		name string

@@ -16,6 +16,7 @@ import (
 
 var (
 	tsOnce sync.Once
+	tsData *maprat.Dataset
 	tsMemo *httptest.Server
 )
 
@@ -24,11 +25,12 @@ var (
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	tsOnce.Do(func() {
-		ds, err := maprat.Generate(maprat.SmallGenConfig())
+		var err error
+		tsData, err = maprat.Generate(maprat.SmallGenConfig())
 		if err != nil {
 			panic(err)
 		}
-		eng, err := maprat.Open(ds, nil)
+		eng, err := maprat.Open(tsData, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -45,6 +47,24 @@ func newServer(eng *maprat.Engine) *server.Server {
 func testClient(t *testing.T, opts ...Option) *Client {
 	t.Helper()
 	c, err := New(testServer(t).URL, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// freshClient talks to a new engine over the shared test dataset, so
+// its caches start cold whatever ran before.
+func freshClient(t *testing.T) *Client {
+	t.Helper()
+	testServer(t)
+	eng, err := maprat.Open(tsData, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(eng))
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +138,8 @@ func TestSyncRoundTrips(t *testing.T) {
 // TestExplainReadsCallHeaders: an explain body carries the answer alone,
 // and the SDK fills FromCache and ElapsedMS from the response headers.
 func TestExplainReadsCallHeaders(t *testing.T) {
-	c := testClient(t)
-	p := Params{Q: `movie:"Heat"`, K: intp(2), Seed: new(int64)}
-	*p.Seed = 90210 // a knob set no other test mines, so the first call mines
+	c := freshClient(t) // cold caches, so the first call mines
+	p := Params{Q: `movie:"Heat"`, K: intp(2)}
 	first, err := c.Explain(t.Context(), p)
 	if err != nil {
 		t.Fatal(err)
