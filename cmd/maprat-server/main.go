@@ -6,12 +6,11 @@
 //	maprat-server -scale full            # MovieLens-1M-scale synthetic data
 //	maprat-server -data /path/to/ml-1m   # real MovieLens 1M files
 //
-// -snapshot mounts a .msnap columnar snapshot (memory-mapped, near-instant
-// open) and repeats to serve several datasets from one process; API
-// requests pick one via ?dataset=<name> or the X-Maprat-Dataset header
-// (the name is the snapshot's file base, the first mount is the default):
+// A server serves one dataset. -snapshot serves a .msnap columnar
+// snapshot instead (memory-mapped, near-instant open); giving it with
+// -data is an error:
 //
-//	maprat-server -snapshot a.msnap -snapshot b.msnap
+//	maprat-server -snapshot a.msnap
 package main
 
 import (
@@ -31,12 +30,6 @@ import (
 	"repro/internal/server"
 )
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("maprat-server: ")
@@ -49,33 +42,28 @@ func main() {
 		timeout   = flag.Duration("timeout", api.DefaultRequestTimeout, "per-request mining timeout")
 		accessLog = flag.Bool("access-log", true, "log /api/v1 requests and the /explain, /group, /evolution and /browse pages")
 		gzipOn    = flag.Bool("gzip", true, "offer gzip-compressed /api/v1 responses and HTML pages to clients that accept it")
-		walPath   = flag.String("wal", "", "arm live ingestion with a write-ahead log at this path (single-dataset servers only)")
+		snapshot  = flag.String("snapshot", "", "serve a .msnap snapshot instead of -data or synthetic data")
+		walPath   = flag.String("wal", "", "arm live ingestion with a write-ahead log at this path")
 	)
-	var snapshots multiFlag
-	flag.Var(&snapshots, "snapshot", "mount a .msnap snapshot (repeatable; first mount is the default dataset)")
 	flag.Parse()
 
-	reg := maprat.NewRegistry()
-	defer reg.Close()
-	if err := mountDatasets(reg, *dataDir, snapshots, *scale, *seed); err != nil {
+	if *dataDir != "" && *snapshot != "" {
+		log.Fatal("-data and -snapshot both given: a server serves one dataset")
+	}
+	eng, info, err := openDataset(*dataDir, *snapshot, *scale, *seed)
+	if err != nil {
 		log.Fatal(err)
 	}
-	for _, m := range reg.Mounts() {
-		st := m.Engine.Dataset().Stats()
-		log.Printf("dataset %q (%s) ready in %s: %d ratings, %d movies, %d reviewers, fingerprint %016x",
-			m.Name, m.Info.Source, m.Info.OpenDuration.Round(time.Millisecond),
-			st.Ratings, st.Items, st.Users, m.Engine.Fingerprint())
+	defer eng.Close()
+	name := "default"
+	if info.Path != "" {
+		name = strings.TrimSuffix(filepath.Base(filepath.Clean(info.Path)), ".msnap")
 	}
+	st := eng.Dataset().Stats()
+	log.Printf("dataset %q (%s) ready in %s: %d ratings, %d movies, %d reviewers, fingerprint %016x",
+		name, info.Source, info.OpenDuration.Round(time.Millisecond),
+		st.Ratings, st.Items, st.Users, eng.Fingerprint())
 	if *walPath != "" {
-		// Live ingestion writes to one store; mounting several datasets
-		// would leave "which one accepts writes" ambiguous.
-		if reg.Len() != 1 {
-			log.Fatalf("-wal requires exactly one mounted dataset (got %d)", reg.Len())
-		}
-		eng, ok := reg.Default().Engine.(*maprat.Engine)
-		if !ok {
-			log.Fatal("-wal requires a local engine mount")
-		}
 		epoch, err := eng.EnableIngest(*walPath)
 		if err != nil {
 			log.Fatal(err)
@@ -97,84 +85,54 @@ func main() {
 	if *accessLog {
 		cfg.Logger = log.Default()
 	}
-	srv := server.NewMulti(reg, cfg)
+	srv := server.NewMulti(maprat.NewSingleRegistry(name, eng, info), cfg)
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("shut down cleanly")
 }
 
-// mountDatasets opens every requested dataset into reg: the text
-// directory first (so -data keeps its place as the default), then each
-// snapshot in flag order, falling back to synthetic data only when
-// nothing else was asked for.
-func mountDatasets(reg *maprat.Registry, dataDir string, snapshots []string, scale string, seed int64) error {
-	if dataDir != "" {
-		log.Printf("loading %s ...", dataDir)
-		start := time.Now()
-		ds, err := maprat.LoadDir(dataDir)
+// openDataset opens the one dataset the flags name: the text directory,
+// the snapshot, or else synthetic data.
+func openDataset(dataDir, snapshot, scale string, seed int64) (*maprat.Engine, maprat.DatasetInfo, error) {
+	start := time.Now()
+	if snapshot != "" {
+		eng, err := maprat.OpenSnapshot(snapshot, nil)
 		if err != nil {
-			return err
+			return nil, maprat.DatasetInfo{}, fmt.Errorf("snapshot %s: %w", snapshot, err)
 		}
-		eng, err := maprat.Open(ds, nil)
-		if err != nil {
-			return err
-		}
-		info := maprat.DatasetInfo{Source: "text", Path: dataDir, OpenDuration: time.Since(start)}
-		if err := reg.Add(mountName(reg, dataDir), eng, info); err != nil {
-			return err
-		}
-	}
-	for _, path := range snapshots {
-		start := time.Now()
-		eng, err := maprat.OpenSnapshot(path, nil)
-		if err != nil {
-			return fmt.Errorf("snapshot %s: %w", path, err)
-		}
-		info := maprat.DatasetInfo{Source: "snapshot", Path: path, OpenDuration: time.Since(start)}
-		if fi, err := os.Stat(path); err == nil {
+		info := maprat.DatasetInfo{Source: "snapshot", Path: snapshot, OpenDuration: time.Since(start)}
+		if fi, err := os.Stat(snapshot); err == nil {
 			info.FileSize = fi.Size()
 		}
-		if err := reg.Add(mountName(reg, path), eng, info); err != nil {
-			eng.Close()
-			return err
+		return eng, info, nil
+	}
+	var ds *maprat.Dataset
+	info := maprat.DatasetInfo{Source: "generated"}
+	if dataDir != "" {
+		log.Printf("loading %s ...", dataDir)
+		loaded, err := maprat.LoadDir(dataDir)
+		if err != nil {
+			return nil, info, err
 		}
-	}
-	if reg.Len() > 0 {
-		return nil
-	}
-	start := time.Now()
-	cfg := maprat.SmallGenConfig()
-	if scale == "full" {
-		log.Print("generating MovieLens-1M-scale synthetic data ...")
-		cfg = maprat.DefaultGenConfig()
-	}
-	cfg.Seed = seed
-	ds, err := maprat.Generate(cfg)
-	if err != nil {
-		return err
+		ds, info = loaded, maprat.DatasetInfo{Source: "text", Path: dataDir}
+	} else {
+		cfg := maprat.SmallGenConfig()
+		if scale == "full" {
+			log.Print("generating MovieLens-1M-scale synthetic data ...")
+			cfg = maprat.DefaultGenConfig()
+		}
+		cfg.Seed = seed
+		generated, err := maprat.Generate(cfg)
+		if err != nil {
+			return nil, info, err
+		}
+		ds = generated
 	}
 	eng, err := maprat.Open(ds, nil)
 	if err != nil {
-		return err
+		return nil, info, err
 	}
-	info := maprat.DatasetInfo{Source: "generated", OpenDuration: time.Since(start)}
-	return reg.Add("default", eng, info)
-}
-
-// mountName derives a mount name from a path: the file base without the
-// .msnap extension, suffixed with -2, -3, ... on collision so mounting
-// two same-named snapshots from different directories still works.
-func mountName(reg *maprat.Registry, path string) string {
-	base := strings.TrimSuffix(filepath.Base(filepath.Clean(path)), ".msnap")
-	if base == "" || base == "." || base == string(filepath.Separator) {
-		base = "dataset"
-	}
-	name := base
-	for i := 2; ; i++ {
-		if _, taken := reg.Lookup(name); !taken {
-			return name
-		}
-		name = fmt.Sprintf("%s-%d", base, i)
-	}
+	info.OpenDuration = time.Since(start)
+	return eng, info, nil
 }

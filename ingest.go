@@ -86,8 +86,9 @@ func (e *Engine) EnableIngest(path string) (uint64, error) {
 // anything is logged.
 //
 // Every rating must reference an existing user and item, carry a score
-// in [1,5], and carry its own timestamp (Unix > 0) — the server never
-// stamps time, so replaying the WAL is deterministic.
+// in [1,5], and carry its own timestamp (Unix > 0, no later than the end
+// of model.MaxYear) — the server never stamps time, so replaying the WAL
+// is deterministic.
 func (e *Engine) AppendRatings(ctx context.Context, ratings []model.Rating) (uint64, error) {
 	ig := e.ingest
 	if ig == nil {
@@ -124,9 +125,14 @@ func (e *Engine) AppendRatings(ctx context.Context, ratings []model.Rating) (uin
 	return epoch, nil
 }
 
+// lastRatingUnix is the last second of model.MaxYear, the latest
+// timestamp an appended rating may carry.
+var lastRatingUnix = time.Date(model.MaxYear+1, 1, 1, 0, 0, 0, 0, time.UTC).Unix() - 1
+
 // joinBatch validates a batch against the (immutable) catalog and joins
 // each rating with its reviewer's demographics — the same join open
-// performs over the base log.
+// performs over the base log. Appends and WAL replay both pass through
+// it, so a record it rejects fails replay as it failed the append.
 func (e *Engine) joinBatch(ratings []model.Rating) ([]cube.Tuple, error) {
 	ds := e.st.Dataset()
 	out := make([]cube.Tuple, len(ratings))
@@ -136,6 +142,9 @@ func (e *Engine) joinBatch(ratings []model.Rating) ([]cube.Tuple, error) {
 		}
 		if r.Unix <= 0 {
 			return nil, fmt.Errorf("%w: rating %d: missing timestamp", ErrBadRating, i)
+		}
+		if r.Unix > lastRatingUnix {
+			return nil, fmt.Errorf("%w: rating %d: timestamp %d past year %d", ErrBadRating, i, r.Unix, model.MaxYear)
 		}
 		u := ds.UserByID(r.UserID)
 		if u == nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cube"
+	"repro/internal/ingest"
 	"repro/internal/model"
 )
 
@@ -132,6 +133,7 @@ func TestAppendValidation(t *testing.T) {
 		{"unknown item", func(r model.Rating) model.Rating { r.ItemID = 99999999; return r }},
 		{"score out of range", func(r model.Rating) model.Rating { r.Score = 9; return r }},
 		{"missing timestamp", func(r model.Rating) model.Rating { r.Unix = 0; return r }},
+		{"timestamp past year 9999", func(r model.Rating) model.Rating { r.Unix = firstUnixOfYear10000; return r }},
 	}
 	for _, tc := range cases {
 		if _, err := e.AppendRatings(ctx, []model.Rating{tc.mut(good[0])}); !errors.Is(err, ErrBadRating) {
@@ -148,6 +150,12 @@ func TestAppendValidation(t *testing.T) {
 	if e.CurrentEpoch() != 1 {
 		t.Fatalf("rejected batches advanced the epoch to %d", e.CurrentEpoch())
 	}
+	// The last second of year 9999 is still a valid timestamp.
+	last := good[0]
+	last.Unix = firstUnixOfYear10000 - 1
+	if _, err := e.AppendRatings(ctx, []model.Rating{last}); err != nil {
+		t.Errorf("rating at the last second of year 9999: %v", err)
+	}
 
 	// An engine without EnableIngest refuses writes outright.
 	plain := testEngine(t)
@@ -159,6 +167,45 @@ func TestAppendValidation(t *testing.T) {
 func tc0bad(r model.Rating) model.Rating {
 	r.Score = 0
 	return r
+}
+
+// firstUnixOfYear10000 is 10000-01-01T00:00:00Z, one second past the
+// latest timestamp a rating may carry.
+const firstUnixOfYear10000 = 253402300800
+
+// TestReplayRejectsBadRecord: WAL replay validates each record as an
+// append does, so a logged rating the engine would refuse fails
+// EnableIngest instead of landing in the store.
+func TestReplayRejectsBadRecord(t *testing.T) {
+	item, user := itemIDByTitle(t, "Toy Story"), ingestDataset(t).Users[0].ID
+	for _, tc := range []struct {
+		name string
+		r    model.Rating
+	}{
+		{"unknown user", model.Rating{UserID: 99999999, ItemID: item, Score: 5, Unix: 978300000}},
+		{"timestamp past year 9999", model.Rating{UserID: user, ItemID: item, Score: 5, Unix: firstUnixOfYear10000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ingest.wal")
+			wal, _, err := ingest.Open(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.Append(2, []model.Rating{tc.r}); err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, err := Open(ingestDataset(t), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.EnableIngest(path); !errors.Is(err, ErrBadRating) {
+				t.Fatalf("EnableIngest over a logged %s: err = %v, want ErrBadRating", tc.name, err)
+			}
+		})
+	}
 }
 
 func TestFutureEpochRejected(t *testing.T) {

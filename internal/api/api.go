@@ -2,11 +2,9 @@ package api
 
 import (
 	"context"
-	"fmt"
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -43,13 +41,12 @@ const DefaultRequestTimeout = 30 * time.Second
 //	POST     /api/v1/ratings    — append a batch of new ratings (202 + epoch)
 //
 // The six reads are the op table's entries. Each is one request through
-// Run, so a GET query string and a POST body decode to the same Params,
-// and the dataset resolves the same way on every read. Every endpoint
-// answers failures with the ErrorEnvelope. Handlers encode into a buffer
-// before touching the response headers, so an encode failure still
-// produces a clean 500.
+// Run, so a GET query string and a POST body decode to the same Params.
+// Every endpoint answers failures with the ErrorEnvelope. Handlers encode
+// into a buffer before touching the response headers, so an encode
+// failure still produces a clean 500.
 type Handler struct {
-	reg     *maprat.Registry
+	eng     maprat.Miner
 	cfg     Config
 	mux     *http.ServeMux
 	metrics map[string]*endpointMetrics
@@ -59,20 +56,16 @@ type Handler struct {
 	appendSlots chan struct{}
 }
 
-// NewMulti mounts the v1 endpoints over a registry of datasets. Every
-// mining endpoint selects its dataset per request — an explicit
-// "dataset" parameter (query or JSON body), the X-Maprat-Dataset header,
-// or the registry's default mount — and an unknown name answers the
-// dataset_not_found envelope with 404.
-func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
-	if reg == nil || reg.Len() == 0 {
-		panic("api: NewMulti needs a registry with at least one mount")
+// NewMulti mounts the v1 endpoints over the served dataset's engine.
+func NewMulti(m *maprat.Mount, cfg Config) *Handler {
+	if m == nil || m.Engine == nil {
+		panic("api: NewMulti needs a mounted engine")
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
 	h := &Handler{
-		reg:         reg,
+		eng:         m.Engine,
 		cfg:         cfg,
 		mux:         http.NewServeMux(),
 		metrics:     map[string]*endpointMetrics{},
@@ -95,45 +88,6 @@ func NewMulti(reg *maprat.Registry, cfg Config) *Handler {
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
-
-// datasetName resolves which dataset a request addresses, in precedence
-// order: an explicit value decoded from the body/params, the ?dataset=
-// query parameter, then the X-Maprat-Dataset header. "" means "the
-// default mount". A GET's or HEAD's params are its query parameters, so
-// its caller passes ?dataset= as explicit and the query is not parsed
-// again here.
-func datasetName(r *http.Request, explicit string) string {
-	if explicit != "" {
-		return explicit
-	}
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		if q := r.URL.Query().Get("dataset"); q != "" {
-			return q
-		}
-	}
-	return r.Header.Get("X-Maprat-Dataset")
-}
-
-// datasetError marks a request naming a dataset that is not mounted.
-type datasetError struct {
-	name    string
-	mounted []string
-}
-
-func (e *datasetError) Error() string {
-	return fmt.Sprintf("no dataset %q (mounted: %s)", e.name, strings.Join(e.mounted, ", "))
-}
-
-// resolve picks the mount a request addresses; a name that is not
-// mounted is a *datasetError (404 dataset_not_found).
-func (h *Handler) resolve(r *http.Request, explicit string) (*maprat.Mount, error) {
-	name := datasetName(r, explicit)
-	m, ok := h.reg.Lookup(name)
-	if !ok {
-		return nil, &datasetError{name: name, mounted: h.reg.Names()}
-	}
-	return m, nil
-}
 
 // requestContext derives the mining context for one request.
 func (h *Handler) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
@@ -163,41 +117,36 @@ func writeBody(w http.ResponseWriter, body []byte, err error) {
 }
 
 // Run is the synchronous op path every front-end shares: decode the
-// request's knobs, validate them through the op table, resolve the
-// dataset, and run the call under the request's deadline. It returns the
-// response document and the mount it was computed on. A non-nil defaults
-// fills knobs the request left absent before validation, for a
-// front-end whose defaults differ from the v1 ones. Every error it
-// returns is classified by CodeForError and StatusForError.
-func (h *Handler) Run(r *http.Request, op string, defaults func(*Params)) (any, *maprat.Mount, error) {
-	rep, m, err := h.run(r, op, defaults)
+// request's knobs, validate them through the op table, and run the call
+// under the request's deadline. It returns the response document. A
+// non-nil defaults fills knobs the request left absent before
+// validation, for a front-end whose defaults differ from the v1 ones.
+// Every error it returns is classified by CodeForError and
+// StatusForError.
+func (h *Handler) Run(r *http.Request, op string, defaults func(*Params)) (any, error) {
+	rep, err := h.run(r, op, defaults)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return rep.Doc(), m, nil
+	return rep.Doc(), nil
 }
 
 // run is Run up to the call's Reply.
-func (h *Handler) run(r *http.Request, op string, defaults func(*Params)) (*Reply, *maprat.Mount, error) {
+func (h *Handler) run(r *http.Request, op string, defaults func(*Params)) (*Reply, error) {
 	p, err := DecodeParams(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if defaults != nil {
 		defaults(&p)
 	}
 	call, err := Op(op, p)
 	if err != nil {
-		return nil, nil, err
-	}
-	m, err := h.resolve(r, p.Dataset)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ctx, cancel := h.requestContext(r)
 	defer cancel()
-	rep, err := call(ctx, m.Engine)
-	return rep, m, err
+	return call(ctx, h.eng)
 }
 
 // handleOp serves one pipeline's synchronous endpoint: run, then write
@@ -207,7 +156,7 @@ func (h *Handler) run(r *http.Request, op string, defaults func(*Params)) (*Repl
 // milliseconds.
 func (h *Handler) handleOp(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rep, _, err := h.run(r, name, nil)
+		rep, err := h.run(r, name, nil)
 		if err != nil {
 			writeError(w, err)
 			return

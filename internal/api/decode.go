@@ -24,6 +24,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/cube"
+	"repro/internal/model"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -72,10 +73,6 @@ type Params struct {
 	// framework explanation's group must carry geo=off too, so it reaches
 	// the cube the explanation was mined from.
 	Geo string `json:"geo,omitempty"`
-	// Dataset selects the mounted dataset on a multi-dataset server
-	// ("" = the default mount). A GET request may pass ?dataset= or the
-	// X-Maprat-Dataset header instead.
-	Dataset string `json:"dataset,omitempty"`
 
 	// Key identifies the group for /group, /refine and /drill, in the
 	// comma-separated descriptor form, e.g. "gender=male,state=CA".
@@ -167,7 +164,6 @@ func paramsFromQuery(r *http.Request) (Params, error) {
 		Geo:     q.Get("geo"),
 		Key:     q.Get("key"),
 		Task:    q.Get("task"),
-		Dataset: q.Get("dataset"),
 	}
 	if v := q.Get("tasks"); v != "" {
 		p.Tasks = strings.Split(v, ",")
@@ -342,15 +338,15 @@ func (p Params) ExplainRequest() (maprat.ExplainRequest, error) {
 }
 
 // window converts the From/To years into the inclusive rating window.
-// Years are 1..9999, the years an RFC 3339 timestamp can print, which
-// also bounds the evolution sweep to one window per such year.
+// Years are 1..model.MaxYear, which also bounds the evolution sweep to
+// one window per such year.
 func (p Params) window() (store.TimeWindow, error) {
 	var w store.TimeWindow
-	if p.From != nil && (*p.From < 1 || *p.From > 9999) {
-		return w, badRequestf("bad from year %d (want 1..9999)", *p.From)
+	if p.From != nil && (*p.From < 1 || *p.From > model.MaxYear) {
+		return w, badRequestf("bad from year %d (want 1..%d)", *p.From, model.MaxYear)
 	}
-	if p.To != nil && (*p.To < 1 || *p.To > 9999) {
-		return w, badRequestf("bad to year %d (want 1..9999)", *p.To)
+	if p.To != nil && (*p.To < 1 || *p.To > model.MaxYear) {
+		return w, badRequestf("bad to year %d (want 1..%d)", *p.To, model.MaxYear)
 	}
 	if p.From != nil {
 		w.From = time.Date(*p.From, 1, 1, 0, 0, 0, 0, time.UTC).Unix()

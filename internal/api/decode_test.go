@@ -275,11 +275,26 @@ func TestV1DecoderRejectsTrailingData(t *testing.T) {
 
 // TestV1BrowseBody checks browse decodes a POST body like every other
 // read: a future epoch, a body that is not JSON and an unknown field each
-// answer 400.
+// answer 400. A server serves one dataset, so "dataset" is unknown too.
 func TestV1BrowseBody(t *testing.T) {
-	for _, body := range []string{`{"epoch":99}`, `garbage`, `{"epochs":1}`} {
+	for _, body := range []string{`{"epoch":99}`, `garbage`, `{"epochs":1}`, `{"dataset":"x"}`} {
 		if code, resp := post(t, "/api/v1/browse", body); code != 400 || envelopeCode(t, resp) != CodeBadRequest {
 			t.Errorf("POST /api/v1/browse %s: status %d, want 400 %s", body, code, CodeBadRequest)
+		}
+	}
+}
+
+// TestV1GetIgnoresUnknownParams: a GET ignores query parameters it does
+// not know, so HTML forms can carry extras. A server serves one dataset,
+// so ?dataset= is one of them: it selects nothing and answers the same
+// bytes as the request without it.
+func TestV1GetIgnoresUnknownParams(t *testing.T) {
+	for _, path := range []string{"/api/v1/explain?q=genre:Drama", "/api/v1/browse?epoch=1"} {
+		code, want := get(t, path)
+		for _, extra := range []string{"&dataset=x", "&submit=Explain"} {
+			if gotCode, got := get(t, path+extra); gotCode != code || got != want {
+				t.Errorf("GET %s%s = %d, differs from GET %s (%d)", path, extra, gotCode, path, code)
+			}
 		}
 	}
 }

@@ -34,9 +34,6 @@ const (
 	// Append admission: every pending-append slot is taken (the
 	// response carries Retry-After).
 	CodeQueueFull ErrorCode = "queue_full"
-	// Multi-dataset serving: the request named a dataset that is not
-	// mounted on this server.
-	CodeDatasetNotFound ErrorCode = "dataset_not_found"
 	// Live ingestion: the engine's write path was never armed (the
 	// server runs without -wal). 503; clients route writes elsewhere.
 	CodeUnavailable ErrorCode = "unavailable"
@@ -56,21 +53,18 @@ type ErrorEnvelope struct {
 
 // CodeForError classifies any failure a v1 request can end in: the
 // request errors Run reports before the pipeline starts (decode,
-// validation, method, body size, dataset) and the pipeline's own.
+// validation, method, body size) and the pipeline's own.
 func CodeForError(err error) ErrorCode {
 	var (
 		bad      *badRequestError
 		tooLarge *tooLargeError
 		method   *methodError
-		dataset  *datasetError
 	)
 	switch {
 	case errors.As(err, &bad), errors.As(err, &tooLarge):
 		return CodeBadRequest
 	case errors.As(err, &method):
 		return CodeMethodNotAllowed
-	case errors.As(err, &dataset):
-		return CodeDatasetNotFound
 	case errors.Is(err, context.DeadlineExceeded):
 		return CodeTimeout
 	case errors.Is(err, context.Canceled):
@@ -99,7 +93,7 @@ func (c ErrorCode) HTTPStatus() int {
 	switch c {
 	case CodeBadRequest:
 		return http.StatusBadRequest
-	case CodeNoItems, CodeNoRatings, CodeNoGroup, CodeNotFound, CodeDatasetNotFound:
+	case CodeNoItems, CodeNoRatings, CodeNoGroup, CodeNotFound:
 		return http.StatusNotFound
 	case CodeQueueFull:
 		return http.StatusTooManyRequests

@@ -21,8 +21,6 @@ type RatingInput struct {
 // AppendRequest is the POST /api/v1/ratings body: one batch of new
 // ratings, applied all-or-nothing.
 type AppendRequest struct {
-	// Dataset selects the mounted dataset ("" = the default mount).
-	Dataset string        `json:"dataset,omitempty"`
 	Ratings []RatingInput `json:"ratings"`
 }
 
@@ -58,11 +56,6 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("empty ratings batch"))
 		return
 	}
-	m, err := h.resolve(r, req.Dataset)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	ratings := make([]model.Rating, len(req.Ratings))
 	for i, in := range req.Ratings {
 		ratings[i] = model.Rating{UserID: in.UserID, ItemID: in.ItemID, Score: in.Score, Unix: in.Unix}
@@ -78,7 +71,7 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	// An admitted batch applies even if the client disconnects: the WAL
 	// write and the in-memory apply are all-or-nothing either way.
-	epoch, err := m.Engine.AppendRatings(context.WithoutCancel(r.Context()), ratings)
+	epoch, err := h.eng.AppendRatings(context.WithoutCancel(r.Context()), ratings)
 	if err != nil {
 		writeError(w, err)
 		return

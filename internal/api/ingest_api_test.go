@@ -181,7 +181,9 @@ func TestAppendEndpointRejectsBadBatches(t *testing.T) {
 		{"empty batch", `{"ratings":[]}`, CodeBadRequest},
 		{"malformed json", `{"ratings":`, CodeBadRequest},
 		{"unknown user", `{"ratings":[{"user_id":99999999,"item_id":1,"score":5,"unix":978300000}]}`, CodeBadRequest},
-		{"unknown dataset", `{"dataset":"nope","ratings":[{"user_id":1,"item_id":1,"score":5,"unix":978300000}]}`, CodeDatasetNotFound},
+		{"timestamp past year 9999", `{"ratings":[{"user_id":1,"item_id":1,"score":5,"unix":253402300800}]}`, CodeBadRequest},
+		// A server serves one dataset; a body naming one is an unknown field.
+		{"dataset field", `{"dataset":"nope","ratings":[{"user_id":1,"item_id":1,"score":5,"unix":978300000}]}`, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		code, body := postJSON(t, ts, "/api/v1/ratings", tc.body)

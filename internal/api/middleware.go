@@ -158,24 +158,18 @@ func acceptsGzip(r *http.Request) bool {
 
 // etagFor derives the strong entity tag for a GET request: a hash of the
 // endpoint, the canonical (sorted) query string, and the fingerprint of
-// the dataset the request addresses. Any change to the knobs or the data
-// underneath yields a different tag. The second return is false when the
-// request names a dataset that is not mounted — no tag exists, and the
-// handler's own resolution will answer the 404 envelope.
-func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
+// the served dataset. Any change to the knobs or the data underneath
+// yields a different tag.
+func (h *Handler) etagFor(name string, r *http.Request) string {
 	query := r.URL.Query()
-	m, ok := h.reg.Lookup(datasetName(r, query.Get("dataset")))
-	if !ok {
-		return "", false
-	}
 	// Under live ingestion the fingerprint folds the epoch in: an unpinned
 	// tag rolls over on every accepted append batch (a write invalidates
 	// cached 304s), while a ?epoch=-pinned tag is a function of the pinned
 	// epoch and stays valid across later appends.
-	fp := m.Engine.Fingerprint()
+	fp := h.eng.Fingerprint()
 	if v := query.Get("epoch"); v != "" {
 		if ep, err := strconv.ParseUint(v, 10, 64); err == nil && ep > 0 {
-			fp = m.Engine.FingerprintAt(ep)
+			fp = h.eng.FingerprintAt(ep)
 		}
 		// Garbage (or 0 = latest) falls through to the live fingerprint;
 		// the handler's own decode answers the 400 for garbage, and a
@@ -188,7 +182,7 @@ func (h *Handler) etagFor(name string, r *http.Request) (string, bool) {
 	f.Write([]byte(query.Encode()))
 	f.Write([]byte{0})
 	f.Write(appendHex16(buf[:0], fp))
-	return string(append(appendHex16(append(buf[:0], `"mr64-`...), f.Sum64()), '"')), true
+	return string(append(appendHex16(append(buf[:0], `"mr64-`...), f.Sum64()), '"'))
 }
 
 // requestID formats the n-th generated request ID as "v1-%06d".
@@ -284,14 +278,13 @@ func (h *Handler) Wrap(name string, fn http.HandlerFunc) http.Handler {
 		// knobs and the dataset, so a match proves the client already
 		// holds exactly what mining would recompute.
 		if _, read := ops[name]; read && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
-			if tag, ok := h.etagFor(name, r); ok {
-				if etagMatches(r.Header.Get("If-None-Match"), tag) {
-					rec.Header().Set("ETag", tag)
-					rec.WriteHeader(http.StatusNotModified)
-					return
-				}
-				rec.etag = tag
+			tag := h.etagFor(name, r)
+			if etagMatches(r.Header.Get("If-None-Match"), tag) {
+				rec.Header().Set("ETag", tag)
+				rec.WriteHeader(http.StatusNotModified)
+				return
 			}
+			rec.etag = tag
 		}
 		fn(rec, r)
 	})

@@ -529,8 +529,8 @@ func truncate(s string, n int) string {
 // E11ColdPath measures the cold first-response pipeline the packed-key
 // cube build and the bitset coverage engine target: a full Explain with
 // every cache tier disabled, plus the two kernels in isolation against
-// their retained reference implementations. Snapshots of this report
-// (BENCH_PR3.json) track the cold-path trajectory across PRs.
+// their retained reference implementations. CI writes this report to
+// BENCH_CI.json on every run, tracking the cold path across changes.
 func E11ColdPath(ctx context.Context, eng *maprat.Engine) Report {
 	r := Report{ID: "E11", Title: "cold path — packed cube build + bitset coverage"}
 
@@ -656,19 +656,20 @@ func E10Ablations(ctx context.Context, eng *maprat.Engine) Report {
 		errs = append(errs, pairErr{sigma: g.Agg.Std(), mad: g.MAD(tuples)})
 	}
 	// Pearson correlation + pairwise order agreement on a bounded sample.
+	// Each product is rounded by float64(...), so no GOARCH fuses it.
 	var sx, sy, sxx, syy, sxy float64
 	for _, e := range errs {
 		sx += e.sigma
 		sy += e.mad
-		sxx += e.sigma * e.sigma
-		syy += e.mad * e.mad
-		sxy += e.sigma * e.mad
+		sxx += float64(e.sigma * e.sigma)
+		syy += float64(e.mad * e.mad)
+		sxy += float64(e.sigma * e.mad)
 	}
 	n := float64(len(errs))
-	denom := math.Sqrt(n*sxx-sx*sx) * math.Sqrt(n*syy-sy*sy)
+	denom := math.Sqrt(float64(n*sxx)-float64(sx*sx)) * math.Sqrt(float64(n*syy)-float64(sy*sy))
 	pearson := 0.0
 	if denom > 0 {
-		pearson = (n*sxy - sx*sy) / denom
+		pearson = (float64(n*sxy) - float64(sx*sy)) / denom
 	}
 	agree, totalPairs := 0, 0
 	step := len(errs)/400 + 1

@@ -92,7 +92,9 @@ func (a Agg) Variance() float64 {
 		return 0
 	}
 	m := a.Mean()
-	v := float64(a.SumSq)/float64(a.Count) - m*m
+	// float64(m*m) rounds the product, so no GOARCH fuses the subtraction
+	// into one multiply-subtract and σ is the same bytes everywhere.
+	v := float64(a.SumSq)/float64(a.Count) - float64(m*m)
 	if v < 0 {
 		v = 0
 	}

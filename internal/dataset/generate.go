@@ -235,7 +235,9 @@ var regionalPlanted = map[string]map[string]float64{
 }
 
 // Generate builds a complete synthetic dataset. The output is a pure
-// function of cfg: identical configs produce byte-identical datasets.
+// function of cfg: identical configs produce byte-identical datasets, on
+// every GOARCH, because each float product added to something is
+// rounded by an explicit float64(x*y) that forbids a fused multiply-add.
 func Generate(cfg GenConfig) (*model.Dataset, error) {
 	if cfg.Users <= 0 || cfg.Movies <= 0 || cfg.Ratings <= 0 {
 		return nil, fmt.Errorf("dataset: non-positive size in config %+v", cfg)
@@ -360,7 +362,7 @@ func (g *generator) buildMovies() {
 			ID: i + 1, Title: title, Year: year,
 			Genres: genres, Actors: actors, Directors: directors,
 		})
-		q := 3.55 + g.rng.NormFloat64()*0.45
+		q := 3.55 + float64(g.rng.NormFloat64()*0.45)
 		g.quality = append(g.quality, clampF(q, 1.8, 4.7))
 		g.drift = append(g.drift, clampF(g.rng.NormFloat64()*0.25, -0.5, 0.5))
 		g.polarized = append(g.polarized, false)
@@ -401,7 +403,7 @@ func (g *generator) buildRatings() {
 	}
 	activity := make([]int, g.cfg.Users)
 	for i := range raw {
-		a := int(raw[i]/sum*float64(g.cfg.Ratings) + 0.5)
+		a := int(float64(raw[i]/sum*float64(g.cfg.Ratings)) + 0.5)
 		if a < 3 {
 			a = 3
 		}
@@ -433,7 +435,7 @@ func (g *generator) buildRatings() {
 		// A user rates inside a personal sub-window, so the global rating
 		// log spans the whole period with realistic per-user bursts.
 		joined := g.cfg.Start.Unix() + int64(g.rng.Float64()*float64(window)*0.8)
-		span := int64(float64(window) * (0.05 + g.rng.Float64()*0.20))
+		span := int64(float64(window) * (0.05 + float64(g.rng.Float64()*0.20)))
 		// Popularity-weighted draws collide on the catalog head, so re-draw
 		// duplicates (bounded) to keep the realized count near the target.
 		attempts, maxAttempts := 0, activity[ui]*8
@@ -511,7 +513,8 @@ func noise(seed int64, a, b int) float64 {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return float64(x>>11)/float64(1<<53)*2 - 1
+	// x>>11 has 53 bits, so the quotient is exact, in [0, 2).
+	return float64(float64(x>>11)/(1<<52)) - 1
 }
 
 // score draws one integer rating from the behaviour model.
@@ -533,8 +536,8 @@ func (g *generator) score(u *model.User, mi int, ts int64, t *affinityTables) in
 		raw += aff / float64(len(genres))
 	}
 	frac := float64(ts-g.cfg.Start.Unix()) / float64(g.cfg.End.Unix()-g.cfg.Start.Unix())
-	raw += g.drift[mi] * (frac - 0.5)
-	raw += g.rng.NormFloat64() * 0.65
+	raw += float64(g.drift[mi] * (frac - 0.5))
+	raw += float64(g.rng.NormFloat64() * 0.65)
 	return clampScore(raw)
 }
 
@@ -554,7 +557,7 @@ func (g *generator) polarizedScore(u *model.User) int {
 	default:
 		base -= 0.6
 	}
-	base += g.rng.NormFloat64() * 0.45
+	base += float64(g.rng.NormFloat64() * 0.45)
 	return clampScore(base)
 }
 

@@ -15,6 +15,11 @@ const (
 	MaxScore = 5
 )
 
+// MaxYear is the last calendar year (UTC) a rating may be dated in and a
+// request's from/to may name: the last year an RFC 3339 timestamp can
+// print. It bounds the evolution sweep, which has one window per year.
+const MaxYear = 9999
+
 // Gender is a reviewer's gender as recorded by MovieLens.
 type Gender uint8
 

@@ -39,20 +39,16 @@ const shutdownGrace = 10 * time.Second
 // request (a client that disconnects cancels its mine mid-restart),
 // bounded by Config.RequestTimeout.
 type Server struct {
-	// def is the default mount. The index and /statsz pages serve it.
-	def maprat.Miner
-	reg *maprat.Registry
-	mux *http.ServeMux
-	api *api.Handler
+	// eng serves every page; mount names it in /statsz.
+	eng   maprat.Miner
+	mount *maprat.Mount
+	mux   *http.ServeMux
+	api   *api.Handler
 }
 
-// NewMulti builds a server over a registry of mounted datasets. The v1
-// API and the explain, group, evolution and browse pages select a
-// dataset per request (?dataset= / X-Maprat-Dataset); the index page
-// serves the default (first) mount.
-func NewMulti(reg *maprat.Registry, cfg Config) *Server {
-	s := &Server{def: reg.Default().Engine, reg: reg, mux: http.NewServeMux()}
-	s.api = api.NewMulti(reg, cfg)
+// NewMulti builds a server over the served dataset's mount.
+func NewMulti(m *maprat.Mount, cfg Config) *Server {
+	s := &Server{eng: m.Engine, mount: m, mux: http.NewServeMux(), api: api.NewMulti(m, cfg)}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.Handle("/explain", s.api.Wrap("page_explain", s.handleExplain))
 	s.mux.Handle("/group", s.api.Wrap("page_group", s.handleGroup))
@@ -138,30 +134,29 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Datasets []datasetStat                   `json:"datasets"`
 		Ingest   *maprat.IngestStats             `json:"ingest,omitempty"`
 	}{
-		PlanCache: s.def.PlanStats(),
-		Mines:     s.def.MineCount(),
+		PlanCache: s.eng.PlanStats(),
+		Mines:     s.eng.MineCount(),
 		API:       s.api.MetricsSnapshot(),
 	}
 	// A write-armed engine contributes its live-ingestion section (epoch
 	// clock, batch/tuple counters, WAL size, plan invalidation split).
-	if st, on := s.def.IngestStats(); on {
+	if st, on := s.eng.IngestStats(); on {
 		resp.Ingest = &st
 	}
-	for _, m := range s.reg.Mounts() {
-		st := m.Engine.Dataset().Stats()
-		resp.Datasets = append(resp.Datasets, datasetStat{
-			Name:        m.Name,
-			Fingerprint: fmt.Sprintf("%016x", m.Engine.Fingerprint()),
-			Users:       st.Users,
-			Items:       st.Items,
-			Ratings:     st.Ratings,
-			Source:      m.Info.Source,
-			Path:        m.Info.Path,
-			FileSize:    m.Info.FileSize,
-			OpenMS:      float64(m.Info.OpenDuration.Microseconds()) / 1000,
-		})
-	}
-	if eng, ok := s.def.(*maprat.Engine); ok {
+	// A list of one: monitoring clients read the list shape.
+	m, st := s.mount, s.eng.Dataset().Stats()
+	resp.Datasets = []datasetStat{{
+		Name:        m.Name,
+		Fingerprint: fmt.Sprintf("%016x", s.eng.Fingerprint()),
+		Users:       st.Users,
+		Items:       st.Items,
+		Ratings:     st.Ratings,
+		Source:      m.Info.Source,
+		Path:        m.Info.Path,
+		FileSize:    m.Info.FileSize,
+		OpenMS:      float64(m.Info.OpenDuration.Microseconds()) / 1000,
+	}}
+	if eng, ok := s.eng.(*maprat.Engine); ok {
 		if c := eng.Store().Cache(); c != nil {
 			resp.Result.Hits, resp.Result.Misses = c.Stats()
 			resp.Result.Entries = c.Len()
@@ -175,8 +170,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	stats := s.def.Dataset().Stats()
-	lo, hi := s.def.TimeRange()
+	stats := s.eng.Dataset().Stats()
+	lo, hi := s.eng.TimeRange()
 	render(w, indexTmpl, map[string]any{
 		"Users":    stats.Users,
 		"Items":    stats.Items,
@@ -190,22 +185,22 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // GET only (the forms submit with GET; the v1 surface is the place for
 // POST bodies), then api.Handler.Run. A failure is answered as plain
 // text with the status the v1 endpoint would answer, and ok is false.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, op string, defaults func(*api.Params)) (doc any, m *maprat.Mount, ok bool) {
+func (s *Server) run(w http.ResponseWriter, r *http.Request, op string, defaults func(*api.Params)) (doc any, ok bool) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET")
 		http.Error(w, "method "+r.Method+" not allowed (use GET)", http.StatusMethodNotAllowed)
-		return nil, nil, false
+		return nil, false
 	}
-	doc, m, err := s.api.Run(r, op, defaults)
+	doc, err := s.api.Run(r, op, defaults)
 	if err != nil {
 		http.Error(w, err.Error(), api.StatusForError(err))
-		return nil, nil, false
+		return nil, false
 	}
-	return doc, m, true
+	return doc, true
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	doc, m, ok := s.run(w, r, "explain", nil)
+	doc, ok := s.run(w, r, "explain", nil)
 	if !ok {
 		return
 	}
@@ -220,7 +215,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		tabs = append(tabs, tab{SVG: template.HTML(maps.Maps[i].SVG()), Result: tr})
 	}
 	titles := make([]string, 0, len(ex.ItemIDs))
-	ds := m.Engine.Dataset()
+	ds := s.eng.Dataset()
 	for _, id := range ex.ItemIDs {
 		if it := ds.ItemByID(id); it != nil {
 			titles = append(titles, fmt.Sprintf("%s (%d)", it.Title, it.Year))
@@ -254,7 +249,7 @@ const groupPageLimit = 8
 func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	// One call serves stats, related groups and refinements from the same
 	// materialized plan.
-	doc, _, ok := s.run(w, r, "group", func(p *api.Params) {
+	doc, ok := s.run(w, r, "group", func(p *api.Params) {
 		if p.Limit == nil {
 			limit := groupPageLimit
 			p.Limit = &limit
@@ -294,7 +289,7 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 // handleBrowse renders browse mode, the whole-log per-state choropleth
 // shown before any query is entered, from the browse document.
 func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	doc, _, ok := s.run(w, r, "browse", nil)
+	doc, ok := s.run(w, r, "browse", nil)
 	if !ok {
 		return
 	}
@@ -316,7 +311,7 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEvolution(w http.ResponseWriter, r *http.Request) {
-	doc, _, ok := s.run(w, r, "evolution", nil)
+	doc, ok := s.run(w, r, "evolution", nil)
 	if !ok {
 		return
 	}

@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/api"
@@ -103,7 +105,7 @@ func TestExplainPage(t *testing.T) {
 	}
 	for _, want := range []string{
 		"Similarity Mining", "Diversity Mining", "<svg", "reviewers from",
-		"overall μ", "explore",
+		"overall μ", "explore", "Toy Story (1995)",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("explain page missing %q", want)
@@ -410,6 +412,83 @@ func TestStatsEndpoint(t *testing.T) {
 	// The v1 surface's per-endpoint counters ride along.
 	if ep, ok := resp.API["explain"]; !ok || ep.Requests == 0 || ep.Status["2xx"] == 0 {
 		t.Errorf("statsz missing v1 endpoint metrics: %+v", resp.API)
+	}
+}
+
+// TestStatszDatasets pins the /statsz datasets section on a server that
+// serves a snapshot: one entry carrying the mount name, the fingerprint
+// (equal to the text-opened engine's over the same data), entity counts,
+// source, file size and open cost.
+func TestStatszDatasets(t *testing.T) {
+	cfg := maprat.SmallGenConfig()
+	cfg.Users, cfg.Movies, cfg.Ratings = 300, 120, 6000
+	ds, err := maprat.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := maprat.Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.msnap")
+	if err := maprat.WriteSnapshot(path, ds, maprat.SnapshotMeta{Source: "generated"}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	snapped, err := maprat.OpenSnapshot(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snapped.Close()
+	ts := httptest.NewServer(NewMulti(maprat.NewSingleRegistry("snap", snapped, maprat.DatasetInfo{
+		Source: "snapshot", Path: path, FileSize: 123, OpenDuration: time.Since(start),
+	}), Config{}))
+	defer ts.Close()
+
+	code, body := get(t, ts, "/statsz")
+	if code != http.StatusOK {
+		t.Fatalf("statsz status %d", code)
+	}
+	var stats struct {
+		Datasets []struct {
+			Name        string  `json:"name"`
+			Fingerprint string  `json:"fingerprint"`
+			Users       int     `json:"users"`
+			Items       int     `json:"items"`
+			Ratings     int     `json:"ratings"`
+			Source      string  `json:"source"`
+			Path        string  `json:"path"`
+			FileSize    int64   `json:"file_size"`
+			OpenMS      float64 `json:"open_ms"`
+		} `json:"datasets"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatalf("statsz json: %v\n%s", err, body)
+	}
+	if len(stats.Datasets) != 1 {
+		t.Fatalf("got %d dataset entries, want 1: %s", len(stats.Datasets), body)
+	}
+	snap := stats.Datasets[0]
+	if snap.Name != "snap" {
+		t.Errorf("mount name %q, want snap", snap.Name)
+	}
+	// Same underlying data as the text-opened engine: identical fingerprint.
+	if want := fmt.Sprintf("%016x", direct.Fingerprint()); snap.Fingerprint != want {
+		t.Errorf("fingerprint %q, want the text-opened engine's %q", snap.Fingerprint, want)
+	}
+	st := ds.Stats()
+	if snap.Users != st.Users || snap.Items != st.Items || snap.Ratings != st.Ratings {
+		t.Errorf("snapshot mount counts %d/%d/%d, want %d/%d/%d",
+			snap.Users, snap.Items, snap.Ratings, st.Users, st.Items, st.Ratings)
+	}
+	if snap.Source != "snapshot" || snap.Path != path {
+		t.Errorf("source %q path %q, want snapshot %q", snap.Source, snap.Path, path)
+	}
+	if snap.FileSize != 123 {
+		t.Errorf("file size %d, want 123", snap.FileSize)
+	}
+	if snap.OpenMS <= 0 {
+		t.Errorf("open_ms %v, want > 0", snap.OpenMS)
 	}
 }
 

@@ -34,7 +34,8 @@ func Likert(mean float64) (r, g, b uint8) {
 		r1, g1, b1 = 228, 188, 44
 		r2, g2, b2 = 22, 128, 44
 	)
-	lerp := func(a, b float64, t float64) uint8 { return uint8(a + (b-a)*t + 0.5) }
+	// The conversion rounds the product, so no GOARCH fuses the add.
+	lerp := func(a, b float64, t float64) uint8 { return uint8(a + float64((b-a)*t) + 0.5) }
 	if t < 0.5 {
 		u := t * 2
 		return lerp(r0, r1, u), lerp(g0, g1, u), lerp(b0, b1, u)

@@ -10,12 +10,11 @@
 //
 // Every read, Browse included, POSTs its Params as a JSON body, which the
 // server decodes exactly as it decodes the same knobs in a GET query
-// string; Params.Dataset picks the mount. A response body is a pure
-// function of the request and the data, so two identical reads at one
-// epoch return identical bodies. What one call did is sent as headers,
-// and Explain copies them into the response's FromCache and ElapsedMS
-// fields. Reads retry transport errors
-// and 429/502/503/504. AppendRatings retries only the 429 admission
+// string. A response body is a pure function of the request and the
+// data, so two identical reads at one epoch return identical bodies.
+// What one call did is sent as headers, and Explain copies them into the
+// response's FromCache and ElapsedMS fields. Reads retry transport
+// errors and 429/502/503/504. AppendRatings retries only the 429 admission
 // rejection: any other failure may have come after the batch was logged,
 // and a replay would log it twice.
 package client
@@ -349,7 +348,7 @@ func (c *Client) Evolution(ctx context.Context, p Params) (*EvolutionResponse, e
 }
 
 // Browse fetches the whole-log per-state choropleth. It reads only
-// p.Epoch (absent or 0 = latest) and p.Dataset: a pinned document is
+// p.Epoch (absent or 0 = latest): a pinned document is
 // byte-identical no matter how many batches were appended after that
 // epoch.
 func (c *Client) Browse(ctx context.Context, p Params) (*BrowseResponse, error) {
@@ -361,15 +360,21 @@ func (c *Client) Browse(ctx context.Context, p Params) (*BrowseResponse, error) 
 }
 
 // AppendRatings appends one batch of new ratings and returns the epoch
-// the server accepted it at. dataset selects the mounted dataset ("" =
-// default). The batch is all-or-nothing and WAL-durable before the
-// server answers. Appends are not idempotent, so only an admission 429
-// retries (within the client's retry budget, honoring Retry-After): the
-// server rejects it before the batch is logged. Every other failure,
-// a lost connection or a 503 included, returns to the caller, who
-// alone can tell whether the batch should be sent again.
+// the server accepted it at. A server serves one dataset, so dataset
+// must be ""; any other value returns an error without sending the
+// batch. The parameter stays only because perfbench/runner.go:223 passes
+// "", until ROADMAP item 1's perfbench change drops it. The batch is
+// all-or-nothing and WAL-durable before the server answers. Appends are
+// not idempotent, so only an admission 429 retries (within the client's
+// retry budget, honoring Retry-After): the server rejects it before the
+// batch is logged. Every other failure, a lost connection or a 503
+// included, returns to the caller, who alone can tell whether the batch
+// should be sent again.
 func (c *Client) AppendRatings(ctx context.Context, dataset string, ratings []RatingInput) (*AppendResponse, error) {
-	body, err := json.Marshal(api.AppendRequest{Dataset: dataset, Ratings: ratings})
+	if dataset != "" {
+		return nil, fmt.Errorf("client: dataset %q: a server serves one dataset, pass \"\"", dataset)
+	}
+	body, err := json.Marshal(api.AppendRequest{Ratings: ratings})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,5 +455,28 @@ func TestAppendRetriesOnlyAdmission(t *testing.T) {
 			}
 			mu.Unlock()
 		})
+	}
+}
+
+// TestAppendRatingsRefusesDataset: a server serves one dataset, so a
+// batch addressed to a named one fails in the client and is never sent.
+func TestAppendRatingsRefusesDataset(t *testing.T) {
+	var requests atomic.Int32
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"epoch":2,"accepted":1}`))
+	}))
+	defer fake.Close()
+	c, err := New(fake.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []RatingInput{{UserID: 1, ItemID: 1, Score: 5, Unix: 1100000000}}
+	if resp, err := c.AppendRatings(context.Background(), "beta", batch); err == nil {
+		t.Fatalf("AppendRatings to dataset beta = %+v, want an error", resp)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("server saw %d requests, want 0", n)
 	}
 }
