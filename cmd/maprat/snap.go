@@ -29,7 +29,9 @@ func runSnap(args []string) {
 	case "info":
 		snapInfo(args[1:])
 	case "compact":
-		snapCompact(args[1:])
+		if err := snapCompact(args[1:]); err != nil {
+			log.Fatal(err)
+		}
 	default:
 		log.Fatalf("unknown snap subcommand %q (want pack, info or compact)", args[0])
 	}
@@ -81,9 +83,11 @@ func snapPack(args []string) {
 // the merged rating log into a fresh snapshot: the appended epochs fold
 // into the new base (epoch 1), so a server restarted on the compacted
 // file with an empty WAL serves the same data the old (snapshot, WAL)
-// pair did. The provenance hash carries through and the folded epoch
-// range is recorded in the meta section.
-func snapCompact(args []string) {
+// pair did. The snapshot writer joins the merged log through
+// store.JoinRating, so a record that WAL replay would refuse fails the
+// compaction too. The provenance hash carries through and the folded
+// epoch range is recorded in the meta section.
+func snapCompact(args []string) error {
 	fs := flag.NewFlagSet("snap compact", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: maprat snap compact <in.msnap> <wal> <out.msnap>")
@@ -99,7 +103,7 @@ func snapCompact(args []string) {
 	start := time.Now()
 	snap, err := snapshot.Open(in)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer snap.Close()
 	// A snapshot is always base epoch 1; the WAL's records must count up
@@ -108,7 +112,7 @@ func snapCompact(args []string) {
 	// the restarted server would restore.
 	batches, err := ingest.ReadLog(walPath, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	base := snap.Dataset()
 	appended := 0
@@ -120,7 +124,7 @@ func snapCompact(args []string) {
 	}
 	ds, err := model.NewDataset(base.Users, base.Items, ratings)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lastEpoch := uint64(1 + len(batches))
 	meta := maprat.SnapshotMeta{
@@ -133,7 +137,7 @@ func snapCompact(args []string) {
 		},
 	}
 	if err := maprat.WriteSnapshot(out, ds, meta); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	size := int64(0)
 	if fi, err := os.Stat(out); err == nil {
@@ -142,6 +146,7 @@ func snapCompact(args []string) {
 	log.Printf("compacted %s + %s -> %s: epochs 1-%d (%d batches, %d appended ratings, %d total), %d bytes in %s",
 		in, walPath, out, lastEpoch, len(batches), appended, len(ratings), size,
 		time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func snapInfo(args []string) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // Errors reported by the live-append path.
@@ -125,35 +126,25 @@ func (e *Engine) AppendRatings(ctx context.Context, ratings []model.Rating) (uin
 	return epoch, nil
 }
 
-// lastRatingUnix is the last second of model.MaxYear, the latest
-// timestamp an appended rating may carry.
-var lastRatingUnix = time.Date(model.MaxYear+1, 1, 1, 0, 0, 0, 0, time.UTC).Unix() - 1
-
 // joinBatch validates a batch against the (immutable) catalog and joins
-// each rating with its reviewer's demographics — the same join open
-// performs over the base log. Appends and WAL replay both pass through
-// it, so a record it rejects fails replay as it failed the append.
+// each rating with its reviewer's demographics through
+// store.JoinRating, the check and join open runs over the base log.
+// Appends and WAL replay both pass through it, so a record it rejects
+// fails replay as it failed the append. The one rule of its own is the
+// timestamp: the server never stamps time, so an appended rating must
+// carry one (Unix > 0).
 func (e *Engine) joinBatch(ratings []model.Rating) ([]cube.Tuple, error) {
 	ds := e.st.Dataset()
 	out := make([]cube.Tuple, len(ratings))
 	for i, r := range ratings {
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: rating %d: %v", ErrBadRating, i, err)
-		}
 		if r.Unix <= 0 {
 			return nil, fmt.Errorf("%w: rating %d: missing timestamp", ErrBadRating, i)
 		}
-		if r.Unix > lastRatingUnix {
-			return nil, fmt.Errorf("%w: rating %d: timestamp %d past year %d", ErrBadRating, i, r.Unix, model.MaxYear)
+		t, err := store.JoinRating(ds, r)
+		if err != nil {
+			return nil, fmt.Errorf("%w: rating %d: %v", ErrBadRating, i, err)
 		}
-		u := ds.UserByID(r.UserID)
-		if u == nil {
-			return nil, fmt.Errorf("%w: rating %d: unknown user %d", ErrBadRating, i, r.UserID)
-		}
-		if ds.ItemByID(r.ItemID) == nil {
-			return nil, fmt.Errorf("%w: rating %d: unknown item %d", ErrBadRating, i, r.ItemID)
-		}
-		out[i] = cube.JoinRating(r, u)
+		out[i] = t
 	}
 	return out, nil
 }

@@ -72,11 +72,13 @@ func ratingsFor(t testing.TB, e *Engine, itemID, n int) []model.Rating {
 
 func itemIDByTitle(t testing.TB, title string) int {
 	t.Helper()
-	items := ingestDataset(t).ItemsByTitle(title)
-	if len(items) == 0 {
-		t.Fatalf("fixture movie %q missing", title)
+	for _, it := range ingestDataset(t).Items {
+		if it.Title == title {
+			return it.ID
+		}
 	}
-	return items[0].ID
+	t.Fatalf("fixture movie %q missing", title)
+	return 0
 }
 
 // explainJSON renders an explanation with the nondeterministic fields

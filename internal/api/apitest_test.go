@@ -44,6 +44,18 @@ func newHandler(eng *maprat.Engine, cfg Config) *Handler {
 	return NewMulti(maprat.NewSingleRegistry("default", eng, maprat.DatasetInfo{}), cfg)
 }
 
+// toyStoryID returns the catalog ID of the fixture movie "Toy Story".
+func toyStoryID(t testing.TB, ds *maprat.Dataset) int {
+	t.Helper()
+	for _, it := range ds.Items {
+		if it.Title == "Toy Story" {
+			return it.ID
+		}
+	}
+	t.Fatal("fixture movie \"Toy Story\" missing")
+	return 0
+}
+
 func testServer(t testing.TB) *httptest.Server {
 	t.Helper()
 	testEngine(t)

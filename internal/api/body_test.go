@@ -209,7 +209,7 @@ func TestStoredBodiesFollowAppends(t *testing.T) {
 		t.Fatal("no Californian in the dataset")
 	}
 	_, maxUnix := eng.TimeRange()
-	batch := []RatingInput{{UserID: user.ID, ItemID: ds.ItemsByTitle("Toy Story")[0].ID, Score: 1, Unix: maxUnix + 1}}
+	batch := []RatingInput{{UserID: user.ID, ItemID: toyStoryID(t, ds), Score: 1, Unix: maxUnix + 1}}
 	raw, err := json.Marshal(AppendRequest{Ratings: batch})
 	if err != nil {
 		t.Fatal(err)

@@ -342,11 +342,11 @@ func (p Params) ExplainRequest() (maprat.ExplainRequest, error) {
 // one window per such year.
 func (p Params) window() (store.TimeWindow, error) {
 	var w store.TimeWindow
-	if p.From != nil && (*p.From < 1 || *p.From > model.MaxYear) {
-		return w, badRequestf("bad from year %d (want 1..%d)", *p.From, model.MaxYear)
+	if p.From != nil && (*p.From < model.MinYear || *p.From > model.MaxYear) {
+		return w, badRequestf("bad from year %d (want %d..%d)", *p.From, model.MinYear, model.MaxYear)
 	}
-	if p.To != nil && (*p.To < 1 || *p.To > model.MaxYear) {
-		return w, badRequestf("bad to year %d (want 1..%d)", *p.To, model.MaxYear)
+	if p.To != nil && (*p.To < model.MinYear || *p.To > model.MaxYear) {
+		return w, badRequestf("bad to year %d (want %d..%d)", *p.To, model.MinYear, model.MaxYear)
 	}
 	if p.From != nil {
 		w.From = time.Date(*p.From, 1, 1, 0, 0, 0, 0, time.UTC).Unix()

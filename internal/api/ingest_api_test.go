@@ -62,7 +62,7 @@ func appendBody(t *testing.T, eng *maprat.Engine, score int) string {
 	_, maxUnix := eng.TimeRange()
 	req := AppendRequest{Ratings: []RatingInput{{
 		UserID: ds.Users[0].ID,
-		ItemID: ds.ItemsByTitle("Toy Story")[0].ID,
+		ItemID: toyStoryID(t, ds),
 		Score:  score,
 		Unix:   maxUnix + 1,
 	}}}

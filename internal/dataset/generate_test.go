@@ -108,10 +108,21 @@ func TestGenerateInvalidConfigs(t *testing.T) {
 	}
 }
 
+// itemsTitled returns the catalog items with exactly this title.
+func itemsTitled(d *model.Dataset, title string) []*model.Item {
+	var out []*model.Item
+	for i := range d.Items {
+		if d.Items[i].Title == title {
+			out = append(out, &d.Items[i])
+		}
+	}
+	return out
+}
+
 func TestGeneratePlantedCatalogPresent(t *testing.T) {
 	d := generateSmall(t)
 	for _, p := range PlantedMovies {
-		items := d.ItemsByTitle(p.Title)
+		items := itemsTitled(d, p.Title)
 		if len(items) != 1 {
 			t.Errorf("planted title %q: found %d items", p.Title, len(items))
 			continue
@@ -207,7 +218,7 @@ func TestGenerateNoDuplicateUserMoviePairs(t *testing.T) {
 
 func TestGeneratePolarizedStructure(t *testing.T) {
 	d := generateSmall(t)
-	eclipse := d.ItemsByTitle("The Twilight Saga: Eclipse")
+	eclipse := itemsTitled(d, "The Twilight Saga: Eclipse")
 	if len(eclipse) != 1 {
 		t.Fatal("Eclipse missing")
 	}
@@ -244,7 +255,7 @@ func TestGeneratePolarizedStructure(t *testing.T) {
 
 func TestGenerateAnimationAffinity(t *testing.T) {
 	d := generateSmall(t)
-	toyStory := d.ItemsByTitle("Toy Story")[0]
+	toyStory := itemsTitled(d, "Toy Story")[0]
 	var under18, over50 sumCount
 	for _, r := range d.Ratings {
 		if r.ItemID != toyStory.ID {
@@ -270,7 +281,7 @@ func TestGenerateAnimationAffinity(t *testing.T) {
 func TestGenerateDriftObservable(t *testing.T) {
 	cfg := SmallGenConfig()
 	d := generateSmall(t)
-	toyStory := d.ItemsByTitle("Toy Story")[0]
+	toyStory := itemsTitled(d, "Toy Story")[0]
 	mid := cfg.Start.Unix() + (cfg.End.Unix()-cfg.Start.Unix())/2
 	var early, late sumCount
 	for _, r := range d.Ratings {

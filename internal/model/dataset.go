@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dataset is a complete collaborative rating site D = ⟨I, U, R⟩ held in
 // memory. Users and Items are addressable by ID through the lookup maps
@@ -126,22 +123,4 @@ func (d *Dataset) Stats() Stats {
 	}
 	s.MeanScore = float64(total) / float64(len(d.Ratings))
 	return s
-}
-
-// ItemsByTitle returns the items whose title matches exactly, sorted by
-// year then ID. MovieLens titles (e.g. sequels) are not unique.
-func (d *Dataset) ItemsByTitle(title string) []*Item {
-	var out []*Item
-	for i := range d.Items {
-		if d.Items[i].Title == title {
-			out = append(out, &d.Items[i])
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Year != out[b].Year {
-			return out[a].Year < out[b].Year
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out
 }

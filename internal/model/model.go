@@ -6,7 +6,10 @@
 // IMDB-style enrichment attributes (actors, directors).
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // MinScore and MaxScore bound the integer rating scale s ∈ [1,5] from §2.1
 // of the paper.
@@ -15,10 +18,21 @@ const (
 	MaxScore = 5
 )
 
-// MaxYear is the last calendar year (UTC) a rating may be dated in and a
-// request's from/to may name: the last year an RFC 3339 timestamp can
-// print. It bounds the evolution sweep, which has one window per year.
-const MaxYear = 9999
+// MinYear and MaxYear are the first and last calendar years (UTC) a
+// rating may be dated in and a request's from/to may name: the years an
+// RFC 3339 timestamp can print. They bound the evolution sweep, which
+// has one window per year.
+const (
+	MinYear = 1
+	MaxYear = 9999
+)
+
+// firstUnix and lastUnix are the first second of MinYear and the last of
+// MaxYear, the range of timestamps a rating may carry.
+var (
+	firstUnix = time.Date(MinYear, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	lastUnix  = time.Date(MaxYear+1, 1, 1, 0, 0, 0, 0, time.UTC).Unix() - 1
+)
 
 // Gender is a reviewer's gender as recorded by MovieLens.
 type Gender uint8
@@ -235,6 +249,9 @@ func (r Rating) Validate() error {
 	}
 	if r.Score < MinScore || r.Score > MaxScore {
 		return fmt.Errorf("model: rating score %d outside [%d,%d]", r.Score, MinScore, MaxScore)
+	}
+	if r.Unix < firstUnix || r.Unix > lastUnix {
+		return fmt.Errorf("model: rating timestamp %d outside years %d..%d", r.Unix, MinYear, MaxYear)
 	}
 	return nil
 }

@@ -84,11 +84,21 @@ func TestRatingValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid rating rejected: %v", err)
 	}
+	// The first second of MinYear and the last of MaxYear are valid
+	// timestamps; the seconds outside them are not.
+	for _, unix := range []int64{-62135596800, 253402300799} {
+		r := Rating{UserID: 1, ItemID: 2, Score: 3, Unix: unix}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("rating at Unix %d rejected: %v", unix, err)
+		}
+	}
 	bad := []Rating{
 		{UserID: 0, ItemID: 1, Score: 3},
 		{UserID: 1, ItemID: 0, Score: 3},
 		{UserID: 1, ItemID: 1, Score: 0},
 		{UserID: 1, ItemID: 1, Score: 6},
+		{UserID: 1, ItemID: 1, Score: 3, Unix: 253402300800},
+		{UserID: 1, ItemID: 1, Score: 3, Unix: -62135596801},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -199,24 +209,5 @@ func TestStatsEmptyDataset(t *testing.T) {
 	s := d.Stats()
 	if s.Ratings != 0 || s.MeanScore != 0 {
 		t.Errorf("empty stats = %+v", s)
-	}
-}
-
-func TestItemsByTitle(t *testing.T) {
-	items := []Item{
-		{ID: 3, Title: "King Kong", Year: 2005},
-		{ID: 1, Title: "King Kong", Year: 1933},
-		{ID: 2, Title: "Heat", Year: 1995},
-	}
-	d, err := NewDataset(nil, items, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := d.ItemsByTitle("King Kong")
-	if len(got) != 2 || got[0].Year != 1933 || got[1].Year != 2005 {
-		t.Errorf("ItemsByTitle order wrong: %+v", got)
-	}
-	if got := d.ItemsByTitle("Nope"); len(got) != 0 {
-		t.Errorf("ItemsByTitle miss returned %+v", got)
 	}
 }

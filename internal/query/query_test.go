@@ -21,7 +21,11 @@ func testStore(t testing.TB) *store.Store {
 		if err != nil {
 			panic(err)
 		}
-		stMemo, err = store.Open(ds, store.Options{})
+		pj, err := store.Join(ds)
+		if err != nil {
+			panic(err)
+		}
+		stMemo, err = store.Open(ds, pj, store.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -94,15 +94,14 @@ func FuzzSnapshotOpen(f *testing.F) {
 			if err := os.WriteFile(path, variant, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []Options{{}, {DisableMmap: true, DisableAlias: true}} {
-				snap, err := OpenWith(path, opts)
-				if err != nil {
-					continue
-				}
+			if snap, err := Open(path); err == nil {
 				checkOpened(t, snap)
 				if err := snap.Close(); err != nil {
 					t.Errorf("Close after successful open: %v", err)
 				}
+			}
+			if snap, err := decodeUnaligned(variant); err == nil {
+				checkOpened(t, snap)
 			}
 		}
 	})
@@ -135,15 +134,14 @@ func TestOpenCorruptionSweep(t *testing.T) {
 			if err := os.WriteFile(path, variant, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []Options{{}, {DisableMmap: true, DisableAlias: true}} {
-				snap, err := OpenWith(path, opts)
-				if err != nil {
-					continue
-				}
+			if snap, err := Open(path); err == nil {
 				checkOpened(t, snap)
 				if err := snap.Close(); err != nil {
 					t.Errorf("Close after successful open: %v", err)
 				}
+			}
+			if snap, err := decodeUnaligned(variant); err == nil {
+				checkOpened(t, snap)
 			}
 		}
 	}
@@ -163,28 +161,39 @@ func checkOpened(t *testing.T, s *Snapshot) {
 		t.Errorf("dataset %d/%d/%d disagrees with header %d/%d/%d",
 			len(ds.Users), len(ds.Items), len(ds.Ratings), h.Users, h.Items, h.Ratings)
 	}
-	if len(s.Tuples()) != int(h.Ratings) {
-		t.Errorf("tuple log has %d entries, header says %d", len(s.Tuples()), h.Ratings)
+	pj := s.Prejoined()
+	if len(pj.Tuples) != int(h.Ratings) {
+		t.Errorf("tuple log has %d entries, header says %d", len(pj.Tuples), h.Ratings)
 	}
 	total := 0
-	for id, idxs := range s.ItemTuples() {
+	for id, idxs := range pj.ItemTuples {
 		total += len(idxs)
 		for _, idx := range idxs {
-			if idx < 0 || int(idx) >= len(s.Tuples()) {
-				t.Fatalf("item %d index %d out of range [0,%d)", id, idx, len(s.Tuples()))
+			if idx < 0 || int(idx) >= len(pj.Tuples) {
+				t.Fatalf("item %d index %d out of range [0,%d)", id, idx, len(pj.Tuples))
 			}
 		}
 	}
 	if total != int(h.Ratings) {
 		t.Errorf("item index covers %d tuples, header says %d", total, h.Ratings)
 	}
+	// The time range is the tuples' own, whatever the header claims.
+	var lo, hi int64
+	for i, tp := range pj.Tuples {
+		if i == 0 || tp.Unix < lo {
+			lo = tp.Unix
+		}
+		if i == 0 || tp.Unix > hi {
+			hi = tp.Unix
+		}
+	}
+	if gl, gh := s.TimeRange(); gl != lo || gh != hi {
+		t.Errorf("time range [%d,%d], tuples span [%d,%d]", gl, gh, lo, hi)
+	}
 
 	// An accepted file must also serve: a store over it answers browse
 	// and gathers a query's log, and the cube builds over that log.
-	lo, hi := s.TimeRange()
-	st, err := store.OpenPrejoined(ds, store.Options{}, store.Prejoined{
-		Tuples: s.Tuples(), ItemTuples: s.ItemTuples(), MinUnix: lo, MaxUnix: hi,
-	})
+	st, err := store.Open(ds, pj, store.Options{})
 	if err != nil {
 		t.Fatalf("store over an accepted snapshot: %v", err)
 	}

@@ -6,23 +6,13 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/model"
+	"repro/internal/store"
 )
-
-// Options tunes Open, mostly for tests and diagnostics.
-type Options struct {
-	// DisableMmap forces the copying fallback (the whole file is read
-	// into heap memory) even where mmap is available.
-	DisableMmap bool
-	// DisableAlias forces the tuple log and item-index arena to be
-	// decoded field-by-field instead of aliased over the raw bytes, even
-	// when the in-memory layout is compatible.
-	DisableAlias bool
-}
 
 // Snapshot is an opened .msnap file: the reconstructed dataset plus the
 // pre-joined artifacts the store otherwise derives at open time. When the
-// file is memory-mapped and the host layout is compatible, Tuples and the
-// item-index arena alias the mapped pages directly — they stay valid
+// file is memory-mapped and the host layout is compatible, the tuple log
+// and the item-index arena alias the mapped pages directly — they stay valid
 // until Close, and a second process opening the same file shares the
 // pages read-only.
 type Snapshot struct {
@@ -30,21 +20,17 @@ type Snapshot struct {
 	data   []byte
 	mapped bool
 
-	ds         *model.Dataset
-	tuples     []cube.Tuple
-	itemTuples map[int][]int32
-	aliased    bool
-	size       int64
-	meta       map[string]string
+	ds      *model.Dataset
+	pj      store.Prejoined
+	aliased bool
+	size    int64
+	meta    map[string]string
 }
 
-// Open opens a snapshot with default options: mmap where the platform
-// supports it, zero-copy aliasing where the layout allows it, and a safe
-// copying fallback everywhere else.
-func Open(path string) (*Snapshot, error) { return OpenWith(path, Options{}) }
-
-// OpenWith is Open with explicit options.
-func OpenWith(path string, opts Options) (*Snapshot, error) {
+// Open opens a snapshot: mmap where the platform supports it, zero-copy
+// aliasing where the layout allows it, and a safe copying fallback
+// everywhere else (non-unix or big-endian hosts, or a misaligned buffer).
+func Open(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -57,7 +43,7 @@ func OpenWith(path string, opts Options) (*Snapshot, error) {
 
 	var data []byte
 	mapped := false
-	if !opts.DisableMmap && fi.Size() > 0 {
+	if fi.Size() > 0 {
 		if b, ok, err := mapFile(f, fi.Size()); err == nil && ok {
 			data, mapped = b, true
 		}
@@ -70,7 +56,7 @@ func OpenWith(path string, opts Options) (*Snapshot, error) {
 		}
 	}
 
-	s, err := decode(data, mapped, opts)
+	s, err := decode(data, mapped)
 	if err != nil {
 		if mapped {
 			_ = unmapFile(data)
@@ -82,8 +68,10 @@ func OpenWith(path string, opts Options) (*Snapshot, error) {
 }
 
 // decode reconstructs the dataset and pre-joined artifacts from the raw
-// snapshot bytes, verifying every checksum on the way in.
-func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
+// snapshot bytes, verifying every checksum on the way in. The tuple log
+// and the item-index arena alias data when the host layout and data's
+// alignment allow it, and are decoded into fresh memory otherwise.
+func decode(data []byte, mapped bool) (*Snapshot, error) {
 	hdr, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
@@ -130,12 +118,11 @@ func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: tuple section is %d bytes, want %d for %d ratings",
 			len(tupleSec), tupleRecordSize*int(hdr.Ratings), hdr.Ratings)
 	}
-	if !opts.DisableAlias {
-		s.tuples, s.aliased = aliasTuples(tupleSec)
+	tuples, aliased := aliasTuples(tupleSec)
+	if !aliased {
+		tuples = decodeTuples(tupleSec)
 	}
-	if s.tuples == nil {
-		s.tuples = decodeTuples(tupleSec)
-	}
+	s.pj.Tuples, s.aliased = tuples, aliased
 	// The item index is checked against the tuple log while the ratings
 	// are derived from it: the two scans are independent and cost about
 	// the same, so on two cores the check hides behind the derivation.
@@ -145,11 +132,11 @@ func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
 	go func() {
 		idxSec, err := hdr.section(data, secItemIndex)
 		if err == nil {
-			s.itemTuples, err = decodeItemIndex(idxSec, items, s.tuples, opts)
+			s.pj.ItemTuples, err = decodeItemIndex(idxSec, items, tuples)
 		}
 		idxErr <- err
 	}()
-	ratings, err := deriveRatings(s.tuples)
+	ratings, err := deriveRatings(tuples, &s.pj)
 	if ierr := <-idxErr; err == nil {
 		err = ierr
 	}
@@ -173,21 +160,20 @@ func decode(data []byte, mapped bool, opts Options) (*Snapshot, error) {
 // Dataset returns the reconstructed dataset. It stays valid until Close.
 func (s *Snapshot) Dataset() *model.Dataset { return s.ds }
 
-// Tuples returns the pre-joined rating log in load order. When Aliased
-// reports true the slice points into the mapped file and must not be
-// mutated; it is invalid after Close.
-func (s *Snapshot) Tuples() []cube.Tuple { return s.tuples }
-
-// ItemTuples returns the per-item time-sorted tuple index (item ID →
-// indices into Tuples). The inner slices may alias the mapped file.
-func (s *Snapshot) ItemTuples() map[int][]int32 { return s.itemTuples }
+// Prejoined returns the pre-joined rating log in load order, the
+// per-item time-sorted tuple index and the log's time range, each
+// derived from the tuple section (the header's time range is not
+// trusted). When Aliased reports true the tuple log and the index's
+// inner slices point into the mapped file and must not be mutated; they
+// are invalid after Close.
+func (s *Snapshot) Prejoined() store.Prejoined { return s.pj }
 
 // Header returns the decoded header (counts, time range, provenance,
 // section table).
 func (s *Snapshot) Header() Header { return s.hdr }
 
-// TimeRange returns the [min, max] rating timestamps from the header.
-func (s *Snapshot) TimeRange() (int64, int64) { return s.hdr.MinUnix, s.hdr.MaxUnix }
+// TimeRange returns the [min, max] rating timestamps of the tuple log.
+func (s *Snapshot) TimeRange() (int64, int64) { return s.pj.MinUnix, s.pj.MaxUnix }
 
 // Provenance returns the builder's config hash (0 = unknown).
 func (s *Snapshot) Provenance() uint64 { return s.hdr.Provenance }
@@ -350,13 +336,15 @@ func decodeItems(b []byte, n int, strs []string) ([]model.Item, error) {
 
 // deriveRatings builds the rating log from the tuple log, which carries
 // each rating's UserID, ItemID, Score and Unix, and in the same pass
-// checks every tuple: its rating must pass Rating.Validate, and its
-// attribute values must lie inside {Wildcard} ∪ [0, Cardinality). The
-// cube and the browse aggregates index per-value tables by those values,
-// and group statistics a histogram by score, so one out of range would
-// panic a request instead of failing the open. The demographic values are
-// not re-joined: a log in range is trusted to be store.Join's output.
-func deriveRatings(tuples []cube.Tuple) ([]model.Rating, error) {
+// checks every tuple and sets pj's time range from the tuples, as
+// store.Join derives it. Each tuple's rating must pass Rating.Validate,
+// and its attribute values must lie inside {Wildcard} ∪ [0, Cardinality).
+// The cube and the browse aggregates index per-value tables by those
+// values, and group statistics a histogram by score, so one out of range
+// would panic a request instead of failing the open. The demographic
+// values are not re-joined: a log in range is trusted to be store.Join's
+// output.
+func deriveRatings(tuples []cube.Tuple, pj *store.Prejoined) ([]model.Rating, error) {
 	// Wildcard is -1, so v+1 must lie in [0, Cardinality].
 	var card [cube.NumAttrs]uint16
 	for a := range card {
@@ -370,6 +358,12 @@ func deriveRatings(tuples []cube.Tuple) ([]model.Rating, error) {
 			return nil, fmt.Errorf("snapshot: tuple %d: %w", i, err)
 		}
 		ratings[i] = r
+		if i == 0 || r.Unix < pj.MinUnix {
+			pj.MinUnix = r.Unix
+		}
+		if i == 0 || r.Unix > pj.MaxUnix {
+			pj.MaxUnix = r.Unix
+		}
 		for a, v := range t.Vals {
 			if uint16(v+1) > card[a] {
 				return nil, fmt.Errorf("snapshot: tuple %d has %s value %d, outside [0,%d)", i, cube.Attr(a), v, card[a])
@@ -381,7 +375,7 @@ func deriveRatings(tuples []cube.Tuple) ([]model.Rating, error) {
 
 // decodeTuples is the copying fallback for the tuple log, used when the
 // host layout rules out aliasing (big-endian, or a differently padded
-// cube.Tuple) or when Options disabled it.
+// cube.Tuple) or the section is misaligned.
 func decodeTuples(b []byte) []cube.Tuple {
 	n := len(b) / tupleRecordSize
 	tuples := make([]cube.Tuple, n)
@@ -405,7 +399,7 @@ func decodeTuples(b []byte) []cube.Tuple {
 // copies. Every entry must be a tuple of its own item, and each item's
 // run must be strictly ascending in (Unix, index) — the order the
 // store's window search relies on.
-func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple, opts Options) (map[int][]int32, error) {
+func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple) (map[int][]int32, error) {
 	n, ratings := len(items), len(tuples)
 	want := 4*(n+1) + 4*ratings
 	if len(b) != want {
@@ -413,11 +407,8 @@ func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple, opts Opt
 	}
 	offs := b[0 : 4*(n+1)]
 	arenaBytes := b[4*(n+1):]
-	var arena []int32
-	if !opts.DisableAlias {
-		arena, _ = aliasInt32(arenaBytes)
-	}
-	if arena == nil {
+	arena, ok := aliasInt32(arenaBytes)
+	if !ok {
 		arena = make([]int32, ratings)
 		for i := range arena {
 			arena[i] = int32(le.Uint32(arenaBytes[4*i:]))

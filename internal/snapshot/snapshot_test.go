@@ -71,18 +71,19 @@ func TestRoundTrip(t *testing.T) {
 	if snap.Meta()["k"] != "v" {
 		t.Errorf("meta extra lost: %v", snap.Meta())
 	}
-	if len(snap.Tuples()) != len(testDS.Ratings) {
-		t.Errorf("tuple log has %d entries, want %d", len(snap.Tuples()), len(testDS.Ratings))
+	pj := snap.Prejoined()
+	if len(pj.Tuples) != len(testDS.Ratings) {
+		t.Errorf("tuple log has %d entries, want %d", len(pj.Tuples), len(testDS.Ratings))
 	}
 
 	// Every rating must appear in its item's index exactly once, sorted
 	// by timestamp.
 	total := 0
-	for id, idxs := range snap.ItemTuples() {
+	for id, idxs := range pj.ItemTuples {
 		total += len(idxs)
 		last := int64(-1 << 62)
 		for _, ti := range idxs {
-			tp := snap.Tuples()[ti]
+			tp := pj.Tuples[ti]
 			if int(tp.ItemID) != id {
 				t.Fatalf("item index for %d points at tuple of item %d", id, tp.ItemID)
 			}
@@ -97,46 +98,71 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFallbackParity pins the three open paths — mmap+alias, mmap with
-// copying decode, and plain read — to identical results.
+// decodeUnaligned decodes a heap copy of b that starts one byte past an
+// aligned address, so neither the tuple log nor the item-index arena can
+// be aliased: the copying path non-unix and big-endian hosts take.
+func decodeUnaligned(b []byte) (*Snapshot, error) {
+	buf := make([]byte, len(b)+1)
+	copy(buf[1:], b)
+	return decode(buf[1:], false)
+}
+
+// TestFallbackParity pins the open paths — mmap+alias, mmap with the
+// copying tuple decode, plain read, and plain read with nothing aliased —
+// to identical results.
 func TestFallbackParity(t *testing.T) {
 	path := writeTestSnapshot(t, Meta{Source: "generated"})
-	base, err := OpenWith(path, Options{})
+	base, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer base.Close()
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"no-alias", Options{DisableAlias: true}},
-		{"no-mmap", Options{DisableMmap: true}},
-		{"no-mmap-no-alias", Options{DisableMmap: true, DisableAlias: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			snap, err := OpenWith(path, tc.opts)
-			if err != nil {
-				t.Fatalf("OpenWith(%+v): %v", tc.opts, err)
-			}
-			defer snap.Close()
-			if tc.opts.DisableMmap && snap.Mapped() {
-				t.Error("DisableMmap but snapshot is mapped")
-			}
-			if tc.opts.DisableAlias && snap.Aliased() {
-				t.Error("DisableAlias but tuples are aliased")
-			}
-			if !reflect.DeepEqual(snap.Dataset(), base.Dataset()) {
-				t.Error("dataset differs from the mmap+alias open")
-			}
-			if !reflect.DeepEqual(snap.Tuples(), base.Tuples()) {
-				t.Error("tuple log differs from the mmap+alias open")
-			}
-			if !reflect.DeepEqual(snap.ItemTuples(), base.ItemTuples()) {
-				t.Error("item index differs from the mmap+alias open")
-			}
-		})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	same := func(t *testing.T, snap *Snapshot) {
+		t.Helper()
+		if !reflect.DeepEqual(snap.Dataset(), base.Dataset()) {
+			t.Error("dataset differs from the mmap+alias open")
+		}
+		if !reflect.DeepEqual(snap.Prejoined(), base.Prejoined()) {
+			t.Error("joined log differs from the mmap+alias open")
+		}
+	}
+	t.Run("no-alias", func(t *testing.T) {
+		sec, err := base.hdr.section(base.data, secTuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aliased, ok := aliasTuples(sec)
+		if !ok {
+			t.Skip("host layout rules out aliasing")
+		}
+		if !reflect.DeepEqual(decodeTuples(sec), aliased) {
+			t.Error("decoded tuple log differs from the aliased one")
+		}
+	})
+	t.Run("no-mmap", func(t *testing.T) {
+		snap, err := decode(raw, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Mapped() {
+			t.Error("heap-decoded snapshot reports mapped")
+		}
+		same(t, snap)
+	})
+	t.Run("no-mmap-no-alias", func(t *testing.T) {
+		snap, err := decodeUnaligned(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Aliased() {
+			t.Error("misaligned buffer but tuples are aliased")
+		}
+		same(t, snap)
+	})
 }
 
 func TestWriteDeterministic(t *testing.T) {
@@ -309,12 +335,12 @@ func TestOpenRejectsInconsistentLog(t *testing.T) {
 			if err := os.WriteFile(p, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []Options{{}, {DisableMmap: true, DisableAlias: true}} {
-				snap, err := OpenWith(p, opts)
-				if err == nil {
-					snap.Close()
-					t.Errorf("opened cleanly with options %+v", opts)
-				}
+			if snap, err := Open(p); err == nil {
+				snap.Close()
+				t.Error("opened cleanly")
+			}
+			if _, err := decodeUnaligned(b); err == nil {
+				t.Error("decoded cleanly without aliasing")
 			}
 		})
 	}
@@ -346,13 +372,13 @@ func TestOpensVersion1(t *testing.T) {
 	if !reflect.DeepEqual(v1.Dataset(), v2.Dataset()) {
 		t.Error("dataset differs between the v1 file and its v2 rewrite")
 	}
-	if !reflect.DeepEqual(v1.Tuples(), v2.Tuples()) || !reflect.DeepEqual(v1.ItemTuples(), v2.ItemTuples()) {
-		t.Error("tuple log or item index differs between the v1 file and its v2 rewrite")
+	if !reflect.DeepEqual(v1.Prejoined(), v2.Prejoined()) {
+		t.Error("joined log differs between the v1 file and its v2 rewrite")
 	}
 	lo1, hi1 := v1.TimeRange()
 	lo2, hi2 := v2.TimeRange()
 	if lo1 != lo2 || hi1 != hi2 || v1.Provenance() != v2.Provenance() {
-		t.Error("header time range or provenance differs between the v1 file and its v2 rewrite")
+		t.Error("time range or provenance differs between the v1 file and its v2 rewrite")
 	}
 	if v2.Size() >= v1.Size() {
 		t.Errorf("v2 rewrite is %d bytes, not smaller than the v1 file's %d", v2.Size(), v1.Size())
@@ -375,7 +401,7 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestTimeRange pins the header's time range to the rating extremes.
+// TestTimeRange pins the snapshot's time range to the rating extremes.
 func TestTimeRange(t *testing.T) {
 	path := writeTestSnapshot(t, Meta{})
 	snap, err := Open(path)

@@ -50,10 +50,10 @@ func WriteFile(path string, ds *model.Dataset, meta Meta) error {
 // in memory first (≈60 MB at MovieLens-1M scale) so the output is a
 // single sequential write with every checksum already in place.
 //
-// Write stores the output of store.Join, the demographics join and
-// per-item time sort the store performs at open time, so an engine opened
+// Write stores the output of store.Join, the validating demographics
+// join and per-item time sort maprat.Open performs, so an engine opened
 // from the snapshot is indistinguishable from one opened over the
-// original dataset.
+// original dataset, and a dataset Open would refuse cannot be written.
 func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	if ds == nil {
 		return fmt.Errorf("snapshot: nil dataset")
@@ -62,10 +62,7 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	if err != nil {
 		return err
 	}
-	offsets, arena, err := itemIndex(ds, pj.ItemTuples)
-	if err != nil {
-		return err
-	}
+	offsets, arena := itemIndex(ds, pj.ItemTuples)
 
 	in := newInterner()
 	secs := []struct {
@@ -126,18 +123,16 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 
 // itemIndex flattens the joined per-item index into the on-disk arena:
 // each item's tuple indices in catalog order, offsets[i] marking where
-// item i's run starts.
-func itemIndex(ds *model.Dataset, itemTuples map[int][]int32) (offsets []uint32, arena []int32, err error) {
+// item i's run starts. Join refused any rating of an unknown item, so
+// the arena covers the whole log.
+func itemIndex(ds *model.Dataset, itemTuples map[int][]int32) (offsets []uint32, arena []int32) {
 	offsets = make([]uint32, len(ds.Items)+1)
 	arena = make([]int32, 0, len(ds.Ratings))
 	for i := range ds.Items {
 		arena = append(arena, itemTuples[ds.Items[i].ID]...)
 		offsets[i+1] = uint32(len(arena))
 	}
-	if len(arena) != len(ds.Ratings) {
-		return nil, nil, fmt.Errorf("snapshot: %d of %d ratings reference unknown items", len(ds.Ratings)-len(arena), len(ds.Ratings))
-	}
-	return offsets, arena, nil
+	return offsets, arena
 }
 
 // interner assigns dense IDs to strings; ID 0 is always "".

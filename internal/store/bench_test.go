@@ -7,7 +7,7 @@ import (
 
 func benchStore(b *testing.B, opts Options) *Store {
 	b.Helper()
-	s, err := Open(smallDataset(b), opts)
+	s, err := openDataset(smallDataset(b), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestOpenParallelMatchesSequential pins the sharded Open's contract: the
+// TestOpenParallelMatchesSequential pins the sharded Join's contract: the
 // joined tuple log, per-item indexes and time range must be identical
 // whether the join ran on one goroutine or many. The small dataset (~80k ratings) is above openParallelMin, so the
 // GOMAXPROCS>1 run actually takes the sharded path on multi-core hosts;
@@ -20,9 +20,9 @@ func TestOpenParallelMatchesSequential(t *testing.T) {
 	}
 
 	prev := runtime.GOMAXPROCS(1)
-	seq, seqErr := Open(ds, DefaultOptions())
+	seq, seqErr := openDataset(ds, DefaultOptions())
 	runtime.GOMAXPROCS(4)
-	par, parErr := Open(ds, DefaultOptions())
+	par, parErr := openDataset(ds, DefaultOptions())
 	runtime.GOMAXPROCS(prev)
 	if seqErr != nil || parErr != nil {
 		t.Fatalf("Open failed: seq=%v par=%v", seqErr, parErr)

@@ -150,81 +150,14 @@ type epochMark struct {
 	states []cube.Agg
 }
 
-// openParallelMin is the rating count below which Open joins sequentially;
-// goroutine fan-out over a small log costs more than the join.
+// openParallelMin is the rating count below which Join runs
+// sequentially; goroutine fan-out over a small log costs more than the
+// join.
 const openParallelMin = 1 << 15
-
-// Open indexes a dataset. The dataset must already be valid (see
-// model.Dataset.Validate); Open trusts it and never mutates it.
-//
-// The expensive phases — the demographics join and the per-item time
-// index — are sharded over rating partitions across GOMAXPROCS
-// goroutines. The result is identical to a sequential open: shards are
-// contiguous index ranges merged in order, and every sort below carries a
-// total-order tie-break. The browse aggregates are deferred to the first
-// StateAggsAt call, so opening a store — in particular from a
-// memory-mapped snapshot — never pays for an aggregate the workload might
-// not touch.
-func Open(ds *model.Dataset, opts Options) (*Store, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("store: nil dataset")
-	}
-	s := newStore(ds)
-
-	// The item-attribute indexes only read ds.Items; build them while the
-	// rating join runs.
-	var itemWG sync.WaitGroup
-	itemWG.Add(1)
-	go func() { //maprat:allow(ctxflow) startup join helper: bounded CPU work joined by itemWG.Wait before Open returns
-		defer itemWG.Done()
-		s.buildItemIndexes()
-	}()
-	pj, err := Join(ds)
-	itemWG.Wait()
-	if err != nil {
-		return nil, err
-	}
-	s.finishOpen(opts, pj)
-	return s, nil
-}
-
-func newStore(ds *model.Dataset) *Store {
-	return &Store{
-		ds:         ds,
-		byGenre:    make(map[string][]int),
-		byActor:    make(map[string][]int),
-		byDirector: make(map[string][]int),
-		byTitle:    make(map[string][]int),
-		titleTerm:  make(map[string][]int),
-	}
-}
-
-// finishOpen runs the open-time stages that follow the join: installing
-// the joined log, arming the lazy browse aggregates, building the caching
-// tiers, and sealing the base log as epoch 1.
-func (s *Store) finishOpen(opts Options, pj Prejoined) {
-	s.tuples, s.itemTuples = pj.Tuples, pj.ItemTuples
-	s.minUnix, s.maxUnix = pj.MinUnix, pj.MaxUnix
-	if s.itemTuples == nil {
-		s.itemTuples = make(map[int][]int32)
-	}
-	if opts.CacheSize > 0 {
-		s.cache = NewLRU(opts.CacheSize)
-	}
-	if opts.PlanCacheTuples > 0 {
-		s.plans = NewPlanCache(opts.PlanCacheTuples)
-	}
-	s.epoch = 1
-	// The base mark's states delta (the whole-log per-state aggregate) is
-	// built lazily by stateAggsLocked so open never pays for it.
-	s.bounds = []epochMark{{tuples: len(s.tuples), minUnix: s.minUnix, maxUnix: s.maxUnix}}
-}
 
 // Prejoined carries the open-time artifacts Join derives and a snapshot
 // stores: the demographics-joined tuple log in rating-log order, the
 // per-item time-sorted index into it, and the rating time range.
-// OpenPrejoined trusts these to match what Join would derive — the
-// snapshot writer produces them with Join itself.
 type Prejoined struct {
 	Tuples     []cube.Tuple
 	ItemTuples map[int][]int32
@@ -232,30 +165,83 @@ type Prejoined struct {
 	MaxUnix    int64
 }
 
-// OpenPrejoined is Open minus the join: the expensive tuple
-// materialization and per-item sort are taken from pj (typically slices
-// aliasing a memory-mapped snapshot), so only the item-attribute
-// indexes and the optional caching tiers are built here. The
-// store never mutates the tuple log or the index after open, so
-// read-only mapped pages are safe underneath it.
-func OpenPrejoined(ds *model.Dataset, opts Options, pj Prejoined) (*Store, error) {
+// Open indexes a dataset over its joined rating log and seals the log as
+// epoch 1. pj is either Join(ds), which checks every rating with
+// JoinRating, or a snapshot's decoded log, whose ratings snapshot.Open
+// checks with Rating.Validate and whose every field it derives from the
+// tuples. Open checks that pj holds one tuple per rating, builds the
+// item-attribute indexes and the optional caching tiers, and takes
+// ownership of pj. A snapshot's pj may alias read-only mapped pages: its
+// slices carry no spare capacity, so the store's appends copy them
+// rather than write into them. Open never mutates ds.
+//
+// The browse aggregates are deferred to the first StateAggsAt call, so
+// opening a store — in particular from a memory-mapped snapshot — never
+// pays for an aggregate the workload might not touch.
+func Open(ds *model.Dataset, pj Prejoined, opts Options) (*Store, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("store: nil dataset")
 	}
 	if len(pj.Tuples) != len(ds.Ratings) {
-		return nil, fmt.Errorf("store: prejoined log has %d tuples for %d ratings", len(pj.Tuples), len(ds.Ratings))
+		return nil, fmt.Errorf("store: joined log has %d tuples for %d ratings", len(pj.Tuples), len(ds.Ratings))
 	}
-	s := newStore(ds)
+	s := &Store{
+		ds:         ds,
+		tuples:     pj.Tuples,
+		itemTuples: pj.ItemTuples,
+		byGenre:    make(map[string][]int),
+		byActor:    make(map[string][]int),
+		byDirector: make(map[string][]int),
+		byTitle:    make(map[string][]int),
+		titleTerm:  make(map[string][]int),
+		minUnix:    pj.MinUnix,
+		maxUnix:    pj.MaxUnix,
+		epoch:      1,
+	}
+	if s.itemTuples == nil {
+		s.itemTuples = make(map[int][]int32)
+	}
 	s.buildItemIndexes()
-	s.finishOpen(opts, pj)
+	if opts.CacheSize > 0 {
+		s.cache = NewLRU(opts.CacheSize)
+	}
+	if opts.PlanCacheTuples > 0 {
+		s.plans = NewPlanCache(opts.PlanCacheTuples)
+	}
+	// The base mark's states delta (the whole-log per-state aggregate) is
+	// built lazily by stateAggsLocked so open never pays for it.
+	s.bounds = []epochMark{{tuples: len(s.tuples), minUnix: s.minUnix, maxUnix: s.maxUnix}}
 	return s, nil
 }
 
-// Join materializes the demographics-joined tuple log, the per-item index
-// sorted by (Unix, log index), and the rating time range, sharding the
-// work over rating partitions. Open and the snapshot writer both call it,
-// so a store opened from a snapshot holds exactly the log a text open
-// derives.
+// JoinRating is the one validating join every rating passes on its way
+// into a store: r must pass Rating.Validate and reference a user and an
+// item of ds, and is then joined with its reviewer's demographics. Join
+// runs it over a dataset's whole log, and the live-append path over each
+// batch, so a rating refused on one path is refused on every path.
+func JoinRating(ds *model.Dataset, r model.Rating) (cube.Tuple, error) {
+	if err := r.Validate(); err != nil {
+		return cube.Tuple{}, err
+	}
+	u := ds.UserByID(r.UserID)
+	if u == nil {
+		return cube.Tuple{}, fmt.Errorf("unknown user %d", r.UserID)
+	}
+	if ds.ItemByID(r.ItemID) == nil {
+		return cube.Tuple{}, fmt.Errorf("unknown item %d", r.ItemID)
+	}
+	return cube.JoinRating(r, u), nil
+}
+
+// Join checks every rating of ds with JoinRating and materializes the
+// demographics-joined tuple log, the per-item index sorted by (Unix, log
+// index), and the rating time range, sharding the work over rating
+// partitions across GOMAXPROCS goroutines. The result is identical to a
+// sequential join: shards are contiguous index ranges merged in order,
+// and the per-item sort carries a total-order tie-break. maprat.Open and
+// the snapshot writer both call it, so a store opened from a snapshot
+// holds exactly the log a text open derives, and no invalid rating
+// reaches either.
 func Join(ds *model.Dataset) (Prejoined, error) {
 	tuples := make([]cube.Tuple, len(ds.Ratings))
 	pj := Prejoined{Tuples: tuples, ItemTuples: make(map[int][]int32)}
@@ -282,14 +268,14 @@ func Join(ds *model.Dataset) (Prejoined, error) {
 			sh.itemTuples = make(map[int][]int32)
 			for i := lo; i < hi; i++ {
 				r := ds.Ratings[i]
-				u := ds.UserByID(r.UserID)
-				if u == nil {
+				t, err := JoinRating(ds, r)
+				if err != nil {
 					// First error of the shard == lowest rating index,
 					// matching the sequential scan's report.
-					sh.err = fmt.Errorf("store: rating %d references unknown user %d", i, r.UserID)
+					sh.err = fmt.Errorf("store: rating %d: %w", i, err)
 					return
 				}
-				tuples[i] = cube.JoinRating(r, u)
+				tuples[i] = t
 				if !sh.seen || r.Unix < sh.minUnix {
 					sh.minUnix = r.Unix
 				}

@@ -28,13 +28,35 @@ func smallDataset(t testing.TB) *model.Dataset {
 	return dsMemo
 }
 
+// openDataset joins ds and opens a store over the joined log, as
+// maprat.Open does.
+func openDataset(ds *model.Dataset, opts Options) (*Store, error) {
+	pj, err := Join(ds)
+	if err != nil {
+		return nil, err
+	}
+	return Open(ds, pj, opts)
+}
+
 func openStore(t testing.TB, opts Options) *Store {
 	t.Helper()
-	s, err := Open(smallDataset(t), opts)
+	s, err := openDataset(smallDataset(t), opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	return s
+}
+
+// itemTitled returns the first catalog item with exactly this title.
+func itemTitled(t testing.TB, ds *model.Dataset, title string) *model.Item {
+	t.Helper()
+	for i := range ds.Items {
+		if ds.Items[i].Title == title {
+			return &ds.Items[i]
+		}
+	}
+	t.Fatalf("fixture movie %q missing", title)
+	return nil
 }
 
 func TestOpenBasics(t *testing.T) {
@@ -56,8 +78,22 @@ func TestOpenBasics(t *testing.T) {
 }
 
 func TestOpenNil(t *testing.T) {
-	if _, err := Open(nil, DefaultOptions()); err == nil {
+	if _, err := Open(nil, Prejoined{}, DefaultOptions()); err == nil {
 		t.Error("Open(nil) should fail")
+	}
+}
+
+// TestOpenRejectsShortLog: the joined log must cover the dataset's
+// ratings one to one.
+func TestOpenRejectsShortLog(t *testing.T) {
+	ds := smallDataset(t)
+	pj, err := Join(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj.Tuples = pj.Tuples[:len(pj.Tuples)-1]
+	if _, err := Open(ds, pj, Options{}); err == nil {
+		t.Error("Open accepted a log one tuple short of the dataset")
 	}
 }
 
@@ -65,7 +101,7 @@ func TestItemAttributeIndexes(t *testing.T) {
 	s := openStore(t, Options{})
 	ds := s.Dataset()
 
-	ts := ds.ItemsByTitle("Toy Story")[0]
+	ts := itemTitled(t, ds, "Toy Story")
 	ids := s.ItemsByTitle("toy story") // case-insensitive
 	if len(ids) != 1 || ids[0] != ts.ID {
 		t.Errorf("ItemsByTitle = %v, want [%d]", ids, ts.ID)
@@ -140,7 +176,7 @@ func TestItemsByTitleTerms(t *testing.T) {
 func TestTuplesForItems(t *testing.T) {
 	s := openStore(t, Options{})
 	ds := s.Dataset()
-	ts := ds.ItemsByTitle("Toy Story")[0]
+	ts := itemTitled(t, ds, "Toy Story")
 
 	tuples := s.TuplesForItems([]int{ts.ID}, TimeWindow{})
 	// Cross-check against a raw scan of the rating log.
@@ -163,7 +199,7 @@ func TestTuplesForItems(t *testing.T) {
 func TestTuplesForItemsWindow(t *testing.T) {
 	s := openStore(t, Options{})
 	ds := s.Dataset()
-	ts := ds.ItemsByTitle("Toy Story")[0]
+	ts := itemTitled(t, ds, "Toy Story")
 	lo, hi := s.TimeRange()
 	mid := lo + (hi-lo)/2
 

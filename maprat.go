@@ -144,31 +144,39 @@ type Engine struct {
 	closer interface{ Close() error }
 }
 
-// Open indexes a dataset and returns the engine. A nil opts uses
-// DefaultOptions.
+// Open indexes a dataset and returns the engine. Every rating passes
+// store.JoinRating: a score outside [1,5], a timestamp outside years
+// model.MinYear..model.MaxYear, or a reference to an unknown user or
+// item fails the open. A nil opts uses DefaultOptions.
 func Open(ds *Dataset, opts *Options) (*Engine, error) {
-	return newEngine(opts, nil, func(so store.Options) (*store.Store, error) { return store.Open(ds, so) })
+	if ds == nil {
+		return nil, fmt.Errorf("maprat: nil dataset")
+	}
+	pj, err := store.Join(ds)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(ds, pj, opts, nil)
 }
 
 // newEngine is the constructor both open paths share: it opens the store
-// with the defaulted options and computes the base fingerprint over the
-// base log, so an engine's identity is the same however its data
-// arrived, and a later WAL replay never moves it. closer, when non-nil,
-// is released if the store fails to open.
-func newEngine(opts *Options, closer interface{ Close() error }, openStore func(store.Options) (*store.Store, error)) (*Engine, error) {
+// over the joined log with the defaulted options and computes the base
+// fingerprint over the base log, so an engine's identity is the same
+// however its data arrived, and a later WAL replay never moves it.
+// closer, when non-nil, is released if the store fails to open.
+func newEngine(ds *Dataset, pj store.Prejoined, opts *Options, closer interface{ Close() error }) (*Engine, error) {
 	o := DefaultOptions()
 	if opts != nil {
 		o = *opts
 	}
-	st, err := openStore(o.Store)
+	st, err := store.Open(ds, pj, o.Store)
 	if err != nil {
 		if closer != nil {
 			_ = closer.Close()
 		}
 		return nil, err
 	}
-	lo, hi := st.TimeRange()
-	return &Engine{st: st, cubeCfg: o.Cube, fp: model.Fingerprint(st.Dataset(), lo, hi), closer: closer}, nil
+	return &Engine{st: st, cubeCfg: o.Cube, fp: model.Fingerprint(ds, pj.MinUnix, pj.MaxUnix), closer: closer}, nil
 }
 
 // SnapshotMeta is the builder identity stamped into a snapshot header
@@ -194,15 +202,7 @@ func OpenSnapshot(path string, opts *Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := snap.TimeRange()
-	return newEngine(opts, snap, func(so store.Options) (*store.Store, error) {
-		return store.OpenPrejoined(snap.Dataset(), so, store.Prejoined{
-			Tuples:     snap.Tuples(),
-			ItemTuples: snap.ItemTuples(),
-			MinUnix:    lo,
-			MaxUnix:    hi,
-		})
-	})
+	return newEngine(snap.Dataset(), snap.Prejoined(), opts, snap)
 }
 
 // Close releases resources held by the engine's open path — the mapped
@@ -621,11 +621,10 @@ func (e *Engine) planFor(ctx context.Context, q Query, base cube.Config) (*store
 	return e.planForKey(ctx, q, base, PlanKey(q, base))
 }
 
-// planForKey is planFor with the plan key already computed.
+// planForKey is planFor with the plan key already computed. q's epoch
+// must already be pinned (pinQuery), as every pipeline does before it
+// fetches a plan: plan versions are cut by concrete epochs.
 func (e *Engine) planForKey(ctx context.Context, q Query, base cube.Config, key string) (*store.Plan, error) {
-	if q.Epoch == 0 {
-		q.Epoch = e.st.CurrentEpoch()
-	}
 	pc := e.st.Plans()
 	if pc == nil {
 		return e.buildPlan(q, base)

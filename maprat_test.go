@@ -472,6 +472,37 @@ func TestOpenNilDataset(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsInvalidRatings: an in-memory dataset reaches the engine
+// through the same validating join as every other source. Before it did,
+// a score-9 rating opened, explained as μ = 9.00, and panicked the first
+// group click on the score histogram.
+func TestOpenRejectsInvalidRatings(t *testing.T) {
+	base := testEngine(t).Dataset()
+	good := base.Ratings[0]
+	for _, tc := range []struct {
+		name string
+		mut  func(r *model.Rating)
+	}{
+		{"score 9", func(r *model.Rating) { r.Score = 9 }},
+		{"unknown item", func(r *model.Rating) { r.ItemID = 99999999 }},
+		{"timestamp past year 9999", func(r *model.Rating) { r.Unix = firstUnixOfYear10000 }},
+		// About year -93,000: the evolution sweep would hold 95,101 windows.
+		{"timestamp before year 1", func(r *model.Rating) { r.Unix = -3_000_000_000_000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := good
+			tc.mut(&bad)
+			ds, err := model.NewDataset(base.Users, base.Items, []model.Rating{good, bad})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(ds, nil); err == nil {
+				t.Errorf("Open accepted a dataset with a bad rating (%s)", tc.name)
+			}
+		})
+	}
+}
+
 func TestGenerateReExports(t *testing.T) {
 	cfg := SmallGenConfig()
 	cfg.Users, cfg.Movies, cfg.Ratings = 100, 40, 1500

@@ -1,7 +1,10 @@
 package maprat
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -100,6 +103,57 @@ func TestSnapshotMiningIdentity(t *testing.T) {
 	b2, _ := json.Marshal(s2)
 	if string(b1) != string(b2) {
 		t.Error("browse states diverge between direct and snapshot engines")
+	}
+}
+
+// TestSnapshotHeaderTimeRangeNotTrusted: an engine's time range and
+// fingerprint come from the snapshot's tuples, not its header. A file
+// whose header claims the log ends in year 9999 (header CRC recomputed)
+// opened with that range before, so an evolution sweep mined ~8,000
+// yearly windows, and every ETag differed from the unpatched file's.
+func TestSnapshotHeaderTimeRangeNotTrusted(t *testing.T) {
+	cfg := SmallGenConfig()
+	cfg.Users, cfg.Movies, cfg.Ratings = 100, 40, 1500
+	ds, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "orig.msnap")
+	if err := WriteSnapshot(path, ds, SnapshotMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header layout: MaxUnix at byte 48; the header CRC (Castagnoli)
+	// follows the 96 fixed bytes and 24 bytes per section entry.
+	le := binary.LittleEndian
+	le.PutUint64(raw[48:], 253402300799) // the last second of year 9999
+	hb := 96 + 24*int(le.Uint32(raw[8:]))
+	le.PutUint32(raw[hb:], crc32.Checksum(raw[:hb], crc32.MakeTable(crc32.Castagnoli)))
+	patchedPath := filepath.Join(dir, "patched.msnap")
+	if err := os.WriteFile(patchedPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	orig, err := OpenSnapshot(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orig.Close()
+	patched, err := OpenSnapshot(patchedPath, nil)
+	if err != nil {
+		t.Fatalf("patched header: %v", err)
+	}
+	defer patched.Close()
+	st := ds.Stats()
+	if lo, hi := patched.TimeRange(); lo != st.MinUnix || hi != st.MaxUnix {
+		t.Errorf("time range [%d,%d], want the tuples' [%d,%d]", lo, hi, st.MinUnix, st.MaxUnix)
+	}
+	if patched.Fingerprint() != orig.Fingerprint() {
+		t.Errorf("fingerprint %016x, want the unpatched file's %016x", patched.Fingerprint(), orig.Fingerprint())
 	}
 }
 
