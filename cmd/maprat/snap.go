@@ -84,9 +84,10 @@ func snapPack(args []string) {
 // into the new base (epoch 1), so a server restarted on the compacted
 // file with an empty WAL serves the same data the old (snapshot, WAL)
 // pair did. The snapshot writer joins the merged log through
-// store.JoinRating, so a record that WAL replay would refuse fails the
-// compaction too. The provenance hash carries through and the folded
-// epoch range is recorded in the meta section.
+// store.Join, whose Joiner WAL replay also runs (Store.JoinRating), so
+// a record that WAL replay would refuse fails the compaction too. The
+// provenance hash carries through and the folded epoch range is
+// recorded in the meta section.
 func snapCompact(args []string) error {
 	fs := flag.NewFlagSet("snap compact", flag.ExitOnError)
 	fs.Usage = func() {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // Errors reported by the live-append path.
@@ -128,19 +127,18 @@ func (e *Engine) AppendRatings(ctx context.Context, ratings []model.Rating) (uin
 
 // joinBatch validates a batch against the (immutable) catalog and joins
 // each rating with its reviewer's demographics through
-// store.JoinRating, the check and join open runs over the base log.
+// Store.JoinRating, the Joiner store.Join runs over the base log.
 // Appends and WAL replay both pass through it, so a record it rejects
 // fails replay as it failed the append. The one rule of its own is the
 // timestamp: the server never stamps time, so an appended rating must
 // carry one (Unix > 0).
 func (e *Engine) joinBatch(ratings []model.Rating) ([]cube.Tuple, error) {
-	ds := e.st.Dataset()
 	out := make([]cube.Tuple, len(ratings))
 	for i, r := range ratings {
 		if r.Unix <= 0 {
 			return nil, fmt.Errorf("%w: rating %d: missing timestamp", ErrBadRating, i)
 		}
-		t, err := store.JoinRating(ds, r)
+		t, err := e.st.JoinRating(r)
 		if err != nil {
 			return nil, fmt.Errorf("%w: rating %d: %v", ErrBadRating, i, err)
 		}

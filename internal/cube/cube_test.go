@@ -388,7 +388,7 @@ func TestJoinRatingAndResolveUser(t *testing.T) {
 		t.Fatalf("ResolveUser: %+v", u)
 	}
 	r := model.Rating{UserID: 7, ItemID: 3, Score: 4, Unix: 978300000}
-	tup := JoinRating(r, &u)
+	tup := JoinRating(r, UserVals(&u))
 	if tup.Vals[Gender] != int16(model.Female) || tup.Vals[Age] != int16(model.Age25to34) ||
 		tup.Vals[Occupation] != 12 || StateCode(tup.Vals[State]) != "CA" {
 		t.Errorf("JoinRating vals = %v", tup.Vals)
@@ -398,7 +398,7 @@ func TestJoinRatingAndResolveUser(t *testing.T) {
 	}
 	bad := model.User{ID: 8, Zip: "00000"}
 	ResolveUser(&bad)
-	tup2 := JoinRating(model.Rating{UserID: 8, ItemID: 1, Score: 3}, &bad)
+	tup2 := JoinRating(model.Rating{UserID: 8, ItemID: 1, Score: 3}, UserVals(&bad))
 	if tup2.Vals[State] != Wildcard {
 		t.Errorf("unresolvable zip should yield Wildcard state, got %d", tup2.Vals[State])
 	}

@@ -26,23 +26,29 @@ type Tuple struct {
 	ItemID int32
 }
 
-// JoinRating builds a Tuple from a rating and its reviewer. The reviewer's
-// State/City fields must already be resolved (see geo.Locate); reviewers
-// with unresolvable zips get a Wildcard state and never satisfy
-// geo-anchored group descriptions.
-func JoinRating(r model.Rating, u *model.User) Tuple {
-	t := Tuple{
+// UserVals is a reviewer's joined attribute vector, the Vals every one of
+// the reviewer's tuples carries. The reviewer's State/City fields must
+// already be resolved (see geo.Locate); reviewers with unresolvable zips
+// get a Wildcard state and never satisfy geo-anchored group descriptions.
+func UserVals(u *model.User) [NumAttrs]int16 {
+	var v [NumAttrs]int16
+	v[Gender] = int16(u.Gender)
+	v[Age] = int16(u.Age)
+	v[Occupation] = int16(u.Occupation)
+	v[State] = StateIndex(u.State)
+	v[City] = CityIndex(u.City)
+	return v
+}
+
+// JoinRating builds a Tuple from a rating and its reviewer's UserVals.
+func JoinRating(r model.Rating, vals [NumAttrs]int16) Tuple {
+	return Tuple{
+		Vals:   vals,
 		Score:  int8(r.Score),
 		Unix:   r.Unix,
 		UserID: int32(r.UserID),
 		ItemID: int32(r.ItemID),
 	}
-	t.Vals[Gender] = int16(u.Gender)
-	t.Vals[Age] = int16(u.Age)
-	t.Vals[Occupation] = int16(u.Occupation)
-	t.Vals[State] = StateIndex(u.State)
-	t.Vals[City] = CityIndex(u.City)
-	return t
 }
 
 // ResolveUser fills a user's State and City from its zip code. Users whose

@@ -45,6 +45,24 @@ func (d *Dataset) Reindex() error {
 	return nil
 }
 
+// UserIndex returns the position in Users of the user with the given ID,
+// or -1 if absent.
+func (d *Dataset) UserIndex(id int) int {
+	if i, ok := d.userByID[id]; ok {
+		return i
+	}
+	return -1
+}
+
+// ItemIndex returns the position in Items of the item with the given ID,
+// or -1 if absent.
+func (d *Dataset) ItemIndex(id int) int {
+	if i, ok := d.itemByID[id]; ok {
+		return i
+	}
+	return -1
+}
+
 // UserByID returns the user with the given ID, or nil if absent.
 func (d *Dataset) UserByID(id int) *User {
 	if i, ok := d.userByID[id]; ok {

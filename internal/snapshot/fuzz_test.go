@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
@@ -165,30 +166,18 @@ func checkOpened(t *testing.T, s *Snapshot) {
 	if len(pj.Tuples) != int(h.Ratings) {
 		t.Errorf("tuple log has %d entries, header says %d", len(pj.Tuples), h.Ratings)
 	}
-	total := 0
-	for id, idxs := range pj.ItemTuples {
-		total += len(idxs)
-		for _, idx := range idxs {
-			if idx < 0 || int(idx) >= len(pj.Tuples) {
-				t.Fatalf("item %d index %d out of range [0,%d)", id, idx, len(pj.Tuples))
-			}
-		}
+	// The log, its item index and its time range are exactly what
+	// store.Join derives from the decoded catalog and ratings, whatever
+	// the header claims.
+	want, err := store.Join(ds)
+	if err != nil {
+		t.Fatalf("store.Join over an accepted snapshot's dataset: %v", err)
 	}
-	if total != int(h.Ratings) {
-		t.Errorf("item index covers %d tuples, header says %d", total, h.Ratings)
+	if !samePrejoined(pj, want) {
+		t.Error("joined log differs from store.Join over the decoded dataset")
 	}
-	// The time range is the tuples' own, whatever the header claims.
-	var lo, hi int64
-	for i, tp := range pj.Tuples {
-		if i == 0 || tp.Unix < lo {
-			lo = tp.Unix
-		}
-		if i == 0 || tp.Unix > hi {
-			hi = tp.Unix
-		}
-	}
-	if gl, gh := s.TimeRange(); gl != lo || gh != hi {
-		t.Errorf("time range [%d,%d], tuples span [%d,%d]", gl, gh, lo, hi)
+	if gl, gh := s.TimeRange(); gl != want.MinUnix || gh != want.MaxUnix {
+		t.Errorf("time range [%d,%d], store.Join derives [%d,%d]", gl, gh, want.MinUnix, want.MaxUnix)
 	}
 
 	// An accepted file must also serve: a store over it answers browse
@@ -203,4 +192,11 @@ func checkOpened(t *testing.T, s *Snapshot) {
 		ids[i] = ds.Items[i].ID
 	}
 	cube.Build(st.TuplesForItems(ids, store.TimeWindow{}), cube.DefaultConfig())
+}
+
+// samePrejoined reports whether two joined logs hold the same tuples,
+// item index and time range; a nil and an empty slice compare equal.
+func samePrejoined(a, b store.Prejoined) bool {
+	return slices.Equal(a.Tuples, b.Tuples) && slices.Equal(a.ItemIndex, b.ItemIndex) &&
+		slices.Equal(a.ItemOffsets, b.ItemOffsets) && a.MinUnix == b.MinUnix && a.MaxUnix == b.MaxUnix
 }

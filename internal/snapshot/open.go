@@ -123,6 +123,13 @@ func decode(data []byte, mapped bool) (*Snapshot, error) {
 		tuples = decodeTuples(tupleSec)
 	}
 	s.pj.Tuples, s.aliased = tuples, aliased
+	// The catalog is indexed first: every tuple is checked against its
+	// user's joined values, and deriveRatings fills the rating log in
+	// place.
+	ratings := make([]model.Rating, len(tuples))
+	if s.ds, err = model.NewDataset(users, items, ratings); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
 	// The item index is checked against the tuple log while the ratings
 	// are derived from it: the two scans are independent and cost about
 	// the same, so on two cores the check hides behind the derivation.
@@ -132,19 +139,17 @@ func decode(data []byte, mapped bool) (*Snapshot, error) {
 	go func() {
 		idxSec, err := hdr.section(data, secItemIndex)
 		if err == nil {
-			s.pj.ItemTuples, err = decodeItemIndex(idxSec, items, tuples)
+			s.pj.ItemOffsets, s.pj.ItemIndex, err = decodeItemIndex(idxSec, items, tuples)
 		}
 		idxErr <- err
 	}()
-	ratings, err := deriveRatings(tuples, &s.pj)
+	s.pj.Joiner = store.NewJoiner(s.ds)
+	err = deriveRatings(tuples, s.pj.Joiner, ratings, &s.pj)
 	if ierr := <-idxErr; err == nil {
 		err = ierr
 	}
 	if err != nil {
 		return nil, err
-	}
-	if s.ds, err = model.NewDataset(users, items, ratings); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 
 	metaSec, err := hdr.section(data, secMeta)
@@ -162,10 +167,11 @@ func (s *Snapshot) Dataset() *model.Dataset { return s.ds }
 
 // Prejoined returns the pre-joined rating log in load order, the
 // per-item time-sorted tuple index and the log's time range, each
-// derived from the tuple section (the header's time range is not
-// trusted). When Aliased reports true the tuple log and the index's
-// inner slices point into the mapped file and must not be mutated; they
-// are invalid after Close.
+// checked against or derived from the tuple section (the header's time
+// range is not trusted), with the Joiner over the snapshot's catalog
+// that checked every tuple. The tuple log and the index arena may point
+// into the mapped file (Aliased reports the tuple log) and must not be
+// mutated; they are invalid after Close.
 func (s *Snapshot) Prejoined() store.Prejoined { return s.pj }
 
 // Header returns the decoded header (counts, time range, provenance,
@@ -334,28 +340,48 @@ func decodeItems(b []byte, n int, strs []string) ([]model.Item, error) {
 	return items, nil
 }
 
-// deriveRatings builds the rating log from the tuple log, which carries
-// each rating's UserID, ItemID, Score and Unix, and in the same pass
-// checks every tuple and sets pj's time range from the tuples, as
-// store.Join derives it. Each tuple's rating must pass Rating.Validate,
-// and its attribute values must lie inside {Wildcard} ∪ [0, Cardinality).
-// The cube and the browse aggregates index per-value tables by those
-// values, and group statistics a histogram by score, so one out of range
-// would panic a request instead of failing the open. The demographic
-// values are not re-joined: a log in range is trusted to be store.Join's
-// output.
-func deriveRatings(tuples []cube.Tuple, pj *store.Prejoined) ([]model.Rating, error) {
+// deriveRatings fills ratings from the tuple log, which carries each
+// rating's UserID, ItemID, Score and Unix, and in the same pass checks
+// every tuple and sets pj's time range from the tuples, as store.Join
+// derives it. Each tuple's rating must pass Rating.Validate, its user
+// must be in the catalog, and its attribute values must equal that
+// user's joined values (Joiner.UserVals), so the log is exactly the one
+// store.Join builds over the catalog's own users. Those values must lie
+// inside {Wildcard} ∪ [0, Cardinality): the cube and the browse
+// aggregates index per-value tables by them, and group statistics a
+// histogram by score, so one out of range would panic a request instead
+// of failing the open. The log is grouped by user, so a user's values
+// are looked up and range-checked once per run of its tuples.
+func deriveRatings(tuples []cube.Tuple, j *store.Joiner, ratings []model.Rating, pj *store.Prejoined) error {
 	// Wildcard is -1, so v+1 must lie in [0, Cardinality].
 	var card [cube.NumAttrs]uint16
 	for a := range card {
 		card[a] = uint16(cube.Cardinality(cube.Attr(a)))
 	}
-	ratings := make([]model.Rating, len(tuples))
+	var (
+		user int32 // the user whose joined values vals holds; IDs are positive
+		vals [cube.NumAttrs]int16
+	)
 	for i := range tuples {
 		t := &tuples[i]
 		r := model.Rating{UserID: int(t.UserID), ItemID: int(t.ItemID), Score: int(t.Score), Unix: t.Unix}
 		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("snapshot: tuple %d: %w", i, err)
+			return fmt.Errorf("snapshot: tuple %d: %w", i, err)
+		}
+		if t.UserID != user {
+			v, ok := j.UserVals(r.UserID)
+			if !ok {
+				return fmt.Errorf("snapshot: tuple %d: unknown user %d", i, r.UserID)
+			}
+			for a, x := range v {
+				if uint16(x+1) > card[a] {
+					return fmt.Errorf("snapshot: user %d has %s value %d, outside [0,%d)", r.UserID, cube.Attr(a), x, card[a])
+				}
+			}
+			user, vals = t.UserID, v
+		}
+		if t.Vals != vals {
+			return fmt.Errorf("snapshot: tuple %d has attribute values %v, user %d's are %v", i, t.Vals, r.UserID, vals)
 		}
 		ratings[i] = r
 		if i == 0 || r.Unix < pj.MinUnix {
@@ -364,13 +390,8 @@ func deriveRatings(tuples []cube.Tuple, pj *store.Prejoined) ([]model.Rating, er
 		if i == 0 || r.Unix > pj.MaxUnix {
 			pj.MaxUnix = r.Unix
 		}
-		for a, v := range t.Vals {
-			if uint16(v+1) > card[a] {
-				return nil, fmt.Errorf("snapshot: tuple %d has %s value %d, outside [0,%d)", i, cube.Attr(a), v, card[a])
-			}
-		}
 	}
-	return ratings, nil
+	return nil
 }
 
 // decodeTuples is the copying fallback for the tuple log, used when the
@@ -393,19 +414,19 @@ func decodeTuples(b []byte) []cube.Tuple {
 	return tuples
 }
 
-// decodeItemIndex rebuilds the item ID → tuple-indices map by slicing
-// the flat arena per the offsets column. The arena itself is aliased
-// over the file bytes when possible, so the map's inner slices cost no
-// copies. Every entry must be a tuple of its own item, and each item's
-// run must be strictly ascending in (Unix, index) — the order the
-// store's window search relies on.
-func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple) (map[int][]int32, error) {
+// decodeItemIndex returns the item index's offsets column and its flat
+// arena, store.Prejoined's ItemOffsets and ItemIndex. The arena is
+// aliased over the file bytes when possible, so the store's per-item
+// runs cost no copies. Every entry must be a tuple of its own item, and
+// each item's run must be strictly ascending in (Unix, index) — the
+// order the store's window search relies on.
+func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple) (offsets, arena []int32, err error) {
 	n, ratings := len(items), len(tuples)
 	want := 4*(n+1) + 4*ratings
 	if len(b) != want {
-		return nil, fmt.Errorf("snapshot: item index is %d bytes, want %d", len(b), want)
+		return nil, nil, fmt.Errorf("snapshot: item index is %d bytes, want %d", len(b), want)
 	}
-	offs := b[0 : 4*(n+1)]
+	offBytes := b[0 : 4*(n+1)]
 	arenaBytes := b[4*(n+1):]
 	arena, ok := aliasInt32(arenaBytes)
 	if !ok {
@@ -414,27 +435,21 @@ func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple) (map[int
 			arena[i] = int32(le.Uint32(arenaBytes[4*i:]))
 		}
 	}
-	m := make(map[int][]int32, n)
-	prev := uint32(0)
+	offsets = make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		lo, hi := le.Uint32(offs[4*i:]), le.Uint32(offs[4*(i+1):])
-		if lo != prev || hi < lo || hi > uint32(ratings) {
-			return nil, fmt.Errorf("snapshot: item index offsets corrupt at item %d", i)
+		lo, hi := le.Uint32(offBytes[4*i:]), le.Uint32(offBytes[4*(i+1):])
+		if lo != uint32(offsets[i]) || hi < lo || hi > uint32(ratings) {
+			return nil, nil, fmt.Errorf("snapshot: item index offsets corrupt at item %d", i)
 		}
-		prev = hi
-		if hi == lo {
-			continue
+		offsets[i+1] = int32(hi)
+		if err := checkItemRun(arena[lo:hi], tuples, items[i].ID, lo); err != nil {
+			return nil, nil, err
 		}
-		run := arena[lo:hi:hi]
-		if err := checkItemRun(run, tuples, items[i].ID, lo); err != nil {
-			return nil, err
-		}
-		m[items[i].ID] = run
 	}
-	if int(prev) != ratings {
-		return nil, fmt.Errorf("snapshot: item index covers %d of %d tuples", prev, ratings)
+	if int(offsets[n]) != ratings {
+		return nil, nil, fmt.Errorf("snapshot: item index covers %d of %d tuples", offsets[n], ratings)
 	}
-	return m, nil
+	return offsets, arena, nil
 }
 
 // checkItemRun validates one item's run of the index arena (starting at

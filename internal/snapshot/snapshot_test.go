@@ -79,16 +79,16 @@ func TestRoundTrip(t *testing.T) {
 	// Every rating must appear in its item's index exactly once, sorted
 	// by timestamp.
 	total := 0
-	for id, idxs := range pj.ItemTuples {
-		total += len(idxs)
+	for i, it := range got.Items {
 		last := int64(-1 << 62)
-		for _, ti := range idxs {
+		for _, ti := range pj.ItemRun(i) {
+			total++
 			tp := pj.Tuples[ti]
-			if int(tp.ItemID) != id {
-				t.Fatalf("item index for %d points at tuple of item %d", id, tp.ItemID)
+			if int(tp.ItemID) != it.ID {
+				t.Fatalf("item index for %d points at tuple of item %d", it.ID, tp.ItemID)
 			}
 			if tp.Unix < last {
-				t.Fatalf("item %d index not time-sorted", id)
+				t.Fatalf("item %d index not time-sorted", it.ID)
 			}
 			last = tp.Unix
 		}
@@ -315,6 +315,16 @@ func TestOpenRejectsInconsistentLog(t *testing.T) {
 		}},
 		{"tuple-value-below-wildcard", func(b []byte) {
 			le.PutUint16(b[tupleOff+2*int(cube.Gender):], uint16(0xfffe)) // -2
+		}},
+		// A tuple is checked against its user's record, not trusted:
+		// before that check both of these opened and served, and snap
+		// compact over the first one failed with "unknown user".
+		{"tuple-unknown-user", func(b []byte) {
+			le.PutUint32(b[tupleOff+24:], 99999999)
+		}},
+		{"tuple-vals-not-its-users", func(b []byte) {
+			g := le.Uint16(b[tupleOff+2*int(cube.Gender):])
+			le.PutUint16(b[tupleOff+2*int(cube.Gender):], 1-g) // the other gender, still in range
 		}},
 		// A score outside [1,5] would index past GroupStats.Histogram on
 		// the first group click over this item.

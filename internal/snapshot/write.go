@@ -62,7 +62,6 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	if err != nil {
 		return err
 	}
-	offsets, arena := itemIndex(ds, pj.ItemTuples)
 
 	in := newInterner()
 	secs := []struct {
@@ -72,7 +71,7 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 		{secUsers, encodeUsers(ds.Users, in)},
 		{secItems, encodeItems(ds.Items, in)},
 		{secTuples, encodeTuples(pj.Tuples)},
-		{secItemIndex, encodeItemIndex(offsets, arena)},
+		{secItemIndex, encodeItemIndex(pj.ItemOffsets, pj.ItemIndex)},
 		{secMeta, encodeMeta(meta)},
 	}
 	// The intern table is encoded last (every other section feeds it) but
@@ -119,20 +118,6 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	}
 	_, err = w.Write(out)
 	return err
-}
-
-// itemIndex flattens the joined per-item index into the on-disk arena:
-// each item's tuple indices in catalog order, offsets[i] marking where
-// item i's run starts. Join refused any rating of an unknown item, so
-// the arena covers the whole log.
-func itemIndex(ds *model.Dataset, itemTuples map[int][]int32) (offsets []uint32, arena []int32) {
-	offsets = make([]uint32, len(ds.Items)+1)
-	arena = make([]int32, 0, len(ds.Ratings))
-	for i := range ds.Items {
-		arena = append(arena, itemTuples[ds.Items[i].ID]...)
-		offsets[i+1] = uint32(len(arena))
-	}
-	return offsets, arena
 }
 
 // interner assigns dense IDs to strings; ID 0 is always "".
@@ -258,10 +243,12 @@ func encodeTuples(tuples []cube.Tuple) []byte {
 	return out
 }
 
-func encodeItemIndex(offsets []uint32, arena []int32) []byte {
+// encodeItemIndex emits store.Prejoined's item index as it lies in
+// memory: the offsets column (u32[items+1]), then the arena.
+func encodeItemIndex(offsets, arena []int32) []byte {
 	out := make([]byte, 0, 4*(len(offsets)+len(arena)))
 	for _, o := range offsets {
-		out = le.AppendUint32(out, o)
+		out = le.AppendUint32(out, uint32(o))
 	}
 	for _, v := range arena {
 		out = le.AppendUint32(out, uint32(v))

@@ -24,7 +24,7 @@ func appendBatch(t *testing.T, s *Store, n int) []cube.Tuple {
 	out := make([]cube.Tuple, n)
 	for i := range out {
 		r := model.Rating{UserID: r0.UserID, ItemID: r0.ItemID, Score: 5, Unix: maxUnix + int64(i+1)}
-		out[i] = cube.JoinRating(r, u)
+		out[i] = cube.JoinRating(r, cube.UserVals(u))
 	}
 	return out
 }

@@ -14,6 +14,19 @@ func benchStore(b *testing.B, opts Options) *Store {
 	return s
 }
 
+// BenchmarkJoin times the open-time join over the small fixture: the
+// per-rating check and copy, then the time-ordered item index.
+func BenchmarkJoin(b *testing.B) {
+	ds := smallDataset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Join(ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTuplesForItems(b *testing.B) {
 	s := benchStore(b, Options{})
 	ids := s.ItemsByActor("Tom Hanks")

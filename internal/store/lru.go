@@ -44,6 +44,17 @@ func (c *LRU) Get(key string) (any, bool) {
 	return nil, false
 }
 
+// Peek returns the cached value for key without counting a lookup or
+// marking it used: a re-check of a key whose Get just missed.
+func (c *LRU) Peek(key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*lruEntry).val, true
+	}
+	return nil, false
+}
+
 // Put stores a value, evicting the least recently used entry when full.
 func (c *LRU) Put(key string, val any) {
 	c.mu.Lock()

@@ -9,7 +9,6 @@ package store
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -108,6 +107,7 @@ func DefaultOptions() Options {
 // epoch's tuple watermark.
 type Store struct {
 	ds     *model.Dataset
+	join   *Joiner      // the catalog's per-reviewer join table, pj.Joiner, kept for appends
 	tuples []cube.Tuple // all ratings joined with reviewer demographics
 
 	itemTuples map[int][]int32 // item ID -> tuple indices, sorted by time
@@ -150,28 +150,15 @@ type epochMark struct {
 	states []cube.Agg
 }
 
-// openParallelMin is the rating count below which Join runs
-// sequentially; goroutine fan-out over a small log costs more than the
-// join.
-const openParallelMin = 1 << 15
-
-// Prejoined carries the open-time artifacts Join derives and a snapshot
-// stores: the demographics-joined tuple log in rating-log order, the
-// per-item time-sorted index into it, and the rating time range.
-type Prejoined struct {
-	Tuples     []cube.Tuple
-	ItemTuples map[int][]int32
-	MinUnix    int64
-	MaxUnix    int64
-}
-
 // Open indexes a dataset over its joined rating log and seals the log as
-// epoch 1. pj is either Join(ds), which checks every rating with
-// JoinRating, or a snapshot's decoded log, whose ratings snapshot.Open
-// checks with Rating.Validate and whose every field it derives from the
-// tuples. Open checks that pj holds one tuple per rating, builds the
-// item-attribute indexes and the optional caching tiers, and takes
-// ownership of pj. A snapshot's pj may alias read-only mapped pages: its
+// epoch 1. pj is either Join(ds), which checks every rating with a
+// Joiner, or a snapshot's decoded log, each of whose tuples
+// snapshot.Open checks against a Joiner over the snapshot's catalog and
+// whose every other field it derives from the tuples. Either way
+// pj.Joiner is the Joiner over ds that did the checking, and the store
+// keeps it for appends. Open checks that, and that pj holds one tuple
+// per rating and one index run per item, builds the item-attribute
+// indexes and the optional caching tiers, and takes ownership of pj. A snapshot's pj may alias read-only mapped pages: its
 // slices carry no spare capacity, so the store's appends copy them
 // rather than write into them. Open never mutates ds.
 //
@@ -185,10 +172,18 @@ func Open(ds *model.Dataset, pj Prejoined, opts Options) (*Store, error) {
 	if len(pj.Tuples) != len(ds.Ratings) {
 		return nil, fmt.Errorf("store: joined log has %d tuples for %d ratings", len(pj.Tuples), len(ds.Ratings))
 	}
+	if pj.Joiner == nil || pj.Joiner.ds != ds {
+		return nil, fmt.Errorf("store: joined log carries no Joiner over this dataset")
+	}
+	if len(pj.ItemOffsets) != len(ds.Items)+1 || len(pj.ItemIndex) != len(pj.Tuples) {
+		return nil, fmt.Errorf("store: item index has %d offsets and %d entries for %d items and %d tuples",
+			len(pj.ItemOffsets), len(pj.ItemIndex), len(ds.Items), len(pj.Tuples))
+	}
 	s := &Store{
 		ds:         ds,
+		join:       pj.Joiner,
 		tuples:     pj.Tuples,
-		itemTuples: pj.ItemTuples,
+		itemTuples: make(map[int][]int32, len(ds.Items)),
 		byGenre:    make(map[string][]int),
 		byActor:    make(map[string][]int),
 		byDirector: make(map[string][]int),
@@ -198,8 +193,10 @@ func Open(ds *model.Dataset, pj Prejoined, opts Options) (*Store, error) {
 		maxUnix:    pj.MaxUnix,
 		epoch:      1,
 	}
-	if s.itemTuples == nil {
-		s.itemTuples = make(map[int][]int32)
+	for i := range ds.Items {
+		if run := pj.ItemRun(i); len(run) > 0 {
+			s.itemTuples[ds.Items[i].ID] = run
+		}
 	}
 	s.buildItemIndexes()
 	if opts.CacheSize > 0 {
@@ -214,140 +211,12 @@ func Open(ds *model.Dataset, pj Prejoined, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// JoinRating is the one validating join every rating passes on its way
-// into a store: r must pass Rating.Validate and reference a user and an
-// item of ds, and is then joined with its reviewer's demographics. Join
-// runs it over a dataset's whole log, and the live-append path over each
-// batch, so a rating refused on one path is refused on every path.
-func JoinRating(ds *model.Dataset, r model.Rating) (cube.Tuple, error) {
-	if err := r.Validate(); err != nil {
-		return cube.Tuple{}, err
-	}
-	u := ds.UserByID(r.UserID)
-	if u == nil {
-		return cube.Tuple{}, fmt.Errorf("unknown user %d", r.UserID)
-	}
-	if ds.ItemByID(r.ItemID) == nil {
-		return cube.Tuple{}, fmt.Errorf("unknown item %d", r.ItemID)
-	}
-	return cube.JoinRating(r, u), nil
-}
-
-// Join checks every rating of ds with JoinRating and materializes the
-// demographics-joined tuple log, the per-item index sorted by (Unix, log
-// index), and the rating time range, sharding the work over rating
-// partitions across GOMAXPROCS goroutines. The result is identical to a
-// sequential join: shards are contiguous index ranges merged in order,
-// and the per-item sort carries a total-order tie-break. maprat.Open and
-// the snapshot writer both call it, so a store opened from a snapshot
-// holds exactly the log a text open derives, and no invalid rating
-// reaches either.
-func Join(ds *model.Dataset) (Prejoined, error) {
-	tuples := make([]cube.Tuple, len(ds.Ratings))
-	pj := Prejoined{Tuples: tuples, ItemTuples: make(map[int][]int32)}
-
-	workers := runtime.GOMAXPROCS(0)
-	if len(ds.Ratings) < openParallelMin {
-		workers = 1
-	}
-
-	type shard struct {
-		itemTuples       map[int][]int32
-		minUnix, maxUnix int64
-		seen             bool // shard processed at least one rating
-		err              error
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(ds.Ratings) / workers
-		hi := (w + 1) * len(ds.Ratings) / workers
-		wg.Add(1)
-		go func(sh *shard, lo, hi int) { //maprat:allow(ctxflow) startup join shard: bounded CPU work joined by wg.Wait before Join returns
-			defer wg.Done()
-			sh.itemTuples = make(map[int][]int32)
-			for i := lo; i < hi; i++ {
-				r := ds.Ratings[i]
-				t, err := JoinRating(ds, r)
-				if err != nil {
-					// First error of the shard == lowest rating index,
-					// matching the sequential scan's report.
-					sh.err = fmt.Errorf("store: rating %d: %w", i, err)
-					return
-				}
-				tuples[i] = t
-				if !sh.seen || r.Unix < sh.minUnix {
-					sh.minUnix = r.Unix
-				}
-				if !sh.seen || r.Unix > sh.maxUnix {
-					sh.maxUnix = r.Unix
-				}
-				sh.seen = true
-				sh.itemTuples[r.ItemID] = append(sh.itemTuples[r.ItemID], int32(i))
-			}
-		}(&shards[w], lo, hi)
-	}
-	wg.Wait()
-
-	// Merge in shard order: index lists stay ascending, and the first
-	// failing shard carries the lowest-index error. The explicit seen
-	// flag (not a 0 sentinel) keeps ratings at the Unix epoch in the
-	// range, identical to the sequential scan.
-	merged := false
-	for w := range shards {
-		sh := &shards[w]
-		if sh.err != nil {
-			return Prejoined{}, sh.err
-		}
-		if !sh.seen {
-			continue
-		}
-		if !merged || sh.minUnix < pj.MinUnix {
-			pj.MinUnix = sh.minUnix
-		}
-		if !merged || sh.maxUnix > pj.MaxUnix {
-			pj.MaxUnix = sh.maxUnix
-		}
-		merged = true
-		for id, idxs := range sh.itemTuples {
-			pj.ItemTuples[id] = append(pj.ItemTuples[id], idxs...)
-		}
-	}
-
-	// Time-sort each item's index list; items are independent, so spread
-	// them over the same worker count.
-	ids := make([]int, 0, len(pj.ItemTuples))
-	for id := range pj.ItemTuples {
-		ids = append(ids, id)
-	}
-	sortShard := func(ids []int) {
-		for _, id := range ids {
-			idxs := pj.ItemTuples[id]
-			sort.Slice(idxs, func(a, b int) bool {
-				ta, tb := tuples[idxs[a]].Unix, tuples[idxs[b]].Unix
-				if ta != tb {
-					return ta < tb
-				}
-				return idxs[a] < idxs[b]
-			})
-		}
-	}
-	if workers == 1 {
-		sortShard(ids)
-	} else {
-		var sw sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * len(ids) / workers
-			hi := (w + 1) * len(ids) / workers
-			sw.Add(1)
-			go func(part []int) { //maprat:allow(ctxflow) startup sort shard: bounded CPU work joined by sw.Wait before Join returns
-				defer sw.Done()
-				sortShard(part)
-			}(ids[lo:hi])
-		}
-		sw.Wait()
-	}
-	return pj, nil
+// JoinRating checks and joins one rating against the store's catalog
+// with the Joiner the store was opened with, the rule Join applies to a
+// whole log. The append path runs it over every rating of a batch.
+func (s *Store) JoinRating(r model.Rating) (cube.Tuple, error) {
+	t, _, err := s.join.join(r)
+	return t, err
 }
 
 // buildItemIndexes fills the item-attribute inverted indexes.

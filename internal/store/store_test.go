@@ -83,6 +83,27 @@ func TestOpenNil(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsForeignJoiner: the store keeps pj's Joiner for appends,
+// so it must be a Joiner over the dataset being opened.
+func TestOpenRejectsForeignJoiner(t *testing.T) {
+	ds := smallDataset(t)
+	pj, err := Join(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := *ds
+	for _, j := range []*Joiner{nil, NewJoiner(&other)} {
+		bad := pj
+		bad.Joiner = j
+		if _, err := Open(ds, bad, Options{}); err == nil {
+			t.Errorf("Open accepted Joiner %p over another dataset", j)
+		}
+	}
+	if _, err := Open(ds, pj, Options{}); err != nil {
+		t.Errorf("Open with Join's own Joiner: %v", err)
+	}
+}
+
 // TestOpenRejectsShortLog: the joined log must cover the dataset's
 // ratings one to one.
 func TestOpenRejectsShortLog(t *testing.T) {

@@ -145,7 +145,7 @@ type Engine struct {
 }
 
 // Open indexes a dataset and returns the engine. Every rating passes
-// store.JoinRating: a score outside [1,5], a timestamp outside years
+// store.Join's check: a score outside [1,5], a timestamp outside years
 // model.MinYear..model.MaxYear, or a reference to an unknown user or
 // item fails the open. A nil opts uses DefaultOptions.
 func Open(ds *Dataset, opts *Options) (*Engine, error) {
@@ -449,7 +449,8 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 		// stored its result and left the flight between this caller's
 		// cache miss and its leadership. The key is re-derived because
 		// that leader's mining may have cached the plan it is keyed by.
-		if v, ok := e.st.Cache().Get(e.cacheKey(req, planKey)); ok {
+		// Peek, because this caller's Get already counted the lookup.
+		if v, ok := e.st.Cache().Peek(e.cacheKey(req, planKey)); ok {
 			recheckHit = true
 			return v, nil
 		}

@@ -149,6 +149,26 @@ func TestExplainCacheHit(t *testing.T) {
 	}
 }
 
+// TestExplainLookupsCountedOnce: each explain counts one result-cache
+// lookup. N distinct explains then the same N again are N misses and N
+// hits; the singleflight leader's re-check of a key its caller just
+// missed must not count a second miss.
+func TestExplainLookupsCountedOnce(t *testing.T) {
+	e := freshEngine(t)
+	queries := []string{`movie:"Heat"`, `movie:"Jaws"`, `genre:Drama`, `genre:Comedy`}
+	for round := 0; round < 2; round++ {
+		for _, qs := range queries {
+			if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: mustQuery(t, e, qs)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n := uint64(len(queries))
+	if hits, misses := e.Store().Cache().Stats(); hits+misses != 2*n || misses != n {
+		t.Errorf("%d explains counted %d hits and %d misses, want %d and %d", 2*n, hits, misses, n, n)
+	}
+}
+
 // TestExplainCacheKeyExactFloats: settings that differ below the old
 // key's printed precision (coverage at 3 decimals, the sibling boost at
 // 2) must not share a cached result.
