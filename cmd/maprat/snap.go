@@ -183,7 +183,7 @@ func snapInfo(args []string) {
 	fmt.Printf("  fingerprint    : %016x\n", model.Fingerprint(snap.Dataset(), lo, hi))
 	fmt.Printf("  provenance     : %016x\n", h.Provenance)
 	fmt.Printf("  size           : %d bytes\n", snap.Size())
-	fmt.Printf("  mmap           : %v (zero-copy tuples: %v)\n", snap.Mapped(), snap.Aliased())
+	fmt.Printf("  mmap           : %v\n", snap.Mapped())
 	fmt.Printf("  open           : %s\n", elapsed.Round(time.Microsecond))
 	if meta := snap.Meta(); len(meta) > 0 {
 		keys := make([]string, 0, len(meta))

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cube"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // Errors reported by the live-append path.
@@ -59,12 +59,12 @@ func (e *Engine) EnableIngest(path string) (uint64, error) {
 	}
 	var replayed uint64
 	for _, b := range batches {
-		tuples, err := e.joinBatch(b.Ratings)
+		batch, err := e.joinBatch(b.Ratings)
 		if err != nil {
 			_ = wal.Close()
 			return 0, fmt.Errorf("maprat: wal replay epoch %d: %w", b.Epoch, err)
 		}
-		if err := e.st.Append(b.Epoch, tuples); err != nil {
+		if err := e.st.Append(b.Epoch, batch); err != nil {
 			_ = wal.Close()
 			return 0, fmt.Errorf("maprat: wal replay epoch %d: %w", b.Epoch, err)
 		}
@@ -97,7 +97,7 @@ func (e *Engine) AppendRatings(ctx context.Context, ratings []model.Rating) (uin
 	if len(ratings) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", ErrBadRating)
 	}
-	tuples, err := e.joinBatch(ratings)
+	batch, err := e.joinBatch(ratings)
 	if err != nil {
 		return 0, err
 	}
@@ -112,7 +112,7 @@ func (e *Engine) AppendRatings(ctx context.Context, ratings []model.Rating) (uin
 	if err := ig.wal.Append(epoch, ratings); err != nil {
 		return 0, err
 	}
-	if err := e.st.Append(epoch, tuples); err != nil {
+	if err := e.st.Append(epoch, batch); err != nil {
 		// Unreachable under the writer admission (the WAL record will be
 		// replayed on restart); surfaced for completeness.
 		return 0, err
@@ -125,24 +125,24 @@ func (e *Engine) AppendRatings(ctx context.Context, ratings []model.Rating) (uin
 	return epoch, nil
 }
 
-// joinBatch validates a batch against the (immutable) catalog and joins
-// each rating with its reviewer's demographics through
-// Store.JoinRating, the Joiner store.Join runs over the base log.
+// joinBatch validates a batch against the (immutable) catalog and
+// resolves each rating's reviewer through Store.JoinRating, the Joiner
+// store.Join runs over the base log.
 // Appends and WAL replay both pass through it, so a record it rejects
 // fails replay as it failed the append. The one rule of its own is the
 // timestamp: the server never stamps time, so an appended rating must
 // carry one (Unix > 0).
-func (e *Engine) joinBatch(ratings []model.Rating) ([]cube.Tuple, error) {
-	out := make([]cube.Tuple, len(ratings))
+func (e *Engine) joinBatch(ratings []model.Rating) ([]store.Joined, error) {
+	out := make([]store.Joined, len(ratings))
 	for i, r := range ratings {
 		if r.Unix <= 0 {
 			return nil, fmt.Errorf("%w: rating %d: missing timestamp", ErrBadRating, i)
 		}
-		t, err := e.st.JoinRating(r)
+		j, err := e.st.JoinRating(r)
 		if err != nil {
 			return nil, fmt.Errorf("%w: rating %d: %v", ErrBadRating, i, err)
 		}
-		out[i] = t
+		out[i] = j
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -652,5 +653,69 @@ func TestAppendWhileMining(t *testing.T) {
 	}
 	if st := e.PlanStats(); st.MemoHits == 0 {
 		t.Error("no group or drill read hit a plan memo; the test does not exercise them")
+	}
+}
+
+// TestEnginesShareTheDatasetLog: an engine reads the dataset's ratings
+// as the base of its log and never writes or copies into them, so
+// engines over one dataset stay independent while one of them grows.
+// Three batches appended to the first engine, on the queried movie,
+// leave the dataset's ratings as they were and every explain, group and
+// drill answer of the second engine byte-identical.
+func TestEnginesShareTheDatasetLog(t *testing.T) {
+	ds, err := Generate(SmallGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]model.Rating(nil), ds.Ratings...)
+	first, err := Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.EnableIngest(filepath.Join(t.TempDir(), "ingest.wal")); err != nil {
+		t.Fatal(err)
+	}
+	// The second engine caches nothing, so every read below gathers from
+	// its store again.
+	second, err := Open(ds, coldOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mustQuery(t, second, `movie:"Toy Story"`)
+	answers := func(e *Engine) []string {
+		t.Helper()
+		ex, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := ex.Result(SimilarityMining).Groups[0].Key
+		ge, gerr := e.ExploreFullContext(t.Context(), q, key, 4, 3)
+		tr, derr := e.DrillMineContext(t.Context(), q, key, DiversityMining, DefaultSettings())
+		return []string{string(explainJSON(t, ex)), opAnswer(t, ge, gerr), opAnswer(t, tr, derr)}
+	}
+	want := answers(second)
+	if got := answers(first); !slices.Equal(got, want) {
+		t.Fatal("two engines over one dataset answer differently before any append")
+	}
+
+	toy := itemIDByTitle(t, "Toy Story")
+	for b := 0; b < 3; b++ {
+		_, maxUnix := first.TimeRange()
+		batch := make([]model.Rating, 16)
+		for i := range batch {
+			batch[i] = model.Rating{UserID: ds.Users[(b*16+i)%len(ds.Users)].ID, ItemID: toy, Score: 1 + i%5, Unix: maxUnix + int64(i+1)}
+		}
+		if _, err := first.AppendRatings(t.Context(), batch); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		if !slices.Equal(ds.Ratings, before) {
+			t.Fatalf("batch %d changed the dataset's ratings", b)
+		}
+		if got := answers(second); !slices.Equal(got, want) {
+			t.Fatalf("batch %d to the first engine changed the second engine's answers", b)
+		}
+	}
+	if got := answers(first); slices.Equal(got, want) {
+		t.Fatal("48 appended ratings of the queried movie left the first engine's answers unchanged")
 	}
 }

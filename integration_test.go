@@ -70,6 +70,10 @@ func TestIntegrationFileRoundTripExplain(t *testing.T) {
 	}
 }
 
+// TestIntegrationCorruptFilesRejected: a corrupt text directory never
+// serves. LoadDir refuses a malformed file and a bad user, item or cast
+// record; a bad rating loads, and Open, which checks every rating,
+// refuses it.
 func TestIntegrationCorruptFilesRejected(t *testing.T) {
 	cfg := SmallGenConfig()
 	cfg.Users, cfg.Movies, cfg.Ratings = 100, 40, 1500
@@ -78,14 +82,15 @@ func TestIntegrationCorruptFilesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptions := []struct {
-		name string
-		file string
-		line string
+		name   string
+		file   string
+		line   string
+		atOpen bool // the directory loads, and Open refuses it
 	}{
-		{"garbage users line", "users.dat", "THIS IS NOT MOVIELENS\n"},
-		{"score out of range", "ratings.dat", "1::1::99::978300000\n"},
-		{"movie missing fields", "movies.dat", "999\n"},
-		{"cast for unknown movie", "cast.dat", "424242::Nobody::Nobody\n"},
+		{"garbage users line", "users.dat", "THIS IS NOT MOVIELENS\n", false},
+		{"score out of range", "ratings.dat", "1::1::99::978300000\n", true},
+		{"movie missing fields", "movies.dat", "999\n", false},
+		{"cast for unknown movie", "cast.dat", "424242::Nobody::Nobody\n", false},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
@@ -101,7 +106,17 @@ func TestIntegrationCorruptFilesRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.Close()
-			if _, err := LoadDir(dir); err == nil {
+			loaded, err := LoadDir(dir)
+			if !c.atOpen {
+				if err == nil {
+					t.Errorf("corrupt %s accepted", c.file)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("LoadDir: %v", err)
+			}
+			if _, err := Open(loaded, nil); err == nil {
 				t.Errorf("corrupt %s accepted", c.file)
 			}
 		})

@@ -26,7 +26,7 @@ func runAliasguard(pass *Pass) error {
 		slices := unsafeSliceCalls(pass, file)
 		if len(slices) > 0 && !fileHasLayoutGuard(pass, file) {
 			for _, call := range slices {
-				pass.Reportf(call.Pos(), "unsafe.Slice in a file with no layout guard: add a check of unsafe.Sizeof/unsafe.Offsetof assumptions in this file (see snapshot.tupleLayoutCompatible) so a struct change cannot silently alias garbage")
+				pass.Reportf(call.Pos(), "unsafe.Slice in a file with no layout guard: add a check of unsafe.Sizeof/unsafe.Offsetof assumptions in this file (see snapshot.arenaLayoutCompatible) so a struct change cannot silently alias garbage")
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -68,7 +68,7 @@ func unsafeSliceCalls(pass *Pass, file *ast.File) []*ast.CallExpr {
 
 // fileHasLayoutGuard reports whether the file contains any use of
 // unsafe.Sizeof or unsafe.Offsetof — the building blocks of a layout
-// guard like snapshot.tupleLayoutCompatible.
+// guard like snapshot.arenaLayoutCompatible.
 func fileHasLayoutGuard(pass *Pass, file *ast.File) bool {
 	found := false
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -87,7 +87,7 @@ func fileHasLayoutGuard(pass *Pass, file *ast.File) bool {
 
 // aliasConstructors returns the package-level functions whose bodies
 // call unsafe.Slice and whose results include a slice — the package's
-// alias factories (aliasTuples, aliasInt32). Values they return are
+// alias factories (aliasInt32). Values they return are
 // treated as aliased in every function of the package.
 func aliasConstructors(pass *Pass) map[*types.Func]bool {
 	out := map[*types.Func]bool{}
@@ -158,7 +158,7 @@ func checkAliasWrites(pass *Pass, fd *ast.FuncDecl, aliasFns map[*types.Func]boo
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.AssignStmt:
-			// Track a fresh alias: v, ok := aliasTuples(b) / s := unsafe.Slice(...).
+			// Track a fresh alias: v, ok := aliasInt32(b) / s := unsafe.Slice(...).
 			// A plain reassignment (e.g. the decode fallback's
 			// `arena = make([]int32, n)`) clears the taint again.
 			if len(node.Rhs) == 1 {

@@ -3,7 +3,7 @@ package snap
 import "unsafe"
 
 // layoutOK is this file's layout guard, mirroring the real snapshot
-// package's tupleLayoutCompatible check.
+// package's arenaLayoutCompatible check.
 var layoutOK = unsafe.Sizeof(int32(0)) == 4
 
 func aliasGuarded(b []byte) []int32 {

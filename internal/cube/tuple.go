@@ -14,7 +14,7 @@ import (
 //
 // The reviewer's city is carried only as its descriptor value in
 // Vals[City] (render it with CityName; an unresolved city is Wildcard),
-// not as a string: the whole-log tuple slice and every cached plan hold
+// not as a string: a whole-genre gather and every cached plan hold
 // millions of tuples, so a 16-byte string header per tuple would cost
 // ~30% extra resident memory and make the plan cache's tuple-denominated
 // budget dishonest.

@@ -132,6 +132,8 @@ func JoinTitleYear(title string, year int) string {
 }
 
 // ParseRatings reads MovieLens `UserID::MovieID::Rating::Timestamp` lines.
+// It checks their syntax only; store.Join checks each rating's values
+// and references when the dataset is opened or packed.
 func ParseRatings(r io.Reader) ([]model.Rating, error) {
 	var ratings []model.Rating
 	sc := newLineScanner(r)
@@ -156,11 +158,7 @@ func ParseRatings(r io.Reader) ([]model.Rating, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: ratings line %d: bad timestamp %q", sc.lineNo, f[3])
 		}
-		rt := model.Rating{UserID: vals[0], ItemID: vals[1], Score: vals[2], Unix: ts}
-		if err := rt.Validate(); err != nil {
-			return nil, fmt.Errorf("dataset: ratings line %d: %w", sc.lineNo, err)
-		}
-		ratings = append(ratings, rt)
+		ratings = append(ratings, model.Rating{UserID: vals[0], ItemID: vals[1], Score: vals[2], Unix: ts})
 	}
 	return ratings, sc.Err()
 }
@@ -201,9 +199,12 @@ func ParseCast(r io.Reader, items []model.Item) error {
 }
 
 // LoadDir loads a complete MovieLens-1M-format directory. The cast file is
-// optional (the real MovieLens distribution lacks it). The loaded dataset
-// must validate: a rating of a user or item the directory does not
-// define fails the load, as it fails an append.
+// optional (the real MovieLens distribution lacks it). Its users and
+// items must validate (model.Dataset.Validate). Its ratings are checked
+// once, where every source's are: by store.Join, which maprat.Open and
+// the snapshot writer run, so a rating of a user or item the directory
+// does not define, or with a score or timestamp out of range, fails the
+// open or the pack as it fails an append.
 func LoadDir(dir string) (*model.Dataset, error) {
 	users, err := loadParsed(filepath.Join(dir, UsersFile), ParseUsers)
 	if err != nil {

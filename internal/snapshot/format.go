@@ -1,10 +1,11 @@
 // Package snapshot is MapRat's versioned binary on-disk dataset format
 // (.msnap): a checksummed, little-endian columnar layout that Write
 // produces from a *model.Dataset and Open memory-maps back into a
-// dataset plus the pre-joined rating tuple log the store mines over —
-// zero per-tuple parsing on the hot columns, so a process opens a
+// dataset plus the per-item index the store gathers through — fixed-size
+// binary records instead of text, so a process opens a
 // MovieLens-1M-scale dataset in milliseconds instead of re-parsing text,
-// and two processes mounting the same file share its read-only pages.
+// and two processes mounting the same file share the index's read-only
+// pages.
 //
 // File layout (all integers little-endian):
 //
@@ -62,6 +63,16 @@ const (
 	sectionEntrySize = 24
 	sectionAlign     = 64
 	tupleRecordSize  = 32
+)
+
+// A tuple record's fields and their byte offsets: Vals (NumAttrs u16) at
+// 0, Score (u8) at 10, five zero bytes, then Unix (i64), UserID (i32)
+// and ItemID (i32) — cube.Tuple's own layout on a little-endian host.
+const (
+	recScore  = 10
+	recUnix   = 16
+	recUserID = 24
+	recItemID = 28
 )
 
 // Sentinel errors Open classifies failures with (wrapped with detail).

@@ -163,18 +163,18 @@ func checkOpened(t *testing.T, s *Snapshot) {
 			len(ds.Users), len(ds.Items), len(ds.Ratings), h.Users, h.Items, h.Ratings)
 	}
 	pj := s.Prejoined()
-	if len(pj.Tuples) != int(h.Ratings) {
-		t.Errorf("tuple log has %d entries, header says %d", len(pj.Tuples), h.Ratings)
+	if len(pj.ItemIndex) != int(h.Ratings) || len(pj.ItemUsers) != int(h.Ratings) {
+		t.Errorf("item index has %d entries and %d reviewer positions, header says %d ratings", len(pj.ItemIndex), len(pj.ItemUsers), h.Ratings)
 	}
-	// The log, its item index and its time range are exactly what
-	// store.Join derives from the decoded catalog and ratings, whatever
-	// the header claims.
+	// The item index, its reviewer positions and the time range are
+	// exactly what store.Join derives from the decoded catalog and
+	// ratings, whatever the header claims.
 	want, err := store.Join(ds)
 	if err != nil {
 		t.Fatalf("store.Join over an accepted snapshot's dataset: %v", err)
 	}
 	if !samePrejoined(pj, want) {
-		t.Error("joined log differs from store.Join over the decoded dataset")
+		t.Error("item index differs from store.Join over the decoded dataset")
 	}
 	if gl, gh := s.TimeRange(); gl != want.MinUnix || gh != want.MaxUnix {
 		t.Errorf("time range [%d,%d], store.Join derives [%d,%d]", gl, gh, want.MinUnix, want.MaxUnix)
@@ -194,9 +194,10 @@ func checkOpened(t *testing.T, s *Snapshot) {
 	cube.Build(st.TuplesForItems(ids, store.TimeWindow{}), cube.DefaultConfig())
 }
 
-// samePrejoined reports whether two joined logs hold the same tuples,
-// item index and time range; a nil and an empty slice compare equal.
+// samePrejoined reports whether two joins hold the same item index,
+// reviewer positions and time range; a nil and an empty slice compare
+// equal.
 func samePrejoined(a, b store.Prejoined) bool {
-	return slices.Equal(a.Tuples, b.Tuples) && slices.Equal(a.ItemIndex, b.ItemIndex) &&
+	return slices.Equal(a.ItemIndex, b.ItemIndex) && slices.Equal(a.ItemUsers, b.ItemUsers) &&
 		slices.Equal(a.ItemOffsets, b.ItemOffsets) && a.MinUnix == b.MinUnix && a.MaxUnix == b.MaxUnix
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // Snapshot is an opened .msnap file: the reconstructed dataset plus the
-// pre-joined artifacts the store otherwise derives at open time. When the
-// file is memory-mapped and the host layout is compatible, the tuple log
-// and the item-index arena alias the mapped pages directly — they stay valid
+// pre-joined artifacts the store otherwise derives at open time. The
+// rating log is decoded from the tuple section into the heap. When the
+// file is memory-mapped and the host layout is compatible, the
+// item-index arena aliases the mapped pages directly — it stays valid
 // until Close, and a second process opening the same file shares the
 // pages read-only.
 type Snapshot struct {
@@ -20,16 +21,16 @@ type Snapshot struct {
 	data   []byte
 	mapped bool
 
-	ds      *model.Dataset
-	pj      store.Prejoined
-	aliased bool
-	size    int64
-	meta    map[string]string
+	ds   *model.Dataset
+	pj   store.Prejoined
+	size int64
+	meta map[string]string
 }
 
 // Open opens a snapshot: mmap where the platform supports it, zero-copy
-// aliasing where the layout allows it, and a safe copying fallback
-// everywhere else (non-unix or big-endian hosts, or a misaligned buffer).
+// aliasing of the item-index arena where the layout allows it, and a
+// safe copying fallback everywhere else (non-unix or big-endian hosts,
+// or a misaligned buffer).
 func Open(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -68,9 +69,10 @@ func Open(path string) (*Snapshot, error) {
 }
 
 // decode reconstructs the dataset and pre-joined artifacts from the raw
-// snapshot bytes, verifying every checksum on the way in. The tuple log
-// and the item-index arena alias data when the host layout and data's
-// alignment allow it, and are decoded into fresh memory otherwise.
+// snapshot bytes, verifying every checksum on the way in. The ratings
+// and their reviewers' positions are decoded from the tuple records;
+// the item-index arena aliases data when the host layout and data's
+// alignment allow it, and is decoded into fresh memory otherwise.
 func decode(data []byte, mapped bool) (*Snapshot, error) {
 	hdr, err := decodeHeader(data)
 	if err != nil {
@@ -118,33 +120,42 @@ func decode(data []byte, mapped bool) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: tuple section is %d bytes, want %d for %d ratings",
 			len(tupleSec), tupleRecordSize*int(hdr.Ratings), hdr.Ratings)
 	}
-	tuples, aliased := aliasTuples(tupleSec)
-	if !aliased {
-		tuples = decodeTuples(tupleSec)
-	}
-	s.pj.Tuples, s.aliased = tuples, aliased
 	// The catalog is indexed first: every tuple is checked against its
 	// user's joined values, and deriveRatings fills the rating log in
 	// place.
-	ratings := make([]model.Rating, len(tuples))
+	ratings := make([]model.Rating, hdr.Ratings)
 	if s.ds, err = model.NewDataset(users, items, ratings); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	// The item index is checked against the tuple log while the ratings
-	// are derived from it: the two scans are independent and cost about
-	// the same, so on two cores the check hides behind the derivation.
-	// decode waits for the check on every path, since the caller unmaps
-	// data on an error.
+	idxSec, err := hdr.section(data, secItemIndex)
+	if err != nil {
+		return nil, err
+	}
+	if s.pj.ItemOffsets, s.pj.ItemIndex, err = decodeItemIndex(idxSec, len(items), len(ratings)); err != nil {
+		return nil, err
+	}
+	// The item index's entries are checked against the tuple records
+	// while the ratings are derived from them: the two scans are
+	// independent and cost about the same, so on two cores the check
+	// hides behind the derivation and the reviewer positions' fill
+	// after it. decode waits for the check on every path, since the
+	// caller unmaps data on an error.
 	idxErr := make(chan error, 1)
 	go func() {
-		idxSec, err := hdr.section(data, secItemIndex)
-		if err == nil {
-			s.pj.ItemOffsets, s.pj.ItemIndex, err = decodeItemIndex(idxSec, items, tuples)
-		}
-		idxErr <- err
+		idxErr <- checkItemRuns(s.pj.ItemOffsets, s.pj.ItemIndex, items, tupleSec)
 	}()
 	s.pj.Joiner = store.NewJoiner(s.ds)
-	err = deriveRatings(tuples, s.pj.Joiner, ratings, &s.pj)
+	reviewers := make([]int32, len(ratings)) // each rating's user position, in log order
+	if s.pj.MinUnix, s.pj.MaxUnix, err = deriveRatings(tupleSec, s.pj.Joiner, ratings, reviewers); err == nil {
+		// The check may still be running: an entry outside the log is
+		// skipped here and fails it.
+		s.pj.ItemUsers = make([]int32, len(ratings))
+		for k, p := range s.pj.ItemIndex {
+			if uint(p) < uint(len(reviewers)) {
+				s.pj.ItemUsers[k] = reviewers[p]
+			}
+		}
+	}
 	if ierr := <-idxErr; err == nil {
 		err = ierr
 	}
@@ -165,20 +176,19 @@ func decode(data []byte, mapped bool) (*Snapshot, error) {
 // Dataset returns the reconstructed dataset. It stays valid until Close.
 func (s *Snapshot) Dataset() *model.Dataset { return s.ds }
 
-// Prejoined returns the pre-joined rating log in load order, the
-// per-item time-sorted tuple index and the log's time range, each
-// checked against or derived from the tuple section (the header's time
-// range is not trusted), with the Joiner over the snapshot's catalog
-// that checked every tuple. The tuple log and the index arena may point
-// into the mapped file (Aliased reports the tuple log) and must not be
-// mutated; they are invalid after Close.
+// Prejoined returns the per-item time-sorted index into the dataset's
+// rating log, each entry's reviewer position and the log's time range,
+// each checked against or derived from the tuple section (the header's
+// time range is not trusted), with the Joiner over the snapshot's
+// catalog that checked every tuple. The index arena may point into the
+// mapped file and must not be mutated; it is invalid after Close.
 func (s *Snapshot) Prejoined() store.Prejoined { return s.pj }
 
 // Header returns the decoded header (counts, time range, provenance,
 // section table).
 func (s *Snapshot) Header() Header { return s.hdr }
 
-// TimeRange returns the [min, max] rating timestamps of the tuple log.
+// TimeRange returns the [min, max] rating timestamps of the tuple records.
 func (s *Snapshot) TimeRange() (int64, int64) { return s.pj.MinUnix, s.pj.MaxUnix }
 
 // Provenance returns the builder's config hash (0 = unknown).
@@ -190,16 +200,12 @@ func (s *Snapshot) Meta() map[string]string { return s.meta }
 // Mapped reports whether the file is memory-mapped (vs copied to heap).
 func (s *Snapshot) Mapped() bool { return s.mapped }
 
-// Aliased reports whether the tuple log aliases the raw file bytes
-// (zero-copy) rather than having been decoded.
-func (s *Snapshot) Aliased() bool { return s.aliased }
-
 // Size returns the snapshot file's size in bytes.
 func (s *Snapshot) Size() int64 { return s.size }
 
-// Close releases the mapping. Any aliased slices (Tuples, the item-index
-// arena) and, transitively, a store opened over them are invalid
-// afterwards. Close is idempotent.
+// Close releases the mapping. An aliased item-index arena and,
+// transitively, a store opened over it are invalid afterwards. Close is
+// idempotent.
 func (s *Snapshot) Close() error {
 	data, mapped := s.data, s.mapped
 	s.data, s.mapped = nil, false
@@ -340,88 +346,98 @@ func decodeItems(b []byte, n int, strs []string) ([]model.Item, error) {
 	return items, nil
 }
 
-// deriveRatings fills ratings from the tuple log, which carries each
-// rating's UserID, ItemID, Score and Unix, and in the same pass checks
-// every tuple and sets pj's time range from the tuples, as store.Join
-// derives it. Each tuple's rating must pass Rating.Validate, its user
-// must be in the catalog, and its attribute values must equal that
-// user's joined values (Joiner.UserVals), so the log is exactly the one
-// store.Join builds over the catalog's own users. Those values must lie
-// inside {Wildcard} ∪ [0, Cardinality): the cube and the browse
-// aggregates index per-value tables by them, and group statistics a
-// histogram by score, so one out of range would panic a request instead
-// of failing the open. The log is grouped by user, so a user's values
-// are looked up and range-checked once per run of its tuples.
-func deriveRatings(tuples []cube.Tuple, j *store.Joiner, ratings []model.Rating, pj *store.Prejoined) error {
+// deriveRatings fills ratings, and each one's reviewer position in
+// users, from the tuple records, which carry each rating's UserID,
+// ItemID, Score and Unix, and in the same pass checks every tuple and
+// returns the time range of the tuples, as store.Join derives it. Each
+// tuple's rating must pass Rating.Validate, its user must be in the
+// catalog, and its attribute values must equal that user's joined
+// values (Joiner.User), so the log is exactly the one store.Join joins
+// over the catalog's own users. Those values must lie inside {Wildcard}
+// ∪ [0, Cardinality): the cube and the browse aggregates index
+// per-value tables by them, and group statistics a histogram by score,
+// so one out of range would panic a request instead of failing the
+// open. The log is grouped by user, so a user's values are looked up
+// and range-checked once per run of its tuples.
+func deriveRatings(recs []byte, j *store.Joiner, ratings []model.Rating, users []int32) (minUnix, maxUnix int64, err error) {
 	// Wildcard is -1, so v+1 must lie in [0, Cardinality].
 	var card [cube.NumAttrs]uint16
 	for a := range card {
 		card[a] = uint16(cube.Cardinality(cube.Attr(a)))
 	}
 	var (
-		user int32 // the user whose joined values vals holds; IDs are positive
+		user int32 // the user whose position and joined values pos and vals hold; IDs are positive
+		pos  int32
 		vals [cube.NumAttrs]int16
+		enc  [2 * cube.NumAttrs]byte // vals as a record stores them
 	)
-	for i := range tuples {
-		t := &tuples[i]
-		r := model.Rating{UserID: int(t.UserID), ItemID: int(t.ItemID), Score: int(t.Score), Unix: t.Unix}
+	for i := range ratings {
+		rec := record(recs, i)
+		r := recordRating(rec)
 		if err := r.Validate(); err != nil {
-			return fmt.Errorf("snapshot: tuple %d: %w", i, err)
+			return 0, 0, fmt.Errorf("snapshot: tuple %d: %w", i, err)
 		}
-		if t.UserID != user {
-			v, ok := j.UserVals(r.UserID)
+		if int32(r.UserID) != user {
+			p, v, ok := j.User(r.UserID)
 			if !ok {
-				return fmt.Errorf("snapshot: tuple %d: unknown user %d", i, r.UserID)
+				return 0, 0, fmt.Errorf("snapshot: tuple %d: unknown user %d", i, r.UserID)
 			}
 			for a, x := range v {
 				if uint16(x+1) > card[a] {
-					return fmt.Errorf("snapshot: user %d has %s value %d, outside [0,%d)", r.UserID, cube.Attr(a), x, card[a])
+					return 0, 0, fmt.Errorf("snapshot: user %d has %s value %d, outside [0,%d)", r.UserID, cube.Attr(a), x, card[a])
 				}
 			}
-			user, vals = t.UserID, v
+			user, pos, vals = int32(r.UserID), p, v
+			for a, x := range v {
+				le.PutUint16(enc[2*a:], uint16(x))
+			}
 		}
-		if t.Vals != vals {
-			return fmt.Errorf("snapshot: tuple %d has attribute values %v, user %d's are %v", i, t.Vals, r.UserID, vals)
+		if [len(enc)]byte(rec[:len(enc)]) != enc {
+			return 0, 0, fmt.Errorf("snapshot: tuple %d has attribute values %v, user %d's are %v", i, recordVals(rec), r.UserID, vals)
 		}
 		ratings[i] = r
-		if i == 0 || r.Unix < pj.MinUnix {
-			pj.MinUnix = r.Unix
+		users[i] = pos
+		if i == 0 || r.Unix < minUnix {
+			minUnix = r.Unix
 		}
-		if i == 0 || r.Unix > pj.MaxUnix {
-			pj.MaxUnix = r.Unix
+		if i == 0 || r.Unix > maxUnix {
+			maxUnix = r.Unix
 		}
 	}
-	return nil
+	return minUnix, maxUnix, nil
 }
 
-// decodeTuples is the copying fallback for the tuple log, used when the
-// host layout rules out aliasing (big-endian, or a differently padded
-// cube.Tuple) or the section is misaligned.
-func decodeTuples(b []byte) []cube.Tuple {
-	n := len(b) / tupleRecordSize
-	tuples := make([]cube.Tuple, n)
-	for i := 0; i < n; i++ {
-		rec := b[i*tupleRecordSize:]
-		t := &tuples[i]
-		for a := 0; a < cube.NumAttrs; a++ {
-			t.Vals[a] = int16(le.Uint16(rec[2*a:]))
-		}
-		t.Score = int8(rec[10])
-		t.Unix = int64(le.Uint64(rec[16:]))
-		t.UserID = int32(le.Uint32(rec[24:]))
-		t.ItemID = int32(le.Uint32(rec[28:]))
+// record returns record i of the tuple section: one rating joined with
+// its reviewer's vector, in encodeTuples's layout (the rec* offsets).
+func record(recs []byte, i int) *[tupleRecordSize]byte {
+	return (*[tupleRecordSize]byte)(recs[i*tupleRecordSize:])
+}
+
+// recordRating decodes the rating a tuple record carries.
+func recordRating(rec *[tupleRecordSize]byte) model.Rating {
+	return model.Rating{
+		UserID: int(int32(le.Uint32(rec[recUserID:]))),
+		ItemID: int(int32(le.Uint32(rec[recItemID:]))),
+		Score:  int(int8(rec[recScore])),
+		Unix:   int64(le.Uint64(rec[recUnix:])),
 	}
-	return tuples
+}
+
+// recordVals decodes the reviewer vector a tuple record carries.
+func recordVals(rec *[tupleRecordSize]byte) (vals [cube.NumAttrs]int16) {
+	for a := range vals {
+		vals[a] = int16(le.Uint16(rec[2*a:]))
+	}
+	return vals
 }
 
 // decodeItemIndex returns the item index's offsets column and its flat
-// arena, store.Prejoined's ItemOffsets and ItemIndex. The arena is
-// aliased over the file bytes when possible, so the store's per-item
-// runs cost no copies. Every entry must be a tuple of its own item, and
-// each item's run must be strictly ascending in (Unix, index) — the
-// order the store's window search relies on.
-func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple) (offsets, arena []int32, err error) {
-	n, ratings := len(items), len(tuples)
+// arena, store.Prejoined's ItemOffsets and ItemIndex, for n items and
+// the given number of ratings. The arena is aliased over the file bytes
+// when possible, so the store's per-item runs cost no copies. The
+// offsets must cut the arena into one run per item; checkItemRuns
+// checks the entries.
+func decodeItemIndex(b []byte, n, ratings int) (offsets, arena []int32, err error) {
 	want := 4*(n+1) + 4*ratings
 	if len(b) != want {
 		return nil, nil, fmt.Errorf("snapshot: item index is %d bytes, want %d", len(b), want)
@@ -442,9 +458,6 @@ func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple) (offsets
 			return nil, nil, fmt.Errorf("snapshot: item index offsets corrupt at item %d", i)
 		}
 		offsets[i+1] = int32(hi)
-		if err := checkItemRun(arena[lo:hi], tuples, items[i].ID, lo); err != nil {
-			return nil, nil, err
-		}
 	}
 	if int(offsets[n]) != ratings {
 		return nil, nil, fmt.Errorf("snapshot: item index covers %d of %d tuples", offsets[n], ratings)
@@ -452,23 +465,38 @@ func decodeItemIndex(b []byte, items []model.Item, tuples []cube.Tuple) (offsets
 	return offsets, arena, nil
 }
 
+// checkItemRuns checks every run of the item index against the tuple
+// records: each entry must be a record of its own item, and each item's
+// run must be strictly ascending in (Unix, index) — the order the
+// store's window search relies on.
+func checkItemRuns(offsets, arena []int32, items []model.Item, recs []byte) error {
+	for i := range items {
+		lo, hi := offsets[i], offsets[i+1]
+		if err := checkItemRun(arena[lo:hi], recs, items[i].ID, uint32(lo)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // checkItemRun validates one item's run of the index arena (starting at
-// arena entry base): every entry points into the tuple log, at a tuple of
-// this item, in strictly ascending (Unix, index) order.
-func checkItemRun(run []int32, tuples []cube.Tuple, itemID int, base uint32) error {
+// arena entry base): every entry points into the tuple records, at a
+// tuple of this item, in strictly ascending (Unix, index) order.
+func checkItemRun(run []int32, recs []byte, itemID int, base uint32) error {
 	prevIdx, prevUnix := int32(-1), int64(0)
+	n := len(recs) / tupleRecordSize
 	for k, v := range run {
-		if v < 0 || int(v) >= len(tuples) {
-			return fmt.Errorf("snapshot: item index entry %d is %d, outside the %d-tuple log", int(base)+k, v, len(tuples))
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("snapshot: item index entry %d is %d, outside the %d-tuple log", int(base)+k, v, n)
 		}
-		t := &tuples[v]
-		if int(t.ItemID) != itemID {
-			return fmt.Errorf("snapshot: item index entry %d (item %d) points at tuple %d of item %d", int(base)+k, itemID, v, t.ItemID)
+		r := recordRating(record(recs, int(v)))
+		if r.ItemID != itemID {
+			return fmt.Errorf("snapshot: item index entry %d (item %d) points at tuple %d of item %d", int(base)+k, itemID, v, r.ItemID)
 		}
-		if k > 0 && (t.Unix < prevUnix || t.Unix == prevUnix && v <= prevIdx) {
+		if k > 0 && (r.Unix < prevUnix || r.Unix == prevUnix && v <= prevIdx) {
 			return fmt.Errorf("snapshot: item index entry %d (item %d) breaks (time, index) order", int(base)+k, itemID)
 		}
-		prevIdx, prevUnix = v, t.Unix
+		prevIdx, prevUnix = v, r.Unix
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cube"
 	"repro/internal/dataset"
@@ -72,25 +73,29 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("meta extra lost: %v", snap.Meta())
 	}
 	pj := snap.Prejoined()
-	if len(pj.Tuples) != len(testDS.Ratings) {
-		t.Errorf("tuple log has %d entries, want %d", len(pj.Tuples), len(testDS.Ratings))
+	if len(pj.ItemUsers) != len(testDS.Ratings) {
+		t.Errorf("%d reviewer positions, want %d", len(pj.ItemUsers), len(testDS.Ratings))
 	}
 
 	// Every rating must appear in its item's index exactly once, sorted
-	// by timestamp.
+	// by timestamp, beside its reviewer's position.
 	total := 0
 	for i, it := range got.Items {
 		last := int64(-1 << 62)
-		for _, ti := range pj.ItemRun(i) {
+		run, users := pj.ItemRun(i)
+		for k, ti := range run {
 			total++
-			tp := pj.Tuples[ti]
-			if int(tp.ItemID) != it.ID {
-				t.Fatalf("item index for %d points at tuple of item %d", it.ID, tp.ItemID)
+			r := got.Ratings[ti]
+			if r.ItemID != it.ID {
+				t.Fatalf("item index for %d points at a rating of item %d", it.ID, r.ItemID)
 			}
-			if tp.Unix < last {
+			if r.Unix < last {
 				t.Fatalf("item %d index not time-sorted", it.ID)
 			}
-			last = tp.Unix
+			if got.Users[users[k]].ID != r.UserID {
+				t.Fatalf("item %d entry %d names reviewer %d, the rating's user is %d", it.ID, k, got.Users[users[k]].ID, r.UserID)
+			}
+			last = r.Unix
 		}
 	}
 	if total != len(testDS.Ratings) {
@@ -99,17 +104,17 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // decodeUnaligned decodes a heap copy of b that starts one byte past an
-// aligned address, so neither the tuple log nor the item-index arena can
-// be aliased: the copying path non-unix and big-endian hosts take.
+// aligned address, so the item-index arena cannot be aliased: the
+// copying path big-endian hosts take.
 func decodeUnaligned(b []byte) (*Snapshot, error) {
 	buf := make([]byte, len(b)+1)
 	copy(buf[1:], b)
 	return decode(buf[1:], false)
 }
 
-// TestFallbackParity pins the open paths — mmap+alias, mmap with the
-// copying tuple decode, plain read, and plain read with nothing aliased —
-// to identical results.
+// TestFallbackParity pins the open paths — mmap with the item-index
+// arena aliased, plain read, and plain read with nothing aliased — to
+// identical results.
 func TestFallbackParity(t *testing.T) {
 	path := writeTestSnapshot(t, Meta{Source: "generated"})
 	base, err := Open(path)
@@ -127,22 +132,12 @@ func TestFallbackParity(t *testing.T) {
 			t.Error("dataset differs from the mmap+alias open")
 		}
 		if !reflect.DeepEqual(snap.Prejoined(), base.Prejoined()) {
-			t.Error("joined log differs from the mmap+alias open")
+			t.Error("item index or reviewer positions differ from the mmap open")
 		}
 	}
-	t.Run("no-alias", func(t *testing.T) {
-		sec, err := base.hdr.section(base.data, secTuples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aliased, ok := aliasTuples(sec)
-		if !ok {
-			t.Skip("host layout rules out aliasing")
-		}
-		if !reflect.DeepEqual(decodeTuples(sec), aliased) {
-			t.Error("decoded tuple log differs from the aliased one")
-		}
-	})
+	if base.Mapped() && arenaLayoutCompatible && !within(base.Prejoined().ItemIndex, base.data) {
+		t.Error("mapped open copied the item-index arena instead of aliasing it")
+	}
 	t.Run("no-mmap", func(t *testing.T) {
 		snap, err := decode(raw, false)
 		if err != nil {
@@ -158,11 +153,21 @@ func TestFallbackParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.Aliased() {
-			t.Error("misaligned buffer but tuples are aliased")
+		if within(snap.Prejoined().ItemIndex, snap.data) {
+			t.Error("misaligned buffer but the item-index arena is aliased")
 		}
 		same(t, snap)
 	})
+}
+
+// within reports whether xs's first element lies inside data.
+func within(xs []int32, data []byte) bool {
+	if len(xs) == 0 || len(data) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(&xs[0]))
+	lo := uintptr(unsafe.Pointer(&data[0]))
+	return p >= lo && p < lo+uintptr(len(data))
 }
 
 func TestWriteDeterministic(t *testing.T) {

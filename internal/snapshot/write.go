@@ -70,7 +70,7 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	}{
 		{secUsers, encodeUsers(ds.Users, in)},
 		{secItems, encodeItems(ds.Items, in)},
-		{secTuples, encodeTuples(pj.Tuples)},
+		{secTuples, encodeTuples(ds.Ratings, pj.Joiner)},
 		{secItemIndex, encodeItemIndex(pj.ItemOffsets, pj.ItemIndex)},
 		{secMeta, encodeMeta(meta)},
 	}
@@ -222,23 +222,29 @@ func encodeItems(items []model.Item, in *interner) []byte {
 	return out
 }
 
-// encodeTuples emits the pre-joined log as fixed 32-byte records whose
-// layout mirrors cube.Tuple's in-memory layout on little-endian
-// platforms, padding zeroed — the hot section Open aliases without
-// copying.
-func encodeTuples(tuples []cube.Tuple) []byte {
-	out := make([]byte, tupleRecordSize*len(tuples))
-	for i := range tuples {
-		t := &tuples[i]
+// encodeTuples emits the rating log, each rating joined with its
+// reviewer's vector, as fixed 32-byte records (record and recordRating
+// read them) whose layout mirrors cube.Tuple's in-memory layout on
+// little-endian platforms, padding zeroed. j has checked every rating's
+// user, and the log is grouped by user, so each run of a user's ratings
+// looks the user up once.
+func encodeTuples(ratings []model.Rating, j *store.Joiner) []byte {
+	out := make([]byte, tupleRecordSize*len(ratings))
+	var vals [cube.NumAttrs]int16
+	for i, r := range ratings {
+		if i == 0 || r.UserID != ratings[i-1].UserID {
+			_, vals, _ = j.User(r.UserID)
+		}
+		t := cube.JoinRating(r, vals)
 		rec := out[i*tupleRecordSize:]
 		for a := 0; a < cube.NumAttrs; a++ {
 			le.PutUint16(rec[2*a:], uint16(t.Vals[a]))
 		}
-		rec[10] = byte(t.Score)
-		// rec[11:16] stays zero (struct padding).
-		le.PutUint64(rec[16:], uint64(t.Unix))
-		le.PutUint32(rec[24:], uint32(t.UserID))
-		le.PutUint32(rec[28:], uint32(t.ItemID))
+		rec[recScore] = byte(t.Score)
+		// rec[recScore+1:recUnix] stays zero (struct padding).
+		le.PutUint64(rec[recUnix:], uint64(t.Unix))
+		le.PutUint32(rec[recUserID:], uint32(t.UserID))
+		le.PutUint32(rec[recItemID:], uint32(t.ItemID))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cube"
@@ -10,11 +11,13 @@ import (
 // Append applies one accepted ingest batch to the store at the given
 // epoch, which must be exactly CurrentEpoch()+1 — the ingest layer
 // serializes writers and assigns epochs, the store only enforces the
-// sequence. The tuples must already be joined against the (immutable)
-// catalog. Maintenance is incremental:
+// sequence. The ratings were checked against the (immutable) catalog by
+// JoinRating. Maintenance is incremental:
 //
-//   - the batch appends to the tuple log and each touched item's
-//     time-sorted index list gains the new positions by sorted insert;
+//   - the batch appends to the log's appended segment, never to the
+//     dataset's ratings, so the base log is neither written nor copied;
+//     each touched item's time-sorted run gains the new positions, with
+//     their reviewers, by sorted insert;
 //   - a new epochMark freezes the log extent and carries the batch's
 //     per-state aggregate delta for epoch-pinned browse reads;
 //   - before the new epoch becomes visible (still under the write lock,
@@ -32,8 +35,8 @@ import (
 // answering latest-epoch reads; results of sealed plans keep answering
 // reads pinned inside the sealed range, and latest-epoch reads of those
 // queries miss onto the new version's key.
-func (s *Store) Append(epoch uint64, tuples []cube.Tuple) error {
-	if len(tuples) == 0 {
+func (s *Store) Append(epoch uint64, batch []Joined) error {
+	if len(batch) == 0 {
 		return fmt.Errorf("store: empty append batch")
 	}
 	s.mu.Lock()
@@ -42,27 +45,26 @@ func (s *Store) Append(epoch uint64, tuples []cube.Tuple) error {
 		s.mu.Unlock()
 		return fmt.Errorf("store: append at epoch %d, want %d", epoch, cur+1)
 	}
-	base := len(s.tuples)
-	s.tuples = append(s.tuples, tuples...)
-
+	first := s.log.len()
 	states := make([]cube.Agg, cube.Cardinality(cube.State))
-	items := make(map[int]struct{}, len(tuples))
-	for i := range tuples {
-		t := &s.tuples[base+i]
-		items[int(t.ItemID)] = struct{}{}
-		s.insertItemIndexLocked(int(t.ItemID), int32(base+i), t.Unix)
-		if base+i == 0 || t.Unix < s.minUnix {
-			s.minUnix = t.Unix
+	items := make(map[int]struct{}, len(batch))
+	for i, b := range batch {
+		p := first + i
+		s.log.appended = append(s.log.appended, b.r)
+		items[b.r.ItemID] = struct{}{}
+		s.insertItemIndexLocked(b.r.ItemID, int32(p), b.user, b.r.Unix)
+		if p == 0 || b.r.Unix < s.minUnix {
+			s.minUnix = b.r.Unix
 		}
-		if base+i == 0 || t.Unix > s.maxUnix {
-			s.maxUnix = t.Unix
+		if p == 0 || b.r.Unix > s.maxUnix {
+			s.maxUnix = b.r.Unix
 		}
-		if st := t.Vals[cube.State]; st != cube.Wildcard {
-			states[st].Add(t.Score)
+		if st := s.log.vals[b.user][cube.State]; st != cube.Wildcard {
+			states[st].Add(int8(b.r.Score))
 		}
 	}
 	s.bounds = append(s.bounds, epochMark{
-		tuples:  len(s.tuples),
+		tuples:  s.log.len(),
 		minUnix: s.minUnix,
 		maxUnix: s.maxUnix,
 		states:  states,
@@ -86,17 +88,17 @@ func (s *Store) Append(epoch uint64, tuples []cube.Tuple) error {
 	return nil
 }
 
-// insertItemIndexLocked inserts a new tuple position into an item's
-// time-sorted index list at the upper bound of its timestamp. New
-// positions are larger than every existing one, so inserting at the
-// upper bound preserves the (Unix, index) total order Join
-// established — including within a batch, where later entries insert
-// after earlier ones carrying the same timestamp.
-func (s *Store) insertItemIndexLocked(itemID int, idx int32, unix int64) {
-	idxs := s.itemTuples[itemID]
-	at := sort.Search(len(idxs), func(i int) bool { return s.tuples[idxs[i]].Unix > unix })
-	idxs = append(idxs, 0)
-	copy(idxs[at+1:], idxs[at:])
-	idxs[at] = idx
-	s.itemTuples[itemID] = idxs
+// insertItemIndexLocked inserts a new log position, with its reviewer's
+// position, into an item's time-sorted run at the upper bound of its
+// timestamp. New positions are larger than every existing one, so
+// inserting at the upper bound preserves the (Unix, index) total order
+// Join established — including within a batch, where later entries
+// insert after earlier ones carrying the same timestamp. The rating at
+// p must already be in the log.
+func (s *Store) insertItemIndexLocked(itemID int, p, user int32, unix int64) {
+	run := s.items[itemID]
+	at := sort.Search(len(run.pos), func(i int) bool { return s.log.ratingAt(run.pos[i]).Unix > unix })
+	run.pos = slices.Insert(run.pos, at, p)
+	run.users = slices.Insert(run.users, at, user)
+	s.items[itemID] = run
 }

@@ -12,19 +12,17 @@ import (
 // appendBatch joins n synthetic ratings for an existing (user, item) pair
 // at timestamps just past the log's current maximum, so the batch
 // visibly extends the time range.
-func appendBatch(t *testing.T, s *Store, n int) []cube.Tuple {
+func appendBatch(t *testing.T, s *Store, n int) []Joined {
 	t.Helper()
-	ds := s.Dataset()
-	r0 := ds.Ratings[0]
-	u := ds.UserByID(r0.UserID)
-	if u == nil {
-		t.Fatal("fixture rating references unknown user")
-	}
+	r0 := s.Dataset().Ratings[0]
 	_, maxUnix := s.TimeRange()
-	out := make([]cube.Tuple, n)
+	out := make([]Joined, n)
 	for i := range out {
-		r := model.Rating{UserID: r0.UserID, ItemID: r0.ItemID, Score: 5, Unix: maxUnix + int64(i+1)}
-		out[i] = cube.JoinRating(r, cube.UserVals(u))
+		var err error
+		out[i], err = s.JoinRating(model.Rating{UserID: r0.UserID, ItemID: r0.ItemID, Score: 5, Unix: maxUnix + int64(i+1)})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out
 }
@@ -87,7 +85,7 @@ func TestAppendStateAggsDelta(t *testing.T) {
 	s := openStore(t, DefaultOptions())
 	before := s.StateAggsAt(0)
 	batch := appendBatch(t, s, 4)
-	st := batch[0].Vals[cube.State]
+	st := cube.UserVals(s.Dataset().UserByID(batch[0].r.UserID))[cube.State]
 	if st == cube.Wildcard {
 		t.Fatal("fixture batch has no state; pick a geocoded reviewer")
 	}

@@ -1,0 +1,171 @@
+package store
+
+import (
+	"slices"
+	"sort"
+	"testing"
+	"unsafe"
+
+	"repro/internal/cube"
+	"repro/internal/model"
+)
+
+// materialized is the reference a store's gathers must match: the whole
+// log joined into tuples up front, base ratings then appended ones, as
+// stores once kept it.
+type materialized struct {
+	tuples []cube.Tuple
+	epochs []int           // log length at the end of each epoch, from epoch 1
+	byItem map[int][]int32 // item ID -> log positions sorted by (Unix, position); built by index
+}
+
+func materialize(ds *model.Dataset) *materialized {
+	m := &materialized{epochs: []int{len(ds.Ratings)}}
+	for _, r := range ds.Ratings {
+		m.tuples = append(m.tuples, cube.JoinRating(r, cube.UserVals(ds.UserByID(r.UserID))))
+	}
+	return m
+}
+
+func (m *materialized) append(ds *model.Dataset, batch []model.Rating) {
+	for _, r := range batch {
+		m.tuples = append(m.tuples, cube.JoinRating(r, cube.UserVals(ds.UserByID(r.UserID))))
+	}
+	m.epochs = append(m.epochs, len(m.tuples))
+}
+
+// index sorts every item's log positions by (Unix, position) with a
+// comparison sort, after the last append.
+func (m *materialized) index() {
+	m.byItem = map[int][]int32{}
+	for p, t := range m.tuples {
+		m.byItem[int(t.ItemID)] = append(m.byItem[int(t.ItemID)], int32(p))
+	}
+	for _, pos := range m.byItem {
+		sort.SliceStable(pos, func(a, b int) bool { return m.tuples[pos[a]].Unix < m.tuples[pos[b]].Unix })
+	}
+}
+
+// gather is TuplesForItemsAt over the materialized log: per item, in
+// the order given, the item's tuples below the epoch's log length and
+// inside the window, in (Unix, log position) order.
+func (m *materialized) gather(itemIDs []int, w TimeWindow, epoch uint64) []cube.Tuple {
+	mark := m.epochs[len(m.epochs)-1]
+	if epoch != 0 && int(epoch) < len(m.epochs) {
+		mark = m.epochs[epoch-1]
+	}
+	var out []cube.Tuple
+	for _, id := range itemIDs {
+		for _, p := range m.byItem[id] {
+			if t := m.tuples[p]; int(p) < mark && w.Contains(t.Unix) {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
+// TestGatherMatchesMaterializedLog is the gather's differential test:
+// for every item, under an unbounded, a bounded and a Between(0, x)
+// window, at every pinned epoch and the latest, TuplesForItemsAt equals
+// the same gather over the log joined up front. The appended batches
+// spread over many reviewers and land before, inside and after the
+// items' runs, ties with existing timestamps included.
+func TestGatherMatchesMaterializedLog(t *testing.T) {
+	ds := smallDataset(t)
+	s, err := openDataset(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := materialize(ds)
+	lo, hi := s.TimeRange()
+	mid := lo + (hi-lo)/2
+
+	// Three batches, each on a few items: one rating before the log's
+	// start, one at the same second as an existing rating of the item,
+	// one between the log's bounds and one after its end.
+	items := []int{ds.Ratings[0].ItemID, ds.Ratings[len(ds.Ratings)/2].ItemID, ds.Ratings[len(ds.Ratings)-1].ItemID}
+	for e := uint64(2); e <= 4; e++ {
+		var batch []model.Rating
+		for k, id := range items {
+			var tie int64
+			for _, r := range ds.Ratings {
+				if r.ItemID == id {
+					tie = r.Unix
+					break
+				}
+			}
+			for j, unix := range []int64{lo - int64(e), tie, mid + int64(k), hi + int64(e)} {
+				u := ds.Users[(int(e)*31+k*7+j)%len(ds.Users)].ID
+				batch = append(batch, model.Rating{UserID: u, ItemID: id, Score: 1 + (j+k)%5, Unix: unix})
+			}
+		}
+		joined := make([]Joined, len(batch))
+		for i, r := range batch {
+			if joined[i], err = s.JoinRating(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Append(e, joined); err != nil {
+			t.Fatal(err)
+		}
+		ref.append(ds, batch)
+	}
+	ref.index()
+
+	windows := []TimeWindow{{}, {From: lo + (hi-lo)/4, To: mid}, Between(0, mid)}
+	all := make([]int, len(ds.Items))
+	for i := range ds.Items {
+		all[i] = ds.Items[i].ID
+	}
+	for epoch := uint64(0); epoch <= 4; epoch++ {
+		for _, w := range windows {
+			for _, id := range all {
+				if got, want := s.TuplesForItemsAt([]int{id}, w, epoch), ref.gather([]int{id}, w, epoch); !slices.Equal(got, want) {
+					t.Fatalf("item %d, window %v, epoch %d: gathered %d tuples, the materialized log %d (or their contents differ)", id, w, epoch, len(got), len(want))
+				}
+			}
+			ids := append(slices.Clone(items), all[:50]...)
+			if got, want := s.TuplesForItemsAt(ids, w, epoch), ref.gather(ids, w, epoch); !slices.Equal(got, want) {
+				t.Fatalf("%d items, window %v, epoch %d: the gather differs from the materialized log", len(ids), w, epoch)
+			}
+		}
+	}
+}
+
+// TestAppendSharesBaseLog: a store's base log is the dataset's own
+// ratings, shared with every other store over the dataset. Appends
+// neither copy nor write it, and a second store over the same dataset
+// gathers what it gathered before them.
+func TestAppendSharesBaseLog(t *testing.T) {
+	ds := smallDataset(t)
+	before := slices.Clone(ds.Ratings)
+	first, err := openDataset(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := openDataset(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, len(ds.Items))
+	for i := range ds.Items {
+		ids[i] = ds.Items[i].ID
+	}
+	want := second.TuplesForItems(ids, TimeWindow{})
+	for e := uint64(2); e <= 4; e++ {
+		if err := first.Append(e, appendBatch(t, first, 5)); err != nil {
+			t.Fatal(err)
+		}
+		base := first.log.base
+		if unsafe.SliceData(base) != unsafe.SliceData(ds.Ratings) || len(base) != len(ds.Ratings) || cap(base) != len(base) {
+			t.Fatalf("epoch %d: the base log is no longer the dataset's ratings, capped at their length", e)
+		}
+		if !slices.Equal(ds.Ratings, before) {
+			t.Fatalf("epoch %d: the append wrote into the dataset's ratings", e)
+		}
+		if got := second.TuplesForItems(ids, TimeWindow{}); !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: an append to one store changed another's gather", e)
+		}
+	}
+}

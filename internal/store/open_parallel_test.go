@@ -7,7 +7,8 @@ import (
 )
 
 // TestOpenParallelMatchesSequential pins the sharded Join's contract: the
-// joined tuple log, per-item indexes and time range must be identical
+// per-item runs (log positions and reviewer positions) and time range
+// must be identical
 // whether the join ran on one goroutine or many. The small dataset (~80k ratings) is above openParallelMin, so the
 // GOMAXPROCS>1 run actually takes the sharded path on multi-core hosts;
 // on a single-core host both runs take the same path and the test is a
@@ -28,10 +29,7 @@ func TestOpenParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("Open failed: seq=%v par=%v", seqErr, parErr)
 	}
 
-	if !reflect.DeepEqual(seq.tuples, par.tuples) {
-		t.Fatal("joined tuple logs differ")
-	}
-	if !reflect.DeepEqual(seq.itemTuples, par.itemTuples) {
+	if !reflect.DeepEqual(seq.items, par.items) {
 		t.Fatal("per-item time indexes differ")
 	}
 	if seq.minUnix != par.minUnix || seq.maxUnix != par.maxUnix {

@@ -28,8 +28,7 @@ func smallDataset(t testing.TB) *model.Dataset {
 	return dsMemo
 }
 
-// openDataset joins ds and opens a store over the joined log, as
-// maprat.Open does.
+// openDataset joins ds and opens a store over it, as maprat.Open does.
 func openDataset(ds *model.Dataset, opts Options) (*Store, error) {
 	pj, err := Join(ds)
 	if err != nil {
@@ -104,17 +103,26 @@ func TestOpenRejectsForeignJoiner(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsShortLog: the joined log must cover the dataset's
-// ratings one to one.
+// TestOpenRejectsShortLog: the item index, and the reviewer positions
+// beside it, must cover the dataset's ratings one to one.
 func TestOpenRejectsShortLog(t *testing.T) {
 	ds := smallDataset(t)
 	pj, err := Join(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj.Tuples = pj.Tuples[:len(pj.Tuples)-1]
-	if _, err := Open(ds, pj, Options{}); err == nil {
-		t.Error("Open accepted a log one tuple short of the dataset")
+	short := pj
+	short.ItemUsers = pj.ItemUsers[:len(pj.ItemUsers)-1]
+	if _, err := Open(ds, short, Options{}); err == nil {
+		t.Error("Open accepted reviewer positions one short of the dataset")
+	}
+	short = pj
+	short.ItemIndex = pj.ItemIndex[:len(pj.ItemIndex)-1]
+	if _, err := Open(ds, short, Options{}); err == nil {
+		t.Error("Open accepted an item index one entry short of the dataset")
+	}
+	if _, err := Open(ds, pj, Options{}); err != nil {
+		t.Errorf("Open with Join's own index: %v", err)
 	}
 }
 

@@ -160,7 +160,8 @@ func Open(ds *Dataset, opts *Options) (*Engine, error) {
 }
 
 // newEngine is the constructor both open paths share: it opens the store
-// over the joined log with the defaulted options and computes the base
+// over the dataset's rating log and pj's index with the defaulted
+// options and computes the base
 // fingerprint over the base log, so an engine's identity is the same
 // however its data arrived, and a later WAL replay never moves it.
 // closer, when non-nil, is released if the store fails to open.
@@ -190,9 +191,10 @@ func WriteSnapshot(path string, ds *Dataset, meta SnapshotMeta) error {
 }
 
 // OpenSnapshot opens an engine over a .msnap snapshot. The file is
-// memory-mapped where the platform allows it and the pre-joined rating
-// tuple log is served straight from the mapped pages, so opening skips
-// both text parsing and the store's join. The engine computes its
+// memory-mapped where the platform allows it: the rating log is decoded
+// straight from its tuple records and the item index is served from the
+// mapped pages, so opening skips both text parsing and the store's
+// join. The engine computes its
 // fingerprint from the opened data exactly as Open does, so ETags from a
 // snapshot-opened server are byte-identical to a text-opened one over
 // the same data. Call Close on the returned engine to release the

@@ -2,6 +2,8 @@ package maprat
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -518,6 +520,61 @@ func TestOpenRejectsInvalidRatings(t *testing.T) {
 			}
 			if _, err := Open(ds, nil); err == nil {
 				t.Errorf("Open accepted a dataset with a bad rating (%s)", tc.name)
+			}
+		})
+	}
+}
+
+// TestOpenRejectsOrphanRatings: LoadDir checks a text directory's users
+// and items, not its ratings. A rating of a user or item the directory
+// does not define, or one with a score out of range, loads and then
+// fails both paths that use the loaded dataset: Open, and WriteSnapshot
+// (`maprat snap pack`), which writes nothing.
+func TestOpenRejectsOrphanRatings(t *testing.T) {
+	cfg := SmallGenConfig()
+	cfg.Users, cfg.Movies, cfg.Ratings = 80, 30, 900
+	ds, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]string{
+		"unknown item": "1::999999::5::978300760\n",
+		"unknown user": "999999::1::5::978300760\n",
+		"score 9":      "1::1::9::978300760\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := WriteDir(dir, ds); err != nil {
+				t.Fatal(err)
+			}
+			ratings := filepath.Join(dir, "ratings.dat")
+			f, err := os.OpenFile(ratings, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadDir(dir)
+			if err != nil {
+				t.Fatalf("LoadDir: %v", err)
+			}
+			want := "999999"
+			if name == "score 9" {
+				want = "score 9"
+			}
+			if _, err := Open(loaded, nil); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Open: err = %v, want one naming %q", err, want)
+			}
+			out := filepath.Join(dir, "packed.msnap")
+			if err := WriteSnapshot(out, loaded, SnapshotMeta{Source: "text"}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("WriteSnapshot: err = %v, want one naming %q", err, want)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("WriteSnapshot left %s behind (stat: %v)", out, err)
 			}
 		})
 	}
