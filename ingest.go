@@ -165,7 +165,7 @@ func (e *Engine) resolveEpoch(epoch uint64) (uint64, error) {
 }
 
 // pinQuery resolves a query's epoch before execution, so every pipeline
-// below works with a concrete epoch: cache keys, plan versions and
+// below works with a concrete epoch: cache keys, cached plans and
 // tuple gathers all agree on the view of the data, and a latest-epoch
 // request and a request pinned at the current epoch share cache entries.
 func (e *Engine) pinQuery(q Query) (Query, error) {
@@ -186,9 +186,9 @@ type IngestStats struct {
 	Batches  uint64 `json:"batches"`
 	Tuples   uint64 `json:"tuples"`
 	WALBytes int64  `json:"wal_bytes"`
-	// PlansInvalidated / PlansSurviving split the plan-cache entries that
-	// were live at each append into sealed (item set intersected the
-	// batch) vs still-warm.
+	// PlansInvalidated / PlansSurviving split the plan-cache entries
+	// held at each append into dropped (item set intersected the batch)
+	// vs still-warm.
 	PlansInvalidated uint64  `json:"plans_invalidated"`
 	PlansSurviving   uint64  `json:"plans_surviving"`
 	ApplyTotalMS     float64 `json:"apply_total_ms"`

@@ -266,10 +266,11 @@ func TestPinnedReadByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSurvivesDisjointAppend: an append seals only the plans
+// TestPlanCacheSurvivesDisjointAppend: an append drops only the plans
 // whose item set intersects the batch; a plan for an untouched movie
 // keeps serving warm hits at the new epoch, and so does the result mined
-// from it.
+// from it. Reads pinned inside a dropped plan's epoch range answer what
+// an engine with every cache off answers, and cache nothing.
 func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 	e := ingestEngine(t, nil)
 	toy := mustQuery(t, e, `movie:"Toy Story"`)
@@ -288,15 +289,17 @@ func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 	}
 	buildsBefore := ps.Builds
 
-	if _, err := e.AppendRatings(context.Background(), ratingsFor(t, e, itemIDByTitle(t, "Toy Story"), 2)); err != nil {
+	toyItem := itemIDByTitle(t, "Toy Story")
+	batch1 := ratingsFor(t, e, toyItem, 2)
+	if _, err := e.AppendRatings(context.Background(), batch1); err != nil {
 		t.Fatal(err)
 	}
 	ps = e.PlanStats()
 	if ps.Invalidated < 1 {
-		t.Fatalf("append touching Toy Story sealed no plans: %+v", ps)
+		t.Fatalf("append touching Toy Story dropped no plans: %+v", ps)
 	}
 	if ps.Surviving < 1 {
-		t.Fatalf("append sealed every plan — invalidation is not surgical: %+v", ps)
+		t.Fatalf("append dropped every plan — invalidation is not surgical: %+v", ps)
 	}
 
 	// Heat at the new epoch rides the surviving plan: no new build, and
@@ -330,8 +333,9 @@ func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 	if got.NumRatings != toyBefore.NumRatings+2 {
 		t.Fatalf("re-mined Toy Story has %d ratings, want %d", got.NumRatings, toyBefore.NumRatings+2)
 	}
-	// The sealed version still answers reads pinned at epoch 1, from the
-	// cache, byte-identical to the pre-append answer.
+	// The dropped plan's result still answers reads pinned at its build
+	// epoch 1, from the result cache, byte-identical to the pre-append
+	// answer.
 	pinned := toy
 	pinned.Epoch = 1
 	got, err = e.ExplainContext(t.Context(), ExplainRequest{Query: pinned})
@@ -355,6 +359,43 @@ func TestPlanCacheSurvivesDisjointAppend(t *testing.T) {
 	}
 	if st.PlansInvalidated != ps.Invalidated || st.PlansSurviving != ps.Surviving {
 		t.Fatalf("ingest stats disagree with plan stats: %+v vs %+v", st, ps)
+	}
+
+	// Warm Toy Story's group, refine and drill at epoch 2, then append to
+	// Toy Story again: epoch 3 drops the plans built at 2, and reads
+	// pinned at 2 must rebuild them without caching them.
+	key := cube.KeyAll.With(cube.State, cube.StateIndex("CA"))
+	ops := func(m *Engine, q Query) []string {
+		ge, gerr := m.ExploreFullContext(t.Context(), q, key, 8, 3)
+		rs, rerr := m.RefineGroupContext(t.Context(), q, key, 4)
+		tr, derr := m.DrillMineContext(t.Context(), q, key, SimilarityMining, DefaultSettings())
+		return []string{opAnswer(t, ge, gerr), opAnswer(t, rs, rerr), opAnswer(t, tr, derr)}
+	}
+	ops(e, toy)
+	invalidated := e.PlanStats().Invalidated
+	batch2 := ratingsFor(t, e, toyItem, 3)
+	if _, err := e.AppendRatings(context.Background(), batch2); err != nil {
+		t.Fatal(err)
+	}
+	if e.PlanStats().Invalidated == invalidated {
+		t.Fatal("second append touching Toy Story dropped no plans")
+	}
+	ref := ingestEngine(t, coldOptions())
+	for _, b := range [][]model.Rating{batch1, batch2} {
+		if _, err := ref.AppendRatings(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := e.PlanStats().Entries
+	pinned.Epoch = 2
+	got2, want2 := ops(e, pinned), ops(ref, pinned)
+	for i, op := range []string{"group", "refine", "drill"} {
+		if got2[i] != want2[i] {
+			t.Errorf("%s pinned at epoch 2 differs from a cache-off engine:\n got %s\nwant %s", op, got2[i], want2[i])
+		}
+	}
+	if n := e.PlanStats().Entries; n > entries {
+		t.Fatalf("reads pinned at a superseded epoch were cached: entries %d -> %d", entries, n)
 	}
 }
 

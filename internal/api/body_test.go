@@ -183,7 +183,7 @@ func TestCelllessMinerBodies(t *testing.T) {
 }
 
 // TestStoredBodiesFollowAppends: explain, group and drill bodies stored
-// on warm hits are retired with the plan an append seals. After a batch
+// on warm hits stop answering once an append drops their plan. After a batch
 // that touches the query's items, each re-read equals what an engine
 // with every cache off answers at the new epoch.
 func TestStoredBodiesFollowAppends(t *testing.T) {

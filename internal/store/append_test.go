@@ -111,62 +111,85 @@ func TestAppendStateAggsDelta(t *testing.T) {
 }
 
 // TestPlanCacheAdvanceSurgical pins the invalidation contract: an append
-// seals exactly the live entries whose item set intersects the batch,
-// counts the split, and sealed versions keep serving their epoch range.
+// drops exactly the entries whose item set intersects the batch and
+// counts the split; a fetch at the superseded epoch builds and leaves
+// the tier as it was.
 func TestPlanCacheAdvanceSurgical(t *testing.T) {
 	pc := NewPlanCache(1000)
 	ctx := context.Background()
+	builds := 0
 	mk := func(items ...int) func() (*Plan, error) {
 		return func() (*Plan, error) {
+			builds++
 			return &Plan{ItemIDs: items, Tuples: make([]cube.Tuple, 10)}, nil
 		}
 	}
-	if _, _, err := pc.GetOrBuildAt(ctx, "toy", 1, mk(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := pc.GetOrBuildAt(ctx, "heat", 1, mk(5, 6)); err != nil {
-		t.Fatal(err)
+	for _, k := range []struct {
+		key   string
+		items []int
+	}{{"toy", []int{1, 2}}, {"heat", []int{5, 6}}} {
+		if _, err := pc.GetOrBuildAt(ctx, k.key, 1, mk(k.items...)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	pc.Advance(2, []int{2, 3}) // batch touches item 2: seals "toy" only
+	pc.Advance(2, []int{2, 3}) // batch touches item 2: drops "toy" only
 	st := pc.Stats()
 	if st.Invalidated != 1 || st.Surviving != 1 {
 		t.Fatalf("split = invalidated %d / surviving %d, want 1/1", st.Invalidated, st.Surviving)
 	}
+	if st.Entries != 1 || st.Tuples != 10 {
+		t.Fatalf("dropped entry still held: entries %d, tuples %d, want 1/10", st.Entries, st.Tuples)
+	}
 
 	// The untouched plan stays warm at the new epoch.
-	if _, hit, _ := pc.GetOrBuildAt(ctx, "heat", 2, mk(5, 6)); !hit {
-		t.Fatal("disjoint plan was not warm after the append")
+	if _, err := pc.GetOrBuildAt(ctx, "heat", 2, mk(5, 6)); err != nil || builds != 2 {
+		t.Fatalf("disjoint plan was not warm after the append: builds %d, err %v", builds, err)
 	}
-	// The sealed version still serves reads pinned at its range...
-	if _, hit, _ := pc.GetOrBuildAt(ctx, "toy", 1, mk(1, 2)); !hit {
-		t.Fatal("sealed version no longer serves its pinned epoch")
+	// A read pinned at the superseded epoch builds, and is not cached.
+	if _, err := pc.GetOrBuildAt(ctx, "toy", 1, mk(1, 2)); err != nil || builds != 3 {
+		t.Fatalf("pinned fetch of a dropped plan: builds %d, err %v", builds, err)
 	}
-	// ...but a latest-epoch fetch rebuilds.
-	rebuilt := false
-	if _, hit, _ := pc.GetOrBuildAt(ctx, "toy", 2, func() (*Plan, error) {
-		rebuilt = true
-		return &Plan{ItemIDs: []int{1, 2}, Tuples: make([]cube.Tuple, 10)}, nil
-	}); hit || !rebuilt {
-		t.Fatalf("intersecting plan served stale: hit=%v rebuilt=%v", hit, rebuilt)
+	if n := pc.Stats().Entries; n != 1 {
+		t.Fatalf("pinned fetch of a superseded epoch was cached: entries %d, want 1", n)
 	}
-
-	// Both versions of "toy" coexist under one key; a second disjoint
-	// append leaves all three live-or-sealed entries in place and counts
-	// the two live ones as surviving.
-	if n := pc.Stats().Entries; n != 3 {
-		t.Fatalf("entries = %d, want 3 (two toy versions + heat)", n)
+	// A latest-epoch fetch rebuilds and caches.
+	if _, err := pc.GetOrBuildAt(ctx, "toy", 2, mk(1, 2)); err != nil || builds != 4 {
+		t.Fatalf("intersecting plan served stale: builds %d, err %v", builds, err)
 	}
+	if n := pc.Stats().Entries; n != 2 {
+		t.Fatalf("entries = %d, want 2 (toy@2 + heat)", n)
+	}
+	// A disjoint append leaves both entries in place and counts them.
 	pc.Advance(3, []int{99})
 	st = pc.Stats()
-	if st.Invalidated != 1 || st.Surviving != 3 {
-		t.Fatalf("after disjoint append: invalidated %d / surviving %d, want 1/3", st.Invalidated, st.Surviving)
+	if st.Invalidated != 1 || st.Surviving != 3 || st.Entries != 2 {
+		t.Fatalf("after disjoint append: invalidated %d / surviving %d / entries %d, want 1/3/2", st.Invalidated, st.Surviving, st.Entries)
+	}
+}
+
+// TestPlanCacheOneEntryPerKey: a key that intersecting appends keep
+// superseding is held once, however many times it is rebuilt.
+func TestPlanCacheOneEntryPerKey(t *testing.T) {
+	pc := NewPlanCache(1000)
+	build := func() (*Plan, error) { return &Plan{ItemIDs: []int{1}, Tuples: make([]cube.Tuple, 10)}, nil }
+	if _, err := pc.GetOrBuildAt(context.Background(), "toy", 1, build); err != nil {
+		t.Fatal(err)
+	}
+	for epoch := uint64(2); epoch <= 4; epoch++ {
+		pc.Advance(epoch, []int{1})
+		if _, err := pc.GetOrBuildAt(context.Background(), "toy", epoch, build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := pc.Stats(); st.Entries != 1 || st.Tuples != 10 || st.Builds != 4 {
+		t.Fatalf("after three intersecting appends: entries %d, tuples %d, builds %d, want 1/10/4", st.Entries, st.Tuples, st.Builds)
 	}
 }
 
 // TestPlanCacheVersionAt pins the version lookup the engine keys mined
 // results by: it names the first epoch of the version covering the
-// requested epoch, follows Advance's sealing, never builds or counts,
+// requested epoch, follows Advance's drops, never builds or counts,
 // and marks the version most recently used.
 func TestPlanCacheVersionAt(t *testing.T) {
 	pc := NewPlanCache(25)
@@ -187,19 +210,19 @@ func TestPlanCacheVersionAt(t *testing.T) {
 		key   string
 		items []int
 	}{{"toy", []int{1, 2}}, {"heat", []int{5, 6}}} {
-		if _, _, err := pc.GetOrBuildAt(ctx, k.key, 1, mk(k.items...)); err != nil {
+		if _, err := pc.GetOrBuildAt(ctx, k.key, 1, mk(k.items...)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pc.Advance(2, []int{2}) // seals toy at [1, 1]; heat stays live from 1
-	if got := version("toy", 2); got != "0/false" {
-		t.Fatalf("sealed version serves a later epoch: VersionAt(toy, 2) = %s", got)
+	pc.Advance(2, []int{2}) // drops toy@1; heat stays, valid from 1
+	if got := version("toy", 1); got != "0/false" {
+		t.Fatalf("dropped entry still names a version: VersionAt(toy, 1) = %s", got)
 	}
-	if _, _, err := pc.GetOrBuildAt(ctx, "toy", 2, mk(1, 2)); err != nil {
+	if _, err := pc.GetOrBuildAt(ctx, "toy", 2, mk(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	// Budget 25 holds two 10-tuple plans: the epoch-2 toy build evicted
-	// the least recently used version, sealed toy@1.
+	// toy@2 is valid from epoch 2 on, so a read pinned at 1 has no
+	// version; heat's build at 1 covers both epochs.
 	for _, c := range []struct {
 		key   string
 		epoch uint64
@@ -221,7 +244,8 @@ func TestPlanCacheVersionAt(t *testing.T) {
 	if st := pc.Stats(); st.Hits != before.Hits || st.Misses != before.Misses || st.Builds != before.Builds {
 		t.Fatalf("VersionAt moved the fetch counters: %+v -> %+v", before, st)
 	}
-	if _, _, err := pc.GetOrBuildAt(ctx, "jaws", 2, mk(9)); err != nil {
+	// Budget 25 holds two 10-tuple plans, so a third evicts one.
+	if _, err := pc.GetOrBuildAt(ctx, "jaws", 2, mk(9)); err != nil {
 		t.Fatal(err)
 	}
 	if got := version("heat", 2); got != "1/true" {
@@ -232,21 +256,23 @@ func TestPlanCacheVersionAt(t *testing.T) {
 	}
 }
 
-// TestPlanCachePutSealsStaleBuild: a plan whose build started before an
-// append lands is stored sealed to its build epoch, never serving later
-// epochs it did not see.
-func TestPlanCachePutSealsStaleBuild(t *testing.T) {
+// TestPlanCachePutSkipsStaleBuild: a plan whose build started before an
+// append lands is served to its caller but not cached, so it never
+// serves an epoch it did not see.
+func TestPlanCachePutSkipsStaleBuild(t *testing.T) {
 	pc := NewPlanCache(1000)
 	ctx := context.Background()
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	done := make(chan struct{})
+	stale := &Plan{ItemIDs: []int{1}, Tuples: make([]cube.Tuple, 5)}
+	var got *Plan
 	go func() {
 		defer close(done)
-		pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) {
+		got, _ = pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) {
 			close(started)
 			<-proceed
-			return &Plan{ItemIDs: []int{1}, Tuples: make([]cube.Tuple, 5)}, nil
+			return stale, nil
 		})
 	}()
 	<-started
@@ -254,12 +280,11 @@ func TestPlanCachePutSealsStaleBuild(t *testing.T) {
 	close(proceed)
 	<-done
 
-	// The stale build serves its own epoch but not the new one.
-	if _, hit, _ := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) {
-		t.Fatal("epoch-1 fetch rebuilt over the sealed entry")
-		return nil, nil
-	}); !hit {
-		t.Fatal("sealed stale build does not serve its own epoch")
+	if got != stale {
+		t.Fatal("overtaken build was not served to its caller")
+	}
+	if st := pc.Stats(); st.Entries != 0 || st.Tuples != 0 {
+		t.Fatalf("overtaken build was cached: %+v", st)
 	}
 	rebuilt := false
 	pc.GetOrBuildAt(ctx, "k", 2, func() (*Plan, error) {

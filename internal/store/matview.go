@@ -30,8 +30,8 @@ type Plan struct {
 	Cube    *cube.Cube
 	Overall cube.Agg
 
-	// memo holds results mined from this plan version; nil unless a
-	// PlanCache holds the plan (see PlanCache.put).
+	// memo holds results mined from this plan; nil unless a PlanCache
+	// holds the plan (see PlanCache.put).
 	memo *planMemo
 }
 
@@ -41,9 +41,10 @@ type Plan struct {
 // computed but not stored.
 const PlanMemoCap = 32
 
-// planMemo is a plan version's result memo. A plan is immutable over its
-// epoch range, so its memo never needs invalidating: it is dropped with
-// the plan when the tier evicts it.
+// planMemo is a cached plan's result memo. A cached plan is immutable
+// for as long as the tier holds it, so its memo never needs
+// invalidating: it goes with the plan when an append or the LRU drops
+// it.
 type planMemo struct {
 	mu      sync.Mutex
 	entries map[string]any
@@ -90,9 +91,11 @@ func (p *Plan) SetMemo(key string, v any, size int64) {
 }
 
 // Cost is the plan's tuple count — the unit the cache budget is
-// denominated in. Tuples dominate a plan's memory (the cube's member
-// lists are proportional to them), so budgeting by tuples bounds memory
-// without per-entry byte bookkeeping on the hot path.
+// denominated in. The budget bounds how many gathered tuples the tier
+// holds, and with them the cube's member lists, which are proportional
+// to the tuples. It does not bound the rest of a plan's memory: the
+// cube's groups, the coverage bitsets the solver builds lazily after
+// caching, and the result memo are not charged (SizeBytes counts them).
 func (p *Plan) Cost() int { return len(p.Tuples) }
 
 // SizeBytes approximates the plan's resident memory, memoized results
@@ -125,9 +128,9 @@ type PlanStats struct {
 	// a plan (Misses minus failed builds).
 	Builds    uint64 `json:"builds"`
 	Evictions uint64 `json:"evictions"`
-	// Invalidated counts live entries sealed by an append whose batch
-	// intersected their resolved item set; Surviving counts live entries
-	// an append left warm. Together they prove invalidation is surgical:
+	// Invalidated counts entries dropped by an append whose batch
+	// intersected their resolved item set; Surviving counts entries an
+	// append left warm. Together they prove invalidation is surgical:
 	// Surviving grows while untouched plans keep taking hits.
 	Invalidated uint64 `json:"invalidated"`
 	Surviving   uint64 `json:"surviving"`
@@ -138,7 +141,7 @@ type PlanStats struct {
 	Bytes     int64 `json:"bytes"`
 	// MemoHits and MemoMisses count lookups in the result memos of held
 	// plans (Plan.Memo): the hit ratio of the group, refine and drill
-	// results memoized per plan version.
+	// results memoized per cached plan.
 	MemoHits   uint64 `json:"memo_hits"`
 	MemoMisses uint64 `json:"memo_misses"`
 }
@@ -150,20 +153,19 @@ type PlanStats struct {
 // by total tuple count rather than entry count — one whole-log query must
 // not cost the same budget as a one-movie query.
 //
-// Under live ingestion the tier is versioned by epoch: every entry
-// carries the epoch range it is valid for, and an append seals — rather
-// than drops — exactly the live entries whose resolved item set
-// intersects the batch. A sealed entry keeps serving epoch-pinned reads
-// for its range until the LRU evicts it; entries the batch did not touch
-// stay live and warm across the epoch bump. The cache key stays
-// epoch-free: versions of one key chain under it.
+// Under live ingestion the tier holds at most one entry per key, valid
+// from the epoch it was built at through the current epoch. An append
+// drops exactly the entries whose resolved item set intersects the
+// batch; entries the batch did not touch stay warm across the epoch
+// bump. Reads pinned to an epoch no entry covers build their plan and
+// leave the tier as it was. The cache key stays epoch-free.
 type PlanCache struct {
 	mu        sync.Mutex
 	maxTuples int
 	ll        *list.List // front = most recently used
-	versions  map[string][]*list.Element
+	entries   map[string]*list.Element
 	tuples    int
-	epoch     uint64 // current store epoch; entries built at >= epoch are live
+	epoch     uint64 // current store epoch; only builds at it are cached
 
 	hits, misses, shared, builds, evictions, invalidated, surviving uint64
 
@@ -176,18 +178,12 @@ type PlanCache struct {
 	memo memoStats
 }
 
+// planEntry is a cached plan, valid from its build epoch lo through the
+// current epoch: an append that would change it drops it first.
 type planEntry struct {
 	key  string
 	plan *Plan
-	// [lo, hi] is the entry's valid epoch range; hi == 0 means live
-	// (valid from lo through the current epoch, until an intersecting
-	// append seals it).
-	lo, hi uint64
-}
-
-// validAt reports whether the entry serves reads pinned at epoch e.
-func (e *planEntry) validAt(epoch uint64) bool {
-	return e.lo <= epoch && (e.hi == 0 || epoch <= e.hi)
+	lo   uint64
 }
 
 // NewPlanCache builds a cache bounded to maxTuples total tuples across
@@ -199,26 +195,25 @@ func NewPlanCache(maxTuples int) *PlanCache {
 	return &PlanCache{
 		maxTuples: maxTuples,
 		ll:        list.New(),
-		versions:  make(map[string][]*list.Element),
+		entries:   make(map[string]*list.Element),
 		epoch:     1,
 	}
 }
 
 // GetOrBuildAt returns the materialized plan for key as of epoch,
-// building it with build on a miss. A version whose range covers the
-// epoch serves the fetch — in particular a live entry built before the
-// epoch, which is exactly the "untouched plan stays warm" case.
-// Concurrent callers with the same key and epoch share a single build
-// through the singleflight layer; hit reports whether the plan came from
-// the cache (or another caller's build) rather than this caller's own
-// build. Build errors are returned and never cached.
-func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64, build func() (*Plan, error)) (plan *Plan, hit bool, err error) {
+// building it with build on a miss. The key's entry serves the fetch
+// when it was built at or before the epoch — in particular an entry
+// built before an append that did not touch it, which is exactly the
+// "untouched plan stays warm" case. Concurrent callers with the same key
+// and epoch share a single build through the singleflight layer. Build
+// errors are returned and never cached.
+func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64, build func() (*Plan, error)) (*Plan, error) {
 	// Each logical fetch counts exactly once: as a hit when served from
 	// the cache, a leader's re-check, or another caller's in-flight build
 	// (the latter also counted in Shared), and as a miss only when this
 	// caller's own build ran (or failed).
 	if p, ok := pc.lookupAt(key, epoch); ok {
-		return p, true, nil
+		return p, nil
 	}
 	flightKey := key + "@" + strconv.FormatUint(epoch, 10)
 	v, sharedFlight, err := pc.flight.Do(ctx, flightKey, func() (any, error) {
@@ -241,7 +236,7 @@ func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64,
 		return p, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if sharedFlight {
 		pc.mu.Lock()
@@ -249,143 +244,106 @@ func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64,
 		pc.hits++
 		pc.mu.Unlock()
 	}
-	return v.(*Plan), sharedFlight, nil
+	return v.(*Plan), nil
 }
 
-// lookupAt returns the cached plan version valid at epoch, counting and
-// marking a hit most recently used. Misses are not counted here —
-// GetOrBuildAt charges them to the caller whose build actually ran.
+// entryAtLocked returns the key's entry when it is valid at epoch,
+// marking it most recently used. Callers hold mu.
+func (pc *PlanCache) entryAtLocked(key string, epoch uint64) (*planEntry, bool) {
+	el, ok := pc.entries[key]
+	if !ok || el.Value.(*planEntry).lo > epoch {
+		return nil, false
+	}
+	pc.ll.MoveToFront(el)
+	return el.Value.(*planEntry), true
+}
+
+// lookupAt returns the cached plan valid at epoch, counting a hit.
+// Misses are not counted here — GetOrBuildAt charges them to the caller
+// whose build actually ran.
 func (pc *PlanCache) lookupAt(key string, epoch uint64) (*Plan, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for _, el := range pc.versions[key] {
-		e := el.Value.(*planEntry)
-		if e.validAt(epoch) {
-			pc.ll.MoveToFront(el)
-			pc.hits++
-			return e.plan, true
-		}
+	e, ok := pc.entryAtLocked(key, epoch)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	pc.hits++
+	return e.plan, true
 }
 
-// VersionAt returns the first epoch lo of the cached version of key
-// valid at epoch, marking that version most recently used; ok is false
-// when no cached version covers the epoch. A version's plan is identical
-// at every epoch of its range, so lo names the plan that any read in the
-// range sees — the engine keys mined results by it. VersionAt never
-// builds and counts neither a hit nor a miss: the counters keep meaning
-// plan fetches.
+// VersionAt returns the build epoch lo of the key's entry when it is
+// valid at epoch, marking it most recently used; ok is false when no
+// entry covers the epoch. An entry's plan is identical at every epoch
+// from lo through the current one, so lo names the plan that any read
+// in that range sees — the engine keys mined results by it. VersionAt
+// never builds and counts neither a hit nor a miss: the counters keep
+// meaning plan fetches.
 func (pc *PlanCache) VersionAt(key string, epoch uint64) (lo uint64, ok bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for _, el := range pc.versions[key] {
-		e := el.Value.(*planEntry)
-		if e.validAt(epoch) {
-			pc.ll.MoveToFront(el)
-			return e.lo, true
-		}
+	e, ok := pc.entryAtLocked(key, epoch)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return e.lo, true
 }
 
-// put stores a plan built as of buildEpoch, evicting least-recently-used
-// versions until the tuple budget holds. The entry is stored live when
-// the build's epoch is still current, and sealed to the single epoch
-// [buildEpoch, buildEpoch] when an append advanced the cache while the
-// build ran — the builder saw the old watermark, so its plan must not
-// serve later epochs. A plan that alone exceeds the budget is served
-// uncached rather than wiping the whole tier for one query.
+// put caches a plan built as of buildEpoch, evicting least-recently-used
+// entries until the tuple budget holds. Only a build at the current
+// epoch is cached: a build an append overtook saw the old watermark, and
+// a read pinned to a superseded epoch built an old view, so neither may
+// serve later epochs and both are served uncached. So is a plan that
+// alone exceeds the budget, rather than wiping the whole tier for one
+// query. A build at the current epoch finds no entry for its key: its
+// flight's re-check would have served an entry built at or before the
+// epoch, and one built later would mean the epoch had moved on.
 func (pc *PlanCache) put(key string, p *Plan, buildEpoch uint64) {
 	cost := p.Cost()
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if cost > pc.maxTuples {
+	if cost > pc.maxTuples || buildEpoch != pc.epoch {
 		return
 	}
 	// The plan is not yet visible to any other caller, so arming its
 	// memo here needs no synchronization with readers.
 	p.memo = &planMemo{entries: make(map[string]any), stats: &pc.memo}
-	hi := uint64(0)
-	if buildEpoch < pc.epoch {
-		hi = buildEpoch
-	}
-	entry := &planEntry{key: key, plan: p, lo: buildEpoch, hi: hi}
-	for _, el := range pc.versions[key] {
-		e := el.Value.(*planEntry)
-		if e.lo == buildEpoch && e.hi == hi {
-			// A concurrent fetch of the same version raced us here;
-			// replace its plan in place.
-			pc.tuples -= e.plan.Cost()
-			e.plan = p
-			pc.ll.MoveToFront(el)
-			pc.tuples += cost
-			pc.evictLocked()
-			return
-		}
-	}
-	pc.versions[key] = append(pc.versions[key], pc.ll.PushFront(entry))
+	pc.entries[key] = pc.ll.PushFront(&planEntry{key: key, plan: p, lo: buildEpoch})
 	pc.tuples += cost
-	pc.evictLocked()
-}
-
-// evictLocked drops least-recently-used versions until the tuple budget
-// holds. Callers hold mu.
-func (pc *PlanCache) evictLocked() {
 	for pc.tuples > pc.maxTuples {
-		oldest := pc.ll.Back()
-		if oldest == nil {
-			break
-		}
-		pc.removeLocked(oldest)
+		pc.removeLocked(pc.ll.Back())
 		pc.evictions++
 	}
 }
 
-// removeLocked unlinks one version from the LRU list and its key's
-// version chain. Callers hold mu.
+// removeLocked unlinks one entry from the LRU list and the key index.
+// Callers hold mu.
 func (pc *PlanCache) removeLocked(el *list.Element) {
-	e := el.Value.(*planEntry)
-	pc.ll.Remove(el)
+	e := pc.ll.Remove(el).(*planEntry)
 	pc.tuples -= e.plan.Cost()
-	chain := pc.versions[e.key]
-	for i, cand := range chain {
-		if cand == el {
-			chain = append(chain[:i], chain[i+1:]...)
-			break
-		}
-	}
-	if len(chain) == 0 {
-		delete(pc.versions, e.key)
-	} else {
-		pc.versions[e.key] = chain
-	}
+	delete(pc.entries, e.key)
 }
 
 // Advance moves the cache to newEpoch after an append whose batch
-// touched the given sorted item IDs. Exactly the live entries whose
-// resolved item set intersects the batch are sealed at newEpoch-1 (they
-// keep serving epoch-pinned reads for their range); every other live
-// entry stays live — its item set is disjoint from the batch, so the
-// plan is byte-identical at the new epoch. The Invalidated/Surviving
-// counters record the split.
+// touched the given sorted item IDs. Exactly the entries whose resolved
+// item set intersects the batch are dropped; every other entry stays —
+// its item set is disjoint from the batch, so the plan is byte-identical
+// at the new epoch. The Invalidated/Surviving counters record the split.
 func (pc *PlanCache) Advance(newEpoch uint64, itemIDs []int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if newEpoch <= pc.epoch {
 		return
 	}
-	for el := pc.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*planEntry)
-		if e.hi != 0 || e.lo >= newEpoch {
-			continue
-		}
-		if intersectsSorted(e.plan.ItemIDs, itemIDs) {
-			e.hi = newEpoch - 1
+	for el := pc.ll.Front(); el != nil; {
+		next := el.Next()
+		if intersectsSorted(el.Value.(*planEntry).plan.ItemIDs, itemIDs) {
+			pc.removeLocked(el)
 			pc.invalidated++
 		} else {
 			pc.surviving++
 		}
+		el = next
 	}
 	pc.epoch = newEpoch
 }

@@ -24,13 +24,13 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	builds := 0
 	build := func() (*Plan, error) { builds++; return fakePlan(10), nil }
 
-	p1, hit, err := pc.GetOrBuildAt(ctx, "k", 1, build)
-	if err != nil || hit {
-		t.Fatalf("first fetch: hit=%v err=%v", hit, err)
+	p1, err := pc.GetOrBuildAt(ctx, "k", 1, build)
+	if err != nil || builds != 1 {
+		t.Fatalf("first fetch: builds=%d err=%v", builds, err)
 	}
-	p2, hit, err := pc.GetOrBuildAt(ctx, "k", 1, build)
-	if err != nil || !hit {
-		t.Fatalf("second fetch: hit=%v err=%v", hit, err)
+	p2, err := pc.GetOrBuildAt(ctx, "k", 1, build)
+	if err != nil {
+		t.Fatalf("second fetch: %v", err)
 	}
 	if p1 != p2 {
 		t.Error("hit returned a different plan instance")
@@ -60,7 +60,7 @@ func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 		return func() (*Plan, error) { return fakePlan(n), nil }
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := pc.GetOrBuildAt(ctx, fmt.Sprintf("k%d", i), 1, mk(40)); err != nil {
+		if _, err := pc.GetOrBuildAt(ctx, fmt.Sprintf("k%d", i), 1, mk(40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,18 +70,21 @@ func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 	}
 	// k0 was evicted: fetching it again must rebuild.
 	rebuilt := false
-	if _, hit, err := pc.GetOrBuildAt(ctx, "k0", 1, func() (*Plan, error) {
+	if _, err := pc.GetOrBuildAt(ctx, "k0", 1, func() (*Plan, error) {
 		rebuilt = true
 		return fakePlan(40), nil
-	}); err != nil || hit {
-		t.Fatalf("evicted key: hit=%v err=%v", hit, err)
+	}); err != nil {
+		t.Fatalf("evicted key: %v", err)
 	}
 	if !rebuilt {
 		t.Error("evicted plan was not rebuilt")
 	}
 	// k1 is now the LRU entry and must have been evicted by k0's return.
-	if _, hit, _ := pc.GetOrBuildAt(ctx, "k2", 1, mk(40)); !hit {
+	if _, err := pc.GetOrBuildAt(ctx, "k2", 1, func() (*Plan, error) {
 		t.Error("recently used k2 should have survived")
+		return fakePlan(40), nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -93,7 +96,7 @@ func TestPlanCacheOversizePlanNotCached(t *testing.T) {
 	builds := 0
 	build := func() (*Plan, error) { builds++; return fakePlan(80), nil }
 	for i := 0; i < 2; i++ {
-		if _, _, err := pc.GetOrBuildAt(ctx, "big", 1, build); err != nil {
+		if _, err := pc.GetOrBuildAt(ctx, "big", 1, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,13 +112,13 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 	pc := NewPlanCache(100)
 	ctx := context.Background()
 	boom := errors.New("boom")
-	if _, _, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure is not cached; the next fetch builds and succeeds.
-	p, hit, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(5), nil })
-	if err != nil || hit || p == nil {
-		t.Fatalf("after error: plan=%v hit=%v err=%v", p, hit, err)
+	p, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(5), nil })
+	if st := pc.Stats(); err != nil || p == nil || st.Builds != 1 || st.Misses != 2 {
+		t.Fatalf("after error: plan=%v err=%v stats=%+v", p, err, st)
 	}
 }
 
@@ -141,7 +144,7 @@ func TestPlanCacheConcurrentBuildOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			plans[i], _, errs[i] = pc.GetOrBuildAt(context.Background(), "k", 1, build)
+			plans[i], errs[i] = pc.GetOrBuildAt(context.Background(), "k", 1, build)
 		}(i)
 	}
 	close(start)
@@ -183,7 +186,7 @@ func TestPlanCacheFollowerCancellation(t *testing.T) {
 	<-leaderIn
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(1), nil })
+	_, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(1), nil })
 	close(release)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower err = %v, want context.Canceled", err)
@@ -207,7 +210,7 @@ func TestPlanSizeBytes(t *testing.T) {
 // counted, and a plan the tier does not hold memoizes nothing.
 func TestPlanMemoBounds(t *testing.T) {
 	pc := NewPlanCache(100)
-	p, _, err := pc.GetOrBuildAt(context.Background(), "k", 1, func() (*Plan, error) { return fakePlan(10), nil })
+	p, err := pc.GetOrBuildAt(context.Background(), "k", 1, func() (*Plan, error) { return fakePlan(10), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestPlanMemoBounds(t *testing.T) {
 	}
 
 	// Over budget, so served uncached: no memo, no counting.
-	big, _, err := pc.GetOrBuildAt(context.Background(), "big", 1, func() (*Plan, error) { return fakePlan(1000), nil })
+	big, err := pc.GetOrBuildAt(context.Background(), "big", 1, func() (*Plan, error) { return fakePlan(1000), nil })
 	if err != nil {
 		t.Fatal(err)
 	}

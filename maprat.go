@@ -112,7 +112,7 @@ func DefaultOptions() Options {
 
 // Engine is an opened MapRat instance over one dataset. It caches at two
 // levels: explanations in the store's result LRU behind a singleflight,
-// and group, refine and drill results in the memo of the plan version
+// and group, refine and drill results in the memo of the cached plan
 // they were computed from (both on exactly when Options.Store.CacheSize
 // is positive). An Engine is safe for concurrent use: the store is
 // read-only after Open, the result cache, the singleflight layer and
@@ -461,7 +461,7 @@ func (e *Engine) ExplainContext(ctx context.Context, req ExplainRequest) (*Expla
 			return nil, err
 		}
 		// Re-key after mining: the plan is cached now, so the result
-		// lands under its version and survives disjoint appends.
+		// lands under its build epoch and survives disjoint appends.
 		e.st.Cache().Put(e.cacheKey(req, planKey), ex)
 		return ex, nil
 	})
@@ -626,19 +626,18 @@ func (e *Engine) planFor(ctx context.Context, q Query, base cube.Config) (*store
 
 // planForKey is planFor with the plan key already computed. q's epoch
 // must already be pinned (pinQuery), as every pipeline does before it
-// fetches a plan: plan versions are cut by concrete epochs.
+// fetches a plan: the tier serves and caches by concrete epochs.
 func (e *Engine) planForKey(ctx context.Context, q Query, base cube.Config, key string) (*store.Plan, error) {
 	pc := e.st.Plans()
 	if pc == nil {
 		return e.buildPlan(q, base)
 	}
 	// The key is epoch-free (Query.String() excludes Epoch); the tier
-	// versions entries by epoch range underneath it, so an append seals
-	// only the plans whose item sets the batch touched.
-	p, _, err := pc.GetOrBuildAt(ctx, key, q.Epoch, func() (*store.Plan, error) {
+	// holds one entry per key, valid from its build epoch on, and an
+	// append drops only the plans whose item sets the batch touched.
+	return pc.GetOrBuildAt(ctx, key, q.Epoch, func() (*store.Plan, error) {
 		return e.buildPlan(q, base)
 	})
-	return p, err
 }
 
 // PlanStats returns a snapshot of the materialization tier's counters
@@ -781,15 +780,16 @@ func groupResult(g *cube.Group, total int) GroupResult {
 // the relax flag: everything that changes the mined result.
 //
 // The epoch enters as v=, the version of the plan the result is mined
-// from: the first epoch of the plan tier's version covering the request's
-// epoch, or the epoch itself when the tier holds none (disabled, plan
-// over budget, evicted). A plan is a pure function of (plan key, epoch),
-// and an append seals every plan its batch intersects before publishing
-// the new epoch, so every epoch of a version sees the same plan and the
+// from: the build epoch lo of the plan tier's entry when it covers the
+// request's epoch, or the epoch itself when it does not (tier disabled,
+// plan over budget, evicted or dropped, or a read pinned before lo). A
+// plan is a pure function of (plan key, epoch), and an append drops
+// every plan its batch intersects before publishing the new epoch, so
+// every epoch from lo through the current one sees the same plan and the
 // result mined for v=lo answers all of them. An append therefore
-// invalidates a result exactly when it seals the result's plan; keys
-// never need invalidating, and entries for old versions stay valid for
-// their pinned reads.
+// invalidates a result exactly when it drops the result's plan; keys
+// never need invalidating, and a dropped plan's results stay valid for
+// reads pinned at its build epoch.
 func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
 	version := req.Query.Epoch
 	if pc := e.st.Plans(); pc != nil {
@@ -850,9 +850,9 @@ func memoKey(op string, k Key, args ...int) string {
 // from: a hit returns a clone of the stored value; a miss computes the
 // result, stores a clone and returns the original. Clones share the
 // result's body cell, so the body encoded for the first answer serves
-// every later hit. The plan is the version the result depends on, so the
-// key carries only the op and its arguments, and an append that seals
-// the plan retires its memo with it.
+// every later hit. The plan is the view of the data the result depends
+// on, so the key carries only the op and its arguments, and an append
+// that drops the plan drops its memo with it.
 // Memoization is on exactly when the result cache is (CacheSize > 0), and
 // only on plans the tier holds (Plan.SetMemo ignores others). Errors are
 // never stored. Two concurrent identical misses may both compute; results
@@ -961,7 +961,7 @@ func (ge *GroupExploration) sizeBytes() int64 {
 // pipeline's stages. The resolve → gather → cube stages come from the
 // materialization tier, so exploring a group right after its
 // ExplainContext does no pipeline work at all, and the result is
-// memoized on the plan version, so a repeated click is a lookup and a
+// memoized on the cached plan, so a repeated click is a lookup and a
 // clone. refineLimit caps the refinement list (0 = all); a negative
 // refineLimit skips the refinement stage entirely. Both the HTML
 // front-end and the /api/v1 handlers consume this one call.
@@ -1028,7 +1028,7 @@ type Refinement struct {
 // RefineGroupContext returns the most deviant drill-deeper refinements of
 // a group for the query, capped at limit (0 = all) — the paper's "drill
 // deeper" exploration beyond city statistics. It is served from the
-// materialization tier and memoized on the plan version like
+// materialization tier and memoized on the cached plan like
 // ExploreFullContext, with cancellation between the pipeline's stages.
 func (e *Engine) RefineGroupContext(ctx context.Context, q Query, key Key, limit int) ([]Refinement, error) {
 	return planOp(ctx, e, q, key,
@@ -1058,8 +1058,8 @@ func RefinePlan(p *store.Plan, q Query, key Key, limit int) ([]Refinement, error
 // error wraps core.ErrInfeasible, as an unrelaxed explain's does. The
 // parent cube comes from the materialization tier. The city-anchored
 // sub-cube and its RHE solve run on the first drill of a (parent, task,
-// settings) on a plan version; the result is memoized on that version,
-// so repeated drills are a lookup and a clone.
+// settings) on a cached plan; the result is memoized on that plan, so
+// repeated drills are a lookup and a clone.
 func (e *Engine) DrillMineContext(ctx context.Context, q Query, parent Key, task Task, s Settings) (*TaskResult, error) {
 	if s.K == 0 {
 		s = DefaultSettings()
