@@ -106,13 +106,17 @@ func WriteJSON(w http.ResponseWriter, v any) {
 }
 
 // writeBody writes an encoded JSON body, or the 500 envelope when the
-// encode failed.
+// encode failed. The body goes out with its Content-Length, so net/http
+// never chunks it and a client can size its read buffer; the gzip
+// middleware drops the header when it compresses.
 func writeBody(w http.ResponseWriter, body []byte, err error) {
 	if err != nil {
 		writeEnvelope(w, CodeInternal, "encoding response: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 }
 

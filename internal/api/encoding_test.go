@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,62 +32,83 @@ func rawGet(t *testing.T, ts *httptest.Server, path string, hdr map[string]strin
 	return resp
 }
 
-// TestGzipGoldenUnchanged pins the compression contract: with gzip
-// enabled and a client that accepts it, the explain endpoint answers
-// Content-Encoding: gzip and the decompressed bytes are the exact
-// golden-file payload the uncompressed endpoint serves.
+// TestGzipGoldenUnchanged pins the compression and framing contract on
+// each read op: with gzip enabled, a client that accepts it gets
+// Content-Encoding: gzip and decompresses the exact golden-file payload,
+// and a client that does not gets the same payload in identity bytes,
+// framed by a Content-Length equal to the body's length, not chunked.
+// The gzip middleware drops the identity length when it compresses.
 func TestGzipGoldenUnchanged(t *testing.T) {
 	eng := testEngine(t)
 	h := newHandler(eng, Config{EnableGzip: true})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	path := "/api/v1/explain?q=" + url.QueryEscape(`movie:"Toy Story"`) + "&k=2"
-	resp := rawGet(t, ts, path, map[string]string{"Accept-Encoding": "gzip"})
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", enc)
-	}
-	if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
-		t.Fatalf("Vary = %q, want Accept-Encoding", vary)
-	}
-	zr, err := gzip.NewReader(resp.Body)
-	if err != nil {
-		t.Fatalf("gzip reader: %v", err)
-	}
-	plain, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatalf("decompress: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "explain.golden.json"))
-	if err != nil {
-		t.Fatalf("missing golden: %v", err)
-	}
-	if got := string(scrub(t, string(plain))); got != string(want) {
-		t.Errorf("decompressed payload diverges from the golden contract:\n%s", got)
+	for _, c := range contractCases {
+		switch c.name {
+		case "explain", "group", "refine", "drill", "evolution", "browse":
+		default:
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+			if err != nil {
+				t.Fatalf("missing golden: %v", err)
+			}
+			resp := rawGet(t, ts, c.path, nil)
+			plain, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 {
+				t.Fatalf("identity: status %d, %v", resp.StatusCode, err)
+			}
+			if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+				t.Fatalf("identity request answered Content-Encoding %q", enc)
+			}
+			if n := strconv.Itoa(len(plain)); resp.Header.Get("Content-Length") != n || resp.ContentLength != int64(len(plain)) {
+				t.Errorf("identity Content-Length %q (%d), want %s", resp.Header.Get("Content-Length"), resp.ContentLength, n)
+			}
+			if len(resp.TransferEncoding) != 0 {
+				t.Errorf("identity Transfer-Encoding %q, want none", resp.TransferEncoding)
+			}
+			if string(scrub(t, string(plain))) != string(want) {
+				t.Error("identity payload diverges from the golden contract")
+			}
+
+			resp = rawGet(t, ts, c.path, map[string]string{"Accept-Encoding": "gzip"})
+			defer resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("gzip: status = %d", resp.StatusCode)
+			}
+			if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
+				t.Fatalf("Content-Encoding = %q, want gzip", enc)
+			}
+			if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
+				t.Fatalf("Vary = %q, want Accept-Encoding", vary)
+			}
+			if resp.ContentLength == int64(len(plain)) {
+				t.Errorf("gzip response carries the identity Content-Length %d", len(plain))
+			}
+			zr, err := gzip.NewReader(resp.Body)
+			if err != nil {
+				t.Fatalf("gzip reader: %v", err)
+			}
+			unzipped, err := io.ReadAll(zr)
+			if err != nil {
+				t.Fatalf("decompress: %v", err)
+			}
+			if got := string(scrub(t, string(unzipped))); got != string(want) {
+				t.Errorf("decompressed payload diverges from the golden contract:\n%s", got)
+			}
+		})
 	}
 
-	// A client that does not accept gzip gets identity bytes — including
-	// an explicit refusal via qvalue 0 (RFC 9110 §12.4.2).
-	for _, hdr := range []map[string]string{nil, {"Accept-Encoding": "gzip;q=0"}} {
-		r := rawGet(t, ts, path, hdr)
-		io.Copy(io.Discard, r.Body)
-		r.Body.Close()
-		if enc := r.Header.Get("Content-Encoding"); enc != "" {
-			t.Fatalf("identity request %v answered Content-Encoding %q", hdr, enc)
-		}
-	}
-	resp2 := rawGet(t, ts, path, nil)
-	defer resp2.Body.Close()
-	plain2, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(scrub(t, string(plain2))) != string(want) {
-		t.Error("identity payload diverges from the golden contract")
+	// An explicit refusal via qvalue 0 (RFC 9110 §12.4.2) gets identity
+	// bytes too.
+	r := rawGet(t, ts, contractCases[0].path, map[string]string{"Accept-Encoding": "gzip;q=0"})
+	io.Copy(io.Discard, r.Body)
+	r.Body.Close()
+	if enc := r.Header.Get("Content-Encoding"); enc != "" {
+		t.Fatalf("gzip;q=0 request answered Content-Encoding %q", enc)
 	}
 }
 

@@ -228,6 +228,17 @@ func FuzzDecodeResponse(f *testing.F) {
 		`{"overall_mean":-0.5e+3,"item_ids":[-0,7]}`,
 		`{"item_ids":[1e2]}`,
 		"{\"query\":\"bad \xff utf8\",\"key\":\"\u2028\"}",
+		// The ordered-key fast path: keys out of declaration order, a key
+		// repeated after a different key, an unknown key where the next
+		// expected key should be, and escaped keys.
+		`{"tasks":[],"overall_std":1,"query":"q","item_ids":[3]}`,
+		`{"result":{"groups":[{"share":0.5,"count":2,"key":"k"}],"task":"SM"},"parent":"p","query":"q"}`,
+		`{"query":"q","key":"k","query":"r"}`,
+		`{"group":{"key":"a","phrase":"p","key":"b"}}`,
+		`{"query":"q","item_idz":[1],"num_ratings":2}`,
+		`{"query":"q","keys":"k","refinements":[]}`,
+		`{"\u0071uery":"q","key":"k"}`,
+		`{"query":"q","parent":"p","result":{"ta\u0073k":"SM"}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -257,6 +268,70 @@ func checkDecode[T any](t *testing.T, data []byte) {
 	}
 }
 
+// TestDecodeResponseOwnsItsStrings overwrites the caller's buffer after
+// a fast-path decode: the decoded document shares one copy of the body,
+// never the caller's bytes, so it must not change.
+func TestDecodeResponseOwnsItsStrings(t *testing.T) {
+	for _, name := range []string{"explain", "group", "refine", "drill"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".golden.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ := responseTypes[name]
+		want, got := reflect.New(typ).Interface(), reflect.New(typ).Interface()
+		if err := json.Unmarshal(raw, want); err != nil {
+			t.Fatal(err)
+		}
+		if !decodeFast(bytes.Clone(raw), reflect.New(typ).Interface()) {
+			t.Fatalf("%s: fast path rejected the golden body", name)
+		}
+		if err := DecodeResponse(raw, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range raw {
+			raw[i] = 'x'
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: overwriting the decoded buffer changed the document:\n%+v", name, got)
+		}
+	}
+}
+
+// TestWireKeysFollowDeclarationOrder checks each type's key list against
+// its struct tags: the reader tries keys in list order, and a read
+// method's switch cases are indices into the list.
+func TestWireKeysFollowDeclarationOrder(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		keys []string
+	}{
+		{ExplainResponse{}, explainKeys},
+		{TaskResult{}, taskKeys},
+		{Group{}, groupKeys},
+		{GeoJSON{}, geoJSONKeys},
+		{Feature{}, featureKeys},
+		{Geometry{}, geometryKeys},
+		{ShadeProperties{}, shadeKeys},
+		{GroupResponse{}, groupRespKeys},
+		{CityStat{}, cityKeys},
+		{TimeBucket{}, bucketKeys},
+		{Refinement{}, refinementKeys},
+		{RefinementsResponse{}, refinementsKeys},
+		{DrillResponse{}, drillKeys},
+	} {
+		var tags []string
+		typ := reflect.TypeOf(c.v)
+		for i := range typ.NumField() {
+			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "-" {
+				tags = append(tags, name)
+			}
+		}
+		if !reflect.DeepEqual(tags, c.keys) {
+			t.Errorf("%T: reader keys %q, struct tags %q", c.v, c.keys, tags)
+		}
+	}
+}
+
 // BenchmarkWire times encoding/json's encode of live server bodies, the
 // cost of a cache miss, and compares the hand-written reader with
 // encoding/json on decoding them: go test -run '^$' -bench Wire ./internal/api/
@@ -277,18 +352,21 @@ func BenchmarkWire(b *testing.B) {
 		typ := reflect.TypeOf(doc).Elem()
 		b.Run(name+"/encode/json", func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
 			for b.Loop() {
 				_ = json.NewEncoder(&bytes.Buffer{}).Encode(doc)
 			}
 		})
 		b.Run(name+"/decode/json", func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
 			for b.Loop() {
 				_ = json.NewDecoder(bytes.NewReader(raw)).Decode(reflect.New(typ).Interface())
 			}
 		})
 		b.Run(name+"/decode/wire", func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
 			for b.Loop() {
 				_ = DecodeResponse(raw, reflect.New(typ).Interface())
 			}

@@ -238,11 +238,26 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		_, err = io.Copy(io.Discard, resp.Body)
 		return resp.Header, err
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Header, api.DecodeResponse(raw, out)
+}
+
+// maxPresize caps the read buffer readBody sizes from Content-Length, so
+// a wrong or hostile header cannot make the client allocate more than
+// this up front; a longer body grows the buffer as it arrives.
+const maxPresize = 4 << 20
+
+// readBody reads a response body into one buffer sized from its
+// Content-Length (the server frames every JSON body), with room left for
+// the read that reports EOF, so a framed body never regrows it.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(resp.ContentLength, 0), maxPresize)) + bytes.MinRead)
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // apiErrorFrom reads an error response into an APIError, decoding the
