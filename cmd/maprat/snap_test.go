@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
@@ -34,11 +37,14 @@ func TestSnapCompactValidatesLikeReplay(t *testing.T) {
 		name  string
 		r     model.Rating
 		valid bool
+		widen bool // add 2^32 to the logged user ID, checksum kept valid
 	}{
-		{"valid", good, true},
-		{"unknown user", model.Rating{UserID: 99999999, ItemID: good.ItemID, Score: 5, Unix: good.Unix}, false},
-		{"timestamp past year 9999", model.Rating{UserID: good.UserID, ItemID: good.ItemID, Score: 5, Unix: 253402300800}, false},
-		{"score 9", model.Rating{UserID: good.UserID, ItemID: good.ItemID, Score: 9, Unix: good.Unix}, false},
+		{"valid", good, true, false},
+		// Narrowed to 32 bits, the record would name the valid user.
+		{"user id beyond 32 bits", good, false, true},
+		{"unknown user", model.Rating{UserID: 99999999, ItemID: good.ItemID, Score: 5, Unix: good.Unix}, false, false},
+		{"timestamp past year 9999", model.Rating{UserID: good.UserID, ItemID: good.ItemID, Score: 5, Unix: 253402300800}, false, false},
+		{"score 9", model.Rating{UserID: good.UserID, ItemID: good.ItemID, Score: 9, Unix: good.Unix}, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sub := t.TempDir()
@@ -53,11 +59,28 @@ func TestSnapCompactValidatesLikeReplay(t *testing.T) {
 			if err := wal.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if tc.widen {
+				b, err := os.ReadFile(walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The file header and the record header are 8 bytes each;
+				// the payload's user ID follows its epoch and count.
+				payload := b[16:]
+				binary.LittleEndian.PutUint64(payload[12:], uint64(tc.r.UserID)+1<<32)
+				binary.LittleEndian.PutUint32(b[12:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+				if err := os.WriteFile(walPath, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 			out := filepath.Join(sub, "out.msnap")
 			err = snapCompact([]string{base, walPath, out})
 			if !tc.valid {
 				if err == nil {
 					t.Fatal("compacted a WAL record that replay refuses")
+				}
+				if tc.widen && !strings.Contains(err.Error(), "epoch 2: rating 0: user_id") {
+					t.Errorf("compact: err = %v, want one naming epoch 2's user_id", err)
 				}
 				if _, serr := os.Stat(out); serr == nil {
 					t.Error("a failed compaction left its output behind")

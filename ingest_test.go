@@ -62,7 +62,7 @@ func ratingsFor(t testing.TB, e *Engine, itemID, n int) []model.Rating {
 	out := make([]model.Rating, n)
 	for i := range out {
 		out[i] = model.Rating{
-			UserID: ds.Users[i%len(ds.Users)].ID,
+			UserID: int32(ds.Users[i%len(ds.Users)].ID),
 			ItemID: itemID,
 			Score:  5,
 			Unix:   maxUnix + int64(i+1),
@@ -186,7 +186,7 @@ func TestReplayRejectsBadRecord(t *testing.T) {
 		r    model.Rating
 	}{
 		{"unknown user", model.Rating{UserID: 99999999, ItemID: item, Score: 5, Unix: 978300000}},
-		{"timestamp past year 9999", model.Rating{UserID: user, ItemID: item, Score: 5, Unix: firstUnixOfYear10000}},
+		{"timestamp past year 9999", model.Rating{UserID: int32(user), ItemID: item, Score: 5, Unix: firstUnixOfYear10000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ingest.wal")
@@ -485,7 +485,7 @@ func TestRestartKeepsFingerprints(t *testing.T) {
 				t.Fatalf("epoch-1 Fingerprint %016x != FingerprintAt(1) %016x", e1.Fingerprint(), base)
 			}
 			_, hi := e1.TimeRange()
-			r := model.Rating{UserID: ds.Users[0].ID, ItemID: ds.Items[0].ID, Score: 5, Unix: hi + 86400}
+			r := model.Rating{UserID: int32(ds.Users[0].ID), ItemID: ds.Items[0].ID, Score: 5, Unix: hi + 86400}
 			if _, err := e1.AppendRatings(t.Context(), []model.Rating{r}); err != nil {
 				t.Fatal(err)
 			}
@@ -521,7 +521,7 @@ func TestEvolutionGainsLiveWindow(t *testing.T) {
 	ds := ingestDataset(t)
 	_, maxUnix := e.TimeRange()
 	batch := []model.Rating{{
-		UserID: ds.Users[0].ID,
+		UserID: int32(ds.Users[0].ID),
 		ItemID: itemIDByTitle(t, "Toy Story"),
 		Score:  4,
 		Unix:   maxUnix + 2*365*24*3600,
@@ -744,7 +744,7 @@ func TestEnginesShareTheDatasetLog(t *testing.T) {
 		_, maxUnix := first.TimeRange()
 		batch := make([]model.Rating, 16)
 		for i := range batch {
-			batch[i] = model.Rating{UserID: ds.Users[(b*16+i)%len(ds.Users)].ID, ItemID: toy, Score: 1 + i%5, Unix: maxUnix + int64(i+1)}
+			batch[i] = model.Rating{UserID: int32(ds.Users[(b*16+i)%len(ds.Users)].ID), ItemID: toy, Score: int8(1 + i%5), Unix: maxUnix + int64(i+1)}
 		}
 		if _, err := first.AppendRatings(t.Context(), batch); err != nil {
 			t.Fatalf("batch %d: %v", b, err)

@@ -233,7 +233,7 @@ func TestStoredBodiesFollowAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := batch[0]
-	if _, err := cold.AppendRatings(t.Context(), []model.Rating{{UserID: r.UserID, ItemID: r.ItemID, Score: r.Score, Unix: r.Unix}}); err != nil {
+	if _, err := cold.AppendRatings(t.Context(), []model.Rating{{UserID: int32(r.UserID), ItemID: r.ItemID, Score: int8(r.Score), Unix: r.Unix}}); err != nil {
 		t.Fatal(err)
 	}
 	ref := freshServer(t, cold)

@@ -40,8 +40,10 @@ const maxPendingAppends = 32
 
 // handleAppend is POST /api/v1/ratings: validate the batch, admit it
 // (a full admission bound answers 429 with Retry-After), apply it, and
-// answer 202 with the assigned epoch. The batch is WAL-durable before
-// the response is written.
+// answer 202 with the assigned epoch. A value its Rating field cannot
+// hold (model.NewRating) answers 400 naming ratings[i].<field> before
+// anything narrows it; the engine checks the rest. The batch is
+// WAL-durable before the response is written.
 func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost, "appending ratings requires POST")
@@ -58,7 +60,12 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	ratings := make([]model.Rating, len(req.Ratings))
 	for i, in := range req.Ratings {
-		ratings[i] = model.Rating{UserID: in.UserID, ItemID: in.ItemID, Score: in.Score, Unix: in.Unix}
+		r, err := model.NewRating(in.UserID, in.ItemID, in.Score, in.Unix)
+		if err != nil {
+			writeError(w, badRequestf("ratings[%d].%v", i, err))
+			return
+		}
+		ratings[i] = r
 	}
 	select {
 	case h.appendSlots <- struct{}{}:

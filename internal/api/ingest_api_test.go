@@ -211,6 +211,37 @@ func TestAppendEndpointRejectsBadBatches(t *testing.T) {
 	}
 }
 
+// TestAppendEndpointRefusesValuesTooWide: a value its Rating field
+// cannot hold answers 400 naming ratings[i].<field> before anything
+// narrows it, and the batch moves neither the epoch nor the WAL. Narrowed,
+// score 261 would be a valid 5 and user 4294967297 user 1.
+func TestAppendEndpointRefusesValuesTooWide(t *testing.T) {
+	ts, eng := ingestServer(t)
+	walBytes := func() int64 {
+		st, _ := eng.IngestStats()
+		return st.WALBytes
+	}
+	before := walBytes()
+	ok := `{"user_id":1,"item_id":1,"score":5,"unix":1100000000}`
+	for _, c := range []struct{ rating, want string }{
+		{`{"user_id":1,"item_id":1,"score":261,"unix":1100000000}`, "ratings[1].score 261"},
+		{`{"user_id":4294967297,"item_id":1,"score":5,"unix":1100000000}`, "ratings[1].user_id 4294967297"},
+		{`{"user_id":1,"item_id":4294967297,"score":5,"unix":1100000000}`, "ratings[1].item_id 4294967297"},
+	} {
+		code, body := postJSON(t, ts, "/api/v1/ratings", `{"ratings":[`+ok+`,`+c.rating+`]}`)
+		var env ErrorEnvelope
+		if err := json.Unmarshal([]byte(body), &env); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if code != http.StatusBadRequest || env.Error.Code != CodeBadRequest || !strings.Contains(env.Error.Message, c.want) {
+			t.Errorf("%s: status=%d body=%s, want 400 naming %q", c.rating, code, body, c.want)
+		}
+	}
+	if eng.CurrentEpoch() != 1 || walBytes() != before {
+		t.Fatalf("refused batches moved the epoch to %d and the WAL from %d to %d bytes", eng.CurrentEpoch(), before, walBytes())
+	}
+}
+
 // TestAppendEndpointDisabledEngine: the shared server's engine never
 // armed ingestion, so a write answers the unavailable envelope — the
 // deployment may simply route writes elsewhere.

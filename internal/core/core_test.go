@@ -31,8 +31,6 @@ func miningTuples(n int, seed int64) []cube.Tuple {
 			score = 5
 		}
 		t.Score = int8(score)
-		t.UserID = int32(i + 1)
-		t.ItemID = 1
 		t.Unix = 1_000_000 + int64(i)
 		tuples[i] = t
 	}
@@ -59,8 +57,6 @@ func polarizedTuples(n int, seed int64) []cube.Tuple {
 		default:
 			t.Score = 3
 		}
-		t.UserID = int32(i + 1)
-		t.ItemID = 7
 		t.Unix = 1_000_000 + int64(i)
 		tuples[i] = t
 	}

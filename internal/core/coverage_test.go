@@ -23,8 +23,6 @@ func cityMiningTuples(n int, seed int64) []cube.Tuple {
 		t.Vals[cube.State] = int16(rng.Intn(3))
 		t.Vals[cube.City] = int16(rng.Intn(8))
 		t.Score = int8(1 + (int(t.Vals[cube.City])+rng.Intn(2))%5)
-		t.UserID = int32(i + 1)
-		t.ItemID = 1
 		t.Unix = 1_000_000 + int64(i)
 		tuples[i] = t
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/model"
 )
@@ -22,8 +23,6 @@ func randomTuples(n int, seed int64) []Tuple {
 		t.Vals[State] = int16(rng.Intn(8)) // few states so cells get support
 		t.Score = int8(1 + rng.Intn(5))
 		t.Unix = int64(978300000 + rng.Intn(1000000))
-		t.UserID = int32(i + 1)
-		t.ItemID = 1
 		tuples[i] = t
 	}
 	return tuples
@@ -393,7 +392,7 @@ func TestJoinRatingAndResolveUser(t *testing.T) {
 		tup.Vals[Occupation] != 12 || StateCode(tup.Vals[State]) != "CA" {
 		t.Errorf("JoinRating vals = %v", tup.Vals)
 	}
-	if tup.Score != 4 || CityName(tup.Vals[City]) != "San Francisco" || tup.UserID != 7 || tup.ItemID != 3 {
+	if tup.Score != 4 || CityName(tup.Vals[City]) != "San Francisco" {
 		t.Errorf("JoinRating = %+v", tup)
 	}
 	bad := model.User{ID: 8, Zip: "00000"}
@@ -461,7 +460,6 @@ func cityTuples(n int) []Tuple {
 			tp.Vals[City] = sf
 			tp.Score = 2
 		}
-		tp.UserID = int32(i + 1)
 		tp.Unix = 1_000_000 + int64(i)
 		tuples[i] = tp
 	}
@@ -529,5 +527,13 @@ func TestParseKeyWithCity(t *testing.T) {
 	}
 	if _, err := ParseKey("city=Atlantis"); err == nil {
 		t.Error("unknown city accepted")
+	}
+}
+
+// TestTupleLayout pins a tuple at 24 bytes: every gather and every cached
+// plan holds one per rating it covers.
+func TestTupleLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Tuple{}); got != 24 {
+		t.Errorf("Tuple is %d bytes, want 24", got)
 	}
 }

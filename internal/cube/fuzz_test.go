@@ -44,7 +44,6 @@ func decodeFuzzBuild(data []byte) (Config, []Tuple) {
 			t.Vals[a] = int16(raw%(Cardinality(Attr(a))+1)) - 1
 		}
 		t.Score = int8(1 + rec[fuzzTupleBytes-1]%5)
-		t.UserID = int32(i + 1)
 	}
 	return cfg, tuples
 }

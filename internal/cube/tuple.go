@@ -12,18 +12,19 @@ import (
 // unit the mining problems operate on. MapRat constructs the set of tuples
 // R_I for the queried items and then builds cube cells over them.
 //
-// The reviewer's city is carried only as its descriptor value in
-// Vals[City] (render it with CityName; an unresolved city is Wildcard),
-// not as a string: a whole-genre gather and every cached plan hold
-// millions of tuples, so a 16-byte string header per tuple would cost
-// ~30% extra resident memory and make the plan cache's tuple-denominated
-// budget dishonest.
+// A tuple carries only what mining reads: the reviewer's attribute
+// values, the score and the timestamp, in 24 bytes. It names neither the
+// reviewer nor the item; a gather knows both from the log, and nothing
+// downstream of it asks. The reviewer's city is carried only as its
+// descriptor value in Vals[City] (render it with CityName; an unresolved
+// city is Wildcard), not as a string: a whole-genre gather and every
+// cached plan hold millions of tuples, so every byte of a tuple is
+// resident memory many times over and counts against the plan cache's
+// tuple-denominated budget.
 type Tuple struct {
-	Vals   [NumAttrs]int16 // reviewer attribute values (descriptor vocabulary)
-	Score  int8            // rating score in [1,5]
-	Unix   int64           // rating timestamp
-	UserID int32
-	ItemID int32
+	Vals  [NumAttrs]int16 // reviewer attribute values (descriptor vocabulary)
+	Score int8            // rating score in [1,5]
+	Unix  int64           // rating timestamp
 }
 
 // UserVals is a reviewer's joined attribute vector, the Vals every one of
@@ -40,15 +41,10 @@ func UserVals(u *model.User) [NumAttrs]int16 {
 	return v
 }
 
-// JoinRating builds a Tuple from a rating and its reviewer's UserVals.
+// JoinRating builds a Tuple from a rating and its reviewer's UserVals:
+// the rating's score and timestamp under the reviewer's attribute values.
 func JoinRating(r model.Rating, vals [NumAttrs]int16) Tuple {
-	return Tuple{
-		Vals:   vals,
-		Score:  int8(r.Score),
-		Unix:   r.Unix,
-		UserID: int32(r.UserID),
-		ItemID: int32(r.ItemID),
-	}
+	return Tuple{Vals: vals, Score: r.Score, Unix: r.Unix}
 }
 
 // ResolveUser fills a user's State and City from its zip code. Users whose

@@ -242,6 +242,9 @@ func Generate(cfg GenConfig) (*model.Dataset, error) {
 	if cfg.Users <= 0 || cfg.Movies <= 0 || cfg.Ratings <= 0 {
 		return nil, fmt.Errorf("dataset: non-positive size in config %+v", cfg)
 	}
+	if cfg.Users > model.MaxID || cfg.Movies > model.MaxID {
+		return nil, fmt.Errorf("dataset: IDs 1..%d/1..%d exceed model.MaxID", cfg.Users, cfg.Movies)
+	}
 	if cfg.Movies < len(PlantedMovies) {
 		return nil, fmt.Errorf("dataset: need at least %d movies for the planted catalog", len(PlantedMovies))
 	}
@@ -453,7 +456,7 @@ func (g *generator) buildRatings() {
 			}
 			score := g.score(u, mi, ts, precomp)
 			g.ratings = append(g.ratings, model.Rating{
-				UserID: u.ID, ItemID: g.items[mi].ID, Score: score, Unix: ts,
+				UserID: int32(u.ID), ItemID: g.items[mi].ID, Score: int8(score), Unix: ts,
 			})
 		}
 	}

@@ -229,7 +229,7 @@ func TestGeneratePolarizedStructure(t *testing.T) {
 			continue
 		}
 		all.add(r.Score)
-		u := d.UserByID(r.UserID)
+		u := d.UserByID(int(r.UserID))
 		if u.Age == model.AgeUnder18 {
 			if u.Gender == model.Male {
 				maleU18.add(r.Score)
@@ -261,7 +261,7 @@ func TestGenerateAnimationAffinity(t *testing.T) {
 		if r.ItemID != toyStory.ID {
 			continue
 		}
-		u := d.UserByID(r.UserID)
+		u := d.UserByID(int(r.UserID))
 		switch {
 		case u.Age == model.AgeUnder18:
 			under18.add(r.Score)
@@ -307,8 +307,8 @@ type sumCount struct {
 	sum, n int
 }
 
-func (s *sumCount) add(score int) { s.sum += score; s.n++ }
-func (s *sumCount) mean() float64 { return float64(s.sum) / float64(s.n) }
+func (s *sumCount) add(score int8) { s.sum += int(score); s.n++ }
+func (s *sumCount) mean() float64  { return float64(s.sum) / float64(s.n) }
 
 func TestDefaultConfigWindow(t *testing.T) {
 	cfg := DefaultGenConfig()

@@ -31,7 +31,8 @@ const (
 const mlSep = "::"
 
 // ParseUsers reads MovieLens `UserID::Gender::Age::Occupation::Zip-code`
-// lines and resolves each user's state and city from the zip code.
+// lines and resolves each user's state and city from the zip code. A
+// user ID outside [1, model.MaxID] fails with its line number.
 func ParseUsers(r io.Reader) ([]model.User, error) {
 	var users []model.User
 	sc := newLineScanner(r)
@@ -47,6 +48,9 @@ func ParseUsers(r io.Reader) ([]model.User, error) {
 		id, err := strconv.Atoi(f[0])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: users line %d: bad id %q", sc.lineNo, f[0])
+		}
+		if err := model.CheckID("user_id", id); err != nil {
+			return nil, fmt.Errorf("dataset: users line %d: %w", sc.lineNo, err)
 		}
 		gender, err := model.ParseGender(f[1])
 		if err != nil {
@@ -85,6 +89,7 @@ func zipBase(zip string) string {
 }
 
 // ParseMovies reads MovieLens `MovieID::Title (Year)::Genre|Genre` lines.
+// A movie ID outside [1, model.MaxID] fails with its line number.
 func ParseMovies(r io.Reader) ([]model.Item, error) {
 	var items []model.Item
 	sc := newLineScanner(r)
@@ -100,6 +105,9 @@ func ParseMovies(r io.Reader) ([]model.Item, error) {
 		id, err := strconv.Atoi(f[0])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: movies line %d: bad id %q", sc.lineNo, f[0])
+		}
+		if err := model.CheckID("item_id", id); err != nil {
+			return nil, fmt.Errorf("dataset: movies line %d: %w", sc.lineNo, err)
 		}
 		title, year := SplitTitleYear(f[1])
 		var genres []string
@@ -132,8 +140,10 @@ func JoinTitleYear(title string, year int) string {
 }
 
 // ParseRatings reads MovieLens `UserID::MovieID::Rating::Timestamp` lines.
-// It checks their syntax only; store.Join checks each rating's values
-// and references when the dataset is opened or packed.
+// It checks their syntax and that each value fits its Rating field
+// (model.NewRating: IDs in [1, model.MaxID], a score int8 holds), and
+// fails with the line number otherwise; store.Join checks each rating's
+// values and references when the dataset is opened or packed.
 func ParseRatings(r io.Reader) ([]model.Rating, error) {
 	var ratings []model.Rating
 	sc := newLineScanner(r)
@@ -158,7 +168,11 @@ func ParseRatings(r io.Reader) ([]model.Rating, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: ratings line %d: bad timestamp %q", sc.lineNo, f[3])
 		}
-		ratings = append(ratings, model.Rating{UserID: vals[0], ItemID: vals[1], Score: vals[2], Unix: ts})
+		r, err := model.NewRating(vals[0], vals[1], vals[2], ts)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: ratings line %d: %w", sc.lineNo, err)
+		}
+		ratings = append(ratings, r)
 	}
 	return ratings, sc.Err()
 }

@@ -311,3 +311,31 @@ func TestGenerateScalesDown(t *testing.T) {
 		t.Errorf("movies = %d", len(d.Items))
 	}
 }
+
+// TestParseRefusesValuesTooWide: an ID outside [1, model.MaxID] or a
+// score int8 cannot hold fails the parse with its line number, before
+// anything narrows it: user 4294967297 would otherwise become user 1,
+// and score 261 a valid 5.
+func TestParseRefusesValuesTooWide(t *testing.T) {
+	for _, c := range []struct {
+		name, in, want string
+		parse          func(string) error
+	}{
+		{"user id", "1::F::1::10::48067\n4294967297::M::25::15::55117\n", "users line 2: user_id 4294967297",
+			func(s string) error { _, err := ParseUsers(strings.NewReader(s)); return err }},
+		{"zero user id", "0::M::25::15::55117\n", "users line 1: user_id 0",
+			func(s string) error { _, err := ParseUsers(strings.NewReader(s)); return err }},
+		{"movie id", "1::Toy Story (1995)::Animation\n\n2147483648::Heat (1995)::Action\n", "movies line 3: item_id 2147483648",
+			func(s string) error { _, err := ParseMovies(strings.NewReader(s)); return err }},
+		{"rating user", ratingsSample + "4294967297::1::5::978300760\n", "ratings line 5: user_id 4294967297",
+			func(s string) error { _, err := ParseRatings(strings.NewReader(s)); return err }},
+		{"rating item", "1::4294967298::5::978300760\n", "ratings line 1: item_id 4294967298",
+			func(s string) error { _, err := ParseRatings(strings.NewReader(s)); return err }},
+		{"rating score", "1::1::261::978300760\n", "ratings line 1: score 261",
+			func(s string) error { _, err := ParseRatings(strings.NewReader(s)); return err }},
+	} {
+		if err := c.parse(c.in); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}

@@ -21,7 +21,7 @@ func planTuples(n int, seed int64) []cube.Tuple {
 	tuples := make([]cube.Tuple, n)
 	for i := range tuples {
 		u := rng.Intn(len(users))
-		tuples[i] = cube.Tuple{Vals: users[u], Score: int8(1 + rng.Intn(5)), UserID: int32(u + 1)}
+		tuples[i] = cube.Tuple{Vals: users[u], Score: int8(1 + rng.Intn(5))}
 	}
 	return tuples
 }

@@ -251,12 +251,11 @@ func TestRelatedSortedBySupport(t *testing.T) {
 func TestRelatedTiesByLabel(t *testing.T) {
 	ca := cube.StateIndex("CA")
 	var tuples []cube.Tuple
-	for i, age := range []int16{0, 0, 1, 1, 2} { // under 18, 18-24, 25-34
+	for _, age := range []int16{0, 0, 1, 1, 2} { // under 18, 18-24, 25-34
 		var tp cube.Tuple
 		tp.Vals[cube.Age] = age
 		tp.Vals[cube.State] = ca
 		tp.Score = 3
-		tp.UserID = int32(i) + 1
 		tuples = append(tuples, tp)
 	}
 	c := cube.Build(tuples, cube.Config{RequireState: true, MinSupport: 1, MaxAVPairs: 2})

@@ -19,7 +19,6 @@ func refineFixture(t *testing.T) (*cube.Cube, []cube.Tuple) {
 		tp.Vals[cube.Occupation] = 0
 		tp.Vals[cube.State] = state
 		tp.Score = score
-		tp.UserID = uid
 		tp.Unix = 1_000_000 + int64(uid)
 		return tp
 	}
@@ -83,7 +82,6 @@ func TestRefinementsTiesInKeyOrder(t *testing.T) {
 		if occ%2 == 1 {
 			tp.Score = 1
 		}
-		tp.UserID = int32(occ) + 1
 		tuples = append(tuples, tp)
 	}
 	c := cube.Build(tuples, cube.Config{RequireState: true, MinSupport: 1, MaxAVPairs: 2})

@@ -192,9 +192,12 @@ func replay(f *os.File, base uint64) ([]Batch, int64, error) {
 		if crc32.Checksum(payload, castagnoli) != crc {
 			return batches, off, nil
 		}
-		b, ok := decodeBatch(payload)
+		b, ok, err := decodeBatch(payload)
 		if !ok || b.Epoch != next {
 			return batches, off, nil
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 		batches = append(batches, b)
 		off += recHeaderLen + int64(payloadLen)
@@ -202,24 +205,33 @@ func replay(f *os.File, base uint64) ([]Batch, int64, error) {
 	}
 }
 
-func decodeBatch(payload []byte) (Batch, bool) {
+// decodeBatch decodes one checksummed record's payload. ok is false for
+// a payload whose shape is wrong, which replay treats as a torn tail.
+// A well-formed record holding a value its Rating field cannot take (an
+// ID outside [1, model.MaxID], a score byte above 127) was never written
+// by an accepted append; it fails with an error naming the record's
+// epoch instead of narrowing into a different rating.
+func decodeBatch(payload []byte) (b Batch, ok bool, err error) {
 	epoch := binary.LittleEndian.Uint64(payload[:8])
 	count := binary.LittleEndian.Uint32(payload[8:12])
 	if int(count) == 0 || len(payload) != 12+int(count)*ratingLen {
-		return Batch{}, false
+		return Batch{}, false, nil
 	}
 	rs := make([]model.Rating, count)
 	p := payload[12:]
 	for i := range rs {
-		rs[i] = model.Rating{
-			UserID: int(int64(binary.LittleEndian.Uint64(p[:8]))),
-			ItemID: int(int64(binary.LittleEndian.Uint64(p[8:16]))),
-			Unix:   int64(binary.LittleEndian.Uint64(p[16:24])),
-			Score:  int(p[24]),
+		r, err := model.NewRating(
+			int(int64(binary.LittleEndian.Uint64(p[:8]))),
+			int(int64(binary.LittleEndian.Uint64(p[8:16]))),
+			int(p[24]),
+			int64(binary.LittleEndian.Uint64(p[16:24])))
+		if err != nil {
+			return Batch{Epoch: epoch}, true, fmt.Errorf("ingest: wal record at epoch %d: rating %d: %w", epoch, i, err)
 		}
+		rs[i] = r
 		p = p[ratingLen:]
 	}
-	return Batch{Epoch: epoch, Ratings: rs}, true
+	return Batch{Epoch: epoch, Ratings: rs}, true, nil
 }
 
 // Append encodes, writes, and fsyncs one batch record. The record is

@@ -1,12 +1,15 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -18,9 +21,9 @@ func testBatch(n, base int) []model.Rating {
 	rs := make([]model.Rating, n)
 	for i := range rs {
 		rs[i] = model.Rating{
-			UserID: base + i + 1,
+			UserID: int32(base + i + 1),
 			ItemID: base + i + 100,
-			Score:  1 + (base+i)%5,
+			Score:  int8(1 + (base+i)%5),
 			Unix:   978300000 + int64(base+i),
 		}
 	}
@@ -408,6 +411,12 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		w, batches, err := Open(path, base)
+		var re *model.RangeError
+		if errors.As(err, &re) {
+			// A checksummed record holding a value no rating can take
+			// fails replay by design (TestWALReplayRefusesValuesTooWide).
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -442,6 +451,69 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("after append replayed %d batches, want the %d before plus the new one", len(after), len(batches))
 		}
 	})
+}
+
+// TestWALReplayRefusesValuesTooWide: a well-formed, checksummed record
+// whose user ID or score its Rating field cannot hold fails replay with
+// an error naming the record's epoch. It is neither truncated away like
+// a torn tail nor narrowed: user 2^32+1 would otherwise replay as user
+// 1.
+func TestWALReplayRefusesValuesTooWide(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		user, item uint64
+		score      byte
+		want       string
+	}{
+		{"user id", 1<<32 + 1, 1, 5, "user_id 4294967297"},
+		{"item id", 1, 1 << 31, 5, "item_id 2147483648"},
+		{"score", 1, 1, 133, "score 133"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := tempWAL(t)
+			w, _, err := Open(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(2, testBatch(2, 0)); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			payload := binary.LittleEndian.AppendUint64(nil, 3) // epoch
+			payload = binary.LittleEndian.AppendUint32(payload, 1)
+			payload = binary.LittleEndian.AppendUint64(payload, c.user)
+			payload = binary.LittleEndian.AppendUint64(payload, c.item)
+			payload = binary.LittleEndian.AppendUint64(payload, 978300000)
+			payload = append(payload, c.score)
+			rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+			rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append(rec, payload...)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := ReadLog(path, 1); err == nil || !strings.Contains(err.Error(), "epoch 3") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("ReadLog: err = %v, want one naming epoch 3 and %q", err, c.want)
+			}
+			if w, batches, err := Open(path, 1); err == nil {
+				w.Close()
+				t.Fatalf("Open replayed %d batches, want an error naming epoch 3", len(batches))
+			} else if !strings.Contains(err.Error(), "epoch 3") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Open: err = %v, want one naming epoch 3 and %q", err, c.want)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("the failed replay changed the log (%v)", err)
+			}
+		})
+	}
 }
 
 // sameBatches compares replays element by element, so an empty replay

@@ -118,7 +118,7 @@ func (d *Dataset) Stats() Stats {
 	s.MaxUnix = d.Ratings[0].Unix
 	total := 0
 	for _, r := range d.Ratings {
-		total += r.Score
+		total += int(r.Score)
 		if r.Score >= MinScore && r.Score <= MaxScore {
 			s.ScoreCount[r.Score]++
 		}

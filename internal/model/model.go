@@ -8,6 +8,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -230,13 +231,69 @@ func (it *Item) Validate() error {
 	return nil
 }
 
+// MaxID is the largest user or item ID. A Rating holds its user's ID in
+// 32 bits and a snapshot stores both IDs in 32 bits, so wherever an ID
+// is narrowed (NewRating, the text parsers, the snapshot writer), one
+// outside [1, MaxID] is refused instead of becoming another ID.
+const MaxID = math.MaxInt32
+
 // Rating is one rating triple ⟨i, u, s⟩ plus the timestamp MovieLens records
 // with every rating; the timestamp drives the paper's time-slider dimension.
+//
+// The log holds one Rating per rating, so its layout is the resident
+// size of the whole log: 24 bytes, Unix first, then the 32-bit user and
+// the 8-bit score in one word, then the item. A gather reads only Unix
+// and Score, which share the first 16 bytes. ItemID stays an int; the
+// text parsers, NewRating and the snapshot writer refuse an ID above
+// MaxID, so the snapshot's 32-bit item column holds it exactly. Values
+// read at full width become a Rating through NewRating, which refuses
+// what the narrow fields cannot hold.
 type Rating struct {
-	UserID int
-	ItemID int
-	Score  int   // integer score in [MinScore, MaxScore]
 	Unix   int64 // seconds since the Unix epoch
+	UserID int32
+	Score  int8 // integer score in [MinScore, MaxScore]
+	ItemID int
+}
+
+// RangeError reports a value refused before it was narrowed into a
+// Rating field (or a snapshot's 32-bit ID column): Field names it as the
+// append API and the text formats do.
+type RangeError struct {
+	Field    string // "user_id", "item_id" or "score"
+	Value    int64
+	Min, Max int64
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("%s %d outside [%d,%d]", e.Field, e.Value, e.Min, e.Max)
+}
+
+// CheckID returns a *RangeError naming field when id lies outside
+// [1, MaxID].
+func CheckID(field string, id int) error {
+	if id < 1 || id > MaxID {
+		return &RangeError{Field: field, Value: int64(id), Min: 1, Max: MaxID}
+	}
+	return nil
+}
+
+// NewRating builds a Rating from values read at full width. It refuses,
+// with a *RangeError, a user or item ID outside [1, MaxID] and a score
+// int8 cannot hold, so no value wraps into a different valid one
+// (int8(261) is 5). A score that fits but lies outside
+// [MinScore, MaxScore] passes here and fails Validate, as every rating
+// does on its way into a store.
+func NewRating(userID, itemID, score int, unix int64) (Rating, error) {
+	if err := CheckID("user_id", userID); err != nil {
+		return Rating{}, err
+	}
+	if err := CheckID("item_id", itemID); err != nil {
+		return Rating{}, err
+	}
+	if score < math.MinInt8 || score > math.MaxInt8 {
+		return Rating{}, &RangeError{Field: "score", Value: int64(score), Min: math.MinInt8, Max: math.MaxInt8}
+	}
+	return Rating{Unix: unix, UserID: int32(userID), Score: int8(score), ItemID: itemID}, nil
 }
 
 // Validate reports the first schema violation in r, if any.

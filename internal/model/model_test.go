@@ -1,8 +1,10 @@
 package model
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGenderRoundTrip(t *testing.T) {
@@ -109,7 +111,7 @@ func TestRatingValidate(t *testing.T) {
 
 func TestRatingScoreBoundsProperty(t *testing.T) {
 	f := func(score int8) bool {
-		r := Rating{UserID: 1, ItemID: 1, Score: int(score)}
+		r := Rating{UserID: 1, ItemID: 1, Score: score}
 		err := r.Validate()
 		inRange := int(score) >= MinScore && int(score) <= MaxScore
 		return (err == nil) == inRange
@@ -213,5 +215,49 @@ func TestStatsEmptyDataset(t *testing.T) {
 	s := d.Stats()
 	if s.Ratings != 0 || s.MeanScore != 0 {
 		t.Errorf("empty stats = %+v", s)
+	}
+}
+
+// TestRatingLayout pins a rating at 24 bytes: the log holds one per
+// rating, so a field that widens it costs a third more resident memory
+// at every scale.
+func TestRatingLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Rating{}); got != 24 {
+		t.Errorf("Rating is %d bytes, want 24", got)
+	}
+	if off := unsafe.Offsetof(Rating{}.Score); off >= 16 {
+		t.Errorf("Rating.Score at offset %d: the gather's two reads no longer share the first 16 bytes", off)
+	}
+}
+
+// TestNewRatingRefusesBeforeNarrowing: a value its Rating field cannot
+// hold is refused with a *RangeError naming the field, never wrapped
+// into another value (int8(261) is 5, int32(1<<32+1) is 1).
+func TestNewRatingRefusesBeforeNarrowing(t *testing.T) {
+	r, err := NewRating(MaxID, MaxID, 5, 978300000)
+	if err != nil || r != (Rating{UserID: MaxID, ItemID: MaxID, Score: 5, Unix: 978300000}) {
+		t.Fatalf("NewRating at the bounds = %+v, %v", r, err)
+	}
+	for _, c := range []struct {
+		user, item, score int
+		field             string
+	}{
+		{1<<32 + 1, 1, 5, "user_id"},
+		{MaxID + 1, 1, 5, "user_id"},
+		{0, 1, 5, "user_id"},
+		{1, 1<<32 + 1, 5, "item_id"},
+		{1, -1, 5, "item_id"},
+		{1, 1, 261, "score"},
+		{1, 1, -129, "score"},
+	} {
+		r, err := NewRating(c.user, c.item, c.score, 978300000)
+		var re *RangeError
+		if !errors.As(err, &re) || re.Field != c.field {
+			t.Errorf("NewRating(%d, %d, %d) = %+v, %v; want a RangeError on %s", c.user, c.item, c.score, r, err, c.field)
+		}
+	}
+	// A score that fits passes here and is Validate's to refuse.
+	if r, err := NewRating(1, 1, 9, 978300000); err != nil || r.Validate() == nil {
+		t.Errorf("NewRating(score 9) = %+v, %v; want it built and refused by Validate", r, err)
 	}
 }

@@ -105,9 +105,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // handleStats exposes the engine's caching tiers and the per-endpoint
 // counters as JSON for monitoring: the plan materialization tier
 // (hit/miss/builds/tuple budget/bytes), the result LRU, the explain
-// singleflight, the mining-run counter, and the latency/status metrics of
-// every v1 endpoint and HTML page. The payload is encoded into a buffer before any header is
-// written, so an encode failure still produces a clean 500.
+// singleflight, the mining-run counter, the memory report (the rating
+// log's and index arenas' bytes and the runtime's heap-object bytes),
+// and the latency/status metrics of every v1 endpoint and HTML page.
+// The payload is encoded into a buffer before any header is written, so
+// an encode failure still produces a clean 500.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	type datasetStat struct {
 		Name        string `json:"name"`
@@ -133,10 +135,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		API      map[string]api.EndpointSnapshot `json:"api"`
 		Datasets []datasetStat                   `json:"datasets"`
 		Ingest   *maprat.IngestStats             `json:"ingest,omitempty"`
+		Memory   maprat.MemoryStats              `json:"memory"`
 	}{
 		PlanCache: s.eng.PlanStats(),
 		Mines:     s.eng.MineCount(),
 		API:       s.api.MetricsSnapshot(),
+		Memory:    s.eng.MemoryStats(),
 	}
 	// A write-armed engine contributes its live-ingestion section (epoch
 	// clock, batch/tuple counters, WAL size, plan invalidation split).

@@ -24,6 +24,7 @@ import (
 var (
 	srvOnce sync.Once
 	srvMemo *httptest.Server
+	srvEng  *maprat.Engine // the engine srvMemo serves
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -37,6 +38,7 @@ func testServer(t *testing.T) *httptest.Server {
 		if err != nil {
 			panic(err)
 		}
+		srvEng = eng
 		srvMemo = httptest.NewServer(newServer(eng, Config{}))
 	})
 	return srvMemo
@@ -392,9 +394,19 @@ func TestStatsEndpoint(t *testing.T) {
 			Requests uint64            `json:"requests"`
 			Status   map[string]uint64 `json:"status"`
 		} `json:"api"`
+		Memory maprat.MemoryStats `json:"memory"`
 	}
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatalf("statsz json: %v\n%s", err, body)
+	}
+	// The memory report is the engine's own, the runtime's heap figure
+	// aside.
+	want := srvEng.MemoryStats()
+	if got := resp.Memory; got.MemStats != want.MemStats || got.ItemIndexMapped != want.ItemIndexMapped || got.HeapObjectsBytes == 0 {
+		t.Errorf("statsz memory = %+v, the engine reports %+v", got, want)
+	}
+	if resp.Memory.BaseLogBytes == 0 || resp.Memory.ItemIndexBytes == 0 {
+		t.Errorf("statsz memory reports no rating log: %+v", resp.Memory)
 	}
 	if resp.PlanCache.Builds == 0 || resp.PlanCache.Tuples == 0 || resp.PlanCache.MaxTuples == 0 {
 		t.Errorf("plan tier not reporting: %+v", resp.PlanCache)

@@ -23,7 +23,7 @@
 //	then          sections, each 64-byte aligned, CRC-32C checksummed
 //
 // Sections: a string-intern table (every descriptor string stored once),
-// columnar users and items, the pre-joined 32-byte cube.Tuple log, the
+// columnar users and items, the pre-joined 32-byte tuple-record log, the
 // per-item time-sorted tuple index (offsets + one flat arena), and a
 // free-form key=value meta block. Each fact is stored once: the rating
 // log is the tuple log's (user, item, score, unix) fields, and the
@@ -53,7 +53,7 @@ const (
 	secStrings   = 1 // intern table: count, offsets u32[count+1], blob
 	secUsers     = 2 // id i32[n] | gender,age,occ u8[n] | zip,state,city u32[n]
 	secItems     = 3 // id,year i32[n] | title u32[n] | 3× list columns
-	secTuples    = 5 // n × 32-byte packed cube.Tuple records
+	secTuples    = 5 // n × 32-byte tuple records (the rec* offsets)
 	secItemIndex = 6 // offsets u32[items+1] | arena i32[ratings]
 	secMeta      = 7 // count, then {klen u32, vlen u32, key, value}×count
 )
@@ -67,7 +67,8 @@ const (
 
 // A tuple record's fields and their byte offsets: Vals (NumAttrs u16) at
 // 0, Score (u8) at 10, five zero bytes, then Unix (i64), UserID (i32)
-// and ItemID (i32) — cube.Tuple's own layout on a little-endian host.
+// and ItemID (i32). The layout is the format's own: neither cube.Tuple
+// nor model.Rating shares it.
 const (
 	recScore  = 10
 	recUnix   = 16

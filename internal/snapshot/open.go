@@ -20,6 +20,9 @@ type Snapshot struct {
 	hdr    Header
 	data   []byte
 	mapped bool
+	// aliased is set when the item-index arena aliases data rather than
+	// a decoded copy.
+	aliased bool
 
 	ds   *model.Dataset
 	pj   store.Prejoined
@@ -131,7 +134,7 @@ func decode(data []byte, mapped bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.pj.ItemOffsets, s.pj.ItemIndex, err = decodeItemIndex(idxSec, len(items), len(ratings)); err != nil {
+	if s.pj.ItemOffsets, s.pj.ItemIndex, s.aliased, err = decodeItemIndex(idxSec, len(items), len(ratings)); err != nil {
 		return nil, err
 	}
 	// The item index's entries are checked against the tuple records
@@ -200,6 +203,10 @@ func (s *Snapshot) Meta() map[string]string { return s.meta }
 // Mapped reports whether the file is memory-mapped (vs copied to heap).
 func (s *Snapshot) Mapped() bool { return s.mapped }
 
+// IndexMapped reports whether the item-index arena lies in the mapped
+// file's pages rather than on the heap.
+func (s *Snapshot) IndexMapped() bool { return s.mapped && s.aliased }
+
 // Size returns the snapshot file's size in bytes.
 func (s *Snapshot) Size() int64 { return s.size }
 
@@ -258,6 +265,10 @@ func decodeUsers(b []byte, n int, strs []string) ([]model.User, error) {
 	cities := b[15*n : 19*n]
 	users := make([]model.User, n)
 	for i := 0; i < n; i++ {
+		id := int(le.Uint32(ids[4*i:]))
+		if err := model.CheckID("user_id", id); err != nil {
+			return nil, fmt.Errorf("snapshot: user %d: %w", i, err)
+		}
 		zip, err := strAt(strs, le.Uint32(zips[4*i:]), "user zip")
 		if err != nil {
 			return nil, err
@@ -271,7 +282,7 @@ func decodeUsers(b []byte, n int, strs []string) ([]model.User, error) {
 			return nil, err
 		}
 		users[i] = model.User{
-			ID:         int(int32(le.Uint32(ids[4*i:]))),
+			ID:         id,
 			Gender:     model.Gender(genders[i]),
 			Age:        model.AgeBucket(ages[i]),
 			Occupation: model.Occupation(occs[i]),
@@ -292,12 +303,16 @@ func decodeItems(b []byte, n int, strs []string) ([]model.Item, error) {
 	titles := b[8*n : 12*n]
 	items := make([]model.Item, n)
 	for i := 0; i < n; i++ {
+		id := int(le.Uint32(ids[4*i:]))
+		if err := model.CheckID("item_id", id); err != nil {
+			return nil, fmt.Errorf("snapshot: item %d: %w", i, err)
+		}
 		title, err := strAt(strs, le.Uint32(titles[4*i:]), "item title")
 		if err != nil {
 			return nil, err
 		}
 		items[i] = model.Item{
-			ID:    int(int32(le.Uint32(ids[4*i:]))),
+			ID:    id,
 			Year:  int(int32(le.Uint32(years[4*i:]))),
 			Title: title,
 		}
@@ -377,8 +392,8 @@ func deriveRatings(recs []byte, j *store.Joiner, ratings []model.Rating, users [
 		if err := r.Validate(); err != nil {
 			return 0, 0, fmt.Errorf("snapshot: tuple %d: %w", i, err)
 		}
-		if int32(r.UserID) != user {
-			p, v, ok := j.User(r.UserID)
+		if r.UserID != user {
+			p, v, ok := j.User(int(r.UserID))
 			if !ok {
 				return 0, 0, fmt.Errorf("snapshot: tuple %d: unknown user %d", i, r.UserID)
 			}
@@ -387,7 +402,7 @@ func deriveRatings(recs []byte, j *store.Joiner, ratings []model.Rating, users [
 					return 0, 0, fmt.Errorf("snapshot: user %d has %s value %d, outside [0,%d)", r.UserID, cube.Attr(a), x, card[a])
 				}
 			}
-			user, pos, vals = int32(r.UserID), p, v
+			user, pos, vals = r.UserID, p, v
 			for a, x := range v {
 				le.PutUint16(enc[2*a:], uint16(x))
 			}
@@ -413,13 +428,15 @@ func record(recs []byte, i int) *[tupleRecordSize]byte {
 	return (*[tupleRecordSize]byte)(recs[i*tupleRecordSize:])
 }
 
-// recordRating decodes the rating a tuple record carries.
+// recordRating decodes the rating a tuple record carries. A stored ID
+// above model.MaxID decodes negative, which Rating.Validate refuses and
+// no catalog ID equals.
 func recordRating(rec *[tupleRecordSize]byte) model.Rating {
 	return model.Rating{
-		UserID: int(int32(le.Uint32(rec[recUserID:]))),
-		ItemID: int(int32(le.Uint32(rec[recItemID:]))),
-		Score:  int(int8(rec[recScore])),
 		Unix:   int64(le.Uint64(rec[recUnix:])),
+		UserID: int32(le.Uint32(rec[recUserID:])),
+		Score:  int8(rec[recScore]),
+		ItemID: int(int32(le.Uint32(rec[recItemID:]))),
 	}
 }
 
@@ -437,15 +454,15 @@ func recordVals(rec *[tupleRecordSize]byte) (vals [cube.NumAttrs]int16) {
 // when possible, so the store's per-item runs cost no copies. The
 // offsets must cut the arena into one run per item; checkItemRuns
 // checks the entries.
-func decodeItemIndex(b []byte, n, ratings int) (offsets, arena []int32, err error) {
+func decodeItemIndex(b []byte, n, ratings int) (offsets, arena []int32, aliased bool, err error) {
 	want := 4*(n+1) + 4*ratings
 	if len(b) != want {
-		return nil, nil, fmt.Errorf("snapshot: item index is %d bytes, want %d", len(b), want)
+		return nil, nil, false, fmt.Errorf("snapshot: item index is %d bytes, want %d", len(b), want)
 	}
 	offBytes := b[0 : 4*(n+1)]
 	arenaBytes := b[4*(n+1):]
-	arena, ok := aliasInt32(arenaBytes)
-	if !ok {
+	arena, aliased = aliasInt32(arenaBytes)
+	if !aliased {
 		arena = make([]int32, ratings)
 		for i := range arena {
 			arena[i] = int32(le.Uint32(arenaBytes[4*i:]))
@@ -455,14 +472,14 @@ func decodeItemIndex(b []byte, n, ratings int) (offsets, arena []int32, err erro
 	for i := 0; i < n; i++ {
 		lo, hi := le.Uint32(offBytes[4*i:]), le.Uint32(offBytes[4*(i+1):])
 		if lo != uint32(offsets[i]) || hi < lo || hi > uint32(ratings) {
-			return nil, nil, fmt.Errorf("snapshot: item index offsets corrupt at item %d", i)
+			return nil, nil, false, fmt.Errorf("snapshot: item index offsets corrupt at item %d", i)
 		}
 		offsets[i+1] = int32(hi)
 	}
 	if int(offsets[n]) != ratings {
-		return nil, nil, fmt.Errorf("snapshot: item index covers %d of %d tuples", offsets[n], ratings)
+		return nil, nil, false, fmt.Errorf("snapshot: item index covers %d of %d tuples", offsets[n], ratings)
 	}
-	return offsets, arena, nil
+	return offsets, arena, aliased, nil
 }
 
 // checkItemRuns checks every run of the item index against the tuple

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -92,7 +93,7 @@ func TestRoundTrip(t *testing.T) {
 			if r.Unix < last {
 				t.Fatalf("item %d index not time-sorted", it.ID)
 			}
-			if got.Users[users[k]].ID != r.UserID {
+			if got.Users[users[k]].ID != int(r.UserID) {
 				t.Fatalf("item %d entry %d names reviewer %d, the rating's user is %d", it.ID, k, got.Users[users[k]].ID, r.UserID)
 			}
 			last = r.Unix
@@ -311,35 +312,43 @@ func TestOpenRejectsInconsistentLog(t *testing.T) {
 			b[i+k], b[j+k] = b[j+k], b[i+k]
 		}
 	}
+	usersOff, itemsOff := offsetOf(secUsers), offsetOf(secItems)
 	cases := []struct {
 		name   string
 		mutate func(b []byte)
+		want   string // a substring the error must carry, if set
 	}{
+		// The ID columns are 32 bits wide: a stored ID above
+		// model.MaxID is refused, not read as another ID.
+		{"user-id-above-max", func(b []byte) { le.PutUint32(b[usersOff:], 1<<31+5) }, "user_id 2147483653"},
+		{"item-id-above-max", func(b []byte) { le.PutUint32(b[itemsOff:], 1<<31+5) }, "item_id 2147483653"},
+		{"tuple-user-id-above-max", func(b []byte) { le.PutUint32(b[tupleOff+recUserID:], 1<<31+5) }, "invalid user id -2147483643"},
+		{"tuple-item-id-above-max", func(b []byte) { le.PutUint32(b[tupleOff+recItemID:], 1<<31+5) }, "invalid item id -2147483643"},
 		{"tuple-state-out-of-range", func(b []byte) {
 			le.PutUint16(b[tupleOff+2*int(cube.State):], 300)
-		}},
+		}, ""},
 		{"tuple-value-below-wildcard", func(b []byte) {
 			le.PutUint16(b[tupleOff+2*int(cube.Gender):], uint16(0xfffe)) // -2
-		}},
+		}, ""},
 		// A tuple is checked against its user's record, not trusted:
 		// before that check both of these opened and served, and snap
 		// compact over the first one failed with "unknown user".
 		{"tuple-unknown-user", func(b []byte) {
 			le.PutUint32(b[tupleOff+24:], 99999999)
-		}},
+		}, ""},
 		{"tuple-vals-not-its-users", func(b []byte) {
 			g := le.Uint16(b[tupleOff+2*int(cube.Gender):])
 			le.PutUint16(b[tupleOff+2*int(cube.Gender):], 1-g) // the other gender, still in range
-		}},
+		}, ""},
 		// A score outside [1,5] would index past GroupStats.Histogram on
 		// the first group click over this item.
-		{"tuple-score-out-of-range", func(b []byte) { b[tupleOff+10] = 9 }},
+		{"tuple-score-out-of-range", func(b []byte) { b[tupleOff+10] = 9 }, ""},
 		{"index-entry-of-another-item", func(b []byte) {
 			swap(b, arena(runs[0][0]), arena(runs[1][0]))
-		}},
+		}, ""},
 		{"index-run-out-of-order", func(b []byte) {
 			swap(b, arena(runs[0][0]), arena(runs[0][0]+1))
-		}},
+		}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -353,6 +362,8 @@ func TestOpenRejectsInconsistentLog(t *testing.T) {
 			if snap, err := Open(p); err == nil {
 				snap.Close()
 				t.Error("opened cleanly")
+			} else if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want one naming %q", err, c.want)
 			}
 			if _, err := decodeUnaligned(b); err == nil {
 				t.Error("decoded cleanly without aliasing")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,9 +55,15 @@ func WriteFile(path string, ds *model.Dataset, meta Meta) error {
 // join and per-item time sort maprat.Open performs, so an engine opened
 // from the snapshot is indistinguishable from one opened over the
 // original dataset, and a dataset Open would refuse cannot be written.
+// The format's ID and year columns are 32 bits wide, so a catalog value
+// they cannot hold (checkColumns) fails the write instead of narrowing
+// into another.
 func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	if ds == nil {
 		return fmt.Errorf("snapshot: nil dataset")
+	}
+	if err := checkColumns(ds); err != nil {
+		return err
 	}
 	pj, err := store.Join(ds)
 	if err != nil {
@@ -118,6 +125,29 @@ func Write(w io.Writer, ds *model.Dataset, meta Meta) error {
 	}
 	_, err = w.Write(out)
 	return err
+}
+
+// checkColumns refuses a catalog value the format's 32-bit columns
+// cannot hold: a user or item ID outside [1, model.MaxID] (what every
+// text parse and snapshot open refuses too) or a year outside int32.
+// Join requires every rating to name a catalog user and item, so this
+// bounds the records' IDs too.
+func checkColumns(ds *model.Dataset) error {
+	for i := range ds.Users {
+		if err := model.CheckID("user_id", ds.Users[i].ID); err != nil {
+			return fmt.Errorf("snapshot: user %d: %w", i, err)
+		}
+	}
+	for i := range ds.Items {
+		it := &ds.Items[i]
+		if err := model.CheckID("item_id", it.ID); err != nil {
+			return fmt.Errorf("snapshot: item %d: %w", i, err)
+		}
+		if it.Year < math.MinInt32 || it.Year > math.MaxInt32 {
+			return fmt.Errorf("snapshot: item %d: year %d outside int32", it.ID, it.Year)
+		}
+	}
+	return nil
 }
 
 // interner assigns dense IDs to strings; ID 0 is always "".
@@ -224,27 +254,27 @@ func encodeItems(items []model.Item, in *interner) []byte {
 
 // encodeTuples emits the rating log, each rating joined with its
 // reviewer's vector, as fixed 32-byte records (record and recordRating
-// read them) whose layout mirrors cube.Tuple's in-memory layout on
-// little-endian platforms, padding zeroed. j has checked every rating's
-// user, and the log is grouped by user, so each run of a user's ratings
-// looks the user up once.
+// read them, the rec* offsets place their fields), padding zeroed. j
+// has checked that every rating names a catalog user and item, whose
+// IDs checkColumns bounded to the records' 32-bit columns, and the log
+// is grouped by user, so each run of a user's ratings looks the user up
+// once.
 func encodeTuples(ratings []model.Rating, j *store.Joiner) []byte {
 	out := make([]byte, tupleRecordSize*len(ratings))
 	var vals [cube.NumAttrs]int16
 	for i, r := range ratings {
 		if i == 0 || r.UserID != ratings[i-1].UserID {
-			_, vals, _ = j.User(r.UserID)
+			_, vals, _ = j.User(int(r.UserID))
 		}
-		t := cube.JoinRating(r, vals)
 		rec := out[i*tupleRecordSize:]
-		for a := 0; a < cube.NumAttrs; a++ {
-			le.PutUint16(rec[2*a:], uint16(t.Vals[a]))
+		for a, v := range vals {
+			le.PutUint16(rec[2*a:], uint16(v))
 		}
-		rec[recScore] = byte(t.Score)
-		// rec[recScore+1:recUnix] stays zero (struct padding).
-		le.PutUint64(rec[recUnix:], uint64(t.Unix))
-		le.PutUint32(rec[recUserID:], uint32(t.UserID))
-		le.PutUint32(rec[recItemID:], uint32(t.ItemID))
+		rec[recScore] = byte(r.Score)
+		// rec[recScore+1:recUnix] stays zero (padding).
+		le.PutUint64(rec[recUnix:], uint64(r.Unix))
+		le.PutUint32(rec[recUserID:], uint32(r.UserID))
+		le.PutUint32(rec[recItemID:], uint32(r.ItemID))
 	}
 	return out
 }

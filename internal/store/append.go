@@ -60,7 +60,7 @@ func (s *Store) Append(epoch uint64, batch []Joined) error {
 			s.maxUnix = b.r.Unix
 		}
 		if st := s.log.vals[b.user][cube.State]; st != cube.Wildcard {
-			states[st].Add(int8(b.r.Score))
+			states[st].Add(b.r.Score)
 		}
 	}
 	s.bounds = append(s.bounds, epochMark{

@@ -85,7 +85,7 @@ func TestAppendStateAggsDelta(t *testing.T) {
 	s := openStore(t, DefaultOptions())
 	before := s.StateAggsAt(0)
 	batch := appendBatch(t, s, 4)
-	st := cube.UserVals(s.Dataset().UserByID(batch[0].r.UserID))[cube.State]
+	st := cube.UserVals(s.Dataset().UserByID(int(batch[0].r.UserID)))[cube.State]
 	if st == cube.Wildcard {
 		t.Fatal("fixture batch has no state; pick a geocoded reviewer")
 	}

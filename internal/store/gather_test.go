@@ -12,25 +12,29 @@ import (
 
 // materialized is the reference a store's gathers must match: the whole
 // log joined into tuples up front, base ratings then appended ones, as
-// stores once kept it.
+// stores once kept it, with the ratings beside them.
 type materialized struct {
-	tuples []cube.Tuple
-	epochs []int           // log length at the end of each epoch, from epoch 1
-	byItem map[int][]int32 // item ID -> log positions sorted by (Unix, position); built by index
+	ratings []model.Rating
+	tuples  []cube.Tuple
+	epochs  []int           // log length at the end of each epoch, from epoch 1
+	byItem  map[int][]int32 // item ID -> log positions sorted by (Unix, position); built by index
 }
 
 func materialize(ds *model.Dataset) *materialized {
 	m := &materialized{epochs: []int{len(ds.Ratings)}}
-	for _, r := range ds.Ratings {
-		m.tuples = append(m.tuples, cube.JoinRating(r, cube.UserVals(ds.UserByID(r.UserID))))
-	}
+	m.add(ds, ds.Ratings)
 	return m
 }
 
-func (m *materialized) append(ds *model.Dataset, batch []model.Rating) {
-	for _, r := range batch {
-		m.tuples = append(m.tuples, cube.JoinRating(r, cube.UserVals(ds.UserByID(r.UserID))))
+func (m *materialized) add(ds *model.Dataset, ratings []model.Rating) {
+	for _, r := range ratings {
+		m.ratings = append(m.ratings, r)
+		m.tuples = append(m.tuples, cube.JoinRating(r, cube.UserVals(ds.UserByID(int(r.UserID)))))
 	}
+}
+
+func (m *materialized) append(ds *model.Dataset, batch []model.Rating) {
+	m.add(ds, batch)
 	m.epochs = append(m.epochs, len(m.tuples))
 }
 
@@ -38,8 +42,8 @@ func (m *materialized) append(ds *model.Dataset, batch []model.Rating) {
 // comparison sort, after the last append.
 func (m *materialized) index() {
 	m.byItem = map[int][]int32{}
-	for p, t := range m.tuples {
-		m.byItem[int(t.ItemID)] = append(m.byItem[int(t.ItemID)], int32(p))
+	for p, r := range m.ratings {
+		m.byItem[r.ItemID] = append(m.byItem[r.ItemID], int32(p))
 	}
 	for _, pos := range m.byItem {
 		sort.SliceStable(pos, func(a, b int) bool { return m.tuples[pos[a]].Unix < m.tuples[pos[b]].Unix })
@@ -70,7 +74,10 @@ func (m *materialized) gather(itemIDs []int, w TimeWindow, epoch uint64) []cube.
 // window, at every pinned epoch and the latest, TuplesForItemsAt equals
 // the same gather over the log joined up front. The appended batches
 // spread over many reviewers and land before, inside and after the
-// items' runs, ties with existing timestamps included.
+// items' runs, ties with existing timestamps included. A tuple names no
+// reviewer, so two reviewers with equal attribute values would gather
+// equal tuples; the test also requires every run's reviewer positions to
+// name each rating's own reviewer.
 func TestGatherMatchesMaterializedLog(t *testing.T) {
 	ds := smallDataset(t)
 	s, err := openDataset(ds, Options{})
@@ -97,7 +104,7 @@ func TestGatherMatchesMaterializedLog(t *testing.T) {
 			}
 			for j, unix := range []int64{lo - int64(e), tie, mid + int64(k), hi + int64(e)} {
 				u := ds.Users[(int(e)*31+k*7+j)%len(ds.Users)].ID
-				batch = append(batch, model.Rating{UserID: u, ItemID: id, Score: 1 + (j+k)%5, Unix: unix})
+				batch = append(batch, model.Rating{UserID: int32(u), ItemID: id, Score: int8(1 + (j+k)%5), Unix: unix})
 			}
 		}
 		joined := make([]Joined, len(batch))
@@ -113,6 +120,13 @@ func TestGatherMatchesMaterializedLog(t *testing.T) {
 	}
 	ref.index()
 
+	for id, run := range s.items {
+		for k, p := range run.pos {
+			if r := s.log.ratingAt(p); int(run.users[k]) != ds.UserIndex(int(r.UserID)) {
+				t.Fatalf("item %d, entry %d: reviewer position %d, the rating's reviewer is at %d", id, k, run.users[k], ds.UserIndex(int(r.UserID)))
+			}
+		}
+	}
 	windows := []TimeWindow{{}, {From: lo + (hi-lo)/4, To: mid}, Between(0, mid)}
 	all := make([]int, len(ds.Items))
 	for i := range ds.Items {

@@ -38,7 +38,7 @@ func (j *Joiner) join(r model.Rating) (user int32, item int, err error) {
 	if err := r.Validate(); err != nil {
 		return 0, 0, err
 	}
-	u := j.ds.UserIndex(r.UserID)
+	u := j.ds.UserIndex(int(r.UserID))
 	if u < 0 {
 		return 0, 0, fmt.Errorf("unknown user %d", r.UserID)
 	}

@@ -29,14 +29,14 @@ func joinRatingReference(ds *model.Dataset, r model.Rating) (cube.Tuple, error) 
 	if err := r.Validate(); err != nil {
 		return cube.Tuple{}, err
 	}
-	u := ds.UserByID(r.UserID)
+	u := ds.UserByID(int(r.UserID))
 	if u == nil {
 		return cube.Tuple{}, fmt.Errorf("unknown user %d", r.UserID)
 	}
 	if ds.ItemByID(r.ItemID) == nil {
 		return cube.Tuple{}, fmt.Errorf("unknown item %d", r.ItemID)
 	}
-	t := cube.Tuple{Score: int8(r.Score), Unix: r.Unix, UserID: int32(r.UserID), ItemID: int32(r.ItemID)}
+	t := cube.Tuple{Score: r.Score, Unix: r.Unix}
 	t.Vals[cube.Gender] = int16(u.Gender)
 	t.Vals[cube.Age] = int16(u.Age)
 	t.Vals[cube.Occupation] = int16(u.Occupation)
@@ -148,8 +148,8 @@ func checkSameJoin(t *testing.T, ds *model.Dataset, got Prejoined, want refJoine
 		}
 		for k, p := range run {
 			r := ds.Ratings[p]
-			if int(users[k]) != ds.UserIndex(r.UserID) {
-				t.Fatalf("item %d: entry %d has reviewer position %d, rating %d's user is at %d", it.ID, k, users[k], p, ds.UserIndex(r.UserID))
+			if int(users[k]) != ds.UserIndex(int(r.UserID)) {
+				t.Fatalf("item %d: entry %d has reviewer position %d, rating %d's user is at %d", it.ID, k, users[k], p, ds.UserIndex(int(r.UserID)))
 			}
 			if tp := cube.JoinRating(r, got.Joiner.vals[users[k]]); tp != want.Tuples[p] {
 				t.Fatalf("item %d: entry %d rebuilds %+v, reference tuple %+v", it.ID, k, tp, want.Tuples[p])
@@ -224,7 +224,7 @@ func joinInputs(t *testing.T) map[string]*model.Dataset {
 	}
 	remapped := clone()
 	for i := range remapped {
-		remapped[i].UserID = sparse(remapped[i].UserID)
+		remapped[i].UserID = int32(sparse(int(remapped[i].UserID)))
 		remapped[i].ItemID = sparse(remapped[i].ItemID)
 	}
 	in["sparse-ids"] = derived(t, users, items, remapped)

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -208,20 +210,31 @@ func TestTuplesForItems(t *testing.T) {
 	ts := itemTitled(t, ds, "Toy Story")
 
 	tuples := s.TuplesForItems([]int{ts.ID}, TimeWindow{})
-	// Cross-check against a raw scan of the rating log.
-	want := 0
+	// Cross-check against a raw scan of the rating log: the same
+	// ratings, each under its own reviewer's values.
+	var want []cube.Tuple
 	for _, r := range ds.Ratings {
 		if r.ItemID == ts.ID {
-			want++
+			want = append(want, cube.JoinRating(r, cube.UserVals(ds.UserByID(int(r.UserID)))))
 		}
 	}
-	if len(tuples) != want {
-		t.Fatalf("got %d tuples, raw scan says %d", len(tuples), want)
+	if len(tuples) != len(want) {
+		t.Fatalf("got %d tuples, raw scan says %d", len(tuples), len(want))
 	}
-	for _, tp := range tuples {
-		if tp.ItemID != int32(ts.ID) {
-			t.Fatal("foreign tuple in result")
+	order := func(a, b cube.Tuple) int {
+		if c := cmp.Compare(a.Unix, b.Unix); c != 0 {
+			return c
 		}
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
+			return c
+		}
+		return slices.Compare(a.Vals[:], b.Vals[:])
+	}
+	got := slices.Clone(tuples)
+	slices.SortFunc(got, order)
+	slices.SortFunc(want, order)
+	if !slices.Equal(got, want) {
+		t.Fatal("the gather's tuples differ from the raw scan's")
 	}
 }
 
@@ -301,8 +314,8 @@ func TestStateAggsMatchRawScan(t *testing.T) {
 	ds := s.Dataset()
 	var want cube.Agg
 	for _, r := range ds.Ratings {
-		if ds.UserByID(r.UserID).State == "CA" {
-			want.Add(int8(r.Score))
+		if ds.UserByID(int(r.UserID)).State == "CA" {
+			want.Add(r.Score)
 		}
 	}
 	if got := aggs[cube.StateIndex("CA")]; got != want {

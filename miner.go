@@ -59,6 +59,8 @@ type Miner interface {
 	// IngestStats snapshots the live-append counters; ok is false when
 	// the write path is not armed.
 	IngestStats() (IngestStats, bool)
+	// MemoryStats reports the bytes of the largest owners of memory.
+	MemoryStats() MemoryStats
 	// Close releases the miner's resources; idempotent.
 	Close() error
 }

@@ -162,9 +162,9 @@ func TestCachedAnswersMatchUncachedOracle(t *testing.T) {
 			ids := items[qi]
 			for n := 0; n < 2; n++ {
 				batch = append(batch, model.Rating{
-					UserID: ds.Users[rnd.Intn(len(ds.Users))].ID,
+					UserID: int32(ds.Users[rnd.Intn(len(ds.Users))].ID),
 					ItemID: ids[rnd.Intn(len(ids))],
-					Score:  1 + rnd.Intn(5),
+					Score:  int8(1 + rnd.Intn(5)),
 					Unix:   maxUnix + int64(len(batch)+1),
 				})
 			}
@@ -296,7 +296,7 @@ func TestBrowseMatchesRebuildOracle(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for _, r := range ds.Ratings {
-		counts[ds.UserByID(r.UserID).State]++
+		counts[ds.UserByID(int(r.UserID)).State]++
 	}
 	var states []string
 	for st := range usersOf {
@@ -314,9 +314,9 @@ func TestBrowseMatchesRebuildOracle(t *testing.T) {
 		for j := 0; j < e.cubeCfg.MinSupport+i; j++ {
 			users := usersOf[st]
 			batch = append(batch, model.Rating{
-				UserID: users[j%len(users)],
+				UserID: int32(users[j%len(users)]),
 				ItemID: ds.Items[(7*i+j)%len(ds.Items)].ID,
-				Score:  1 + (i+j)%5,
+				Score:  int8(1 + (i+j)%5),
 				Unix:   maxUnix + int64(len(batches)*100+j+1),
 			})
 		}
