@@ -13,11 +13,7 @@ import (
 // through, because they may point into shared read-only mmap'd pages.
 var Aliasguard = &Analyzer{
 	Name: "aliasguard",
-	Doc: "unsafe.Slice is only allowed in files that also verify the " +
-		"aliased layout with unsafe.Sizeof/unsafe.Offsetof, and writes " +
-		"through alias-produced slices (element stores, copy-into) are " +
-		"errors: the pages may be mmap'd read-only and shared",
-	Run: runAliasguard,
+	Run:  runAliasguard,
 }
 
 func runAliasguard(pass *Pass) error {

@@ -31,11 +31,10 @@ import (
 // type-checked package through the Pass and reports findings; it must be
 // deterministic and must not retain the Pass.
 type Analyzer struct {
-	// Name is the identifier used in findings, the -analyzers flag and
-	// //maprat:allow directives. Lowercase, no spaces.
+	// Name is the identifier used in findings and //maprat:allow
+	// directives, and the heading of the analyzer's README.md section.
+	// Lowercase, no spaces.
 	Name string
-	// Doc is the one-paragraph rule description shown by maprat-vet -list.
-	Doc string
 	// Run reports the analyzer's findings on one package.
 	Run func(*Pass) error
 }
@@ -68,11 +67,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Diagnostic is one finding, positioned in the original source.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (d Diagnostic) String() string {

@@ -37,7 +37,7 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) []analysis.D
 	if err != nil {
 		t.Fatalf("resolving fixture dir: %v", err)
 	}
-	diags, err := analysis.Run(abs, analyzers, "./...")
+	diags, err := analysis.Run(abs, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers over %s: %v", dir, err)
 	}

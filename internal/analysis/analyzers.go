@@ -11,13 +11,3 @@ func All() []*Analyzer {
 		Hotalloc,
 	}
 }
-
-// ByName resolves an analyzer by its directive/flag name.
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
-}

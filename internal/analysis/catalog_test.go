@@ -11,22 +11,31 @@ import (
 )
 
 // TestCatalogMatchesSuite keeps README.md honest: every analyzer in
-// All() has exactly one "## <name>" section, and no such section names
-// an analyzer the suite no longer ships. Prose sections ("## Testing")
-// are capitalized and so never match an analyzer name.
+// All() has exactly one "## <name>" section, that section carries a
+// "**Justified by:**" paragraph naming the mutation only the analyzer
+// catches, and no such section names an analyzer the suite no longer
+// ships. Prose sections ("## Testing") are capitalized and so never
+// match an analyzer name.
 func TestCatalogMatchesSuite(t *testing.T) {
 	b, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	heading := regexp.MustCompile(`(?m)^## ([a-z][a-z0-9]*)\s*$`)
-	sections := map[string]int{}
-	for _, m := range heading.FindAllStringSubmatch(string(b), -1) {
-		sections[m[1]]++
+	name := regexp.MustCompile(`^[a-z][a-z0-9]*$`)
+	justified := regexp.MustCompile(`(?m)^\*\*Justified by:\*\* \S`)
+	sections := map[string][]string{}
+	for _, part := range strings.Split(string(b), "\n## ")[1:] {
+		title, body, _ := strings.Cut(part, "\n")
+		if title = strings.TrimSpace(title); name.MatchString(title) {
+			sections[title] = append(sections[title], body)
+		}
 	}
 	for _, a := range analysis.All() {
-		if n := sections[a.Name]; n != 1 {
-			t.Errorf("README.md has %d %q sections, want exactly 1", n, "## "+a.Name)
+		switch s := sections[a.Name]; {
+		case len(s) != 1:
+			t.Errorf("README.md has %d %q sections, want exactly 1", len(s), "## "+a.Name)
+		case !justified.MatchString(s[0]):
+			t.Errorf("README.md section %q has no **Justified by:** paragraph", "## "+a.Name)
 		}
 		delete(sections, a.Name)
 	}

@@ -12,11 +12,7 @@ import (
 // hung up.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "flag context.Background()/context.TODO() outside main packages " +
-		"and annotated seams, context.Context parameters not in first " +
-		"position, and goroutines in mining packages that capture no " +
-		"context",
-	Run: runCtxflow,
+	Run:  runCtxflow,
 }
 
 func runCtxflow(pass *Pass) error {

@@ -30,11 +30,7 @@ func inMiningPkg(path string) bool {
 // rand.New/NewSource seeding (internal/rng is the one sanctioned seam).
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid time.Now, global math/rand and ad-hoc rand.New in the " +
-		"mining packages (internal/core, internal/cube, internal/explore, " +
-		"internal/ingest, internal/store); mined results must be a pure " +
-		"function of (query, seed, epoch)",
-	Run: runDeterminism,
+	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) error {

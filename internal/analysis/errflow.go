@@ -16,10 +16,7 @@ import (
 // layer.
 var Errflow = &Analyzer{
 	Name: "errflow",
-	Doc: "require errors.Is for sentinel comparisons (== / != against a " +
-		"non-nil error breaks under wrapping) and %w when fmt.Errorf " +
-		"formats an error value (%v/%s hide the chain from errors.Is/As)",
-	Run: runErrflow,
+	Run:  runErrflow,
 }
 
 func runErrflow(pass *Pass) error {

@@ -21,10 +21,7 @@ var hotPkgSuffixes = []string{
 // created per iteration.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "in the hot kernels internal/{cube,core}: flag fmt.Sprint*/string " +
-		"concatenation inside loops, appends into never-presized slices " +
-		"filled by a loop, and capturing closures allocated per iteration",
-	Run: runHotalloc,
+	Run:  runHotalloc,
 }
 
 func inHotPkg(path string) bool {

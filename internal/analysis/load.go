@@ -15,13 +15,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Package is one loaded, type-checked, analyzable package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	// Files parallels GoFiles: the parsed non-test compiled sources.
 	Files   []*ast.File
@@ -36,12 +34,9 @@ type Package struct {
 // listedPkg is the subset of `go list -json` output the loader needs.
 type listedPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Deps       []string
-	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
@@ -55,24 +50,20 @@ type listing struct {
 	imp     types.Importer
 }
 
-// golist resolves patterns (e.g. "./...") relative to dir via
-// `go list -json -export -deps`, so the build cache supplies export data
-// for every dependency — std and in-module alike. Test files are not
+// golist resolves ./... relative to dir via `go list -json -export
+// -deps`, so the build cache supplies export data for every dependency —
+// std and in-module alike. Test files are not
 // listed: the invariants the suite enforces are production-code
 // invariants, and every exemption the analyzers would grant tests falls
 // out of that scope for free.
-func golist(dir string, patterns ...string) (*listing, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-json", "-export", "-deps"}, patterns...)
-	cmd := exec.Command("go", args...)
+func golist(dir string) (*listing, error) {
+	cmd := exec.Command("go", "list", "-json", "-export", "-deps", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %s: %w\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("go list ./...: %w\n%s", err, stderr.String())
 	}
 
 	l := &listing{exports: map[string]string{}}
@@ -105,31 +96,6 @@ func golist(dir string, patterns ...string) (*listing, error) {
 		return os.Open(f)
 	})
 	return l, nil
-}
-
-// Load resolves patterns relative to dir into fully type-checked
-// packages.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	l, err := golist(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, t := range l.targets {
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		src, err := readSources(t)
-		if err != nil {
-			return nil, err
-		}
-		pkg, err := l.checkPackage(t, src)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
 }
 
 // readSources reads the package's non-test compiled Go files, keyed by
@@ -177,7 +143,6 @@ func (l *listing) checkPackage(t listedPkg, src map[string][]byte) (*Package, er
 	}
 	return &Package{
 		ImportPath: t.ImportPath,
-		Dir:        t.Dir,
 		Fset:       l.fset,
 		Files:      files,
 		GoFiles:    paths,

@@ -2,24 +2,21 @@ package analysis
 
 import "fmt"
 
-// Run loads patterns relative to dir, runs every analyzer over every
-// loaded package, applies //maprat:allow suppressions, and returns the
+// Run loads every package of the module at dir, runs the analyzers
+// over each, applies //maprat:allow suppressions, and returns the
 // surviving findings sorted by position. The returned slice is empty for
 // a clean tree.
-func Run(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	l, err := golist(dir, patterns...)
+func Run(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	l, err := golist(dir)
 	if err != nil {
 		return nil, err
 	}
 
 	// Directive names validate against the whole suite, not just the
 	// analyzers in this run: a //maprat:allow(ctxflow) is legitimate even
-	// when only determinism is being re-run.
+	// when only determinism runs.
 	known := map[string]bool{}
 	for _, a := range All() {
-		known[a.Name] = true
-	}
-	for _, a := range analyzers {
 		known[a.Name] = true
 	}
 

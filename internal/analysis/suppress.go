@@ -103,10 +103,10 @@ func onOwnLine(lines [][]byte, pos token.Position) bool {
 // and appends one SuppressName finding per misused directive: unknown
 // analyzer name, missing reason, or a stale directive whose target line
 // has no finding to suppress. Staleness is judged only for directives
-// whose analyzers all ran, so a run restricted with -analyzers does not
-// condemn the other analyzers' directives. Malformed directives never
-// suppress — an unjustified silence would otherwise be quieter than the
-// finding it hides.
+// whose analyzers all ran, so a single-analyzer fixture does not condemn
+// the other analyzers' directives. Malformed directives never suppress —
+// an unjustified silence would otherwise be quieter than the finding it
+// hides.
 func applySuppressions(diags []Diagnostic, dirs []directive, known, ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 

@@ -40,10 +40,11 @@ const maxPendingAppends = 32
 
 // handleAppend is POST /api/v1/ratings: validate the batch, admit it
 // (a full admission bound answers 429 with Retry-After), apply it, and
-// answer 202 with the assigned epoch. A value its Rating field cannot
-// hold (model.NewRating) answers 400 naming ratings[i].<field> before
-// anything narrows it; the engine checks the rest. The batch is
-// WAL-durable before the response is written.
+// answer 202 with the assigned epoch. A score off the rating scale, or
+// an ID its Rating field cannot hold (model.NewRating), answers 400
+// naming ratings[i].<field> before anything narrows it; the engine
+// checks the rest. The batch is WAL-durable before the response is
+// written.
 func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w, http.MethodPost, "appending ratings requires POST")
@@ -60,6 +61,10 @@ func (h *Handler) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	ratings := make([]model.Rating, len(req.Ratings))
 	for i, in := range req.Ratings {
+		if in.Score < model.MinScore || in.Score > model.MaxScore {
+			writeError(w, badRequestf("ratings[%d].%v", i, &model.RangeError{Field: "score", Value: int64(in.Score), Min: model.MinScore, Max: model.MaxScore}))
+			return
+		}
 		r, err := model.NewRating(in.UserID, in.ItemID, in.Score, in.Unix)
 		if err != nil {
 			writeError(w, badRequestf("ratings[%d].%v", i, err))

@@ -214,7 +214,8 @@ func TestAppendEndpointRejectsBadBatches(t *testing.T) {
 // TestAppendEndpointRefusesValuesTooWide: a value its Rating field
 // cannot hold answers 400 naming ratings[i].<field> before anything
 // narrows it, and the batch moves neither the epoch nor the WAL. Narrowed,
-// score 261 would be a valid 5 and user 4294967297 user 1.
+// score 261 would be a valid 5 and user 4294967297 user 1. A score names
+// the rating scale whether or not it fits the field.
 func TestAppendEndpointRefusesValuesTooWide(t *testing.T) {
 	ts, eng := ingestServer(t)
 	walBytes := func() int64 {
@@ -224,7 +225,8 @@ func TestAppendEndpointRefusesValuesTooWide(t *testing.T) {
 	before := walBytes()
 	ok := `{"user_id":1,"item_id":1,"score":5,"unix":1100000000}`
 	for _, c := range []struct{ rating, want string }{
-		{`{"user_id":1,"item_id":1,"score":261,"unix":1100000000}`, "ratings[1].score 261"},
+		{`{"user_id":1,"item_id":1,"score":261,"unix":1100000000}`, "ratings[1].score 261 outside [1,5]"},
+		{`{"user_id":1,"item_id":1,"score":9,"unix":1100000000}`, "ratings[1].score 9 outside [1,5]"},
 		{`{"user_id":4294967297,"item_id":1,"score":5,"unix":1100000000}`, "ratings[1].user_id 4294967297"},
 		{`{"user_id":1,"item_id":4294967297,"score":5,"unix":1100000000}`, "ratings[1].item_id 4294967297"},
 	} {
