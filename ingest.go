@@ -186,9 +186,9 @@ type IngestStats struct {
 	Batches  uint64 `json:"batches"`
 	Tuples   uint64 `json:"tuples"`
 	WALBytes int64  `json:"wal_bytes"`
-	// PlansInvalidated / PlansSurviving split the plan-cache entries
-	// held at each append into dropped (item set intersected the batch)
-	// vs still-warm.
+	// PlansInvalidated / PlansSurviving split the plans held at each
+	// append into superseded (item set intersected the batch) vs
+	// still-warm.
 	PlansInvalidated uint64  `json:"plans_invalidated"`
 	PlansSurviving   uint64  `json:"plans_surviving"`
 	ApplyTotalMS     float64 `json:"apply_total_ms"`

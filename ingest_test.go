@@ -14,6 +14,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/ingest"
 	"repro/internal/model"
+	"repro/internal/store"
 )
 
 var (
@@ -695,6 +696,77 @@ func TestAppendWhileMining(t *testing.T) {
 	if st := e.PlanStats(); st.MemoHits == 0 {
 		t.Error("no group or drill read hit a plan memo; the test does not exercise them")
 	}
+
+	// An append that lands during a successor build: the build is served
+	// to its caller but not cached, and the seed it started from stays
+	// for the next latest read, which the tier hands the same seed.
+	base := e.cubeConfig(q, nil)
+	planKey := PlanKey(q, base)
+	if _, err := e.ExplainContext(t.Context(), ExplainRequest{Query: q}); err != nil {
+		t.Fatal(err)
+	}
+	appendBoth := func() {
+		t.Helper()
+		batch := ratingsFor(t, e, item, 2)
+		for _, m := range []*Engine{e, ref} {
+			if _, err := m.AppendRatings(t.Context(), batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendBoth()
+	building := q
+	building.Epoch = e.CurrentEpoch()
+	started := make(chan *store.Seed)
+	proceed := make(chan struct{})
+	type served struct {
+		p   *store.Plan
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		p, err := e.st.Plans().GetOrBuildAt(t.Context(), planKey, building.Epoch, func(seed *store.Seed) (*store.Plan, error) {
+			started <- seed
+			<-proceed
+			return e.buildPlan(building, base, seed)
+		})
+		done <- served{p, err}
+	}()
+	seed := <-started
+	if seed == nil {
+		t.Fatal("the latest-epoch rebuild of a superseded plan was handed no seed")
+	}
+	appendBoth()
+	close(proceed)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	fresh, err := ref.buildPlan(building, base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePlan(t, "successor build an append overtook", res.p, fresh)
+	if _, ok := e.st.Plans().VersionAt(planKey, e.CurrentEpoch()); ok {
+		t.Fatal("a successor build an append overtook was cached")
+	}
+	latest := q
+	latest.Epoch = e.CurrentEpoch()
+	var next *store.Seed
+	p, err := e.st.Plans().GetOrBuildAt(t.Context(), planKey, latest.Epoch, func(sd *store.Seed) (*store.Plan, error) {
+		next = sd
+		return e.buildPlan(latest, base, sd)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != seed {
+		t.Fatalf("the next latest read was handed seed %+v, want the one the overtaken build left (%+v)", next, seed)
+	}
+	if fresh, err = ref.buildPlan(latest, base, nil); err != nil {
+		t.Fatal(err)
+	}
+	requireSamePlan(t, "successor after the overtaken build", p, fresh)
 }
 
 // TestEnginesShareTheDatasetLog: an engine reads the dataset's ratings

@@ -1,6 +1,9 @@
 package cube
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -90,6 +93,49 @@ func BenchmarkKeyPhrase(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(k.Phrase()) == 0 {
 			b.Fatal("empty phrase")
+		}
+	}
+}
+
+// BenchmarkExtend measures the successor cube build after an append:
+// Extend over the typical 5.6k-tuple plan of BuildPacked/plan with 4 and
+// 16 ratings inserted at random places, beside Build over the same
+// 16-rating successor.
+func BenchmarkExtend(b *testing.B) {
+	cfg := DefaultConfig()
+	seedTuples := trafficTuples(5_600, 42)
+	prev := Build(seedTuples, cfg).Seed()
+	rng := rand.New(rand.NewSource(43))
+	successor := func(n int) ([]Tuple, []int32) {
+		at := make([]int32, 0, n)
+		for _, p := range rng.Perm(len(seedTuples) + n)[:n] {
+			at = append(at, int32(p))
+		}
+		slices.Sort(at)
+		return insertAt(seedTuples, trafficTuples(n, int64(n)), at)
+	}
+	for _, n := range []int{4, 16} {
+		tuples, added := successor(n)
+		if extend(prev, tuples, added, cfg) == nil {
+			b.Fatal("the successor fell back to Build")
+		}
+		b.Run(fmt.Sprintf("delta%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if c := Extend(prev, tuples, added, cfg); c.Len() == 0 {
+					b.Fatal("empty cube")
+				}
+			}
+		})
+		if n == 16 {
+			b.Run("build16", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if c := Build(tuples, cfg); c.Len() == 0 {
+						b.Fatal("empty cube")
+					}
+				}
+			})
 		}
 	}
 }

@@ -48,25 +48,28 @@ func decodeFuzzBuild(data []byte) (Config, []Tuple) {
 	return cfg, tuples
 }
 
+// encodeFuzzBuild is decodeFuzzBuild's inverse, for seed inputs.
+func encodeFuzzBuild(hdr [3]byte, tuples []Tuple) []byte {
+	out := append([]byte(nil), hdr[:]...)
+	for _, t := range tuples {
+		var rec [fuzzTupleBytes]byte
+		for a := 0; a < NumAttrs; a++ {
+			if Attr(a) == City {
+				binary.LittleEndian.PutUint16(rec[a:], uint16(t.Vals[a]+1))
+			} else {
+				rec[a] = byte(t.Vals[a] + 1)
+			}
+		}
+		rec[fuzzTupleBytes-1] = byte(t.Score - 1)
+		out = append(out, rec[:]...)
+	}
+	return out
+}
+
 // FuzzBuildMatchesReference requires Build to equal BuildReference group
 // for group on arbitrary tuple sets and configs.
 func FuzzBuildMatchesReference(f *testing.F) {
-	encode := func(hdr [3]byte, tuples []Tuple) []byte {
-		out := append([]byte(nil), hdr[:]...)
-		for _, t := range tuples {
-			var rec [fuzzTupleBytes]byte
-			for a := 0; a < NumAttrs; a++ {
-				if Attr(a) == City {
-					binary.LittleEndian.PutUint16(rec[a:], uint16(t.Vals[a]+1))
-				} else {
-					rec[a] = byte(t.Vals[a] + 1)
-				}
-			}
-			rec[fuzzTupleBytes-1] = byte(t.Score - 1)
-			out = append(out, rec[:]...)
-		}
-		return out
-	}
+	encode := encodeFuzzBuild
 	f.Add(encode([3]byte{1 | 8, 12, 3}, randomTuples(64, 1)))
 	f.Add(encode([3]byte{0, 1, 0}, wildcardedTuples(64, 2)))
 	f.Add(encode([3]byte{4 | 8, 2, 3}, trafficTuples(128, 3)))

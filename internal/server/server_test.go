@@ -19,6 +19,7 @@ import (
 
 	"repro"
 	"repro/internal/api"
+	"repro/internal/model"
 )
 
 var (
@@ -424,6 +425,63 @@ func TestStatsEndpoint(t *testing.T) {
 	// The v1 surface's per-endpoint counters ride along.
 	if ep, ok := resp.API["explain"]; !ok || ep.Requests == 0 || ep.Status["2xx"] == 0 {
 		t.Errorf("statsz missing v1 endpoint metrics: %+v", resp.API)
+	}
+
+	// plan_cache.extended counts the builds seeded by a superseded plan:
+	// on a live server, an append to an explained movie supersedes its
+	// plan, and the next explain extends it.
+	cfg := maprat.SmallGenConfig()
+	cfg.Users, cfg.Movies, cfg.Ratings = 300, 120, 6000
+	ds, err := maprat.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := maprat.Open(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.EnableIngest(filepath.Join(t.TempDir(), "live.wal")); err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(newServer(live, Config{}))
+	defer lts.Close()
+	movie := ds.Ratings[0].ItemID
+	explain := "/api/v1/explain?q=" + url.QueryEscape(fmt.Sprintf("movie:%q", ds.ItemByID(movie).Title))
+	extended := func() (ext, builds uint64) {
+		t.Helper()
+		code, body := get(t, lts, "/statsz")
+		if code != http.StatusOK {
+			t.Fatalf("statsz status %d", code)
+		}
+		var st struct {
+			PlanCache struct {
+				Builds   uint64  `json:"builds"`
+				Extended *uint64 `json:"extended"`
+			} `json:"plan_cache"`
+		}
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatalf("statsz json: %v\n%s", err, body)
+		}
+		if st.PlanCache.Extended == nil {
+			t.Fatalf("statsz plan_cache carries no extended count:\n%s", body)
+		}
+		return *st.PlanCache.Extended, st.PlanCache.Builds
+	}
+	if code, body := get(t, lts, explain); code != http.StatusOK {
+		t.Fatalf("explain status %d\n%s", code, body)
+	}
+	if ext, builds := extended(); ext != 0 || builds == 0 {
+		t.Fatalf("before any append: extended %d of %d builds, want 0 of some", ext, builds)
+	}
+	_, maxUnix := live.TimeRange()
+	if _, err := live.AppendRatings(t.Context(), []model.Rating{{UserID: ds.Ratings[1].UserID, ItemID: movie, Score: 5, Unix: maxUnix + 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get(t, lts, explain); code != http.StatusOK {
+		t.Fatalf("explain after the append: status %d\n%s", code, body)
+	}
+	if ext, builds := extended(); ext != 1 || builds < 2 {
+		t.Fatalf("after an append and a re-read: extended %d of %d builds, want 1 of at least 2", ext, builds)
 	}
 }
 

@@ -22,19 +22,21 @@ import (
 //     per-state aggregate delta for epoch-pinned browse reads;
 //   - before the new epoch becomes visible (still under the write lock,
 //     which orders before the s.epoch bump readers resolve "latest"
-//     from), the plan cache drops exactly the entries whose resolved
-//     item set intersects the batch; untouched plans stay warm.
-//     Dropping first is load-bearing: if readers could resolve the new
-//     epoch while intersecting entries were still cached, a stale plan
-//     would satisfy lookups at the new epoch, and the new epoch's reads
-//     would be served the stale plan's cached results.
+//     from), the plan cache supersedes exactly the plans whose resolved
+//     item set intersects the batch, each leaving only a seed for its
+//     successor; untouched plans stay warm. Superseding first is
+//     load-bearing: if readers could resolve the new epoch while
+//     intersecting plans were still served, a stale plan would satisfy
+//     lookups at the new epoch, and the new epoch's reads would be
+//     served the stale plan's cached results.
 //
 // The result cache is NOT flushed: the engine keys each mined result by
 // the build epoch of the plan it came from (see PlanCache.VersionAt).
 // Results of plans this append leaves cached keep answering latest-epoch
-// reads. Results of dropped plans stay in the LRU under their old key:
-// a read pinned at the dropped plan's build epoch still finds them, and
-// latest-epoch reads of those queries miss onto the rebuilt plan's key.
+// reads. Results of superseded plans stay in the LRU under their old
+// key: a read pinned at the superseded plan's build epoch still finds
+// them, and latest-epoch reads of those queries miss onto the successor
+// plan's key.
 func (s *Store) Append(epoch uint64, batch []Joined) error {
 	if len(batch) == 0 {
 		return fmt.Errorf("store: empty append batch")
@@ -70,10 +72,10 @@ func (s *Store) Append(epoch uint64, batch []Joined) error {
 		states:  states,
 	})
 
-	// Drop intersecting plan-cache entries BEFORE publishing the epoch:
-	// readers resolve "latest" from s.epoch under the read lock, so no
-	// read can see the new epoch until after Advance has dropped every
-	// stale entry. Advance only takes the plan cache's own mutex and
+	// Supersede intersecting plans BEFORE publishing the epoch: readers
+	// resolve "latest" from s.epoch under the read lock, so no read can
+	// see the new epoch until after Advance has superseded every stale
+	// plan. Advance only takes the plan cache's own mutex and
 	// plan builds never run under it, so holding s.mu here is safe.
 	if s.plans != nil {
 		ids := make([]int, 0, len(items))

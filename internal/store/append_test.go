@@ -111,16 +111,20 @@ func TestAppendStateAggsDelta(t *testing.T) {
 }
 
 // TestPlanCacheAdvanceSurgical pins the invalidation contract: an append
-// drops exactly the entries whose item set intersects the batch and
-// counts the split; a fetch at the superseded epoch builds and leaves
-// the tier as it was.
+// supersedes exactly the plans whose item set intersects the batch,
+// each leaving a seed charged at its plan's cost, and counts the split;
+// a fetch at the superseded epoch builds without the seed and leaves
+// the tier as it was, and the latest-epoch fetch is handed the seed and
+// replaces it.
 func TestPlanCacheAdvanceSurgical(t *testing.T) {
 	pc := NewPlanCache(1000)
 	ctx := context.Background()
 	builds := 0
-	mk := func(items ...int) func() (*Plan, error) {
-		return func() (*Plan, error) {
+	var seeds []*Seed
+	mk := func(items ...int) func(*Seed) (*Plan, error) {
+		return func(seed *Seed) (*Plan, error) {
 			builds++
+			seeds = append(seeds, seed)
 			return &Plan{ItemIDs: items, Tuples: make([]cube.Tuple, 10)}, nil
 		}
 	}
@@ -138,8 +142,8 @@ func TestPlanCacheAdvanceSurgical(t *testing.T) {
 	if st.Invalidated != 1 || st.Surviving != 1 {
 		t.Fatalf("split = invalidated %d / surviving %d, want 1/1", st.Invalidated, st.Surviving)
 	}
-	if st.Entries != 1 || st.Tuples != 10 {
-		t.Fatalf("dropped entry still held: entries %d, tuples %d, want 1/10", st.Entries, st.Tuples)
+	if st.Entries != 1 || st.Seeds != 1 || st.Tuples != 20 {
+		t.Fatalf("after the append: entries %d, seeds %d, tuples %d, want 1/1/20", st.Entries, st.Seeds, st.Tuples)
 	}
 
 	// The untouched plan stays warm at the new epoch.
@@ -150,15 +154,18 @@ func TestPlanCacheAdvanceSurgical(t *testing.T) {
 	if _, err := pc.GetOrBuildAt(ctx, "toy", 1, mk(1, 2)); err != nil || builds != 3 {
 		t.Fatalf("pinned fetch of a dropped plan: builds %d, err %v", builds, err)
 	}
-	if n := pc.Stats().Entries; n != 1 {
-		t.Fatalf("pinned fetch of a superseded epoch was cached: entries %d, want 1", n)
+	if st := pc.Stats(); st.Entries != 1 || st.Seeds != 1 || seeds[2] != nil {
+		t.Fatalf("pinned fetch of a superseded epoch was cached or seeded: entries %d, seeds %d, seed %v", st.Entries, st.Seeds, seeds[2])
 	}
-	// A latest-epoch fetch rebuilds and caches.
+	// A latest-epoch fetch rebuilds from toy@1's seed and caches.
 	if _, err := pc.GetOrBuildAt(ctx, "toy", 2, mk(1, 2)); err != nil || builds != 4 {
 		t.Fatalf("intersecting plan served stale: builds %d, err %v", builds, err)
 	}
-	if n := pc.Stats().Entries; n != 2 {
-		t.Fatalf("entries = %d, want 2 (toy@2 + heat)", n)
+	if sd := seeds[3]; sd == nil || sd.Epoch != 1 || len(sd.Unix) != 10 {
+		t.Fatalf("latest-epoch rebuild was handed seed %+v, want toy@1's 10 tuples", sd)
+	}
+	if st := pc.Stats(); st.Entries != 2 || st.Seeds != 0 || st.Tuples != 20 || st.Extended != 1 {
+		t.Fatalf("entries %d, seeds %d, tuples %d, extended %d, want 2/0/20/1 (toy@2 + heat)", st.Entries, st.Seeds, st.Tuples, st.Extended)
 	}
 	// A disjoint append leaves both entries in place and counts them.
 	pc.Advance(3, []int{99})
@@ -172,7 +179,7 @@ func TestPlanCacheAdvanceSurgical(t *testing.T) {
 // superseding is held once, however many times it is rebuilt.
 func TestPlanCacheOneEntryPerKey(t *testing.T) {
 	pc := NewPlanCache(1000)
-	build := func() (*Plan, error) { return &Plan{ItemIDs: []int{1}, Tuples: make([]cube.Tuple, 10)}, nil }
+	build := func(*Seed) (*Plan, error) { return &Plan{ItemIDs: []int{1}, Tuples: make([]cube.Tuple, 10)}, nil }
 	if _, err := pc.GetOrBuildAt(context.Background(), "toy", 1, build); err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +201,8 @@ func TestPlanCacheOneEntryPerKey(t *testing.T) {
 func TestPlanCacheVersionAt(t *testing.T) {
 	pc := NewPlanCache(25)
 	ctx := context.Background()
-	mk := func(items ...int) func() (*Plan, error) {
-		return func() (*Plan, error) {
+	mk := func(items ...int) func(*Seed) (*Plan, error) {
+		return func(*Seed) (*Plan, error) {
 			return &Plan{ItemIDs: items, Tuples: make([]cube.Tuple, 10)}, nil
 		}
 	}
@@ -269,7 +276,7 @@ func TestPlanCachePutSkipsStaleBuild(t *testing.T) {
 	var got *Plan
 	go func() {
 		defer close(done)
-		got, _ = pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) {
+		got, _ = pc.GetOrBuildAt(ctx, "k", 1, func(*Seed) (*Plan, error) {
 			close(started)
 			<-proceed
 			return stale, nil
@@ -287,7 +294,7 @@ func TestPlanCachePutSkipsStaleBuild(t *testing.T) {
 		t.Fatalf("overtaken build was cached: %+v", st)
 	}
 	rebuilt := false
-	pc.GetOrBuildAt(ctx, "k", 2, func() (*Plan, error) {
+	pc.GetOrBuildAt(ctx, "k", 2, func(*Seed) (*Plan, error) {
 		rebuilt = true
 		return &Plan{ItemIDs: []int{1}, Tuples: make([]cube.Tuple, 5)}, nil
 	})

@@ -183,3 +183,102 @@ func TestAppendSharesBaseLog(t *testing.T) {
 		}
 	}
 }
+
+// gatherAdded lists, for the gather of itemIDs in w at epoch, the
+// indices of the tuples at or above prevEpoch's log length: the ones a
+// successor gather seeded at prevEpoch joins from the log.
+func (m *materialized) gatherAdded(itemIDs []int, w TimeWindow, prevEpoch, epoch uint64) []int32 {
+	mark, prevMark := m.epochs[len(m.epochs)-1], m.epochs[prevEpoch-1]
+	if epoch != 0 && int(epoch) < len(m.epochs) {
+		mark = m.epochs[epoch-1]
+	}
+	var added []int32
+	n := int32(0)
+	for _, id := range itemIDs {
+		for _, p := range m.byItem[id] {
+			if int(p) >= mark || !w.Contains(m.tuples[p].Unix) {
+				continue
+			}
+			if int(p) >= prevMark {
+				added = append(added, n)
+			}
+			n++
+		}
+	}
+	return added
+}
+
+// TestSuccessorTuplesMatchGather: a successor gather, seeded with the
+// gather at an earlier epoch, returns the gather at its own epoch, and
+// its inserted indices name exactly the tuples appended since the seed.
+// Batches land before the log, at the same second as existing ratings
+// (ties), inside and after it, and one to four of them lie between the
+// seed and the read, under unbounded, bounded and Between windows.
+func TestSuccessorTuplesMatchGather(t *testing.T) {
+	ds := smallDataset(t)
+	s, err := openDataset(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := materialize(ds)
+	lo, hi := s.TimeRange()
+	mid := lo + (hi-lo)/2
+	items := []int{ds.Ratings[0].ItemID, ds.Ratings[len(ds.Ratings)/3].ItemID, ds.Ratings[len(ds.Ratings)-1].ItemID}
+	const last = 5
+	for e := uint64(2); e <= last; e++ {
+		var batch []model.Rating
+		for k, id := range items {
+			var ties []int64
+			for _, r := range ds.Ratings {
+				if r.ItemID == id {
+					ties = append(ties, r.Unix)
+				}
+			}
+			tie := ties[len(ties)*int(e)/(last+1)]
+			for j, unix := range []int64{lo - int64(e), tie, tie, mid + int64(k), hi + int64(e)} {
+				u := ds.Users[(int(e)*37+k*11+j)%len(ds.Users)].ID
+				batch = append(batch, model.Rating{UserID: int32(u), ItemID: id, Score: int8(1 + (j+k+int(e))%5), Unix: unix})
+			}
+		}
+		joined := make([]Joined, len(batch))
+		for i, r := range batch {
+			if joined[i], err = s.JoinRating(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Append(e, joined); err != nil {
+			t.Fatal(err)
+		}
+		ref.append(ds, batch)
+	}
+	ref.index()
+
+	windows := []TimeWindow{{}, {From: lo + (hi-lo)/4, To: mid}, Between(0, mid), Since(mid)}
+	idSets := [][]int{{items[0]}, {items[1]}, {items[2]}, items, {items[2], ds.Ratings[1].ItemID, items[0]}}
+	inserted := 0
+	for seed := uint64(1); seed < last; seed++ {
+		for epoch := seed + 1; epoch <= last; epoch++ {
+			for _, w := range windows {
+				for _, ids := range idSets {
+					sd := newSeed(seed, &Plan{Tuples: s.TuplesForItemsAt(ids, w, seed)})
+					got, added := s.SuccessorTuplesAt(ids, w, epoch, sd)
+					if want := s.TuplesForItemsAt(ids, w, epoch); !slices.Equal(got, want) {
+						t.Fatalf("items %v, window %v, seed %d, epoch %d: successor gathered %d tuples, the gather %d (or their contents differ)", ids, w, seed, epoch, len(got), len(want))
+					}
+					if want := ref.gatherAdded(ids, w, seed, epoch); !slices.Equal(added, want) {
+						t.Fatalf("items %v, window %v, seed %d, epoch %d: inserted indices %v, want %v", ids, w, seed, epoch, added, want)
+					}
+					inserted += len(added)
+				}
+			}
+		}
+	}
+	if inserted == 0 {
+		t.Fatal("no successor gather joined a tuple from the log")
+	}
+	// The latest epoch resolves as 0 too.
+	sd := newSeed(1, &Plan{Tuples: s.TuplesForItemsAt(items, TimeWindow{}, 1)})
+	if got, _ := s.SuccessorTuplesAt(items, TimeWindow{}, 0, sd); !slices.Equal(got, s.TuplesForItems(items, TimeWindow{})) {
+		t.Fatal("a successor gather at epoch 0 differs from the latest gather")
+	}
+}

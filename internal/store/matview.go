@@ -43,8 +43,8 @@ const PlanMemoCap = 32
 
 // planMemo is a cached plan's result memo. A cached plan is immutable
 // for as long as the tier holds it, so its memo never needs
-// invalidating: it goes with the plan when an append or the LRU drops
-// it.
+// invalidating: it goes with the plan when an append supersedes the
+// plan or the LRU evicts it.
 type planMemo struct {
 	mu      sync.Mutex
 	entries map[string]any
@@ -126,16 +126,23 @@ type PlanStats struct {
 	// Builds counts successful builder executions — the number of times
 	// the full resolve → gather → cube pipeline actually ran and yielded
 	// a plan (Misses minus failed builds).
-	Builds    uint64 `json:"builds"`
+	Builds uint64 `json:"builds"`
+	// Extended counts the builds handed a seed, what a superseded plan
+	// of the same key left (see Seed); a subset of Builds.
+	Extended  uint64 `json:"extended"`
 	Evictions uint64 `json:"evictions"`
-	// Invalidated counts entries dropped by an append whose batch
-	// intersected their resolved item set; Surviving counts entries an
+	// Invalidated counts plans an append superseded because its batch
+	// intersected their resolved item set; Surviving counts plans an
 	// append left warm. Together they prove invalidation is surgical:
 	// Surviving grows while untouched plans keep taking hits.
 	Invalidated uint64 `json:"invalidated"`
 	Surviving   uint64 `json:"surviving"`
-	Entries     int    `json:"entries"`
-	// Tuples is the current budget usage against MaxTuples.
+	// Entries counts the plans held and Seeds the seeds superseded plans
+	// left for their successors.
+	Entries int `json:"entries"`
+	Seeds   int `json:"seeds"`
+	// Tuples is the current budget usage against MaxTuples, seeds
+	// included.
 	Tuples    int   `json:"tuples"`
 	MaxTuples int   `json:"max_tuples"`
 	Bytes     int64 `json:"bytes"`
@@ -153,12 +160,14 @@ type PlanStats struct {
 // by total tuple count rather than entry count — one whole-log query must
 // not cost the same budget as a one-movie query.
 //
-// Under live ingestion the tier holds at most one entry per key, valid
-// from the epoch it was built at through the current epoch. An append
-// drops exactly the entries whose resolved item set intersects the
-// batch; entries the batch did not touch stay warm across the epoch
-// bump. Reads pinned to an epoch no entry covers build their plan and
-// leave the tier as it was. The cache key stays epoch-free.
+// Under live ingestion the tier holds at most one entry per key: a plan,
+// valid from the epoch it was built at through the current epoch, or
+// the seed a superseded plan left. An append supersedes exactly the
+// plans whose resolved item set intersects the batch, each becoming a
+// seed its key's next latest-epoch build starts from; plans the batch
+// did not touch stay warm across the epoch bump. Reads pinned to an
+// epoch no plan covers build their plan and leave the tier as it was.
+// The cache key stays epoch-free.
 type PlanCache struct {
 	mu        sync.Mutex
 	maxTuples int
@@ -167,7 +176,7 @@ type PlanCache struct {
 	tuples    int
 	epoch     uint64 // current store epoch; only builds at it are cached
 
-	hits, misses, shared, builds, evictions, invalidated, surviving uint64
+	hits, misses, shared, builds, extended, evictions, invalidated, surviving uint64
 
 	// flight collapses concurrent builds of the same (key, epoch): a
 	// burst of interactions on one query resolves and builds its cube
@@ -178,16 +187,66 @@ type PlanCache struct {
 	memo memoStats
 }
 
-// planEntry is a cached plan, valid from its build epoch lo through the
-// current epoch: an append that would change it drops it first.
+// Seed is what a plan an append superseded leaves for its key's next
+// build: its tuples' scores and timestamps, and its cube's groups and
+// config, as of the plan's build epoch. The successor build takes the
+// tuples below that epoch's watermark from the seed
+// (Store.SuccessorTuplesAt) and patches the seed's groups with the
+// newer tuples (cube.Extend). A seed is never served, and it is
+// immutable: the superseded plan may still be serving reads that began
+// before the append.
+type Seed struct {
+	Epoch uint64
+	// Score and Unix are the plan's tuples' scores and timestamps, in
+	// order. A tuple's attribute values are its reviewer's, which the
+	// store's item runs name, so the seed keeps 9 of a tuple's 24 bytes
+	// and a successor gather still reads no superseded rating from the
+	// log.
+	Score []int8
+	Unix  []int64
+	// Cube is the plan cube's groups and config in compact form; nil
+	// for a plan without a cube.
+	Cube *cube.Seed
+}
+
+// newSeed is the seed a plan built at epoch leaves. It copies what it
+// keeps, so none of the plan's memory outlives the plan.
+func newSeed(epoch uint64, p *Plan) *Seed {
+	sd := &Seed{Epoch: epoch, Score: make([]int8, len(p.Tuples)), Unix: make([]int64, len(p.Tuples))}
+	for i := range p.Tuples {
+		sd.Score[i], sd.Unix[i] = p.Tuples[i].Score, p.Tuples[i].Unix
+	}
+	if p.Cube != nil {
+		sd.Cube = p.Cube.Seed()
+	}
+	return sd
+}
+
+// sizeBytes approximates the seed's resident memory.
+func (sd *Seed) sizeBytes() int64 {
+	b := int64(len(sd.Unix)) * 9
+	if sd.Cube != nil {
+		b += sd.Cube.SizeBytes()
+	}
+	return b
+}
+
+// planEntry is one key's entry: a cached plan, valid from its build
+// epoch lo through the current epoch, or, once an append has superseded
+// that plan, the seed it left (plan nil). cost is the tuple count
+// charged against the budget, the same for a plan and the seed it
+// leaves: the budget counts tuples, and a seed holds each tuple's score
+// and timestamp and its cube's member lists.
 type planEntry struct {
 	key  string
 	plan *Plan
+	seed *Seed
 	lo   uint64
+	cost int
 }
 
 // NewPlanCache builds a cache bounded to maxTuples total tuples across
-// cached plans (maxTuples must be positive).
+// cached plans and seeds (maxTuples must be positive).
 func NewPlanCache(maxTuples int) *PlanCache {
 	if maxTuples <= 0 {
 		maxTuples = 1
@@ -201,13 +260,15 @@ func NewPlanCache(maxTuples int) *PlanCache {
 }
 
 // GetOrBuildAt returns the materialized plan for key as of epoch,
-// building it with build on a miss. The key's entry serves the fetch
-// when it was built at or before the epoch — in particular an entry
-// built before an append that did not touch it, which is exactly the
-// "untouched plan stays warm" case. Concurrent callers with the same key
-// and epoch share a single build through the singleflight layer. Build
-// errors are returned and never cached.
-func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64, build func() (*Plan, error)) (*Plan, error) {
+// building it with build on a miss. The key's plan serves the fetch
+// when it was built at or before the epoch — in particular a plan built
+// before an append that did not touch it, which is exactly the
+// "untouched plan stays warm" case. A build at the current epoch is
+// handed the key's seed, if a superseded plan left one; every other
+// build gets nil. Concurrent callers with the same key and epoch share
+// a single build through the singleflight layer. Build errors are
+// returned and never cached.
+func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64, build func(seed *Seed) (*Plan, error)) (*Plan, error) {
 	// Each logical fetch counts exactly once: as a hit when served from
 	// the cache, a leader's re-check, or another caller's in-flight build
 	// (the latter also counted in Shared), and as a miss only when this
@@ -222,11 +283,15 @@ func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64,
 		if p, ok := pc.lookupAt(key, epoch); ok {
 			return p, nil
 		}
-		p, err := build()
+		seed := pc.seedAt(key, epoch)
+		p, err := build(seed)
 		pc.mu.Lock()
 		pc.misses++
 		if err == nil {
 			pc.builds++
+			if seed != nil {
+				pc.extended++
+			}
 		}
 		pc.mu.Unlock()
 		if err != nil {
@@ -247,15 +312,20 @@ func (pc *PlanCache) GetOrBuildAt(ctx context.Context, key string, epoch uint64,
 	return v.(*Plan), nil
 }
 
-// entryAtLocked returns the key's entry when it is valid at epoch,
-// marking it most recently used. Callers hold mu.
+// entryAtLocked returns the key's plan entry when it is valid at epoch,
+// marking it most recently used. A seed is valid at no epoch. Callers
+// hold mu.
 func (pc *PlanCache) entryAtLocked(key string, epoch uint64) (*planEntry, bool) {
 	el, ok := pc.entries[key]
-	if !ok || el.Value.(*planEntry).lo > epoch {
+	if !ok {
+		return nil, false
+	}
+	e := el.Value.(*planEntry)
+	if e.plan == nil || e.lo > epoch {
 		return nil, false
 	}
 	pc.ll.MoveToFront(el)
-	return el.Value.(*planEntry), true
+	return e, true
 }
 
 // lookupAt returns the cached plan valid at epoch, counting a hit.
@@ -272,13 +342,28 @@ func (pc *PlanCache) lookupAt(key string, epoch uint64) (*Plan, bool) {
 	return e.plan, true
 }
 
-// VersionAt returns the build epoch lo of the key's entry when it is
+// seedAt returns the key's seed for a build at epoch, or nil: only a
+// build at the current epoch, the one build put may cache, starts from
+// a seed. The seed stays in the tier until the build's successor
+// replaces it, so a build that an append overtakes (served, but not
+// cached) leaves it for the next read.
+func (pc *PlanCache) seedAt(key string, epoch uint64) *Seed {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	el, ok := pc.entries[key]
+	if !ok || epoch != pc.epoch {
+		return nil
+	}
+	return el.Value.(*planEntry).seed
+}
+
+// VersionAt returns the build epoch lo of the key's plan when it is
 // valid at epoch, marking it most recently used; ok is false when no
-// entry covers the epoch. An entry's plan is identical at every epoch
-// from lo through the current one, so lo names the plan that any read
-// in that range sees — the engine keys mined results by it. VersionAt
-// never builds and counts neither a hit nor a miss: the counters keep
-// meaning plan fetches.
+// plan covers the epoch, and always for a seed. A plan is identical at
+// every epoch from lo through the current one, so lo names the plan
+// that any read in that range sees — the engine keys mined results by
+// it. VersionAt never builds and counts neither a hit nor a miss: the
+// counters keep meaning plan fetches.
 func (pc *PlanCache) VersionAt(key string, epoch uint64) (lo uint64, ok bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -289,15 +374,17 @@ func (pc *PlanCache) VersionAt(key string, epoch uint64) (lo uint64, ok bool) {
 	return e.lo, true
 }
 
-// put caches a plan built as of buildEpoch, evicting least-recently-used
-// entries until the tuple budget holds. Only a build at the current
-// epoch is cached: a build an append overtook saw the old watermark, and
-// a read pinned to a superseded epoch built an old view, so neither may
-// serve later epochs and both are served uncached. So is a plan that
-// alone exceeds the budget, rather than wiping the whole tier for one
-// query. A build at the current epoch finds no entry for its key: its
-// flight's re-check would have served an entry built at or before the
-// epoch, and one built later would mean the epoch had moved on.
+// put caches a plan built as of buildEpoch, replacing the seed its key
+// may hold and evicting least-recently-used entries until the tuple
+// budget holds. Only a build at the current epoch is cached: a build an
+// append overtook saw the old watermark, and a read pinned to a
+// superseded epoch built an old view, so neither may serve later epochs
+// and both are served uncached, leaving the key's seed in place. So is
+// a plan that alone exceeds the budget, rather than wiping the whole
+// tier for one query. A build at the current epoch finds no plan for
+// its key: its flight's re-check would have served a plan built at or
+// before the epoch, and one built later would mean the epoch had moved
+// on.
 func (pc *PlanCache) put(key string, p *Plan, buildEpoch uint64) {
 	cost := p.Cost()
 	pc.mu.Lock()
@@ -305,10 +392,13 @@ func (pc *PlanCache) put(key string, p *Plan, buildEpoch uint64) {
 	if cost > pc.maxTuples || buildEpoch != pc.epoch {
 		return
 	}
+	if el, ok := pc.entries[key]; ok {
+		pc.removeLocked(el)
+	}
 	// The plan is not yet visible to any other caller, so arming its
 	// memo here needs no synchronization with readers.
 	p.memo = &planMemo{entries: make(map[string]any), stats: &pc.memo}
-	pc.entries[key] = pc.ll.PushFront(&planEntry{key: key, plan: p, lo: buildEpoch})
+	pc.entries[key] = pc.ll.PushFront(&planEntry{key: key, plan: p, lo: buildEpoch, cost: cost})
 	pc.tuples += cost
 	for pc.tuples > pc.maxTuples {
 		pc.removeLocked(pc.ll.Back())
@@ -320,30 +410,37 @@ func (pc *PlanCache) put(key string, p *Plan, buildEpoch uint64) {
 // Callers hold mu.
 func (pc *PlanCache) removeLocked(el *list.Element) {
 	e := pc.ll.Remove(el).(*planEntry)
-	pc.tuples -= e.plan.Cost()
+	pc.tuples -= e.cost
 	delete(pc.entries, e.key)
 }
 
 // Advance moves the cache to newEpoch after an append whose batch
-// touched the given sorted item IDs. Exactly the entries whose resolved
-// item set intersects the batch are dropped; every other entry stays —
-// its item set is disjoint from the batch, so the plan is byte-identical
-// at the new epoch. The Invalidated/Surviving counters record the split.
+// touched the given sorted item IDs. Exactly the plans whose resolved
+// item set intersects the batch are superseded: each one's entry keeps
+// only the plan's seed, in its place in the LRU order and at the same
+// cost, and the plan itself, memo and coverage bitsets included, goes.
+// Every other plan stays: its item set is
+// disjoint from the batch, so the plan is byte-identical at the new
+// epoch. Seeds stay as they are; a seed names its own epoch, so it is
+// as good a start for a later build as it was for the next. The
+// Invalidated/Surviving counters record the split.
 func (pc *PlanCache) Advance(newEpoch uint64, itemIDs []int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if newEpoch <= pc.epoch {
 		return
 	}
-	for el := pc.ll.Front(); el != nil; {
-		next := el.Next()
-		if intersectsSorted(el.Value.(*planEntry).plan.ItemIDs, itemIDs) {
-			pc.removeLocked(el)
+	for el := pc.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*planEntry)
+		switch {
+		case e.plan == nil:
+		case intersectsSorted(e.plan.ItemIDs, itemIDs):
+			e.seed = newSeed(e.lo, e.plan)
+			e.plan = nil
 			pc.invalidated++
-		} else {
+		default:
 			pc.surviving++
 		}
-		el = next
 	}
 	pc.epoch = newEpoch
 }
@@ -373,18 +470,26 @@ func (pc *PlanCache) Stats() PlanStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	var bytes int64
+	seeds := 0
 	for el := pc.ll.Front(); el != nil; el = el.Next() {
-		bytes += el.Value.(*planEntry).plan.SizeBytes()
+		if e := el.Value.(*planEntry); e.plan != nil {
+			bytes += e.plan.SizeBytes()
+		} else {
+			bytes += e.seed.sizeBytes()
+			seeds++
+		}
 	}
 	return PlanStats{
 		Hits:        pc.hits,
 		Misses:      pc.misses,
 		Shared:      pc.shared,
 		Builds:      pc.builds,
+		Extended:    pc.extended,
 		Evictions:   pc.evictions,
 		Invalidated: pc.invalidated,
 		Surviving:   pc.surviving,
-		Entries:     pc.ll.Len(),
+		Entries:     pc.ll.Len() - seeds,
+		Seeds:       seeds,
 		Tuples:      pc.tuples,
 		MaxTuples:   pc.maxTuples,
 		Bytes:       bytes,

@@ -22,7 +22,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	pc := NewPlanCache(1000)
 	ctx := context.Background()
 	builds := 0
-	build := func() (*Plan, error) { builds++; return fakePlan(10), nil }
+	build := func(*Seed) (*Plan, error) { builds++; return fakePlan(10), nil }
 
 	p1, err := pc.GetOrBuildAt(ctx, "k", 1, build)
 	if err != nil || builds != 1 {
@@ -56,8 +56,8 @@ func TestPlanCacheHitMiss(t *testing.T) {
 func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 	pc := NewPlanCache(100)
 	ctx := context.Background()
-	mk := func(n int) func() (*Plan, error) {
-		return func() (*Plan, error) { return fakePlan(n), nil }
+	mk := func(n int) func(*Seed) (*Plan, error) {
+		return func(*Seed) (*Plan, error) { return fakePlan(n), nil }
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := pc.GetOrBuildAt(ctx, fmt.Sprintf("k%d", i), 1, mk(40)); err != nil {
@@ -70,7 +70,7 @@ func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 	}
 	// k0 was evicted: fetching it again must rebuild.
 	rebuilt := false
-	if _, err := pc.GetOrBuildAt(ctx, "k0", 1, func() (*Plan, error) {
+	if _, err := pc.GetOrBuildAt(ctx, "k0", 1, func(*Seed) (*Plan, error) {
 		rebuilt = true
 		return fakePlan(40), nil
 	}); err != nil {
@@ -80,7 +80,7 @@ func TestPlanCacheEvictionUnderTupleBudget(t *testing.T) {
 		t.Error("evicted plan was not rebuilt")
 	}
 	// k1 is now the LRU entry and must have been evicted by k0's return.
-	if _, err := pc.GetOrBuildAt(ctx, "k2", 1, func() (*Plan, error) {
+	if _, err := pc.GetOrBuildAt(ctx, "k2", 1, func(*Seed) (*Plan, error) {
 		t.Error("recently used k2 should have survived")
 		return fakePlan(40), nil
 	}); err != nil {
@@ -94,7 +94,7 @@ func TestPlanCacheOversizePlanNotCached(t *testing.T) {
 	pc := NewPlanCache(50)
 	ctx := context.Background()
 	builds := 0
-	build := func() (*Plan, error) { builds++; return fakePlan(80), nil }
+	build := func(*Seed) (*Plan, error) { builds++; return fakePlan(80), nil }
 	for i := 0; i < 2; i++ {
 		if _, err := pc.GetOrBuildAt(ctx, "big", 1, build); err != nil {
 			t.Fatal(err)
@@ -112,11 +112,11 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 	pc := NewPlanCache(100)
 	ctx := context.Background()
 	boom := errors.New("boom")
-	if _, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := pc.GetOrBuildAt(ctx, "k", 1, func(*Seed) (*Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failure is not cached; the next fetch builds and succeeds.
-	p, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(5), nil })
+	p, err := pc.GetOrBuildAt(ctx, "k", 1, func(*Seed) (*Plan, error) { return fakePlan(5), nil })
 	if st := pc.Stats(); err != nil || p == nil || st.Builds != 1 || st.Misses != 2 {
 		t.Fatalf("after error: plan=%v err=%v stats=%+v", p, err, st)
 	}
@@ -128,7 +128,7 @@ func TestPlanCacheBuildErrorNotCached(t *testing.T) {
 func TestPlanCacheConcurrentBuildOnce(t *testing.T) {
 	pc := NewPlanCache(1000)
 	var builds atomic.Int32
-	build := func() (*Plan, error) {
+	build := func(*Seed) (*Plan, error) {
 		builds.Add(1)
 		time.Sleep(10 * time.Millisecond) // widen the race window
 		return fakePlan(10), nil
@@ -178,7 +178,7 @@ func TestPlanCacheFollowerCancellation(t *testing.T) {
 	pc := NewPlanCache(1000)
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
-	go pc.GetOrBuildAt(context.Background(), "k", 1, func() (*Plan, error) {
+	go pc.GetOrBuildAt(context.Background(), "k", 1, func(*Seed) (*Plan, error) {
 		close(leaderIn)
 		<-release
 		return fakePlan(1), nil
@@ -186,7 +186,7 @@ func TestPlanCacheFollowerCancellation(t *testing.T) {
 	<-leaderIn
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := pc.GetOrBuildAt(ctx, "k", 1, func() (*Plan, error) { return fakePlan(1), nil })
+	_, err := pc.GetOrBuildAt(ctx, "k", 1, func(*Seed) (*Plan, error) { return fakePlan(1), nil })
 	close(release)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower err = %v, want context.Canceled", err)
@@ -210,7 +210,7 @@ func TestPlanSizeBytes(t *testing.T) {
 // counted, and a plan the tier does not hold memoizes nothing.
 func TestPlanMemoBounds(t *testing.T) {
 	pc := NewPlanCache(100)
-	p, err := pc.GetOrBuildAt(context.Background(), "k", 1, func() (*Plan, error) { return fakePlan(10), nil })
+	p, err := pc.GetOrBuildAt(context.Background(), "k", 1, func(*Seed) (*Plan, error) { return fakePlan(10), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPlanMemoBounds(t *testing.T) {
 	}
 
 	// Over budget, so served uncached: no memo, no counting.
-	big, err := pc.GetOrBuildAt(context.Background(), "big", 1, func() (*Plan, error) { return fakePlan(1000), nil })
+	big, err := pc.GetOrBuildAt(context.Background(), "big", 1, func(*Seed) (*Plan, error) { return fakePlan(1000), nil })
 	if err != nil {
 		t.Fatal(err)
 	}

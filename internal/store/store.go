@@ -535,22 +535,7 @@ func (s *Store) TuplesForItemsAt(itemIDs []int, w TimeWindow, epoch uint64) []cu
 	defer s.mu.RUnlock()
 	mark := s.watermarkLocked(epoch)
 	latest := mark == s.log.len()
-	bounds := make([][2]int, len(itemIDs))
-	total := 0
-	for i, id := range itemIDs {
-		run := s.items[id]
-		lo, hi := s.log.windowBounds(run.pos, w)
-		bounds[i] = [2]int{lo, hi}
-		if latest {
-			total += hi - lo
-			continue
-		}
-		for _, p := range run.pos[lo:hi] {
-			if int(p) < mark {
-				total++
-			}
-		}
-	}
+	bounds, total := s.windowCountsLocked(itemIDs, w, mark)
 	if total == 0 {
 		return nil
 	}
@@ -575,6 +560,87 @@ func (s *Store) TuplesForItemsAt(itemIDs []int, w TimeWindow, epoch uint64) []cu
 		n += len(pos)
 	}
 	return out
+}
+
+// windowCountsLocked resolves each item's window sub-range of its run
+// and counts the entries in them below the watermark mark: the first
+// pass of a gather. Callers hold mu.
+func (s *Store) windowCountsLocked(itemIDs []int, w TimeWindow, mark int) (bounds [][2]int, total int) {
+	latest := mark == s.log.len()
+	bounds = make([][2]int, len(itemIDs))
+	for i, id := range itemIDs {
+		run := s.items[id]
+		lo, hi := s.log.windowBounds(run.pos, w)
+		bounds[i] = [2]int{lo, hi}
+		if latest {
+			total += hi - lo
+			continue
+		}
+		for _, p := range run.pos[lo:hi] {
+			if int(p) < mark {
+				total++
+			}
+		}
+	}
+	return bounds, total
+}
+
+// SuccessorTuplesAt gathers R_I as of epoch, as TuplesForItemsAt does,
+// given the seed a plan of the same items and window, built at the
+// earlier epoch seed.Epoch, left. Within each item's window it takes the
+// score and timestamp of every entry below the seed epoch's watermark
+// from the seed, in order, joining each with its reviewer's attribute
+// values, and reads from the log only the entries at or above it; added
+// lists the indices of those in the result, ascending. So tuples equals
+// TuplesForItemsAt(itemIDs, w, epoch), and removing the tuples at added
+// leaves the superseded plan's tuples. The result is a fresh slice;
+// mutation is safe.
+//
+// This is the successor build's gather: an append's batch lands at the
+// end of the log, so the entries below the old watermark are exactly the
+// ones the seed holds, and a run's time order keeps them in the seed's
+// order. It panics if the seed is not that gather's, which only a
+// caller's bug can cause.
+func (s *Store) SuccessorTuplesAt(itemIDs []int, w TimeWindow, epoch uint64, seed *Seed) (tuples []cube.Tuple, added []int32) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	mark, prevMark := s.watermarkLocked(epoch), s.watermarkLocked(seed.Epoch)
+	prev := len(seed.Unix)
+	bounds, total := s.windowCountsLocked(itemIDs, w, mark)
+	if total < prev {
+		panic(fmt.Sprintf("store: successor gather of %d tuples from a seed of %d", total, prev))
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	tuples = make([]cube.Tuple, total)
+	added = make([]int32, 0, total-prev)
+	n, j := 0, 0
+	vals := s.log.vals
+	for i, id := range itemIDs {
+		run := s.items[id]
+		lo, hi := bounds[i][0], bounds[i][1]
+		for k, p := range run.pos[lo:hi] {
+			if int(p) >= mark {
+				continue
+			}
+			t := &tuples[n]
+			if int(p) < prevMark {
+				t.Score, t.Unix = seed.Score[j], seed.Unix[j]
+				j++
+			} else {
+				r := s.log.ratingAt(p)
+				t.Score, t.Unix = r.Score, r.Unix
+				added = append(added, int32(n))
+			}
+			t.Vals = vals[run.users[lo+k]]
+			n++
+		}
+	}
+	if j != prev {
+		panic(fmt.Sprintf("store: successor gather took %d of a seed's %d tuples", j, prev))
+	}
+	return tuples, added
 }
 
 // StateAggsAt returns the per-state rating aggregates as of an epoch

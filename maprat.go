@@ -587,11 +587,16 @@ func appendCubeConfig(b []byte, cfg cube.Config) []byte {
 	return append(b, '}')
 }
 
-// buildPlan runs the §2.3 pre-mining pipeline from scratch: resolve the
-// query to items, gather R_I as of the query's (resolved) epoch, build
-// the candidate cube over it. Item resolution is epoch-independent — the
+// buildPlan runs the §2.3 pre-mining pipeline: resolve the query to
+// items, gather R_I as of the query's (resolved) epoch, build the
+// candidate cube over it. Item resolution is epoch-independent — the
 // catalog is immutable under append; only the rating gather is pinned.
-func (e *Engine) buildPlan(q Query, base cube.Config) (*store.Plan, error) {
+// With a seed, what the plan an append superseded for the same key
+// left, the gather takes the tuples the seed holds from it and reads
+// only the newer ones from the log (Store.SuccessorTuplesAt), and the
+// cube patches the seed's groups with them (cube.Extend); the plan
+// equals the one a nil seed builds.
+func (e *Engine) buildPlan(q Query, base cube.Config, seed *store.Seed) (*store.Plan, error) {
 	ids, err := query.Resolve(e.st, q)
 	if err != nil {
 		return nil, err
@@ -599,14 +604,22 @@ func (e *Engine) buildPlan(q Query, base cube.Config) (*store.Plan, error) {
 	if len(ids) == 0 {
 		return nil, ErrNoItems
 	}
-	tuples := e.st.TuplesForItemsAt(ids, q.Window, q.Epoch)
+	var tuples []cube.Tuple
+	var added []int32
+	if seed != nil {
+		tuples, added = e.st.SuccessorTuplesAt(ids, q.Window, q.Epoch, seed)
+	} else {
+		tuples = e.st.TuplesForItemsAt(ids, q.Window, q.Epoch)
+	}
 	if len(tuples) == 0 {
 		return nil, ErrNoRatings
 	}
-	p := &store.Plan{
-		ItemIDs: ids,
-		Tuples:  tuples,
-		Cube:    cube.Build(tuples, AdaptCubeConfig(base, len(tuples))),
+	cfg := AdaptCubeConfig(base, len(tuples))
+	p := &store.Plan{ItemIDs: ids, Tuples: tuples}
+	if seed != nil {
+		p.Cube = cube.Extend(seed.Cube, tuples, added, cfg)
+	} else {
+		p.Cube = cube.Build(tuples, cfg)
 	}
 	for i := range tuples {
 		p.Overall.Add(tuples[i].Score)
@@ -630,13 +643,14 @@ func (e *Engine) planFor(ctx context.Context, q Query, base cube.Config) (*store
 func (e *Engine) planForKey(ctx context.Context, q Query, base cube.Config, key string) (*store.Plan, error) {
 	pc := e.st.Plans()
 	if pc == nil {
-		return e.buildPlan(q, base)
+		return e.buildPlan(q, base, nil)
 	}
 	// The key is epoch-free (Query.String() excludes Epoch); the tier
-	// holds one entry per key, valid from its build epoch on, and an
-	// append drops only the plans whose item sets the batch touched.
-	return pc.GetOrBuildAt(ctx, key, q.Epoch, func() (*store.Plan, error) {
-		return e.buildPlan(q, base)
+	// holds one entry per key, valid from its build epoch on. An append
+	// supersedes only the plans whose item sets the batch touched, and
+	// each leaves a seed its key's next latest-epoch build extends.
+	return pc.GetOrBuildAt(ctx, key, q.Epoch, func(seed *store.Seed) (*store.Plan, error) {
+		return e.buildPlan(q, base, seed)
 	})
 }
 
@@ -782,14 +796,15 @@ func groupResult(g *cube.Group, total int) GroupResult {
 // The epoch enters as v=, the version of the plan the result is mined
 // from: the build epoch lo of the plan tier's entry when it covers the
 // request's epoch, or the epoch itself when it does not (tier disabled,
-// plan over budget, evicted or dropped, or a read pinned before lo). A
-// plan is a pure function of (plan key, epoch), and an append drops
-// every plan its batch intersects before publishing the new epoch, so
+// plan over budget, evicted or superseded, or a read pinned before lo).
+// A plan is a pure function of (plan key, epoch), and an append
+// supersedes every plan its batch intersects before publishing the new
+// epoch (the tier keeps only a seed, which VersionAt never reports), so
 // every epoch from lo through the current one sees the same plan and the
 // result mined for v=lo answers all of them. An append therefore
-// invalidates a result exactly when it drops the result's plan; keys
-// never need invalidating, and a dropped plan's results stay valid for
-// reads pinned at its build epoch.
+// invalidates a result exactly when it supersedes the result's plan;
+// keys never need invalidating, and a superseded plan's results stay
+// valid for reads pinned at its build epoch.
 func (e *Engine) cacheKey(req ExplainRequest, planKey string) string {
 	version := req.Query.Epoch
 	if pc := e.st.Plans(); pc != nil {
@@ -852,7 +867,7 @@ func memoKey(op string, k Key, args ...int) string {
 // result's body cell, so the body encoded for the first answer serves
 // every later hit. The plan is the view of the data the result depends
 // on, so the key carries only the op and its arguments, and an append
-// that drops the plan drops its memo with it.
+// that supersedes the plan drops its memo with it.
 // Memoization is on exactly when the result cache is (CacheSize > 0), and
 // only on plans the tier holds (Plan.SetMemo ignores others). Errors are
 // never stored. Two concurrent identical misses may both compute; results

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -387,5 +388,105 @@ func TestBrowseMatchesRebuildOracle(t *testing.T) {
 	}
 	if !slices.ContainsFunc(prev, func(r StateOverview) bool { return r.State == touched[0] }) {
 		t.Fatalf("state %s is not a row after its batch", touched[0])
+	}
+}
+
+// requireSamePlan fails unless got, a plan the tier built, equals want,
+// a plan built from scratch: item IDs, tuples, overall aggregate, and a
+// deep-equal cube (groups with keys, aggs and members, key index and
+// config). Neither cube may have built its coverage bitsets yet.
+func requireSamePlan(t *testing.T, what string, got, want *store.Plan) {
+	t.Helper()
+	if !slices.Equal(got.ItemIDs, want.ItemIDs) || !slices.Equal(got.Tuples, want.Tuples) || got.Overall != want.Overall {
+		t.Fatalf("%s: plan differs from a fresh build in items, tuples or overall (%d tuples, fresh %d)", what, len(got.Tuples), len(want.Tuples))
+	}
+	if !reflect.DeepEqual(got.Cube, want.Cube) {
+		t.Fatalf("%s: cube differs from a fresh build (%v, fresh %v)", what, got.Cube, want.Cube)
+	}
+}
+
+// TestSuccessorPlansMatchFreshBuild is the successor-plan leg of the
+// differential test: a random append sequence, each batch touching the
+// items of a random subset of the queries, at timestamps before, inside
+// and after the log, from random reviewers. After every batch, each touched query's plan — the
+// tier builds it from the seed its superseded plan left — must equal the
+// plan an engine with the plan tier off builds from scratch, and its
+// explain, group, refine and drill answers must equal that engine's.
+// The framework query takes Extend's fallback to a full build.
+func TestSuccessorPlansMatchFreshBuild(t *testing.T) {
+	ds := ingestDataset(t)
+	e := ingestEngine(t, nil)
+	ref := ingestEngine(t, coldOptions())
+	queries := oracleQueries(t, e)
+	fw := mustQuery(t, e, `actor:"Tom Hanks"`)
+	fw.Framework = true
+	queries = append(queries, fw)
+	items := make([][]int, len(queries))
+	keys := make([]Key, len(queries))
+	for i, q := range queries {
+		ex, _ := oracleRead(t, e, ref, q)
+		items[i] = ex.ItemIDs
+		keys[i] = ex.Result(SimilarityMining).Groups[0].Key
+	}
+
+	rnd := rand.New(rand.NewSource(7))
+	lo, _ := e.TimeRange()
+	for step := 0; step < 12; step++ {
+		_, maxUnix := e.TimeRange()
+		var batch []model.Rating
+		touched := map[int]bool{}
+		for qi := range queries {
+			if rnd.Intn(2) != 0 {
+				continue
+			}
+			touched[qi] = true
+			for n := 0; n < 1+rnd.Intn(3); n++ {
+				batch = append(batch, model.Rating{
+					UserID: int32(ds.Users[rnd.Intn(len(ds.Users))].ID),
+					ItemID: items[qi][rnd.Intn(len(items[qi]))],
+					Score:  int8(1 + rnd.Intn(5)),
+					Unix:   []int64{lo - 1, lo + rnd.Int63n(maxUnix-lo), maxUnix + 1}[rnd.Intn(3)],
+				})
+			}
+		}
+		if len(batch) == 0 {
+			continue
+		}
+		for _, m := range []*Engine{e, ref} {
+			if _, err := m.AppendRatings(t.Context(), batch); err != nil {
+				t.Fatalf("append %d: %v", step, err)
+			}
+		}
+		for qi, q := range queries {
+			// A query another touched query's batch ratings landed in is
+			// touched too: the actor and genre queries share movies.
+			for _, r := range batch {
+				touched[qi] = touched[qi] || slices.Contains(items[qi], r.ItemID)
+			}
+			if !touched[qi] {
+				continue
+			}
+			q.Epoch = e.CurrentEpoch()
+			base := e.cubeConfig(q, nil)
+			before := e.PlanStats().Extended
+			got, err := e.planFor(t.Context(), q, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.PlanStats().Extended != before+1 {
+				t.Fatalf("step %d, %s: the rebuild was not seeded by the superseded plan", step, q)
+			}
+			want, err := ref.buildPlan(q, base, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSamePlan(t, fmt.Sprintf("step %d, %s", step, q), got, want)
+			q.Epoch = 0
+			oracleRead(t, e, ref, q)
+			oracleOps(t, e, ref, q, keys[qi], rnd)
+		}
+	}
+	if st := e.PlanStats(); st.Extended == 0 || st.Extended > st.Builds {
+		t.Fatalf("extended %d of %d builds", st.Extended, st.Builds)
 	}
 }
