@@ -194,6 +194,36 @@ func BenchmarkE5_CachingAblation(b *testing.B) {
 	})
 }
 
+// BenchmarkMinePlan times the mining stage of an explain miss: MinePlan
+// over a warm plan (an actor's R_I, about 4k tuples and 540 groups at
+// small scale), SM and DM with the default settings. The plan and its
+// coverage bitsets are built before the timer starts, as they are for a
+// re-mine on a plan the tier holds.
+func BenchmarkMinePlan(b *testing.B) {
+	e := benchEngine(b)
+	q, err := e.pinQuery(benchQuery(b, e, `actor:"Tom Hanks"`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := e.planFor(b.Context(), q, e.cubeConfig(q, nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := ExplainRequest{Query: q}
+	if _, err := MinePlan(b.Context(), p, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinePlan(b.Context(), p, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(p.Tuples)), "tuples")
+	b.ReportMetric(float64(p.Cube.Len()), "groups")
+}
+
 // benchProblem builds one solver instance outside the timed loop.
 func benchProblem(b *testing.B, e *Engine, qs string, task Task) *core.Problem {
 	b.Helper()

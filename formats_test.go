@@ -239,6 +239,9 @@ func TestMemoryStats(t *testing.T) {
 	if m.HeapObjectsBytes < uint64(m.BaseLogBytes) {
 		t.Errorf("heap objects %d bytes, fewer than the %d-byte base log on the heap", m.HeapObjectsBytes, m.BaseLogBytes)
 	}
+	if m.HeapGoalBytes == 0 {
+		t.Error("no heap goal reported")
+	}
 	if _, err := e.EnableIngest(filepath.Join(t.TempDir(), "m.wal")); err != nil {
 		t.Fatal(err)
 	}

@@ -175,6 +175,26 @@ func BenchmarkMine(b *testing.B) {
 	b.ReportMetric(float64(c.Len()), "groups")
 }
 
+// BenchmarkNewProblem times the per-solve setup alone on the same
+// plan-shaped cube as BenchmarkMine (about 5.6k tuples and 650 groups):
+// the candidate filter, the per-group statistics and, for DM, the head of
+// the extreme order.
+func BenchmarkNewProblem(b *testing.B) {
+	c := cube.Build(planTuples(5_600, 42), cube.DefaultConfig())
+	c.MemberBits()
+	for _, task := range []Task{SimilarityMining, DiversityMining} {
+		b.Run(task.String(), func(b *testing.B) {
+			s := DefaultSettings()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewProblem(task, c, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSolveGreedy(b *testing.B) {
 	p := benchInstance(b, SimilarityMining)
 	b.ReportAllocs()

@@ -3,7 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -502,30 +505,83 @@ func TestTaskString(t *testing.T) {
 	}
 }
 
+// TestByExtremeOrdering pins DM's extreme order to a full sort: the
+// head NewProblem keeps must be the first min(len(cands),
+// 2·rheSampleSize/3 + K) entries of the candidates sorted by deviation
+// descending, then index ascending, on instances with many tied
+// deviations and far more candidates than the head. A solve over the
+// head must also equal a solve over the whole order. The reference
+// engine shares sampleCandidates, so TestSolversMatchReferenceEngine
+// cannot catch a wrong head.
 func TestByExtremeOrdering(t *testing.T) {
-	tuples := polarizedTuples(700, 31)
-	c := buildCube(t, tuples, cube.Config{RequireState: false, MinSupport: 10, MaxAVPairs: 2})
-	s := DefaultSettings()
-	s.Coverage = 0.05
-	p := newProblem(t, DiversityMining, c, s)
-	if len(p.byExtreme) != len(p.cands) {
-		t.Fatalf("byExtreme has %d entries, cands %d", len(p.byExtreme), len(p.cands))
+	fixtures := []struct {
+		name   string
+		tuples []cube.Tuple
+		cfg    cube.Config
+	}{
+		{"polarized", polarizedTuples(1500, 31), cube.Config{RequireState: false, MinSupport: 4, MaxAVPairs: 3}},
+		{"cities", cityMiningTuples(3000, 33), cube.Config{RequireState: true, MinSupport: 5, MaxAVPairs: 3}},
 	}
-	var overall cube.Agg
-	for i := range tuples {
-		overall.Add(tuples[i].Score)
+	for _, fx := range fixtures {
+		c := buildCube(t, fx.tuples, fx.cfg)
+		var overall cube.Agg
+		for i := range fx.tuples {
+			overall.Add(fx.tuples[i].Score)
+		}
+		dev := func(gi int) float64 { return math.Abs(c.Groups[gi].Mean() - overall.Mean()) }
+		for _, k := range []int{2, 3, 6} {
+			s := DefaultSettings()
+			s.K, s.Coverage, s.Restarts = k, 0.05, 4
+			p := newProblem(t, DiversityMining, c, s)
+			full := p.Candidates() // index ascending; the stable sort keeps that on ties
+			sort.SliceStable(full, func(a, b int) bool { return dev(full[a]) > dev(full[b]) })
+			h := min(len(full), 2*rheSampleSize/3+k)
+			if len(full) < 3*h {
+				t.Fatalf("%s K %d: %d candidates, want well above the %d-entry head", fx.name, k, len(full), h)
+			}
+			ties := 0
+			for i := 1; i < 2*h; i++ {
+				if dev(full[i]) == dev(full[i-1]) {
+					ties++
+				}
+			}
+			if ties == 0 {
+				t.Fatalf("%s K %d: no tied deviations near the head", fx.name, k)
+			}
+			if !slices.Equal(p.byExtreme, full[:h]) {
+				t.Fatalf("%s K %d: head %v, want the full order's first %d %v", fx.name, k, p.byExtreme, h, full[:h])
+			}
+			head := solve(t, p)
+			p.byExtreme = full
+			if whole := solve(t, p); !reflect.DeepEqual(head, whole) {
+				t.Fatalf("%s K %d: solve over the head %+v, over the full order %+v", fx.name, k, head, whole)
+			}
+		}
 	}
-	mean := overall.Mean()
-	for i := 1; i < len(p.byExtreme); i++ {
-		prev := math.Abs(c.Groups[p.byExtreme[i-1]].Mean() - mean)
-		cur := math.Abs(c.Groups[p.byExtreme[i]].Mean() - mean)
-		if cur > prev+1e-12 {
-			t.Fatalf("byExtreme not sorted at %d: %f then %f", i, prev, cur)
+	// selectHead alone, on runs of few distinct deviations long enough
+	// to take the partition path, against every head length.
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 200; n += 1 + n/4 {
+		ext := make([]extreme, n)
+		for i := range ext {
+			ext[i] = extreme{float64(rng.Intn(4)), rng.Intn(n)}
+		}
+		want := slices.Clone(ext)
+		sort.SliceStable(want, func(a, b int) bool {
+			return want[a].dev > want[b].dev || want[a].dev == want[b].dev && want[a].gi < want[b].gi
+		})
+		for h := 0; h <= n; h++ {
+			got := slices.Clone(ext)
+			selectHead(got, h)
+			slices.SortFunc(got[:h], cmpExtreme)
+			if !slices.Equal(got[:h], want[:h]) {
+				t.Fatalf("n %d h %d: head %v, want %v", n, h, got[:h], want[:h])
+			}
 		}
 	}
 	// SM problems skip the extra ordering work.
-	pSM := newProblem(t, SimilarityMining, c, s)
-	if pSM.byExtreme != nil {
+	c := buildCube(t, polarizedTuples(700, 31), cube.Config{RequireState: false, MinSupport: 10, MaxAVPairs: 2})
+	if pSM := newProblem(t, SimilarityMining, c, DefaultSettings()); pSM.byExtreme != nil {
 		t.Error("SM problem built byExtreme needlessly")
 	}
 }

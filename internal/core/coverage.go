@@ -17,7 +17,7 @@ import "repro/internal/cube"
 // also keeps every solver's output byte-identical across engines.
 //
 // The production solver also skips work whose outcome is already
-// decided, using three invariants. Each is exact, so every chosen move,
+// decided, using the invariants below. Each is exact, so every chosen move,
 // evaluation count and Solution matches the unpruned reference scans:
 //
 //   - A group's marginal coverage never exceeds its support. The repair
@@ -27,19 +27,38 @@ import "repro/internal/cube"
 //     maximum holds in any group order, not only cube.Build's
 //     support-sorted one.
 //   - A neighbourhood trial is chosen only if it is both feasible and
-//     improving, so bestSampledMove may test the cheap objective first
-//     and compute coverage only for an improving trial. A swap or add
-//     whose other groups plus the candidate's whole support fall short
-//     of the required count is infeasible without a popcount.
+//     improving, so bestSampledMove may run the tests in any order,
+//     cheapest first. A swap or add whose other groups plus the
+//     candidate's whole support fall short of the required count (a drop
+//     whose other groups do) is infeasible without a popcount or an
+//     objective, so that bound runs first; the objective runs next, and
+//     the exact coverage only for an improving trial.
+//   - A restart draws a fresh neighbourhood after one that moved nothing,
+//     with the same selection and objective. The support and extreme
+//     heads of its sample depend only on the selection, so their trials
+//     and the drops are the ones just refused; the bar to beat only falls
+//     below the objective, so they are refused again. bestSampledMove
+//     counts them and scores only the uniform draws.
 //   - The objective reads per-group n, n·σ and μ precomputed by
 //     NewProblem and sums them in the original order, so it yields the
 //     same floats as computing them from each group's aggregate.
-//   - A swap trial keeps the selection's admissible size and, because
-//     sampleCandidates stamps the selection out of the sample, has no
-//     duplicate, so bestSampledMove skips both checks for swaps. It
-//     scores a swap through the per-position evaluator (swapEval), which
-//     replays Objective's left-to-right sums term for term, so its
-//     floats equal Objective's bit for bit.
+//   - No neighbourhood trial can break the size bound or hold a
+//     duplicate: the selection is admissible and duplicate-free, a swap
+//     keeps its size, a drop happens only above the minimum and an add
+//     only below K, and sampleCandidates stamps the selection out of a
+//     duplicate-free sample. So bestSampledMove runs neither check.
+//   - Swaps and adds are scored by the swap evaluator (swapEval; an add
+//     is a swap at position len(sel)), which replays Objective's
+//     left-to-right sums term for term, so its floats equal Objective's
+//     bit for bit. Its DM pair terms come from one table per
+//     neighbourhood, pairTerm of each (selected group, sampled
+//     candidate) pair, which every position's trials share: pairTerm is
+//     symmetric bit for bit, so the stored term serves either order.
+//   - sampleCandidates reads at most 2·rheSampleSize/3 + K entries of
+//     the DM extreme order (it skips only selected groups and ones it
+//     already took), so NewProblem selects that head with a linear-time
+//     partition and sorts only the head, under the same total order as
+//     a full sort, which it equals entry for entry.
 
 // orGroup ORs group gi's member set into a bitset: word-wise for dense
 // groups, by setting each member's bit for sparse ones (their list is

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cube"
+	"repro/internal/rng"
 )
 
 // cityMiningTuples plants per-city structure inside a couple of states so
@@ -254,11 +255,12 @@ func TestObjectiveMatchesDirectFormula(t *testing.T) {
 	}
 }
 
-// TestSwapObjectiveMatchesObjective pins the per-position swap evaluator
-// of bestSampledMove: for every position of a selection and every
-// candidate, it must score the swapped selection exactly as Objective
-// does, bit for bit. Half the selections are grown from one group's
-// siblings so that the DM sibling weight takes part.
+// TestSwapObjectiveMatchesObjective pins the swap evaluator of
+// bestSampledMove: with its pair-term table filled for a neighbourhood,
+// for every position of a selection, and for the add position past its
+// end, it must score each trial exactly as Objective does, bit for bit.
+// Half the selections are grown from one group's siblings so that the
+// DM sibling weight takes part.
 func TestSwapObjectiveMatchesObjective(t *testing.T) {
 	c := buildCube(t, polarizedTuples(900, 41), cube.Config{RequireState: false, MinSupport: 4, MaxAVPairs: 2, SkipApex: true})
 	rng := rand.New(rand.NewSource(47))
@@ -268,32 +270,96 @@ func TestSwapObjectiveMatchesObjective(t *testing.T) {
 				s := DefaultSettings()
 				s.Coverage, s.K, s.SiblingBoost = 0, k, boost
 				p := newProblem(t, task, c, s)
-				siblingPairs := 0
+				siblingPairs, adds := 0, 0
 				for round := 0; round < 12; round++ {
 					sel := randomSelection(rng, p, p.minGroups()+rng.Intn(k-p.minGroups()+1), round%2 == 0)
-					trial := clone(sel)
-					for pos := range sel {
+					var sample []int // every other candidate, as sampleCandidates excludes the selection
+					for _, gi := range p.cands {
+						if !slices.Contains(sel, gi) {
+							sample = append(sample, gi)
+						}
+					}
+					p.swap.table(p, sel, sample)
+					for pos := 0; pos <= len(sel); pos++ {
+						trial := append(clone(sel), 0)[:max(len(sel), pos+1)]
 						p.swap.reset(p, sel, pos)
-						for _, cand := range p.cands {
+						for si, cand := range sample {
 							trial[pos] = cand
 							for _, gi := range trial {
 								if _, ok := c.Groups[gi].Key.SiblingOf(c.Groups[cand].Key); ok {
 									siblingPairs++
 								}
 							}
-							got, want := p.swap.objective(p, cand), p.Objective(trial)
+							got, want := p.swap.objective(p, si), p.Objective(trial)
 							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("%v boost %v K %d: swap %v[%d]=%d: evaluator %v, Objective %v",
-									task, boost, k, sel, pos, cand, got, want)
+								t.Fatalf("%v boost %v K %d: trial %v at %d of %v: evaluator %v, Objective %v",
+									task, boost, k, trial, pos, sel, got, want)
 							}
 						}
-						trial[pos] = sel[pos]
+						if pos == len(sel) {
+							adds += len(sample)
+						}
 					}
 				}
-				if siblingPairs == 0 {
-					t.Fatalf("%v boost %v K %d: no trial held a sibling pair", task, boost, k)
+				if siblingPairs == 0 || adds == 0 {
+					t.Fatalf("%v boost %v K %d: %d trials held a sibling pair, %d were adds", task, boost, k, siblingPairs, adds)
 				}
 			}
+		}
+	}
+}
+
+// TestRefusedNeighbourhoodIsNotRescored pins bestSampledMove's again
+// flag: after a step that moved nothing, the next step around the same
+// selection must pick the same move and count the same evaluations
+// whether or not it skips the trials of its sample's heads and its drops.
+// Each step draws from its own generator, so it can be replayed both
+// ways. The reference engine checks whole solves; this checks each step.
+func TestRefusedNeighbourhoodIsNotRescored(t *testing.T) {
+	c := buildCube(t, cityMiningTuples(3000, 61), cube.Config{RequireState: true, MinSupport: 5, MaxAVPairs: 3})
+	for _, task := range []Task{SimilarityMining, DiversityMining} {
+		moved := 0 // steps after a refused one that moved
+		for _, k := range []int{2, 3, 5} {
+			s := DefaultSettings()
+			s.K, s.Coverage = k, 0.1
+			p := newProblem(t, task, c, s)
+			again := 0
+			for r := int64(0); r < 40; r++ {
+				sel, ok := p.randomFeasibleInit(rng.Sub(3, r))
+				if !ok {
+					continue
+				}
+				obj, _, _ := p.Evaluate(sel)
+				for iter, misses := int64(0), 0; iter < rheMaxIters && misses < rhePatience; iter++ {
+					step := func(skip bool) ([]int, float64, int, bool) {
+						next, o, evals, ok := p.bestSampledMove(rng.Sub(4, r*rheMaxIters+iter), sel, obj, skip)
+						return clone(next), o, evals, ok
+					}
+					next, o, evals, ok := step(false)
+					if misses > 0 {
+						again++
+						skipNext, skipObj, skipEvals, skipOK := step(true)
+						if !slices.Equal(skipNext, next) || math.Float64bits(skipObj) != math.Float64bits(o) || skipEvals != evals || skipOK != ok {
+							t.Fatalf("%v K %d restart %d step %d around %v: skipping the heads chose %v (%v, %d evals, moved %v), scoring them %v (%v, %d evals, moved %v)",
+								task, k, r, iter, sel, skipNext, skipObj, skipEvals, skipOK, next, o, evals, ok)
+						}
+						if ok {
+							moved++
+						}
+					}
+					if !ok {
+						misses++
+						continue
+					}
+					misses, sel, obj = 0, next, o
+				}
+			}
+			if again == 0 {
+				t.Fatalf("%v K %d: no step followed a refused one", task, k)
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("%v: no step after a refused one moved", task)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -116,8 +117,10 @@ type Problem struct {
 	Settings Settings
 
 	cands []int // indices into Cube.Groups passing the profile filter
-	// byExtreme re-orders cands by |group mean − overall mean| descending;
-	// the DM neighbourhood samples its head (see sampleCandidates).
+	// byExtreme is the head of cands ordered by |group mean − overall
+	// mean| descending, then index ascending (DM only): the first
+	// min(len(cands), extremeHeadLen(K)) entries of that order, all that
+	// the DM neighbourhood reads of it (see sampleCandidates).
 	byExtreme []int
 
 	total int // |R_I|
@@ -184,6 +187,7 @@ func NewProblem(task Task, c *cube.Cube, s Settings) (*Problem, error) {
 		cover:    make([]uint64, words),
 		base:     make([]uint64, words),
 	}
+	p.cands = make([]int, 0, len(c.Groups))
 	for i := range c.Groups {
 		if compatible(c.Groups[i].Key, s.Profile) {
 			p.cands = append(p.cands, i)
@@ -207,28 +211,7 @@ func NewProblem(task Task, c *cube.Cube, s Settings) (*Problem, error) {
 		return nil, fmt.Errorf("core: DM needs K ≥ 2, got %d", s.K)
 	}
 	if task == DiversityMining {
-		var overall cube.Agg
-		for i := range c.Tuples {
-			overall.Add(c.Tuples[i].Score)
-		}
-		mean := overall.Mean()
-		type extreme struct {
-			dev float64
-			gi  int
-		}
-		ext := make([]extreme, len(p.cands))
-		for i, gi := range p.cands {
-			ext[i] = extreme{math.Abs(c.Groups[gi].Mean() - mean), gi}
-		}
-		// Deviation descending, then index ascending: a total order, so
-		// the result does not depend on the sort algorithm.
-		slices.SortFunc(ext, func(a, b extreme) int {
-			return cmp.Or(cmp.Compare(b.dev, a.dev), cmp.Compare(a.gi, b.gi))
-		})
-		p.byExtreme = make([]int, len(ext))
-		for i, e := range ext {
-			p.byExtreme[i] = e.gi
-		}
+		p.byExtreme = extremeHead(c, p.cands, min(len(p.cands), extremeHeadLen(s.K)))
 	}
 	// Optimistic feasibility bound: the K largest candidates, ignoring
 	// overlap, must reach the threshold … otherwise nothing can.
@@ -236,6 +219,98 @@ func NewProblem(task Task, c *cube.Cube, s Settings) (*Problem, error) {
 		return nil, ErrInfeasible
 	}
 	return p, nil
+}
+
+// extremeHeadLen is how many entries of the extreme order
+// sampleCandidates can read: it takes up to 2·rheSampleSize/3 entries in
+// all, and it skips only the selected groups (at most K) and the ones it
+// already took from the support head, which count toward that total.
+func extremeHeadLen(k int) int { return 2*rheSampleSize/3 + k }
+
+// extreme is a candidate's place in the extreme order: its group index
+// and |group mean − overall mean|.
+type extreme struct {
+	dev float64
+	gi  int
+}
+
+// cmpExtreme orders deviation descending, then index ascending: a total
+// order, so the head it selects does not depend on the algorithm.
+func cmpExtreme(a, b extreme) int {
+	return cmp.Or(cmp.Compare(b.dev, a.dev), cmp.Compare(a.gi, b.gi))
+}
+
+// extremeHead returns the first h candidates of the extreme order. It
+// selects them with a linear-time partition and sorts only them, so it
+// costs O(len(cands) + h·log h) instead of a full sort; the head equals
+// the full sort's first h entries (TestByExtremeOrdering).
+func extremeHead(c *cube.Cube, cands []int, h int) []int {
+	// The overall mean as cube.Agg computes it, without its other sums.
+	var sum int64
+	for i := range c.Tuples {
+		sum += int64(c.Tuples[i].Score)
+	}
+	mean := cube.Agg{Count: len(c.Tuples), Sum: sum}.Mean()
+	ext := make([]extreme, len(cands))
+	for i, gi := range cands {
+		ext[i] = extreme{math.Abs(c.Groups[gi].Mean() - mean), gi}
+	}
+	selectHead(ext, h)
+	head := ext[:h]
+	slices.SortFunc(head, cmpExtreme)
+	out := make([]int, h)
+	for i, e := range head {
+		out[i] = e.gi
+	}
+	return out
+}
+
+// selectHead reorders ext so that its first h entries are its h least
+// under cmpExtreme, in no particular order: quickselect with a
+// median-of-three pivot, which sorts a short range outright and falls
+// back to sorting the range left after 2·log2(len) rounds, so its worst
+// case is O(n log n).
+func selectHead(ext []extreme, h int) {
+	if h >= len(ext) {
+		return
+	}
+	lo, hi := 0, len(ext)
+	for rounds := 2 * bits.Len(uint(len(ext))); hi-lo > 16 && rounds > 0; rounds-- {
+		// Order ext[lo], ext[mid], ext[hi-1] and pivot on the middle one,
+		// parked at hi-1 while the range is partitioned.
+		mid := int(uint(lo+hi) >> 1)
+		if cmpExtreme(ext[mid], ext[lo]) < 0 {
+			ext[mid], ext[lo] = ext[lo], ext[mid]
+		}
+		if cmpExtreme(ext[hi-1], ext[mid]) < 0 {
+			ext[hi-1], ext[mid] = ext[mid], ext[hi-1]
+			if cmpExtreme(ext[mid], ext[lo]) < 0 {
+				ext[mid], ext[lo] = ext[lo], ext[mid]
+			}
+		}
+		ext[mid], ext[hi-1] = ext[hi-1], ext[mid]
+		pivot, store := ext[hi-1], lo
+		for i := lo; i < hi-1; i++ {
+			if cmpExtreme(ext[i], pivot) < 0 {
+				ext[i], ext[store] = ext[store], ext[i]
+				store++
+			}
+		}
+		ext[store], ext[hi-1] = ext[hi-1], ext[store]
+		// ext[store] now holds rank store: all less before it, all
+		// greater after it (the order is total).
+		switch {
+		case store < h:
+			lo = store + 1
+		case store > h:
+			hi = store
+		default:
+			return
+		}
+	}
+	if lo < h {
+		slices.SortFunc(ext[lo:hi], cmpExtreme)
+	}
 }
 
 // topSupportSum returns the summed support of the k largest candidates.
@@ -344,51 +419,78 @@ func (p *Problem) pairGap(sel []int) float64 {
 	var num float64
 	pairs := 0
 	for i := 0; i < len(sel); i++ {
-		gi := &p.Cube.Groups[sel[i]]
 		for j := i + 1; j < len(sel); j++ {
-			num += p.pairTerm(gi.Key, p.Cube.Groups[sel[j]].Key, p.stats[sel[i]].mean, p.stats[sel[j]].mean)
+			num += p.pairTerm(sel[i], sel[j])
 			pairs++
 		}
 	}
 	return num / float64(pairs)
 }
 
-// pairTerm is one pair's pairGap term, w(g,g')·|μ−μ'|. The conversion
-// rounds the product on its own, so no compiler may fuse it into the
-// caller's sum: the swap evaluator stores terms and sums them later, and
-// must get the same floats as pairGap's running sum.
-func (p *Problem) pairTerm(a, b cube.Key, ma, mb float64) float64 {
+// pairTerm is one pair's pairGap term, w(g,g')·|μ−μ'|, for groups a and b
+// of Cube.Groups. It is symmetric bit for bit: SiblingOf is symmetric and
+// |x−y| equals |y−x| in IEEE arithmetic, so the swap evaluator may store
+// a term under either order. The conversion rounds the product on its
+// own, so no compiler may fuse it into the caller's sum: the swap
+// evaluator stores terms and sums them later, and must get the same
+// floats as pairGap's running sum.
+func (p *Problem) pairTerm(a, b int) float64 {
 	w := 1.0
-	if _, ok := a.SiblingOf(b); ok {
+	if _, ok := p.Cube.Groups[a].Key.SiblingOf(p.Cube.Groups[b].Key); ok {
 		w = p.Settings.SiblingBoost
 	}
-	return float64(w * math.Abs(ma-mb))
+	return float64(w * math.Abs(p.stats[a].mean-p.stats[b].mean))
 }
 
-// swapEval scores the swap trials of one selection position: the
-// selection with only position pos replaced by a candidate. It reads the
-// fixed groups' figures once per position (reset) and then costs each
-// candidate only its own terms (objective). Objective sums left to right,
-// and float addition does not associate, so the evaluator replays that
-// order exactly, term by term; only the smError sums over the positions
-// before pos are taken once. The result equals Objective of the trial
-// bit for bit (TestSwapObjectiveMatchesObjective).
+// swapEval scores the swap and add trials of one sampled neighbourhood:
+// the selection with position pos replaced by a sampled candidate, or,
+// at pos == len(sel), extended by one. table runs once per neighbourhood,
+// given the sampled candidates to be scored, and, for DM, fills the pair
+// term of every (selected group, candidate) pair, which every position's
+// trials then share; reset reads
+// the fixed groups' figures once per position; objective costs each
+// candidate only its own n and n·σ plus table reads instead of a full
+// Objective. Objective sums left to right, and float addition does not
+// associate, so the evaluator replays that order exactly, term by term;
+// only the smError sums over the positions before pos are taken once.
+// The result equals Objective of the trial bit for bit
+// (TestSwapObjectiveMatchesObjective).
 type swapEval struct {
-	pos int
+	pos    int
+	sample []int
+	width  int // len(sel), the pair-term table's row width
 	// smError: the n·σ and n sums over the positions before pos, and the
 	// terms after it in order.
 	numPre, denPre float64
 	numSuf, denSuf []float64
-	// pairGap (DM only): each position's key and mean, and every pair
-	// term in pairGap's order; those involving pos are filled per
+	// pairGap (DM only): pt[s*len(sel)+i] is the pair term of selected
+	// position i and sample entry s; terms holds every pair term of the
+	// trial in pairGap's order, those involving pos copied from pt per
 	// candidate, at slots[i] for the pair of positions i and pos.
-	keys  []cube.Key
-	means []float64
+	pt    []float64
 	terms []float64
 	slots []int
 }
 
-// reset prepares the evaluator for the swaps of sel's position pos.
+// table prepares the evaluator for the neighbourhood of sel drawn as
+// sample: for DM it fills the pair-term table.
+func (e *swapEval) table(p *Problem, sel, sample []int) {
+	e.sample, e.width = sample, len(sel)
+	if p.Task != DiversityMining {
+		return
+	}
+	n := len(sel) * len(sample)
+	e.pt = slices.Grow(e.pt[:0], n)[:n]
+	for s, cand := range sample {
+		row := e.pt[s*e.width : (s+1)*e.width]
+		for i, gi := range sel {
+			row[i] = p.pairTerm(gi, cand)
+		}
+	}
+}
+
+// reset prepares the evaluator for the trials of sel's position pos: the
+// swaps of pos < len(sel), or the adds of pos == len(sel).
 func (e *swapEval) reset(p *Problem, sel []int, pos int) {
 	e.pos = pos
 	e.numPre, e.denPre = 0, 0
@@ -407,12 +509,7 @@ func (e *swapEval) reset(p *Problem, sel []int, pos int) {
 	if p.Task != DiversityMining {
 		return
 	}
-	k := len(sel)
-	e.keys, e.means = e.keys[:0], e.means[:0]
-	for _, gi := range sel {
-		e.keys = append(e.keys, p.Cube.Groups[gi].Key)
-		e.means = append(e.means, p.stats[gi].mean)
-	}
+	k := max(len(sel), pos+1) // the trial's size
 	e.slots = slices.Grow(e.slots[:0], k)[:k]
 	e.terms = e.terms[:0]
 	for i := 0; i < k; i++ {
@@ -424,17 +521,17 @@ func (e *swapEval) reset(p *Problem, sel []int, pos int) {
 			case j:
 				e.slots[i] = len(e.terms)
 			default:
-				t = p.pairTerm(e.keys[i], e.keys[j], e.means[i], e.means[j])
+				t = p.pairTerm(sel[i], sel[j])
 			}
 			e.terms = append(e.terms, t)
 		}
 	}
 }
 
-// objective returns Objective of the selection reset saw with position
-// pos replaced by cand.
-func (e *swapEval) objective(p *Problem, cand int) float64 {
-	st := &p.stats[cand]
+// objective returns Objective of the trial reset prepared with sample
+// entry s at position pos.
+func (e *swapEval) objective(p *Problem, s int) float64 {
+	st := &p.stats[e.sample[s]]
 	num, den := e.numPre+st.nSigma, e.denPre+st.n
 	for i, t := range e.numSuf {
 		num += t
@@ -447,13 +544,10 @@ func (e *swapEval) objective(p *Problem, cand int) float64 {
 	if p.Task != DiversityMining {
 		return sm
 	}
-	key := p.Cube.Groups[cand].Key
-	for i := range e.keys {
-		switch {
-		case i < e.pos:
-			e.terms[e.slots[i]] = p.pairTerm(e.keys[i], key, e.means[i], st.mean)
-		case i > e.pos:
-			e.terms[e.slots[i]] = p.pairTerm(key, e.keys[i], st.mean, e.means[i])
+	row := e.pt[s*e.width : (s+1)*e.width]
+	for i, slot := range e.slots {
+		if i != e.pos {
+			e.terms[slot] = row[i]
 		}
 	}
 	var gap float64

@@ -172,7 +172,7 @@ func (p *Problem) runRestart(ctx context.Context, r int) restartResult {
 		if ctx.Err() != nil {
 			return restartResult{}
 		}
-		newSel, newObj, e, moved := p.bestSampledMove(gen, sel, obj)
+		newSel, newObj, e, moved := p.bestSampledMove(gen, sel, obj, misses > 0)
 		evals += e
 		if !moved {
 			misses++
@@ -257,25 +257,37 @@ func (p *Problem) randomFeasibleInit(rng *rand.Rand) ([]int, bool) {
 // candidate — and returns the best feasible selection that improves on
 // curObj.
 //
-// Each trial is tested cheapest first: size and duplicates, then the
+// Each trial is tested cheapest first: a bound on its coverage (the
+// other groups' coverage plus the candidate's whole support), then its
 // objective against the best so far, and only for an improving trial its
-// coverage. Swap trials skip the size and duplicate tests, which they
-// cannot fail, and are scored by the per-position swap evaluator
-// (swapEval): for each position it reads the other groups' n, n·σ, μ,
-// keys and pair terms once, so a sampled candidate costs only its own
-// terms instead of a full Objective, with bit-identical floats. Drops
-// and adds call Objective.
+// exact coverage. No trial can fail the size or duplicate tests, so none
+// runs them: sel is admissible and duplicate-free, a swap keeps its
+// size, a drop happens only above the minimum and an add only below K,
+// and sampleCandidates stamps the selection out of a duplicate-free
+// sample. Swaps and adds are scored by the swap evaluator (swapEval; an
+// add is a swap at position len(sel)): it fills one table of (selected
+// group, sampled candidate) pair terms per neighbourhood and reads the
+// other groups' n and n·σ once per position, so a sampled candidate
+// costs only its own terms instead of a full Objective, with
+// bit-identical floats. Drops call Objective.
+//
+// again reports that the previous call saw this same sel and curObj and
+// moved nothing: it refused every trial. The part of the sample that
+// sampleCandidates takes from the support and extreme heads depends only
+// on sel, so it is the same, and so are its trials and the drops; each
+// was refused against curObj and would be refused again, because the bar
+// only falls below curObj. They are counted in evals and not scored.
 //
 // Coverage is evaluated incrementally: for each position, the
 // union bitset of the other selected groups is built once
 // (markSelection), and a sampled replacement then costs a single AND-NOT
-// popcount of the candidate's bitset against that base — skipped outright
-// when even the candidate's full support cannot lift the trial to the
-// required coverage. A trial wins only if it is both feasible and
-// improving, so the order of the tests cannot change the chosen move;
+// popcount of the candidate's bitset against that base. A trial whose
+// candidate's full support cannot lift it to the required coverage is
+// refused before it is scored. A trial wins only if it is both feasible
+// and improving, so the order of the tests cannot change the chosen move;
 // trials reuse one scratch selection, and the trial order, the evaluation
 // count and every number compared are identical to the reference scan.
-func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64) (newSel []int, obj float64, evals int, moved bool) {
+func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64, again bool) (newSel []int, obj float64, evals int, moved bool) {
 	if p.refCoverage {
 		return p.bestSampledMoveRef(rng, sel, curObj)
 	}
@@ -283,64 +295,75 @@ func (p *Problem) bestSampledMove(rng *rand.Rand, sel []int, curObj float64) (ne
 	var bestSel []int
 
 	required := p.required()
-	// admit keeps a trial scoring o if it improves and is feasible:
-	// covered is the coverage of the trial's other groups, cand the group
-	// whose marginal coverage against the marked base still has to be
-	// added (-1 when there is none). The trial slice is scratch and cloned
-	// only on improvement.
+	// reaches is the coverage bound a trial must pass before it is
+	// scored: covered is the coverage of the trial's other groups, cand
+	// the group whose support is added to it (-1 when there is none).
+	reaches := func(covered, cand int) bool {
+		if cand >= 0 {
+			covered += p.Cube.Groups[cand].Support()
+		}
+		return float64(covered) >= required
+	}
+	// admit keeps a trial that passed reaches and scores o if it improves
+	// and is feasible: cand's marginal coverage against the marked base
+	// is added to covered. The trial slice is scratch and cloned only on
+	// improvement.
 	admit := func(trial []int, o float64, covered, cand int) {
 		if !(o < bestObj-1e-12) {
 			return
 		}
 		if cand >= 0 {
-			if float64(covered+p.Cube.Groups[cand].Support()) < required {
+			covered += p.unmarkedCount(cand)
+			if float64(covered) < required {
 				return
 			}
-			covered += p.unmarkedCount(cand)
-		}
-		if float64(covered) < required {
-			return
 		}
 		bestObj, bestSel = o, clone(trial)
 	}
-	// consider scores a drop or add trial, which may break the size bound.
-	consider := func(trial []int, covered, cand int) {
-		evals++
-		if len(trial) < p.minGroups() || len(trial) > p.Settings.K || hasDup(trial) {
-			return
-		}
-		admit(trial, p.Objective(trial), covered, cand)
-	}
 
-	sample := p.sampleCandidates(rng, sel)
+	sample, fixed := p.sampleCandidates(rng, sel)
+	skipped := 0 // the leading sample entries whose trials are not scored
+	if again {
+		skipped = fixed
+	}
+	scored := sample[skipped:]
+	p.swap.table(p, sel, scored)
 	trial := append(p.trialBuf[:0], sel...)
 	for pos := range sel {
 		p.markSelection(sel, pos) // base = union of sel minus pos
 		others := p.baseCount()
-		// A swap keeps sel's admissible size, and sampleCandidates stamps
-		// the selection out of a duplicate-free sample, so no swap trial
-		// can fail the size or duplicate checks: swaps skip them.
 		p.swap.reset(p, sel, pos)
-		for _, cand := range sample {
+		evals += skipped
+		for s, cand := range scored {
 			evals++
-			trial[pos] = cand
-			admit(trial, p.swap.objective(p, cand), others, cand)
+			if reaches(others, cand) {
+				trial[pos] = cand
+				admit(trial, p.swap.objective(p, s), others, cand)
+			}
 		}
 		trial[pos] = sel[pos]
 		if len(sel) > p.minGroups() {
-			drop := append(p.dropBuf[:0], sel[:pos]...)
-			drop = append(drop, sel[pos+1:]...)
-			consider(drop, others, -1)
-			p.dropBuf = drop
+			evals++
+			if !again && reaches(others, -1) {
+				drop := append(p.dropBuf[:0], sel[:pos]...)
+				drop = append(drop, sel[pos+1:]...)
+				admit(drop, p.Objective(drop), others, -1)
+				p.dropBuf = drop
+			}
 		}
 	}
 	if len(sel) < p.Settings.K {
 		p.markSelection(sel, -1) // base = union of the whole selection
 		all := p.baseCount()
+		p.swap.reset(p, sel, len(sel)) // an add is a swap at the position past the end
 		grow := append(trial, 0)
-		for _, cand := range sample {
-			grow[len(grow)-1] = cand
-			consider(grow, all, cand)
+		evals += skipped
+		for s, cand := range scored {
+			evals++
+			if reaches(all, cand) {
+				grow[len(sel)] = cand
+				admit(grow, p.swap.objective(p, s), all, cand)
+			}
 		}
 		trial = grow[:len(sel)]
 	}
@@ -367,7 +390,7 @@ func (p *Problem) bestSampledMoveRef(rng *rand.Rand, sel []int, curObj float64) 
 		}
 	}
 
-	sample := p.sampleCandidates(rng, sel)
+	sample, _ := p.sampleCandidates(rng, sel)
 	for pos := range sel {
 		for _, cand := range sample {
 			trial := clone(sel)
@@ -403,8 +426,10 @@ func (p *Problem) bestSampledMoveRef(rng *rand.Rand, sel []int, curObj float64) 
 // generation: the selection is stamped up front, every drawn group as it
 // is taken.
 //
-// The returned slice is p's scratch, valid until the next call.
-func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) []int {
+// The returned slice is p's scratch, valid until the next call. Its first
+// fixed entries are the ones taken from the heads, a function of sel
+// alone; the rest are the uniform draws.
+func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) (sample []int, fixed int) {
 	gen := p.nextStamp()
 	for _, gi := range sel {
 		p.stamp[gi] = gen
@@ -426,6 +451,7 @@ func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) []int {
 	if p.Task == DiversityMining {
 		take(p.byExtreme, 2*n/3)
 	}
+	fixed = len(out)
 	for attempts := 0; len(out) < n && attempts < 4*n; attempts++ {
 		gi := p.cands[rng.Intn(len(p.cands))]
 		if p.stamp[gi] != gen {
@@ -433,7 +459,7 @@ func (p *Problem) sampleCandidates(rng *rand.Rand, sel []int) []int {
 			out = append(out, gi)
 		}
 	}
-	return out
+	return out, fixed
 }
 
 // nextStamp starts a new stamp generation: every group whose stamp does

@@ -403,7 +403,7 @@ func TestStatsEndpoint(t *testing.T) {
 	// The memory report is the engine's own, the runtime's heap figure
 	// aside.
 	want := srvEng.MemoryStats()
-	if got := resp.Memory; got.MemStats != want.MemStats || got.ItemIndexMapped != want.ItemIndexMapped || got.HeapObjectsBytes == 0 {
+	if got := resp.Memory; got.MemStats != want.MemStats || got.ItemIndexMapped != want.ItemIndexMapped || got.HeapObjectsBytes == 0 || got.HeapGoalBytes == 0 {
 		t.Errorf("statsz memory = %+v, the engine reports %+v", got, want)
 	}
 	if resp.Memory.BaseLogBytes == 0 || resp.Memory.ItemIndexBytes == 0 {

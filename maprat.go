@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -501,7 +502,12 @@ func (e *Engine) explainUncached(ctx context.Context, req ExplainRequest, base c
 
 // MinePlan runs the mining stage of Explain over an already-materialized
 // plan: one RHE solve per requested sub-problem, with the same defaults
-// and coverage relaxation Explain applies. Exported so a caller that
+// and coverage relaxation Explain applies. The sub-problems are solved
+// side by side, each with its own restart pool, so one's setup and pool
+// tail overlap the other's restarts; the results keep req.Tasks' order,
+// and the error reported is the first failing task's in that order, as
+// a sequential fold would return (a failing first task stops the
+// others). Exported so a caller that
 // materializes a plan itself (the perfbench traced replay times resolve,
 // gather and cube build separately) mines through the same function as
 // the engine and gets byte-identical results. The returned
@@ -523,16 +529,36 @@ func MinePlan(ctx context.Context, p *store.Plan, req ExplainRequest) (*Explanat
 		Overall:    p.Overall,
 		Body:       new(BodyCell),
 	}
-	for _, task := range req.Tasks {
-		tr, err := solveTask(ctx, task, p.Cube, req)
+	// Each task after the first solves on its own goroutine, the first on
+	// this one; all of them read the shared cube only. When the first
+	// task fails, its error is the answer, so the others are stopped.
+	// Every goroutine is joined before the results are read, so a
+	// cancelled mine leaves none behind.
+	results := make([]TaskResult, len(req.Tasks))
+	errs := make([]error, len(req.Tasks))
+	rest, stop := context.WithCancel(ctx)
+	defer stop()
+	var wg sync.WaitGroup
+	for i := 1; i < len(req.Tasks); i++ {
+		wg.Add(1)
+		go func(ctx context.Context) {
+			defer wg.Done()
+			results[i], errs[i] = solveTask(ctx, req.Tasks[i], p.Cube, req)
+		}(rest)
+	}
+	if results[0], errs[0] = solveTask(ctx, req.Tasks[0], p.Cube, req); errs[0] != nil {
+		stop()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			if errors.Is(err, ctx.Err()) {
 				return nil, err
 			}
-			return nil, fmt.Errorf("%v: %w", task, err)
+			return nil, fmt.Errorf("%v: %w", req.Tasks[i], err)
 		}
-		ex.Results = append(ex.Results, tr)
 	}
+	ex.Results = results
 	return ex, nil
 }
 
